@@ -52,7 +52,8 @@ OPTIONS:
                          instead of the fault-free suite (2 episodes per case)
     --fault-episodes N   like --faults with an explicit per-case episode budget
     --no-thread          skip the thread tier
-    --no-net             skip the socket tier
+    --no-net             skip the socket tier (it runs twice: `net` at the default
+                         reactor shard count, `net-1shard` with every hop in memory)
     --no-cluster         skip the process-cluster tier (the small fixed-seed
                          subset replayed across real arrowd processes after
                          the sweep; needs the arrowd binary —
@@ -265,7 +266,11 @@ fn main() -> ExitCode {
             format!(" (churn contract, ≤{} fault episodes/case)", opts.fault_episodes)
         },
         if opts.include_thread { ", thread" } else { "" },
-        if opts.include_net { ", net" } else { "" },
+        if opts.include_net {
+            ", net, net-1shard"
+        } else {
+            ""
+        },
     );
     let report = run_sweep(&opts);
 

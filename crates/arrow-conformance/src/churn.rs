@@ -33,6 +33,7 @@
 
 use crate::case::ReplayCase;
 use crate::invariants::{InvariantKind, Violation};
+use crate::net_driver::NET_TIERS;
 use arrow_core::driver::acquire_sequences;
 use arrow_core::live::ArrowRuntime;
 use arrow_core::prelude::*;
@@ -128,10 +129,12 @@ pub fn run_churn_case(
         regenerations += t.token_regenerations;
     }
     if include_net {
-        tiers_run.push("net".to_string());
-        let t = run_net_churn(&instance, &schedule, &faults, &cfg);
-        violations.extend(t.violations);
-        regenerations += t.token_regenerations;
+        for (tier, shards) in NET_TIERS {
+            tiers_run.push(tier.to_string());
+            let t = run_net_churn(&instance, &schedule, &faults, &cfg, tier, shards);
+            violations.extend(t.violations);
+            regenerations += t.token_regenerations;
+        }
     }
     (tiers_run, violations, regenerations)
 }
@@ -225,20 +228,23 @@ fn run_thread_churn(
 
 /// Socket-tier churn: loopback-TCP runtime in fault-tolerant mode (an
 /// unreachable peer drops the frame for epoch recovery to compensate, instead of
-/// failing the whole mesh) + wall-clock fault injection severing real links.
+/// failing the whole mesh) + wall-clock fault injection severing real links,
+/// at one of the [`NET_TIERS`] shard counts.
 fn run_net_churn(
     instance: &Instance,
     schedule: &RequestSchedule,
     faults: &FaultSchedule,
     cfg: &RunConfig,
+    tier: &str,
+    shards: usize,
 ) -> TierChurn {
-    let tier = "net";
     let final_epoch = faults.final_epoch();
     let attempt = cfg.grant_timeout();
     let k = schedule.object_id_bound().max(1);
     let net_cfg = NetConfig::instant()
         .with_fault_tolerance()
-        .with_dial_retries(1);
+        .with_dial_retries(1)
+        .with_shards(shards);
     let rt = NetRuntime::spawn_multi(instance.tree(), k, net_cfg);
     let fh = rt.fault_handle();
     let injector_done = Arc::new(AtomicBool::new(false));
@@ -339,7 +345,7 @@ mod tests {
         let case = ReplayCase::generate_with_faults(fault_spec(3), 2);
         assert!(!case.faults.is_empty());
         let (tiers, violations, _regens) = run_churn_case(&case, true, true);
-        assert_eq!(tiers, ["sim", "thread", "net"]);
+        assert_eq!(tiers, ["sim", "thread", "net", "net-1shard"]);
         assert!(violations.is_empty(), "{violations:?}");
     }
 

@@ -7,6 +7,11 @@
 //! Transport failures (an unreachable peer after the dial retry budget) come back
 //! as [`RunError::Transport`], not panics, so a conformance sweep records them as
 //! ordinary failures.
+//!
+//! The reactor delivers a frame in memory when one shard owns both endpoints and
+//! over a socket otherwise, so a sweep replays every case at two shard counts
+//! ([`NET_TIERS`]): the runtime default, which mixes the two transports, and a
+//! single shard, where every hop is a memory move and no socket exists.
 
 use arrow_core::driver::{acquire_sequences, Driver};
 use arrow_core::prelude::*;
@@ -16,6 +21,11 @@ use desim::SimTime;
 use netgraph::NodeId;
 use std::time::Duration;
 
+/// The socket tier's sweep configurations as `(tier name, reactor shard count)`:
+/// the runtime default (`0`, auto-sized — cross-shard hops pay the wire,
+/// same-shard hops are memory moves) and one shard (every hop a memory move).
+pub const NET_TIERS: [(&str, usize); 2] = [("net", 0), ("net-1shard", 1)];
+
 /// Tier 3: the socket runtime (loopback TCP peers, wire codec, latency injection).
 #[derive(Debug, Clone, Copy)]
 pub struct NetDriver {
@@ -24,17 +34,30 @@ pub struct NetDriver {
     /// care about ordering contracts, not wall-clock latency, and instant links
     /// keep a 32-case sweep in CI territory.
     pub unit_latency: Duration,
+    /// Reactor shard count ([`NetConfig::shards`]); `0` (the default) keeps the
+    /// runtime's auto-sizing.
+    pub shards: usize,
 }
 
 impl Default for NetDriver {
     fn default() -> Self {
         NetDriver {
             unit_latency: Duration::ZERO,
+            shards: 0,
         }
     }
 }
 
 impl NetDriver {
+    /// The instant-latency driver at reactor shard count `shards` (see
+    /// [`NET_TIERS`]).
+    pub fn with_shards(shards: usize) -> Self {
+        NetDriver {
+            shards,
+            ..NetDriver::default()
+        }
+    }
+
     /// Like [`Driver::run`], with a recording probe per node (typically
     /// [`arrow_trace::TraceRecorder::wall_probe`]) so the replay leaves a causal
     /// event trace behind. [`NetRuntime::shutdown`] joins the node threads — and
@@ -63,7 +86,8 @@ impl NetDriver {
             NetConfig::instant()
         } else {
             NetConfig::from_run_config(config, self.unit_latency)
-        };
+        }
+        .with_shards(self.shards);
         let grant_timeout = config.grant_timeout();
         let rt = NetRuntime::spawn_multi_probed(instance.tree(), k, cfg, probe_for);
         let mut workers = Vec::new();
@@ -141,7 +165,10 @@ impl NetDriver {
 
 impl Driver for NetDriver {
     fn name(&self) -> &'static str {
-        "net"
+        NET_TIERS
+            .iter()
+            .find(|(_, shards)| *shards == self.shards)
+            .map_or("net", |(tier, _)| tier)
     }
 
     fn supports(&self, config: &RunConfig) -> bool {
@@ -178,16 +205,19 @@ mod tests {
             .collect();
         let schedule = RequestSchedule::from_object_pairs(&triples);
         let cfg = RunConfig::analysis(ProtocolKind::Arrow);
-        let outcome = NetDriver::default()
-            .run(&instance, &schedule, &cfg)
-            .unwrap();
-        assert_eq!(outcome.request_count(), 10);
-        assert_eq!(
-            acquire_sequences(&outcome.schedule),
-            acquire_sequences(&schedule)
-        );
-        let total: usize = outcome.orders.iter().map(|(_, o)| o.len()).sum();
-        assert_eq!(total, 10);
+        for (tier, shards) in NET_TIERS {
+            let driver = NetDriver::with_shards(shards);
+            assert_eq!(driver.name(), tier);
+            let outcome = driver.run(&instance, &schedule, &cfg).unwrap();
+            assert_eq!(outcome.request_count(), 10, "{tier}");
+            assert_eq!(
+                acquire_sequences(&outcome.schedule),
+                acquire_sequences(&schedule),
+                "{tier}"
+            );
+            let total: usize = outcome.orders.iter().map(|(_, o)| o.len()).sum();
+            assert_eq!(total, 10, "{tier}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use crate::case::{CaseSpec, GraphKind, ReplayCase, WorkloadKind};
 use crate::invariants::{self, InvariantKind, Violation};
-use crate::net_driver::NetDriver;
+use crate::net_driver::{NetDriver, NET_TIERS};
 use arrow_core::driver::{Driver, SimDriver, ThreadDriver};
 use arrow_core::prelude::*;
 use desim::{SimConfig, SimRng};
@@ -279,7 +279,9 @@ fn run_case_fault_free(case: &ReplayCase, opts: &SweepOptions) -> (Vec<String>, 
             drivers.push(("thread", Box::new(ThreadDriver)));
         }
         if opts.include_net {
-            drivers.push(("net", Box::new(NetDriver::default())));
+            for (tier, shards) in NET_TIERS {
+                drivers.push((tier, Box::new(NetDriver::with_shards(shards))));
+            }
         }
         drivers
     };
@@ -421,6 +423,7 @@ mod tests {
         assert!(tiers.iter().any(|t| t == "sim"));
         assert!(tiers.iter().any(|t| t == "thread"));
         assert!(tiers.iter().any(|t| t == "net"));
+        assert!(tiers.iter().any(|t| t == "net-1shard"));
         assert!(violations.is_empty(), "{violations:?}");
     }
 

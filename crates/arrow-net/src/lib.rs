@@ -7,10 +7,12 @@
 //! 2. **Threads** (`arrow-core::live`) — one OS thread per node over in-process
 //!    mpsc channels, the concurrency demonstration.
 //! 3. **Sockets** (this crate) — each node is a process-independent peer whose
-//!    *only* protocol channel is loopback TCP. Throughput here pays for real
+//!    protocol channel to any node hosted elsewhere (another reactor shard,
+//!    another process) is loopback TCP. Throughput here pays for real
 //!    serialization, framing, kernel round-trips and (optionally) injected link
 //!    latency — the per-message cost that the paper's Section 5 experiment runs on
-//!    real processors to expose.
+//!    real processors to expose. Only a hop between two nodes of one shard is
+//!    spared the wire; `with_shards(n)` and the `arrowd` daemon mode spare none.
 //!
 //! All three tiers execute the same per-node state machine: the simulator's
 //! [`arrow_core::arrow`] automaton and the shared [`arrow_core::live::ArrowCore`]
@@ -37,7 +39,10 @@
 //!   simultaneous-dial races collapse onto one canonical connection per peer
 //!   pair, injected latency rides a per-shard timer wheel whose next deadline
 //!   doubles as the `epoll_wait` timeout, and every flush coalesces a link's
-//!   staged frames into a single `write` syscall. Thread count is O(shards),
+//!   staged frames into a single `write` syscall. A frame between two nodes
+//!   of one shard is delivered in memory instead, and the shard runs such
+//!   frames to quiescence before its next `epoll_wait`
+//!   ([`mesh::NetConfig::shards`] states the rule). Thread count is O(shards),
 //!   not O(nodes) — a single process hosts ≥1024 nodes.
 //! * [`runtime`] — the [`NetRuntime`]: spawn/shutdown over the shard pool,
 //!   application-facing [`NetHandle`]s with blocking *and* pipelined
@@ -55,7 +60,7 @@
 //! let tree = RootedTree::from_tree_graph(&generators::balanced_binary_tree(7), 0);
 //! let rt = NetRuntime::spawn_multi(&tree, 2, NetConfig::instant());
 //! let handle = rt.handle(6);
-//! let req = handle.acquire(); // queue() frames travel real TCP sockets
+//! let req = handle.acquire(); // queue() frames cross shards over real TCP sockets
 //! handle.release(req);
 //! let report = rt.shutdown();
 //! assert_eq!(report.stats().acquisitions, 1);

@@ -6,6 +6,9 @@
 //! non-neighbour. This mirrors the protocol's traffic pattern exactly: `queue()`
 //! messages travel tree edges only, while token grants jump straight to the granted
 //! request's origin (the socket analogue of the simulator's direct-ack sends).
+//! Sockets exist only *between* reactor shards: two nodes owned by one shard
+//! exchange frames through that shard's memory and never dial each other (see
+//! [`NetConfig::shards`]).
 //!
 //! Every connection starts with a `Hello`/`Welcome` handshake so each side knows the
 //! peer's node id, and ends with a `Goodbye` notice at shutdown. The handshake,
@@ -76,11 +79,28 @@ pub struct NetConfig {
     /// epoch bump regenerating the token, so losing it must not condemn the run.
     pub fault_tolerant: bool,
     /// Number of reactor shards (event-loop threads) the runtime spawns. Each
-    /// shard owns `n / shards` nodes and multiplexes all of their sockets over
-    /// one `epoll` loop, so the process's thread count is `O(shards)` rather
-    /// than `O(nodes)`. `0` (the default) auto-sizes to the machine's
-    /// available parallelism (at least 2); any other value is clamped to
-    /// `[1, node count]` at spawn time.
+    /// shard owns `n / shards` nodes (node `v` lives on shard `v % shards`)
+    /// and multiplexes all of their sockets over one `epoll` loop, so the
+    /// process's thread count is `O(shards)` rather than `O(nodes)`. `0` (the
+    /// default) auto-sizes to the machine's available parallelism (at least
+    /// 2); any other value is clamped to `[1, node count]` at spawn time.
+    ///
+    /// The shard count also decides which hops pay the wire. **Delivery
+    /// rule:** a frame whose destination lives on the sender's shard is a
+    /// memory move — queued in the shard and handed to the destination's core
+    /// in the same loop cycle, counted as
+    /// [`local_frames`](NetStatsSnapshot::local_frames); every other frame is
+    /// encoded, written to a loopback socket and read back by the owning
+    /// shard. **Co-sharded pairs have no socket** at all: neither the tree
+    /// edge nor a token channel between them is ever dialed, so one directed
+    /// pair never splits its FIFO across two transports. **Quiescence:** a
+    /// shard runs its in-memory frames (and whatever they provoke) to
+    /// completion before it flushes sockets and re-enters `epoll_wait`, so at
+    /// most a tree diameter of memory hops per input separates two waits.
+    /// Fault injection and injected latency apply to both paths alike.
+    ///
+    /// With `shards = 1` nothing touches a socket; with `shards = node count`
+    /// (or in the one-node-per-process daemon mode) every hop pays the wire.
     pub shards: usize,
 }
 
@@ -193,9 +213,9 @@ pub struct NetStats {
 /// A plain-number snapshot of [`NetStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetStatsSnapshot {
-    /// Arrow `queue()` frames sent.
+    /// Arrow `queue()` frames sent, over a socket or in memory.
     pub queue_frames: u64,
-    /// Token grant frames sent.
+    /// Token grant frames sent, over a socket or in memory.
     pub token_frames: u64,
     /// Every frame written to a socket, handshake frames included: the
     /// reactors stage `Hello`/`Welcome`/`Goodbye` through the same send
@@ -239,6 +259,11 @@ pub struct NetStatsSnapshot {
     pub would_block_retries: u64,
     /// Simultaneous-dial races collapsed onto a single surviving link.
     pub dial_races_collapsed: u64,
+    /// Protocol frames delivered in memory between two nodes of one reactor
+    /// shard. They are counted in `queue_frames`/`token_frames` like any hop
+    /// but never reach a socket, so they explain the gap between those and
+    /// `frames_sent`/`socket_writes`. Zero when every node has its own shard.
+    pub local_frames: u64,
 }
 
 impl NetStatsSnapshot {
@@ -301,6 +326,7 @@ impl NetStats {
             reactor_wakeups: self.registry.get(Metric::ReactorWakeups),
             would_block_retries: self.registry.get(Metric::WouldBlockRetries),
             dial_races_collapsed: self.registry.get(Metric::DialRacesCollapsed),
+            local_frames: self.registry.get(Metric::LocalFrames),
         }
     }
 }

@@ -12,6 +12,35 @@
 //! is the only shared state. Cross-shard control (acquire, crash, epoch,
 //! shutdown) travels through each shard's [`Inbox`], woken via an eventfd.
 //!
+//! # Delivery rule: same-shard hops are memory moves
+//!
+//! [`Shard::deliver_frame`] picks the transport from one observable fact:
+//! does this shard own the destination node? If it does, the frame is pushed
+//! onto the shard's in-memory FIFO (`localq`) and later fed through
+//! [`Shard::on_frame`] — the same entry point frames read off a socket use, so
+//! the crashed-node drop, the `origin` bound check and the `UnexpectedFrames`
+//! accounting are shared. If it does not, the frame is staged on the link's
+//! socket (dialing it first if need be). Everything upstream of that choice
+//! in [`Shard::send_frame`] — the failed-node check, the severed-link drop and
+//! the injected-latency timer wheel with its per-link FIFO — applies to both
+//! paths unchanged.
+//!
+//! **Co-sharded pairs never have a socket.** Neither a tree edge nor a lazily
+//! dialed token channel is ever opened between two nodes of one shard (the
+//! bootstrap and restart dials skip a co-sharded parent, and an inbound
+//! `Hello` claiming a co-sharded id is refused), so a directed pair's frames
+//! always travel one transport and per-link FIFO cannot be split. Debug
+//! builds assert it wherever a dial starts or a link is installed.
+//!
+//! **Quiescence invariant.** Each loop cycle ends with
+//! [`Shard::run_to_quiescence`], which alternates dispatching dirty nodes'
+//! core actions and draining `localq` until both are empty; only then are
+//! sockets flushed and `epoll_wait` entered. `localq` is therefore empty at
+//! every `epoll_wait` and at every [`ShardCmd`] boundary, and the work of one
+//! cycle is bounded by (commands + inbound frames taken this cycle) × tree
+//! diameter. A runtime with one node per shard (`with_shards(n)`, or the
+//! `arrowd` daemon mode) has no co-sharded peer, so every hop pays the wire.
+//!
 //! Handshakes are nonblocking state machines ([`ConnState`]): a dialer drives
 //! `Connecting → AwaitWelcome → Established`, an acceptor `AwaitHello →
 //! Established`. When two nodes dial each other simultaneously, both sides
@@ -87,6 +116,16 @@ pub(crate) struct Inbox {
     waker: netpoll::Waker,
     /// Set by the shard as it exits; late senders see `send` return `false`.
     closed: AtomicBool,
+}
+
+impl Inbox {
+    fn new() -> Arc<Self> {
+        Arc::new(Inbox {
+            queue: Mutex::new(VecDeque::new()),
+            waker: netpoll::Waker::new().expect("eventfd waker"),
+            closed: AtomicBool::new(false),
+        })
+    }
 }
 
 /// A cheap cloneable handle for injecting commands into one shard.
@@ -348,16 +387,7 @@ pub(crate) fn spawn_shards<P: Probe + Send + 'static>(
     shared: &ReactorShared,
     shard_nodes: Vec<Vec<NodeSeed<P>>>,
 ) -> (Vec<ShardInjector>, Vec<ShardJoin>) {
-    let inboxes: Vec<Arc<Inbox>> = shard_nodes
-        .iter()
-        .map(|_| {
-            Arc::new(Inbox {
-                queue: Mutex::new(VecDeque::new()),
-                waker: netpoll::Waker::new().expect("eventfd waker"),
-                closed: AtomicBool::new(false),
-            })
-        })
-        .collect();
+    let inboxes: Vec<Arc<Inbox>> = shard_nodes.iter().map(|_| Inbox::new()).collect();
     let injectors: Vec<ShardInjector> = inboxes
         .iter()
         .map(|inbox| ShardInjector {
@@ -400,6 +430,11 @@ struct Shard<P: Probe> {
     flushq: Vec<u64>,
     /// Nodes with undispatched core actions this cycle.
     dirtyq: Vec<NodeId>,
+    /// Frames between two nodes of this shard awaiting in-memory delivery, as
+    /// `(to, from, frame)`. Empty at every `epoll_wait` (see the module docs).
+    localq: VecDeque<(NodeId, NodeId, Frame)>,
+    /// Scratch for the frames scanned out of one readiness event.
+    scanned: Vec<Frame>,
     shutting_down: bool,
     shutdown_forced: bool,
 }
@@ -445,6 +480,8 @@ impl<P: Probe> Shard<P> {
             peers,
             flushq: Vec::new(),
             dirtyq: Vec::new(),
+            localq: VecDeque::new(),
+            scanned: Vec::new(),
             shutting_down: false,
             shutdown_forced: false,
         };
@@ -559,11 +596,14 @@ impl<P: Probe> Shard<P> {
     }
 
     fn run(mut self) -> Vec<(NodeId, NodeJournal)> {
-        // Bootstrap: every non-root node dials its tree parent.
+        // Bootstrap: every non-root node dials its tree parent — unless this
+        // shard owns the parent too, in which case the edge needs no socket.
         let owned: Vec<NodeId> = self.nodes.keys().copied().collect();
         for v in owned {
             if let Some(p) = self.tree.parent(v) {
-                self.start_dial(v, p, DialIntent::Bootstrap, Vec::new());
+                if !self.nodes.contains_key(&p) {
+                    self.start_dial(v, p, DialIntent::Bootstrap, Vec::new());
+                }
             }
         }
         let mut events = Vec::new();
@@ -573,7 +613,12 @@ impl<P: Probe> Shard<P> {
                 .wheel
                 .next_due()
                 .map(|d| d.saturating_duration_since(Instant::now()));
-            let _ = self.poller.wait(&mut events, timeout);
+            debug_assert!(self.localq.is_empty(), "localq drained before the wait");
+            if self.poller.wait(&mut events, timeout).is_err() {
+                // `wait` left `events` empty, so nothing stale is replayed;
+                // commands and timers below still make progress.
+                self.stats.inc(Metric::PollErrors);
+            }
             self.stats.inc(Metric::ReactorWakeups);
             self.stats
                 .observe(HistMetric::EventsPerWakeup, events.len() as u64);
@@ -614,12 +659,7 @@ impl<P: Probe> Shard<P> {
             for entry in due.drain(..) {
                 self.handle_timer(entry);
             }
-            let dirty = mem::take(&mut self.dirtyq);
-            for v in dirty {
-                if self.nodes.get(&v).is_some_and(|n| n.dirty) {
-                    self.apply_actions(v);
-                }
-            }
+            self.run_to_quiescence();
             let flush = mem::take(&mut self.flushq);
             for tok in flush {
                 if let Some(idx) = self.resolve(tok) {
@@ -659,6 +699,27 @@ impl<P: Probe> Shard<P> {
             out.push((v, node.journal));
         }
         out
+    }
+
+    /// Alternate dispatching dirty nodes' core actions and delivering the
+    /// same-shard frames those actions emit until neither is left. Every
+    /// round moves each in-flight frame one tree hop, so the loop ends after
+    /// at most a tree diameter of rounds per input taken this cycle.
+    fn run_to_quiescence(&mut self) {
+        while !(self.dirtyq.is_empty() && self.localq.is_empty()) {
+            let mut dirty = mem::take(&mut self.dirtyq);
+            for v in dirty.drain(..) {
+                if self.nodes.get(&v).is_some_and(|n| n.dirty) {
+                    self.apply_actions(v);
+                }
+            }
+            // Keep the emptied buffer's capacity for the next round.
+            dirty.append(&mut self.dirtyq);
+            self.dirtyq = dirty;
+            while let Some((to, from, frame)) = self.localq.pop_front() {
+                self.on_frame(to, from, frame);
+            }
+        }
     }
 
     // ---- control plane -----------------------------------------------------
@@ -778,7 +839,10 @@ impl<P: Probe> Shard<P> {
         state.crashed = false;
         if let Some(p) = self.tree.parent(v) {
             let state = &self.nodes[&v];
-            if !state.links.contains_key(&p) && !state.pending.contains_key(&p) {
+            if !self.nodes.contains_key(&p)
+                && !state.links.contains_key(&p)
+                && !state.pending.contains_key(&p)
+            {
                 self.start_dial(v, p, DialIntent::Restart, Vec::new());
             }
         }
@@ -950,7 +1014,8 @@ impl<P: Probe> Shard<P> {
         );
     }
 
-    /// Hand a frame to the link toward `to`, dialing it if absent.
+    /// Hand a frame to its transport: the in-memory `localq` when this shard
+    /// owns `to`, otherwise the link toward `to`, dialing it if absent.
     fn deliver_frame(&mut self, v: NodeId, to: NodeId, frame: Frame) {
         let state = &self.nodes[&v];
         if state.failed.is_some() {
@@ -958,6 +1023,15 @@ impl<P: Probe> Shard<P> {
         }
         if state.crashed {
             self.stats.inc(Metric::FramesDropped);
+            return;
+        }
+        if self.nodes.contains_key(&to) {
+            debug_assert!(
+                !state.links.contains_key(&to) && !state.pending.contains_key(&to),
+                "co-sharded pair {v}->{to} must never hold a socket"
+            );
+            self.stats.inc(Metric::LocalFrames);
+            self.localq.push_back((to, v, frame));
             return;
         }
         if let Some(link) = state.links.get(&to) {
@@ -990,6 +1064,10 @@ impl<P: Probe> Shard<P> {
     // ---- dialing -----------------------------------------------------------
 
     fn start_dial(&mut self, v: NodeId, to: NodeId, intent: DialIntent, frames: Vec<Frame>) {
+        debug_assert!(
+            !self.nodes.contains_key(&to),
+            "node {v} dialing co-sharded peer {to}"
+        );
         let state = self.nodes.get_mut(&v).expect("owned node");
         state.pending.insert(
             to,
@@ -1191,9 +1269,9 @@ impl<P: Probe> Shard<P> {
             // connect completion and error surfacing.
             return;
         }
-        // Phase 1: pull bytes and scan frames, touching only the connection
-        // and the stats handle (disjoint struct fields).
-        let mut frames: Vec<Frame> = Vec::new();
+        // Phase 1: pull bytes and scan frames, touching only the connection,
+        // the scratch frame list and the stats handle (disjoint fields).
+        let mut frames = mem::take(&mut self.scanned);
         let mut ended: Option<io::Error> = None;
         {
             let stats = &self.stats;
@@ -1211,6 +1289,7 @@ impl<P: Probe> Shard<P> {
                     let double = c.buf.len() * 2;
                     c.buf.resize(double, 0);
                 }
+                let spare = c.buf.len() - c.end;
                 match (&c.stream).read(&mut c.buf[c.end..]) {
                     Ok(0) => {
                         ended = Some(io::Error::new(
@@ -1244,6 +1323,12 @@ impl<P: Probe> Shard<P> {
                                 }
                             }
                         }
+                        // A short read emptied the socket: skip the read that
+                        // would only return EAGAIN. Level-triggered epoll
+                        // re-notifies if more (or EOF) arrives meanwhile.
+                        if n < spare {
+                            break 'reads;
+                        }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break 'reads,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -1254,16 +1339,19 @@ impl<P: Probe> Shard<P> {
                 }
             }
         }
-        if frames.is_empty() && ended.is_none() {
-            return;
-        }
         // Phase 2: run the frames through the handshake/protocol machinery.
-        self.process_inbound(idx, frames, ended);
+        if !frames.is_empty() || ended.is_some() {
+            self.process_inbound(idx, &mut frames, ended);
+        }
+        // `process_inbound` drained the list; hand its capacity back.
+        self.scanned = frames;
     }
 
-    fn process_inbound(&mut self, idx: usize, frames: Vec<Frame>, ended: Option<io::Error>) {
+    /// Feed the frames scanned off connection `idx` (drained from `frames`)
+    /// through its handshake state, then apply a read-side `ended` error.
+    fn process_inbound(&mut self, idx: usize, frames: &mut Vec<Frame>, ended: Option<io::Error>) {
         let tok = self.token_of(idx);
-        for frame in frames {
+        for frame in frames.drain(..) {
             // Processing a frame can close this connection (protocol error,
             // dedupe collapse): stop feeding it if it died.
             if self.resolve(tok).is_none() {
@@ -1290,7 +1378,9 @@ impl<P: Probe> Shard<P> {
                 },
                 ConnState::AwaitHello => match frame {
                     Frame::Hello { node } => {
-                        if node >= self.addrs.len() {
+                        // Out of range, or claiming a node this shard owns:
+                        // co-sharded peers talk through `localq`, never dial.
+                        if node >= self.addrs.len() || self.nodes.contains_key(&node) {
                             self.stats.inc(Metric::UnexpectedFrames);
                             self.close_conn(idx, None);
                             return;
@@ -1345,6 +1435,10 @@ impl<P: Probe> Shard<P> {
             c.state = ConnState::Established;
             (c.node, c.peer.expect("peer known at promote"), c.dialed)
         };
+        debug_assert!(
+            !self.nodes.contains_key(&peer),
+            "link {v}<->{peer} installed between co-sharded nodes"
+        );
         if dialed {
             self.stats.inc(Metric::ConnectionsDialed);
         } else {
@@ -1759,6 +1853,10 @@ impl<P: Probe> Shard<P> {
                 self.deliver_frame(node, peer, frame);
             }
         }
+        // Same-shard frames among them land now, so whatever they provoke is
+        // staged ahead of the Goodbyes and `localq` is empty again before the
+        // next command.
+        self.run_to_quiescence();
         // 2. Stop accepting and abandon half-done handshakes.
         let stale: Vec<usize> = self
             .slab
@@ -1814,6 +1912,29 @@ mod tests {
             faults_armed: Arc::new(AtomicBool::new(false)),
             epoch0: Instant::now(),
         }
+    }
+
+    /// The manifest of one shard that owns both nodes of a two-node path
+    /// (root 0, child 1) serving `objects` objects, with bound listeners.
+    fn co_sharded_pair(objects: usize) -> (ReactorShared, Vec<NodeSeed<NoProbe>>) {
+        let tree = RootedTree::from_tree_graph(&generators::path(2), 0);
+        let listeners: Vec<TcpListener> = (0..2)
+            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
+            .collect();
+        let addrs = listeners
+            .iter()
+            .map(|l| l.local_addr().expect("listener addr"))
+            .collect();
+        let shared = shared_for(tree, addrs);
+        let owned = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(v, l)| {
+                let core = ArrowCore::for_tree_with_probe(v, &shared.tree, objects, NoProbe);
+                (v, core, l)
+            })
+            .collect();
+        (shared, owned)
     }
 
     /// Read frames off a blocking socket until `want` have been scanned out.
@@ -1924,6 +2045,84 @@ mod tests {
         }
 
         drop(peer);
+        assert!(injectors[0].send(ShardCmd::Shutdown));
+        for t in threads {
+            t.join().expect("shard joins");
+        }
+    }
+
+    /// The delivery rule and the quiescence invariant on a hand-driven shard
+    /// that owns both nodes of a two-node path: commands only dirty nodes,
+    /// `run_to_quiescence` then carries both objects' `queue()` frames 1→0
+    /// and both tokens 0→1 through `localq` in send order, leaves `localq`
+    /// and `dirtyq` empty, and never opens, dials or flushes a socket.
+    #[test]
+    fn co_sharded_frames_move_in_memory_in_send_order_until_quiescent() {
+        let (shared, owned) = co_sharded_pair(2);
+        let inbox = Inbox::new();
+        let peers = Arc::new(vec![ShardInjector {
+            inbox: Arc::clone(&inbox),
+        }]);
+        let mut shard = Shard::new(&shared, inbox, peers, owned);
+
+        let (reply, grants) = std::sync::mpsc::channel();
+        for obj in [ObjectId(0), ObjectId(1)] {
+            shard.handle_cmd(ShardCmd::Acquire {
+                node: 1,
+                obj,
+                reply: reply.clone(),
+            });
+        }
+        assert!(shard.localq.is_empty(), "commands only dirty their node");
+        assert_eq!(shard.dirtyq, vec![1]);
+        shard.run_to_quiescence();
+        assert!(shard.localq.is_empty() && shard.dirtyq.is_empty());
+
+        let granted: Vec<ObjectId> = grants.try_iter().map(|g| g.obj).collect();
+        assert_eq!(
+            granted,
+            vec![ObjectId(0), ObjectId(1)],
+            "frames on one directed pair must not overtake each other"
+        );
+        let snap = shared.stats.snapshot();
+        assert_eq!((snap.queue_frames, snap.token_frames), (2, 2));
+        assert_eq!(snap.local_frames, 4, "every hop was a memory move");
+        assert_eq!(snap.socket_writes, 0);
+        assert!(shard.flushq.is_empty(), "nothing was staged on a socket");
+        assert!(
+            shard
+                .nodes
+                .values()
+                .all(|n| n.links.is_empty() && n.pending.is_empty()),
+            "a co-sharded pair never holds a link or a pending dial"
+        );
+    }
+
+    /// Co-sharded nodes talk through `localq` and never dial each other, so a
+    /// `Hello` claiming the id of a node the accepting shard itself owns can
+    /// only be a confused or hostile peer: the shard refuses it instead of
+    /// installing a link that would split the pair across two transports.
+    #[test]
+    fn hello_claiming_a_co_sharded_id_is_refused() {
+        let (shared, owned) = co_sharded_pair(1);
+        let (injectors, threads) = spawn_shards(&shared, vec![owned]);
+
+        let mut peer = TcpStream::connect(shared.addrs[0]).expect("dial the shard");
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        peer.write_all(&Frame::Hello { node: 1 }.encode())
+            .expect("hello");
+        let mut byte = [0u8; 1];
+        assert_eq!(
+            peer.read(&mut byte)
+                .expect("the shard closes the connection"),
+            0,
+            "no Welcome may answer an impostor"
+        );
+        let snap = shared.stats.snapshot();
+        assert_eq!(snap.unexpected_frames, 1);
+        assert_eq!(snap.connections_accepted, 0);
+
         assert!(injectors[0].send(ShardCmd::Shutdown));
         for t in threads {
             t.join().expect("shard joins");

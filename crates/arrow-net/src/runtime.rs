@@ -9,15 +9,18 @@
 //! module), each running
 //! one `epoll` loop over the nonblocking listeners and connections of its nodes;
 //! `queue()` frames travel the spanning-tree edges, token grants travel
-//! lazily-dialed direct channels.
+//! lazily-dialed direct channels. A hop between two nodes of one shard is a
+//! memory move inside that shard; only hops between shards use a socket (the
+//! delivery rule is spelled out on [`NetConfig::shards`]).
 //!
 //! # Hot-path shape
 //!
 //! A shard wakes once per readiness batch, drains every ready socket, feeds the
-//! decoded frames through the owning node's core, and flushes each dirty link's
-//! coalesced frame batch with one `write` — no per-node threads, no per-frame
-//! wakeups, and thread count is O(shards) rather than O(nodes), which is what
-//! lets a single process host ≥1024 nodes. With injected latency frames are
+//! decoded frames through the owning node's core, carries same-shard frames
+//! from core to core in memory until none is left, and only then flushes each
+//! dirty link's coalesced frame batch with one `write` — no per-node threads,
+//! no per-frame wakeups, and thread count is O(shards) rather than O(nodes),
+//! which is what lets a single process host ≥1024 nodes. With injected latency frames are
 //! scheduled on the shard's timer wheel, whose next deadline doubles as the
 //! `epoll_wait` timeout, so a shard sleeps in exactly one place. Applications
 //! that want to overlap round-trips use the pipelined acquire API
@@ -133,10 +136,11 @@ impl NetRuntime {
     /// the tree root, already released.
     ///
     /// Bootstrap: every node binds a loopback listener; once all listeners exist,
-    /// every non-root node dials its tree parent and runs the `Hello`/`Welcome`
-    /// handshake (nonblocking, driven by the node's shard), materializing exactly
-    /// the spanning-tree edges. Direct token channels are dialed lazily on first
-    /// grant.
+    /// every non-root node whose tree parent lives on another shard dials it and
+    /// runs the `Hello`/`Welcome` handshake (nonblocking, driven by the node's
+    /// shard), materializing exactly the cross-shard spanning-tree edges. Direct
+    /// token channels between shards are dialed lazily on first grant; nodes of
+    /// one shard need no connection at all.
     ///
     /// # Panics
     /// If `objects` is zero, or a loopback socket cannot be bound.
@@ -798,7 +802,9 @@ mod tests {
 
     #[test]
     fn single_remote_acquire_crosses_real_sockets() {
-        let rt = NetRuntime::spawn(&tree(7), NetConfig::instant());
+        // One node per shard: no pair is co-sharded, so every hop of the
+        // 6 -> 2 -> 0 path and the token's way back pays the wire.
+        let rt = NetRuntime::spawn(&tree(7), NetConfig::instant().with_shards(7));
         let h = rt.handle(6);
         let req = h.acquire();
         h.release(req);
@@ -815,6 +821,7 @@ mod tests {
             "readers count their bytes"
         );
         assert!(report.stats().socket_writes >= 1);
+        assert_eq!(report.stats().local_frames, 0);
         let orders = report.validated_orders().unwrap();
         assert_eq!(orders.len(), 1);
         assert_eq!(orders[0].1.len(), 1);
@@ -959,8 +966,9 @@ mod tests {
         // lazily dial node 3 to deliver the token — but node 3's advertised
         // address is refused. Pre-fix, only the *root* failed its own (empty)
         // waiter map and node 3's acquirer blocked forever; the PeerFailed
-        // broadcast must now fail node 3's acquire with a typed error.
-        let cfg = NetConfig::instant().with_dial_retries(1);
+        // broadcast must now fail node 3's acquire with a typed error. (Two
+        // shards pin nodes 0 and 3 apart: a co-sharded pair never dials.)
+        let cfg = NetConfig::instant().with_dial_retries(1).with_shards(2);
         let rt =
             NetRuntime::spawn_multi_with_addr_overrides(&tree(7), 1, cfg, &[(3, refused_addr())]);
         let failure = rt.handle(3).try_acquire().unwrap_err();
@@ -1157,8 +1165,9 @@ mod tests {
         // dial node 3's (refused) advertised address to deliver the first token
         // grant. The PeerFailed broadcast must fail *all* of node 3's in-flight
         // pipelined acquires promptly, including the ones queued behind the
-        // undeliverable head-of-line grant.
-        let cfg = NetConfig::instant().with_dial_retries(1);
+        // undeliverable head-of-line grant. (Two shards pin nodes 0 and 3
+        // apart: a co-sharded pair never dials.)
+        let cfg = NetConfig::instant().with_dial_retries(1).with_shards(2);
         let rt =
             NetRuntime::spawn_multi_with_addr_overrides(&tree(7), 1, cfg, &[(3, refused_addr())]);
         let pendings: Vec<PendingAcquire> = (0..3)

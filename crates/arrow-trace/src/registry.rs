@@ -60,11 +60,18 @@ pub enum Metric {
     WouldBlockRetries,
     /// Simultaneous-dial duplicate connections collapsed to one live link.
     DialRacesCollapsed,
+    /// Protocol frames a reactor shard delivered in memory because it owns
+    /// both endpoints (socket tier; such frames never touch a socket, so they
+    /// appear in `QueueFrames`/`TokenFrames` but not in `FramesSent`).
+    LocalFrames,
+    /// `epoll_wait` calls that failed with an error other than `EINTR`;
+    /// should stay zero.
+    PollErrors,
 }
 
 impl Metric {
     /// Every counter, in discriminant order (the snapshot/JSON order).
-    pub const ALL: [Metric; 20] = [
+    pub const ALL: [Metric; 22] = [
         Metric::QueueFrames,
         Metric::TokenFrames,
         Metric::FramesSent,
@@ -85,6 +92,8 @@ impl Metric {
         Metric::ReactorWakeups,
         Metric::WouldBlockRetries,
         Metric::DialRacesCollapsed,
+        Metric::LocalFrames,
+        Metric::PollErrors,
     ];
 
     /// Number of counters.
@@ -113,6 +122,8 @@ impl Metric {
             Metric::ReactorWakeups => "reactor_wakeups",
             Metric::WouldBlockRetries => "would_block_retries",
             Metric::DialRacesCollapsed => "dial_races_collapsed",
+            Metric::LocalFrames => "local_frames",
+            Metric::PollErrors => "poll_errors",
         }
     }
 }

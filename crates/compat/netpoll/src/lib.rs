@@ -278,9 +278,12 @@ impl Poller {
 
     /// Block until at least one event is ready or `timeout` elapses
     /// (`None` = wait forever). Clears and refills `events`; returns the
-    /// number of events delivered. Retries transparently on `EINTR`.
+    /// number of events delivered. Retries transparently on `EINTR`. On any
+    /// other error `events` is left empty, so a caller that carries on never
+    /// replays the previous call's events.
     pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
         const CAP: usize = 256;
+        events.clear();
         let mut raw = [EpollEvent { events: 0, data: 0 }; CAP];
         let timeout_ms: isize = match timeout {
             // Round up so a 100µs timeout still sleeps rather than spins.
@@ -306,7 +309,6 @@ impl Poller {
             }
             break check(ret)?;
         };
-        events.clear();
         for ev in raw.iter().take(n) {
             // Copy out of the (possibly packed) struct before inspecting.
             let bits = ev.events;
@@ -664,6 +666,33 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(10)))
             .unwrap();
         assert_eq!(n, 0);
+    }
+
+    /// Regression: a failing `epoll_wait` used to return before `events` was
+    /// cleared, so a caller that ignored the error replayed the previous
+    /// cycle's events against sockets that may since have closed. The poller
+    /// here wraps a descriptor that is not an epoll instance (deterministic,
+    /// unlike closing a live epoll fd under parallel tests, where the number
+    /// can be reused), so the syscall fails with `EINVAL`.
+    #[test]
+    fn failed_wait_leaves_no_stale_events() {
+        let not_epoll = std::fs::File::open("/dev/null").unwrap();
+        let poller = Poller {
+            epfd: OwnedFd::from(not_epoll),
+        };
+        let mut events = vec![
+            Event {
+                token: 7,
+                readable: true,
+                writable: true,
+            };
+            3
+        ];
+        let err = poller
+            .wait(&mut events, Some(Duration::ZERO))
+            .expect_err("epoll_wait on a non-epoll fd must fail");
+        assert_ne!(err.kind(), io::ErrorKind::Interrupted);
+        assert!(events.is_empty(), "stale events survived a failed wait");
     }
 
     #[test]

@@ -19,8 +19,10 @@ fn smoke_sweep_32_cases_across_all_three_tiers_is_violation_free() {
     );
     assert_eq!(report.cases, 32);
     // All three tiers (plus the centralized differential reference) actually ran
-    // on every case — a sweep that silently skipped a tier must not pass.
-    for tier in ["sim", "sim-centralized", "thread", "net"] {
+    // on every case — a sweep that silently skipped a tier must not pass. The
+    // socket tier runs twice: at the default shard count (cross-shard hops on
+    // the wire, same-shard hops in memory) and on one shard (all in memory).
+    for tier in ["sim", "sim-centralized", "thread", "net", "net-1shard"] {
         let count = report
             .tier_counts
             .iter()

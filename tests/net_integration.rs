@@ -19,6 +19,17 @@ fn tree(n: usize) -> RootedTree {
     RootedTree::from_tree_graph(&generators::balanced_binary_tree(n), 0)
 }
 
+/// Tree edges whose endpoints live on different reactor shards under the
+/// runtime's `v % shards` placement. Only these are ever dialed: a frame
+/// between two nodes of one shard is delivered in memory, so a co-sharded
+/// edge has no socket at all.
+fn cross_shard_tree_edges(t: &RootedTree, cfg: &NetConfig) -> u64 {
+    let shards = cfg.effective_shards(t.node_count());
+    (0..t.node_count())
+        .filter(|&v| t.parent(v).is_some_and(|p| p % shards != v % shards))
+        .count() as u64
+}
+
 /// Drive `workers_per_object` worker threads per object (at seeded-random nodes),
 /// each performing `acquires` acquire/release rounds, then shut down and return the
 /// report.
@@ -185,19 +196,26 @@ fn async_floor_from_run_config_bounds_injected_latency_below() {
     );
 }
 
-/// The mesh materializes the tree edges at bootstrap and only grows by the direct
-/// token channels traffic actually needs — never the full n² mesh.
+/// The mesh materializes the cross-shard tree edges at bootstrap and only grows by
+/// the direct token channels traffic actually needs — never the full n² mesh.
 #[test]
 fn mesh_stays_sparse() {
     let n = 32;
-    let rt = NetRuntime::spawn_multi(&tree(n), 2, NetConfig::instant());
+    let t = tree(n);
+    let cfg = NetConfig::instant();
+    let tree_links = cross_shard_tree_edges(&t, &cfg);
+    let rt = NetRuntime::spawn_multi(&t, 2, cfg);
     let report = drive(rt, 2, 2, 4, 0x5BA2);
     let dialed = report.stats().connections_dialed;
-    // n-1 tree edges, plus at most one direct channel per (granter, origin) pair
-    // that actually exchanged a token; with 4 requester nodes that is far below n².
+    // The cross-shard tree edges, plus at most one direct channel per (granter,
+    // origin) pair that actually exchanged a token; with 4 requester nodes that is
+    // far below n².
     assert!(
-        dialed >= (n - 1) as u64,
-        "tree edges materialized: {dialed}"
+        dialed >= tree_links,
+        "only {dialed} connections dialed: every one of the {tree_links} tree edges \
+         that join two shards must materialize at bootstrap (the other {} join two \
+         nodes of one shard, are delivered in memory and never get a socket)",
+        (n - 1) as u64 - tree_links
     );
     assert!(
         dialed < (n * n / 2) as u64,
@@ -349,10 +367,11 @@ fn link_sever_racing_in_flight_tokens_recovers_per_epoch_orders() {
 }
 
 /// The tentpole scaling claim: one process hosts ≥1024 nodes because thread
-/// count is O(shards), not O(nodes). A 1025-node mesh materializes its 1024
-/// tree links and serves a deep-leaf acquire while the whole process stays
-/// under a hundred threads — the old thread-per-connection tier would need
-/// thousands.
+/// count is O(shards), not O(nodes). A 1025-node mesh materializes its
+/// cross-shard tree links (the co-sharded ones need no socket, which halves
+/// the fd cost at two shards) and serves a deep-leaf acquire while the whole
+/// process stays under a hundred threads — the old thread-per-connection tier
+/// would need thousands.
 #[test]
 fn process_hosts_1024_nodes_with_o_shards_threads() {
     fn thread_count() -> usize {
@@ -367,27 +386,204 @@ fn process_hosts_1024_nodes_with_o_shards_threads() {
     }
 
     let n = 1025;
-    let rt = NetRuntime::spawn(&tree(n), NetConfig::instant());
+    let t = tree(n);
+    let cfg = NetConfig::instant();
+    let tree_links = cross_shard_tree_edges(&t, &cfg);
+    let rt = NetRuntime::spawn(&t, cfg);
     let threads = thread_count();
     assert!(
         threads < 100,
         "hosting {n} nodes takes {threads} threads; the reactor pool must stay O(shards)"
     );
 
-    // The mesh is real: every tree edge was dialed, and a deep leaf's acquire
-    // walks the full path to the root and back.
+    // The mesh is real: every tree edge that joins two shards was dialed, and
+    // a deep leaf's acquire walks the full path to the root and back.
     let h = rt.handle(n - 1);
     let req = h.acquire();
     h.release(req);
     let report = rt.shutdown();
     assert!(
-        report.stats().connections_dialed >= (n - 1) as u64,
-        "all {} tree edges must materialize, saw {}",
-        n - 1,
+        report.stats().connections_dialed >= tree_links,
+        "all {tree_links} cross-shard tree edges must materialize, saw {}",
         report.stats().connections_dialed
     );
     assert_eq!(report.stats().unexpected_frames, 0);
     report
         .validated_orders()
         .expect("1025-node order validates");
+}
+
+// ---- the two delivery paths ------------------------------------------------
+//
+// A frame between two nodes of one reactor shard is delivered in memory; every
+// other frame crosses a loopback socket. `with_shards(1)` makes every pair
+// co-sharded, `with_shards(n)` none, and anything in between mixes the two. The
+// tests below hold both paths to the same contracts.
+
+/// One seeded closed-loop drive at three shard counts: all-memory, mixed, and
+/// all-wire. The orders validate in all three; the counters say which path the
+/// frames took.
+#[test]
+fn orders_validate_on_the_memory_path_the_wire_path_and_their_mix() {
+    let n = 15;
+    let k = 2;
+    let run = |shards: usize| {
+        let rt = NetRuntime::spawn_multi(&tree(n), k, NetConfig::instant().with_shards(shards));
+        let report = drive(rt, k, 3, 6, 0x2BA7);
+        assert_eq!(report.stats().acquisitions, (k * 3 * 6) as u64);
+        assert_eq!(report.stats().unexpected_frames, 0);
+        let orders = report
+            .validated_orders()
+            .unwrap_or_else(|e| panic!("{shards} shard(s): invalid queuing order: {e:?}"));
+        let total: usize = orders.iter().map(|(_, o)| o.len()).sum();
+        assert_eq!(total, report.schedule().len(), "{shards} shard(s)");
+        report.stats()
+    };
+
+    let memory = run(1);
+    assert_eq!(
+        (memory.connections_dialed, memory.connections_accepted),
+        (0, 0),
+        "one shard owns every node: no pair may ever hold a socket"
+    );
+    assert_eq!((memory.socket_writes, memory.bytes_sent), (0, 0));
+    assert_eq!(
+        memory.local_frames,
+        memory.queue_frames + memory.token_frames,
+        "every protocol frame was a memory move"
+    );
+
+    let mixed = run(2);
+    assert!(mixed.local_frames > 0, "half the tree edges are co-sharded");
+    assert!(mixed.socket_writes > 0, "the other half cross the wire");
+
+    let wire = run(n);
+    assert_eq!(
+        wire.local_frames, 0,
+        "one node per shard: every hop pays the wire"
+    );
+    assert!(wire.connections_dialed >= (n - 1) as u64);
+}
+
+/// Fault injection sits upstream of the transport choice: a severed link
+/// between two nodes of one shard swallows the frame (and counts it) exactly
+/// like a severed TCP link, and restoring it plus an epoch bump heals.
+#[test]
+fn severed_co_sharded_link_drops_the_frame_and_an_epoch_bump_heals() {
+    let cfg = NetConfig::instant().with_fault_tolerance().with_shards(1);
+    let rt = NetRuntime::spawn(&tree(3), cfg);
+    let fh = rt.fault_handle();
+    fh.apply(&FaultAction::DropLink(0, 1), 1);
+    let pending = rt.handle(1).start_acquire_object(ObjectId::DEFAULT);
+    // The queue() frame 1→0 must be swallowed (and counted) at the sender.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while rt.stats().snapshot().frames_dropped == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the severed in-memory link never swallowed the queue() frame"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    fh.apply(&FaultAction::RestoreLink(0, 1), 2);
+    let req = pending
+        .wait_timeout(Duration::from_secs(10))
+        .expect("the re-issued request must complete after the link heals");
+    rt.handle(1).release_object(ObjectId::DEFAULT, req);
+    let report = rt.shutdown();
+    assert_eq!(report.stats().socket_writes, 0, "no frame left the shard");
+    report
+        .validate_churn(2)
+        .expect("per-epoch order contract under churn");
+}
+
+/// Crashing a token holder whose every peer is co-sharded: no socket is cut,
+/// but the token still dies with the node's state, the epoch bump regenerates
+/// it at the root, and the survivors are granted.
+#[test]
+fn crashing_a_co_sharded_token_holder_regenerates_the_token() {
+    let cfg = NetConfig::instant()
+        .with_dial_retries(1)
+        .with_fault_tolerance()
+        .with_shards(1);
+    let rt = NetRuntime::spawn(&tree(7), cfg);
+    let fh = rt.fault_handle();
+    let req = rt.handle(5).try_acquire().expect("healthy mesh grants");
+    assert!(!req.is_root());
+    fh.apply(&FaultAction::CrashNode(5), 1);
+    let got = rt
+        .handle(6)
+        .try_acquire_object_timeout(ObjectId::DEFAULT, Duration::from_secs(10))
+        .expect("regenerated token grants the surviving node");
+    rt.handle(6).release_object(ObjectId::DEFAULT, got);
+    fh.apply(&FaultAction::RestartNode(5), 2);
+    // The restarted node rejoins without dialing anyone and is served again.
+    let again = rt
+        .handle(5)
+        .try_acquire_object_timeout(ObjectId::DEFAULT, Duration::from_secs(10))
+        .expect("the restarted node rejoins the directory");
+    rt.handle(5).release_object(ObjectId::DEFAULT, again);
+    let report = rt.shutdown();
+    assert!(
+        report.token_regenerations() >= 1,
+        "the post-crash grant chains from the regenerated root token"
+    );
+    report
+        .validate_churn(2)
+        .expect("per-epoch order contract under churn");
+    assert!(report.failures().is_empty(), "churn is not a mesh failure");
+    assert_eq!(report.stats().connections_dialed, 0);
+}
+
+/// Injected latency also sits upstream of the transport choice: two hops
+/// between co-sharded nodes under a 60 ms synchronous unit latency still take
+/// two timer-wheel delays, although no byte touches a socket.
+#[test]
+fn co_sharded_hops_still_pay_injected_latency() {
+    let t = RootedTree::from_tree_graph(&generators::path(2), 0);
+    let cfg = NetConfig::synchronous(Duration::from_millis(60)).with_shards(1);
+    let rt = NetRuntime::spawn(&t, cfg);
+    let h = rt.handle(1);
+    let start = Instant::now();
+    let req = h.acquire();
+    let delayed = start.elapsed();
+    h.release(req);
+    let report = rt.shutdown();
+    assert!(
+        delayed >= Duration::from_millis(100),
+        "two injected 60 ms hops finished in {delayed:?}"
+    );
+    assert_eq!(report.stats().local_frames, 2, "one queue(), one token");
+    assert_eq!(report.stats().socket_writes, 0);
+}
+
+/// Per-link FIFO on the memory path: two objects' frames interleave on the one
+/// directed pair 1→0 (and their tokens on 0→1). Issued back to back as object
+/// 0 then object 1, the grants must come back in that order every round —
+/// whichever of the two nodes currently holds the tokens.
+#[test]
+fn k2_interleaving_on_one_co_sharded_pair_keeps_send_order() {
+    let t = RootedTree::from_tree_graph(&generators::path(2), 0);
+    let rt = NetRuntime::spawn_multi(&t, 2, NetConfig::instant().with_shards(1));
+    let (tx, rx) = std::sync::mpsc::channel();
+    for round in 0..40usize {
+        let h = rt.handle(1 - round % 2);
+        h.start_acquire_object_routed(ObjectId(0), &tx);
+        h.start_acquire_object_routed(ObjectId(1), &tx);
+        let first = rx.recv_timeout(Duration::from_secs(10)).expect("grant");
+        let second = rx.recv_timeout(Duration::from_secs(10)).expect("grant");
+        assert_eq!(
+            (first.obj, second.obj),
+            (ObjectId(0), ObjectId(1)),
+            "round {round}: frames on one directed pair overtook each other"
+        );
+        for g in [first, second] {
+            h.release_object(g.obj, g.result.expect("healthy mesh grants"));
+        }
+    }
+    let report = rt.shutdown();
+    assert_eq!(report.stats().socket_writes, 0);
+    assert_eq!(report.stats().unexpected_frames, 0);
+    report
+        .validated_orders()
+        .expect("both objects' orders validate");
 }
