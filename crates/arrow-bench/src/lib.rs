@@ -42,7 +42,6 @@ pub mod meta;
 pub mod multi_object;
 pub mod net_throughput;
 pub mod table;
-pub mod throughput;
 
 pub use experiments::{
     async_vs_sync, figure_10, figure_11, figure_9, ratio_sweep, Fig10Row, Fig11Row, Fig9Row,
@@ -53,4 +52,3 @@ pub use multi_object::{
 };
 pub use net_throughput::{measure_net, net_sweep, NetReportJson, NetRow};
 pub use table::Table;
-pub use throughput::{measure_sim_throughput, ThroughputReport};

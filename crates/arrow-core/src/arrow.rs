@@ -1,641 +1,175 @@
-//! The arrow protocol node automaton (Section 2 of the paper), generalized to a
-//! multi-object directory.
+//! The arrow protocol on the simulator: [`ArrowCore`] behind the node [`Host`].
 //!
-//! For every object `o` served by the directory, every node `v` keeps a pointer
-//! `link_o(v)` to a neighbour in the pre-selected spanning tree (or to itself, in
-//! which case `v` is object `o`'s *sink*), and `id_o(v)`, the id of the last queuing
-//! request for `o` issued by `v` (`⊥` if none; the object's initial root holds the
-//! virtual request `r0`). Single-object deployments are the `K = 1` special case and
-//! use the original constructors/accessors unchanged.
+//! The automaton itself — per-object link pointers, path reversal, recovery epochs,
+//! re-issue of pending requests — is [`crate::live::ArrowCore`], the one every tier
+//! runs and the one the model checker explores. [`ArrowSim`] is the glue: it feeds
+//! each [`ProtoMsg`] to the core and turns the resulting [`CoreAction`]s into
+//! simulator sends and journal entries.
 //!
-//! * When `v` **issues** a request `a` for object `o` it atomically sets
-//!   `id_o(v) ← a`, sends `queue(a, o)` to `link_o(v)` and sets `link_o(v) ← v`.
-//! * When `u` **receives** `queue(a, o)` from `w` it atomically flips
-//!   `link_o(u) ← w`; if the old link pointed to another node it forwards
-//!   `queue(a, o)` there, otherwise `u` was `o`'s sink and `a` has been queued behind
-//!   `id_o(u)` — the queuing of `a` is complete.
-//!
-//! Objects interact only through the shared physical links and the shared local
-//! service queue; their link pointers and queues are fully independent.
-//!
-//! The node also implements the optional requester acknowledgement used by the
-//! paper's experiment (routed over the graph metric `d_G` when a distance matrix is
-//! provided via [`ArrowNode::set_distances`]), per-message local service time (see
-//! [`crate::protocol::ServiceQueue`]) and the closed-loop workload of Section 5.
+//! **The simulator has no critical section**, so it does not move the core's
+//! exclusion token: on [`CoreAction::Queued`] the glue sends the Section 5
+//! acknowledgement ([`ProtoMsg::Found`], paying `d_G(sink, requester)`) itself, and
+//! reports an ack's arrival to the requester's core as [`ArrowCore::on_token`].
+//! Nothing is ever released; a request that was never acknowledged stays pending and
+//! is re-issued under its original id after every epoch bump. The reasons are in
+//! [`crate::live::core`]'s module docs ("How the simulator drives the token half").
 
-use crate::order::OrderRecord;
-use crate::protocol::{ProtoMsg, ServiceQueue, WorkItem, SERVICE_TIMER_TAG};
-use crate::request::{ObjectId, RequestId};
-use crate::workload::ClosedLoopSpec;
+use crate::host::{Automaton, Host, SimNode};
+use crate::live::{ArrowCore, CoreAction};
+use crate::protocol::ProtoMsg;
 use arrow_trace::{NoProbe, Probe, ProbeEvent};
-use desim::{Context, Process, SimDuration, SimTime};
+use desim::{Context, SimDuration};
 use netgraph::{DistanceMatrix, NodeId};
-use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
-/// Per-object arrow state at one node: the link pointer and the last issued id.
-#[derive(Debug, Clone, Copy)]
-struct ObjectState {
-    /// `link_o(v)`: a tree neighbour, or the node itself when it is the sink.
-    link: NodeId,
-    /// `id_o(v)`: the last request for this object issued here (`None` = ⊥). The
-    /// object's initial root starts with the virtual request [`RequestId::ROOT`].
-    last_id: Option<RequestId>,
-}
+/// A simulator node running the arrow protocol.
+pub type ArrowSimNode<P = NoProbe> = SimNode<ArrowSim<P>>;
 
-/// Per-node state of the arrow protocol (one independent arrow automaton per object).
+/// The arrow protocol half of a simulator node: the shared [`ArrowCore`] plus the
+/// acknowledgement policy of the experiment.
 ///
-/// `P` is the observability hook ([`arrow_trace::Probe`]); the default
-/// [`NoProbe`] compiles the instrumentation out. A recording node (see
-/// [`ArrowNode::new_multi_with_probe`]) emits a [`ProbeEvent::Tick`] carrying
-/// the simulation clock before each dispatch, so a shared sim-mode recorder
-/// timestamps events in simulation units.
+/// `P` is the core's observability hook ([`arrow_trace::Probe`]). A recording node
+/// emits a [`ProbeEvent::Tick`] carrying the simulation clock before each dispatch,
+/// so a shared sim-mode recorder timestamps events in simulation units.
 #[derive(Debug)]
-pub struct ArrowNode<P: Probe = NoProbe> {
-    me: NodeId,
-    /// Per-object arrow state, indexed by [`ObjectId`].
-    objects: Vec<ObjectState>,
-    /// Whether to send a [`ProtoMsg::Found`] ack back to the requester.
-    send_ack: bool,
-    /// All-pairs graph distances: when present, acks travel as direct sends paying
-    /// `d_G(me, origin)` instead of whatever link happens to connect the pair.
-    distances: Option<Arc<DistanceMatrix>>,
-    /// Local per-message service time model (shared across objects — the CPU is one).
-    service: ServiceQueue,
-    /// Closed-loop workload state: requests still to issue and the issue sequence.
-    closed_loop: Option<ClosedLoopState>,
-    /// Successor notifications recorded at this node (it was the sink).
-    records: Vec<OrderRecord>,
-    /// Requests issued by this node: `(request, object, issue time)`.
-    issued: Vec<(RequestId, ObjectId, SimTime)>,
-    /// Completions of this node's own requests (ack received or locally satisfied),
-    /// with the completion time — used by the closed-loop experiment.
-    own_completions: Vec<(RequestId, SimTime)>,
-    /// Number of `queue()` messages this node sent to *another* node (inter-processor
-    /// hops, the quantity of Figure 11).
-    queue_hops: u64,
-    /// First protocol violation observed (e.g. a non-arrow message): the offending
-    /// input is dropped and described here instead of aborting the simulation, so
-    /// the harness can surface it as a typed [`crate::run::RunError`].
-    violation: Option<String>,
-    /// Current recovery epoch (0 until a fault detection signal arrives).
-    epoch: u64,
-    /// The initial link pointers, kept so an epoch bump can reset the tree
-    /// orientation (all pointers back towards each object's initial root).
-    initial_links: Vec<NodeId>,
-    /// This node's own requests that have not completed yet: re-issued (under the
-    /// same ids) after every epoch bump, so requests lost to a fault recover.
-    pending: BTreeSet<(ObjectId, RequestId)>,
-    /// Own requests that have completed, used to drop duplicate completion
-    /// notifications arriving across epochs (first one wins).
-    completed: HashSet<RequestId>,
-    /// Stale-epoch messages dropped at this node.
-    stale_drops: u64,
-    /// Duplicate completion notifications suppressed at this node.
-    duplicate_grants: u64,
-    /// The observability hook (zero-sized and inert for [`NoProbe`]).
-    probe: P,
+pub struct ArrowSim<P: Probe = NoProbe> {
+    core: ArrowCore<P>,
+    /// `Some` = acknowledge every remote request back to its requester as a direct
+    /// send paying `d_G(me, origin)` — the cost model of Section 5 — whatever single
+    /// link happens to join the pair. Direct sends bypass the latency model: acks
+    /// are not part of the protocol cost the analysis randomises.
+    ack_over: Option<Arc<DistanceMatrix>>,
+    /// Scratch for the core's output, reused across steps.
+    actions: Vec<CoreAction>,
 }
 
-#[derive(Debug)]
-struct ClosedLoopState {
-    remaining: u64,
-    next_seq: u64,
-    total_nodes: u64,
-}
-
-impl ClosedLoopState {
-    fn next_request_id(&mut self, node: NodeId) -> RequestId {
-        // Unique across nodes: interleave by node id. +1 keeps ids disjoint from the
-        // reserved root id 0.
-        let id = 1 + node as u64 + self.next_seq * self.total_nodes;
-        self.next_seq += 1;
-        RequestId(id)
-    }
-}
-
-impl ArrowNode {
-    /// Create the single-object arrow automaton for node `me`.
-    ///
-    /// * `initial_link` — the initial pointer: the tree parent of `me`, or `me` itself
-    ///   for the initial root (which then also holds the virtual request `r0`).
-    /// * `send_ack` — send `Found` acknowledgements back to requesters.
-    /// * `service_time` — local per-message service time in time units (0 = free).
-    pub fn new(me: NodeId, initial_link: NodeId, send_ack: bool, service_time: f64) -> Self {
-        ArrowNode::new_multi(me, &[initial_link], send_ack, service_time)
-    }
-
-    /// Create the arrow automaton for node `me` serving `initial_links.len()` objects
-    /// over one tree. `initial_links[k]` is this node's initial pointer for object
-    /// `k`: its tree parent towards object `k`'s initial root, or `me` itself when
-    /// this node *is* that root (it then holds object `k`'s virtual request `r0`).
-    ///
-    /// # Panics
-    /// If `initial_links` is empty (a directory serves at least one object).
-    pub fn new_multi(
-        me: NodeId,
-        initial_links: &[NodeId],
-        send_ack: bool,
+impl<P: Probe> ArrowSim<P> {
+    /// The simulator node running `core` (see [`SimNode::new`]). With `ack_over`
+    /// set, requesters are acknowledged over that graph metric — and only then do
+    /// they observe the completion of a remote request.
+    pub fn node(
+        core: ArrowCore<P>,
+        ack_over: Option<Arc<DistanceMatrix>>,
         service_time: f64,
-    ) -> Self {
-        ArrowNode::new_multi_with_probe(me, initial_links, send_ack, service_time, NoProbe)
+    ) -> ArrowSimNode<P> {
+        let (me, acked) = (core.node(), ack_over.is_some());
+        let automaton = ArrowSim {
+            core,
+            ack_over,
+            actions: Vec::new(),
+        };
+        SimNode::new(me, automaton, service_time, acked)
+    }
+
+    /// The arrow state machine of this node.
+    pub fn core(&self) -> &ArrowCore<P> {
+        &self.core
     }
 }
 
-impl<P: Probe> ArrowNode<P> {
-    /// Like [`ArrowNode::new_multi`], with a recording probe observing every
-    /// protocol transition of this node.
-    ///
-    /// # Panics
-    /// If `initial_links` is empty (a directory serves at least one object).
-    pub fn new_multi_with_probe(
-        me: NodeId,
-        initial_links: &[NodeId],
-        send_ack: bool,
-        service_time: f64,
-        probe: P,
-    ) -> Self {
-        assert!(
-            !initial_links.is_empty(),
-            "a directory node serves at least one object"
-        );
-        let objects = initial_links
-            .iter()
-            .map(|&link| ObjectState {
-                link,
-                last_id: if link == me {
-                    Some(RequestId::ROOT)
-                } else {
-                    None
-                },
-            })
-            .collect();
-        ArrowNode {
-            me,
-            objects,
-            send_ack,
-            distances: None,
-            service: ServiceQueue::new(service_time),
-            closed_loop: None,
-            records: Vec::new(),
-            issued: Vec::new(),
-            own_completions: Vec::new(),
-            queue_hops: 0,
-            violation: None,
-            epoch: 0,
-            initial_links: initial_links.to_vec(),
-            pending: BTreeSet::new(),
-            completed: HashSet::new(),
-            stale_drops: 0,
-            duplicate_grants: 0,
-            probe,
-        }
-    }
-
-    /// Provide the all-pairs graph distances; from then on `Found` acknowledgements
-    /// travel as direct sends paying exactly `d_G(me, requester)` — the cost model of
-    /// Section 5 — instead of the weight of whatever single link joins the pair.
-    ///
-    /// Note that direct sends bypass the simulator's latency model: even under the
-    /// asynchronous model, acks take deterministically `d_G`. Acks are not part of
-    /// the protocol cost the analysis randomises, so this only sharpens the
-    /// completion-latency measurement.
-    pub fn set_distances(&mut self, distances: Arc<DistanceMatrix>) {
-        self.distances = Some(distances);
-    }
-
-    /// Number of objects this node serves.
-    pub fn object_count(&self) -> usize {
-        self.objects.len()
-    }
-
-    fn object(&self, obj: ObjectId) -> &ObjectState {
-        self.objects
-            .get(obj.0 as usize)
-            .unwrap_or_else(|| panic!("node {} does not serve object {obj}", self.me))
-    }
-
-    fn object_mut(&mut self, obj: ObjectId) -> &mut ObjectState {
-        let me = self.me;
-        self.objects
-            .get_mut(obj.0 as usize)
-            .unwrap_or_else(|| panic!("node {me} does not serve object {obj}"))
-    }
-
-    /// Enable the closed-loop workload: this node will issue `spec.requests_per_node`
-    /// requests, the first at time 0 and each subsequent one as soon as the previous
-    /// completes (plus the local service time).
-    pub fn enable_closed_loop(&mut self, spec: &ClosedLoopSpec, total_nodes: usize) {
-        assert!(
-            spec.local_service_time > 0.0,
-            "closed-loop workloads need a positive local service time \
-             (otherwise a node would issue its whole budget in a single instant)"
-        );
-        self.closed_loop = Some(ClosedLoopState {
-            remaining: spec.requests_per_node,
-            next_seq: 0,
-            total_nodes: total_nodes as u64,
-        });
-        self.service = ServiceQueue::new(spec.local_service_time);
-    }
-
-    /// Current link pointer of the default object (`me` when this node is its sink).
-    pub fn link(&self) -> NodeId {
-        self.link_for(ObjectId::DEFAULT)
-    }
-
-    /// Current link pointer for `obj` (`me` when this node is that object's sink).
-    pub fn link_for(&self, obj: ObjectId) -> NodeId {
-        self.object(obj).link
-    }
-
-    /// True if this node is currently the default object's sink (`link(v) = v`).
-    pub fn is_sink(&self) -> bool {
-        self.is_sink_for(ObjectId::DEFAULT)
-    }
-
-    /// True if this node is currently the sink of `obj` (`link_o(v) = v`).
-    pub fn is_sink_for(&self, obj: ObjectId) -> bool {
-        self.object(obj).link == self.me
-    }
-
-    /// `id(v)` of the default object: the last request issued here (`None` = ⊥).
-    pub fn last_request(&self) -> Option<RequestId> {
-        self.last_request_for(ObjectId::DEFAULT)
-    }
-
-    /// `id_o(v)`: the last request for `obj` issued here (`None` = ⊥).
-    pub fn last_request_for(&self, obj: ObjectId) -> Option<RequestId> {
-        self.object(obj).last_id
-    }
-
-    /// Successor notifications recorded at this node.
-    pub fn records(&self) -> &[OrderRecord] {
-        &self.records
-    }
-
-    /// Requests issued by this node: `(request, object, issue time)`.
-    pub fn issued(&self) -> &[(RequestId, ObjectId, SimTime)] {
-        &self.issued
-    }
-
-    /// Completions of this node's own requests (only tracked when acks are enabled
-    /// or the request completed locally).
-    pub fn own_completions(&self) -> &[(RequestId, SimTime)] {
-        &self.own_completions
-    }
-
-    /// Inter-processor `queue()` messages sent by this node.
-    pub fn queue_hops(&self) -> u64 {
-        self.queue_hops
-    }
-
-    /// The first protocol violation this node observed, if any (the violating
-    /// message was dropped, not processed). The harness turns this into a typed
-    /// [`crate::run::RunError::ProtocolViolation`] instead of aborting.
-    pub fn protocol_violation(&self) -> Option<&str> {
-        self.violation.as_deref()
-    }
-
-    /// The recovery epoch this node has reached (0 in fault-free runs).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// This node's own requests still awaiting completion.
-    pub fn pending(&self) -> impl Iterator<Item = (ObjectId, RequestId)> + '_ {
-        self.pending.iter().copied()
-    }
-
-    /// Stale-epoch messages dropped at this node.
-    pub fn stale_drops(&self) -> u64 {
-        self.stale_drops
-    }
-
-    /// Duplicate cross-epoch completion notifications suppressed (first one wins).
-    pub fn duplicate_grants(&self) -> u64 {
-        self.duplicate_grants
-    }
-
-    /// The actual protocol logic, invoked once the service queue releases a work item.
-    fn process(&mut self, ctx: &mut Context<ProtoMsg>, from: NodeId, msg: ProtoMsg) {
+impl<P: Probe> Automaton for ArrowSim<P> {
+    fn process(
+        &mut self,
+        host: &mut Host,
+        ctx: &mut Context<ProtoMsg>,
+        from: NodeId,
+        msg: ProtoMsg,
+    ) {
         // Sync a sim-mode recorder to the simulation clock before any event from
         // this dispatch; compiles to nothing under `NoProbe`.
-        self.probe.record(ProbeEvent::Tick {
+        self.core.probe_mut().record(ProbeEvent::Tick {
             units: ctx.now().as_units_f64(),
         });
+        let actions = &mut self.actions;
         match msg {
-            ProtoMsg::Issue { req, obj } => self.handle_issue(ctx, req, obj),
+            ProtoMsg::Issue { req, obj } => {
+                host.note_issue(ctx, req, obj);
+                self.core.issue(obj, req, actions);
+            }
             ProtoMsg::Queue {
                 req,
                 obj,
                 origin,
                 epoch,
-            } => self.handle_queue(ctx, from, req, obj, origin, epoch),
+            } => self.core.on_queue(from, obj, req, origin, epoch, actions),
             ProtoMsg::Found {
-                req,
-                obj,
-                pred,
-                epoch,
-            } => self.handle_found(ctx, req, obj, pred, epoch),
-            ProtoMsg::Epoch { epoch } => {
-                if epoch > self.epoch {
-                    self.apply_epoch(ctx, epoch);
-                }
-            }
+                req, obj, epoch, ..
+            } => self.core.on_token(obj, req, epoch, actions),
+            ProtoMsg::Epoch { epoch } => self.core.on_epoch(epoch, actions),
             other => {
-                // A non-arrow message is a protocol bug; record it (first one wins)
-                // and drop the message rather than tearing the whole process down.
-                self.violation.get_or_insert_with(|| {
-                    format!("arrow node received non-arrow message {other:?}")
-                });
+                host.note_violation(|| format!("arrow node received non-arrow message {other:?}"))
             }
         }
-    }
 
-    /// Epoch guard shared by the in-band message handlers: drop stale-epoch traffic
-    /// (returns `false`), fast-forward when the sender is ahead (a restarted node
-    /// can miss detection signals and learn the current epoch from live traffic).
-    fn admit_epoch(&mut self, ctx: &mut Context<ProtoMsg>, obj: ObjectId, epoch: u64) -> bool {
-        if epoch < self.epoch {
-            self.stale_drops += 1;
-            self.probe.record(ProbeEvent::StaleDrop { obj: obj.0 });
-            return false;
-        }
-        if epoch > self.epoch {
-            self.apply_epoch(ctx, epoch);
-        }
-        true
-    }
-
-    /// Advance to recovery epoch `epoch`: reset every object's link pointer to the
-    /// initial tree orientation (the initial root becomes the sink again, holding
-    /// the regenerated virtual request `r0`), then re-issue every still-pending own
-    /// request under its original id.
-    fn apply_epoch(&mut self, ctx: &mut Context<ProtoMsg>, epoch: u64) {
-        self.epoch = epoch;
-        self.probe.record(ProbeEvent::EpochAdopted { epoch });
-        let me = self.me;
-        for (state, &initial) in self.objects.iter_mut().zip(&self.initial_links) {
-            state.link = initial;
-            state.last_id = if initial == me {
-                Some(RequestId::ROOT)
-            } else {
-                None
-            };
-        }
-        for (obj, req) in self.pending.clone() {
-            self.issue_inner(ctx, req, obj);
-        }
-    }
-
-    /// Node `v` issues request `a` for object `o` (paper, Section 2):
-    /// `id_o(v) ← a`; send `queue(a, o)` to `link_o(v)`; `link_o(v) ← v`.
-    fn handle_issue(&mut self, ctx: &mut Context<ProtoMsg>, req: RequestId, obj: ObjectId) {
-        assert!(!req.is_root(), "cannot issue the virtual root request");
-        self.issued.push((req, obj, ctx.now()));
-        self.pending.insert((obj, req));
-        self.probe.record(ProbeEvent::RequestIssued {
-            obj: obj.0,
-            req: req.0,
-            origin: self.me,
-        });
-        self.issue_inner(ctx, req, obj);
-    }
-
-    /// The issue state transition, shared by fresh issues and post-bump re-issues.
-    fn issue_inner(&mut self, ctx: &mut Context<ProtoMsg>, req: RequestId, obj: ObjectId) {
-        let me = self.me;
-        let epoch = self.epoch;
-        let state = self.object_mut(obj);
-        let previous = state.last_id;
-        state.last_id = Some(req);
-        if state.link == me {
-            // v is the sink: the request is queued behind id_o(v) without any message.
-            let pred = previous.expect(
-                "a sink always holds an id: either the virtual root request or \
-                 a request it issued earlier",
-            );
-            self.complete_queuing(ctx, req, obj, pred, me);
-        } else {
-            let target = state.link;
-            state.link = me;
-            self.queue_hops += 1;
-            self.probe.record(ProbeEvent::QueueSent {
-                obj: obj.0,
-                req: req.0,
-                origin: me,
-                to: target,
-            });
-            ctx.send(
-                target,
-                ProtoMsg::Queue {
-                    req,
+        let me = host.me();
+        let mut next = 0;
+        // By index: acknowledging a local request appends to the list being read.
+        while let Some(&action) = self.actions.get(next) {
+            next += 1;
+            match action {
+                CoreAction::SendQueue {
+                    to,
                     obj,
-                    origin: me,
-                    epoch,
-                },
-            );
-        }
-    }
-
-    /// Node `u` receives `queue(a, o)` from `w`: flip `link_o(u) ← w`; forward to the
-    /// old link target unless `u` was `o`'s sink, in which case `a` is queued behind
-    /// `id_o(u)`.
-    fn handle_queue(
-        &mut self,
-        ctx: &mut Context<ProtoMsg>,
-        from: NodeId,
-        req: RequestId,
-        obj: ObjectId,
-        origin: NodeId,
-        epoch: u64,
-    ) {
-        if !self.admit_epoch(ctx, obj, epoch) {
-            return;
-        }
-        self.probe.record(ProbeEvent::QueueReceived {
-            obj: obj.0,
-            req: req.0,
-            origin,
-            from,
-        });
-        let me = self.me;
-        let epoch = self.epoch;
-        let state = self.object_mut(obj);
-        let old_link = state.link;
-        state.link = from;
-        if old_link == me {
-            // This node was the sink: req is queued behind id_o(u).
-            let pred = state.last_id.expect(
-                "a sink always holds an id: either the virtual root request or \
-                 a request it issued earlier",
-            );
-            self.complete_queuing(ctx, req, obj, pred, origin);
-        } else {
-            self.queue_hops += 1;
-            self.probe.record(ProbeEvent::QueueSent {
-                obj: obj.0,
-                req: req.0,
-                origin,
-                to: old_link,
-            });
-            ctx.send(
-                old_link,
-                ProtoMsg::Queue {
                     req,
-                    obj,
                     origin,
                     epoch,
-                },
-            );
-        }
-    }
-
-    /// The queuing of `req` behind `pred` completed at this node; record it, notify the
-    /// requester if acks are on, and feed the closed-loop workload.
-    fn complete_queuing(
-        &mut self,
-        ctx: &mut Context<ProtoMsg>,
-        req: RequestId,
-        obj: ObjectId,
-        pred: RequestId,
-        origin: NodeId,
-    ) {
-        self.probe.record(ProbeEvent::QueuedBehind {
-            obj: obj.0,
-            req: req.0,
-            pred: pred.0,
-            origin,
-        });
-        self.records.push(OrderRecord {
-            predecessor: pred,
-            successor: req,
-            obj,
-            at_node: self.me,
-            informed_at: ctx.now(),
-            epoch: self.epoch,
-        });
-        ctx.record_completion(req.0);
-        if origin == self.me {
-            // The requester is local: its request completed right here.
-            self.note_own_completion(ctx, req, obj);
-        } else if self.send_ack {
-            let found = ProtoMsg::Found {
-                req,
-                obj,
-                pred,
-                epoch: self.epoch,
-            };
-            match &self.distances {
-                // With a graph metric available, the ack pays d_G(me, origin): the
-                // notification travels over the shortest graph path, not over the
-                // (possibly heavier) single link joining the pair.
-                Some(dm) => ctx.send_direct(
+                } => {
+                    host.note_message();
+                    ctx.send(
+                        to,
+                        ProtoMsg::Queue {
+                            req,
+                            obj,
+                            origin,
+                            epoch,
+                        },
+                    );
+                }
+                CoreAction::Queued {
+                    obj,
+                    pred,
+                    succ,
                     origin,
-                    found,
-                    SimDuration::from_units_f64(dm.dist(self.me, origin)),
-                ),
-                None => ctx.send(origin, found),
-            }
-        }
-    }
-
-    fn handle_found(
-        &mut self,
-        ctx: &mut Context<ProtoMsg>,
-        req: RequestId,
-        obj: ObjectId,
-        _pred: RequestId,
-        epoch: u64,
-    ) {
-        if !self.admit_epoch(ctx, obj, epoch) {
-            return;
-        }
-        self.note_own_completion(ctx, req, obj);
-    }
-
-    /// One of this node's own requests completed; in closed-loop mode, issue the next.
-    fn note_own_completion(&mut self, ctx: &mut Context<ProtoMsg>, req: RequestId, obj: ObjectId) {
-        self.pending.remove(&(obj, req));
-        if !self.completed.insert(req) {
-            // A request can complete once per epoch it was re-issued in; only the
-            // first notification counts (and feeds the closed loop).
-            self.duplicate_grants += 1;
-            return;
-        }
-        self.probe.record(ProbeEvent::Granted {
-            obj: obj.0,
-            req: req.0,
-        });
-        self.own_completions.push((req, ctx.now()));
-        if let Some(cl) = &mut self.closed_loop {
-            if cl.remaining > 0 {
-                cl.remaining -= 1;
-                if cl.remaining > 0 {
-                    let next = cl.next_request_id(self.me);
-                    // Route the next issue through the service queue so it pays the
-                    // local service time before being processed. Closed-loop
-                    // workloads drive the default object only.
-                    let issue = ProtoMsg::Issue {
-                        req: next,
-                        obj: ObjectId::DEFAULT,
-                    };
-                    if let Some((f, m)) = self.service.offer(ctx, (self.me, issue)) {
-                        self.process(ctx, f, m);
+                    epoch,
+                } => {
+                    host.note_queued(ctx, obj, pred, succ, epoch);
+                    if origin != me {
+                        if let Some(dm) = &self.ack_over {
+                            let found = ProtoMsg::Found {
+                                req: succ,
+                                obj,
+                                pred,
+                                epoch,
+                            };
+                            let d_g = SimDuration::from_units_f64(dm.dist(me, origin));
+                            ctx.send_direct(origin, found, d_g);
+                        }
+                    } else if self.actions.get(next)
+                        != Some(&CoreAction::Granted { obj, req: succ })
+                    {
+                        // The requester is this node: it learns of the queuing right
+                        // here, unless the core already granted it (free root token).
+                        self.core.on_token(obj, succ, epoch, &mut self.actions);
                     }
                 }
+                CoreAction::Granted { req, .. } => host.complete(ctx, req),
+                // The token is the critical section's, which the simulator does not
+                // model: the requester hears through the ack sent on `Queued`.
+                CoreAction::SendToken { .. } => {}
             }
         }
-    }
-}
-
-impl<P: Probe> Process<ProtoMsg> for ArrowNode<P> {
-    fn on_start(&mut self, ctx: &mut Context<ProtoMsg>) {
-        // Closed-loop mode: issue the first request at time zero.
-        if let Some(cl) = &mut self.closed_loop {
-            if cl.remaining > 0 {
-                let first = cl.next_request_id(self.me);
-                let item: WorkItem = (
-                    self.me,
-                    ProtoMsg::Issue {
-                        req: first,
-                        obj: ObjectId::DEFAULT,
-                    },
-                );
-                if let Some((f, m)) = self.service.offer(ctx, item) {
-                    self.process(ctx, f, m);
-                }
-            }
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<ProtoMsg>, from: NodeId, msg: ProtoMsg) {
-        if let Some((f, m)) = self.service.offer(ctx, (from, msg)) {
-            self.process(ctx, f, m);
-        }
-    }
-
-    fn on_external(&mut self, ctx: &mut Context<ProtoMsg>, input: ProtoMsg) {
-        let me = self.me;
-        if let Some((f, m)) = self.service.offer(ctx, (me, input)) {
-            self.process(ctx, f, m);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<ProtoMsg>, tag: u64) {
-        if tag == SERVICE_TIMER_TAG {
-            if let Some((f, m)) = self.service.on_timer(ctx) {
-                self.process(ctx, f, m);
-            }
-        }
+        self.actions.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desim::{SimConfig, SimTime, Simulator};
+    use crate::order::OrderRecord;
+    use crate::request::{ObjectId, RequestId};
+    use crate::workload::ClosedLoopSpec;
+    use desim::{Process, SimConfig, SimTime, Simulator};
+    use netgraph::generators;
 
     fn issue(i: u64) -> ProtoMsg {
         ProtoMsg::Issue {
@@ -644,31 +178,55 @@ mod tests {
         }
     }
 
-    /// Build arrow nodes for a path 0 - 1 - 2 - 3 rooted at node 0
-    /// (all links initially point towards 0).
-    fn path_nodes(n: usize, root: usize, ack: bool) -> Vec<ArrowNode> {
+    /// Arrow nodes for the path 0 - 1 - ... - (n-1) rooted at `root` (all links
+    /// initially point towards it), serving `k` objects; acks travel over the
+    /// path's own metric.
+    fn path_nodes_multi(n: usize, root: usize, k: usize, ack: bool) -> Vec<ArrowSimNode> {
+        let dm = ack.then(|| DistanceMatrix::shared(&generators::path(n)));
         (0..n)
             .map(|v| {
-                let link = if v == root {
-                    v
-                } else if v > root {
-                    v - 1
-                } else {
-                    v + 1
+                let link = match v.cmp(&root) {
+                    std::cmp::Ordering::Equal => v,
+                    std::cmp::Ordering::Greater => v - 1,
+                    std::cmp::Ordering::Less => v + 1,
                 };
-                ArrowNode::new(v, link, ack, 0.0)
+                ArrowSim::node(ArrowCore::new(v, link, k, n), dm.clone(), 0.0)
             })
             .collect()
+    }
+
+    fn path_nodes(n: usize, root: usize, ack: bool) -> Vec<ArrowSimNode> {
+        path_nodes_multi(n, root, 1, ack)
+    }
+
+    fn link_for(node: &ArrowSimNode, obj: ObjectId) -> NodeId {
+        node.automaton().core().link_of(obj)
+    }
+
+    fn link(node: &ArrowSimNode) -> NodeId {
+        link_for(node, ObjectId::DEFAULT)
+    }
+
+    fn is_sink_for(node: &ArrowSimNode, obj: ObjectId) -> bool {
+        link_for(node, obj) == node.host().me()
+    }
+
+    fn is_sink(node: &ArrowSimNode) -> bool {
+        is_sink_for(node, ObjectId::DEFAULT)
+    }
+
+    /// `id(v)` of the default object.
+    fn last_request(node: &ArrowSimNode) -> RequestId {
+        node.automaton().core().snapshot().objects[0].1
     }
 
     #[test]
     fn initial_root_is_sink_with_virtual_request() {
         let nodes = path_nodes(4, 0, false);
-        assert!(nodes[0].is_sink());
-        assert_eq!(nodes[0].last_request(), Some(RequestId::ROOT));
-        assert!(!nodes[1].is_sink());
-        assert_eq!(nodes[1].last_request(), None);
-        assert_eq!(nodes[1].link(), 0);
+        assert!(is_sink(&nodes[0]));
+        assert_eq!(last_request(&nodes[0]), RequestId::ROOT);
+        assert!(!is_sink(&nodes[1]));
+        assert_eq!(link(&nodes[1]), 0);
     }
 
     #[test]
@@ -677,18 +235,18 @@ mod tests {
         sim.schedule_external(SimTime::ZERO, 3, issue(1));
         sim.run();
         // The request from node 3 is ordered behind the virtual root request at node 0.
-        let recs = sim.node(0).records();
+        let recs = sim.node(0).host().records();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].predecessor, RequestId::ROOT);
         assert_eq!(recs[0].successor, RequestId(1));
         assert_eq!(recs[0].informed_at, SimTime::from_units(3));
         // All pointers now lead to node 3 (the new tail).
-        assert_eq!(sim.node(0).link(), 1);
-        assert_eq!(sim.node(1).link(), 2);
-        assert_eq!(sim.node(2).link(), 3);
-        assert!(sim.node(3).is_sink());
+        assert_eq!(link(sim.node(0)), 1);
+        assert_eq!(link(sim.node(1)), 2);
+        assert_eq!(link(sim.node(2)), 3);
+        assert!(is_sink(sim.node(3)));
         // 3 inter-processor queue hops.
-        let hops: u64 = (0..4).map(|v| sim.node(v).queue_hops()).sum();
+        let hops: u64 = (0..4).map(|v| sim.node(v).host().protocol_messages()).sum();
         assert_eq!(hops, 3);
     }
 
@@ -698,13 +256,13 @@ mod tests {
         sim.schedule_external(SimTime::ZERO, 0, issue(1));
         sim.run();
         assert_eq!(sim.stats().messages_delivered, 0);
-        let recs = sim.node(0).records();
+        let recs = sim.node(0).host().records();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].predecessor, RequestId::ROOT);
         // The root remains the sink and its id is now the new request.
-        assert!(sim.node(0).is_sink());
-        assert_eq!(sim.node(0).last_request(), Some(RequestId(1)));
-        assert_eq!(sim.node(0).own_completions().len(), 1);
+        assert!(is_sink(sim.node(0)));
+        assert_eq!(last_request(sim.node(0)), RequestId(1));
+        assert_eq!(sim.node(0).host().own_completions().len(), 1);
     }
 
     #[test]
@@ -715,8 +273,8 @@ mod tests {
         sim.run();
         // Request 1 behind root (recorded at node 0), request 2 behind request 1
         // (recorded at node 3, which holds request 1).
-        assert_eq!(sim.node(0).records().len(), 1);
-        let rec3 = sim.node(3).records();
+        assert_eq!(sim.node(0).host().records().len(), 1);
+        let rec3 = sim.node(3).host().records();
         assert_eq!(rec3.len(), 1);
         assert_eq!(rec3[0].predecessor, RequestId(1));
         assert_eq!(rec3[0].successor, RequestId(2));
@@ -734,13 +292,13 @@ mod tests {
         }
         sim.run();
         let mut successors: Vec<RequestId> = (0..n)
-            .flat_map(|v| sim.node(v).records().iter().map(|r| r.successor))
+            .flat_map(|v| sim.node(v).host().records().iter().map(|r| r.successor))
             .collect();
         successors.sort();
         successors.dedup();
         assert_eq!(successors.len(), n - 1, "every request queued exactly once");
         // Exactly one node is the final sink.
-        let sinks = (0..n).filter(|&v| sim.node(v).is_sink()).count();
+        let sinks = (0..n).filter(|&v| is_sink(sim.node(v))).count();
         assert_eq!(sinks, 1);
     }
 
@@ -748,13 +306,7 @@ mod tests {
     fn per_object_arrow_state_is_independent() {
         // Two objects on a path 0 - 1 - 2 - 3, both rooted at node 0. A request for
         // object 1 must flip only object 1's pointers.
-        let nodes: Vec<ArrowNode> = (0..4)
-            .map(|v| {
-                let link = if v == 0 { v } else { v - 1 };
-                ArrowNode::new_multi(v, &[link, link], false, 0.0)
-            })
-            .collect();
-        let mut sim = Simulator::new(nodes, SimConfig::synchronous());
+        let mut sim = Simulator::new(path_nodes_multi(4, 0, 2, false), SimConfig::synchronous());
         sim.schedule_external(
             SimTime::ZERO,
             3,
@@ -765,12 +317,12 @@ mod tests {
         );
         sim.run();
         // Object 1's pointers now lead to node 3; object 0's still lead to node 0.
-        assert!(sim.node(3).is_sink_for(ObjectId(1)));
-        assert!(!sim.node(3).is_sink_for(ObjectId(0)));
-        assert!(sim.node(0).is_sink_for(ObjectId(0)));
-        assert_eq!(sim.node(0).link_for(ObjectId(1)), 1);
+        assert!(is_sink_for(sim.node(3), ObjectId(1)));
+        assert!(!is_sink_for(sim.node(3), ObjectId(0)));
+        assert!(is_sink_for(sim.node(0), ObjectId(0)));
+        assert_eq!(link_for(sim.node(0), ObjectId(1)), 1);
         // The record belongs to object 1.
-        let recs = sim.node(0).records();
+        let recs = sim.node(0).host().records();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].obj, ObjectId(1));
         assert_eq!(recs[0].predecessor, RequestId::ROOT);
@@ -782,13 +334,7 @@ mod tests {
         // own virtual root request — no cross-object queuing.
         let k = 4;
         let n = 6;
-        let links: Vec<Vec<NodeId>> = (0..n)
-            .map(|v| (0..k).map(|_| if v == 0 { 0 } else { v - 1 }).collect())
-            .collect();
-        let nodes: Vec<ArrowNode> = (0..n)
-            .map(|v| ArrowNode::new_multi(v, &links[v], false, 0.0))
-            .collect();
-        let mut sim = Simulator::new(nodes, SimConfig::synchronous());
+        let mut sim = Simulator::new(path_nodes_multi(n, 0, k, false), SimConfig::synchronous());
         for o in 0..k {
             sim.schedule_external(
                 SimTime::ZERO,
@@ -801,7 +347,7 @@ mod tests {
         }
         sim.run();
         let recs: Vec<OrderRecord> = (0..n)
-            .flat_map(|v| sim.node(v).records().iter().copied())
+            .flat_map(|v| sim.node(v).host().records().iter().copied())
             .collect();
         assert_eq!(recs.len(), k);
         for rec in &recs {
@@ -817,7 +363,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not serve object")]
     fn request_for_unknown_object_panics() {
-        let mut node = ArrowNode::new(0, 0, false, 0.0);
+        let mut node = path_nodes(1, 0, false).remove(0);
         let mut ctx = Context::new(0, SimTime::ZERO);
         node.on_external(
             &mut ctx,
@@ -833,10 +379,96 @@ mod tests {
         let mut sim = Simulator::new(path_nodes(4, 0, true), SimConfig::synchronous());
         sim.schedule_external(SimTime::ZERO, 2, issue(1));
         sim.run();
-        let completions = sim.node(2).own_completions();
+        let completions = sim.node(2).host().own_completions();
         assert_eq!(completions.len(), 1);
-        // 2 hops to reach the root plus 1 hop (direct) back.
-        assert_eq!(completions[0].1, SimTime::from_units(3));
+        // 2 hops to reach the root plus d_G(0, 2) = 2 for the direct ack back.
+        assert_eq!(completions[0].at, SimTime::from_units(4));
+        assert_eq!(completions[0].issued_at, SimTime::ZERO);
+    }
+
+    #[test]
+    fn second_request_queues_locally_while_the_first_ack_is_in_flight() {
+        let mut sim = Simulator::new(path_nodes(4, 0, true), SimConfig::synchronous());
+        sim.schedule_external(SimTime::ZERO, 3, issue(1));
+        sim.schedule_external(SimTime::ZERO, 3, issue(2));
+        assert!(sim.step() && sim.step(), "both issues processed");
+        // Node 3 made itself the sink with the first issue, so the second is queued
+        // behind it on the spot and its requester — the same node — knows at once.
+        let node = sim.node(3);
+        let recs = node.host().records();
+        assert_eq!(recs.len(), 1);
+        assert_eq!(
+            (recs[0].predecessor, recs[0].successor),
+            (RequestId(1), RequestId(2))
+        );
+        assert_eq!(recs[0].informed_at, SimTime::ZERO);
+        let done: Vec<RequestId> = node
+            .host()
+            .own_completions()
+            .iter()
+            .map(|c| c.req)
+            .collect();
+        assert_eq!(done, vec![RequestId(2)]);
+        // The first is still on its way to the root.
+        assert_eq!(
+            node.automaton().core().pending(),
+            vec![(ObjectId::DEFAULT, RequestId(1))]
+        );
+        sim.run();
+        // 3 hops to the root, d_G = 3 back.
+        let done = sim.node(3).host().own_completions();
+        assert_eq!(done.len(), 2);
+        assert_eq!(
+            (done[1].req, done[1].at),
+            (RequestId(1), SimTime::from_units(6))
+        );
+    }
+
+    #[test]
+    fn epoch_bump_reissues_only_the_unacknowledged_request_and_drops_the_stale_ack() {
+        let mut sim = Simulator::new(path_nodes(4, 0, true), SimConfig::synchronous());
+        sim.schedule_external(SimTime::ZERO, 3, issue(1));
+        sim.schedule_external(SimTime::ZERO, 3, issue(2));
+        // The detection signal reaches node 3 while request 1's queue() is between
+        // nodes 2 and 1; everyone else learns epoch 1 from the re-issued traffic.
+        sim.schedule_external(SimTime::from_units(1), 3, ProtoMsg::Epoch { epoch: 1 });
+        sim.run();
+        let node = sim.node(3);
+        // One issue each; request 1 left twice (once per epoch), request 2 never.
+        assert_eq!(node.host().issued().len(), 2);
+        assert_eq!(node.host().protocol_messages(), 2);
+        let all: Vec<OrderRecord> = (0..4)
+            .flat_map(|v| sim.node(v).host().records().iter().copied())
+            .collect();
+        let epochs_of = |req: u64| -> Vec<u64> {
+            let mut e: Vec<u64> = all
+                .iter()
+                .filter(|r| r.successor == RequestId(req))
+                .map(|r| r.epoch)
+                .collect();
+            e.sort_unstable();
+            e
+        };
+        assert_eq!(epochs_of(1), vec![0, 1], "queued once per epoch, same id");
+        assert_eq!(epochs_of(2), vec![0], "already acknowledged: not re-issued");
+        // The epoch-0 ack (root at t=3, d_G = 3) finds node 3 in epoch 1 and is
+        // dropped; the epoch-1 ack (root at t=4) completes the request.
+        assert_eq!(node.automaton().core().stale_drops(), 1);
+        assert_eq!(node.host().duplicate_grants(), 0);
+        let done: Vec<(RequestId, SimTime)> = node
+            .host()
+            .own_completions()
+            .iter()
+            .map(|c| (c.req, c.at))
+            .collect();
+        assert_eq!(
+            done,
+            vec![
+                (RequestId(2), SimTime::ZERO),
+                (RequestId(1), SimTime::from_units(7))
+            ]
+        );
+        assert!(node.automaton().core().pending().is_empty());
     }
 
     #[test]
@@ -851,13 +483,13 @@ mod tests {
         }
         let mut sim = Simulator::new(nodes, SimConfig::synchronous());
         sim.run();
-        let total_issued: usize = (0..3).map(|v| sim.node(v).issued().len()).sum();
+        let total_issued: usize = (0..3).map(|v| sim.node(v).host().issued().len()).sum();
         assert_eq!(total_issued, 15);
-        let total_recorded: usize = (0..3).map(|v| sim.node(v).records().len()).sum();
+        let total_recorded: usize = (0..3).map(|v| sim.node(v).host().records().len()).sum();
         assert_eq!(total_recorded, 15);
         // Ids are globally unique.
         let mut ids: Vec<u64> = (0..3)
-            .flat_map(|v| sim.node(v).issued().iter().map(|(r, _, _)| r.0))
+            .flat_map(|v| sim.node(v).host().issued().iter().map(|(r, _, _)| r.0))
             .collect();
         ids.sort_unstable();
         ids.dedup();
@@ -867,7 +499,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive local service time")]
     fn closed_loop_requires_positive_service_time() {
-        let mut node = ArrowNode::new(0, 0, true, 0.0);
+        let mut node = path_nodes(1, 0, true).remove(0);
         node.enable_closed_loop(
             &ClosedLoopSpec {
                 requests_per_node: 10,
@@ -879,9 +511,9 @@ mod tests {
 
     #[test]
     fn central_message_is_recorded_as_violation_not_processed() {
-        let mut node = ArrowNode::new(0, 0, false, 0.0);
+        let mut node = path_nodes(1, 0, false).remove(0);
         let mut ctx = Context::new(0, SimTime::ZERO);
-        assert!(node.protocol_violation().is_none());
+        assert!(node.host().protocol_violation().is_none());
         node.on_message(
             &mut ctx,
             1,
@@ -891,11 +523,14 @@ mod tests {
                 origin: 1,
             },
         );
-        let violation = node.protocol_violation().expect("violation recorded");
+        let violation = node
+            .host()
+            .protocol_violation()
+            .expect("violation recorded");
         assert!(violation.contains("non-arrow message"), "{violation}");
         // The violating message was dropped: no record, no state change.
-        assert!(node.records().is_empty());
-        assert!(node.is_sink());
+        assert!(node.host().records().is_empty());
+        assert!(is_sink(&node));
         // A second violation does not overwrite the first.
         node.on_message(
             &mut ctx,
@@ -907,6 +542,7 @@ mod tests {
             },
         );
         assert!(node
+            .host()
             .protocol_violation()
             .unwrap()
             .contains("CentralEnqueue"));

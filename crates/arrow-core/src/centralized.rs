@@ -7,247 +7,92 @@
 //! latency grows linearly with the number of processors in Figure 10 while the arrow
 //! protocol's stays nearly flat.
 
-use crate::order::OrderRecord;
-use crate::protocol::{ProtoMsg, ServiceQueue, WorkItem, SERVICE_TIMER_TAG};
+use crate::host::{Automaton, Host, SimNode};
+use crate::protocol::ProtoMsg;
 use crate::request::{ObjectId, RequestId};
-use crate::workload::ClosedLoopSpec;
-use desim::{Context, Process, SimTime};
+use desim::Context;
 use netgraph::NodeId;
 use std::collections::HashMap;
 
-/// Per-node state of the centralized protocol.
+/// A simulator node running the centralized protocol.
+pub type CentralizedNode = SimNode<CentralTail>;
+
+/// The centralized protocol half of a simulator node.
 ///
 /// Every node knows the identity of the central node; the central node additionally
-/// stores the current tail of the queue.
+/// stores the current tail of every object's queue.
 #[derive(Debug)]
-pub struct CentralizedNode {
-    me: NodeId,
+pub struct CentralTail {
     central: NodeId,
     /// Per-object tail of the queue; only meaningful at the central node. Objects
     /// never seen before implicitly have the virtual root request as their tail.
     tails: HashMap<ObjectId, RequestId>,
-    service: ServiceQueue,
-    closed_loop: Option<ClosedLoopState>,
-    records: Vec<OrderRecord>,
-    issued: Vec<(RequestId, ObjectId, SimTime)>,
-    own_completions: Vec<(RequestId, SimTime)>,
-    /// Messages this node sent to a different node.
-    remote_messages: u64,
-    /// First protocol violation observed (e.g. an arrow message): dropped and
-    /// described here instead of aborting, so the harness can report it as a typed
-    /// [`crate::run::RunError`].
-    violation: Option<String>,
 }
 
-#[derive(Debug)]
-struct ClosedLoopState {
-    remaining: u64,
-    next_seq: u64,
-    total_nodes: u64,
-}
-
-impl ClosedLoopState {
-    fn next_request_id(&mut self, node: NodeId) -> RequestId {
-        let id = 1 + node as u64 + self.next_seq * self.total_nodes;
-        self.next_seq += 1;
-        RequestId(id)
-    }
-}
-
-impl CentralizedNode {
-    /// Create the automaton for node `me` with the given central node.
-    pub fn new(me: NodeId, central: NodeId, service_time: f64) -> Self {
-        CentralizedNode {
-            me,
+impl CentralTail {
+    /// The simulator node `me` that knows `central` as the central node (see
+    /// [`SimNode::new`]). Every request is answered, so requesters always observe
+    /// completion.
+    pub fn node(me: NodeId, central: NodeId, service_time: f64) -> CentralizedNode {
+        let automaton = CentralTail {
             central,
             tails: HashMap::new(),
-            service: ServiceQueue::new(service_time),
-            closed_loop: None,
-            records: Vec::new(),
-            issued: Vec::new(),
-            own_completions: Vec::new(),
-            remote_messages: 0,
-            violation: None,
-        }
+        };
+        SimNode::new(me, automaton, service_time, true)
     }
 
-    /// Enable the closed-loop workload (see [`ClosedLoopSpec`]).
-    pub fn enable_closed_loop(&mut self, spec: &ClosedLoopSpec, total_nodes: usize) {
-        assert!(
-            spec.local_service_time > 0.0,
-            "closed-loop workloads need a positive local service time"
-        );
-        self.closed_loop = Some(ClosedLoopState {
-            remaining: spec.requests_per_node,
-            next_seq: 0,
-            total_nodes: total_nodes as u64,
-        });
-        self.service = ServiceQueue::new(spec.local_service_time);
-    }
-
-    /// Successor notifications recorded at this node (non-empty only at the center).
-    pub fn records(&self) -> &[OrderRecord] {
-        &self.records
-    }
-
-    /// Requests issued by this node: `(request, object, issue time)`.
-    pub fn issued(&self) -> &[(RequestId, ObjectId, SimTime)] {
-        &self.issued
-    }
-
-    /// Completions (reply received) of this node's own requests.
-    pub fn own_completions(&self) -> &[(RequestId, SimTime)] {
-        &self.own_completions
-    }
-
-    /// Messages sent to other nodes by this node.
-    pub fn remote_messages(&self) -> u64 {
-        self.remote_messages
-    }
-
-    /// True if this node is the central node.
-    pub fn is_central(&self) -> bool {
-        self.me == self.central
-    }
-
-    /// The first protocol violation this node observed, if any (the violating
-    /// message was dropped, not processed). The harness turns this into a typed
-    /// [`crate::run::RunError::ProtocolViolation`] instead of aborting.
-    pub fn protocol_violation(&self) -> Option<&str> {
-        self.violation.as_deref()
-    }
-
-    fn process(&mut self, ctx: &mut Context<ProtoMsg>, from: NodeId, msg: ProtoMsg) {
-        match msg {
-            ProtoMsg::Issue { req, obj } => self.handle_issue(ctx, req, obj),
-            ProtoMsg::CentralEnqueue { req, obj, origin } => {
-                self.handle_enqueue(ctx, req, obj, origin)
-            }
-            ProtoMsg::CentralReply { req, pred, .. } => self.handle_reply(ctx, from, req, pred),
-            other => {
-                // An out-of-protocol message is a bug; record it (first one wins)
-                // and drop the message rather than tearing the whole process down.
-                self.violation.get_or_insert_with(|| {
-                    format!("centralized node received unexpected message {other:?}")
-                });
-            }
-        }
-    }
-
-    fn handle_issue(&mut self, ctx: &mut Context<ProtoMsg>, req: RequestId, obj: ObjectId) {
-        assert!(!req.is_root(), "cannot issue the virtual root request");
-        self.issued.push((req, obj, ctx.now()));
-        if self.is_central() {
-            // Local request: enqueue directly.
-            self.handle_enqueue(ctx, req, obj, self.me);
-        } else {
-            self.remote_messages += 1;
-            ctx.send(
-                self.central,
-                ProtoMsg::CentralEnqueue {
-                    req,
-                    obj,
-                    origin: self.me,
-                },
-            );
-        }
-    }
-
-    fn handle_enqueue(
+    /// The central node appends `req` to `obj`'s queue and answers its requester.
+    fn enqueue(
         &mut self,
+        host: &mut Host,
         ctx: &mut Context<ProtoMsg>,
         req: RequestId,
         obj: ObjectId,
         origin: NodeId,
     ) {
-        assert!(self.is_central(), "only the central node enqueues requests");
-        let tail = self.tails.entry(obj).or_insert(RequestId::ROOT);
-        let pred = *tail;
-        *tail = req;
-        self.records.push(OrderRecord {
-            predecessor: pred,
-            successor: req,
-            obj,
-            at_node: self.me,
-            informed_at: ctx.now(),
-            epoch: 0,
-        });
-        ctx.record_completion(req.0);
-        if origin == self.me {
-            self.note_own_completion(ctx, req);
+        assert_eq!(
+            host.me(),
+            self.central,
+            "only the central node enqueues requests"
+        );
+        let pred = self.tails.insert(obj, req).unwrap_or(RequestId::ROOT);
+        host.note_queued(ctx, obj, pred, req, 0);
+        if origin == host.me() {
+            host.complete(ctx, req);
         } else {
-            self.remote_messages += 1;
+            host.note_message();
             ctx.send(origin, ProtoMsg::CentralReply { req, obj, pred });
-        }
-    }
-
-    fn handle_reply(
-        &mut self,
-        ctx: &mut Context<ProtoMsg>,
-        _from: NodeId,
-        req: RequestId,
-        _pred: RequestId,
-    ) {
-        self.note_own_completion(ctx, req);
-    }
-
-    fn note_own_completion(&mut self, ctx: &mut Context<ProtoMsg>, req: RequestId) {
-        self.own_completions.push((req, ctx.now()));
-        if let Some(cl) = &mut self.closed_loop {
-            if cl.remaining > 0 {
-                cl.remaining -= 1;
-                if cl.remaining > 0 {
-                    let next = cl.next_request_id(self.me);
-                    let issue = ProtoMsg::Issue {
-                        req: next,
-                        obj: ObjectId::DEFAULT,
-                    };
-                    if let Some((f, m)) = self.service.offer(ctx, (self.me, issue)) {
-                        self.process(ctx, f, m);
-                    }
-                }
-            }
         }
     }
 }
 
-impl Process<ProtoMsg> for CentralizedNode {
-    fn on_start(&mut self, ctx: &mut Context<ProtoMsg>) {
-        if let Some(cl) = &mut self.closed_loop {
-            if cl.remaining > 0 {
-                let first = cl.next_request_id(self.me);
-                let item: WorkItem = (
-                    self.me,
-                    ProtoMsg::Issue {
-                        req: first,
-                        obj: ObjectId::DEFAULT,
-                    },
-                );
-                if let Some((f, m)) = self.service.offer(ctx, item) {
-                    self.process(ctx, f, m);
+impl Automaton for CentralTail {
+    fn process(
+        &mut self,
+        host: &mut Host,
+        ctx: &mut Context<ProtoMsg>,
+        _from: NodeId,
+        msg: ProtoMsg,
+    ) {
+        match msg {
+            ProtoMsg::Issue { req, obj } => {
+                host.note_issue(ctx, req, obj);
+                let origin = host.me();
+                if origin == self.central {
+                    // Local request: enqueue directly.
+                    self.enqueue(host, ctx, req, obj, origin);
+                } else {
+                    host.note_message();
+                    ctx.send(self.central, ProtoMsg::CentralEnqueue { req, obj, origin });
                 }
             }
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<ProtoMsg>, from: NodeId, msg: ProtoMsg) {
-        if let Some((f, m)) = self.service.offer(ctx, (from, msg)) {
-            self.process(ctx, f, m);
-        }
-    }
-
-    fn on_external(&mut self, ctx: &mut Context<ProtoMsg>, input: ProtoMsg) {
-        let me = self.me;
-        if let Some((f, m)) = self.service.offer(ctx, (me, input)) {
-            self.process(ctx, f, m);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<ProtoMsg>, tag: u64) {
-        if tag == SERVICE_TIMER_TAG {
-            if let Some((f, m)) = self.service.on_timer(ctx) {
-                self.process(ctx, f, m);
+            ProtoMsg::CentralEnqueue { req, obj, origin } => {
+                self.enqueue(host, ctx, req, obj, origin)
             }
+            ProtoMsg::CentralReply { req, .. } => host.complete(ctx, req),
+            other => host.note_violation(|| {
+                format!("centralized node received unexpected message {other:?}")
+            }),
         }
     }
 }
@@ -255,11 +100,12 @@ impl Process<ProtoMsg> for CentralizedNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desim::{SimConfig, SimTime, Simulator};
+    use crate::workload::ClosedLoopSpec;
+    use desim::{Process, SimConfig, SimTime, Simulator};
 
     fn nodes(n: usize, central: usize, service: f64) -> Vec<CentralizedNode> {
         (0..n)
-            .map(|v| CentralizedNode::new(v, central, service))
+            .map(|v| CentralTail::node(v, central, service))
             .collect()
     }
 
@@ -276,11 +122,14 @@ mod tests {
         sim.schedule_external(SimTime::ZERO, 2, issue(1));
         sim.run();
         assert_eq!(sim.stats().messages_delivered, 2);
-        let recs = sim.node(0).records();
+        let recs = sim.node(0).host().records();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].predecessor, RequestId::ROOT);
         // Reply received one unit after the enqueue reached the center.
-        assert_eq!(sim.node(2).own_completions()[0].1, SimTime::from_units(2));
+        assert_eq!(
+            sim.node(2).host().own_completions()[0].at,
+            SimTime::from_units(2)
+        );
     }
 
     #[test]
@@ -289,8 +138,8 @@ mod tests {
         sim.schedule_external(SimTime::ZERO, 1, issue(1));
         sim.run();
         assert_eq!(sim.stats().messages_delivered, 0);
-        assert_eq!(sim.node(1).records().len(), 1);
-        assert_eq!(sim.node(1).own_completions().len(), 1);
+        assert_eq!(sim.node(1).host().records().len(), 1);
+        assert_eq!(sim.node(1).host().own_completions().len(), 1);
     }
 
     #[test]
@@ -300,7 +149,7 @@ mod tests {
             sim.schedule_external(SimTime::ZERO, v, issue(v as u64));
         }
         sim.run();
-        let recs = sim.node(0).records();
+        let recs = sim.node(0).host().records();
         assert_eq!(recs.len(), 4);
         // First record is behind the root; the chain is total.
         assert_eq!(recs[0].predecessor, RequestId::ROOT);
@@ -320,7 +169,7 @@ mod tests {
         let outcome = sim.run();
         // Last enqueue processed at 1 + 4 (arrival at 1, four service slots), reply +1.
         assert!(outcome.final_time >= SimTime::from_units(5));
-        let recs = sim.node(0).records();
+        let recs = sim.node(0).host().records();
         assert_eq!(recs.len(), 4);
         let mut times: Vec<f64> = recs.iter().map(|r| r.informed_at.as_units_f64()).collect();
         times.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -352,7 +201,7 @@ mod tests {
             },
         );
         sim.run();
-        let recs = sim.node(0).records();
+        let recs = sim.node(0).host().records();
         assert_eq!(recs.len(), 2);
         // Both requests queue behind their own object's virtual root request.
         for rec in recs {
@@ -373,16 +222,16 @@ mod tests {
         }
         let mut sim = Simulator::new(ns, SimConfig::synchronous());
         sim.run();
-        let total_issued: usize = (0..3).map(|v| sim.node(v).issued().len()).sum();
+        let total_issued: usize = (0..3).map(|v| sim.node(v).host().issued().len()).sum();
         assert_eq!(total_issued, 9);
-        assert_eq!(sim.node(0).records().len(), 9);
+        assert_eq!(sim.node(0).host().records().len(), 9);
     }
 
     #[test]
     fn arrow_message_is_recorded_as_violation_not_processed() {
-        let mut node = CentralizedNode::new(0, 0, 0.0);
+        let mut node = CentralTail::node(0, 0, 0.0);
         let mut ctx = Context::new(0, SimTime::ZERO);
-        assert!(node.protocol_violation().is_none());
+        assert!(node.host().protocol_violation().is_none());
         node.on_message(
             &mut ctx,
             1,
@@ -393,9 +242,12 @@ mod tests {
                 epoch: 0,
             },
         );
-        let violation = node.protocol_violation().expect("violation recorded");
+        let violation = node
+            .host()
+            .protocol_violation()
+            .expect("violation recorded");
         assert!(violation.contains("unexpected message"), "{violation}");
         // The violating message was dropped: nothing got enqueued.
-        assert!(node.records().is_empty());
+        assert!(node.host().records().is_empty());
     }
 }

@@ -1,10 +1,12 @@
 //! One interface over the three execution tiers.
 //!
-//! The repo runs the arrow protocol in three independent implementations — the
-//! discrete-event simulator ([`mod@crate::run`]), the in-process thread runtime
+//! The repo runs the one arrow automaton ([`crate::live::ArrowCore`]) on three
+//! independent transports here — the discrete-event simulator
+//! ([`mod@crate::run`]), the in-process thread runtime
 //! ([`crate::live::ArrowRuntime`]) and the socket runtime (the `arrow-net`
-//! crate) — and nothing stops them drifting apart unless something runs the *same
-//! workload* through all of them and holds the results to the *same contract*.
+//! crate) — each with its own hosting, journaling and timing code, and nothing
+//! stops those drifting apart unless something runs the *same workload* through
+//! all of them and holds the results to the *same contract*.
 //! [`Driver`] is that seam: "run this [`RequestSchedule`] on this [`Instance`] and
 //! hand back a [`QueuingOutcome`], or a typed [`RunError`]". The conformance
 //! harness (`arrow-conformance`) sweeps seeded cases over every applicable driver

@@ -40,9 +40,13 @@
 //! * [`request`] / [`workload`] — queuing requests (with their [`ObjectId`]),
 //!   schedules, workload generators (incl. Zipf object popularity and migrating
 //!   per-object hotspots).
-//! * [`arrow`] — the arrow node automaton (runs on the [`desim`] simulator), one
-//!   independent arrow state per object.
-//! * [`centralized`] — the home-based baseline protocol (per-object queue tails).
+//! * [`host`] — the simulator node: one [`desim::Process`] carrying service time,
+//!   the closed-loop workload and the journals, generic over the protocol it hosts.
+//! * [`arrow`] — the arrow protocol on that host: glue between [`desim`] and the
+//!   shared [`live::ArrowCore`] state machine (one independent arrow state per
+//!   object). There is no second arrow automaton.
+//! * [`centralized`] — the home-based baseline protocol on the same host
+//!   (per-object queue tails).
 //! * [`order`] — queuing orders, successor records, per-object validation, latency
 //!   accounting.
 //! * [`mod@run`] — the harness: run a protocol on `(graph, tree, workload)` and collect
@@ -50,9 +54,10 @@
 //! * [`live`] — a real-concurrency runtime (one OS thread per node, std mpsc
 //!   channels) whose node threads multiplex the per-object automata and exclusion
 //!   tokens, plus a [`live::DistributedLock`] built on the queue. Its protocol
-//!   logic is the standalone [`live::ArrowCore`] state machine, also consumed by
-//!   the socket tier (the `arrow-net` crate) so the two real-concurrency runtimes
-//!   cannot drift.
+//!   logic is the standalone [`live::ArrowCore`] state machine, the same one the
+//!   simulator ([`arrow`]), the socket tier (`arrow-net`) and the process tier
+//!   (`arrow-cluster`) run and the model checker (`arrow-model`) explores, so the
+//!   tiers cannot drift.
 //!
 //! ## Quick example
 //!
@@ -80,6 +85,7 @@ pub mod arrow;
 pub mod centralized;
 pub mod driver;
 pub mod fault;
+pub mod host;
 pub mod live;
 pub mod order;
 pub mod protocol;

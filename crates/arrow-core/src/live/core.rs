@@ -1,16 +1,38 @@
 //! The transport-agnostic per-node arrow state machine.
 //!
-//! Three execution tiers run the same protocol: the discrete-event simulator
-//! ([`crate::arrow`]), the in-process thread runtime ([`super::ArrowRuntime`]) and the
-//! socket runtime (`arrow-net`). The thread and socket tiers share *this* module —
-//! one [`ArrowCore`] per node holds the per-object link pointers, the path-reversal
-//! logic and the per-(object, request) token bookkeeping, and reports what the
-//! transport must do as a list of [`CoreAction`]s. The transport owns everything
-//! I/O-shaped: channels or sockets, the map from pending requests to application
-//! wakeups, latency, and statistics.
+//! Four execution tiers run the same protocol — the discrete-event simulator
+//! ([`crate::arrow`]), the in-process thread runtime ([`super::ArrowRuntime`]), the
+//! socket runtime (`arrow-net`) and the process cluster (`arrow-cluster`) — and all
+//! four share *this* module: one [`ArrowCore`] per node holds the per-object link
+//! pointers, the path-reversal logic, the recovery epochs and the per-(object,
+//! request) token bookkeeping, and reports what the transport must do as a list of
+//! [`CoreAction`]s. The transport owns everything I/O-shaped: simulated links,
+//! channels or sockets, the map from pending requests to application wakeups,
+//! latency, and statistics.
 //!
 //! Keeping the state machine in one place means the tiers cannot drift: a protocol
-//! change lands here once and both real-concurrency runtimes pick it up.
+//! change lands here once and every tier picks it up, and the model checker
+//! (`arrow-model`) explores the code that produces the figures.
+//!
+//! # How the simulator drives the token half
+//!
+//! The simulator measures queuing, not exclusion: a request completes when its
+//! predecessor's node learns of it (Definition 3.2), and the Section 5
+//! acknowledgement to the requester leaves at that instant. The core's token leaves
+//! only once the predecessor was granted *and released*. So the simulator host
+//! ([`crate::arrow::ArrowSim`]) never calls [`ArrowCore::on_release`] and ignores
+//! [`CoreAction::SendToken`]; it acknowledges on [`CoreAction::Queued`] itself and
+//! reports an acknowledgement's arrival as [`ArrowCore::on_token`], which applies
+//! the stale-epoch guard and marks the request granted so a later bump does not
+//! re-issue it. Releasing early instead (at issue, or when a successor queues) would
+//! drop the ledger row of a request that is still pending, and an epoch bump would
+//! then no longer re-issue it.
+//!
+//! That input sequence — `on_token` for a request whose predecessor never released
+//! — is outside what `arrow-model` explores: its transitions move a token only
+//! after a release. What the simulator shares with the explored state space is the
+//! queuing half: the pointer flip, epoch adoption, stale-frame rejection and the
+//! re-issue of pending requests are the same code on the same inputs.
 //!
 //! # Invariants the transports rely on
 //!
@@ -410,7 +432,6 @@ impl<P: Probe> ArrowCore<P> {
     fn bump_epoch(&mut self, epoch: u64, actions: &mut Vec<CoreAction>) {
         self.epoch = epoch;
         self.probe.record(ProbeEvent::EpochAdopted { epoch });
-        let me = self.me;
         for state in &mut self.objects {
             state.link = self.initial_link;
             state.last_id = RequestId::ROOT;
@@ -425,30 +446,9 @@ impl<P: Probe> ArrowCore<P> {
         let mut pending: Vec<(ObjectId, RequestId)> = self.tokens.keys().copied().collect();
         pending.sort();
         for (obj, req) in pending {
-            let state = self.object_mut(obj);
-            let previous = state.last_id;
-            state.last_id = req;
-            if state.link == me {
-                self.queuing_complete(obj, previous, req, me, actions);
-            } else {
-                let target = state.link;
-                state.link = me;
-                // A re-issue, not a new request: no second RequestIssued event,
-                // but the fresh hop chain is traced like any other.
-                self.probe.record(ProbeEvent::QueueSent {
-                    obj: obj.0,
-                    req: req.0,
-                    origin: me,
-                    to: target,
-                });
-                actions.push(CoreAction::SendQueue {
-                    to: target,
-                    obj,
-                    req,
-                    origin: me,
-                    epoch: self.epoch,
-                });
-            }
+            // A re-issue, not a new request: no second RequestIssued event, but
+            // the fresh hop chain is traced like any other.
+            self.queue_own(obj, req, actions);
         }
     }
 
@@ -476,13 +476,34 @@ impl<P: Probe> ArrowCore<P> {
     /// If `obj` is out of range for this node.
     pub fn acquire(&mut self, obj: ObjectId, actions: &mut Vec<CoreAction>) -> RequestId {
         let req = self.fresh_request_id();
+        self.issue(obj, req, actions);
+        req
+    }
+
+    /// Issue the queuing request `req` for `obj`, the id chosen by the caller: the
+    /// paper's issue step (`id_o(v) <- a`, send `queue(a, o)` to `link_o(v)`,
+    /// `link_o(v) <- v`). [`ArrowCore::acquire`] is this with a fresh id; the
+    /// simulator tier calls it directly, because its schedules carry their own ids.
+    /// The caller keeps ids unique across the system.
+    ///
+    /// # Panics
+    /// If `req` is the virtual root request, or `obj` is out of range for this node.
+    pub fn issue(&mut self, obj: ObjectId, req: RequestId, actions: &mut Vec<CoreAction>) {
+        assert!(!req.is_root(), "cannot issue the virtual root request");
         self.tokens.insert((obj, req), TokenState::default());
-        let me = self.me;
         self.probe.record(ProbeEvent::RequestIssued {
             obj: obj.0,
             req: req.0,
-            origin: me,
+            origin: self.me,
         });
+        self.queue_own(obj, req, actions);
+    }
+
+    /// The issue transition proper, shared by fresh issues and the re-issues of an
+    /// epoch bump: this node's own `req` becomes `id_o(v)` and leaves along the link,
+    /// or is queued right here when this node is `obj`'s sink.
+    fn queue_own(&mut self, obj: ObjectId, req: RequestId, actions: &mut Vec<CoreAction>) {
+        let me = self.me;
         let state = self.object_mut(obj);
         let previous = state.last_id;
         state.last_id = req;
@@ -506,7 +527,6 @@ impl<P: Probe> ArrowCore<P> {
                 epoch: self.epoch,
             });
         }
-        req
     }
 
     /// Arrow path reversal for one object: a `queue()` message for request `req`
@@ -852,6 +872,32 @@ mod tests {
             }
         }
         assert!(!seen.contains(&RequestId::ROOT));
+    }
+
+    #[test]
+    fn issue_with_the_id_acquire_would_assign_is_acquire() {
+        let t = tree(7);
+        for node in [0, 5] {
+            let mut acquired = ArrowCore::for_tree(node, &t, 2);
+            let mut issued = acquired.clone();
+            let (mut out_a, mut out_i) = (Vec::new(), Vec::new());
+            for obj in [ObjectId(1), ObjectId(0), ObjectId(1)] {
+                let req = acquired.acquire(obj, &mut out_a);
+                issued.issue(obj, req, &mut out_i);
+                assert_eq!(out_a, out_i);
+            }
+            // `issue` leaves the id sequence alone; everything else is the same.
+            let mut want = acquired.snapshot();
+            want.next_seq = 0;
+            assert_eq!(issued.snapshot(), want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot issue the virtual root request")]
+    fn issuing_the_virtual_root_request_is_refused() {
+        let mut core = ArrowCore::for_tree(1, &tree(3), 1);
+        core.issue(ObjectId::DEFAULT, RequestId::ROOT, &mut Vec::new());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! to its successor, i.e. distributed mutual exclusion.
 //!
 //! * [`core`] — the transport-agnostic per-node arrow state machine
-//!   ([`core::ArrowCore`]), shared with the socket runtime in the `arrow-net` crate
-//!   so the real-concurrency tiers cannot drift.
+//!   ([`core::ArrowCore`]), shared with the simulator ([`crate::arrow`]) and the
+//!   socket runtime in the `arrow-net` crate so the tiers cannot drift.
 //! * [`ArrowRuntime`] — spawns one thread per node of a spanning tree and exposes a
 //!   [`NodeHandle`] per node with `acquire()` / `release()` token operations.
 //! * [`DistributedLock`] — a guard-style wrapper around a handle.

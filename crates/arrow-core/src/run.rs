@@ -13,13 +13,16 @@
 //!   makespan (Figure 10) and the average inter-processor hops per request
 //!   (Figure 11).
 
-use crate::arrow::ArrowNode;
-use crate::centralized::CentralizedNode;
+use crate::arrow::{ArrowSim, ArrowSimNode};
+use crate::centralized::CentralTail;
 use crate::fault::FaultSchedule;
+use crate::host::{Automaton, SimNode};
+use crate::live::ArrowCore;
 use crate::order::{validate_churn_records, OrderRecord, QueuingOrder};
 use crate::protocol::{ProtoMsg, ProtocolKind};
 use crate::request::{ObjectId, Request, RequestId, RequestSchedule};
 use crate::workload::{ClosedLoopSpec, Workload};
+use arrow_trace::{NoProbe, Probe};
 use desim::{LatencyModel, LocalOrder, SimConfig, SimDuration, SimTime, Simulator};
 use netgraph::spanning::{build_spanning_tree, SpanningTreeKind};
 use netgraph::{DistanceMatrix, Graph, NodeId, RootedTree, StretchReport};
@@ -601,45 +604,13 @@ pub fn run_schedule_faulted(
     );
     let n = instance.node_count();
     let tree = &instance.tree;
-    let root = tree.root();
     faults
         .validate(tree)
         .map_err(|description| RunError::ChurnViolation { description })?;
 
-    let k = schedule.object_id_bound();
-    let mut nodes: Vec<ArrowNode> = (0..n)
-        .map(|v| {
-            let link = if v == root {
-                v
-            } else {
-                tree.parent(v).unwrap()
-            };
-            ArrowNode::new_multi(v, &vec![link; k], true, 0.0)
-        })
-        .collect();
-    let dm = instance.distances();
-    for node in &mut nodes {
-        node.set_distances(Arc::clone(&dm));
-    }
-
     let mut config = config.clone();
     config.ack_to_requester = true;
-    let mut sim = Simulator::new(nodes, sim_config(&config));
-    for v in 0..n {
-        if let Some(p) = tree.parent(v) {
-            sim.set_link_weight(v, p, tree.parent_edge_weight(v));
-        }
-    }
-    for r in schedule.requests() {
-        sim.schedule_external(
-            r.time,
-            r.node,
-            ProtoMsg::Issue {
-                req: r.id,
-                obj: r.obj,
-            },
-        );
-    }
+    let mut sim = arrow_sim(instance, WorkloadRef::Open(schedule), &config, |_| NoProbe);
     // Inject the faults, and after each one a detection signal to every node
     // advancing the recovery epoch (crashed nodes miss it — silenced — and catch up
     // from the next signal or fast-forward from live traffic after restarting).
@@ -660,33 +631,21 @@ pub fn run_schedule_faulted(
     }
     let outcome = sim.run();
 
-    let mut records: Vec<OrderRecord> = Vec::new();
-    let mut issued: Vec<RequestId> = Vec::new();
-    let mut granted: Vec<RequestId> = Vec::new();
-    let mut stale_drops = 0u64;
-    let mut duplicate_grants = 0u64;
-    for v in 0..n {
-        let node = sim.node(v);
-        if let Some(description) = node.protocol_violation() {
-            return Err(RunError::ProtocolViolation {
-                node: v,
-                description: description.to_string(),
-            });
-        }
-        records.extend_from_slice(node.records());
-        issued.extend(node.issued().iter().map(|&(id, _, _)| id));
-        granted.extend(node.own_completions().iter().map(|&(id, _)| id));
-        stale_drops += node.stale_drops();
-        duplicate_grants += node.duplicate_grants();
-    }
+    let Harvest {
+        records,
+        issued,
+        mut granted,
+        duplicate_grants,
+        ..
+    } = harvest(&sim)?;
+    let mut issued: Vec<RequestId> = issued.iter().map(|r| r.id).collect();
     issued.sort_unstable();
     granted.sort_unstable();
-    let issued_set: std::collections::HashSet<RequestId> = issued.iter().copied().collect();
     let excused: Vec<RequestId> = schedule
         .requests()
         .iter()
         .map(|r| r.id)
-        .filter(|id| !issued_set.contains(id))
+        .filter(|id| issued.binary_search(id).is_err())
         .collect();
     Ok(ChurnOutcome {
         schedule: schedule.clone(),
@@ -697,7 +656,9 @@ pub fn run_schedule_faulted(
         final_epoch: faults.final_epoch(),
         messages_dropped: sim.stats().messages_dropped,
         silenced_inputs: sim.stats().silenced_inputs,
-        stale_drops,
+        stale_drops: (0..n)
+            .map(|v| sim.node(v).automaton().core().stale_drops())
+            .sum(),
         duplicate_grants,
         makespan: outcome.final_time.as_units_f64(),
     })
@@ -716,22 +677,28 @@ fn run_ref(
     config: &RunConfig,
 ) -> Result<(QueuingOutcome, desim::Trace), RunError> {
     match config.protocol {
-        ProtocolKind::Arrow => run_arrow(instance, workload, config),
+        ProtocolKind::Arrow => run_arrow_with(instance, workload, config, |_| NoProbe),
         ProtocolKind::Centralized => run_centralized(instance, workload, config),
     }
 }
 
-fn closed_loop_spec<'a>(workload: WorkloadRef<'a>) -> Option<&'a ClosedLoopSpec> {
-    match workload {
-        WorkloadRef::Closed(spec) => Some(spec),
-        WorkloadRef::Open(_) => None,
-    }
-}
-
-fn schedule_open_loop(
-    sim: &mut Simulator<ProtoMsg, impl desim::Process<ProtoMsg>>,
+/// The set-up every simulator run shares: one hosted node per graph node, the
+/// closed loop switched on or the open-loop issues queued. Link weights are the
+/// caller's (they differ by protocol).
+fn set_up<A: Automaton>(
+    instance: &Instance,
     workload: WorkloadRef<'_>,
-) {
+    config: &RunConfig,
+    node_for: impl FnMut(NodeId) -> SimNode<A>,
+) -> Simulator<ProtoMsg, SimNode<A>> {
+    let n = instance.node_count();
+    let mut nodes: Vec<SimNode<A>> = (0..n).map(node_for).collect();
+    if let WorkloadRef::Closed(spec) = workload {
+        for node in &mut nodes {
+            node.enable_closed_loop(spec, n);
+        }
+    }
+    let mut sim = Simulator::new(nodes, sim_config(config));
     if let WorkloadRef::Open(schedule) = workload {
         for r in schedule.requests() {
             sim.schedule_external(
@@ -744,34 +711,19 @@ fn schedule_open_loop(
             );
         }
     }
+    sim
 }
 
-fn run_arrow(
-    instance: &Instance,
-    workload: WorkloadRef<'_>,
-    config: &RunConfig,
-) -> Result<(QueuingOutcome, desim::Trace), RunError> {
-    run_arrow_with(instance, workload, config, |_| arrow_trace::NoProbe)
-}
-
-fn run_arrow_with<P: arrow_trace::Probe>(
+/// A simulator of arrow nodes on the instance's tree, ready to run: fault-free and
+/// faulted runs start from here.
+fn arrow_sim<P: Probe>(
     instance: &Instance,
     workload: WorkloadRef<'_>,
     config: &RunConfig,
     mut probe_for: impl FnMut(NodeId) -> P,
-) -> Result<(QueuingOutcome, desim::Trace), RunError> {
+) -> Simulator<ProtoMsg, ArrowSimNode<P>> {
     let n = instance.node_count();
     let tree = &instance.tree;
-    let root = tree.root();
-    let closed = closed_loop_spec(workload);
-    if closed.is_some() {
-        assert!(
-            config.ack_to_requester,
-            "closed-loop workloads require acknowledgements (the requester must learn \
-             about completion to issue its next request)"
-        );
-    }
-
     // One independent arrow automaton per object, all rooted at the tree root (every
     // object's virtual request starts there). K is whatever the workload names.
     let k = match workload {
@@ -787,90 +739,36 @@ fn run_arrow_with<P: arrow_trace::Probe>(
          {k} object states per node — use dense object ids starting at 0",
         k - 1
     );
-    let mut nodes: Vec<ArrowNode<P>> = (0..n)
-        .map(|v| {
-            let link = if v == root {
-                v
-            } else {
-                tree.parent(v).unwrap()
-            };
-            let links = vec![link; k];
-            ArrowNode::new_multi_with_probe(
-                v,
-                &links,
-                config.ack_to_requester,
-                config.local_service_time,
-                probe_for(v),
-            )
-        })
-        .collect();
-    if let Some(spec) = closed {
-        for node in &mut nodes {
-            node.enable_closed_loop(spec, n);
-        }
-    }
     // Acknowledgements travel over the graph metric: each ack is a direct send
     // paying d_G(sink, requester), so only the tree links below need weights.
-    if config.ack_to_requester {
-        let dm = instance.distances();
-        for node in &mut nodes {
-            node.set_distances(Arc::clone(&dm));
-        }
-    }
-
-    let mut sim = Simulator::new(nodes, sim_config(config));
-    // Tree edges carry the tree edge weight.
+    let ack_over = config.ack_to_requester.then(|| instance.distances());
+    let mut sim = set_up(instance, workload, config, |v| {
+        let core = ArrowCore::for_tree_with_probe(v, tree, k, probe_for(v));
+        ArrowSim::node(core, ack_over.clone(), config.local_service_time)
+    });
     for v in 0..n {
         if let Some(p) = tree.parent(v) {
             sim.set_link_weight(v, p, tree.parent_edge_weight(v));
         }
     }
-    schedule_open_loop(&mut sim, workload);
-    let outcome = sim.run();
+    sim
+}
 
-    // Harvest per-node logs.
-    let mut records: Vec<OrderRecord> = Vec::new();
-    let mut issued: Vec<Request> = Vec::new();
-    let mut protocol_messages = 0u64;
-    let mut completion_latency_sum = 0.0;
-    let mut completion_count = 0u64;
-    for v in 0..n {
-        let node = sim.node(v);
-        if let Some(description) = node.protocol_violation() {
-            return Err(RunError::ProtocolViolation {
-                node: v,
-                description: description.to_string(),
-            });
-        }
-        records.extend_from_slice(node.records());
-        issued.extend(node.issued().iter().map(|&(id, obj, time)| Request {
-            id,
-            node: v,
-            time,
-            obj,
-        }));
-        protocol_messages += node.queue_hops();
-        let issue_times: std::collections::HashMap<_, _> =
-            node.issued().iter().map(|&(r, _, t)| (r, t)).collect();
-        for &(req, done) in node.own_completions() {
-            if let Some(&issue_time) = issue_times.get(&req) {
-                completion_latency_sum += (done - issue_time).as_units_f64();
-                completion_count += 1;
-            }
-        }
+fn run_arrow_with<P: Probe>(
+    instance: &Instance,
+    workload: WorkloadRef<'_>,
+    config: &RunConfig,
+    probe_for: impl FnMut(NodeId) -> P,
+) -> Result<(QueuingOutcome, desim::Trace), RunError> {
+    if matches!(workload, WorkloadRef::Closed(_)) {
+        assert!(
+            config.ack_to_requester,
+            "closed-loop workloads require acknowledgements (the requester must learn \
+             about completion to issue its next request)"
+        );
     }
-    let result = finish(
-        ProtocolKind::Arrow,
-        issued,
-        records,
-        protocol_messages,
-        completion_latency_sum,
-        completion_count,
-        outcome.final_time,
-        sim.stats().messages_delivered,
-        outcome.events,
-    )?;
-    Ok((result, sim.trace().clone()))
+    let sim = arrow_sim(instance, workload, config, probe_for);
+    run_to_outcome(ProtocolKind::Arrow, sim)
 }
 
 fn run_centralized(
@@ -878,73 +776,83 @@ fn run_centralized(
     workload: WorkloadRef<'_>,
     config: &RunConfig,
 ) -> Result<(QueuingOutcome, desim::Trace), RunError> {
-    let n = instance.node_count();
     // The central node is the tree root (the initial queue tail in both protocols).
     let central = instance.tree.root();
-    let closed = closed_loop_spec(workload);
-
-    let mut nodes: Vec<CentralizedNode> = (0..n)
-        .map(|v| CentralizedNode::new(v, central, config.local_service_time))
-        .collect();
-    if let Some(spec) = closed {
-        for node in &mut nodes {
-            node.enable_closed_loop(spec, n);
-        }
-    }
-
-    let mut sim = Simulator::new(nodes, sim_config(config));
+    let mut sim = set_up(instance, workload, config, |v| {
+        CentralTail::node(v, central, config.local_service_time)
+    });
     // Requests and replies travel directly over the graph: weight = d_G(v, central).
     let dm = instance.distances();
-    for v in 0..n {
+    for v in 0..instance.node_count() {
         if v != central {
             sim.set_link_weight(v, central, dm.dist(v, central));
         }
     }
-    schedule_open_loop(&mut sim, workload);
-    let outcome = sim.run();
+    run_to_outcome(ProtocolKind::Centralized, sim)
+}
 
-    let mut records: Vec<OrderRecord> = Vec::new();
-    let mut issued: Vec<Request> = Vec::new();
-    let mut protocol_messages = 0u64;
-    let mut completion_latency_sum = 0.0;
-    let mut completion_count = 0u64;
-    for v in 0..n {
-        let node = sim.node(v);
+/// Run a fault-free simulator to quiescence and assemble its validated outcome.
+fn run_to_outcome<A: Automaton>(
+    protocol: ProtocolKind,
+    mut sim: Simulator<ProtoMsg, SimNode<A>>,
+) -> Result<(QueuingOutcome, desim::Trace), RunError> {
+    let outcome = sim.run();
+    let result = finish(
+        protocol,
+        harvest(&sim)?,
+        outcome.final_time,
+        sim.stats().messages_delivered,
+        outcome.events,
+    )?;
+    Ok((result, sim.trace().clone()))
+}
+
+/// What the nodes of one run journaled, gathered in node order.
+struct Harvest {
+    records: Vec<OrderRecord>,
+    issued: Vec<Request>,
+    /// Requests whose requester observed completion (first notification each).
+    granted: Vec<RequestId>,
+    protocol_messages: u64,
+    /// Sum over `granted` of the time from issue to that notification.
+    completion_latency_sum: f64,
+    duplicate_grants: u64,
+}
+
+/// Collect every node's journal, or the first protocol violation a node recorded.
+fn harvest<A: Automaton>(sim: &Simulator<ProtoMsg, SimNode<A>>) -> Result<Harvest, RunError> {
+    let mut all = Harvest {
+        records: Vec::new(),
+        issued: Vec::new(),
+        granted: Vec::new(),
+        protocol_messages: 0,
+        completion_latency_sum: 0.0,
+        duplicate_grants: 0,
+    };
+    for v in 0..sim.node_count() {
+        let node = sim.node(v).host();
         if let Some(description) = node.protocol_violation() {
             return Err(RunError::ProtocolViolation {
                 node: v,
                 description: description.to_string(),
             });
         }
-        records.extend_from_slice(node.records());
-        issued.extend(node.issued().iter().map(|&(id, obj, time)| Request {
-            id,
-            node: v,
-            time,
-            obj,
-        }));
-        protocol_messages += node.remote_messages();
-        let issue_times: std::collections::HashMap<_, _> =
-            node.issued().iter().map(|&(r, _, t)| (r, t)).collect();
-        for &(req, done) in node.own_completions() {
-            if let Some(&issue_time) = issue_times.get(&req) {
-                completion_latency_sum += (done - issue_time).as_units_f64();
-                completion_count += 1;
-            }
+        all.records.extend_from_slice(node.records());
+        all.issued
+            .extend(node.issued().iter().map(|&(id, obj, time)| Request {
+                id,
+                node: v,
+                time,
+                obj,
+            }));
+        for done in node.own_completions() {
+            all.granted.push(done.req);
+            all.completion_latency_sum += (done.at - done.issued_at).as_units_f64();
         }
+        all.protocol_messages += node.protocol_messages();
+        all.duplicate_grants += node.duplicate_grants();
     }
-    let result = finish(
-        ProtocolKind::Centralized,
-        issued,
-        records,
-        protocol_messages,
-        completion_latency_sum,
-        completion_count,
-        outcome.final_time,
-        sim.stats().messages_delivered,
-        outcome.events,
-    )?;
-    Ok((result, sim.trace().clone()))
+    Ok(all)
 }
 
 /// Assemble a validated [`QueuingOutcome`] from externally journaled requests and
@@ -960,31 +868,32 @@ pub fn outcome_from_records(
     total_messages: u64,
     makespan: SimTime,
 ) -> Result<QueuingOutcome, RunError> {
-    finish(
-        protocol,
-        issued,
+    let journal = Harvest {
         records,
+        issued,
+        granted: Vec::new(),
         protocol_messages,
-        0.0,
-        0,
-        makespan,
-        total_messages,
-        0,
-    )
+        completion_latency_sum: 0.0,
+        duplicate_grants: 0,
+    };
+    finish(protocol, journal, makespan, total_messages, 0)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn finish(
     protocol: ProtocolKind,
-    mut issued: Vec<Request>,
-    records: Vec<OrderRecord>,
-    protocol_messages: u64,
-    completion_latency_sum: f64,
-    completion_count: u64,
+    journal: Harvest,
     final_time: SimTime,
     total_messages: u64,
     sim_events: u64,
 ) -> Result<QueuingOutcome, RunError> {
+    let Harvest {
+        records,
+        mut issued,
+        granted,
+        protocol_messages,
+        completion_latency_sum,
+        ..
+    } = journal;
     issued.sort_by_key(|r| (r.time, r.id));
     let schedule = RequestSchedule::from_requests(issued);
     // Each object's queue is validated independently against the object's
@@ -1016,10 +925,10 @@ fn finish(
         sim_events,
         protocol_messages,
         hops_per_request: protocol_messages as f64 / request_count as f64,
-        mean_completion_latency: if completion_count > 0 {
-            completion_latency_sum / completion_count as f64
-        } else {
+        mean_completion_latency: if granted.is_empty() {
             0.0
+        } else {
+            completion_latency_sum / granted.len() as f64
         },
         schedule,
         order,
@@ -1283,13 +1192,12 @@ mod tests {
     fn checked_path_surfaces_protocol_violations_from_nodes() {
         // Drive the harness's own simulator setup, then inject an out-of-protocol
         // message: the run must come back as RunError::ProtocolViolation, not abort.
-        use desim::Simulator;
-        let mut sim = Simulator::new(
-            vec![
-                ArrowNode::new(0, 0, false, 0.0),
-                ArrowNode::new(1, 0, false, 0.0),
-            ],
-            SimConfig::synchronous(),
+        let instance = path_instance(2);
+        let mut sim = arrow_sim(
+            &instance,
+            WorkloadRef::Open(&RequestSchedule::default()),
+            &RunConfig::analysis(ProtocolKind::Arrow),
+            |_| NoProbe,
         );
         sim.schedule_external(
             SimTime::ZERO,
@@ -1301,13 +1209,13 @@ mod tests {
             },
         );
         sim.run();
-        assert!(sim.node(0).protocol_violation().is_none());
-        let violation = sim.node(1).protocol_violation().expect("recorded");
-        let err = RunError::ProtocolViolation {
-            node: 1,
-            description: violation.to_string(),
-        };
-        assert!(err.to_string().contains("protocol violation at node 1"));
+        match harvest(&sim) {
+            Err(err @ RunError::ProtocolViolation { node: 1, .. }) => {
+                assert!(err.to_string().contains("protocol violation at node 1"));
+                assert!(err.to_string().contains("non-arrow message"));
+            }
+            other => panic!("expected a violation at node 1, got {:?}", other.err()),
+        }
     }
 
     #[test]
@@ -1438,6 +1346,18 @@ mod tests {
             regenerations > 0,
             "across 12 seeded churn runs at least one token regeneration happens"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "object id space too large")]
+    fn faulted_run_refuses_a_sparse_object_id_space() {
+        // One request naming object 2^31: a replay file can say that. The faulted
+        // path shares the fault-free set-up and so its guard, instead of allocating
+        // 2^31 object slots per node.
+        let instance = path_instance(3);
+        let schedule = RequestSchedule::from_object_pairs(&[(1, SimTime::ZERO, ObjectId(1 << 31))]);
+        let cfg = RunConfig::analysis(ProtocolKind::Arrow);
+        let _ = run_schedule_faulted(&instance, &schedule, &cfg, &FaultSchedule::none());
     }
 
     #[test]

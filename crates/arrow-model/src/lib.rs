@@ -7,8 +7,7 @@
 //! to a node bound, every request placement, every message interleaving the
 //! per-link FIFO transports could produce, and every crash/recovery schedule
 //! within an episode budget. A system state is the product of per-node
-//! [`ArrowCore`]s (the *same* pure state machine the thread and socket tiers
-//! drive in production), per-directed-link FIFO frame queues, and the
+//! [`ArrowCore`]s (the *same* pure state machine every execution tier drives), per-directed-link FIFO frame queues, and the
 //! request/fault bookkeeping; transitions deliver one frame, issue one
 //! request, crash/restart one node, deliver one epoch-detection signal, or
 //! release one granted token.

@@ -14,9 +14,9 @@
 //!    real processors to expose. Only a hop between two nodes of one shard is
 //!    spared the wire; `with_shards(n)` and the `arrowd` daemon mode spare none.
 //!
-//! All three tiers execute the same per-node state machine: the simulator's
-//! [`arrow_core::arrow`] automaton and the shared [`arrow_core::live::ArrowCore`]
-//! core that this crate and the thread runtime both consume.
+//! All tiers execute the same per-node state machine, the shared
+//! [`arrow_core::live::ArrowCore`]: this crate and the thread runtime drive it
+//! from real transports, the simulator through [`arrow_core::arrow`].
 //!
 //! ## Architecture
 //!

@@ -1,8 +1,9 @@
 //! The zero-cost probe trait the protocol cores are generic over.
 //!
-//! Instrumentation contract: the shared `ArrowCore` (and the simulator tier's
-//! `ArrowNode`) carry a `P: Probe` type parameter defaulting to [`NoProbe`] and
-//! call [`Probe::record`] at every protocol transition point. Because the
+//! Instrumentation contract: the shared `ArrowCore` — the one automaton every
+//! tier, the simulator included, runs — carries a `P: Probe` type parameter
+//! defaulting to [`NoProbe`] and calls [`Probe::record`] at every protocol
+//! transition point. Because the
 //! parameter is monomorphized and `NoProbe::record` is an empty `#[inline]`
 //! body, the disabled path compiles to nothing — probe-off builds are
 //! bit-identical in behaviour and carry no branch, no load, no call.

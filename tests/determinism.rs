@@ -109,3 +109,45 @@ fn parallel_sweep_rows_are_stable_across_repeated_runs() {
     let b = experiments::ratio_sweep(9, 12, 5);
     assert_eq!(a, b);
 }
+
+/// The two tier-1 kernels of the gated benchmark (`bench --workload sim-open-k1` and
+/// `sim-closed-svc`, seed 1) pinned to their exact simulated statistics, so a change
+/// that moves the protocol or the harness — rather than its speed — fails `cargo
+/// test` without the benchmark having to run.
+#[test]
+fn tier_one_benchmark_kernels_hold_their_seed_one_statistics() {
+    let pinned = |o: &QueuingOutcome| {
+        (
+            o.sim_events,
+            o.total_messages,
+            o.total_latency,
+            o.makespan,
+            o.protocol_messages,
+            o.request_count(),
+        )
+    };
+
+    let open = run_schedule(
+        &Instance::complete_uniform(512, SpanningTreeKind::BalancedBinary),
+        &workload::uniform_random(512, 10_000, 4.0 * 10_000.0 / 512.0, 1),
+        &RunConfig::analysis(ProtocolKind::Arrow),
+    );
+    assert_eq!(
+        pinned(&open),
+        (24_406, 14_406, 14_406.0, 93.335137, 14_406, 10_000)
+    );
+
+    let spec = ClosedLoopSpec {
+        requests_per_node: 300,
+        local_service_time: 0.05,
+    };
+    let closed = run(
+        &Instance::complete_uniform(64, SpanningTreeKind::BalancedBinary),
+        &Workload::ClosedLoop(spec),
+        &RunConfig::experiment(ProtocolKind::Arrow, spec.local_service_time),
+    );
+    assert_eq!(
+        pinned(&closed),
+        (40_478, 10_639, 6988.8, 463.4, 6_639, 19_200)
+    );
+}
