@@ -1,22 +1,23 @@
-//! The arrow protocol on the simulator: [`ArrowCore`] behind the node [`Host`].
+//! The arrow protocol on the simulator: [`QueueCore`] behind the node [`Host`].
 //!
-//! The automaton itself — per-object link pointers, path reversal, recovery epochs,
-//! re-issue of pending requests — is [`crate::live::ArrowCore`], the one every tier
-//! runs and the one the model checker explores. [`ArrowSim`] is the glue: it feeds
-//! each [`ProtoMsg`] to the core and turns the resulting [`CoreAction`]s into
-//! simulator sends and journal entries.
+//! The automaton itself — per-object link pointers, path reversal, recovery epochs
+//! — is [`crate::live::QueueCore`], the queuing layer of the
+//! [`crate::live::ArrowCore`] every live tier runs and the model checker explores.
+//! [`ArrowSim`] is the glue: it feeds each [`ProtoMsg`] to the core and turns the
+//! resulting [`QueueStep`] into a simulator send or a journal entry.
 //!
-//! **The simulator has no critical section**, so it does not move the core's
-//! exclusion token: on [`CoreAction::Queued`] the glue sends the Section 5
-//! acknowledgement ([`ProtoMsg::Found`], paying `d_G(sink, requester)`) itself, and
-//! reports an ack's arrival to the requester's core as [`ArrowCore::on_token`].
-//! Nothing is ever released; a request that was never acknowledged stays pending and
-//! is re-issued under its original id after every epoch bump. The reasons are in
-//! [`crate::live::core`]'s module docs ("How the simulator drives the token half").
+//! **The simulator has no critical section**, so it hosts no token ledger: a
+//! request completes when its predecessor's node learns of it (Definition 3.2). On
+//! [`QueueStep::Queued`] the glue sends the Section 5 acknowledgement
+//! ([`ProtoMsg::Found`], paying `d_G(sink, requester)`), and the ack's arrival —
+//! epoch-checked like any in-band input — is the requester learning of the
+//! completion. A request that was never acknowledged stays open in the [`Host`]
+//! and is re-issued under its original id after every epoch bump.
 
 use crate::host::{Automaton, Host, SimNode};
-use crate::live::{ArrowCore, CoreAction};
+use crate::live::{EpochCheck, QueueCore, QueueStep};
 use crate::protocol::ProtoMsg;
+use crate::request::{ObjectId, RequestId};
 use arrow_trace::{NoProbe, Probe, ProbeEvent};
 use desim::{Context, SimDuration};
 use netgraph::{DistanceMatrix, NodeId};
@@ -25,22 +26,21 @@ use std::sync::Arc;
 /// A simulator node running the arrow protocol.
 pub type ArrowSimNode<P = NoProbe> = SimNode<ArrowSim<P>>;
 
-/// The arrow protocol half of a simulator node: the shared [`ArrowCore`] plus the
+/// The arrow protocol half of a simulator node: the shared [`QueueCore`] plus the
 /// acknowledgement policy of the experiment.
 ///
 /// `P` is the core's observability hook ([`arrow_trace::Probe`]). A recording node
 /// emits a [`ProbeEvent::Tick`] carrying the simulation clock before each dispatch,
-/// so a shared sim-mode recorder timestamps events in simulation units.
+/// so a shared sim-mode recorder timestamps events in simulation units, and a
+/// [`ProbeEvent::Granted`] when a requester learns that its request completed.
 #[derive(Debug)]
 pub struct ArrowSim<P: Probe = NoProbe> {
-    core: ArrowCore<P>,
+    core: QueueCore<P>,
     /// `Some` = acknowledge every remote request back to its requester as a direct
     /// send paying `d_G(me, origin)` — the cost model of Section 5 — whatever single
     /// link happens to join the pair. Direct sends bypass the latency model: acks
     /// are not part of the protocol cost the analysis randomises.
     ack_over: Option<Arc<DistanceMatrix>>,
-    /// Scratch for the core's output, reused across steps.
-    actions: Vec<CoreAction>,
 }
 
 impl<P: Probe> ArrowSim<P> {
@@ -48,22 +48,107 @@ impl<P: Probe> ArrowSim<P> {
     /// set, requesters are acknowledged over that graph metric — and only then do
     /// they observe the completion of a remote request.
     pub fn node(
-        core: ArrowCore<P>,
+        core: QueueCore<P>,
         ack_over: Option<Arc<DistanceMatrix>>,
         service_time: f64,
     ) -> ArrowSimNode<P> {
         let (me, acked) = (core.node(), ack_over.is_some());
-        let automaton = ArrowSim {
-            core,
-            ack_over,
-            actions: Vec::new(),
-        };
-        SimNode::new(me, automaton, service_time, acked)
+        SimNode::new(me, ArrowSim { core, ack_over }, service_time, acked)
     }
 
-    /// The arrow state machine of this node.
-    pub fn core(&self) -> &ArrowCore<P> {
+    /// The queuing state machine of this node.
+    pub fn core(&self) -> &QueueCore<P> {
         &self.core
+    }
+
+    /// Epoch guard for in-band inputs: `false` means stale, drop it; a newer epoch
+    /// fast-forwards this node first.
+    fn admit(
+        &mut self,
+        host: &mut Host,
+        ctx: &mut Context<ProtoMsg>,
+        obj: ObjectId,
+        epoch: u64,
+    ) -> bool {
+        match self.core.check_epoch(obj, epoch) {
+            EpochCheck::Stale => false,
+            EpochCheck::Current => true,
+            EpochCheck::Newer => {
+                self.adopt(host, ctx, epoch);
+                true
+            }
+        }
+    }
+
+    /// Move to recovery epoch `epoch` and re-issue every own request whose
+    /// completion this node has not heard of, under its original id.
+    fn adopt(&mut self, host: &mut Host, ctx: &mut Context<ProtoMsg>, epoch: u64) {
+        self.core.adopt_epoch(epoch);
+        let mut pending: Vec<(ObjectId, RequestId)> = host.open_requests().collect();
+        pending.sort_unstable();
+        for (obj, req) in pending {
+            let step = self.core.reissue(obj, req);
+            self.apply(host, ctx, obj, req, host.me(), step);
+        }
+    }
+
+    /// Carry out the core's step for `req` (issued at `origin`).
+    fn apply(
+        &mut self,
+        host: &mut Host,
+        ctx: &mut Context<ProtoMsg>,
+        obj: ObjectId,
+        req: RequestId,
+        origin: NodeId,
+        step: QueueStep,
+    ) {
+        let epoch = self.core.epoch();
+        match step {
+            QueueStep::Forward { to } => {
+                host.note_message();
+                ctx.send(
+                    to,
+                    ProtoMsg::Queue {
+                        req,
+                        obj,
+                        origin,
+                        epoch,
+                    },
+                );
+            }
+            QueueStep::Queued { pred } => {
+                let me = host.me();
+                host.note_queued(ctx, obj, pred, req, epoch);
+                if origin == me {
+                    // The requester is this node: it learns of the queuing right here.
+                    self.completed(host, ctx, obj, req);
+                } else if let Some(dm) = &self.ack_over {
+                    let found = ProtoMsg::Found {
+                        req,
+                        obj,
+                        pred,
+                        epoch,
+                    };
+                    let d_g = SimDuration::from_units_f64(dm.dist(me, origin));
+                    ctx.send_direct(origin, found, d_g);
+                }
+            }
+        }
+    }
+
+    /// This node learnt that its own request `req` was queued.
+    fn completed(
+        &mut self,
+        host: &mut Host,
+        ctx: &mut Context<ProtoMsg>,
+        obj: ObjectId,
+        req: RequestId,
+    ) {
+        self.core.probe_mut().record(ProbeEvent::Granted {
+            obj: obj.0,
+            req: req.0,
+        });
+        host.complete(ctx, req);
     }
 }
 
@@ -80,85 +165,39 @@ impl<P: Probe> Automaton for ArrowSim<P> {
         self.core.probe_mut().record(ProbeEvent::Tick {
             units: ctx.now().as_units_f64(),
         });
-        let actions = &mut self.actions;
         match msg {
             ProtoMsg::Issue { req, obj } => {
                 host.note_issue(ctx, req, obj);
-                self.core.issue(obj, req, actions);
+                let step = self.core.issue(obj, req);
+                self.apply(host, ctx, obj, req, host.me(), step);
             }
             ProtoMsg::Queue {
                 req,
                 obj,
                 origin,
                 epoch,
-            } => self.core.on_queue(from, obj, req, origin, epoch, actions),
+            } => {
+                if self.admit(host, ctx, obj, epoch) {
+                    let step = self.core.on_queue(from, obj, req, origin);
+                    self.apply(host, ctx, obj, req, origin, step);
+                }
+            }
             ProtoMsg::Found {
                 req, obj, epoch, ..
-            } => self.core.on_token(obj, req, epoch, actions),
-            ProtoMsg::Epoch { epoch } => self.core.on_epoch(epoch, actions),
+            } => {
+                if self.admit(host, ctx, obj, epoch) {
+                    self.completed(host, ctx, obj, req);
+                }
+            }
+            ProtoMsg::Epoch { epoch } => {
+                if epoch > self.core.epoch() {
+                    self.adopt(host, ctx, epoch);
+                }
+            }
             other => {
                 host.note_violation(|| format!("arrow node received non-arrow message {other:?}"))
             }
         }
-
-        let me = host.me();
-        let mut next = 0;
-        // By index: acknowledging a local request appends to the list being read.
-        while let Some(&action) = self.actions.get(next) {
-            next += 1;
-            match action {
-                CoreAction::SendQueue {
-                    to,
-                    obj,
-                    req,
-                    origin,
-                    epoch,
-                } => {
-                    host.note_message();
-                    ctx.send(
-                        to,
-                        ProtoMsg::Queue {
-                            req,
-                            obj,
-                            origin,
-                            epoch,
-                        },
-                    );
-                }
-                CoreAction::Queued {
-                    obj,
-                    pred,
-                    succ,
-                    origin,
-                    epoch,
-                } => {
-                    host.note_queued(ctx, obj, pred, succ, epoch);
-                    if origin != me {
-                        if let Some(dm) = &self.ack_over {
-                            let found = ProtoMsg::Found {
-                                req: succ,
-                                obj,
-                                pred,
-                                epoch,
-                            };
-                            let d_g = SimDuration::from_units_f64(dm.dist(me, origin));
-                            ctx.send_direct(origin, found, d_g);
-                        }
-                    } else if self.actions.get(next)
-                        != Some(&CoreAction::Granted { obj, req: succ })
-                    {
-                        // The requester is this node: it learns of the queuing right
-                        // here, unless the core already granted it (free root token).
-                        self.core.on_token(obj, succ, epoch, &mut self.actions);
-                    }
-                }
-                CoreAction::Granted { req, .. } => host.complete(ctx, req),
-                // The token is the critical section's, which the simulator does not
-                // model: the requester hears through the ack sent on `Queued`.
-                CoreAction::SendToken { .. } => {}
-            }
-        }
-        self.actions.clear();
     }
 }
 
@@ -166,7 +205,6 @@ impl<P: Probe> Automaton for ArrowSim<P> {
 mod tests {
     use super::*;
     use crate::order::OrderRecord;
-    use crate::request::{ObjectId, RequestId};
     use crate::workload::ClosedLoopSpec;
     use desim::{Process, SimConfig, SimTime, Simulator};
     use netgraph::generators;
@@ -190,7 +228,11 @@ mod tests {
                     std::cmp::Ordering::Greater => v - 1,
                     std::cmp::Ordering::Less => v + 1,
                 };
-                ArrowSim::node(ArrowCore::new(v, link, k, n), dm.clone(), 0.0)
+                ArrowSim::node(
+                    QueueCore::with_probe(v, link, k, n, NoProbe),
+                    dm.clone(),
+                    0.0,
+                )
             })
             .collect()
     }
@@ -217,7 +259,7 @@ mod tests {
 
     /// `id(v)` of the default object.
     fn last_request(node: &ArrowSimNode) -> RequestId {
-        node.automaton().core().snapshot().objects[0].1
+        node.automaton().core().last_id_of(ObjectId::DEFAULT)
     }
 
     #[test]
@@ -411,7 +453,7 @@ mod tests {
         assert_eq!(done, vec![RequestId(2)]);
         // The first is still on its way to the root.
         assert_eq!(
-            node.automaton().core().pending(),
+            node.host().open_requests().collect::<Vec<_>>(),
             vec![(ObjectId::DEFAULT, RequestId(1))]
         );
         sim.run();
@@ -468,7 +510,7 @@ mod tests {
                 (RequestId(1), SimTime::from_units(7))
             ]
         );
-        assert!(node.automaton().core().pending().is_empty());
+        assert_eq!(node.host().open_requests().count(), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! ([`ServiceQueue`]), the closed-loop workload of Section 5 (issue the next
 //! request when the previous one completes) and the journals the harness reads
 //! after the run. The protocol half is an [`Automaton`]: the arrow protocol on
-//! [`crate::live::ArrowCore`] ([`crate::arrow::ArrowSim`]) or the centralized
+//! [`crate::live::QueueCore`] ([`crate::arrow::ArrowSim`]) or the centralized
 //! baseline's queue tail ([`crate::centralized::CentralTail`]). An automaton
 //! writes straight through to the [`Context`] and the host's journals; nothing is
 //! buffered in between.
@@ -17,7 +17,7 @@ use crate::request::{ObjectId, RequestId};
 use crate::workload::ClosedLoopSpec;
 use desim::{Context, Process, SimTime};
 use netgraph::NodeId;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// The protocol half of a simulator node.
 pub trait Automaton {
@@ -43,6 +43,14 @@ pub struct OwnCompletion {
     pub at: SimTime,
 }
 
+/// An own request whose completion this node has not heard of yet.
+#[derive(Debug, Clone, Copy)]
+struct OpenRequest {
+    req: RequestId,
+    obj: ObjectId,
+    issued_at: SimTime,
+}
+
 /// Closed-loop workload state: the budget left and the id sequence.
 #[derive(Debug)]
 struct ClosedLoopState {
@@ -64,8 +72,10 @@ pub struct Host {
     /// duplicates, so only then is `open` kept: without acks the one request that
     /// completes at its own node does so in the step that issued it.
     acked: bool,
-    /// Own requests still awaiting completion, with their issue time (acked runs).
-    open: HashMap<RequestId, SimTime>,
+    /// Own requests still awaiting completion, oldest first (acked runs). A node
+    /// has few at a time and hears of them roughly in issue order, so a scan from
+    /// the front finds one faster than any keyed structure would.
+    open: VecDeque<OpenRequest>,
     records: Vec<OrderRecord>,
     issued: Vec<(RequestId, ObjectId, SimTime)>,
     own_completions: Vec<OwnCompletion>,
@@ -113,12 +123,24 @@ impl Host {
         self.violation.as_deref()
     }
 
+    /// Own requests still awaiting completion, as `(object, request)` — what an
+    /// epoch bump re-issues. Empty in runs without acknowledgements, where no
+    /// requester ever learns of a remote completion and recovery has nothing to
+    /// tell pending from done ([`crate::run::run_schedule_faulted`] switches acks on).
+    pub(crate) fn open_requests(&self) -> impl Iterator<Item = (ObjectId, RequestId)> + '_ {
+        self.open.iter().map(|open| (open.obj, open.req))
+    }
+
     /// Journal that this node issues `req` for `obj` now.
     pub(crate) fn note_issue(&mut self, ctx: &Context<ProtoMsg>, req: RequestId, obj: ObjectId) {
         assert!(!req.is_root(), "cannot issue the virtual root request");
         self.issued.push((req, obj, ctx.now()));
         if self.acked {
-            self.open.insert(req, ctx.now());
+            self.open.push_back(OpenRequest {
+                req,
+                obj,
+                issued_at: ctx.now(),
+            });
         }
     }
 
@@ -160,8 +182,11 @@ impl Host {
         let at = ctx.now();
         let issued_at = if !self.acked {
             at
-        } else if let Some(issued_at) = self.open.remove(&req) {
-            issued_at
+        } else if let Some(at) = self.open.iter().position(|open| open.req == req) {
+            self.open
+                .remove(at)
+                .expect("position is in range")
+                .issued_at
         } else {
             self.duplicate_grants += 1;
             return;
@@ -215,7 +240,7 @@ impl<A: Automaton> SimNode<A> {
                 service: ServiceQueue::new(service_time),
                 closed_loop: None,
                 acked,
-                open: HashMap::new(),
+                open: VecDeque::new(),
                 records: Vec::new(),
                 issued: Vec::new(),
                 own_completions: Vec::new(),

@@ -43,8 +43,8 @@
 //! * [`host`] — the simulator node: one [`desim::Process`] carrying service time,
 //!   the closed-loop workload and the journals, generic over the protocol it hosts.
 //! * [`arrow`] — the arrow protocol on that host: glue between [`desim`] and the
-//!   shared [`live::ArrowCore`] state machine (one independent arrow state per
-//!   object). There is no second arrow automaton.
+//!   shared [`live::QueueCore`], the queuing layer of [`live::ArrowCore`] (one
+//!   independent arrow state per object). There is no second arrow automaton.
 //! * [`centralized`] — the home-based baseline protocol on the same host
 //!   (per-object queue tails).
 //! * [`order`] — queuing orders, successor records, per-object validation, latency
@@ -54,10 +54,11 @@
 //! * [`live`] — a real-concurrency runtime (one OS thread per node, std mpsc
 //!   channels) whose node threads multiplex the per-object automata and exclusion
 //!   tokens, plus a [`live::DistributedLock`] built on the queue. Its protocol
-//!   logic is the standalone [`live::ArrowCore`] state machine, the same one the
-//!   simulator ([`arrow`]), the socket tier (`arrow-net`) and the process tier
-//!   (`arrow-cluster`) run and the model checker (`arrow-model`) explores, so the
-//!   tiers cannot drift.
+//!   logic is the standalone [`live::ArrowCore`] state machine — [`live::QueueCore`]
+//!   plus a token ledger — the same one the socket tier (`arrow-net`) and the
+//!   process tier (`arrow-cluster`) run and the model checker (`arrow-model`)
+//!   explores; the simulator ([`arrow`]) runs its queuing layer, so the tiers
+//!   cannot drift.
 //!
 //! ## Quick example
 //!

@@ -8,9 +8,13 @@
 //! the paper's introduction motivates — to pass an exclusive token from each request
 //! to its successor, i.e. distributed mutual exclusion.
 //!
+//! * [`queue`] — the paper's queuing automaton ([`queue::QueueCore`]): link
+//!   pointers, path reversal, recovery epochs. The simulator ([`crate::arrow`])
+//!   hosts it alone.
 //! * [`core`] — the transport-agnostic per-node arrow state machine
-//!   ([`core::ArrowCore`]), shared with the simulator ([`crate::arrow`]) and the
-//!   socket runtime in the `arrow-net` crate so the tiers cannot drift.
+//!   ([`core::ArrowCore`]): the queuing layer composed with the token ledger,
+//!   shared with the socket runtime in the `arrow-net` crate and the model checker
+//!   so the tiers cannot drift.
 //! * [`ArrowRuntime`] — spawns one thread per node of a spanning tree and exposes a
 //!   [`NodeHandle`] per node with `acquire()` / `release()` token operations.
 //! * [`DistributedLock`] — a guard-style wrapper around a handle.
@@ -19,8 +23,10 @@
 
 pub mod core;
 mod lock;
+pub mod queue;
 mod runtime;
 
 pub use core::{ArrowCore, CoreAction, CoreSnapshot};
 pub use lock::{CriticalSectionLog, DistributedLock, LockGuard, SectionRecord};
+pub use queue::{EpochCheck, QueueCore, QueueStep};
 pub use runtime::{ArrowRuntime, FaultHandle, LiveReport, NodeHandle, RuntimeStats, EVENT_BATCH};

@@ -6,11 +6,12 @@
 //! got queued behind whom, and when the predecessor's node learnt it);
 //! [`QueuingOrder`] assembles the records into the total order and validates it.
 
-use crate::request::{ObjectId, RequestId, RequestSchedule};
+use crate::request::{ObjectId, Request, RequestId, RequestSchedule};
 use desim::{SimDuration, SimTime};
 use netgraph::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One successor notification: request `successor` was queued immediately behind
 /// `predecessor` in the queue of object `obj`, and the node holding `predecessor`
@@ -59,14 +60,23 @@ pub enum OrderError {
     MixedObjects(ObjectId, ObjectId),
 }
 
-/// A validated total queuing order together with its notification records.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QueuingOrder {
+/// One validated chain: the queue, its notifications, and a by-id lookup index.
+#[derive(Debug, Default)]
+struct Chain {
     /// Request ids in queue order, starting with the request queued directly behind
     /// the root (the root itself is not included).
     order: Vec<RequestId>,
-    /// Records indexed by successor id.
-    by_successor: HashMap<RequestId, OrderRecord>,
+    /// `records[k]` is the notification that queued `order[k]`.
+    records: Vec<OrderRecord>,
+    /// Queue places `k`, sorted by the request id `order[k]`.
+    by_id: Vec<usize>,
+}
+
+/// A validated total queuing order together with its notification records.
+/// Cloning shares the chain.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct QueuingOrder {
+    chain: Arc<Chain>,
 }
 
 impl QueuingOrder {
@@ -79,96 +89,57 @@ impl QueuingOrder {
         records: &[OrderRecord],
         schedule: &RequestSchedule,
     ) -> Result<Self, OrderError> {
-        let known: std::collections::HashSet<RequestId> =
-            schedule.requests().iter().map(|r| r.id).collect();
-
         if let Some(first) = records.first() {
             if let Some(other) = records.iter().find(|r| r.obj != first.obj) {
                 return Err(OrderError::MixedObjects(first.obj, other.obj));
             }
         }
-
-        let mut by_successor: HashMap<RequestId, OrderRecord> = HashMap::new();
-        let mut by_predecessor: HashMap<RequestId, OrderRecord> = HashMap::new();
-        for rec in records {
-            if !known.contains(&rec.successor) {
-                return Err(OrderError::UnknownRequest(rec.successor));
-            }
-            if !rec.predecessor.is_root() && !known.contains(&rec.predecessor) {
-                return Err(OrderError::UnknownRequest(rec.predecessor));
-            }
-            if by_successor.insert(rec.successor, *rec).is_some() {
-                return Err(OrderError::DuplicateSuccessor(rec.successor));
-            }
-            if by_predecessor.insert(rec.predecessor, *rec).is_some() {
-                return Err(OrderError::DuplicatePredecessor(rec.predecessor));
-            }
-        }
-        for r in schedule.requests() {
-            if !by_successor.contains_key(&r.id) {
-                return Err(OrderError::MissingRequest(r.id));
-            }
-        }
-
-        // Walk the chain from the root.
-        let mut order = Vec::with_capacity(schedule.len());
-        let mut cur = RequestId::ROOT;
-        while let Some(rec) = by_predecessor.get(&cur) {
-            order.push(rec.successor);
-            cur = rec.successor;
-        }
-        if order.len() != schedule.len() {
-            return Err(OrderError::BrokenChain {
-                reached: order.len(),
-                expected: schedule.len(),
-            });
-        }
-        Ok(QueuingOrder {
-            order,
-            by_successor,
-        })
+        let reqs: Vec<usize> = schedule.positions_by_id().collect();
+        Assembly::new(records, schedule).chain(&reqs, 0..records.len(), |_| true)
     }
 
     /// The total order (excluding the virtual root request).
     pub fn order(&self) -> &[RequestId] {
-        &self.order
+        &self.chain.order
     }
 
     /// Number of queued requests.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.chain.order.len()
     }
 
     /// True if no requests were queued.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.chain.order.is_empty()
     }
 
     /// The notification record for a given successor request.
     pub fn record_for(&self, successor: RequestId) -> Option<&OrderRecord> {
-        self.by_successor.get(&successor)
+        let chain = &*self.chain;
+        let at = chain
+            .by_id
+            .binary_search_by_key(&successor, |&place| chain.order[place])
+            .ok()?;
+        Some(&chain.records[chain.by_id[at]])
     }
 
     /// The predecessor of a request in the queue.
     pub fn predecessor_of(&self, successor: RequestId) -> Option<RequestId> {
-        self.by_successor.get(&successor).map(|r| r.predecessor)
+        self.record_for(successor).map(|r| r.predecessor)
     }
 
     /// Latency of each request per Definition 3.2: the time from its issue to the
     /// moment its predecessor's node is informed of the succession. Returns pairs
     /// `(request, latency)` in queue order.
     pub fn latencies(&self, schedule: &RequestSchedule) -> Vec<(RequestId, SimDuration)> {
-        self.order
-            .iter()
-            .map(|&id| {
-                let rec = self.by_successor[&id];
-                let issue = schedule
-                    .get(id)
-                    .expect("validated order only contains scheduled requests")
-                    .time;
-                (id, rec.informed_at - issue)
-            })
-            .collect()
+        let latency = |rec: &OrderRecord| {
+            let issue = schedule
+                .get(rec.successor)
+                .expect("validated order only contains scheduled requests")
+                .time;
+            (rec.successor, rec.informed_at - issue)
+        };
+        self.chain.records.iter().map(latency).collect()
     }
 
     /// Total latency (Definition 3.3): the sum of individual latencies.
@@ -177,21 +148,131 @@ impl QueuingOrder {
     }
 }
 
+/// The index arrays of one validation pass over `records` against `schedule`,
+/// addressed by position in the schedule. Chains of disjoint request sets (one per
+/// object) share them.
+struct Assembly<'a> {
+    records: &'a [OrderRecord],
+    schedule: &'a RequestSchedule,
+    /// Index of the record naming the request as successor; once the request is
+    /// placed, its place in the queue instead.
+    queued_by: Vec<usize>,
+    /// Position of the request queued directly behind this one.
+    followed_by: Vec<usize>,
+}
+
+impl<'a> Assembly<'a> {
+    const NONE: usize = usize::MAX;
+
+    fn new(records: &'a [OrderRecord], schedule: &'a RequestSchedule) -> Self {
+        Assembly {
+            records,
+            schedule,
+            queued_by: vec![Self::NONE; schedule.len()],
+            followed_by: vec![Self::NONE; schedule.len()],
+        }
+    }
+
+    /// Validate one chain: `reqs` are the schedule positions of its requests in
+    /// ascending id order, `recs` the indices of its records in journal order, and
+    /// `member` says whether a scheduled request is one of `reqs`.
+    fn chain(
+        &mut self,
+        reqs: &[usize],
+        recs: impl Iterator<Item = usize>,
+        member: impl Fn(&Request) -> bool,
+    ) -> Result<QueuingOrder, OrderError> {
+        let (records, schedule) = (self.records, self.schedule);
+        let requests = schedule.requests();
+        let position = |id: RequestId| {
+            schedule
+                .position_of(id)
+                .filter(|&pos| member(&requests[pos]))
+                .ok_or(OrderError::UnknownRequest(id))
+        };
+        // Position of the request queued directly behind the virtual root request.
+        let mut head = Self::NONE;
+        for i in recs {
+            let rec = &records[i];
+            let succ = position(rec.successor)?;
+            let follower = if rec.predecessor.is_root() {
+                &mut head
+            } else {
+                &mut self.followed_by[position(rec.predecessor)?]
+            };
+            if std::mem::replace(&mut self.queued_by[succ], i) != Self::NONE {
+                return Err(OrderError::DuplicateSuccessor(rec.successor));
+            }
+            if std::mem::replace(follower, succ) != Self::NONE {
+                return Err(OrderError::DuplicatePredecessor(rec.predecessor));
+            }
+        }
+        // The earliest-issued request that was never queued, as the schedule lists it.
+        let never_queued = |&&pos: &&usize| self.queued_by[pos] == Self::NONE;
+        if let Some(&pos) = reqs.iter().filter(never_queued).min() {
+            return Err(OrderError::MissingRequest(requests[pos].id));
+        }
+
+        // Walk the chain from the root. No request is queued twice, so the walk
+        // visits each at most once and ends.
+        let mut chain = Chain {
+            order: Vec::with_capacity(reqs.len()),
+            records: Vec::with_capacity(reqs.len()),
+            by_id: Vec::new(),
+        };
+        let mut at = head;
+        while at != Self::NONE {
+            let rec = records[std::mem::replace(&mut self.queued_by[at], chain.order.len())];
+            chain.order.push(rec.successor);
+            chain.records.push(rec);
+            at = self.followed_by[at];
+        }
+        if chain.order.len() != reqs.len() {
+            return Err(OrderError::BrokenChain {
+                reached: chain.order.len(),
+                expected: reqs.len(),
+            });
+        }
+        chain.by_id = reqs.iter().map(|&pos| self.queued_by[pos]).collect();
+        Ok(QueuingOrder {
+            chain: Arc::new(chain),
+        })
+    }
+}
+
 /// Assemble and validate the queuing order of every object touched by `schedule`,
-/// each against its own sub-schedule ([`RequestSchedule::for_object`]) — the one
-/// per-object validation contract shared by the simulator harness
-/// ([`crate::run::outcome_from_records`]), the thread runtime's `LiveReport` and
-/// the socket runtime's `NetReport`, so the tiers cannot drift on what "a valid
-/// run" means. Errors carry the offending object alongside the [`OrderError`].
+/// each against the object's own requests — the one per-object validation contract
+/// shared by the simulator harness ([`crate::run::outcome_from_records`]), the
+/// thread runtime's `LiveReport` and the socket runtime's `NetReport`, so the tiers
+/// cannot drift on what "a valid run" means. Objects are validated in ascending
+/// order and the first failure is returned, carrying the offending object alongside
+/// the [`OrderError`]. One pass partitions requests and records by object; the
+/// chains are then validated on shared index arrays.
 pub fn per_object_orders(
     records: &[OrderRecord],
     schedule: &RequestSchedule,
 ) -> Result<Vec<(ObjectId, QueuingOrder)>, (ObjectId, OrderError)> {
-    let mut orders = Vec::new();
-    for obj in schedule.objects() {
-        let sub = schedule.for_object(obj);
-        let recs: Vec<OrderRecord> = records.iter().filter(|r| r.obj == obj).copied().collect();
-        let order = QueuingOrder::from_records(&recs, &sub).map_err(|e| (obj, e))?;
+    let objects = schedule.objects();
+    let group = |obj: ObjectId| objects.binary_search(&obj).ok();
+    let requests = schedule.requests();
+    let mut reqs_of = vec![Vec::new(); objects.len()];
+    for pos in schedule.positions_by_id() {
+        let g = group(requests[pos].obj).expect("objects() lists every request's object");
+        reqs_of[g].push(pos);
+    }
+    // Records of an object nobody requested belong to no chain.
+    let mut recs_of = vec![Vec::new(); objects.len()];
+    for (i, rec) in records.iter().enumerate() {
+        if let Some(g) = group(rec.obj) {
+            recs_of[g].push(i);
+        }
+    }
+    let mut assembly = Assembly::new(records, schedule);
+    let mut orders = Vec::with_capacity(objects.len());
+    for ((&obj, reqs), recs) in objects.iter().zip(&reqs_of).zip(&recs_of) {
+        let order = assembly
+            .chain(reqs, recs.iter().copied(), |r| r.obj == obj)
+            .map_err(|e| (obj, e))?;
         orders.push((obj, order));
     }
     Ok(orders)
@@ -460,6 +541,225 @@ mod tests {
         assert_eq!(
             err,
             OrderError::MixedObjects(ObjectId::DEFAULT, ObjectId(4))
+        );
+    }
+    /// The map-based assembly this module used before it validated on index
+    /// arrays, kept as the reference the new one is held to: `Ok(order)` or the
+    /// first `OrderError`, for one object's records against its sub-schedule.
+    fn reference_order(
+        records: &[OrderRecord],
+        schedule: &RequestSchedule,
+    ) -> Result<Vec<RequestId>, OrderError> {
+        use std::collections::HashSet;
+        let known: HashSet<RequestId> = schedule.requests().iter().map(|r| r.id).collect();
+        if let Some(first) = records.first() {
+            if let Some(other) = records.iter().find(|r| r.obj != first.obj) {
+                return Err(OrderError::MixedObjects(first.obj, other.obj));
+            }
+        }
+        let mut by_successor: HashMap<RequestId, OrderRecord> = HashMap::new();
+        let mut by_predecessor: HashMap<RequestId, OrderRecord> = HashMap::new();
+        for rec in records {
+            if !known.contains(&rec.successor) {
+                return Err(OrderError::UnknownRequest(rec.successor));
+            }
+            if !rec.predecessor.is_root() && !known.contains(&rec.predecessor) {
+                return Err(OrderError::UnknownRequest(rec.predecessor));
+            }
+            if by_successor.insert(rec.successor, *rec).is_some() {
+                return Err(OrderError::DuplicateSuccessor(rec.successor));
+            }
+            if by_predecessor.insert(rec.predecessor, *rec).is_some() {
+                return Err(OrderError::DuplicatePredecessor(rec.predecessor));
+            }
+        }
+        for r in schedule.requests() {
+            if !by_successor.contains_key(&r.id) {
+                return Err(OrderError::MissingRequest(r.id));
+            }
+        }
+        let mut order = Vec::with_capacity(schedule.len());
+        let mut cur = RequestId::ROOT;
+        while let Some(rec) = by_predecessor.get(&cur) {
+            order.push(rec.successor);
+            cur = rec.successor;
+        }
+        if order.len() != schedule.len() {
+            return Err(OrderError::BrokenChain {
+                reached: order.len(),
+                expected: schedule.len(),
+            });
+        }
+        Ok(order)
+    }
+
+    type ObjectOrders = Vec<(ObjectId, Vec<RequestId>)>;
+
+    /// The reference for a whole journal: every touched object in ascending order,
+    /// its records filtered out and held to its sub-schedule.
+    fn reference_orders(
+        records: &[OrderRecord],
+        schedule: &RequestSchedule,
+    ) -> Result<ObjectOrders, (ObjectId, OrderError)> {
+        schedule
+            .objects()
+            .into_iter()
+            .map(|obj| {
+                let recs: Vec<OrderRecord> =
+                    records.iter().filter(|r| r.obj == obj).copied().collect();
+                reference_order(&recs, &schedule.for_object(obj))
+                    .map(|order| (obj, order))
+                    .map_err(|e| (obj, e))
+            })
+            .collect()
+    }
+
+    /// One generated journal: `k` objects, dense or sparse ids out of time order,
+    /// a valid chain per object, then one seeded defect (or none).
+    fn generated_case(rng: &mut desim::SimRng) -> (RequestSchedule, Vec<OrderRecord>) {
+        let pick = |rng: &mut desim::SimRng, n: usize| rng.uniform_u64(0, n as u64 - 1) as usize;
+        let k = 1 + pick(rng, 8);
+        let n = pick(rng, 33);
+        let stride = [1, 1, 2, 7][pick(rng, 4)];
+        let mut ids: Vec<u64> = (0..n as u64).map(|i| 1 + i * stride).collect();
+        for i in (1..n).rev() {
+            ids.swap(i, pick(rng, i + 1));
+        }
+        let requests: Vec<Request> = ids
+            .iter()
+            .enumerate()
+            .map(|(t, &id)| Request {
+                id: RequestId(id),
+                node: t % 5,
+                time: SimTime::from_units(t as u64 / 3),
+                obj: ObjectId(pick(rng, k) as u32 * [1, 3][pick(rng, 2)]),
+            })
+            .collect();
+        let schedule = RequestSchedule::from_requests(requests.clone());
+
+        let mut records = Vec::new();
+        for obj in schedule.objects() {
+            let mut chain: Vec<RequestId> = requests
+                .iter()
+                .filter(|r| r.obj == obj)
+                .map(|r| r.id)
+                .collect();
+            for i in (1..chain.len()).rev() {
+                chain.swap(i, pick(rng, i + 1));
+            }
+            let mut pred = RequestId::ROOT;
+            for succ in chain {
+                records.push(OrderRecord {
+                    obj,
+                    ..rec(pred.0, succ.0, 1 + pick(rng, 50) as u64)
+                });
+                pred = succ;
+            }
+        }
+        for i in (1..records.len()).rev() {
+            records.swap(i, pick(rng, i + 1));
+        }
+        if records.is_empty() {
+            return (schedule, records);
+        }
+        let victim = pick(rng, records.len());
+        let other = records[pick(rng, records.len())];
+        match pick(rng, 10) {
+            // Duplicate successor: a second record queues an already queued request.
+            0 => records.push(OrderRecord {
+                predecessor: other.successor,
+                ..records[victim]
+            }),
+            // Forked predecessor: two requests behind the same one.
+            1 => records[victim].predecessor = other.predecessor,
+            // Missing: a request never queued.
+            2 => {
+                records.swap_remove(victim);
+            }
+            // Unknown successor / predecessor: an id outside the schedule.
+            3 => records[victim].successor = RequestId(10_000 + victim as u64),
+            4 => records[victim].predecessor = RequestId(10_000),
+            // A cycle cut off from the root: the head now follows the tail.
+            5 => {
+                if let Some(head) = records.iter_mut().find(|r| r.predecessor.is_root()) {
+                    head.predecessor = other.successor;
+                }
+            }
+            // Mixed objects: the record moves to another object's journal (or to
+            // an object nobody requested).
+            6 => records[victim].obj = ObjectId(pick(rng, 2 * k) as u32),
+            // The virtual root request as a successor.
+            7 => records[victim].successor = RequestId::ROOT,
+            _ => {}
+        }
+        (schedule, records)
+    }
+
+    #[test]
+    fn index_assembly_agrees_with_the_map_based_reference() {
+        let mut rng = desim::SimRng::new(0x0a77_0bde);
+        let (mut valid, mut invalid) = (0, 0);
+        let mut kinds = std::collections::BTreeSet::new();
+        for case in 0..3_000 {
+            let (schedule, records) = generated_case(&mut rng);
+            // The whole journal, as the harness validates it.
+            let got = per_object_orders(&records, &schedule).map(|orders| {
+                orders
+                    .into_iter()
+                    .map(|(obj, order)| (obj, order.order().to_vec()))
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(got, reference_orders(&records, &schedule), "case {case}");
+            // Each object's journal on its own, and the unsplit one (mixed objects).
+            let mut journals = vec![records.clone()];
+            for obj in schedule.objects() {
+                journals.push(records.iter().filter(|r| r.obj == obj).copied().collect());
+            }
+            for journal in journals {
+                let sub = match journal.first() {
+                    Some(first) => schedule.for_object(first.obj),
+                    None => RequestSchedule::default(),
+                };
+                let got = QueuingOrder::from_records(&journal, &sub);
+                let want = reference_order(&journal, &sub);
+                match (&got, &want) {
+                    (Ok(order), Ok(want)) => {
+                        assert_eq!(order.order(), want, "case {case}");
+                        for (place, &id) in want.iter().enumerate() {
+                            let rec = order.record_for(id).expect("queued requests have records");
+                            assert_eq!(rec.successor, id);
+                            let pred = if place == 0 {
+                                RequestId::ROOT
+                            } else {
+                                want[place - 1]
+                            };
+                            assert_eq!(order.predecessor_of(id), Some(pred));
+                        }
+                        assert!(order.record_for(RequestId(9_999)).is_none());
+                        valid += 1;
+                    }
+                    (Err(got), Err(want)) => {
+                        assert_eq!(got, want, "case {case}");
+                        kinds.insert(
+                            format!("{want:?}")
+                                .split(['(', ' '])
+                                .next()
+                                .map(String::from),
+                        );
+                        invalid += 1;
+                    }
+                    _ => panic!("case {case}: {got:?} vs reference {want:?}"),
+                }
+            }
+        }
+        assert!(
+            valid > 2_000 && invalid > 2_000,
+            "{valid} valid, {invalid} invalid"
+        );
+        assert_eq!(
+            kinds.len(),
+            6,
+            "every OrderError variant was raised: {kinds:?}"
         );
     }
 }

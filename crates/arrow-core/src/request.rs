@@ -80,24 +80,65 @@ pub struct Request {
     pub obj: ObjectId,
 }
 
+/// Request id → position in a schedule's `requests`, without hashing.
+#[derive(Debug, Clone)]
+enum IdIndex {
+    /// The ids are exactly `1..=len` (every generator and the closed loop assign
+    /// them so): slot `id - 1` holds the position.
+    Dense(Vec<usize>),
+    /// Any other id set: `(id, position)` sorted by id, searched by bisection.
+    Sparse(Vec<(RequestId, usize)>),
+}
+
+impl Default for IdIndex {
+    fn default() -> Self {
+        IdIndex::Dense(Vec::new())
+    }
+}
+
+impl IdIndex {
+    const UNSET: usize = usize::MAX;
+
+    /// Index `requests` by id; `Err` names an id that occurs twice.
+    fn build(requests: &[Request]) -> Result<Self, RequestId> {
+        let mut slots = vec![Self::UNSET; requests.len()];
+        let dense = requests.iter().enumerate().all(|(pos, r)| {
+            let slot = (r.id.0 as usize)
+                .checked_sub(1)
+                .and_then(|i| slots.get_mut(i))
+                .filter(|slot| **slot == Self::UNSET);
+            slot.map(|slot| *slot = pos).is_some()
+        });
+        if dense {
+            return Ok(IdIndex::Dense(slots));
+        }
+        let mut sorted: Vec<(RequestId, usize)> = requests
+            .iter()
+            .enumerate()
+            .map(|(pos, r)| (r.id, pos))
+            .collect();
+        sorted.sort_unstable();
+        match sorted.windows(2).find(|w| w[0].0 == w[1].0) {
+            Some(twice) => Err(twice[0].0),
+            None => Ok(IdIndex::Sparse(sorted)),
+        }
+    }
+}
+
 /// A finite set of queuing requests, stored in non-decreasing time order
 /// (the indexing convention of Section 3.1).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RequestSchedule {
     requests: Vec<Request>,
-    /// Index from request id to position in `requests`, for O(1) lookups on the very
-    /// large closed-loop schedules (millions of requests).
+    /// Request id → position in `requests`, built once with the schedule.
     #[serde(skip)]
-    index: std::collections::HashMap<RequestId, usize>,
+    index: IdIndex,
 }
 
 impl RequestSchedule {
+    /// A schedule of requests whose ids are known to be unique.
     fn build(requests: Vec<Request>) -> Self {
-        let index = requests
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.id, i))
-            .collect();
+        let index = IdIndex::build(&requests).expect("ids are unique by construction");
         RequestSchedule { requests, index }
     }
 
@@ -136,10 +177,8 @@ impl RequestSchedule {
     /// If ids are not unique, any id is the reserved root id, or the requests are not
     /// sorted by non-decreasing time.
     pub fn from_requests(requests: Vec<Request>) -> Self {
-        let mut seen = std::collections::HashSet::new();
         for r in &requests {
             assert!(!r.id.is_root(), "request id 0 is reserved for the root");
-            assert!(seen.insert(r.id), "duplicate request id {:?}", r.id);
         }
         for w in requests.windows(2) {
             assert!(
@@ -147,7 +186,9 @@ impl RequestSchedule {
                 "requests must be sorted by non-decreasing time"
             );
         }
-        RequestSchedule::build(requests)
+        let index = IdIndex::build(&requests)
+            .unwrap_or_else(|twice| panic!("duplicate request id {twice:?}"));
+        RequestSchedule { requests, index }
     }
 
     /// The requests in non-decreasing time order.
@@ -165,13 +206,29 @@ impl RequestSchedule {
         self.requests.is_empty()
     }
 
-    /// Look up a request by id in O(1).
+    /// Look up a request by id: one array read when the ids are `1..=len`, a
+    /// bisection otherwise — for an absent id too.
     pub fn get(&self, id: RequestId) -> Option<&Request> {
-        if let Some(&i) = self.index.get(&id) {
-            return self.requests.get(i);
+        self.position_of(id).map(|pos| &self.requests[pos])
+    }
+
+    /// Position of request `id` in [`RequestSchedule::requests`].
+    pub(crate) fn position_of(&self, id: RequestId) -> Option<usize> {
+        match &self.index {
+            IdIndex::Dense(slots) => slots.get((id.0 as usize).checked_sub(1)?).copied(),
+            IdIndex::Sparse(sorted) => {
+                let at = sorted.binary_search_by_key(&id, |&(id, _)| id).ok()?;
+                Some(sorted[at].1)
+            }
         }
-        // The index is skipped by serde; fall back to a scan for deserialized values.
-        self.requests.iter().find(|r| r.id == id)
+    }
+
+    /// The positions of all requests in ascending id order.
+    pub(crate) fn positions_by_id(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.requests.len()).map(move |rank| match &self.index {
+            IdIndex::Dense(slots) => slots[rank],
+            IdIndex::Sparse(sorted) => sorted[rank].1,
+        })
     }
 
     /// Largest issue time in the schedule (`SimTime::ZERO` if empty) — the `t_|R|`
@@ -351,6 +408,55 @@ mod tests {
         assert!(s.get(RequestId(9)).is_none());
         assert_eq!(s.len(), 1);
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn get_of_an_absent_id_is_none_without_a_scan() {
+        // 100k misses on a 100k-request schedule: with a scan per miss this is
+        // 10^10 comparisons and does not finish in test time.
+        const N: u64 = 100_000;
+        let requests = |stride: u64| -> Vec<Request> {
+            (0..N)
+                .map(|i| Request {
+                    id: RequestId(1 + i * stride),
+                    node: 0,
+                    time: SimTime::from_units(i),
+                    obj: ObjectId::DEFAULT,
+                })
+                .collect()
+        };
+        // Ids 1..=N are indexed directly, ids 1, 4, 7, ... by bisection.
+        for stride in [1, 3] {
+            let s = RequestSchedule::from_requests(requests(stride));
+            for i in 0..N {
+                assert!(s.get(RequestId(N * stride + 1 + i)).is_none());
+                assert_eq!(
+                    s.get(RequestId(1 + i * stride)).unwrap().time.subticks(),
+                    SimTime::from_units(i).subticks()
+                );
+            }
+            assert!(s.get(RequestId::ROOT).is_none());
+            assert!(s.get(RequestId(u64::MAX)).is_none());
+            if stride == 3 {
+                assert!(s.get(RequestId(2)).is_none(), "a gap between sparse ids");
+            }
+        }
+    }
+
+    #[test]
+    fn ids_out_of_position_order_are_still_found() {
+        // The closed loop's ids are 1..=len but interleaved by node, not by time.
+        let at = |id: u64, t: u64| Request {
+            id: RequestId(id),
+            node: id as usize,
+            time: SimTime::from_units(t),
+            obj: ObjectId::DEFAULT,
+        };
+        let s = RequestSchedule::from_requests(vec![at(3, 0), at(1, 1), at(2, 2)]);
+        for id in 1..=3 {
+            assert_eq!(s.get(RequestId(id)).unwrap().node, id as usize);
+        }
+        assert_eq!(s.positions_by_id().collect::<Vec<_>>(), vec![1, 2, 0]);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::arrow::{ArrowSim, ArrowSimNode};
 use crate::centralized::CentralTail;
 use crate::fault::FaultSchedule;
 use crate::host::{Automaton, SimNode};
-use crate::live::ArrowCore;
+use crate::live::QueueCore;
 use crate::order::{validate_churn_records, OrderRecord, QueuingOrder};
 use crate::protocol::{ProtoMsg, ProtocolKind};
 use crate::request::{ObjectId, Request, RequestId, RequestSchedule};
@@ -422,7 +422,7 @@ pub fn run_checked(
         Workload::OpenLoop(schedule) => WorkloadRef::Open(schedule),
         Workload::ClosedLoop(spec) => WorkloadRef::Closed(spec),
     };
-    run_ref(instance, workload, config).map(|(outcome, _)| outcome)
+    run_ref(instance, workload, config)
 }
 
 /// Run a queuing protocol on an open-loop schedule without wrapping it in a
@@ -447,7 +447,7 @@ pub fn run_schedule_checked(
     schedule: &RequestSchedule,
     config: &RunConfig,
 ) -> Result<QueuingOutcome, RunError> {
-    run_ref(instance, WorkloadRef::Open(schedule), config).map(|(outcome, _)| outcome)
+    run_ref(instance, WorkloadRef::Open(schedule), config)
 }
 
 /// Like [`run_schedule_checked`], but forces tracing on and returns the full
@@ -461,7 +461,24 @@ pub fn run_schedule_traced(
 ) -> Result<(QueuingOutcome, desim::Trace), RunError> {
     let mut config = config.clone();
     config.trace = true;
-    run_ref(instance, WorkloadRef::Open(schedule), &config)
+    let workload = WorkloadRef::Open(schedule);
+    fn traced<A: Automaton>(
+        protocol: ProtocolKind,
+        mut sim: Simulator<ProtoMsg, SimNode<A>>,
+    ) -> Result<(QueuingOutcome, desim::Trace), RunError> {
+        let outcome = run_to_outcome(protocol, &mut sim)?;
+        Ok((outcome, sim.into_trace()))
+    }
+    match config.protocol {
+        ProtocolKind::Arrow => traced(
+            ProtocolKind::Arrow,
+            arrow_sim(instance, workload, &config, |_| NoProbe),
+        ),
+        ProtocolKind::Centralized => traced(
+            ProtocolKind::Centralized,
+            central_sim(instance, workload, &config),
+        ),
+    }
 }
 
 /// Like [`run_schedule_checked`], but every arrow node carries a recording probe
@@ -488,7 +505,6 @@ pub fn run_schedule_probed<P: arrow_trace::Probe>(
         "probed runs instrument the arrow protocol only"
     );
     run_arrow_with(instance, WorkloadRef::Open(schedule), config, probe_for)
-        .map(|(outcome, _)| outcome)
 }
 
 /// Delay, in time units, between a fault event and the detection signal that bumps
@@ -675,10 +691,13 @@ fn run_ref(
     instance: &Instance,
     workload: WorkloadRef<'_>,
     config: &RunConfig,
-) -> Result<(QueuingOutcome, desim::Trace), RunError> {
+) -> Result<QueuingOutcome, RunError> {
     match config.protocol {
         ProtocolKind::Arrow => run_arrow_with(instance, workload, config, |_| NoProbe),
-        ProtocolKind::Centralized => run_centralized(instance, workload, config),
+        ProtocolKind::Centralized => run_to_outcome(
+            ProtocolKind::Centralized,
+            &mut central_sim(instance, workload, config),
+        ),
     }
 }
 
@@ -743,7 +762,7 @@ fn arrow_sim<P: Probe>(
     // paying d_G(sink, requester), so only the tree links below need weights.
     let ack_over = config.ack_to_requester.then(|| instance.distances());
     let mut sim = set_up(instance, workload, config, |v| {
-        let core = ArrowCore::for_tree_with_probe(v, tree, k, probe_for(v));
+        let core = QueueCore::for_tree_with_probe(v, tree, k, probe_for(v));
         ArrowSim::node(core, ack_over.clone(), config.local_service_time)
     });
     for v in 0..n {
@@ -759,7 +778,7 @@ fn run_arrow_with<P: Probe>(
     workload: WorkloadRef<'_>,
     config: &RunConfig,
     probe_for: impl FnMut(NodeId) -> P,
-) -> Result<(QueuingOutcome, desim::Trace), RunError> {
+) -> Result<QueuingOutcome, RunError> {
     if matches!(workload, WorkloadRef::Closed(_)) {
         assert!(
             config.ack_to_requester,
@@ -767,15 +786,16 @@ fn run_arrow_with<P: Probe>(
              about completion to issue its next request)"
         );
     }
-    let sim = arrow_sim(instance, workload, config, probe_for);
-    run_to_outcome(ProtocolKind::Arrow, sim)
+    let mut sim = arrow_sim(instance, workload, config, probe_for);
+    run_to_outcome(ProtocolKind::Arrow, &mut sim)
 }
 
-fn run_centralized(
+/// A simulator of the centralized baseline on the instance's graph, ready to run.
+fn central_sim(
     instance: &Instance,
     workload: WorkloadRef<'_>,
     config: &RunConfig,
-) -> Result<(QueuingOutcome, desim::Trace), RunError> {
+) -> Simulator<ProtoMsg, SimNode<CentralTail>> {
     // The central node is the tree root (the initial queue tail in both protocols).
     let central = instance.tree.root();
     let mut sim = set_up(instance, workload, config, |v| {
@@ -788,23 +808,22 @@ fn run_centralized(
             sim.set_link_weight(v, central, dm.dist(v, central));
         }
     }
-    run_to_outcome(ProtocolKind::Centralized, sim)
+    sim
 }
 
 /// Run a fault-free simulator to quiescence and assemble its validated outcome.
 fn run_to_outcome<A: Automaton>(
     protocol: ProtocolKind,
-    mut sim: Simulator<ProtoMsg, SimNode<A>>,
-) -> Result<(QueuingOutcome, desim::Trace), RunError> {
+    sim: &mut Simulator<ProtoMsg, SimNode<A>>,
+) -> Result<QueuingOutcome, RunError> {
     let outcome = sim.run();
-    let result = finish(
+    finish(
         protocol,
-        harvest(&sim)?,
+        harvest(sim)?,
         outcome.final_time,
         sim.stats().messages_delivered,
         outcome.events,
-    )?;
-    Ok((result, sim.trace().clone()))
+    )
 }
 
 /// What the nodes of one run journaled, gathered in node order.
@@ -896,26 +915,21 @@ fn finish(
     } = journal;
     issued.sort_by_key(|r| (r.time, r.id));
     let schedule = RequestSchedule::from_requests(issued);
-    // Each object's queue is validated independently against the object's
-    // sub-schedule (the tier-shared contract of `order::per_object_orders`): every
+    // Each object's queue is validated independently against the object's own
+    // requests (the tier-shared contract of `order::per_object_orders`): every
     // request queued exactly once, one unbroken chain from that object's virtual
     // root request.
     let orders = crate::order::per_object_orders(&records, &schedule)
         .map_err(|(obj, error)| RunError::InvalidOrder { obj, error })?;
     let mut total_latency = 0.0;
     for (_, order) in &orders {
-        // Latency lookups are by request id, which the full schedule resolves
-        // identically to the per-object sub-schedule — no need to rebuild subs.
         total_latency += order.total_latency(&schedule).as_units_f64();
     }
     let order = orders
         .iter()
         .find(|(o, _)| *o == ObjectId::DEFAULT)
         .map(|(_, order)| order.clone())
-        .unwrap_or_else(|| {
-            QueuingOrder::from_records(&[], &RequestSchedule::default())
-                .expect("an empty record set is a valid (empty) order")
-        });
+        .unwrap_or_default();
     let request_count = schedule.len().max(1);
     Ok(QueuingOutcome {
         protocol,

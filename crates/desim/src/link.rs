@@ -15,7 +15,6 @@
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// How long a message takes to traverse a link.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -80,6 +79,20 @@ impl LatencyModel {
     }
 }
 
+/// One directed pair's state, created the first time the pair is named.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    to: usize,
+    weight: f64,
+    /// FIFO floor of the link-model channel: the last delivery scheduled on it.
+    link_floor: SimTime,
+    /// FIFO floor of the *direct* (explicit-latency) channel, kept separate so
+    /// out-of-band traffic (e.g. requester acknowledgements routed over graph
+    /// shortest paths) never delays — and is never delayed by — the link-model
+    /// protocol traffic on the same pair.
+    direct_floor: SimTime,
+}
+
 /// Per-directed-link bookkeeping: weights and FIFO enforcement.
 ///
 /// FIFO links are a correctness requirement of the arrow protocol (the network is
@@ -87,15 +100,13 @@ impl LatencyModel {
 /// latencies, a later message could otherwise overtake an earlier one; we prevent
 /// that by never scheduling a delivery earlier than the previously scheduled
 /// delivery on the same directed link.
+///
+/// State is one row per sender, each row holding one slot per receiver the
+/// sender has named, sorted by receiver: a send costs one binary search of a row
+/// that, on a tree, is as long as the sender's degree.
 #[derive(Debug, Default)]
 pub struct LinkState {
-    weights: HashMap<(usize, usize), f64>,
-    last_delivery: HashMap<(usize, usize), SimTime>,
-    /// FIFO floors of the *direct* (explicit-latency) channel of each directed pair,
-    /// kept separate from `last_delivery` so out-of-band traffic (e.g. requester
-    /// acknowledgements routed over graph shortest paths) never delays — and is never
-    /// delayed by — the link-model protocol traffic on the same pair.
-    last_direct: HashMap<(usize, usize), SimTime>,
+    rows: Vec<Vec<Slot>>,
 }
 
 impl LinkState {
@@ -104,15 +115,42 @@ impl LinkState {
         Self::default()
     }
 
+    /// The slot of directed pair `(from, to)`, created with weight 1 if new.
+    fn slot(&mut self, from: usize, to: usize) -> &mut Slot {
+        if from >= self.rows.len() {
+            self.rows.resize_with(from + 1, Vec::new);
+        }
+        let row = &mut self.rows[from];
+        let at = row
+            .binary_search_by_key(&to, |slot| slot.to)
+            .unwrap_or_else(|at| {
+                row.insert(
+                    at,
+                    Slot {
+                        to,
+                        weight: 1.0,
+                        link_floor: SimTime::ZERO,
+                        direct_floor: SimTime::ZERO,
+                    },
+                );
+                at
+            });
+        &mut row[at]
+    }
+
     /// Set the weight of the undirected link `{u, v}` (both directions).
     pub fn set_weight(&mut self, u: usize, v: usize, weight: f64) {
-        self.weights.insert((u, v), weight);
-        self.weights.insert((v, u), weight);
+        self.slot(u, v).weight = weight;
+        self.slot(v, u).weight = weight;
     }
 
     /// Weight of directed link `(from, to)`; 1.0 if never set.
     pub fn weight(&self, from: usize, to: usize) -> f64 {
-        *self.weights.get(&(from, to)).unwrap_or(&1.0)
+        let slot = self.rows.get(from).and_then(|row| {
+            let at = row.binary_search_by_key(&to, |slot| slot.to).ok()?;
+            Some(&row[at])
+        });
+        slot.map_or(1.0, |slot| slot.weight)
     }
 
     /// Compute the delivery time for a message sent at `now` on `(from, to)` with the
@@ -131,23 +169,17 @@ impl LinkState {
         rng: &mut SimRng,
         jitter: SimDuration,
     ) -> SimTime {
-        let weight = self.weight(from, to);
-        let latency = model.sample(weight, rng);
-        let naive = now + latency + jitter;
-        let fifo_floor = self
-            .last_delivery
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        let delivery = naive.max(fifo_floor);
-        self.last_delivery.insert((from, to), delivery);
+        let slot = self.slot(from, to);
+        let latency = model.sample(slot.weight, rng);
+        let delivery = (now + latency + jitter).max(slot.link_floor);
+        slot.link_floor = delivery;
         delivery
     }
 
     /// Delivery time for a *direct* send: the message takes exactly `latency`
     /// (plus jitter), independent of the link's weight and latency model. Direct
-    /// sends form their own FIFO channel per directed pair — see [`LinkState`]'s
-    /// `last_direct` field for why it is kept separate from link traffic.
+    /// sends form their own FIFO channel per directed pair, independent of the
+    /// link-model traffic on it.
     pub fn direct_delivery_time(
         &mut self,
         from: usize,
@@ -156,26 +188,17 @@ impl LinkState {
         latency: SimDuration,
         jitter: SimDuration,
     ) -> SimTime {
-        let naive = now + latency + jitter;
-        let fifo_floor = self
-            .last_direct
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        let delivery = naive.max(fifo_floor);
-        self.last_direct.insert((from, to), delivery);
+        let slot = self.slot(from, to);
+        let delivery = (now + latency + jitter).max(slot.direct_floor);
+        slot.direct_floor = delivery;
         delivery
-    }
-
-    /// Number of distinct directed links with an explicit weight.
-    pub fn weighted_link_count(&self) -> usize {
-        self.weights.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn unit_model_is_one_unit() {
@@ -310,5 +333,92 @@ mod tests {
             SimDuration::ZERO,
         );
         assert!(later >= fast, "direct channel reordered: {later} < {fast}");
+    }
+    /// The keyed model the rows replaced: a map per field, one probe each.
+    #[derive(Default)]
+    struct MapModel {
+        weights: HashMap<(usize, usize), f64>,
+        link_floor: HashMap<(usize, usize), SimTime>,
+        direct_floor: HashMap<(usize, usize), SimTime>,
+    }
+
+    impl MapModel {
+        fn weight(&self, from: usize, to: usize) -> f64 {
+            *self.weights.get(&(from, to)).unwrap_or(&1.0)
+        }
+
+        /// `(the channel's previous delivery, this one)`.
+        fn deliver(
+            &mut self,
+            direct: bool,
+            pair: (usize, usize),
+            naive: SimTime,
+        ) -> (SimTime, SimTime) {
+            let floors = if direct {
+                &mut self.direct_floor
+            } else {
+                &mut self.link_floor
+            };
+            let floor = floors.entry(pair).or_insert(SimTime::ZERO);
+            let previous = std::mem::replace(floor, naive.max(*floor));
+            (previous, *floor)
+        }
+    }
+
+    #[test]
+    fn rows_deliver_exactly_when_the_map_model_does() {
+        const NODES: u64 = 9;
+        for seed in 0..40 {
+            // One stream drives the interleaving, two identical ones the latencies.
+            let mut choose = SimRng::new(seed);
+            let (mut rng_rows, mut rng_model) =
+                (SimRng::new(seed ^ 0xf1f0), SimRng::new(seed ^ 0xf1f0));
+            let model = match seed % 3 {
+                0 => LatencyModel::EdgeWeight,
+                1 => LatencyModel::Uniform { lo: 0.05, hi: 1.0 },
+                _ => LatencyModel::ScaledUniform { lo_factor: 0.1 },
+            };
+            let (mut rows, mut maps) = (LinkState::new(), MapModel::default());
+            let mut now = SimTime::ZERO;
+            for _ in 0..2_000 {
+                let from = choose.uniform_u64(0, NODES - 1) as usize;
+                let to = choose.uniform_u64(0, NODES - 1) as usize;
+                now += SimDuration::from_subticks(choose.uniform_u64(0, 300_000));
+                let jitter = SimDuration::from_subticks(choose.uniform_u64(0, 100));
+                match choose.uniform_u64(0, 9) {
+                    0 => {
+                        let w = choose.uniform(0.5, 4.0);
+                        rows.set_weight(from, to, w);
+                        maps.weights.insert((from, to), w);
+                        maps.weights.insert((to, from), w);
+                    }
+                    1..=5 => {
+                        let got = rows.delivery_time(from, to, now, &model, &mut rng_rows, jitter);
+                        let latency = model.sample(maps.weight(from, to), &mut rng_model);
+                        let (previous, want) =
+                            maps.deliver(false, (from, to), now + latency + jitter);
+                        assert_eq!(got, want, "seed {seed}: link send {from}->{to}");
+                        assert!(got >= previous, "seed {seed}: link {from}->{to} reordered");
+                    }
+                    _ => {
+                        let latency = SimDuration::from_subticks(choose.uniform_u64(0, 2_000_000));
+                        let got = rows.direct_delivery_time(from, to, now, latency, jitter);
+                        let (previous, want) =
+                            maps.deliver(true, (from, to), now + latency + jitter);
+                        assert_eq!(got, want, "seed {seed}: direct send {from}->{to}");
+                        assert!(
+                            got >= previous,
+                            "seed {seed}: direct {from}->{to} reordered"
+                        );
+                    }
+                }
+            }
+            for from in 0..NODES as usize + 2 {
+                for to in 0..NODES as usize + 2 {
+                    assert_eq!(rows.weight(from, to), maps.weight(from, to));
+                    assert_eq!(rows.weight(from, to), rows.weight(to, from), "symmetric");
+                }
+            }
+        }
     }
 }

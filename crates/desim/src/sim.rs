@@ -171,7 +171,8 @@ pub struct Simulator<M, P: Process<M>> {
     next_fault: usize,
     /// Per-node crash flags (inbox/outbox silenced while set).
     crashed: Vec<bool>,
-    /// Blocked undirected links, stored as `(min, max)` node pairs.
+    /// Blocked undirected links, stored as `(min, max)` node pairs. Empty unless a
+    /// fault blocked one, and only then does a delivery probe it.
     blocked: std::collections::HashSet<(NodeId, NodeId)>,
     /// Reusable handler context: cleared (capacity kept) before every handler call,
     /// so the steady state of the event loop allocates nothing per event.
@@ -299,6 +300,11 @@ impl<M: std::fmt::Debug, P: Process<M>> Simulator<M, P> {
         &self.trace
     }
 
+    /// Consume the simulator and keep only its trace.
+    pub fn into_trace(self) -> Trace {
+        self.trace
+    }
+
     /// Completions recorded so far, in recording order. Draining resets the buffer.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
         std::mem::take(&mut self.completions)
@@ -406,7 +412,10 @@ impl<M: std::fmt::Debug, P: Process<M>> Simulator<M, P> {
         self.stats.events_processed += 1;
         match event.kind {
             EventKind::Deliver { from, to, payload } => {
-                if self.crashed[to] || self.blocked.contains(&(from.min(to), from.max(to))) {
+                if self.crashed[to]
+                    || (!self.blocked.is_empty()
+                        && self.blocked.contains(&(from.min(to), from.max(to))))
+                {
                     // The receiver is crashed or the link is severed: the message
                     // is lost in flight. Recovery is the protocol's business.
                     self.stats.messages_dropped += 1;

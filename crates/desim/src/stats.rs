@@ -1,5 +1,5 @@
-//! Simulation statistics: message counts, per-node and per-link counters, and
-//! latency/hop histograms.
+//! Simulation statistics: message counts, per-node counters and latency/hop
+//! histograms.
 //!
 //! The paper's experimental section reports two quantities (Figures 10 and 11):
 //! total latency for a fixed number of enqueues, and the average number of
@@ -9,7 +9,6 @@
 
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A simple fixed-bucket histogram over non-negative `f64` samples.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -208,8 +207,6 @@ pub struct SimStats {
     pub sent_per_node: Vec<u64>,
     /// Per-node count of messages received.
     pub received_per_node: Vec<u64>,
-    /// Per-directed-link message counts.
-    pub per_link: HashMap<(usize, usize), u64>,
     /// Histogram of sampled message latencies (in time units).
     pub latency_hist: Histogram,
 }
@@ -227,14 +224,12 @@ impl SimStats {
             silenced_inputs: 0,
             sent_per_node: vec![0; n],
             received_per_node: vec![0; n],
-            per_link: HashMap::new(),
             latency_hist: Histogram::new(0.05),
         }
     }
 
     pub(crate) fn note_send(&mut self, from: usize, to: usize, latency: SimDuration) {
         self.sent_per_node[from] += 1;
-        *self.per_link.entry((from, to)).or_insert(0) += 1;
         self.latency_hist.record(latency.as_units_f64());
         if from == to {
             self.self_messages += 1;
@@ -476,7 +471,6 @@ mod tests {
         assert_eq!(s.interprocessor_messages(), 2);
         assert_eq!(s.sent_per_node, vec![2, 1, 0]);
         assert_eq!(s.received_per_node, vec![0, 1, 1]);
-        assert_eq!(s.per_link[&(0, 1)], 1);
         assert_eq!(s.hottest_receiver().map(|(_, c)| c), Some(1));
     }
 

@@ -151,3 +151,78 @@ fn tier_one_benchmark_kernels_hold_their_seed_one_statistics() {
         (40_478, 10_639, 6988.8, 463.4, 6_639, 19_200)
     );
 }
+
+/// The multi-object path of the simulator tier — `per_object_orders` partitioning one
+/// journal into 16 chains — pinned the same way: Zipf-skewed requests for 16
+/// objects on 512 nodes, seed 1 (the gated benchmark has no K > 1 simulator row).
+#[test]
+fn multi_object_kernel_holds_its_seed_one_statistics() {
+    let o = run_schedule(
+        &Instance::complete_uniform(512, SpanningTreeKind::BalancedBinary),
+        &workload::zipf_objects(512, 16, 1.1, 10_000, 4.0 * 10_000.0 / 512.0, 1),
+        &RunConfig::analysis(ProtocolKind::Arrow),
+    );
+    assert_eq!(
+        (
+            o.sim_events,
+            o.total_messages,
+            o.total_latency,
+            o.makespan,
+            o.protocol_messages,
+            o.request_count(),
+            o.object_count(),
+        ),
+        (52_859, 42_859, 42_859.0, 93.971836, 42_859, 10_000, 16)
+    );
+    // The 16 queues themselves, folded into one fixed-key hash.
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for (obj, order) in &o.orders {
+        obj.hash(&mut h);
+        order.order().hash(&mut h);
+    }
+    assert_eq!(h.finish(), 0xd428_0462_2088_421b);
+}
+
+/// Sixty seeded churn runs of the simulator tier (crashes, link drops, partitions;
+/// one and three objects; both synchrony models) folded into one digest recorded
+/// before the simulator's pending requests moved from the token ledger to the node
+/// host: the order in which an epoch bump re-issues them, and everything
+/// downstream of it, must not move.
+#[test]
+fn faulted_runs_hold_their_recorded_digest() {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for seed in 0..60u64 {
+        let n = 5 + (seed as usize % 12);
+        let instance = Instance::complete_uniform(n, SpanningTreeKind::BalancedBinary);
+        let faults = FaultSchedule::generate(seed, instance.tree(), 1 + (seed as usize % 4));
+        let schedule = if seed % 2 == 0 {
+            workload::poisson(n, 0.6, 30.0, seed)
+        } else {
+            workload::zipf_objects(n, 3, 1.1, 60, 30.0, seed)
+        };
+        let mut cfg = RunConfig::analysis(ProtocolKind::Arrow);
+        if seed % 3 == 0 {
+            cfg = cfg.asynchronous(seed);
+        }
+        let o = arrow_core::run::run_schedule_faulted(&instance, &schedule, &cfg, &faults)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        o.validate().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        format!(
+            "{:?}|{:?}|{:?}|{:?}|{}|{}|{}|{}|{}",
+            o.issued,
+            o.excused,
+            o.granted,
+            o.records,
+            o.final_epoch,
+            o.messages_dropped,
+            o.silenced_inputs,
+            o.stale_drops,
+            o.duplicate_grants
+        )
+        .hash(&mut h);
+        o.makespan.to_bits().hash(&mut h);
+    }
+    assert_eq!(h.finish(), 0xbb09_cd93_3a2e_a959);
+}

@@ -1,6 +1,6 @@
 //! Registry-free source lints for the workspace's concurrency-critical code.
 //!
-//! Six passes, all line-based (no syn/proc-macro dependencies — the
+//! Seven passes, all line-based (no syn/proc-macro dependencies — the
 //! container has no registry access, and these lints only need to be as smart
 //! as the code they police):
 //!
@@ -33,6 +33,11 @@
 //!    the harness and operators can enumerate. A bare `process::exit(`
 //!    outside `fn main` is an undocumented exit code that also skips the
 //!    destructors the journal flush rides on.
+//! 7. **hot-path hashing** — the files every simulated event and every hosted
+//!    message runs through ([`PER_EVENT_FILES`]) address their state by index. A
+//!    `HashMap` / `HashSet` there is a SipHash probe per event; tier 1 is swept
+//!    thousands of times per figure, so one such probe is a measurable share of
+//!    every figure binary. A cold-path use goes on the allowlist with its reason.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -460,6 +465,49 @@ fn lint_daemon_exit_paths(root: &Path, findings: &mut Vec<Finding>) {
     }
 }
 
+/// The per-event files of the simulator tier: the engine loop, the link rows, the
+/// event queue, and the arrow glue and node host every delivered message crosses.
+const PER_EVENT_FILES: [&str; 5] = [
+    "crates/desim/src/sim.rs",
+    "crates/desim/src/link.rs",
+    "crates/desim/src/event.rs",
+    "crates/arrow-core/src/arrow.rs",
+    "crates/arrow-core/src/host.rs",
+];
+
+/// Pass 7: no hashed collection in the per-event files outside test code.
+fn lint_hot_path_hashing(root: &Path, allows: &[Allow], findings: &mut Vec<Finding>) {
+    for rel_path in PER_EVENT_FILES {
+        let file = PathBuf::from(rel_path);
+        let Ok(text) = std::fs::read_to_string(root.join(rel_path)) else {
+            findings.push(Finding {
+                file,
+                line: 0,
+                lint: "hot-path-hashing",
+                message: "cannot read a per-event file (moved? update PER_EVENT_FILES)".to_string(),
+            });
+            continue;
+        };
+        for (line_no, line) in non_test_lines(&text) {
+            let code = code_of(line);
+            if (code.contains("HashMap") || code.contains("HashSet"))
+                && !allowed(allows, &file, line)
+            {
+                findings.push(Finding {
+                    file: file.clone(),
+                    line: line_no,
+                    lint: "hot-path-hashing",
+                    message: format!(
+                        "hashed collection on the simulator's per-event path — index a \
+                         Vec by node / rank instead, or allowlist a cold path: {}",
+                        line.trim()
+                    ),
+                });
+            }
+        }
+    }
+}
+
 /// Run every pass; returns all findings (empty = clean tree).
 pub fn run(root: &Path) -> Vec<Finding> {
     let allows = load_allowlist(root);
@@ -470,6 +518,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
     lint_metrics_bypass(root, &allows, &mut findings);
     lint_unsafe_fencing(root, &mut findings);
     lint_daemon_exit_paths(root, &mut findings);
+    lint_hot_path_hashing(root, &allows, &mut findings);
     findings
 }
 
@@ -547,6 +596,42 @@ mod tests {
         assert_eq!(findings.len(), 1, "only the helper's exit is flagged");
         assert_eq!(findings[0].line, 2);
         assert_eq!(findings[0].lint, "daemon-exit");
+    }
+
+    #[test]
+    fn hot_path_hashing_flags_live_code_and_honours_tests_and_allows() {
+        let dir = std::env::temp_dir().join("xtask-hot-path-hashing-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        for file in PER_EVENT_FILES {
+            let path = dir.join(file);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, "pub fn f() {}\n").unwrap();
+        }
+        let src = "use std::collections::HashMap;\n\
+                   struct S {\n    cold: std::collections::HashSet<u8>,\n}\n\
+                   // a HashMap in a comment is not code\n\
+                   #[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n";
+        std::fs::write(dir.join("crates/desim/src/link.rs"), src).unwrap();
+        std::fs::remove_file(dir.join("crates/desim/src/event.rs")).unwrap();
+        let allows = vec![Allow {
+            path_suffix: "crates/desim/src/link.rs".to_string(),
+            substring: "cold: std::collections::HashSet".to_string(),
+        }];
+        let mut findings = Vec::new();
+        lint_hot_path_hashing(&dir, &allows, &mut findings);
+        let _ = std::fs::remove_dir_all(&dir);
+        let at: Vec<(String, usize)> = findings
+            .iter()
+            .map(|f| (f.file.to_string_lossy().into_owned(), f.line))
+            .collect();
+        assert_eq!(
+            at,
+            vec![
+                ("crates/desim/src/link.rs".to_string(), 1),
+                ("crates/desim/src/event.rs".to_string(), 0),
+            ],
+            "the live import and the missing file, not the allowed field, the comment or the test"
+        );
     }
 
     #[test]
