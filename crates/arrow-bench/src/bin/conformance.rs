@@ -52,8 +52,11 @@ OPTIONS:
                          instead of the fault-free suite (2 episodes per case)
     --fault-episodes N   like --faults with an explicit per-case episode budget
     --no-thread          skip the thread tier
-    --no-net             skip the socket tier (it runs twice: `net` at the default
-                         reactor shard count, `net-1shard` with every hop in memory)
+    --no-net             skip the socket tier (it runs three times: `net` and
+                         `net-1shard`, one runtime at the default and at one
+                         reactor shard, every hop in memory; `net-wire`, one
+                         daemon-mode runtime per node, every hop on loopback
+                         TCP — fault sweeps skip `net-wire`)
     --no-cluster         skip the process-cluster tier (the small fixed-seed
                          subset replayed across real arrowd processes after
                          the sweep; needs the arrowd binary —
@@ -266,10 +269,10 @@ fn main() -> ExitCode {
             format!(" (churn contract, ≤{} fault episodes/case)", opts.fault_episodes)
         },
         if opts.include_thread { ", thread" } else { "" },
-        if opts.include_net {
-            ", net, net-1shard"
-        } else {
-            ""
+        match (opts.include_net, opts.fault_episodes) {
+            (false, _) => "",
+            (true, 0) => ", net, net-1shard, net-wire",
+            (true, _) => ", net, net-1shard",
         },
     );
     let report = run_sweep(&opts);

@@ -12,8 +12,7 @@
 //! | Competitive-ratio validation | Thm 3.19 | `competitive_ratio` | [`experiments::ratio_sweep`] |
 //! | Synchronous vs. asynchronous | Thm 3.21 | `async_vs_sync` | [`experiments::async_vs_sync`] |
 //! | Multi-object directory throughput | directory setting (Sec. 1) | `bench_multi_object` | [`multi_object::multi_object_sweep`] |
-//! | Socket-tier throughput (loopback TCP) | Section 5 platform | `bench_net` | [`net_throughput::net_sweep`] |
-//!
+//! //!
 //! ## Quick example
 //!
 //! Run a miniature Theorem 3.19 validation sweep — every measured competitive
@@ -40,7 +39,6 @@
 pub mod experiments;
 pub mod meta;
 pub mod multi_object;
-pub mod net_throughput;
 pub mod table;
 
 pub use experiments::{
@@ -50,5 +48,4 @@ pub use experiments::{
 pub use multi_object::{
     measure_multi_object, multi_object_sweep, MultiObjectReport, MultiObjectRow,
 };
-pub use net_throughput::{measure_net, net_sweep, NetReportJson, NetRow};
 pub use table::Table;

@@ -33,7 +33,7 @@
 
 use crate::case::ReplayCase;
 use crate::invariants::{InvariantKind, Violation};
-use crate::net_driver::NET_TIERS;
+use crate::net_driver::{NetHosting, NET_TIERS};
 use arrow_core::driver::acquire_sequences;
 use arrow_core::live::ArrowRuntime;
 use arrow_core::prelude::*;
@@ -129,7 +129,13 @@ pub fn run_churn_case(
         regenerations += t.token_regenerations;
     }
     if include_net {
-        for (tier, shards) in NET_TIERS {
+        // Fault injection drives one runtime's fault handle, so the churn
+        // sweep runs the tiers that host every node in one runtime; the wire
+        // meets churn in the cluster tier's SIGKILL coverage.
+        for (tier, hosting) in NET_TIERS {
+            let NetHosting::Shards(shards) = hosting else {
+                continue;
+            };
             tiers_run.push(tier.to_string());
             let t = run_net_churn(&instance, &schedule, &faults, &cfg, tier, shards);
             violations.extend(t.violations);
@@ -226,10 +232,10 @@ fn run_thread_churn(
     }
 }
 
-/// Socket-tier churn: loopback-TCP runtime in fault-tolerant mode (an
-/// unreachable peer drops the frame for epoch recovery to compensate, instead of
-/// failing the whole mesh) + wall-clock fault injection severing real links,
-/// at one of the [`NET_TIERS`] shard counts.
+/// Socket-tier churn: one runtime hosting every node in fault-tolerant mode
+/// (an unreachable peer drops the frame for epoch recovery to compensate,
+/// instead of failing the whole mesh) + wall-clock fault injection crashing
+/// nodes and severing links, at one of the [`NET_TIERS`] shard counts.
 fn run_net_churn(
     instance: &Instance,
     schedule: &RequestSchedule,

@@ -61,7 +61,7 @@ pub mod trace;
 pub use case::{CaseSpec, GraphKind, ReplayCase, WorkloadKind};
 pub use churn::run_churn_case;
 pub use invariants::{InvariantKind, Violation};
-pub use net_driver::NetDriver;
+pub use net_driver::{NetDriver, NetHosting};
 pub use shrink::shrink;
 pub use sweep::{
     derive_spec, run_case, run_case_counted, run_replay, run_sweep, CaseResult, SweepOptions,

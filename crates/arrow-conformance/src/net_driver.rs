@@ -1,32 +1,51 @@
-//! The socket-tier [`Driver`]: replay a schedule over a real loopback-TCP mesh.
+//! The socket-tier [`Driver`]: replay a schedule on [`arrow_net::NetRuntime`]s.
 //!
 //! Mirrors [`arrow_core::driver::ThreadDriver`] exactly — one worker per
-//! `(node, object)` pair, acquires in schedule order — but every protocol message
-//! crosses a real socket through [`arrow_net::NetRuntime`], with the latency law
-//! derived from the case's [`RunConfig`] via [`NetConfig::from_run_config`].
-//! Transport failures (an unreachable peer after the dial retry budget) come back
-//! as [`RunError::Transport`], not panics, so a conformance sweep records them as
-//! ordinary failures.
+//! `(node, object)` pair, acquires in schedule order — on the socket tier's
+//! reactors, with the latency law derived from the case's [`RunConfig`] via
+//! [`NetConfig::from_run_config`]. Transport failures (an unreachable peer after
+//! the dial retry budget) come back as [`RunError::Transport`], not panics, so a
+//! conformance sweep records them as ordinary failures.
 //!
-//! The reactor delivers a frame in memory when one shard owns both endpoints and
-//! over a socket otherwise, so a sweep replays every case at two shard counts
-//! ([`NET_TIERS`]): the runtime default, which mixes the two transports, and a
-//! single shard, where every hop is a memory move and no socket exists.
+//! A runtime that hosts every node moves each frame in memory — inside a shard,
+//! or through the destination shard's inbox — and only a node another runtime
+//! hosts is reached over a socket. A sweep therefore replays every case three
+//! ways ([`NET_TIERS`]): one runtime at the default shard count (memory across
+//! the shards' threads), one runtime on one shard (memory only), and one
+//! daemon-mode runtime per node in this process (every hop on loopback TCP).
 
 use arrow_core::driver::{acquire_sequences, Driver};
 use arrow_core::prelude::*;
-use arrow_net::{NetConfig, NetRuntime};
+use arrow_net::{NetConfig, NetHandle, NetReport, NetRuntime};
 use arrow_trace::{NoProbe, Probe};
 use desim::SimTime;
 use netgraph::NodeId;
+use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 
-/// The socket tier's sweep configurations as `(tier name, reactor shard count)`:
-/// the runtime default (`0`, auto-sized — cross-shard hops pay the wire,
-/// same-shard hops are memory moves) and one shard (every hop a memory move).
-pub const NET_TIERS: [(&str, usize); 2] = [("net", 0), ("net-1shard", 1)];
+/// How a [`NetDriver`] hosts an instance's nodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NetHosting {
+    /// One runtime hosting every node on this many reactor shards (`0`
+    /// auto-sizes): every hop is a memory move.
+    Shards(usize),
+    /// One daemon-mode runtime per node, sharing one address table — the shape
+    /// of an `arrowd` cluster inside one process: every hop crosses loopback
+    /// TCP.
+    DaemonPerNode,
+}
 
-/// Tier 3: the socket runtime (loopback TCP peers, wire codec, latency injection).
+/// The socket tier's sweep configurations as `(tier name, hosting)`: the
+/// runtime default (`net`, memory hops across the auto-sized shard pool), one
+/// shard (`net-1shard`, memory hops on one thread) and one daemon per node
+/// (`net-wire`, every hop on the wire).
+pub const NET_TIERS: [(&str, NetHosting); 3] = [
+    ("net", NetHosting::Shards(0)),
+    ("net-1shard", NetHosting::Shards(1)),
+    ("net-wire", NetHosting::DaemonPerNode),
+];
+
+/// Tier 3: the socket runtime (reactor shards, wire codec, latency injection).
 #[derive(Debug, Clone, Copy)]
 pub struct NetDriver {
     /// Wall-clock duration of one simulated time unit for latency injection.
@@ -34,26 +53,25 @@ pub struct NetDriver {
     /// care about ordering contracts, not wall-clock latency, and instant links
     /// keep a 32-case sweep in CI territory.
     pub unit_latency: Duration,
-    /// Reactor shard count ([`NetConfig::shards`]); `0` (the default) keeps the
-    /// runtime's auto-sizing.
-    pub shards: usize,
+    /// How the nodes are hosted; the default is [`NetHosting::Shards`]`(0)`.
+    pub hosting: NetHosting,
 }
 
 impl Default for NetDriver {
     fn default() -> Self {
         NetDriver {
             unit_latency: Duration::ZERO,
-            shards: 0,
+            hosting: NetHosting::Shards(0),
         }
     }
 }
 
 impl NetDriver {
-    /// The instant-latency driver at reactor shard count `shards` (see
+    /// The instant-latency driver hosting nodes as `hosting` says (see
     /// [`NET_TIERS`]).
-    pub fn with_shards(shards: usize) -> Self {
+    pub fn hosted(hosting: NetHosting) -> Self {
         NetDriver {
-            shards,
+            hosting,
             ..NetDriver::default()
         }
     }
@@ -62,7 +80,8 @@ impl NetDriver {
     /// [`arrow_trace::TraceRecorder::wall_probe`]) so the replay leaves a causal
     /// event trace behind. [`NetRuntime::shutdown`] joins the node threads — and
     /// drops (flushes) the probes — inside this call, so the recorder holds every
-    /// event once this returns.
+    /// event once this returns. Daemon-mode runtimes carry no probes, so with
+    /// [`NetHosting::DaemonPerNode`] `probe_for` is never called.
     pub fn run_probed<P: Probe>(
         &self,
         instance: &Instance,
@@ -86,88 +105,144 @@ impl NetDriver {
             NetConfig::instant()
         } else {
             NetConfig::from_run_config(config, self.unit_latency)
-        }
-        .with_shards(self.shards);
+        };
         let grant_timeout = config.grant_timeout();
-        let rt = NetRuntime::spawn_multi_probed(instance.tree(), k, cfg, probe_for);
-        let mut workers = Vec::new();
-        for ((node, obj), count) in acquire_sequences(schedule) {
-            let h = rt.handle(node);
-            workers.push(std::thread::spawn(move || -> Result<(), RunError> {
-                for _ in 0..count {
-                    // Bounded wait: a grant that never arrives (lost token) must
-                    // become a recorded failure, not a hung sweep. A timeout maps
-                    // to the typed starvation error; a transport failure keeps
-                    // its own variant.
-                    let req = h
-                        .try_acquire_object_timeout(obj, grant_timeout)
-                        .map_err(|f| {
-                            if f.description.contains("not granted within") {
-                                RunError::GrantTimeout {
-                                    node: f.node,
-                                    obj,
-                                    waited_ms: grant_timeout.as_millis() as u64,
-                                }
-                            } else {
-                                RunError::Transport {
-                                    node: f.node,
-                                    description: f.description,
-                                }
-                            }
-                        })?;
-                    h.release_object(obj, req);
-                }
-                Ok(())
-            }));
-        }
-        let mut first_failure: Option<RunError> = None;
-        for w in workers {
-            match w.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    first_failure.get_or_insert(e);
-                }
-                Err(_) => {
-                    first_failure.get_or_insert(RunError::Transport {
-                        node: 0,
-                        description: "a replay worker thread panicked".to_string(),
-                    });
-                }
+        let tree = instance.tree();
+        let (replayed, reports) = match self.hosting {
+            NetHosting::Shards(shards) => {
+                let rt =
+                    NetRuntime::spawn_multi_probed(tree, k, cfg.with_shards(shards), probe_for);
+                let replayed = replay(|v| rt.handle(v), schedule, grant_timeout);
+                (replayed, vec![rt.shutdown()])
             }
-        }
-        let report = rt.shutdown();
-        if let Some(failure) = first_failure {
-            return Err(failure);
-        }
-        if let Some(f) = report.failures().first() {
+            NetHosting::DaemonPerNode => {
+                let daemons = spawn_daemons(instance, k, cfg)?;
+                let replayed = replay(|v| daemons[v].handle(v), schedule, grant_timeout);
+                (
+                    replayed,
+                    daemons.into_iter().map(NetRuntime::shutdown).collect(),
+                )
+            }
+        };
+        replayed?;
+        if let Some(f) = reports.iter().flat_map(NetReport::failures).next() {
             return Err(RunError::Transport {
                 node: f.node,
                 description: f.description.clone(),
             });
         }
-        let stats = report.stats();
-        let makespan = report
-            .records()
+        let (mut issued, mut records) = (Vec::new(), Vec::new());
+        let (mut queue_frames, mut token_frames) = (0, 0);
+        for report in &reports {
+            issued.extend_from_slice(report.schedule().requests());
+            records.extend_from_slice(report.records());
+            queue_frames += report.stats().queue_frames;
+            token_frames += report.stats().token_frames;
+        }
+        let makespan = records
             .iter()
             .map(|r| r.informed_at)
             .max()
             .unwrap_or(SimTime::ZERO);
         outcome_from_records(
             ProtocolKind::Arrow,
-            report.schedule().requests().to_vec(),
-            report.records().to_vec(),
-            stats.queue_frames,
-            stats.queue_frames + stats.token_frames,
+            issued,
+            records,
+            queue_frames,
+            queue_frames + token_frames,
             makespan,
         )
     }
+}
+
+/// One daemon-mode runtime per node of `instance`'s tree, each given the
+/// address table of every node's bound loopback listener.
+fn spawn_daemons(
+    instance: &Instance,
+    objects: usize,
+    cfg: NetConfig,
+) -> Result<Vec<NetRuntime>, RunError> {
+    let bind_failed = |node: NodeId, e: std::io::Error| RunError::Transport {
+        node,
+        description: format!("binding a loopback listener: {e}"),
+    };
+    let mut listeners = Vec::with_capacity(instance.node_count());
+    let mut addrs: Vec<SocketAddr> = Vec::with_capacity(instance.node_count());
+    for v in 0..instance.node_count() {
+        let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| bind_failed(v, e))?;
+        addrs.push(listener.local_addr().map_err(|e| bind_failed(v, e))?);
+        listeners.push(listener);
+    }
+    Ok(listeners
+        .into_iter()
+        .enumerate()
+        .map(|(v, l)| {
+            NetRuntime::spawn_daemon(instance.tree(), objects, cfg, v, l, addrs.clone(), 0)
+        })
+        .collect())
+}
+
+/// Run every `(node, object)` acquire sequence of `schedule` on its own worker
+/// thread through `handle`, and wait for all of them. The first failure comes
+/// back; every worker is joined either way.
+fn replay(
+    handle: impl Fn(NodeId) -> NetHandle,
+    schedule: &RequestSchedule,
+    grant_timeout: Duration,
+) -> Result<(), RunError> {
+    let mut workers = Vec::new();
+    for ((node, obj), count) in acquire_sequences(schedule) {
+        let h = handle(node);
+        workers.push(std::thread::spawn(move || -> Result<(), RunError> {
+            for _ in 0..count {
+                // Bounded wait: a grant that never arrives (lost token) must
+                // become a recorded failure, not a hung sweep. A timeout maps
+                // to the typed starvation error; a transport failure keeps
+                // its own variant.
+                let req = h
+                    .try_acquire_object_timeout(obj, grant_timeout)
+                    .map_err(|f| {
+                        if f.description.contains("not granted within") {
+                            RunError::GrantTimeout {
+                                node: f.node,
+                                obj,
+                                waited_ms: grant_timeout.as_millis() as u64,
+                            }
+                        } else {
+                            RunError::Transport {
+                                node: f.node,
+                                description: f.description,
+                            }
+                        }
+                    })?;
+                h.release_object(obj, req);
+            }
+            Ok(())
+        }));
+    }
+    let mut first_failure: Option<RunError> = None;
+    for w in workers {
+        match w.join() {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => {
+                first_failure.get_or_insert(e);
+            }
+            Err(_) => {
+                first_failure.get_or_insert(RunError::Transport {
+                    node: 0,
+                    description: "a replay worker thread panicked".to_string(),
+                });
+            }
+        }
+    }
+    first_failure.map_or(Ok(()), Err)
 }
 
 impl Driver for NetDriver {
     fn name(&self) -> &'static str {
         NET_TIERS
             .iter()
-            .find(|(_, shards)| *shards == self.shards)
+            .find(|(_, hosting)| *hosting == self.hosting)
             .map_or("net", |(tier, _)| tier)
     }
 
@@ -205,8 +280,8 @@ mod tests {
             .collect();
         let schedule = RequestSchedule::from_object_pairs(&triples);
         let cfg = RunConfig::analysis(ProtocolKind::Arrow);
-        for (tier, shards) in NET_TIERS {
-            let driver = NetDriver::with_shards(shards);
+        for (tier, hosting) in NET_TIERS {
+            let driver = NetDriver::hosted(hosting);
             assert_eq!(driver.name(), tier);
             let outcome = driver.run(&instance, &schedule, &cfg).unwrap();
             assert_eq!(outcome.request_count(), 10, "{tier}");

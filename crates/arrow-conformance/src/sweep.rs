@@ -8,7 +8,10 @@
 //! 2. **sim-centralized** — the centralized baseline on the same schedule, as a
 //!    differential reference (same exactly-once/token/multiset contracts);
 //! 3. **thread** — the in-process thread runtime;
-//! 4. **net** — the socket runtime over loopback TCP.
+//! 4. **net**, **net-1shard**, **net-wire** — the socket tier's reactors, hosted
+//!    three ways ([`crate::net_driver::NET_TIERS`]): memory hops across the
+//!    default shard pool, memory hops on one shard, and one daemon-mode runtime
+//!    per node with every hop on loopback TCP.
 //!
 //! Any violation (or typed [`RunError`]) fails the case; failing cases are
 //! shrunk ([`crate::shrink::shrink`]) and can be written out as one-command
@@ -279,8 +282,8 @@ fn run_case_fault_free(case: &ReplayCase, opts: &SweepOptions) -> (Vec<String>, 
             drivers.push(("thread", Box::new(ThreadDriver)));
         }
         if opts.include_net {
-            for (tier, shards) in NET_TIERS {
-                drivers.push((tier, Box::new(NetDriver::with_shards(shards))));
+            for (tier, hosting) in NET_TIERS {
+                drivers.push((tier, Box::new(NetDriver::hosted(hosting))));
             }
         }
         drivers
@@ -424,6 +427,7 @@ mod tests {
         assert!(tiers.iter().any(|t| t == "thread"));
         assert!(tiers.iter().any(|t| t == "net"));
         assert!(tiers.iter().any(|t| t == "net-1shard"));
+        assert!(tiers.iter().any(|t| t == "net-wire"));
         assert!(violations.is_empty(), "{violations:?}");
     }
 

@@ -1,4 +1,4 @@
-//! # arrow-net — the arrow directory protocol over real sockets
+//! # arrow-net — the arrow directory protocol on sharded reactors and real sockets
 //!
 //! The third and most realistic of the repository's three execution tiers:
 //!
@@ -6,13 +6,14 @@
 //!    runs, millions of requests, the measurement tool.
 //! 2. **Threads** (`arrow-core::live`) — one OS thread per node over in-process
 //!    mpsc channels, the concurrency demonstration.
-//! 3. **Sockets** (this crate) — each node is a process-independent peer whose
-//!    protocol channel to any node hosted elsewhere (another reactor shard,
-//!    another process) is loopback TCP. Throughput here pays for real
-//!    serialization, framing, kernel round-trips and (optionally) injected link
-//!    latency — the per-message cost that the paper's Section 5 experiment runs on
-//!    real processors to expose. Only a hop between two nodes of one shard is
-//!    spared the wire; `with_shards(n)` and the `arrowd` daemon mode spare none.
+//! 3. **Sockets** (this crate) — each node is a peer driven by a sharded epoll
+//!    reactor. Between nodes one runtime hosts, frames are memory moves (inside
+//!    a shard, or one inbox hand-off between shards); toward a node another
+//!    process hosts (daemon mode, used by the `arrowd` process tier), the
+//!    channel is TCP and each hop pays real serialization, framing, kernel
+//!    round-trips — the per-message cost that the paper's Section 5 experiment
+//!    runs on real processors to expose. Optional injected link latency applies
+//!    to every hop.
 //!
 //! All tiers execute the same per-node state machine, the shared
 //! [`arrow_core::live::ArrowCore`]: this crate and the thread runtime drive it
@@ -32,18 +33,21 @@
 //!   async factor in the asynchronous model, FIFO-preserving — the same law as
 //!   a simulator run), the shared [`NetStats`] counters, and the blocking dial
 //!   helpers external tooling uses.
-//! * `reactor` (internal) — the event-driven socket engine: nodes are
-//!   partitioned across a small pool of shard threads, each running one `epoll`
-//!   loop (via the `netpoll` shim) over the nonblocking listeners and
-//!   connections of its nodes. Handshakes are nonblocking state machines,
-//!   simultaneous-dial races collapse onto one canonical connection per peer
-//!   pair, injected latency rides a per-shard timer wheel whose next deadline
-//!   doubles as the `epoll_wait` timeout, and every flush coalesces a link's
-//!   staged frames into a single `write` syscall. A frame between two nodes
-//!   of one shard is delivered in memory instead, and the shard runs such
-//!   frames to quiescence before its next `epoll_wait`
-//!   ([`mesh::NetConfig::shards`] states the rule). Thread count is O(shards),
-//!   not O(nodes) — a single process hosts ≥1024 nodes.
+//! * `reactor` (internal) — the event-driven engine: nodes are partitioned
+//!   across a small pool of shard threads, each running one `epoll` loop (via
+//!   the `netpoll` shim) over its inbox eventfd, its timer wheel and the
+//!   nonblocking listeners and connections of its nodes. A frame between two
+//!   nodes of one shard goes through the shard's memory FIFO, run to
+//!   quiescence before the next `epoll_wait`; a frame to another shard of the
+//!   runtime joins that shard's per-cycle batch, handed over through its inbox
+//!   ([`mesh::NetConfig::shards`] states the rule). Only toward a node of
+//!   another process is there a socket: handshakes are nonblocking state
+//!   machines, simultaneous-dial races collapse onto one canonical connection
+//!   per peer pair, and every flush coalesces a link's staged frames into a
+//!   single `write` syscall. Injected latency rides a per-shard timer wheel
+//!   whose next deadline doubles as the `epoll_wait` timeout. Thread count is
+//!   O(shards), not O(nodes) — a single process hosts ≥1024 nodes, on O(shards)
+//!   file descriptors.
 //! * [`runtime`] — the [`NetRuntime`]: spawn/shutdown over the shard pool,
 //!   application-facing [`NetHandle`]s with blocking *and* pipelined
 //!   `acquire`/`release` per object ([`NetHandle::start_acquire_object`],
@@ -60,10 +64,11 @@
 //! let tree = RootedTree::from_tree_graph(&generators::balanced_binary_tree(7), 0);
 //! let rt = NetRuntime::spawn_multi(&tree, 2, NetConfig::instant());
 //! let handle = rt.handle(6);
-//! let req = handle.acquire(); // queue() frames cross shards over real TCP sockets
+//! let req = handle.acquire(); // queue() 6 -> 2 -> 0, token 0 -> 6, all in memory
 //! handle.release(req);
 //! let report = rt.shutdown();
 //! assert_eq!(report.stats().acquisitions, 1);
+//! assert_eq!(report.stats().socket_writes, 0); // one runtime hosts every node
 //! assert!(report.validated_orders().is_ok());
 //! ```
 

@@ -1,14 +1,16 @@
 //! Mesh policy of the socket tier: latency law, dial budget, stats schema.
 //!
-//! Topology is deliberately sparse: the mesh materializes only the spanning-tree
-//! edges (dialed eagerly at bootstrap — every non-root node dials its parent), plus
-//! *direct token channels* dialed lazily the first time one node grants a token to a
-//! non-neighbour. This mirrors the protocol's traffic pattern exactly: `queue()`
-//! messages travel tree edges only, while token grants jump straight to the granted
-//! request's origin (the socket analogue of the simulator's direct-ack sends).
-//! Sockets exist only *between* reactor shards: two nodes owned by one shard
-//! exchange frames through that shard's memory and never dial each other (see
-//! [`NetConfig::shards`]).
+//! Sockets exist only at process boundaries: two nodes hosted by one runtime
+//! exchange frames in memory — inside one reactor shard or through the
+//! destination shard's inbox — and never dial each other (see
+//! [`NetConfig::shards`]). Toward nodes of other processes (daemon mode,
+//! [`crate::NetRuntime::spawn_daemon`]) the topology is deliberately sparse: the
+//! mesh materializes only the spanning-tree edges (dialed eagerly at bootstrap —
+//! every non-root node dials its parent), plus *direct token channels* dialed
+//! lazily the first time one node grants a token to a non-neighbour. This
+//! mirrors the protocol's traffic pattern exactly: `queue()` messages travel
+//! tree edges only, while token grants jump straight to the granted request's
+//! origin (the socket analogue of the simulator's direct-ack sends).
 //!
 //! Every connection starts with a `Hello`/`Welcome` handshake so each side knows the
 //! peer's node id, and ends with a `Goodbye` notice at shutdown. The handshake,
@@ -70,9 +72,8 @@ pub struct NetConfig {
     /// report — it no longer panics a node thread.
     pub dial_retries: u32,
     /// Churn mode. With `false` (the default) an unreachable peer is fatal: the
-    /// dialing node marks itself failed, and the failure is broadcast so every
-    /// pending acquire in the mesh errors out — correct when nodes are not
-    /// *supposed* to disappear. With `true` the frame towards the unreachable
+    /// dialing node marks itself failed and every pending acquire on it errors
+    /// out — correct when nodes are not *supposed* to disappear. With `true` the frame towards the unreachable
     /// peer is dropped (counted by [`arrow_trace::Metric::FramesDropped`] in
     /// the node's metrics registry) and the node
     /// stays up: under fault injection a dropped frame is recovered by the next
@@ -80,27 +81,30 @@ pub struct NetConfig {
     pub fault_tolerant: bool,
     /// Number of reactor shards (event-loop threads) the runtime spawns. Each
     /// shard owns `n / shards` nodes (node `v` lives on shard `v % shards`)
-    /// and multiplexes all of their sockets over one `epoll` loop, so the
-    /// process's thread count is `O(shards)` rather than `O(nodes)`. `0` (the
-    /// default) auto-sizes to the machine's available parallelism (at least
-    /// 2); any other value is clamped to `[1, node count]` at spawn time.
+    /// and drives all of them from one `epoll` loop, so the process's thread
+    /// count is `O(shards)` rather than `O(nodes)`. `0` (the default)
+    /// auto-sizes to the machine's available parallelism (at least 2); any
+    /// other value is clamped to `[1, node count]` at spawn time. The shard
+    /// count sizes the thread pool only: it never decides which hops pay the
+    /// wire.
     ///
-    /// The shard count also decides which hops pay the wire. **Delivery
-    /// rule:** a frame whose destination lives on the sender's shard is a
-    /// memory move — queued in the shard and handed to the destination's core
-    /// in the same loop cycle, counted as
-    /// [`local_frames`](NetStatsSnapshot::local_frames); every other frame is
-    /// encoded, written to a loopback socket and read back by the owning
-    /// shard. **Co-sharded pairs have no socket** at all: neither the tree
-    /// edge nor a token channel between them is ever dialed, so one directed
-    /// pair never splits its FIFO across two transports. **Quiescence:** a
-    /// shard runs its in-memory frames (and whatever they provoke) to
-    /// completion before it flushes sockets and re-enters `epoll_wait`, so at
-    /// most a tree diameter of memory hops per input separates two waits.
-    /// Fault injection and injected latency apply to both paths alike.
-    ///
-    /// With `shards = 1` nothing touches a socket; with `shards = node count`
-    /// (or in the one-node-per-process daemon mode) every hop pays the wire.
+    /// **Delivery rule:** the transport follows from whether the runtime
+    /// hosts the destination. A frame to a node of the sender's shard is
+    /// queued in the shard and handed to the destination's core in the same
+    /// loop cycle; a frame to a node of another shard of the runtime joins
+    /// that shard's batch for the cycle, delivered as one command through its
+    /// inbox. Both are counted as
+    /// [`local_frames`](NetStatsSnapshot::local_frames). Only a frame to a
+    /// node another process hosts — the one-node-per-process daemon mode,
+    /// [`crate::NetRuntime::spawn_daemon`] — is encoded, written to a socket
+    /// and read back by the peer's shard, so `spawn_multi` binds no listener
+    /// and dials nothing at any shard count, and the wire is daemon mode only.
+    /// **Quiescence:** a shard runs its in-memory frames (and whatever they
+    /// provoke) to completion before it hands batches over, flushes sockets
+    /// and re-enters `epoll_wait`, so at most a tree diameter of memory hops
+    /// per input separates two waits. Fault injection and injected latency
+    /// apply to every path alike, and a crash drops frames in flight to or
+    /// from the crashed node on every path.
     pub shards: usize,
 }
 
@@ -247,7 +251,8 @@ pub struct NetStatsSnapshot {
     pub unexpected_frames: u64,
     /// Dials that exhausted their retry budget.
     pub dial_failures: u64,
-    /// Frames dropped by fault injection (severed links, crashed endpoints,
+    /// Frames dropped by fault injection (severed links, crashed endpoints —
+    /// including frames already in flight when an endpoint crashed —
     /// unreachable peers in fault-tolerant mode).
     pub frames_dropped: u64,
     /// Stale-epoch protocol messages rejected by the recovery layer.
@@ -259,10 +264,12 @@ pub struct NetStatsSnapshot {
     pub would_block_retries: u64,
     /// Simultaneous-dial races collapsed onto a single surviving link.
     pub dial_races_collapsed: u64,
-    /// Protocol frames delivered in memory between two nodes of one reactor
-    /// shard. They are counted in `queue_frames`/`token_frames` like any hop
-    /// but never reach a socket, so they explain the gap between those and
-    /// `frames_sent`/`socket_writes`. Zero when every node has its own shard.
+    /// Protocol frames delivered without a socket: between two nodes of one
+    /// reactor shard, or through the inbox of another shard of the runtime.
+    /// They are counted in `queue_frames`/`token_frames` like any hop, so they
+    /// explain the gap between those and `frames_sent`/`socket_writes`: equal
+    /// to `queue_frames + token_frames` in a runtime that hosts every node,
+    /// zero in daemon mode.
     pub local_frames: u64,
 }
 

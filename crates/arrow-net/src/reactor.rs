@@ -7,39 +7,65 @@
 //! buffer from that single thread. Thread count is `O(shards)`, not
 //! `O(nodes)`, which is what lets one process host ≥1024 nodes.
 //!
-//! A TCP connection between nodes on different shards appears as two
-//! independent [`Conn`] entries, one in each shard's slab; the kernel socket
-//! is the only shared state. Cross-shard control (acquire, crash, epoch,
-//! shutdown) travels through each shard's [`Inbox`], woken via an eventfd.
+//! Control (acquire, crash, epoch, shutdown) and frames between shards of one
+//! runtime travel through each shard's [`Inbox`], woken via an eventfd. A TCP
+//! connection exists only toward a node *another process* hosts.
 //!
-//! # Delivery rule: same-shard hops are memory moves
+//! # Delivery rule: sockets only at process boundaries
 //!
-//! [`Shard::deliver_frame`] picks the transport from one observable fact:
-//! does this shard own the destination node? If it does, the frame is pushed
-//! onto the shard's in-memory FIFO (`localq`) and later fed through
-//! [`Shard::on_frame`] — the same entry point frames read off a socket use, so
-//! the crashed-node drop, the `origin` bound check and the `UnexpectedFrames`
-//! accounting are shared. If it does not, the frame is staged on the link's
-//! socket (dialing it first if need be). Everything upstream of that choice
-//! in [`Shard::send_frame`] — the failed-node check, the severed-link drop and
-//! the injected-latency timer wheel with its per-link FIFO — applies to both
-//! paths unchanged.
+//! [`Shard::deliver_frame`] picks the transport from one fact the spawn
+//! manifest fixes ([`Siblings::shard_of`]): which shard of this runtime, if
+//! any, hosts the destination node?
 //!
-//! **Co-sharded pairs never have a socket.** Neither a tree edge nor a lazily
-//! dialed token channel is ever opened between two nodes of one shard (the
-//! bootstrap and restart dials skip a co-sharded parent, and an inbound
-//! `Hello` claiming a co-sharded id is refused), so a directed pair's frames
-//! always travel one transport and per-link FIFO cannot be split. Debug
-//! builds assert it wherever a dial starts or a link is installed.
+//! * **This shard:** the frame is pushed onto the shard's in-memory FIFO
+//!   (`localq`) and fed through [`Shard::on_frame`] in the same cycle.
+//! * **Another shard of this runtime:** the frame is appended to that shard's
+//!   outbox. After [`Shard::run_to_quiescence`] every non-empty outbox goes to
+//!   its shard's inbox as one [`ShardCmd::Frames`] batch — one lock and one
+//!   eventfd wake per destination shard per cycle — and the receiver feeds it
+//!   through the same `on_frame`.
+//! * **No shard of this runtime** (the `spawn_daemon`/`arrowd` case): the
+//!   frame is staged on the link's socket, dialing it first if need be.
+//!
+//! `on_frame` is also where frames read off a socket land, so the
+//! crashed-node drop, the `origin` bound check and the `UnexpectedFrames`
+//! accounting are shared by all three paths. Everything upstream of the
+//! choice in [`Shard::send_frame`] — the failed-node check, the severed-link
+//! drop and the injected-latency timer wheel with its per-link FIFO — applies
+//! to all of them unchanged. Both memory paths count as `LocalFrames`.
+//!
+//! **A pair hosted by one runtime never has a socket.** Neither a tree edge
+//! nor a lazily dialed token channel is ever opened toward a hosted node (the
+//! bootstrap and restart dials skip a hosted parent, and an inbound `Hello`
+//! claiming a hosted id is refused), so a directed pair's frames always
+//! travel one transport and per-link FIFO cannot be split: batches from one
+//! shard to another enter the destination's inbox in send order and are
+//! drained in order. Debug builds assert it wherever a dial starts or a link
+//! is installed.
+//!
+//! **Crash drops incident frames.** A batch can sit in an inbox while either
+//! endpoint of one of its frames crashes (and restarts). The wire lost such a
+//! frame with the crashed node's sockets; the memory path keeps that rule with
+//! a per-node incarnation counter ([`Siblings::incarnation`]) that the hosting
+//! shard bumps on crash and again on restart. Each [`Hop`] carries both
+//! endpoints' incarnations from send time, and while faults are armed a hop
+//! whose stamp no longer matches is dropped and counted in `FramesDropped`.
+//!
+//! **Shutdown keeps `Goodbye` semantics.** A shard that begins shutdown
+//! flushes its outboxes and then pushes one [`ShardCmd::Done`] marker to every
+//! sibling; after that it sends siblings nothing (a frame it would send is
+//! lost, as bytes staged behind a `Goodbye` are). It exits only once it holds
+//! every sibling's marker and its sockets are closed, so every frame a sibling
+//! sent before its marker is processed first, and no shard pushes into the
+//! inbox of a shard that has exited.
 //!
 //! **Quiescence invariant.** Each loop cycle ends with
 //! [`Shard::run_to_quiescence`], which alternates dispatching dirty nodes'
 //! core actions and draining `localq` until both are empty; only then are
-//! sockets flushed and `epoll_wait` entered. `localq` is therefore empty at
-//! every `epoll_wait` and at every [`ShardCmd`] boundary, and the work of one
-//! cycle is bounded by (commands + inbound frames taken this cycle) × tree
-//! diameter. A runtime with one node per shard (`with_shards(n)`, or the
-//! `arrowd` daemon mode) has no co-sharded peer, so every hop pays the wire.
+//! outboxes handed over, sockets flushed and `epoll_wait` entered. `localq`
+//! and the outboxes are therefore empty at every `epoll_wait`, and the work of
+//! one cycle is bounded by (commands + inbound frames taken this cycle) × tree
+//! diameter.
 //!
 //! Handshakes are nonblocking state machines ([`ConnState`]): a dialer drives
 //! `Connecting → AwaitWelcome → Established`, an acceptor `AwaitHello →
@@ -53,7 +79,7 @@ use std::io::{self, Read, Write};
 use std::mem;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -97,8 +123,11 @@ pub(crate) enum ShardCmd {
         obj: ObjectId,
         req: RequestId,
     },
-    /// Another shard's node failed; propagate to this shard's nodes.
-    PeerFailed { failure: NetFailure },
+    /// Protocol frames a sibling shard addressed to this shard's nodes during
+    /// one of its cycles, in send order.
+    Frames(Vec<Hop>),
+    /// A sibling shard has begun shutdown and sends this shard nothing more.
+    Done,
     /// Fault injection: crash `node` (sever sockets, reboot core).
     Crash { node: NodeId },
     /// Fault injection: restart a crashed `node`.
@@ -158,13 +187,78 @@ impl ShardInjector {
         if self.inbox.closed.load(Ordering::Acquire) {
             return false;
         }
-        self.inbox
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_back(cmd);
-        let _ = self.inbox.waker.wake();
+        let first = {
+            let mut queue = self
+                .inbox
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            queue.push_back(cmd);
+            queue.len() == 1
+        };
+        // A non-empty queue has a wake-up pending already: the shard drains
+        // the eventfd before it takes the queue, so whoever made the queue
+        // non-empty after the last take has woken it.
+        if first {
+            let _ = self.inbox.waker.wake();
+        }
         true
+    }
+}
+
+/// A protocol frame from one shard of a runtime to another, stamped with both
+/// endpoints' incarnations at send time ([`Siblings::stamp`]).
+pub(crate) struct Hop {
+    to: NodeId,
+    from: NodeId,
+    frame: Frame,
+    stamp: u64,
+}
+
+/// What the shards of one runtime share about each other, fixed when they are
+/// spawned.
+pub(crate) struct Siblings {
+    /// The shard of this runtime hosting each node, from the spawn manifest;
+    /// `None` for a node another process hosts, reached over a socket.
+    shard_of: Vec<Option<usize>>,
+    /// Every shard's inbox, by shard index.
+    inboxes: Vec<ShardInjector>,
+    /// Per-node incarnation, bumped by the hosting shard when the node crashes
+    /// and again when it restarts (release; read with acquire).
+    incarnation: Vec<AtomicU32>,
+}
+
+impl Siblings {
+    /// Index the manifest `shard_nodes` (node seeds by shard) of a directory
+    /// of `n` nodes, with one fresh inbox per shard.
+    fn new<P: Probe>(n: usize, shard_nodes: &[Vec<NodeSeed<P>>]) -> Arc<Self> {
+        let mut shard_of = vec![None; n];
+        for (s, nodes) in shard_nodes.iter().enumerate() {
+            for (v, _, _) in nodes {
+                shard_of[*v] = Some(s);
+            }
+        }
+        Arc::new(Siblings {
+            shard_of,
+            inboxes: shard_nodes
+                .iter()
+                .map(|_| ShardInjector {
+                    inbox: Inbox::new(),
+                })
+                .collect(),
+            incarnation: (0..n).map(|_| AtomicU32::new(0)).collect(),
+        })
+    }
+
+    /// Start node `v`'s next incarnation (it crashed, or restarted).
+    fn bump_incarnation(&self, v: NodeId) {
+        self.incarnation[v].fetch_add(1, Ordering::Release);
+    }
+
+    /// Both endpoints' current incarnations in one word.
+    fn stamp(&self, from: NodeId, to: NodeId) -> u64 {
+        let inc = |v: NodeId| u64::from(self.incarnation[v].load(Ordering::Acquire));
+        (inc(from) << 32) | inc(to)
     }
 }
 
@@ -363,6 +457,8 @@ enum TimerEntry {
 pub(crate) struct ReactorShared {
     pub(crate) cfg: NetConfig,
     pub(crate) tree: Arc<RootedTree>,
+    /// Advertised address of every node, for dialing the nodes another
+    /// process hosts; empty when this runtime hosts them all.
     pub(crate) addrs: Arc<Vec<SocketAddr>>,
     pub(crate) stats: Arc<NetStats>,
     /// Normalized `(min, max)` pairs of links currently severed by faults.
@@ -373,41 +469,34 @@ pub(crate) struct ReactorShared {
     pub(crate) epoch0: Instant,
 }
 
-/// One node's slice of the spawn manifest: its id, protocol core, and bound
-/// listener.
-pub(crate) type NodeSeed<P> = (NodeId, ArrowCore<P>, TcpListener);
+/// One node's slice of the spawn manifest: its id, protocol core, and — for a
+/// node that peers in other processes dial — its bound listener.
+pub(crate) type NodeSeed<P> = (NodeId, ArrowCore<P>, Option<TcpListener>);
 
 /// A shard thread's join handle; joining yields the shard's node journals.
 pub(crate) type ShardJoin = JoinHandle<Vec<(NodeId, NodeJournal)>>;
 
-/// Spawn the shard threads. `shard_nodes[s]` lists the nodes shard `s` owns,
-/// each with its protocol core and bound listener. Returns one injector per
-/// shard plus the join handles (each yields the shard's node journals).
+/// Spawn the shard threads. `shard_nodes[s]` lists the nodes shard `s` owns;
+/// every node of the tree that no shard lists is hosted by another process.
+/// Returns one injector per shard plus the join handles (each yields the
+/// shard's node journals).
 pub(crate) fn spawn_shards<P: Probe + Send + 'static>(
     shared: &ReactorShared,
     shard_nodes: Vec<Vec<NodeSeed<P>>>,
 ) -> (Vec<ShardInjector>, Vec<ShardJoin>) {
-    let inboxes: Vec<Arc<Inbox>> = shard_nodes.iter().map(|_| Inbox::new()).collect();
-    let injectors: Vec<ShardInjector> = inboxes
-        .iter()
-        .map(|inbox| ShardInjector {
-            inbox: Arc::clone(inbox),
-        })
-        .collect();
-    let peers = Arc::new(injectors.clone());
+    let siblings = Siblings::new(shared.tree.node_count(), &shard_nodes);
     let mut threads = Vec::with_capacity(shard_nodes.len());
     for (s, nodes) in shard_nodes.into_iter().enumerate() {
         let shared = shared.clone();
-        let inbox = Arc::clone(&inboxes[s]);
-        let peers = Arc::clone(&peers);
+        let siblings = Arc::clone(&siblings);
         threads.push(
             std::thread::Builder::new()
                 .name(format!("arrow-net-shard-{s}"))
-                .spawn(move || Shard::new(&shared, inbox, peers, nodes).run())
+                .spawn(move || Shard::new(&shared, siblings, s, nodes).run())
                 .expect("spawn shard thread"),
         );
     }
-    (injectors, threads)
+    (siblings.inboxes.clone(), threads)
 }
 
 /// One reactor shard: a single-threaded event loop over a subset of nodes.
@@ -424,8 +513,10 @@ struct Shard<P: Probe> {
     free: Vec<usize>,
     nodes: HashMap<NodeId, NodeState<P>>,
     wheel: TimerWheel<TimerEntry>,
+    /// This shard's index among its siblings.
+    id: usize,
+    siblings: Arc<Siblings>,
     inbox: Arc<Inbox>,
-    peers: Arc<Vec<ShardInjector>>,
     /// Connections (by token) with staged bytes to flush this cycle.
     flushq: Vec<u64>,
     /// Nodes with undispatched core actions this cycle.
@@ -433,10 +524,16 @@ struct Shard<P: Probe> {
     /// Frames between two nodes of this shard awaiting in-memory delivery, as
     /// `(to, from, frame)`. Empty at every `epoll_wait` (see the module docs).
     localq: VecDeque<(NodeId, NodeId, Frame)>,
+    /// Frames for each sibling shard's nodes, handed over once per cycle.
+    outbox: Vec<Vec<Hop>>,
     /// Scratch for the frames scanned out of one readiness event.
     scanned: Vec<Frame>,
     shutting_down: bool,
     shutdown_forced: bool,
+    /// This shard has pushed its `Done` marker to every sibling.
+    said_done: bool,
+    /// Siblings whose `Done` marker this shard has taken.
+    siblings_done: usize,
 }
 
 /// Drain `state.waiting` into failure grants and mark the node failed.
@@ -455,10 +552,11 @@ fn enter_failed_state<P: Probe>(state: &mut NodeState<P>, failure: NetFailure) {
 impl<P: Probe> Shard<P> {
     fn new(
         shared: &ReactorShared,
-        inbox: Arc<Inbox>,
-        peers: Arc<Vec<ShardInjector>>,
-        owned: Vec<(NodeId, ArrowCore<P>, TcpListener)>,
+        siblings: Arc<Siblings>,
+        id: usize,
+        owned: Vec<NodeSeed<P>>,
     ) -> Self {
+        let inbox = Arc::clone(&siblings.inboxes[id].inbox);
         let poller = netpoll::Poller::new().expect("epoll instance");
         poller
             .register(inbox.waker.as_raw_fd(), WAKER_TOKEN, true, false)
@@ -476,25 +574,31 @@ impl<P: Probe> Shard<P> {
             free: Vec::new(),
             nodes: HashMap::with_capacity(owned.len()),
             wheel: TimerWheel::new(shared.epoch0),
+            id,
+            outbox: siblings.inboxes.iter().map(|_| Vec::new()).collect(),
+            siblings,
             inbox,
-            peers,
             flushq: Vec::new(),
             dirtyq: Vec::new(),
             localq: VecDeque::new(),
             scanned: Vec::new(),
             shutting_down: false,
             shutdown_forced: false,
+            said_done: false,
+            siblings_done: 0,
         };
         for (v, core, listener) in owned {
-            listener
-                .set_nonblocking(true)
-                .expect("nonblocking listener");
-            let fd = listener.as_raw_fd();
-            let (_, tok) = shard.slab_insert(Source::Listener { node: v, listener });
-            shard
-                .poller
-                .register(fd, tok, true, false)
-                .expect("register listener");
+            if let Some(listener) = listener {
+                listener
+                    .set_nonblocking(true)
+                    .expect("nonblocking listener");
+                let fd = listener.as_raw_fd();
+                let (_, tok) = shard.slab_insert(Source::Listener { node: v, listener });
+                shard
+                    .poller
+                    .register(fd, tok, true, false)
+                    .expect("register listener");
+            }
             shard.nodes.insert(
                 v,
                 NodeState {
@@ -597,11 +701,11 @@ impl<P: Probe> Shard<P> {
 
     fn run(mut self) -> Vec<(NodeId, NodeJournal)> {
         // Bootstrap: every non-root node dials its tree parent — unless this
-        // shard owns the parent too, in which case the edge needs no socket.
+        // runtime hosts the parent too, in which case the edge needs no socket.
         let owned: Vec<NodeId> = self.nodes.keys().copied().collect();
         for v in owned {
             if let Some(p) = self.tree.parent(v) {
-                if !self.nodes.contains_key(&p) {
+                if self.siblings.shard_of[p].is_none() {
                     self.start_dial(v, p, DialIntent::Bootstrap, Vec::new());
                 }
             }
@@ -613,7 +717,10 @@ impl<P: Probe> Shard<P> {
                 .wheel
                 .next_due()
                 .map(|d| d.saturating_duration_since(Instant::now()));
-            debug_assert!(self.localq.is_empty(), "localq drained before the wait");
+            debug_assert!(
+                self.localq.is_empty() && self.outbox.iter().all(Vec::is_empty),
+                "memory paths drained before the wait"
+            );
             if self.poller.wait(&mut events, timeout).is_err() {
                 // `wait` left `events` empty, so nothing stale is replayed;
                 // commands and timers below still make progress.
@@ -640,26 +747,14 @@ impl<P: Probe> Shard<P> {
                     }
                 }
             }
-            let cmds = mem::take(
-                &mut *self
-                    .inbox
-                    .queue
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner),
-            );
-            if !cmds.is_empty() {
-                self.stats
-                    .observe(HistMetric::ShardQueueDepth, cmds.len() as u64);
-            }
-            for cmd in cmds {
-                self.handle_cmd(cmd);
-            }
+            self.drain_inbox();
             due.clear();
             self.wheel.pop_due(Instant::now(), &mut due);
             for entry in due.drain(..) {
                 self.handle_timer(entry);
             }
             self.run_to_quiescence();
+            self.flush_outboxes();
             let flush = mem::take(&mut self.flushq);
             for tok in flush {
                 if let Some(idx) = self.resolve(tok) {
@@ -682,15 +777,27 @@ impl<P: Probe> Shard<P> {
                         }
                     }
                 }
-                let live = self
-                    .slab
-                    .iter()
-                    .any(|e| matches!(e.src, Some(Source::Conn(_))));
-                if !live {
+                if self.may_exit() {
                     break;
                 }
             }
         }
+        self.finish()
+    }
+
+    /// Whether a shutting-down shard is done: its sockets are closed and
+    /// every sibling's `Done` marker is in, so nothing more can arrive — or
+    /// the shutdown grace period has expired and whatever was left is cut.
+    fn may_exit(&self) -> bool {
+        let live = self
+            .slab
+            .iter()
+            .any(|e| matches!(e.src, Some(Source::Conn(_))));
+        !live && (self.shutdown_forced || self.siblings_done + 1 == self.siblings.inboxes.len())
+    }
+
+    /// Close the inbox and hand back every node's journal.
+    fn finish(mut self) -> Vec<(NodeId, NodeJournal)> {
         self.inbox.closed.store(true, Ordering::Release);
         let mut out = Vec::with_capacity(self.nodes.len());
         for (v, node) in self.nodes.drain() {
@@ -699,6 +806,34 @@ impl<P: Probe> Shard<P> {
             out.push((v, node.journal));
         }
         out
+    }
+
+    /// Take every command queued in the inbox and handle them in order.
+    fn drain_inbox(&mut self) {
+        let cmds = mem::take(
+            &mut *self
+                .inbox
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        if !cmds.is_empty() {
+            self.stats
+                .observe(HistMetric::ShardQueueDepth, cmds.len() as u64);
+        }
+        for cmd in cmds {
+            self.handle_cmd(cmd);
+        }
+    }
+
+    /// Hand every sibling the frames this cycle addressed to its nodes, as
+    /// one inbox command per sibling.
+    fn flush_outboxes(&mut self) {
+        for (s, hops) in self.outbox.iter_mut().enumerate() {
+            if !hops.is_empty() {
+                self.siblings.inboxes[s].send(ShardCmd::Frames(mem::take(hops)));
+            }
+        }
     }
 
     /// Alternate dispatching dirty nodes' core actions and delivering the
@@ -735,13 +870,25 @@ impl<P: Probe> Shard<P> {
                 state.core.on_release(obj, req, &mut state.actions);
                 self.mark_dirty(node);
             }
-            ShardCmd::PeerFailed { failure } => {
-                for state in self.nodes.values_mut() {
-                    if !state.crashed && state.failed.is_none() {
-                        enter_failed_state(state, failure.clone());
+            ShardCmd::Frames(hops) => {
+                let armed = self.faults_armed.load(Ordering::Relaxed);
+                for Hop {
+                    to,
+                    from,
+                    frame,
+                    stamp,
+                } in hops
+                {
+                    // An endpoint crashed (or restarted) since the send: the
+                    // frame dies with that incarnation, as on the wire.
+                    if armed && stamp != self.siblings.stamp(from, to) {
+                        self.stats.inc(Metric::FramesDropped);
+                        continue;
                     }
+                    self.on_frame(to, from, frame);
                 }
             }
+            ShardCmd::Done => self.siblings_done += 1,
             ShardCmd::Crash { node } => self.cmd_crash(node),
             ShardCmd::Restart { node } => self.cmd_restart(node),
             ShardCmd::Epoch { epoch } => {
@@ -829,6 +976,7 @@ impl<P: Probe> Shard<P> {
             });
         }
         state.crashed = true;
+        self.siblings.bump_incarnation(v);
     }
 
     fn cmd_restart(&mut self, v: NodeId) {
@@ -837,9 +985,11 @@ impl<P: Probe> Shard<P> {
             return;
         }
         state.crashed = false;
+        // A frame sent toward the crashed incarnation must not reach this one.
+        self.siblings.bump_incarnation(v);
         if let Some(p) = self.tree.parent(v) {
             let state = &self.nodes[&v];
-            if !self.nodes.contains_key(&p)
+            if self.siblings.shard_of[p].is_none()
                 && !state.links.contains_key(&p)
                 && !state.pending.contains_key(&p)
             {
@@ -1014,8 +1164,9 @@ impl<P: Probe> Shard<P> {
         );
     }
 
-    /// Hand a frame to its transport: the in-memory `localq` when this shard
-    /// owns `to`, otherwise the link toward `to`, dialing it if absent.
+    /// Hand a frame to its transport (see the module docs): `localq` when this
+    /// shard hosts `to`, the outbox of the sibling shard that hosts it, and
+    /// otherwise the link toward `to`, dialing it if absent.
     fn deliver_frame(&mut self, v: NodeId, to: NodeId, frame: Frame) {
         let state = &self.nodes[&v];
         if state.failed.is_some() {
@@ -1025,13 +1176,27 @@ impl<P: Probe> Shard<P> {
             self.stats.inc(Metric::FramesDropped);
             return;
         }
-        if self.nodes.contains_key(&to) {
+        if let Some(s) = self.siblings.shard_of[to] {
             debug_assert!(
                 !state.links.contains_key(&to) && !state.pending.contains_key(&to),
-                "co-sharded pair {v}->{to} must never hold a socket"
+                "pair {v}->{to} hosted by one runtime must never hold a socket"
             );
+            if s == self.id {
+                self.localq.push_back((to, v, frame));
+            } else if self.said_done {
+                // Past this shard's `Done` marker: lost, as bytes staged
+                // behind a `Goodbye` are.
+                return;
+            } else {
+                let stamp = self.siblings.stamp(v, to);
+                self.outbox[s].push(Hop {
+                    to,
+                    from: v,
+                    frame,
+                    stamp,
+                });
+            }
             self.stats.inc(Metric::LocalFrames);
-            self.localq.push_back((to, v, frame));
             return;
         }
         if let Some(link) = state.links.get(&to) {
@@ -1065,8 +1230,8 @@ impl<P: Probe> Shard<P> {
 
     fn start_dial(&mut self, v: NodeId, to: NodeId, intent: DialIntent, frames: Vec<Frame>) {
         debug_assert!(
-            !self.nodes.contains_key(&to),
-            "node {v} dialing co-sharded peer {to}"
+            self.siblings.shard_of[to].is_none(),
+            "node {v} dialing peer {to}, which this runtime hosts"
         );
         let state = self.nodes.get_mut(&v).expect("owned node");
         state.pending.insert(
@@ -1164,7 +1329,9 @@ impl<P: Probe> Shard<P> {
         }
     }
 
-    /// Permanently fail node `v` and propagate the failure to every shard.
+    /// Permanently fail node `v` and its waiters. Only a node another process
+    /// hosts is ever dialed, so acquirers at other nodes live in other
+    /// processes and learn of the failure through their own bounded waits.
     fn fail_node(&mut self, v: NodeId, peer: NodeId, error: &io::Error) {
         let state = self.nodes.get_mut(&v).expect("owned node");
         if state.failed.is_some() {
@@ -1190,12 +1357,7 @@ impl<P: Probe> Shard<P> {
             .journal
             .records
             .retain(|rec| !doomed.contains(&(rec.obj, rec.successor)));
-        enter_failed_state(state, failure.clone());
-        for injector in self.peers.iter() {
-            let _ = injector.send(ShardCmd::PeerFailed {
-                failure: failure.clone(),
-            });
-        }
+        enter_failed_state(state, failure);
     }
 
     // ---- inbound I/O -------------------------------------------------------
@@ -1378,9 +1540,9 @@ impl<P: Probe> Shard<P> {
                 },
                 ConnState::AwaitHello => match frame {
                     Frame::Hello { node } => {
-                        // Out of range, or claiming a node this shard owns:
-                        // co-sharded peers talk through `localq`, never dial.
-                        if node >= self.addrs.len() || self.nodes.contains_key(&node) {
+                        // Out of range, or claiming a node this runtime
+                        // hosts: hosted peers talk in memory, never dial.
+                        if self.siblings.shard_of.get(node).is_none_or(Option::is_some) {
                             self.stats.inc(Metric::UnexpectedFrames);
                             self.close_conn(idx, None);
                             return;
@@ -1436,8 +1598,8 @@ impl<P: Probe> Shard<P> {
             (c.node, c.peer.expect("peer known at promote"), c.dialed)
         };
         debug_assert!(
-            !self.nodes.contains_key(&peer),
-            "link {v}<->{peer} installed between co-sharded nodes"
+            self.siblings.shard_of[peer].is_none(),
+            "link {v}<->{peer} installed between nodes this runtime hosts"
         );
         if dialed {
             self.stats.inc(Metric::ConnectionsDialed);
@@ -1635,7 +1797,7 @@ impl<P: Probe> Shard<P> {
                 origin,
                 epoch,
             }) => {
-                if origin >= self.addrs.len() {
+                if origin >= self.siblings.shard_of.len() {
                     self.stats.inc(Metric::UnexpectedFrames);
                     return;
                 }
@@ -1857,6 +2019,15 @@ impl<P: Probe> Shard<P> {
         // staged ahead of the Goodbyes and `localq` is empty again before the
         // next command.
         self.run_to_quiescence();
+        // Everything sent to siblings so far goes out ahead of the `Done`
+        // marker, the in-memory `Goodbye`.
+        self.flush_outboxes();
+        for (s, sibling) in self.siblings.inboxes.iter().enumerate() {
+            if s != self.id {
+                sibling.send(ShardCmd::Done);
+            }
+        }
+        self.said_done = true;
         // 2. Stop accepting and abandon half-done handshakes.
         let stale: Vec<usize> = self
             .slab
@@ -1914,27 +2085,49 @@ mod tests {
         }
     }
 
-    /// The manifest of one shard that owns both nodes of a two-node path
-    /// (root 0, child 1) serving `objects` objects, with bound listeners.
-    fn co_sharded_pair(objects: usize) -> (ReactorShared, Vec<NodeSeed<NoProbe>>) {
+    /// A two-node path (root 0, child 1) serving `objects` objects, with each
+    /// node's seed; node 0 gets `listener` if one is given.
+    fn pair(
+        objects: usize,
+        listener: Option<TcpListener>,
+    ) -> (ReactorShared, NodeSeed<NoProbe>, NodeSeed<NoProbe>) {
         let tree = RootedTree::from_tree_graph(&generators::path(2), 0);
-        let listeners: Vec<TcpListener> = (0..2)
-            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-            .collect();
-        let addrs = listeners
+        let addrs = listener
             .iter()
             .map(|l| l.local_addr().expect("listener addr"))
             .collect();
         let shared = shared_for(tree, addrs);
-        let owned = listeners
+        let core = |v| ArrowCore::for_tree_with_probe(v, &shared.tree, objects, NoProbe);
+        let (seed0, seed1) = ((0, core(0), listener), (1, core(1), None));
+        (shared, seed0, seed1)
+    }
+
+    /// Hand-driven shards (no threads) for the manifest `shard_nodes`.
+    fn hand_driven(
+        shared: &ReactorShared,
+        shard_nodes: Vec<Vec<NodeSeed<NoProbe>>>,
+    ) -> Vec<Shard<NoProbe>> {
+        let siblings = Siblings::new(shared.tree.node_count(), &shard_nodes);
+        shard_nodes
             .into_iter()
             .enumerate()
-            .map(|(v, l)| {
-                let core = ArrowCore::for_tree_with_probe(v, &shared.tree, objects, NoProbe);
-                (v, core, l)
-            })
-            .collect();
-        (shared, owned)
+            .map(|(s, nodes)| Shard::new(shared, Arc::clone(&siblings), s, nodes))
+            .collect()
+    }
+
+    /// One shard's share of a loop cycle, minus the sockets: take the inbox,
+    /// run to quiescence, hand the outboxes over.
+    fn cycle(shard: &mut Shard<NoProbe>) {
+        shard.drain_inbox();
+        shard.run_to_quiescence();
+        shard.flush_outboxes();
+    }
+
+    /// Nodes 0 and 1 of a two-node path on shards 0 and 1 of one runtime.
+    fn split_pair(objects: usize) -> (ReactorShared, Vec<Shard<NoProbe>>) {
+        let (shared, seed0, seed1) = pair(objects, None);
+        let shards = hand_driven(&shared, vec![vec![seed0], vec![seed1]]);
+        (shared, shards)
     }
 
     /// Read frames off a blocking socket until `want` have been scanned out.
@@ -1972,7 +2165,7 @@ mod tests {
         let addrs = vec![addr0, "127.0.0.1:1".parse().expect("addr literal")];
         let shared = shared_for(tree, addrs);
         let core = ArrowCore::for_tree_with_probe(0, &shared.tree, 1, NoProbe);
-        let (injectors, threads) = spawn_shards(&shared, vec![vec![(0, core, listener)]]);
+        let (injectors, threads) = spawn_shards(&shared, vec![vec![(0, core, Some(listener))]]);
 
         let mut peer = TcpStream::connect(addr0).expect("dial the shard");
         peer.set_read_timeout(Some(Duration::from_secs(10)))
@@ -2058,12 +2251,8 @@ mod tests {
     /// and `dirtyq` empty, and never opens, dials or flushes a socket.
     #[test]
     fn co_sharded_frames_move_in_memory_in_send_order_until_quiescent() {
-        let (shared, owned) = co_sharded_pair(2);
-        let inbox = Inbox::new();
-        let peers = Arc::new(vec![ShardInjector {
-            inbox: Arc::clone(&inbox),
-        }]);
-        let mut shard = Shard::new(&shared, inbox, peers, owned);
+        let (shared, seed0, seed1) = pair(2, None);
+        let mut shard = hand_driven(&shared, vec![vec![seed0, seed1]]).remove(0);
 
         let (reply, grants) = std::sync::mpsc::channel();
         for obj in [ObjectId(0), ObjectId(1)] {
@@ -2098,14 +2287,15 @@ mod tests {
         );
     }
 
-    /// Co-sharded nodes talk through `localq` and never dial each other, so a
-    /// `Hello` claiming the id of a node the accepting shard itself owns can
-    /// only be a confused or hostile peer: the shard refuses it instead of
-    /// installing a link that would split the pair across two transports.
+    /// Nodes one runtime hosts talk in memory and never dial each other, so a
+    /// `Hello` claiming the id of such a node can only be a confused or
+    /// hostile peer: the shard refuses it instead of installing a link that
+    /// would split the pair across two transports.
     #[test]
     fn hello_claiming_a_co_sharded_id_is_refused() {
-        let (shared, owned) = co_sharded_pair(1);
-        let (injectors, threads) = spawn_shards(&shared, vec![owned]);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let (shared, seed0, seed1) = pair(1, Some(listener));
+        let (injectors, threads) = spawn_shards(&shared, vec![vec![seed0, seed1]]);
 
         let mut peer = TcpStream::connect(shared.addrs[0]).expect("dial the shard");
         peer.set_read_timeout(Some(Duration::from_secs(10)))
@@ -2127,6 +2317,119 @@ mod tests {
         for t in threads {
             t.join().expect("shard joins");
         }
+    }
+
+    /// Crash drops incident frames on the memory path too: a `queue()` that
+    /// node 1's shard stamped before the root crashed and restarted reaches
+    /// the root's shard afterwards, is counted in `FramesDropped` and never
+    /// fed to the restarted root. The recovery epoch's re-issued `queue()`,
+    /// stamped after the restart, gets through and is granted.
+    #[test]
+    fn cross_shard_frame_sent_before_the_destination_crashed_is_dropped() {
+        let (shared, mut shards) = split_pair(1);
+        shared.faults_armed.store(true, Ordering::Relaxed);
+        let (reply, grants) = std::sync::mpsc::channel();
+        shards[1].handle_cmd(ShardCmd::Acquire {
+            node: 1,
+            obj: ObjectId(0),
+            reply,
+        });
+        shards[1].run_to_quiescence();
+        assert_eq!(shards[1].outbox[0].len(), 1, "queue() 1->0 is stamped");
+        shards[0].handle_cmd(ShardCmd::Crash { node: 0 });
+        shards[0].handle_cmd(ShardCmd::Restart { node: 0 });
+        shards[1].flush_outboxes();
+        cycle(&mut shards[0]);
+        cycle(&mut shards[1]);
+        assert_eq!(shared.stats.snapshot().frames_dropped, 1);
+        assert!(
+            shards[0].nodes[&0].journal.records.is_empty(),
+            "the restarted root never saw the queue()"
+        );
+        assert!(grants.try_recv().is_err(), "nothing answered it");
+
+        for shard in &mut shards {
+            shard.handle_cmd(ShardCmd::Epoch { epoch: 1 });
+        }
+        for _ in 0..2 {
+            for shard in &mut shards {
+                cycle(shard);
+            }
+        }
+        let grant = grants.try_recv().expect("the re-issued request is granted");
+        assert!(grant.result.is_ok());
+        assert_eq!(shared.stats.snapshot().frames_dropped, 1);
+    }
+
+    /// Per-link FIFO across batches: four acquires at node 1, one per sender
+    /// cycle, reach the root's inbox as four `Frames` commands; drained in
+    /// order, they send the four tokens back in the order the acquires were
+    /// issued. Every hop is counted as a socket-free delivery.
+    #[test]
+    fn cross_shard_batches_keep_per_link_fifo() {
+        let objects = 4;
+        let (shared, mut shards) = split_pair(objects);
+        let (reply, grants) = std::sync::mpsc::channel();
+        for obj in 0..objects as u32 {
+            shards[1].handle_cmd(ShardCmd::Acquire {
+                node: 1,
+                obj: ObjectId(obj),
+                reply: reply.clone(),
+            });
+            cycle(&mut shards[1]);
+        }
+        let queued = shards[0].inbox.queue.lock().expect("inbox lock").len();
+        assert_eq!(queued, objects, "one batch per sender cycle");
+        cycle(&mut shards[0]);
+        cycle(&mut shards[1]);
+        let granted: Vec<u32> = grants.try_iter().map(|g| g.obj.0).collect();
+        assert_eq!(granted, [0, 1, 2, 3]);
+        let snap = shared.stats.snapshot();
+        assert_eq!(snap.local_frames, 2 * objects as u64);
+        assert_eq!(snap.local_frames, snap.queue_frames + snap.token_frames);
+        assert_eq!((snap.socket_writes, snap.bytes_sent), (0, 0));
+    }
+
+    /// Shutdown keeps `Goodbye` semantics with batches in flight both ways:
+    /// node 1's shard pushes its `Done` marker right behind a batch of
+    /// `queue()` frames, and the root's shard answers them with tokens before
+    /// pushing its own. No frame sent ahead of a marker is lost, neither shard
+    /// may exit before it holds its sibling's marker, and the two shards'
+    /// journals validate.
+    #[test]
+    fn shutdown_loses_no_cross_shard_frame_sent_before_the_done_marker() {
+        let objects = 2;
+        let (_shared, mut shards) = split_pair(objects);
+        let (reply, grants) = std::sync::mpsc::channel();
+        for obj in 0..objects as u32 {
+            shards[1].handle_cmd(ShardCmd::Acquire {
+                node: 1,
+                obj: ObjectId(obj),
+                reply: reply.clone(),
+            });
+        }
+        shards[1].handle_cmd(ShardCmd::Shutdown);
+        assert!(!shards[1].may_exit(), "the root's marker is still out");
+        cycle(&mut shards[0]);
+        shards[0].handle_cmd(ShardCmd::Shutdown);
+        assert!(shards[0].may_exit(), "the root holds node 1's marker");
+        cycle(&mut shards[1]);
+        assert!(shards[1].may_exit());
+        let granted = grants.try_iter().filter(|g| g.result.is_ok()).count();
+        assert_eq!(granted, objects, "every token sent before a marker landed");
+
+        let (mut issued, mut records) = (Vec::new(), Vec::new());
+        for shard in shards {
+            for (_, journal) in shard.finish() {
+                issued.extend(journal.issued);
+                records.extend(journal.records);
+            }
+        }
+        issued.sort_by_key(|r| (r.time, r.id));
+        let schedule = arrow_core::prelude::RequestSchedule::from_requests(issued);
+        let orders = arrow_core::order::per_object_orders(&records, &schedule)
+            .expect("the shards' journals validate");
+        assert_eq!(orders.len(), objects);
     }
 
     /// EPOLLOUT backpressure: with nobody reading, staged frames must fill the

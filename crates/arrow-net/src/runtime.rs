@@ -1,26 +1,29 @@
 //! The socket-tier arrow runtime: a small pool of event-loop shards drives every
-//! node, protocol traffic over loopback TCP, application commands over local
+//! node this process hosts, protocol traffic in memory between hosted nodes and
+//! over TCP toward nodes of other processes, application commands over local
 //! handles.
 //!
 //! Protocol logic is [`arrow_core::live::ArrowCore`] — the exact state machine the
 //! thread runtime uses — so the two real-concurrency tiers cannot drift. What this
 //! module adds is the distribution: nodes are partitioned across
 //! [`NetConfig::shards`] reactor threads (the crate's internal `reactor`
-//! module), each running
-//! one `epoll` loop over the nonblocking listeners and connections of its nodes;
-//! `queue()` frames travel the spanning-tree edges, token grants travel
-//! lazily-dialed direct channels. A hop between two nodes of one shard is a
-//! memory move inside that shard; only hops between shards use a socket (the
-//! delivery rule is spelled out on [`NetConfig::shards`]).
+//! module), each running one `epoll` loop over its inbox, its timers and the
+//! connections of its nodes. A hop between two nodes this runtime hosts is a
+//! memory move — inside a shard, or one inbox hand-off between shards; only a
+//! node another process hosts ([`NetRuntime::spawn_daemon`]) is reached over a
+//! socket, where `queue()` frames travel the spanning-tree edges and token
+//! grants travel lazily-dialed direct channels (the delivery rule is spelled
+//! out on [`NetConfig::shards`]).
 //!
 //! # Hot-path shape
 //!
-//! A shard wakes once per readiness batch, drains every ready socket, feeds the
-//! decoded frames through the owning node's core, carries same-shard frames
-//! from core to core in memory until none is left, and only then flushes each
-//! dirty link's coalesced frame batch with one `write` — no per-node threads,
-//! no per-frame wakeups, and thread count is O(shards) rather than O(nodes),
-//! which is what lets a single process host ≥1024 nodes. With injected latency frames are
+//! A shard wakes once per readiness batch, drains every ready socket and its
+//! inbox, feeds the frames through the owning node's core, carries frames
+//! between its own nodes in memory until none is left, then hands each sibling
+//! shard one batch of the frames addressed to it and flushes each dirty link's
+//! coalesced frame batch with one `write` — no per-node threads, no per-frame
+//! wakeups, and thread count is O(shards) rather than O(nodes), which is what
+//! lets a single process host ≥1024 nodes. With injected latency frames are
 //! scheduled on the shard's timer wheel, whose next deadline doubles as the
 //! `epoll_wait` timeout, so a shard sleeps in exactly one place. Applications
 //! that want to overlap round-trips use the pipelined acquire API
@@ -36,7 +39,7 @@
 //! to the same correctness contract as a simulated one.
 
 use crate::mesh::{NetConfig, NetStats, NetStatsSnapshot};
-use crate::reactor::{spawn_shards, ReactorShared, ShardCmd, ShardInjector};
+use crate::reactor::{spawn_shards, NodeSeed, ReactorShared, ShardCmd, ShardInjector};
 use arrow_core::live::ArrowCore;
 use arrow_core::order::OrderError;
 use arrow_core::prelude::{
@@ -102,7 +105,9 @@ pub(crate) struct NodeJournal {
 }
 
 /// The distributed arrow directory runtime: every node of the spanning tree is an
-/// independent peer whose protocol traffic travels real loopback TCP sockets.
+/// independent peer driven by a reactor shard — all of them in this process
+/// ([`NetRuntime::spawn_multi`]), or one, talking TCP to the others
+/// ([`NetRuntime::spawn_daemon`]).
 ///
 /// See the [crate docs](crate) for the architecture; see [`NetRuntime::shutdown`]
 /// for the validation story.
@@ -131,42 +136,19 @@ impl NetRuntime {
         NetRuntime::spawn_multi(tree, 1, cfg)
     }
 
-    /// Spawn the socket runtime over the given rooted spanning tree, serving
-    /// `objects` independent mobile objects. Every object's token initially sits at
-    /// the tree root, already released.
+    /// Spawn the runtime over the given rooted spanning tree, serving `objects`
+    /// independent mobile objects. Every object's token initially sits at the
+    /// tree root, already released.
     ///
-    /// Bootstrap: every node binds a loopback listener; once all listeners exist,
-    /// every non-root node whose tree parent lives on another shard dials it and
-    /// runs the `Hello`/`Welcome` handshake (nonblocking, driven by the node's
-    /// shard), materializing exactly the cross-shard spanning-tree edges. Direct
-    /// token channels between shards are dialed lazily on first grant; nodes of
-    /// one shard need no connection at all.
+    /// The runtime hosts every node, spread over [`NetConfig::shards`] reactor
+    /// shards, so it binds no listener and dials nothing: every hop is a
+    /// memory move (see [`NetConfig::shards`]). Sockets belong to
+    /// [`NetRuntime::spawn_daemon`], where the peers live in other processes.
     ///
     /// # Panics
-    /// If `objects` is zero, or a loopback socket cannot be bound.
+    /// If `objects` is zero.
     pub fn spawn_multi(tree: &RootedTree, objects: usize, cfg: NetConfig) -> Self {
-        NetRuntime::spawn_multi_with_addr_overrides(tree, objects, cfg, &[])
-    }
-
-    /// Fault-injection variant of [`NetRuntime::spawn_multi`]: every entry of
-    /// `addr_overrides` replaces the advertised address of one node in the shared
-    /// address table, so every dial *towards* that node goes to the given address
-    /// instead of its real listener. Overriding with the address of a dropped
-    /// listener (connection refused) exercises the dial retry budget and the clean
-    /// failure path: the dialing node marks itself failed, its pending acquires
-    /// error out, and [`NetRuntime::shutdown`] still completes, reporting the
-    /// failure in [`NetReport::failures`].
-    ///
-    /// # Panics
-    /// If `objects` is zero, a loopback socket cannot be bound, or an override
-    /// names a node outside the tree.
-    pub fn spawn_multi_with_addr_overrides(
-        tree: &RootedTree,
-        objects: usize,
-        cfg: NetConfig,
-        addr_overrides: &[(NodeId, SocketAddr)],
-    ) -> Self {
-        NetRuntime::spawn_inner(tree, objects, cfg, addr_overrides, |_| NoProbe)
+        NetRuntime::spawn_multi_probed(tree, objects, cfg, |_| NoProbe)
     }
 
     /// Like [`NetRuntime::spawn_multi`], with a per-node probe instrumented into
@@ -180,45 +162,32 @@ impl NetRuntime {
         tree: &RootedTree,
         objects: usize,
         cfg: NetConfig,
-        probe_for: impl FnMut(NodeId) -> P,
-    ) -> Self {
-        NetRuntime::spawn_inner(tree, objects, cfg, &[], probe_for)
-    }
-
-    fn spawn_inner<P: Probe>(
-        tree: &RootedTree,
-        objects: usize,
-        cfg: NetConfig,
-        addr_overrides: &[(NodeId, SocketAddr)],
         mut probe_for: impl FnMut(NodeId) -> P,
     ) -> Self {
         assert!(objects > 0, "a directory serves at least one object");
-        let n = tree.node_count();
-        let stats = Arc::new(NetStats::default());
-
-        let mut listeners = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("failed to bind loopback");
-            addrs.push(listener.local_addr().expect("listener has an address"));
-            listeners.push(listener);
-        }
-        for &(node, addr) in addr_overrides {
-            assert!(node < n, "override names node {node} outside the tree");
-            addrs[node] = addr;
-        }
-
         // Partition the nodes across the shard pool round-robin: node `v` lives
         // on shard `v % shard_count`, so handles and fault injectors can route
         // commands without a lookup table.
-        let shard_count = cfg.effective_shards(n);
-        let mut shard_nodes: Vec<Vec<(NodeId, ArrowCore<P>, TcpListener)>> =
-            (0..shard_count).map(|_| Vec::new()).collect();
-        for (v, listener) in listeners.into_iter().enumerate() {
+        let shard_count = cfg.effective_shards(tree.node_count());
+        let mut shard_nodes: Vec<Vec<NodeSeed<P>>> = (0..shard_count).map(|_| Vec::new()).collect();
+        for v in 0..tree.node_count() {
             let core = ArrowCore::for_tree_with_probe(v, tree, objects, probe_for(v));
-            shard_nodes[v % shard_count].push((v, core, listener));
+            shard_nodes[v % shard_count].push((v, core, None));
         }
+        NetRuntime::launch(tree, objects, cfg, Vec::new(), shard_nodes, None)
+    }
 
+    /// Start the shards of the manifest `shard_nodes`; `addrs` is the address
+    /// table for the nodes it does not list, `hosted` the daemon's one node.
+    fn launch<P: Probe>(
+        tree: &RootedTree,
+        objects: usize,
+        cfg: NetConfig,
+        addrs: Vec<SocketAddr>,
+        shard_nodes: Vec<Vec<NodeSeed<P>>>,
+        hosted: Option<NodeId>,
+    ) -> Self {
+        let stats = Arc::new(NetStats::default());
         let blocked = Arc::new(Mutex::new(HashSet::new()));
         let faults_armed = Arc::new(AtomicBool::new(false));
         let shared = ReactorShared {
@@ -231,15 +200,14 @@ impl NetRuntime {
             epoch0: Instant::now(),
         };
         let (injectors, shard_threads) = spawn_shards(&shared, shard_nodes);
-
         NetRuntime {
             injectors,
             shard_threads,
             stats,
             blocked,
             faults_armed,
-            hosted: None,
-            n,
+            hosted,
+            n: tree.node_count(),
             k: objects,
         }
     }
@@ -251,10 +219,11 @@ impl NetRuntime {
     /// tree node, `addrs[me]` being this listener's address) — typically
     /// exchanged over a control channel before the mesh comes up.
     ///
-    /// Protocol behaviour is identical to the in-process runtime: the node
-    /// dials its tree parent for the `Hello`/`Welcome` handshake at bootstrap,
-    /// token channels dial lazily, and the single local shard journals issued
-    /// requests and observed order records for [`NetRuntime::shutdown`].
+    /// Protocol behaviour is identical to the in-process runtime, but every
+    /// hop pays the wire: the node dials its tree parent for the
+    /// `Hello`/`Welcome` handshake at bootstrap, token channels dial lazily,
+    /// and the single local shard journals issued requests and observed order
+    /// records for [`NetRuntime::shutdown`].
     /// `seq_base` restores the request-id counter after a process-granularity
     /// restart (see [`ArrowCore::advance_request_seq`]); pass `0` for a fresh
     /// incarnation.
@@ -284,32 +253,10 @@ impl NetRuntime {
             "address table covers every tree node ({n}), got {}",
             addrs.len()
         );
-        let stats = Arc::new(NetStats::default());
         let mut core = ArrowCore::for_tree_with_probe(me, tree, objects, NoProbe);
         core.advance_request_seq(seq_base);
-        let shard_nodes = vec![vec![(me, core, listener)]];
-        let blocked = Arc::new(Mutex::new(HashSet::new()));
-        let faults_armed = Arc::new(AtomicBool::new(false));
-        let shared = ReactorShared {
-            cfg,
-            tree: Arc::new(tree.clone()),
-            addrs: Arc::new(addrs),
-            stats: Arc::clone(&stats),
-            blocked: Arc::clone(&blocked),
-            faults_armed: Arc::clone(&faults_armed),
-            epoch0: Instant::now(),
-        };
-        let (injectors, shard_threads) = spawn_shards(&shared, shard_nodes);
-        NetRuntime {
-            injectors,
-            shard_threads,
-            stats,
-            blocked,
-            faults_armed,
-            hosted: Some(me),
-            n,
-            k: objects,
-        }
+        let shard_nodes = vec![vec![(me, core, Some(listener))]];
+        NetRuntime::launch(tree, objects, cfg, addrs, shard_nodes, Some(me))
     }
 
     /// Number of nodes.
@@ -373,7 +320,8 @@ impl NetRuntime {
         }
     }
 
-    /// Stop every peer (goodbye handshakes, sockets closed) and assemble the run's
+    /// Stop every peer (`Goodbye` on every socket and its in-memory
+    /// counterpart between shards, sockets closed) and assemble the run's
     /// [`NetReport`]. Call only once all application-level acquires have returned —
     /// a request still waiting for its token would never be granted.
     pub fn shutdown(mut self) -> NetReport {
@@ -423,9 +371,10 @@ pub struct NetFaultHandle {
 }
 
 impl NetFaultHandle {
-    /// Crash node `v`: its TCP links are cut abruptly, its volatile protocol
-    /// state is discarded, in-flight local acquires fail promptly, and all
-    /// traffic is ignored until [`restart`].
+    /// Crash node `v`: its TCP links (if any) are cut abruptly, frames in
+    /// flight to or from it are lost, its volatile protocol state is
+    /// discarded, in-flight local acquires fail promptly, and all traffic is
+    /// ignored until [`restart`].
     ///
     /// [`restart`]: NetFaultHandle::restart
     pub fn crash(&self, v: NodeId) {
@@ -433,7 +382,8 @@ impl NetFaultHandle {
     }
 
     /// Restart crashed node `v` with freshly reset protocol state; it re-dials
-    /// its tree parent and rejoins at the next epoch bump.
+    /// its tree parent if another process hosts it, and rejoins at the next
+    /// epoch bump.
     pub fn restart(&self, v: NodeId) {
         let _ = self.injectors[v % self.injectors.len()].send(ShardCmd::Restart { node: v });
     }
@@ -786,6 +736,68 @@ mod tests {
         RootedTree::from_tree_graph(&generators::balanced_binary_tree(n), 0)
     }
 
+    /// One single-object daemon-mode runtime per node of `t`, as `arrowd`
+    /// processes would run them: every hop crosses loopback TCP. All share one
+    /// address table, which `edit(v, table)` may change for node `v` (to name
+    /// a refused peer, say).
+    fn daemon_mesh(
+        t: &RootedTree,
+        cfg: NetConfig,
+        edit: impl Fn(NodeId, &mut Vec<SocketAddr>),
+    ) -> Vec<NetRuntime> {
+        let listeners: Vec<TcpListener> = (0..t.node_count())
+            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+        listeners
+            .into_iter()
+            .enumerate()
+            .map(|(v, l)| {
+                let mut table = addrs.clone();
+                edit(v, &mut table);
+                NetRuntime::spawn_daemon(t, 1, cfg, v, l, table, 0)
+            })
+            .collect()
+    }
+
+    /// Shut every daemon down and validate their merged journals, the merge
+    /// the cluster harness makes.
+    fn shutdown_mesh(daemons: Vec<NetRuntime>) -> (Vec<NetReport>, Vec<(ObjectId, QueuingOrder)>) {
+        let reports: Vec<NetReport> = daemons.into_iter().map(NetRuntime::shutdown).collect();
+        let mut issued: Vec<Request> = Vec::new();
+        let mut records = Vec::new();
+        for r in &reports {
+            issued.extend_from_slice(r.schedule().requests());
+            records.extend_from_slice(r.records());
+        }
+        issued.sort_by_key(|r| (r.time, r.id));
+        let schedule = RequestSchedule::from_requests(issued);
+        let orders = arrow_core::order::per_object_orders(&records, &schedule).unwrap();
+        (reports, orders)
+    }
+
+    /// One counter summed over several runtimes' reports.
+    fn total(reports: &[NetReport], counter: impl Fn(NetStatsSnapshot) -> u64) -> u64 {
+        reports.iter().map(|r| counter(r.stats())).sum()
+    }
+
+    /// Node 1 of a two-node tree, alone in its daemon, whose address table
+    /// names a refused address for its parent.
+    fn daemon_with_refused_parent(cfg: NetConfig) -> NetRuntime {
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![refused_addr(), l1.local_addr().unwrap()];
+        NetRuntime::spawn_daemon(&tree(2), 1, cfg, 1, l1, addrs, 0)
+    }
+
+    /// Poll `ready` until it holds, for at most ten seconds.
+    fn eventually(what: &str, ready: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !ready() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn spawn_and_shutdown_with_no_traffic() {
         let rt = NetRuntime::spawn(&tree(5), NetConfig::instant());
@@ -795,34 +807,38 @@ mod tests {
         assert!(report.schedule().is_empty());
         assert!(report.records().is_empty());
         assert_eq!(report.stats().acquisitions, 0);
-        // An immediate shutdown may race the bootstrap dials, but never exceeds the
-        // tree edges when no token ever moved.
-        assert!(report.stats().connections_dialed <= 4);
+        assert_eq!(
+            report.stats().connections_dialed,
+            0,
+            "hosted peers never dial"
+        );
     }
 
     #[test]
     fn single_remote_acquire_crosses_real_sockets() {
-        // One node per shard: no pair is co-sharded, so every hop of the
-        // 6 -> 2 -> 0 path and the token's way back pays the wire.
-        let rt = NetRuntime::spawn(&tree(7), NetConfig::instant().with_shards(7));
-        let h = rt.handle(6);
+        // One daemon per node: every hop of the 6 -> 2 -> 0 path and the
+        // token's way back pays the wire.
+        let daemons = daemon_mesh(&tree(7), NetConfig::instant(), |_, _| {});
+        let h = daemons[6].handle(6);
         let req = h.acquire();
         h.release(req);
-        let report = rt.shutdown();
-        assert_eq!(report.stats().acquisitions, 1);
+        let (reports, orders) = shutdown_mesh(daemons);
+        assert_eq!(total(&reports, |s| s.acquisitions), 1);
         assert!(
-            report.stats().queue_frames >= 1,
+            total(&reports, |s| s.queue_frames) >= 1,
             "leaf request crossed links"
         );
-        assert!(report.stats().token_frames >= 1, "token travelled back");
-        assert!(report.stats().bytes_sent > 0);
         assert!(
-            report.stats().bytes_received > 0,
+            total(&reports, |s| s.token_frames) >= 1,
+            "token travelled back"
+        );
+        assert!(total(&reports, |s| s.bytes_sent) > 0);
+        assert!(
+            total(&reports, |s| s.bytes_received) > 0,
             "readers count their bytes"
         );
-        assert!(report.stats().socket_writes >= 1);
-        assert_eq!(report.stats().local_frames, 0);
-        let orders = report.validated_orders().unwrap();
+        assert!(total(&reports, |s| s.socket_writes) >= 1);
+        assert_eq!(total(&reports, |s| s.local_frames), 0);
         assert_eq!(orders.len(), 1);
         assert_eq!(orders[0].1.len(), 1);
     }
@@ -942,9 +958,7 @@ mod tests {
         // the node thread, leaving acquirers blocked and shutdown joins hanging.
         // Now the child marks itself failed, the acquire errors out, and shutdown
         // completes with the failure reported.
-        let cfg = NetConfig::instant().with_dial_retries(1);
-        let rt =
-            NetRuntime::spawn_multi_with_addr_overrides(&tree(2), 1, cfg, &[(0, refused_addr())]);
+        let rt = daemon_with_refused_parent(NetConfig::instant().with_dial_retries(1));
         // Node 1 dialed its (unreachable) parent at bootstrap: the acquire must
         // fail with a typed NetFailure, not block or panic.
         let failure = rt.handle(1).try_acquire().unwrap_err();
@@ -962,22 +976,33 @@ mod tests {
     #[test]
     fn remote_acquirer_fails_cleanly_when_its_token_grant_cannot_be_delivered() {
         // Leaf 3 of a 7-node balanced binary tree acquires; the queue() walks
-        // 3 -> 1 -> 0 over eagerly-established tree links, then the root must
-        // lazily dial node 3 to deliver the token — but node 3's advertised
-        // address is refused. Pre-fix, only the *root* failed its own (empty)
-        // waiter map and node 3's acquirer blocked forever; the PeerFailed
-        // broadcast must now fail node 3's acquire with a typed error. (Two
-        // shards pin nodes 0 and 3 apart: a co-sharded pair never dials.)
-        let cfg = NetConfig::instant().with_dial_retries(1).with_shards(2);
-        let rt =
-            NetRuntime::spawn_multi_with_addr_overrides(&tree(7), 1, cfg, &[(3, refused_addr())]);
-        let failure = rt.handle(3).try_acquire().unwrap_err();
+        // 3 -> 1 -> 0 over the tree links the children dialed, then the root
+        // must lazily dial node 3 to deliver the token — but the root's address
+        // table names a refused address for node 3. The root fails cleanly: one
+        // journaled failure, its own acquires refused from then on. No failure
+        // notice crosses a process boundary, so node 3's bounded wait is what
+        // turns the undeliverable grant into a typed error instead of a hang.
+        let cfg = NetConfig::instant().with_dial_retries(1);
+        let daemons = daemon_mesh(&tree(7), cfg, |v, table| {
+            if v == 0 {
+                table[3] = refused_addr();
+            }
+        });
+        let failure = daemons[3]
+            .handle(3)
+            .try_acquire_object_timeout(ObjectId::DEFAULT, Duration::from_secs(2))
+            .unwrap_err();
+        assert_eq!(failure.node, 3);
+        assert!(failure.description.contains("not granted within"));
+        let failure = daemons[0]
+            .handle(0)
+            .try_acquire_object_timeout(ObjectId::DEFAULT, Duration::from_secs(10))
+            .unwrap_err();
         assert_eq!(failure.node, 0, "the root observed the dial failure");
         assert!(failure.description.contains("failed to dial peer 3"));
-        let report = rt.shutdown();
-        // Exactly one journaled failure (the root's), not one per affected node.
-        assert_eq!(report.failures().len(), 1);
-        assert_eq!(report.stats().dial_failures, 1);
+        let reports: Vec<NetReport> = daemons.into_iter().map(NetRuntime::shutdown).collect();
+        assert_eq!(reports[0].failures().len(), 1);
+        assert_eq!(total(&reports, |s| s.dial_failures), 1, "the root's alone");
     }
 
     #[test]
@@ -996,18 +1021,19 @@ mod tests {
         // handshakes included — flows through the reactor's send and receive
         // buffers and is counted on both sides, and with no injected latency
         // and no faults nothing is dropped. So once the mesh is quiescent the
-        // two byte totals must match exactly.
-        let rt = NetRuntime::spawn(&tree(7), NetConfig::instant());
-        for v in 0..7 {
-            let h = rt.handle(v);
+        // two byte totals, summed over the daemons, must match exactly.
+        let daemons = daemon_mesh(&tree(7), NetConfig::instant(), |_, _| {});
+        for (v, d) in daemons.iter().enumerate() {
+            let h = d.handle(v);
             let req = h.acquire();
             h.release(req);
         }
-        let report = rt.shutdown();
-        let s = report.stats();
-        assert!(s.bytes_sent > 0, "seven acquires crossed the mesh");
+        let (reports, _) = shutdown_mesh(daemons);
+        let sent = total(&reports, |s| s.bytes_sent);
+        assert!(sent > 0, "seven acquires crossed the mesh");
         assert_eq!(
-            s.bytes_sent, s.bytes_received,
+            sent,
+            total(&reports, |s| s.bytes_received),
             "every written byte is read before its reader exits"
         );
     }
@@ -1034,7 +1060,7 @@ mod tests {
 
     #[test]
     fn probed_run_records_a_complete_hop_chain() {
-        // A leaf acquire over real sockets, with every node instrumented by a
+        // A leaf acquire across the reactor shards, with every node instrumented by a
         // wall-clock trace probe: the recorder must reconstruct the request's
         // full causal path — issue, per-hop queue frames, token flight, grant.
         let recorder = Arc::new(arrow_trace::TraceRecorder::new());
@@ -1094,11 +1120,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "hosts only node 1")]
     fn daemon_mode_handle_refuses_non_hosted_nodes() {
-        let t = tree(2);
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addrs = vec![refused_addr(), l1.local_addr().unwrap()];
-        let cfg = NetConfig::instant().with_fault_tolerance();
-        let d1 = NetRuntime::spawn_daemon(&t, 1, cfg, 1, l1, addrs, 0);
+        let d1 = daemon_with_refused_parent(NetConfig::instant().with_fault_tolerance());
         let _ = d1.handle(0);
     }
 
@@ -1138,9 +1160,7 @@ mod tests {
         // resolve to typed errors promptly — not block until the caller's own
         // timeout. The child fails itself once the retry budget is spent, and
         // every queued Acquire is refused at the shard.
-        let cfg = NetConfig::instant().with_dial_retries(1);
-        let rt =
-            NetRuntime::spawn_multi_with_addr_overrides(&tree(2), 1, cfg, &[(0, refused_addr())]);
+        let rt = daemon_with_refused_parent(NetConfig::instant().with_dial_retries(1));
         let pendings: Vec<PendingAcquire> = (0..4)
             .map(|_| rt.handle(1).start_acquire_object(ObjectId::DEFAULT))
             .collect();
@@ -1160,32 +1180,50 @@ mod tests {
 
     #[test]
     fn pipelined_acquires_fail_promptly_when_the_lazy_token_channel_is_refused() {
-        // Regression for the pipelined path across the mesh: node 3's queue()
-        // frames reach the root over healthy tree edges, but the root cannot
-        // dial node 3's (refused) advertised address to deliver the first token
-        // grant. The PeerFailed broadcast must fail *all* of node 3's in-flight
-        // pipelined acquires promptly, including the ones queued behind the
-        // undeliverable head-of-line grant. (Two shards pin nodes 0 and 3
-        // apart: a co-sharded pair never dials.)
-        let cfg = NetConfig::instant().with_dial_retries(1).with_shards(2);
-        let rt =
-            NetRuntime::spawn_multi_with_addr_overrides(&tree(7), 1, cfg, &[(3, refused_addr())]);
+        // Regression for the pipelined path across the mesh: the root holds
+        // the token while node 3's queue() reaches it over healthy tree edges,
+        // and three pipelined root acquires then queue behind node 3's request.
+        // Releasing hands the token to node 3 over a channel the root cannot
+        // dial (its table names a refused address for node 3): the root fails,
+        // and with it *all* its pipelined acquires, including the ones queued
+        // behind the undeliverable head-of-line grant — promptly, not at the
+        // caller's timeout.
+        let cfg = NetConfig::instant().with_dial_retries(1);
+        let daemons = daemon_mesh(&tree(7), cfg, |v, table| {
+            if v == 0 {
+                table[3] = refused_addr();
+            }
+        });
+        // Once nodes 1 and 2 finished dialing the root, it has read their
+        // Hellos: the next bytes it reads are node 3's queue().
+        eventually("the root's children are connected", || {
+            (1..=2).all(|v| daemons[v].stats().snapshot().connections_dialed == 1)
+        });
+        let root = daemons[0].handle(0);
+        let held = root.acquire();
+        let before = daemons[0].stats().snapshot().bytes_received;
+        let _remote = daemons[3].handle(3).start_acquire_object(ObjectId::DEFAULT);
+        eventually("node 3's queue() reaches the root", || {
+            daemons[0].stats().snapshot().bytes_received > before
+        });
         let pendings: Vec<PendingAcquire> = (0..3)
-            .map(|_| rt.handle(3).start_acquire_object(ObjectId::DEFAULT))
+            .map(|_| root.start_acquire_object(ObjectId::DEFAULT))
             .collect();
+        root.release(held);
         let started = Instant::now();
         for p in pendings {
-            assert!(
-                p.wait_timeout(Duration::from_secs(10)).is_err(),
-                "a grant whose token channel is refused must fail, not hang"
-            );
+            let failure = p
+                .wait_timeout(Duration::from_secs(10))
+                .expect_err("a grant whose token channel is refused must fail, not hang");
+            assert!(failure.description.contains("failed to dial peer 3"));
         }
         assert!(
             started.elapsed() < Duration::from_secs(8),
-            "the failure broadcast must fail queued pipelined acquires promptly"
+            "the dial failure must fail queued pipelined acquires promptly"
         );
-        let report = rt.shutdown();
-        assert_eq!(report.failures().len(), 1, "only the root journals it");
+        let reports: Vec<NetReport> = daemons.into_iter().map(NetRuntime::shutdown).collect();
+        assert_eq!(reports[0].failures().len(), 1, "only the root journals it");
+        assert_eq!(total(&reports, |s| s.dial_failures), 1);
     }
 
     #[test]
@@ -1195,8 +1233,8 @@ mod tests {
             .with_fault_tolerance();
         let rt = NetRuntime::spawn(&tree(7), cfg);
         let fh = rt.fault_handle();
-        // Leaf 5 wins the token over real sockets and crashes while holding it:
-        // its links are cut mid-run and the token dies with its state.
+        // Leaf 5 wins the token and crashes while holding it: frames in flight
+        // to or from it are lost and the token dies with its state.
         let req = rt.handle(5).try_acquire().expect("healthy mesh grants");
         assert!(!req.is_root());
         fh.apply(&FaultAction::CrashNode(5), 1);
@@ -1249,7 +1287,7 @@ mod tests {
     #[test]
     fn generated_fault_schedule_churn_run_converges_over_sockets() {
         // The socket-tier analogue of the thread runtime's churn test: workers
-        // acquire/release through real TCP links while a generated fault schedule
+        // acquire/release across the reactor shards while a generated fault schedule
         // (crashes, restarts, partitions) runs against the mesh. Liveness: every
         // surviving worker round is eventually granted; safety: the journaled
         // orders satisfy the per-epoch churn contract.

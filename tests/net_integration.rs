@@ -1,17 +1,24 @@
-//! Socket-tier integration tests: the arrow directory over real loopback TCP.
+//! Socket-tier integration tests: the arrow directory on the reactor shards of
+//! one runtime, and over real loopback TCP between daemon-mode runtimes.
 //!
-//! The headline scenario is the ISSUE's acceptance case: a K = 4-object workload on
-//! 32 nodes runs over real sockets and every per-object queuing order validates —
+//! The headline scenario: a K = 4-object workload on 32 nodes runs on the
+//! shards and every per-object queuing order validates —
 //! structurally (the same `QueuingOrder` contract the simulator harness enforces)
 //! and against `queuing-analysis` (each order's tree path cost must dominate the
 //! certified MST lower bound for that object's request set).
+//!
+//! A runtime that hosts every node never opens a socket; the wire is exercised
+//! by [`Daemons`], one `spawn_daemon` runtime per node in this process, the
+//! shape an `arrowd` cluster has.
 
+use arrow_core::order::QueuingOrder;
 use arrow_core::prelude::*;
-use arrow_net::{NetConfig, NetRuntime};
+use arrow_net::{NetConfig, NetHandle, NetReport, NetRuntime, NetStatsSnapshot};
 use desim::SimRng;
-use netgraph::{generators, RootedTree};
+use netgraph::{generators, NodeId, RootedTree};
 use queuing_analysis::cost::RequestSet;
 use queuing_analysis::tsp_bounds::mst_weight;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,35 +26,66 @@ fn tree(n: usize) -> RootedTree {
     RootedTree::from_tree_graph(&generators::balanced_binary_tree(n), 0)
 }
 
-/// Tree edges whose endpoints live on different reactor shards under the
-/// runtime's `v % shards` placement. Only these are ever dialed: a frame
-/// between two nodes of one shard is delivered in memory, so a co-sharded
-/// edge has no socket at all.
-fn cross_shard_tree_edges(t: &RootedTree, cfg: &NetConfig) -> u64 {
-    let shards = cfg.effective_shards(t.node_count());
-    (0..t.node_count())
-        .filter(|&v| t.parent(v).is_some_and(|p| p % shards != v % shards))
-        .count() as u64
+/// One daemon-mode runtime per tree node, all sharing one address table: every
+/// node lives in its own runtime, so every hop crosses loopback TCP.
+struct Daemons(Vec<NetRuntime>);
+
+impl Daemons {
+    fn spawn(t: &RootedTree, objects: usize, cfg: NetConfig) -> Daemons {
+        let listeners: Vec<TcpListener> = (0..t.node_count())
+            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+        let daemons = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(v, l)| NetRuntime::spawn_daemon(t, objects, cfg, v, l, addrs.clone(), 0));
+        Daemons(daemons.collect())
+    }
+
+    fn handle(&self, v: NodeId) -> NetHandle {
+        self.0[v].handle(v)
+    }
+
+    /// Shut every daemon down, returning their reports and the per-object
+    /// orders their merged journals validate to.
+    fn shutdown(self) -> (Vec<NetReport>, Vec<(ObjectId, QueuingOrder)>) {
+        let reports: Vec<NetReport> = self.0.into_iter().map(NetRuntime::shutdown).collect();
+        let mut issued: Vec<Request> = Vec::new();
+        let mut records = Vec::new();
+        for r in &reports {
+            issued.extend_from_slice(r.schedule().requests());
+            records.extend_from_slice(r.records());
+        }
+        issued.sort_by_key(|r| (r.time, r.id));
+        let schedule = RequestSchedule::from_requests(issued);
+        let orders = arrow_core::order::per_object_orders(&records, &schedule)
+            .unwrap_or_else(|(obj, e)| panic!("daemon journals: invalid order of {obj}: {e:?}"));
+        (reports, orders)
+    }
 }
 
-/// Drive `workers_per_object` worker threads per object (at seeded-random nodes),
-/// each performing `acquires` acquire/release rounds, then shut down and return the
-/// report.
+/// One counter summed over several runtimes' reports.
+fn total(reports: &[NetReport], counter: impl Fn(NetStatsSnapshot) -> u64) -> u64 {
+    reports.iter().map(|r| counter(r.stats())).sum()
+}
+
+/// Drive `workers_per_object` worker threads per object (at seeded-random nodes
+/// of an `n`-node directory reached through `handle`), each performing
+/// `acquires` acquire/release rounds; returns once every worker is done.
 fn drive(
-    rt: NetRuntime,
+    handle: impl Fn(NodeId) -> NetHandle,
+    n: usize,
     objects: usize,
     workers_per_object: usize,
     acquires: usize,
     seed: u64,
-) -> arrow_net::NetReport {
-    let n = rt.node_count();
-    let rt = Arc::new(rt);
+) {
     let mut rng = SimRng::new(seed);
     let mut joins = Vec::new();
     for obj in 0..objects {
         for _ in 0..workers_per_object {
-            let node = rng.index(n);
-            let h = rt.handle(node);
+            let h = handle(rng.index(n));
             joins.push(std::thread::spawn(move || {
                 for _ in 0..acquires {
                     let req = h.acquire_object(ObjectId(obj as u32));
@@ -60,10 +98,31 @@ fn drive(
     for j in joins {
         j.join().unwrap();
     }
-    Arc::try_unwrap(rt).ok().unwrap().shutdown()
 }
 
-/// The acceptance scenario: K = 4 objects on 32 nodes over real loopback TCP.
+/// [`drive`] a fresh runtime on `t`, then shut it down.
+fn drive_runtime(
+    t: &RootedTree,
+    cfg: NetConfig,
+    objects: usize,
+    workers_per_object: usize,
+    acquires: usize,
+    seed: u64,
+) -> NetReport {
+    let rt = NetRuntime::spawn_multi(t, objects, cfg);
+    let n = t.node_count();
+    drive(
+        |v| rt.handle(v),
+        n,
+        objects,
+        workers_per_object,
+        acquires,
+        seed,
+    );
+    rt.shutdown()
+}
+
+/// The acceptance scenario: K = 4 objects on 32 nodes across the reactor shards.
 /// Every per-object order must (a) validate as a queuing order over exactly that
 /// object's requests and (b) satisfy the queuing-analysis spatial lower bound: the
 /// order's tree path cost (sum of tree distances between consecutive requests,
@@ -75,8 +134,7 @@ fn k4_on_32_nodes_over_loopback_validates_via_queuing_analysis() {
     let n = 32;
     let k = 4;
     let t = tree(n);
-    let rt = NetRuntime::spawn_multi(&t, k, NetConfig::instant());
-    let report = drive(rt, k, 3, 5, 0xACCE);
+    let report = drive_runtime(&t, NetConfig::instant(), k, 3, 5, 0xACCE);
 
     let schedule = report.schedule();
     assert_eq!(schedule.len(), k * 3 * 5, "every acquire was journaled");
@@ -196,37 +254,34 @@ fn async_floor_from_run_config_bounds_injected_latency_below() {
     );
 }
 
-/// The mesh materializes the cross-shard tree edges at bootstrap and only grows by
-/// the direct token channels traffic actually needs — never the full n² mesh.
+/// Between daemons the mesh materializes every tree edge at bootstrap and only
+/// grows by the direct token channels traffic actually needs — never the full
+/// n² mesh.
 #[test]
 fn mesh_stays_sparse() {
     let n = 32;
     let t = tree(n);
-    let cfg = NetConfig::instant();
-    let tree_links = cross_shard_tree_edges(&t, &cfg);
-    let rt = NetRuntime::spawn_multi(&t, 2, cfg);
-    let report = drive(rt, 2, 2, 4, 0x5BA2);
-    let dialed = report.stats().connections_dialed;
-    // The cross-shard tree edges, plus at most one direct channel per (granter,
-    // origin) pair that actually exchanged a token; with 4 requester nodes that is
-    // far below n².
+    let daemons = Daemons::spawn(&t, 2, NetConfig::instant());
+    drive(|v| daemons.handle(v), n, 2, 2, 4, 0x5BA2);
+    let (reports, _) = daemons.shutdown();
+    let dialed = total(&reports, |s| s.connections_dialed);
+    // The tree edges, plus at most one direct channel per (granter, origin)
+    // pair that actually exchanged a token; with 4 requester nodes that is far
+    // below n².
     assert!(
-        dialed >= tree_links,
-        "only {dialed} connections dialed: every one of the {tree_links} tree edges \
-         that join two shards must materialize at bootstrap (the other {} join two \
-         nodes of one shard, are delivered in memory and never get a socket)",
-        (n - 1) as u64 - tree_links
+        dialed >= (n - 1) as u64,
+        "only {dialed} connections dialed: all {} tree edges must materialize at bootstrap",
+        n - 1
     );
     assert!(
         dialed < (n * n / 2) as u64,
         "mesh degenerated into all-pairs: {dialed} connections"
     );
-    assert_eq!(report.stats().unexpected_frames, 0);
-    report.validated_orders().unwrap();
+    assert_eq!(total(&reports, |s| s.unexpected_frames), 0);
 }
 
 /// Regression for the reactor's dial-race dedupe. Siblings 1 and 2 (no direct
-/// tree edge, different shards under `with_shards(2)`) each hold one object's
+/// tree edge, each in its own daemon) each hold one object's
 /// token while the other sibling's request is queued directly behind it.
 /// Barrier-synchronized releases then make both nodes dial each other at the
 /// same instant for the direct token handoff. Whichever round actually races,
@@ -240,10 +295,9 @@ fn simultaneous_cross_dials_collapse_onto_one_link() {
     let mut rounds = 0u32;
     for _ in 0..40 {
         rounds += 1;
-        let cfg = NetConfig::instant().with_shards(2);
-        let rt = NetRuntime::spawn_multi(&tree(3), 2, cfg);
-        let h1 = rt.handle(1);
-        let h2 = rt.handle(2);
+        let daemons = Daemons::spawn(&tree(3), 2, NetConfig::instant());
+        let h1 = daemons.handle(1);
+        let h2 = daemons.handle(2);
         let held1 = h1.acquire_object(ObjectId(0));
         let held2 = h2.acquire_object(ObjectId(1));
         // Queue the crossing requests behind the held tokens so that each
@@ -253,8 +307,8 @@ fn simultaneous_cross_dials_collapse_onto_one_link() {
         std::thread::sleep(Duration::from_millis(20));
         let barrier = Arc::new(std::sync::Barrier::new(2));
         let releasers = [
-            (rt.handle(1), ObjectId(0), held1),
-            (rt.handle(2), ObjectId(1), held2),
+            (daemons.handle(1), ObjectId(0), held1),
+            (daemons.handle(2), ObjectId(1), held2),
         ]
         .map(|(h, obj, req)| {
             let b = Arc::clone(&barrier);
@@ -274,12 +328,10 @@ fn simultaneous_cross_dials_collapse_onto_one_link() {
             .expect("token 2→1 must survive the dial race");
         h2.release_object(ObjectId(0), got2);
         h1.release_object(ObjectId(1), got1);
-        let report = rt.shutdown();
-        assert_eq!(report.stats().unexpected_frames, 0);
-        report
-            .validated_orders()
-            .expect("orders stay valid through the dial race");
-        collapsed += report.stats().dial_races_collapsed;
+        // Shutting down validates the merged orders through the dial race.
+        let (reports, _) = daemons.shutdown();
+        assert_eq!(total(&reports, |s| s.unexpected_frames), 0);
+        collapsed += total(&reports, |s| s.dial_races_collapsed);
         if collapsed >= 1 {
             break;
         }
@@ -292,7 +344,7 @@ fn simultaneous_cross_dials_collapse_onto_one_link() {
 
 /// A fault sever racing in-flight token writes: the 0↔1 tree edge is dropped
 /// and restored in rapid cycles while workers on both leaves keep the tokens
-/// moving through that edge. Token frames die mid-write when the sever lands;
+/// moving through that edge. Token frames die at the sender while it is severed;
 /// the epoch bumps must regenerate them, every surviving round must still be
 /// granted, and the journaled orders must satisfy the per-epoch churn
 /// contract.
@@ -366,12 +418,12 @@ fn link_sever_racing_in_flight_tokens_recovers_per_epoch_orders() {
     );
 }
 
-/// The tentpole scaling claim: one process hosts ≥1024 nodes because thread
-/// count is O(shards), not O(nodes). A 1025-node mesh materializes its
-/// cross-shard tree links (the co-sharded ones need no socket, which halves
-/// the fd cost at two shards) and serves a deep-leaf acquire while the whole
-/// process stays under a hundred threads — the old thread-per-connection tier
-/// would need thousands.
+/// The scaling claim: one process hosts ≥1024 nodes on O(shards) threads and
+/// O(shards) file descriptors — an epoll instance and an eventfd per shard,
+/// no listener and no connection, since every node is hosted in this process
+/// — while a deep-leaf acquire walks the full path to the root and back. The
+/// old thread-per-connection tier needed thousands of threads, and the
+/// socket-per-edge mesh over a thousand descriptors.
 #[test]
 fn process_hosts_1024_nodes_with_o_shards_threads() {
     fn thread_count() -> usize {
@@ -384,85 +436,123 @@ fn process_hosts_1024_nodes_with_o_shards_threads() {
             .parse()
             .expect("thread count")
     }
+    fn fd_count() -> usize {
+        std::fs::read_dir("/proc/self/fd").expect("procfs").count()
+    }
 
     let n = 1025;
     let t = tree(n);
-    let cfg = NetConfig::instant();
-    let tree_links = cross_shard_tree_edges(&t, &cfg);
-    let rt = NetRuntime::spawn(&t, cfg);
+    let fds_before = fd_count();
+    let rt = NetRuntime::spawn(&t, NetConfig::instant());
     let threads = thread_count();
     assert!(
         threads < 100,
         "hosting {n} nodes takes {threads} threads; the reactor pool must stay O(shards)"
     );
 
-    // The mesh is real: every tree edge that joins two shards was dialed, and
-    // a deep leaf's acquire walks the full path to the root and back.
     let h = rt.handle(n - 1);
     let req = h.acquire();
     h.release(req);
-    let report = rt.shutdown();
+    // Every shard has served the acquire, so its descriptors exist. Other
+    // tests of this binary may open sockets meanwhile, hence a bound far above
+    // O(shards) yet far below one descriptor per node.
+    let opened = fd_count().saturating_sub(fds_before);
     assert!(
-        report.stats().connections_dialed >= tree_links,
-        "all {tree_links} cross-shard tree edges must materialize, saw {}",
-        report.stats().connections_dialed
+        opened < n / 2,
+        "hosting {n} nodes opened {opened} descriptors; it must stay O(shards)"
     );
+    let report = rt.shutdown();
+    assert_eq!(report.stats().connections_dialed, 0);
     assert_eq!(report.stats().unexpected_frames, 0);
     report
         .validated_orders()
         .expect("1025-node order validates");
 }
 
-// ---- the two delivery paths ------------------------------------------------
+// ---- the delivery paths ----------------------------------------------------
 //
-// A frame between two nodes of one reactor shard is delivered in memory; every
-// other frame crosses a loopback socket. `with_shards(1)` makes every pair
-// co-sharded, `with_shards(n)` none, and anything in between mixes the two. The
-// tests below hold both paths to the same contracts.
+// A frame between two nodes of one reactor shard moves through the shard's
+// `localq`; between two shards of one runtime, through the destination shard's
+// inbox; toward a node another runtime hosts, over a loopback socket.
+// `with_shards(1)` uses the first path alone, more shards mix the first two,
+// and `Daemons` uses only the third. The tests below hold the paths to the
+// same contracts.
 
-/// One seeded closed-loop drive at three shard counts: all-memory, mixed, and
-/// all-wire. The orders validate in all three; the counters say which path the
-/// frames took.
+/// One seeded closed-loop drive three ways: in memory on one shard, in memory
+/// across two shards' threads, and on the wire between daemons. The orders
+/// validate in all three; the counters say which path the frames took.
 #[test]
 fn orders_validate_on_the_memory_path_the_wire_path_and_their_mix() {
     let n = 15;
     let k = 2;
-    let run = |shards: usize| {
-        let rt = NetRuntime::spawn_multi(&tree(n), k, NetConfig::instant().with_shards(shards));
-        let report = drive(rt, k, 3, 6, 0x2BA7);
-        assert_eq!(report.stats().acquisitions, (k * 3 * 6) as u64);
-        assert_eq!(report.stats().unexpected_frames, 0);
+    let t = tree(n);
+    let expected = (k * 3 * 6) as u64;
+    for shards in [1, 2] {
+        let report = drive_runtime(
+            &t,
+            NetConfig::instant().with_shards(shards),
+            k,
+            3,
+            6,
+            0x2BA7,
+        );
+        let stats = report.stats();
+        assert_eq!(stats.acquisitions, expected);
+        assert_eq!(stats.unexpected_frames, 0);
         let orders = report
             .validated_orders()
             .unwrap_or_else(|e| panic!("{shards} shard(s): invalid queuing order: {e:?}"));
         let total: usize = orders.iter().map(|(_, o)| o.len()).sum();
         assert_eq!(total, report.schedule().len(), "{shards} shard(s)");
-        report.stats()
-    };
+        assert!(stats.local_frames > 0, "{shards} shard(s)");
+    }
 
-    let memory = run(1);
+    let daemons = Daemons::spawn(&t, k, NetConfig::instant());
+    drive(|v| daemons.handle(v), n, k, 3, 6, 0x2BA7);
+    let (reports, orders) = daemons.shutdown();
+    assert_eq!(total(&reports, |s| s.acquisitions), expected);
+    assert_eq!(total(&reports, |s| s.unexpected_frames), 0);
+    let ordered: usize = orders.iter().map(|(_, o)| o.len()).sum();
+    assert_eq!(ordered as u64, expected);
     assert_eq!(
-        (memory.connections_dialed, memory.connections_accepted),
-        (0, 0),
-        "one shard owns every node: no pair may ever hold a socket"
+        total(&reports, |s| s.local_frames),
+        0,
+        "one node per daemon: every hop pays the wire"
     );
-    assert_eq!((memory.socket_writes, memory.bytes_sent), (0, 0));
-    assert_eq!(
-        memory.local_frames,
-        memory.queue_frames + memory.token_frames,
-        "every protocol frame was a memory move"
-    );
+    assert!(total(&reports, |s| s.connections_dialed) >= (n - 1) as u64);
+}
 
-    let mixed = run(2);
-    assert!(mixed.local_frames > 0, "half the tree edges are co-sharded");
-    assert!(mixed.socket_writes > 0, "the other half cross the wire");
-
-    let wire = run(n);
-    assert_eq!(
-        wire.local_frames, 0,
-        "one node per shard: every hop pays the wire"
-    );
-    assert!(wire.connections_dialed >= (n - 1) as u64);
+/// A runtime that hosts every node opens no socket, whatever its shard count:
+/// one shard, two, or one per node — every protocol frame is a socket-free
+/// delivery.
+#[test]
+fn a_runtime_hosting_every_node_opens_no_socket_at_any_shard_count() {
+    let n = 15;
+    for shards in [1, 2, n] {
+        let stats = drive_runtime(
+            &tree(n),
+            NetConfig::instant().with_shards(shards),
+            2,
+            2,
+            4,
+            0x50C,
+        )
+        .stats();
+        assert_eq!(
+            (
+                stats.socket_writes,
+                stats.bytes_sent,
+                stats.connections_dialed
+            ),
+            (0, 0, 0),
+            "{shards} shard(s)"
+        );
+        assert_eq!(
+            stats.local_frames,
+            stats.queue_frames + stats.token_frames,
+            "{shards} shard(s): every protocol frame is a memory move"
+        );
+    }
 }
 
 /// Fault injection sits upstream of the transport choice: a severed link
