@@ -10,9 +10,13 @@
 //! A runtime that hosts every node moves each frame in memory — inside a shard,
 //! or through the destination shard's inbox — and only a node another runtime
 //! hosts is reached over a socket. A sweep therefore replays every case three
-//! ways ([`NET_TIERS`]): one runtime at the default shard count (memory across
-//! the shards' threads), one runtime on one shard (memory only), and one
-//! daemon-mode runtime per node in this process (every hop on loopback TCP).
+//! ways ([`NET_TIERS`]): one runtime on four shards (memory across the shards'
+//! threads), one runtime on one shard (memory only), and one daemon-mode
+//! runtime per node in this process (every hop on loopback TCP). The first
+//! names its shard count rather than taking the runtime's default, which is
+//! one shard per usable CPU: on a one-CPU host the default would silently
+//! repeat `net-1shard` and leave the cross-shard inbox hand-off, incarnation
+//! stamps and `Done` markers unswept.
 
 use arrow_core::driver::{acquire_sequences, Driver};
 use arrow_core::prelude::*;
@@ -35,12 +39,12 @@ pub enum NetHosting {
     DaemonPerNode,
 }
 
-/// The socket tier's sweep configurations as `(tier name, hosting)`: the
-/// runtime default (`net`, memory hops across the auto-sized shard pool), one
-/// shard (`net-1shard`, memory hops on one thread) and one daemon per node
+/// The socket tier's sweep configurations as `(tier name, hosting)`: four
+/// shards (`net`, memory hops across shard threads on any host), one shard
+/// (`net-1shard`, memory hops on one thread) and one daemon per node
 /// (`net-wire`, every hop on the wire).
 pub const NET_TIERS: [(&str, NetHosting); 3] = [
-    ("net", NetHosting::Shards(0)),
+    ("net", NetHosting::Shards(4)),
     ("net-1shard", NetHosting::Shards(1)),
     ("net-wire", NetHosting::DaemonPerNode),
 ];

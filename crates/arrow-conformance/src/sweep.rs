@@ -9,9 +9,9 @@
 //!    differential reference (same exactly-once/token/multiset contracts);
 //! 3. **thread** — the in-process thread runtime;
 //! 4. **net**, **net-1shard**, **net-wire** — the socket tier's reactors, hosted
-//!    three ways ([`crate::net_driver::NET_TIERS`]): memory hops across the
-//!    default shard pool, memory hops on one shard, and one daemon-mode runtime
-//!    per node with every hop on loopback TCP.
+//!    three ways ([`crate::net_driver::NET_TIERS`]): memory hops across four
+//!    shards, memory hops on one shard, and one daemon-mode runtime per node
+//!    with every hop on loopback TCP.
 //!
 //! Any violation (or typed [`RunError`]) fails the case; failing cases are
 //! shrunk ([`crate::shrink::shrink`]) and can be written out as one-command

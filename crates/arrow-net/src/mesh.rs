@@ -83,10 +83,13 @@ pub struct NetConfig {
     /// shard owns `n / shards` nodes (node `v` lives on shard `v % shards`)
     /// and drives all of them from one `epoll` loop, so the process's thread
     /// count is `O(shards)` rather than `O(nodes)`. `0` (the default)
-    /// auto-sizes to the machine's available parallelism (at least 2); any
-    /// other value is clamped to `[1, node count]` at spawn time. The shard
-    /// count sizes the thread pool only: it never decides which hops pay the
-    /// wire.
+    /// auto-sizes to the CPUs the process may run on
+    /// ([`std::thread::available_parallelism`], which on Linux honours the
+    /// affinity mask and the cgroup CPU quota): a shard thread beyond them
+    /// buys no parallelism, only context switches, so a one-CPU allotment
+    /// runs one shard. Either way the count is clamped to `[1, node count]`
+    /// at spawn time. The shard count sizes the thread pool only: it never
+    /// decides which hops pay the wire.
     ///
     /// **Delivery rule:** the transport follows from whether the runtime
     /// hosts the destination. A frame to a node of the sender's shard is
@@ -167,14 +170,11 @@ impl NetConfig {
     }
 
     /// The shard count a runtime hosting `nodes` nodes actually spawns:
-    /// [`NetConfig::shards`], auto-sized when 0, clamped to `[1, nodes]` (one
-    /// shard per node is the most that does anything).
+    /// [`NetConfig::shards`], auto-sized to the usable CPUs when 0, clamped to
+    /// `[1, nodes]` (one shard per node is the most that does anything).
     pub fn effective_shards(&self, nodes: usize) -> usize {
         let requested = if self.shards == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(2)
-                .max(2)
+            std::thread::available_parallelism().map_or(1, |p| p.get())
         } else {
             self.shards
         };
@@ -531,7 +531,21 @@ mod tests {
         assert_eq!(cfg.effective_shards(100), 4);
         assert_eq!(cfg.effective_shards(2), 2, "never more shards than nodes");
         assert_eq!(cfg.effective_shards(0), 1, "at least one shard");
+        for n in [1, 3, 5, 64, 4096] {
+            assert_eq!(
+                NetConfig::instant().with_shards(n).effective_shards(4096),
+                n,
+                "an explicit count is honoured exactly"
+            );
+        }
+        let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
         let auto = NetConfig::instant();
-        assert!(auto.effective_shards(4096) >= 2, "auto-sizing floor is 2");
+        for nodes in [0, 1, 2, 3, 64, 4096] {
+            assert_eq!(
+                auto.effective_shards(nodes),
+                cpus.clamp(1, nodes.max(1)),
+                "auto is one shard per usable CPU, clamped to [1, {nodes}]"
+            );
+        }
     }
 }

@@ -15,7 +15,9 @@
 //!
 //! [`Shard::deliver_frame`] picks the transport from one fact the spawn
 //! manifest fixes ([`Siblings::shard_of`]): which shard of this runtime, if
-//! any, hosts the destination node?
+//! any, hosts the destination node? The same entry names the node's slot in
+//! that shard's node table, so a shard reaches a node's state by index and
+//! hashes nothing on the per-hop path.
 //!
 //! * **This shard:** the frame is pushed onto the shard's in-memory FIFO
 //!   (`localq`) and fed through [`Shard::on_frame`] in the same cycle.
@@ -74,7 +76,7 @@
 //! drain the loser (see [`Shard::promote`]), so exactly one link survives and
 //! no staged frame is lost.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{vec_deque, HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::mem;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -218,9 +220,12 @@ pub(crate) struct Hop {
 /// What the shards of one runtime share about each other, fixed when they are
 /// spawned.
 pub(crate) struct Siblings {
-    /// The shard of this runtime hosting each node, from the spawn manifest;
-    /// `None` for a node another process hosts, reached over a socket.
-    shard_of: Vec<Option<usize>>,
+    /// Where each node lives, from the spawn manifest: `(shard, slot)`, the
+    /// shard of this runtime hosting it and its index in that shard's node
+    /// table (`v / shards` under `spawn_multi`'s round-robin placement, 0 for
+    /// a daemon's one node); `None` for a node another process hosts, reached
+    /// over a socket.
+    shard_of: Vec<Option<(usize, usize)>>,
     /// Every shard's inbox, by shard index.
     inboxes: Vec<ShardInjector>,
     /// Per-node incarnation, bumped by the hosting shard when the node crashes
@@ -234,8 +239,8 @@ impl Siblings {
     fn new<P: Probe>(n: usize, shard_nodes: &[Vec<NodeSeed<P>>]) -> Arc<Self> {
         let mut shard_of = vec![None; n];
         for (s, nodes) in shard_nodes.iter().enumerate() {
-            for (v, _, _) in nodes {
-                shard_of[*v] = Some(s);
+            for (slot, (v, _, _)) in nodes.iter().enumerate() {
+                shard_of[*v] = Some((s, slot));
             }
         }
         Arc::new(Siblings {
@@ -417,18 +422,75 @@ struct LinkDelay {
     last_due: Instant,
 }
 
+/// An acquire in flight at its node.
+struct Waiter {
+    obj: ObjectId,
+    req: RequestId,
+    reply: Sender<Grant>,
+    issued: Instant,
+}
+
+impl Waiter {
+    /// Fail the acquire at `node` with `failure`.
+    fn fail(self, node: NodeId, failure: NetFailure) {
+        let _ = self.reply.send(Grant {
+            node,
+            obj: self.obj,
+            result: Err(failure),
+            wait: self.issued.elapsed(),
+        });
+    }
+}
+
+/// A node's acquires in flight, awaiting their `Granted` actions. A node
+/// issues request ids in increasing order, so the queue stays sorted by id
+/// and a grant finds its waiter by binary search.
+#[derive(Default)]
+struct Waiters(VecDeque<Waiter>);
+
+impl Waiters {
+    fn push(&mut self, w: Waiter) {
+        debug_assert!(
+            self.0.back().is_none_or(|last| last.req < w.req),
+            "request ids are issued in increasing order"
+        );
+        self.0.push_back(w);
+    }
+
+    fn position(&self, obj: ObjectId, req: RequestId) -> Option<usize> {
+        let i = self.0.binary_search_by_key(&req, |w| w.req).ok()?;
+        (self.0[i].obj == obj).then_some(i)
+    }
+
+    /// Remove and return the waiter of `(obj, req)`, if any.
+    fn take(&mut self, obj: ObjectId, req: RequestId) -> Option<Waiter> {
+        self.position(obj, req).and_then(|i| self.0.remove(i))
+    }
+
+    fn contains(&self, obj: ObjectId, req: RequestId) -> bool {
+        self.position(obj, req).is_some()
+    }
+
+    /// Remove every waiter, oldest first.
+    fn drain(&mut self) -> vec_deque::Drain<'_, Waiter> {
+        self.0.drain(..)
+    }
+}
+
 /// Everything one node carries inside its shard.
 struct NodeState<P: Probe> {
     me: NodeId,
     core: ArrowCore<P>,
     /// Scratch buffer for core actions (reused across dispatches).
     actions: Vec<CoreAction>,
-    /// In-flight acquires awaiting a `Granted` action.
-    waiting: HashMap<(ObjectId, RequestId), (Sender<Grant>, Instant)>,
+    waiting: Waiters,
     failed: Option<NetFailure>,
     crashed: bool,
+    /// Socket links and dials in flight, by peer: only toward nodes another
+    /// process hosts, so empty unless in daemon mode.
     links: HashMap<NodeId, Link>,
     pending: HashMap<NodeId, PendingDial>,
+    /// Injected-latency streams by peer: empty unless latency is injected.
     delay: HashMap<NodeId, LinkDelay>,
     journal: NodeJournal,
     /// Core actions are pending dispatch (node is queued in `dirtyq`).
@@ -437,9 +499,10 @@ struct NodeState<P: Probe> {
 
 /// A timer wheel entry.
 enum TimerEntry {
-    /// Injected-latency release of one frame toward `peer`.
+    /// Injected-latency release of one frame from the node in `slot` toward
+    /// `peer`.
     FlushFrame {
-        node: NodeId,
+        slot: usize,
         peer: NodeId,
         frame: Frame,
         due: Instant,
@@ -511,7 +574,8 @@ struct Shard<P: Probe> {
     poller: netpoll::Poller,
     slab: Vec<SlabEntry>,
     free: Vec<usize>,
-    nodes: HashMap<NodeId, NodeState<P>>,
+    /// This shard's nodes by slot ([`Siblings::shard_of`]), in node-id order.
+    nodes: Vec<NodeState<P>>,
     wheel: TimerWheel<TimerEntry>,
     /// This shard's index among its siblings.
     id: usize,
@@ -519,11 +583,12 @@ struct Shard<P: Probe> {
     inbox: Arc<Inbox>,
     /// Connections (by token) with staged bytes to flush this cycle.
     flushq: Vec<u64>,
-    /// Nodes with undispatched core actions this cycle.
-    dirtyq: Vec<NodeId>,
+    /// Slots of the nodes with undispatched core actions this cycle.
+    dirtyq: Vec<usize>,
     /// Frames between two nodes of this shard awaiting in-memory delivery, as
-    /// `(to, from, frame)`. Empty at every `epoll_wait` (see the module docs).
-    localq: VecDeque<(NodeId, NodeId, Frame)>,
+    /// `(slot of to, from, frame)`. Empty at every `epoll_wait` (see the
+    /// module docs).
+    localq: VecDeque<(usize, NodeId, Frame)>,
     /// Frames for each sibling shard's nodes, handed over once per cycle.
     outbox: Vec<Vec<Hop>>,
     /// Scratch for the frames scanned out of one readiness event.
@@ -538,13 +603,8 @@ struct Shard<P: Probe> {
 
 /// Drain `state.waiting` into failure grants and mark the node failed.
 fn enter_failed_state<P: Probe>(state: &mut NodeState<P>, failure: NetFailure) {
-    for ((obj, _req), (reply, issued)) in state.waiting.drain() {
-        let _ = reply.send(Grant {
-            node: state.me,
-            obj,
-            result: Err(failure.clone()),
-            wait: issued.elapsed(),
-        });
+    for w in state.waiting.drain() {
+        w.fail(state.me, failure.clone());
     }
     state.failed = Some(failure);
 }
@@ -572,7 +632,7 @@ impl<P: Probe> Shard<P> {
             poller,
             slab: Vec::new(),
             free: Vec::new(),
-            nodes: HashMap::with_capacity(owned.len()),
+            nodes: Vec::with_capacity(owned.len()),
             wheel: TimerWheel::new(shared.epoch0),
             id,
             outbox: siblings.inboxes.iter().map(|_| Vec::new()).collect(),
@@ -599,24 +659,35 @@ impl<P: Probe> Shard<P> {
                     .register(fd, tok, true, false)
                     .expect("register listener");
             }
-            shard.nodes.insert(
-                v,
-                NodeState {
-                    me: v,
-                    core,
-                    actions: Vec::new(),
-                    waiting: HashMap::new(),
-                    failed: None,
-                    crashed: false,
-                    links: HashMap::new(),
-                    pending: HashMap::new(),
-                    delay: HashMap::new(),
-                    journal: NodeJournal::default(),
-                    dirty: false,
-                },
-            );
+            shard.nodes.push(NodeState {
+                me: v,
+                core,
+                actions: Vec::new(),
+                waiting: Waiters::default(),
+                failed: None,
+                crashed: false,
+                links: HashMap::new(),
+                pending: HashMap::new(),
+                delay: HashMap::new(),
+                journal: NodeJournal::default(),
+                dirty: false,
+            });
         }
         shard
+    }
+
+    /// Node `v`'s slot in this shard's node table. Placement is fixed at
+    /// spawn, and every command, timer, connection and frame a shard handles
+    /// names a node of that shard.
+    fn slot(&self, v: NodeId) -> usize {
+        let (shard, slot) = self.siblings.shard_of[v].expect("hosted node");
+        debug_assert_eq!(shard, self.id, "node {v} reached a shard not hosting it");
+        slot
+    }
+
+    fn node_mut(&mut self, v: NodeId) -> &mut NodeState<P> {
+        let slot = self.slot(v);
+        &mut self.nodes[slot]
     }
 
     // ---- slab --------------------------------------------------------------
@@ -691,18 +762,18 @@ impl<P: Probe> Shard<P> {
         )
     }
 
-    fn mark_dirty(&mut self, v: NodeId) {
-        let node = self.nodes.get_mut(&v).expect("owned node");
+    fn mark_dirty(&mut self, slot: usize) {
+        let node = &mut self.nodes[slot];
         if !node.dirty {
             node.dirty = true;
-            self.dirtyq.push(v);
+            self.dirtyq.push(slot);
         }
     }
 
     fn run(mut self) -> Vec<(NodeId, NodeJournal)> {
         // Bootstrap: every non-root node dials its tree parent — unless this
         // runtime hosts the parent too, in which case the edge needs no socket.
-        let owned: Vec<NodeId> = self.nodes.keys().copied().collect();
+        let owned: Vec<NodeId> = self.nodes.iter().map(|n| n.me).collect();
         for v in owned {
             if let Some(p) = self.tree.parent(v) {
                 if self.siblings.shard_of[p].is_none() {
@@ -800,10 +871,10 @@ impl<P: Probe> Shard<P> {
     fn finish(mut self) -> Vec<(NodeId, NodeJournal)> {
         self.inbox.closed.store(true, Ordering::Release);
         let mut out = Vec::with_capacity(self.nodes.len());
-        for (v, node) in self.nodes.drain() {
+        for node in self.nodes.drain(..) {
             self.stats
                 .add(Metric::StaleEpochDrops, node.core.stale_drops());
-            out.push((v, node.journal));
+            out.push((node.me, node.journal));
         }
         out
     }
@@ -843,16 +914,16 @@ impl<P: Probe> Shard<P> {
     fn run_to_quiescence(&mut self) {
         while !(self.dirtyq.is_empty() && self.localq.is_empty()) {
             let mut dirty = mem::take(&mut self.dirtyq);
-            for v in dirty.drain(..) {
-                if self.nodes.get(&v).is_some_and(|n| n.dirty) {
-                    self.apply_actions(v);
+            for slot in dirty.drain(..) {
+                if self.nodes[slot].dirty {
+                    self.apply_actions(slot);
                 }
             }
             // Keep the emptied buffer's capacity for the next round.
             dirty.append(&mut self.dirtyq);
             self.dirtyq = dirty;
-            while let Some((to, from, frame)) = self.localq.pop_front() {
-                self.on_frame(to, from, frame);
+            while let Some((slot, from, frame)) = self.localq.pop_front() {
+                self.on_frame(slot, from, frame);
             }
         }
     }
@@ -863,12 +934,13 @@ impl<P: Probe> Shard<P> {
         match cmd {
             ShardCmd::Acquire { node, obj, reply } => self.cmd_acquire(node, obj, reply),
             ShardCmd::Release { node, obj, req } => {
-                let state = self.nodes.get_mut(&node).expect("owned node");
+                let slot = self.slot(node);
+                let state = &mut self.nodes[slot];
                 if state.crashed {
                     return;
                 }
                 state.core.on_release(obj, req, &mut state.actions);
-                self.mark_dirty(node);
+                self.mark_dirty(slot);
             }
             ShardCmd::Frames(hops) => {
                 let armed = self.faults_armed.load(Ordering::Relaxed);
@@ -885,17 +957,16 @@ impl<P: Probe> Shard<P> {
                         self.stats.inc(Metric::FramesDropped);
                         continue;
                     }
-                    self.on_frame(to, from, frame);
+                    self.on_frame(self.slot(to), from, frame);
                 }
             }
             ShardCmd::Done => self.siblings_done += 1,
             ShardCmd::Crash { node } => self.cmd_crash(node),
             ShardCmd::Restart { node } => self.cmd_restart(node),
             ShardCmd::Epoch { epoch } => {
-                let owned: Vec<NodeId> = self.nodes.keys().copied().collect();
-                for v in owned {
-                    if !self.nodes[&v].crashed {
-                        self.adopt_epoch(v, epoch);
+                for slot in 0..self.nodes.len() {
+                    if !self.nodes[slot].crashed {
+                        self.adopt_epoch(slot, epoch);
                     }
                 }
             }
@@ -905,7 +976,8 @@ impl<P: Probe> Shard<P> {
 
     fn cmd_acquire(&mut self, v: NodeId, obj: ObjectId, reply: Sender<Grant>) {
         let time = self.now();
-        let state = self.nodes.get_mut(&v).expect("owned node");
+        let slot = self.slot(v);
+        let state = &mut self.nodes[slot];
         if state.crashed {
             let _ = reply.send(Grant {
                 node: v,
@@ -929,19 +1001,24 @@ impl<P: Probe> Shard<P> {
         }
         self.stats.inc(Metric::RequestsIssued);
         let req = state.core.acquire(obj, &mut state.actions);
-        state.waiting.insert((obj, req), (reply, Instant::now()));
+        state.waiting.push(Waiter {
+            obj,
+            req,
+            reply,
+            issued: Instant::now(),
+        });
         state.journal.issued.push(Request {
             id: req,
             node: v,
             time,
             obj,
         });
-        self.mark_dirty(v);
+        self.mark_dirty(slot);
     }
 
     fn cmd_crash(&mut self, v: NodeId) {
-        let state = self.nodes.get_mut(&v).expect("owned node");
-        if state.crashed {
+        let slot = self.slot(v);
+        if self.nodes[slot].crashed {
             return;
         }
         // Sever every socket this node owns, bypassing close_conn bookkeeping
@@ -958,29 +1035,27 @@ impl<P: Probe> Shard<P> {
                 let _ = c.stream.shutdown(Shutdown::Both);
             }
         }
-        let state = self.nodes.get_mut(&v).expect("owned node");
+        let state = &mut self.nodes[slot];
         state.links.clear();
         state.pending.clear();
         state.core.reboot();
         state.actions.clear();
-        let me = state.me;
-        for ((obj, _req), (reply, issued)) in state.waiting.drain() {
-            let _ = reply.send(Grant {
-                node: me,
-                obj,
-                result: Err(NetFailure {
-                    node: me,
+        for w in state.waiting.drain() {
+            w.fail(
+                v,
+                NetFailure {
+                    node: v,
                     description: "node crashed (fault injection)".into(),
-                }),
-                wait: issued.elapsed(),
-            });
+                },
+            );
         }
         state.crashed = true;
         self.siblings.bump_incarnation(v);
     }
 
     fn cmd_restart(&mut self, v: NodeId) {
-        let state = self.nodes.get_mut(&v).expect("owned node");
+        let slot = self.slot(v);
+        let state = &mut self.nodes[slot];
         if !state.crashed {
             return;
         }
@@ -988,7 +1063,7 @@ impl<P: Probe> Shard<P> {
         // A frame sent toward the crashed incarnation must not reach this one.
         self.siblings.bump_incarnation(v);
         if let Some(p) = self.tree.parent(v) {
-            let state = &self.nodes[&v];
+            let state = &self.nodes[slot];
             if self.siblings.shard_of[p].is_none()
                 && !state.links.contains_key(&p)
                 && !state.pending.contains_key(&p)
@@ -998,22 +1073,23 @@ impl<P: Probe> Shard<P> {
         }
     }
 
-    fn adopt_epoch(&mut self, v: NodeId, epoch: u64) {
-        let state = self.nodes.get_mut(&v).expect("owned node");
+    fn adopt_epoch(&mut self, slot: usize, epoch: u64) {
+        let state = &mut self.nodes[slot];
         let before = state.core.epoch();
         state.core.on_epoch(epoch, &mut state.actions);
         if state.core.epoch() > before {
             self.stats.inc(Metric::EpochsAdopted);
         }
-        self.mark_dirty(v);
+        self.mark_dirty(slot);
     }
 
     // ---- core action dispatch ----------------------------------------------
 
-    fn apply_actions(&mut self, v: NodeId) {
+    fn apply_actions(&mut self, slot: usize) {
+        let v = self.nodes[slot].me;
         loop {
             let mut orphaned: Vec<(ObjectId, RequestId)> = Vec::new();
-            let state = self.nodes.get_mut(&v).expect("owned node");
+            let state = &mut self.nodes[slot];
             let actions = mem::take(&mut state.actions);
             state.dirty = false;
             if actions.is_empty() {
@@ -1030,7 +1106,7 @@ impl<P: Probe> Shard<P> {
                     } => {
                         self.stats.inc(Metric::QueueFrames);
                         self.send_frame(
-                            v,
+                            slot,
                             to,
                             Frame::Proto(ProtoMsg::Queue {
                                 req,
@@ -1047,17 +1123,16 @@ impl<P: Probe> Shard<P> {
                         epoch,
                     } => {
                         self.stats.inc(Metric::TokenFrames);
-                        self.send_frame(v, to, Frame::Token { obj, req, epoch });
+                        self.send_frame(slot, to, Frame::Token { obj, req, epoch });
                     }
                     CoreAction::Granted { obj, req } => {
                         self.stats.inc(Metric::Acquisitions);
-                        let state = self.nodes.get_mut(&v).expect("owned node");
-                        match state.waiting.remove(&(obj, req)) {
-                            Some((reply, issued)) => {
-                                let wait = issued.elapsed();
+                        match self.nodes[slot].waiting.take(obj, req) {
+                            Some(w) => {
+                                let wait = w.issued.elapsed();
                                 self.stats
                                     .observe(HistMetric::AcquireNanos, wait.as_nanos() as u64);
-                                let _ = reply.send(Grant {
+                                let _ = w.reply.send(Grant {
                                     node: v,
                                     obj,
                                     result: Ok(req),
@@ -1078,8 +1153,7 @@ impl<P: Probe> Shard<P> {
                         epoch,
                     } => {
                         let at = self.now();
-                        let state = self.nodes.get_mut(&v).expect("owned node");
-                        state.journal.records.push(OrderRecord {
+                        self.nodes[slot].journal.records.push(OrderRecord {
                             predecessor: pred,
                             successor: succ,
                             obj,
@@ -1091,7 +1165,7 @@ impl<P: Probe> Shard<P> {
                     }
                 }
             }
-            let state = self.nodes.get_mut(&v).expect("owned node");
+            let state = &mut self.nodes[slot];
             let mut drained = actions;
             drained.clear();
             // Give the emptied buffer's capacity back to the node; actions
@@ -1107,7 +1181,7 @@ impl<P: Probe> Shard<P> {
             }
             for (obj, req) in orphaned {
                 self.stats.inc(Metric::OrphanReleases);
-                let state = self.nodes.get_mut(&v).expect("owned node");
+                let state = &mut self.nodes[slot];
                 state.core.probe_mut().record(ProbeEvent::OrphanRelease {
                     obj: obj.0,
                     req: req.0,
@@ -1119,13 +1193,15 @@ impl<P: Probe> Shard<P> {
 
     // ---- outbound frames ---------------------------------------------------
 
-    /// Entry point for protocol frames leaving node `v` toward `to`: applies
-    /// injected latency, then delivers (or schedules delivery of) the frame.
-    fn send_frame(&mut self, v: NodeId, to: NodeId, frame: Frame) {
-        let state = &self.nodes[&v];
+    /// Entry point for protocol frames leaving the node in `slot` toward `to`:
+    /// applies injected latency, then delivers (or schedules delivery of) the
+    /// frame.
+    fn send_frame(&mut self, slot: usize, to: NodeId, frame: Frame) {
+        let state = &self.nodes[slot];
         if state.failed.is_some() {
             return;
         }
+        let v = state.me;
         if self.faults_armed.load(Ordering::Relaxed) {
             let severed = state.crashed || {
                 let key = (v.min(to), v.max(to));
@@ -1140,23 +1216,25 @@ impl<P: Probe> Shard<P> {
             }
         }
         if self.cfg.unit_latency.is_zero() {
-            self.deliver_frame(v, to, frame);
+            self.deliver_frame(slot, to, frame);
             return;
         }
         let now = Instant::now();
         let cfg = self.cfg;
         let dist = self.tree.distance(v, to);
-        let state = self.nodes.get_mut(&v).expect("owned node");
-        let delay = state.delay.entry(to).or_insert_with(|| LinkDelay {
-            policy: DelayPolicy::new(&cfg, dist, v, to),
-            last_due: now,
-        });
+        let delay = self.nodes[slot]
+            .delay
+            .entry(to)
+            .or_insert_with(|| LinkDelay {
+                policy: DelayPolicy::new(&cfg, dist, v, to),
+                last_due: now,
+            });
         let due = delay.last_due.max(now + delay.policy.sample());
         delay.last_due = due;
         self.wheel.insert(
             due,
             TimerEntry::FlushFrame {
-                node: v,
+                slot,
                 peer: to,
                 frame,
                 due,
@@ -1167,8 +1245,8 @@ impl<P: Probe> Shard<P> {
     /// Hand a frame to its transport (see the module docs): `localq` when this
     /// shard hosts `to`, the outbox of the sibling shard that hosts it, and
     /// otherwise the link toward `to`, dialing it if absent.
-    fn deliver_frame(&mut self, v: NodeId, to: NodeId, frame: Frame) {
-        let state = &self.nodes[&v];
+    fn deliver_frame(&mut self, slot: usize, to: NodeId, frame: Frame) {
+        let state = &self.nodes[slot];
         if state.failed.is_some() {
             return;
         }
@@ -1176,13 +1254,14 @@ impl<P: Probe> Shard<P> {
             self.stats.inc(Metric::FramesDropped);
             return;
         }
-        if let Some(s) = self.siblings.shard_of[to] {
+        let v = state.me;
+        if let Some((s, to_slot)) = self.siblings.shard_of[to] {
             debug_assert!(
                 !state.links.contains_key(&to) && !state.pending.contains_key(&to),
                 "pair {v}->{to} hosted by one runtime must never hold a socket"
             );
             if s == self.id {
-                self.localq.push_back((to, v, frame));
+                self.localq.push_back((to_slot, v, frame));
             } else if self.said_done {
                 // Past this shard's `Done` marker: lost, as bytes staged
                 // behind a `Goodbye` are.
@@ -1207,8 +1286,7 @@ impl<P: Probe> Shard<P> {
         if self.shutting_down {
             return;
         }
-        let state = self.nodes.get_mut(&v).expect("owned node");
-        if let Some(p) = state.pending.get_mut(&to) {
+        if let Some(p) = self.nodes[slot].pending.get_mut(&to) {
             p.frames.push(frame);
             return;
         }
@@ -1233,8 +1311,7 @@ impl<P: Probe> Shard<P> {
             self.siblings.shard_of[to].is_none(),
             "node {v} dialing peer {to}, which this runtime hosts"
         );
-        let state = self.nodes.get_mut(&v).expect("owned node");
-        state.pending.insert(
+        self.node_mut(v).pending.insert(
             to,
             PendingDial {
                 conn: None,
@@ -1277,9 +1354,7 @@ impl<P: Probe> Shard<P> {
                     Instant::now() + HANDSHAKE_TIMEOUT,
                     TimerEntry::ConnDeadline { token: tok },
                 );
-                self.nodes
-                    .get_mut(&v)
-                    .expect("owned node")
+                self.node_mut(v)
                     .pending
                     .get_mut(&to)
                     .expect("pending dial")
@@ -1291,15 +1366,12 @@ impl<P: Probe> Shard<P> {
 
     fn dial_failed(&mut self, v: NodeId, to: NodeId, err: io::Error) {
         if self.shutting_down {
-            self.nodes
-                .get_mut(&v)
-                .expect("owned node")
-                .pending
-                .remove(&to);
+            self.node_mut(v).pending.remove(&to);
             return;
         }
         let dial_retries = self.cfg.dial_retries;
-        let state = self.nodes.get_mut(&v).expect("owned node");
+        let slot = self.slot(v);
+        let state = &mut self.nodes[slot];
         let Some(p) = state.pending.get_mut(&to) else {
             // The pending dial resolved some other way (e.g. the peer dialed
             // us and the race collapsed onto their connection).
@@ -1333,7 +1405,8 @@ impl<P: Probe> Shard<P> {
     /// hosts is ever dialed, so acquirers at other nodes live in other
     /// processes and learn of the failure through their own bounded waits.
     fn fail_node(&mut self, v: NodeId, peer: NodeId, error: &io::Error) {
-        let state = self.nodes.get_mut(&v).expect("owned node");
+        let slot = self.slot(v);
+        let state = &mut self.nodes[slot];
         if state.failed.is_some() {
             return;
         }
@@ -1348,15 +1421,11 @@ impl<P: Probe> Shard<P> {
         // reconstructed schedule (a scheduled request that no surviving node
         // ever queued would fail order validation as missing). Un-journal them
         // before the drain below fails their acquirers.
-        let doomed: HashSet<(ObjectId, RequestId)> = state.waiting.keys().copied().collect();
-        state
-            .journal
-            .issued
-            .retain(|r| !doomed.contains(&(r.obj, r.id)));
-        state
-            .journal
+        let (journal, doomed) = (&mut state.journal, &state.waiting);
+        journal.issued.retain(|r| !doomed.contains(r.obj, r.id));
+        journal
             .records
-            .retain(|rec| !doomed.contains(&(rec.obj, rec.successor)));
+            .retain(|rec| !doomed.contains(rec.obj, rec.successor));
         enter_failed_state(state, failure);
     }
 
@@ -1382,7 +1451,7 @@ impl<P: Probe> Shard<P> {
         };
         // Phase 2: register each accepted socket as an AwaitHello connection.
         for stream in streams {
-            let refuse = self.shutting_down || self.nodes[&owner].crashed;
+            let refuse = self.shutting_down || self.nodes[self.slot(owner)].crashed;
             if refuse {
                 drop(stream);
                 continue;
@@ -1561,14 +1630,13 @@ impl<P: Probe> Shard<P> {
                     // While a dial race is unresolved, frames arriving on the
                     // winner are deferred behind the loser's drain so the
                     // per-link order (loser's in-flight frames first) holds.
-                    let gated = self.nodes[&v]
+                    let slot = self.slot(v);
+                    let gated = self.nodes[slot]
                         .links
                         .get(&from)
                         .is_some_and(|l| l.conn == idx && l.loser.is_some());
                     if gated {
-                        self.nodes
-                            .get_mut(&v)
-                            .expect("owned node")
+                        self.nodes[slot]
                             .links
                             .get_mut(&from)
                             .expect("link")
@@ -1577,7 +1645,7 @@ impl<P: Probe> Shard<P> {
                     } else if matches!(frame, Frame::Goodbye) {
                         self.on_goodbye(idx);
                     } else {
-                        self.on_frame(v, from, frame);
+                        self.on_frame(slot, from, frame);
                     }
                 }
             }
@@ -1606,7 +1674,8 @@ impl<P: Probe> Shard<P> {
         } else {
             self.stats.inc(Metric::ConnectionsAccepted);
         }
-        if self.nodes[&v].crashed {
+        let slot = self.slot(v);
+        if self.nodes[slot].crashed {
             if let Source::Conn(c) = self.slab_remove(idx) {
                 let _ = c.stream.shutdown(Shutdown::Both);
             }
@@ -1615,17 +1684,11 @@ impl<P: Probe> Shard<P> {
         // Frames staged while dialing follow the surviving link, whichever
         // connection that turns out to be. A different still-handshaking dial
         // socket (if any) collapses on its own promote.
-        let pending_frames = self
-            .nodes
-            .get_mut(&v)
-            .expect("owned node")
-            .pending
-            .remove(&peer)
-            .map(|p| p.frames);
-        let old = self.nodes[&v].links.get(&peer).map(|l| l.conn);
+        let pending_frames = self.nodes[slot].pending.remove(&peer).map(|p| p.frames);
+        let old = self.nodes[slot].links.get(&peer).map(|l| l.conn);
         match old {
             None => {
-                self.nodes.get_mut(&v).expect("owned node").links.insert(
+                self.nodes[slot].links.insert(
                     peer,
                     Link {
                         conn: idx,
@@ -1654,48 +1717,35 @@ impl<P: Probe> Shard<P> {
                 } else {
                     (old_idx, idx)
                 };
-                let prev_loser = {
-                    let link = self
-                        .nodes
-                        .get_mut(&v)
-                        .expect("owned node")
-                        .links
-                        .get_mut(&peer)
-                        .expect("link");
-                    link.loser.take()
-                };
+                let prev_loser = self.nodes[slot]
+                    .links
+                    .get_mut(&peer)
+                    .expect("link")
+                    .loser
+                    .take();
                 if let Some(pl) = prev_loser {
                     // A third connection raced in while an older loser was
                     // still draining: that drain is done being waited on.
-                    let deferred = {
-                        let link = self
-                            .nodes
-                            .get_mut(&v)
-                            .expect("owned node")
+                    let deferred = mem::take(
+                        &mut self.nodes[slot]
                             .links
                             .get_mut(&peer)
-                            .expect("link");
-                        mem::take(&mut link.deferred)
-                    };
+                            .expect("link")
+                            .deferred,
+                    );
                     self.replay_frames(v, peer, deferred);
                     if let Source::Conn(c) = self.slab_remove(pl) {
                         let _ = c.stream.shutdown(Shutdown::Both);
                     }
                 }
-                let link = self
-                    .nodes
-                    .get_mut(&v)
-                    .expect("owned node")
-                    .links
-                    .get_mut(&peer)
-                    .expect("link");
+                let link = self.nodes[slot].links.get_mut(&peer).expect("link");
                 link.conn = winner;
                 link.loser = Some(loser);
                 self.demote(loser);
             }
         }
         if let Some(frames) = pending_frames {
-            let target = self.nodes[&v].links[&peer].conn;
+            let target = self.nodes[slot].links[&peer].conn;
             for frame in &frames {
                 self.stage_frame(target, frame);
             }
@@ -1733,7 +1783,7 @@ impl<P: Probe> Shard<P> {
     /// Detach connection `idx` from node `v`'s link toward `peer`, replaying
     /// any frames that were deferred behind it.
     fn unlink_established(&mut self, v: NodeId, peer: NodeId, idx: usize) {
-        let state = self.nodes.get_mut(&v).expect("owned node");
+        let state = self.node_mut(v);
         let (was_live, was_loser) = match state.links.get(&peer) {
             Some(link) => (link.conn == idx, link.loser == Some(idx)),
             None => return,
@@ -1757,14 +1807,15 @@ impl<P: Probe> Shard<P> {
     /// Feed frames that were deferred behind a draining loser into the
     /// protocol as if they had just arrived from `peer`.
     fn replay_frames(&mut self, v: NodeId, peer: NodeId, frames: Vec<Frame>) {
+        let slot = self.slot(v);
         for frame in frames {
             if matches!(frame, Frame::Goodbye) {
-                let live = self.nodes[&v].links.get(&peer).map(|l| l.conn);
+                let live = self.nodes[slot].links.get(&peer).map(|l| l.conn);
                 if let Some(idx) = live {
                     self.on_goodbye(idx);
                 }
             } else {
-                self.on_frame(v, peer, frame);
+                self.on_frame(slot, peer, frame);
             }
         }
     }
@@ -1783,9 +1834,9 @@ impl<P: Probe> Shard<P> {
         }
     }
 
-    /// A protocol frame arrived at node `v` from `from`.
-    fn on_frame(&mut self, v: NodeId, from: NodeId, frame: Frame) {
-        let state = self.nodes.get_mut(&v).expect("owned node");
+    /// A protocol frame arrived at the node in `slot` from `from`.
+    fn on_frame(&mut self, slot: usize, from: NodeId, frame: Frame) {
+        let state = &mut self.nodes[slot];
         if state.crashed {
             self.stats.inc(Metric::FramesDropped);
             return;
@@ -1820,7 +1871,7 @@ impl<P: Probe> Shard<P> {
                 return;
             }
         }
-        self.mark_dirty(v);
+        self.mark_dirty(slot);
     }
 
     // ---- outbound I/O ------------------------------------------------------
@@ -1930,7 +1981,7 @@ impl<P: Probe> Shard<P> {
     fn handle_timer(&mut self, entry: TimerEntry) {
         match entry {
             TimerEntry::FlushFrame {
-                node,
+                slot,
                 peer,
                 frame,
                 due,
@@ -1938,13 +1989,13 @@ impl<P: Probe> Shard<P> {
                 let dwell = Instant::now().saturating_duration_since(due);
                 self.stats
                     .observe(HistMetric::TimerDwellNanos, dwell.as_nanos() as u64);
-                self.deliver_frame(node, peer, frame);
+                self.deliver_frame(slot, peer, frame);
             }
             TimerEntry::RetryDial { node, peer } => {
                 if self.shutting_down {
                     return;
                 }
-                let state = self.nodes.get_mut(&node).expect("owned node");
+                let state = self.node_mut(node);
                 if state.crashed || state.failed.is_some() {
                     state.pending.remove(&peer);
                     return;
@@ -2003,7 +2054,7 @@ impl<P: Probe> Shard<P> {
         debug_assert!(self.wheel.is_empty(), "drain_all empties the wheel");
         for (_, entry) in entries {
             if let TimerEntry::FlushFrame {
-                node,
+                slot,
                 peer,
                 frame,
                 due,
@@ -2012,7 +2063,7 @@ impl<P: Probe> Shard<P> {
                 let dwell = Instant::now().saturating_duration_since(due);
                 self.stats
                     .observe(HistMetric::TimerDwellNanos, dwell.as_nanos() as u64);
-                self.deliver_frame(node, peer, frame);
+                self.deliver_frame(slot, peer, frame);
             }
         }
         // Same-shard frames among them land now, so whatever they provoke is
@@ -2045,13 +2096,13 @@ impl<P: Probe> Shard<P> {
                 let _ = c.stream.shutdown(Shutdown::Both);
             }
         }
-        for state in self.nodes.values_mut() {
+        for state in &mut self.nodes {
             state.pending.clear();
         }
         // 3. Say Goodbye on every live link and half-close once flushed.
         let live: Vec<usize> = self
             .nodes
-            .values()
+            .iter()
             .flat_map(|n| n.links.values().map(|l| l.conn))
             .collect();
         for idx in live {
@@ -2281,7 +2332,7 @@ mod tests {
         assert!(
             shard
                 .nodes
-                .values()
+                .iter()
                 .all(|n| n.links.is_empty() && n.pending.is_empty()),
             "a co-sharded pair never holds a link or a pending dial"
         );
@@ -2343,7 +2394,7 @@ mod tests {
         cycle(&mut shards[1]);
         assert_eq!(shared.stats.snapshot().frames_dropped, 1);
         assert!(
-            shards[0].nodes[&0].journal.records.is_empty(),
+            shards[0].nodes[0].journal.records.is_empty(),
             "the restarted root never saw the queue()"
         );
         assert!(grants.try_recv().is_err(), "nothing answered it");

@@ -167,7 +167,8 @@ impl NetRuntime {
         assert!(objects > 0, "a directory serves at least one object");
         // Partition the nodes across the shard pool round-robin: node `v` lives
         // on shard `v % shard_count`, so handles and fault injectors can route
-        // commands without a lookup table.
+        // commands without a lookup table, in slot `v / shard_count` of that
+        // shard's node table.
         let shard_count = cfg.effective_shards(tree.node_count());
         let mut shard_nodes: Vec<Vec<NodeSeed<P>>> = (0..shard_count).map(|_| Vec::new()).collect();
         for v in 0..tree.node_count() {

@@ -20,9 +20,9 @@ fn smoke_sweep_32_cases_across_all_three_tiers_is_violation_free() {
     assert_eq!(report.cases, 32);
     // All three tiers (plus the centralized differential reference) actually ran
     // on every case — a sweep that silently skipped a tier must not pass. The
-    // socket tier runs three times: one runtime at the default shard count
-    // (memory hops across shard threads), one runtime on one shard (memory
-    // hops on one thread) and one daemon per node (every hop on the wire).
+    // socket tier runs three times: one runtime on four shards (memory hops
+    // across shard threads), one runtime on one shard (memory hops on one
+    // thread) and one daemon per node (every hop on the wire).
     for tier in [
         "sim",
         "sim-centralized",

@@ -469,6 +469,53 @@ fn process_hosts_1024_nodes_with_o_shards_threads() {
         .expect("1025-node order validates");
 }
 
+/// The default shard pool is one reactor thread per CPU the process may run
+/// on — one under `taskset -c 0`, with no surplus thread to hand frames to —
+/// and the thread count is exactly what `effective_shards` promises. The
+/// other tests of this binary run runtimes of their own concurrently, so the
+/// count is taken in a child process that runs this test alone.
+#[test]
+fn default_runtime_runs_one_shard_thread_per_usable_cpu() {
+    const ALONE: &str = "NET_INTEGRATION_SHARD_COUNT_ALONE";
+    const NAME: &str = "default_runtime_runs_one_shard_thread_per_usable_cpu";
+    if std::env::var_os(ALONE).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", NAME, "--test-threads=1"])
+            .env(ALONE, "1")
+            .output()
+            .expect("re-run this test alone");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "the lone run failed:\n{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+
+    let n = 64;
+    let cfg = NetConfig::instant();
+    let rt = NetRuntime::spawn(&tree(n), cfg);
+    // An acquire at every node has run every shard's loop, so every shard
+    // thread has named itself (`comm` keeps the first 15 bytes of the name).
+    for v in 0..n {
+        let h = rt.handle(v);
+        let req = h.acquire();
+        h.release(req);
+    }
+    let shard_threads = std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("arrow-net-shard"))
+        .count();
+    let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+    assert_eq!(shard_threads, cfg.effective_shards(n));
+    assert_eq!(shard_threads, cpus.min(n), "one shard per usable CPU");
+    rt.shutdown()
+        .validated_orders()
+        .expect("the default runtime's order validates");
+}
+
 // ---- the delivery paths ----------------------------------------------------
 //
 // A frame between two nodes of one reactor shard moves through the shard's

@@ -34,10 +34,12 @@
 //!    outside `fn main` is an undocumented exit code that also skips the
 //!    destructors the journal flush rides on.
 //! 7. **hot-path hashing** — the files every simulated event and every hosted
-//!    message runs through ([`PER_EVENT_FILES`]) address their state by index. A
-//!    `HashMap` / `HashSet` there is a SipHash probe per event; tier 1 is swept
-//!    thousands of times per figure, so one such probe is a measurable share of
-//!    every figure binary. A cold-path use goes on the allowlist with its reason.
+//!    message runs through ([`PER_EVENT_FILES`]: the simulator's, and the
+//!    socket tier's reactor) address their state by index. A `HashMap` /
+//!    `HashSet` there is a SipHash probe per event or per hop; tier 1 is swept
+//!    thousands of times per figure, and a tier-3 hop costs a few hundred
+//!    nanoseconds, so one such probe is a measurable share of either. A
+//!    cold-path use goes on the allowlist with its reason.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -465,14 +467,17 @@ fn lint_daemon_exit_paths(root: &Path, findings: &mut Vec<Finding>) {
     }
 }
 
-/// The per-event files of the simulator tier: the engine loop, the link rows, the
-/// event queue, and the arrow glue and node host every delivered message crosses.
-const PER_EVENT_FILES: [&str; 5] = [
+/// The per-event files: the simulator tier's engine loop, link rows, event
+/// queue, and the arrow glue and node host every delivered message crosses;
+/// and the socket tier's reactor, which every hop between hosted nodes
+/// crosses.
+const PER_EVENT_FILES: [&str; 6] = [
     "crates/desim/src/sim.rs",
     "crates/desim/src/link.rs",
     "crates/desim/src/event.rs",
     "crates/arrow-core/src/arrow.rs",
     "crates/arrow-core/src/host.rs",
+    "crates/arrow-net/src/reactor.rs",
 ];
 
 /// Pass 7: no hashed collection in the per-event files outside test code.
@@ -498,8 +503,8 @@ fn lint_hot_path_hashing(root: &Path, allows: &[Allow], findings: &mut Vec<Findi
                     line: line_no,
                     lint: "hot-path-hashing",
                     message: format!(
-                        "hashed collection on the simulator's per-event path — index a \
-                         Vec by node / rank instead, or allowlist a cold path: {}",
+                        "hashed collection on a per-event path — index a Vec by node / \
+                         rank / slot instead, or allowlist a cold path: {}",
                         line.trim()
                     ),
                 });
@@ -613,10 +618,21 @@ mod tests {
                    #[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n";
         std::fs::write(dir.join("crates/desim/src/link.rs"), src).unwrap();
         std::fs::remove_file(dir.join("crates/desim/src/event.rs")).unwrap();
-        let allows = vec![Allow {
-            path_suffix: "crates/desim/src/link.rs".to_string(),
-            substring: "cold: std::collections::HashSet".to_string(),
-        }];
+        // The reactor: a per-hop node table keyed by hash is flagged, a
+        // per-peer socket map on the allowlist is not.
+        let reactor = "struct Shard {\n    nodes: HashMap<NodeId, NodeState>,\n}\n\
+                       struct NodeState {\n    links: HashMap<NodeId, Link>,\n}\n";
+        std::fs::write(dir.join("crates/arrow-net/src/reactor.rs"), reactor).unwrap();
+        let allows = vec![
+            Allow {
+                path_suffix: "crates/desim/src/link.rs".to_string(),
+                substring: "cold: std::collections::HashSet".to_string(),
+            },
+            Allow {
+                path_suffix: "crates/arrow-net/src/reactor.rs".to_string(),
+                substring: "links: HashMap".to_string(),
+            },
+        ];
         let mut findings = Vec::new();
         lint_hot_path_hashing(&dir, &allows, &mut findings);
         let _ = std::fs::remove_dir_all(&dir);
@@ -629,8 +645,10 @@ mod tests {
             vec![
                 ("crates/desim/src/link.rs".to_string(), 1),
                 ("crates/desim/src/event.rs".to_string(), 0),
+                ("crates/arrow-net/src/reactor.rs".to_string(), 2),
             ],
-            "the live import and the missing file, not the allowed field, the comment or the test"
+            "the live import, the missing file and the hashed node table, not the allowed \
+             fields, the comment or the test"
         );
     }
 
