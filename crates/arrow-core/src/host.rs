@@ -147,7 +147,7 @@ impl Host {
     /// Journal that `succ` was queued behind `pred` at this node.
     pub(crate) fn note_queued(
         &mut self,
-        ctx: &mut Context<ProtoMsg>,
+        ctx: &Context<ProtoMsg>,
         obj: ObjectId,
         pred: RequestId,
         succ: RequestId,
@@ -161,7 +161,6 @@ impl Host {
             informed_at: ctx.now(),
             epoch,
         });
-        ctx.record_completion(succ.0);
     }
 
     /// Count one protocol message sent to another node.

@@ -38,7 +38,7 @@ pub(crate) enum Outgoing<M> {
 /// Outgoing actions a process can request during a single handler invocation.
 ///
 /// The context buffers them; the simulator applies them (samples latencies, schedules
-/// events, updates statistics) after the handler returns. This keeps handler code pure
+/// events) after the handler returns. This keeps handler code pure
 /// with respect to the event queue and keeps borrow-checking simple.
 #[derive(Debug)]
 pub struct Context<M> {
@@ -48,9 +48,6 @@ pub struct Context<M> {
     pub(crate) outbox: Vec<Outgoing<M>>,
     /// Timers to set: (delay, tag).
     pub(crate) timers: Vec<(SimDuration, u64)>,
-    /// Application-level completion records (opaque to the simulator, drained by the
-    /// harness after the run). Each entry is (time recorded, user value).
-    pub(crate) completions: Vec<(SimTime, u64)>,
 }
 
 impl<M> Context<M> {
@@ -62,20 +59,18 @@ impl<M> Context<M> {
             now,
             outbox: Vec::new(),
             timers: Vec::new(),
-            completions: Vec::new(),
         }
     }
 
     /// Re-point this context at a new handler invocation, clearing the buffered
     /// actions but keeping their allocated capacity. Used by the simulator to reuse
-    /// one scratch context for every event instead of allocating three `Vec`s per
+    /// one scratch context for every event instead of allocating two `Vec`s per
     /// handler call.
     pub(crate) fn reset(&mut self, node: NodeId, now: SimTime) {
         self.node = node;
         self.now = now;
         self.outbox.clear();
         self.timers.clear();
-        self.completions.clear();
     }
 
     /// The node this handler is running on.
@@ -110,13 +105,6 @@ impl<M> Context<M> {
     /// Set a timer that fires after `delay` with the given user tag.
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) {
         self.timers.push((delay, tag));
-    }
-
-    /// Record an application-level completion (e.g. "request `id` found its
-    /// predecessor"). The harness reads these back after the run via
-    /// [`crate::sim::Simulator::drain_completions`].
-    pub fn record_completion(&mut self, value: u64) {
-        self.completions.push((self.now, value));
     }
 }
 
@@ -158,7 +146,6 @@ mod tests {
             self.heard.push((from, msg));
             ctx.send(from, msg + 1);
             ctx.set_timer(SimDuration::unit(), 7);
-            ctx.record_completion(msg as u64);
         }
     }
 
@@ -171,8 +158,11 @@ mod tests {
         assert_eq!(ctx.now(), SimTime::from_units(5));
         assert_eq!(ctx.outbox, vec![Outgoing::Link { to: 1, msg: 42 }]);
         assert_eq!(ctx.timers, vec![(SimDuration::unit(), 7)]);
-        assert_eq!(ctx.completions, vec![(SimTime::from_units(5), 41)]);
         assert_eq!(p.heard, vec![(1, 41)]);
+        // A reset keeps nothing of the previous handler's actions.
+        ctx.reset(0, SimTime::from_units(6));
+        assert!(ctx.outbox.is_empty() && ctx.timers.is_empty());
+        assert_eq!((ctx.node(), ctx.now()), (0, SimTime::from_units(6)));
     }
 
     #[test]

@@ -137,18 +137,6 @@ pub struct RunOutcome {
     pub final_time: SimTime,
 }
 
-/// A record of an application-level completion reported via
-/// [`Context::record_completion`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Completion {
-    /// Virtual time at which the completion was recorded.
-    pub time: SimTime,
-    /// Node that recorded it.
-    pub node: NodeId,
-    /// User-chosen value (e.g. a request id).
-    pub value: u64,
-}
-
 /// The discrete-event simulator.
 ///
 /// Generic over the message type `M` and the per-node process type `P`. Heterogeneous
@@ -163,7 +151,6 @@ pub struct Simulator<M, P: Process<M>> {
     started: bool,
     stats: SimStats,
     trace: Trace,
-    completions: Vec<Completion>,
     events_processed: u64,
     /// Scheduled faults, sorted by time once the run starts; `next_fault` indexes
     /// the first not-yet-applied entry.
@@ -196,9 +183,8 @@ impl<M: std::fmt::Debug, P: Process<M>> Simulator<M, P> {
             config,
             now: SimTime::ZERO,
             started: false,
-            stats: SimStats::new(n),
+            stats: SimStats::default(),
             trace,
-            completions: Vec::new(),
             events_processed: 0,
             faults: Vec::new(),
             next_fault: 0,
@@ -305,16 +291,6 @@ impl<M: std::fmt::Debug, P: Process<M>> Simulator<M, P> {
         self.trace
     }
 
-    /// Completions recorded so far, in recording order. Draining resets the buffer.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
-    }
-
-    /// Completions recorded so far without draining.
-    pub fn completions(&self) -> &[Completion] {
-        &self.completions
-    }
-
     fn apply_context(&mut self, node: NodeId, ctx: &mut Context<M>) {
         for out in ctx.outbox.drain(..) {
             // Jitter is folded into the FIFO floor (the floored, jittered delivery is
@@ -346,7 +322,6 @@ impl<M: std::fmt::Debug, P: Process<M>> Simulator<M, P> {
                     (to, msg, delivery)
                 }
             };
-            self.stats.note_send(node, to, delivery - self.now);
             if self.trace.is_enabled() {
                 self.trace.push(TraceEvent::Send {
                     time: self.now,
@@ -368,9 +343,6 @@ impl<M: std::fmt::Debug, P: Process<M>> Simulator<M, P> {
         for (delay, tag) in ctx.timers.drain(..) {
             self.queue
                 .schedule(self.now + delay, EventKind::Timer { node, tag });
-        }
-        for (time, value) in ctx.completions.drain(..) {
-            self.completions.push(Completion { time, node, value });
         }
     }
 
@@ -409,7 +381,6 @@ impl<M: std::fmt::Debug, P: Process<M>> Simulator<M, P> {
         self.now = self.now.max(event.time);
         self.apply_due_faults(self.now);
         self.events_processed += 1;
-        self.stats.events_processed += 1;
         match event.kind {
             EventKind::Deliver { from, to, payload } => {
                 if self.crashed[to]
@@ -421,7 +392,7 @@ impl<M: std::fmt::Debug, P: Process<M>> Simulator<M, P> {
                     self.stats.messages_dropped += 1;
                     return true;
                 }
-                self.stats.note_delivery(to);
+                self.stats.messages_delivered += 1;
                 if self.trace.is_enabled() {
                     self.trace.push(TraceEvent::Deliver {
                         time: self.now,
@@ -540,8 +511,6 @@ mod tests {
             if msg > 0 {
                 let next = (ctx.node() + 1) % self.n;
                 ctx.send(next, msg - 1);
-            } else {
-                ctx.record_completion(ctx.node() as u64);
             }
         }
     }
@@ -566,10 +535,10 @@ mod tests {
         assert_eq!(outcome.final_time, SimTime::from_units(10));
         assert_eq!(sim.stats().messages_delivered, 10);
         assert_eq!(sim.stats().external_inputs, 1);
-        let completions = sim.drain_completions();
-        assert_eq!(completions.len(), 1);
-        assert_eq!(completions[0].node, 0); // 10 hops from node 0 around a 5-ring
-        assert_eq!(completions[0].time, SimTime::from_units(10));
+        // 10 hops from node 0 around a 5-ring end back at node 0, which heard the
+        // counter at times 0 (the external), 5 and 10.
+        assert_eq!(sim.node(0).received, vec![10, 5, 0]);
+        assert_eq!(sim.node(4).received, vec![6, 1]);
     }
 
     #[test]
@@ -684,21 +653,25 @@ mod tests {
 
     #[test]
     fn direct_sends_take_the_requested_latency() {
-        struct Direct;
+        struct Direct {
+            got: Vec<(u32, SimTime)>,
+        }
         impl Process<u32> for Direct {
             fn on_external(&mut self, ctx: &mut Context<u32>, _input: u32) {
                 ctx.send_direct(1, 7, SimDuration::from_units(5));
             }
             fn on_message(&mut self, ctx: &mut Context<u32>, _from: NodeId, msg: u32) {
-                ctx.record_completion(msg as u64);
+                self.got.push((msg, ctx.now()));
             }
         }
-        let mut sim = Simulator::new(vec![Direct, Direct], SimConfig::synchronous());
+        let nodes = (0..2).map(|_| Direct { got: vec![] }).collect();
+        let mut sim = Simulator::new(nodes, SimConfig::synchronous());
         sim.schedule_external(SimTime::ZERO, 0, 0);
         let outcome = sim.run();
         // One direct hop of 5 units, regardless of the unit link model.
         assert_eq!(outcome.final_time, SimTime::from_units(5));
-        assert_eq!(sim.completions().len(), 1);
+        assert_eq!(sim.node(1).got, vec![(7, SimTime::from_units(5))]);
+        assert_eq!(sim.stats().messages_delivered, 1);
     }
 
     #[test]
@@ -750,20 +723,24 @@ mod tests {
 
     #[test]
     fn crashed_node_drops_deliveries_externals_and_timers() {
-        struct Ticker;
+        /// Logs every timer tag and message it handles.
+        struct Ticker {
+            handled: Vec<u64>,
+        }
         impl Process<u32> for Ticker {
             fn on_external(&mut self, ctx: &mut Context<u32>, _input: u32) {
                 ctx.set_timer(SimDuration::from_units(2), 1);
                 ctx.send(1, 7);
             }
-            fn on_timer(&mut self, ctx: &mut Context<u32>, tag: u64) {
-                ctx.record_completion(tag);
+            fn on_timer(&mut self, _ctx: &mut Context<u32>, tag: u64) {
+                self.handled.push(tag);
             }
-            fn on_message(&mut self, ctx: &mut Context<u32>, _from: NodeId, msg: u32) {
-                ctx.record_completion(msg as u64);
+            fn on_message(&mut self, _ctx: &mut Context<u32>, _from: NodeId, msg: u32) {
+                self.handled.push(msg as u64);
             }
         }
-        let mut sim = Simulator::new(vec![Ticker, Ticker], SimConfig::synchronous());
+        let nodes = (0..2).map(|_| Ticker { handled: vec![] }).collect();
+        let mut sim = Simulator::new(nodes, SimConfig::synchronous());
         sim.schedule_external(SimTime::ZERO, 0, 0);
         // A second external for node 0 after the crash, and the crash itself at t=1:
         // the pending timer (t=2), the in-flight delivery to node 1 (crashed below),
@@ -773,7 +750,10 @@ mod tests {
         sim.schedule_fault(SimTime::from_units(0), SimFault::Crash(1));
         let outcome = sim.run();
         assert_eq!(outcome.stop, StopReason::Quiescent);
-        assert!(sim.completions().is_empty());
+        assert!(sim.node(0).handled.is_empty() && sim.node(1).handled.is_empty());
+        assert_eq!(sim.stats().external_inputs, 1); // only the one before the crash
+        assert_eq!(sim.stats().timer_firings, 0);
+        assert_eq!(sim.stats().messages_delivered, 0);
         assert_eq!(sim.stats().messages_dropped, 1); // send to crashed node 1
         assert_eq!(sim.stats().silenced_inputs, 2); // node 0's timer + late external
         assert!(sim.is_crashed(0));

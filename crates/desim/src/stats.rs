@@ -1,13 +1,11 @@
-//! Simulation statistics: message counts, per-node counters and latency/hop
-//! histograms.
+//! Simulation statistics: the simulator's event counters and a fixed-bucket
+//! histogram.
 //!
-//! The paper's experimental section reports two quantities (Figures 10 and 11):
-//! total latency for a fixed number of enqueues, and the average number of
-//! inter-processor messages ("hops") per queuing operation. [`SimStats`] collects the
-//! raw counts needed to derive both, plus general-purpose histograms for richer
-//! reporting.
+//! [`SimStats`] counts what the engine does with each event — delivered, injected,
+//! fired, or dropped by a fault. The paper's Figure 10/11 quantities (latency per
+//! enqueue, inter-processor messages per queuing operation) are protocol facts and
+//! are journaled by the protocol's node host, not here.
 
-use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// A simple fixed-bucket histogram over non-negative `f64` samples.
@@ -186,81 +184,19 @@ impl Histogram {
 }
 
 /// Counters collected during a simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SimStats {
     /// Total messages delivered (excluding external inputs and timers).
     pub messages_delivered: u64,
-    /// Messages a node "sent to itself" via the network (normally zero).
-    pub self_messages: u64,
     /// External inputs injected.
     pub external_inputs: u64,
     /// Timer firings.
     pub timer_firings: u64,
-    /// Events processed in total.
-    pub events_processed: u64,
     /// Messages lost to faults: deliveries to a crashed node or over a blocked
     /// link (see [`crate::SimFault`]).
     pub messages_dropped: u64,
     /// External inputs and timer firings silenced because their node was crashed.
     pub silenced_inputs: u64,
-    /// Per-node count of messages sent.
-    pub sent_per_node: Vec<u64>,
-    /// Per-node count of messages received.
-    pub received_per_node: Vec<u64>,
-    /// Histogram of sampled message latencies (in time units).
-    pub latency_hist: Histogram,
-}
-
-impl SimStats {
-    /// Create zeroed statistics for `n` nodes.
-    pub fn new(n: usize) -> Self {
-        SimStats {
-            messages_delivered: 0,
-            self_messages: 0,
-            external_inputs: 0,
-            timer_firings: 0,
-            events_processed: 0,
-            messages_dropped: 0,
-            silenced_inputs: 0,
-            sent_per_node: vec![0; n],
-            received_per_node: vec![0; n],
-            latency_hist: Histogram::new(0.05),
-        }
-    }
-
-    pub(crate) fn note_send(&mut self, from: usize, to: usize, latency: SimDuration) {
-        self.sent_per_node[from] += 1;
-        self.latency_hist.record(latency.as_units_f64());
-        if from == to {
-            self.self_messages += 1;
-        }
-    }
-
-    pub(crate) fn note_delivery(&mut self, to: usize) {
-        self.messages_delivered += 1;
-        self.received_per_node[to] += 1;
-    }
-
-    /// Total messages sent across all nodes.
-    pub fn total_sent(&self) -> u64 {
-        self.sent_per_node.iter().sum()
-    }
-
-    /// Messages that actually crossed between two *different* nodes — the paper's
-    /// "inter-processor messages" of Figure 11.
-    pub fn interprocessor_messages(&self) -> u64 {
-        self.total_sent() - self.self_messages
-    }
-
-    /// The busiest node by received messages, `(node, count)`. `None` if no traffic.
-    pub fn hottest_receiver(&self) -> Option<(usize, u64)> {
-        self.received_per_node
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by_key(|&(_, c)| c)
-            .filter(|&(_, c)| c > 0)
-    }
 }
 
 #[cfg(test)]
@@ -456,22 +392,6 @@ mod tests {
         h.record(-5.0);
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn stats_counters_track_sends_and_deliveries() {
-        let mut s = SimStats::new(3);
-        s.note_send(0, 1, SimDuration::unit());
-        s.note_send(0, 2, SimDuration::unit());
-        s.note_send(1, 1, SimDuration::unit());
-        s.note_delivery(1);
-        s.note_delivery(2);
-        assert_eq!(s.total_sent(), 3);
-        assert_eq!(s.self_messages, 1);
-        assert_eq!(s.interprocessor_messages(), 2);
-        assert_eq!(s.sent_per_node, vec![2, 1, 0]);
-        assert_eq!(s.received_per_node, vec![0, 1, 1]);
-        assert_eq!(s.hottest_receiver().map(|(_, c)| c), Some(1));
     }
 
     #[test]

@@ -71,6 +71,79 @@ fn raw_simulator_trace_is_reproducible_per_seed() {
     assert_ne!(render(42).0, render(43).0);
 }
 
+/// The simulator's event order pinned by digests recorded while every event still
+/// went through one binary heap: in-order events now wait in per-kind FIFO lanes,
+/// and these runs are where the lanes and the heap interleave.
+///
+/// * a synchronous open loop whose whole-unit issue times make externals tie with
+///   deliveries (trace text);
+/// * an asynchronous open loop over two objects (trace text);
+/// * closed loops whose service timers tie with deliveries, synchronous and
+///   asynchronous (orders, makespan, event count).
+#[test]
+fn event_order_holds_its_recorded_digests() {
+    use std::hash::{Hash, Hasher};
+    fn digest(value: impl Hash) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+    let instance = Instance::complete_uniform(16, SpanningTreeKind::BalancedBinary);
+    // Four requests per whole time unit, from nodes spread over the tree.
+    let issues = |i: usize| ((i * 7) % 16, SimTime::from_units(i as u64 / 4));
+    let traced = |schedule: &RequestSchedule, config: &RunConfig| {
+        let (outcome, trace) =
+            run_schedule_traced(&instance, schedule, config).expect("fault-free run");
+        assert_eq!(outcome.request_count(), schedule.len());
+        digest(trace.render())
+    };
+
+    let single = RequestSchedule::from_pairs(&(0..64).map(issues).collect::<Vec<_>>());
+    let sync_open = traced(&single, &RunConfig::analysis(ProtocolKind::Arrow));
+
+    let two_objects = RequestSchedule::from_object_pairs(
+        &(0..64)
+            .map(|i| {
+                let (node, time) = issues(i);
+                (node, time, ObjectId(i as u32 % 2))
+            })
+            .collect::<Vec<_>>(),
+    );
+    let async_open = traced(
+        &two_objects,
+        &RunConfig::analysis(ProtocolKind::Arrow).asynchronous(5),
+    );
+
+    // A service time of half a unit lands timers on the half-unit grid that
+    // synchronous deliveries also occupy.
+    let spec = ClosedLoopSpec {
+        requests_per_node: 20,
+        local_service_time: 0.5,
+    };
+    let closed = |config: RunConfig| {
+        let o = run(&instance, &Workload::ClosedLoop(spec), &config);
+        let orders: Vec<_> = o
+            .orders
+            .iter()
+            .map(|(obj, order)| (obj, order.order()))
+            .collect();
+        digest((orders, o.makespan.to_bits(), o.sim_events))
+    };
+    let experiment = RunConfig::experiment(ProtocolKind::Arrow, spec.local_service_time);
+    let sync_closed = closed(experiment.clone());
+    let async_closed = closed(experiment.asynchronous(9));
+
+    assert_eq!(
+        [sync_open, async_open, sync_closed, async_closed],
+        [
+            0x7a90_cb16_4087_993d,
+            0x2070_b3ed_eaaf_50f5,
+            0x7bf8_b1bb_4459_b4ef,
+            0xe19f_549d_51c1_7f74,
+        ]
+    );
+}
+
 /// Parallel sweeps return exactly the rows of the serial reference implementations,
 /// in the same order.
 #[test]
