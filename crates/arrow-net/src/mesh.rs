@@ -271,6 +271,11 @@ pub struct NetStatsSnapshot {
     /// to `queue_frames + token_frames` in a runtime that hosts every node,
     /// zero in daemon mode.
     pub local_frames: u64,
+    /// Reactor cycles run on a client's own thread: an acquire or release
+    /// that found its shard idle drove the shard itself rather than queue
+    /// the command and wake the shard thread, so it added no
+    /// `reactor_wakeups`.
+    pub inline_cycles: u64,
 }
 
 impl NetStatsSnapshot {
@@ -334,6 +339,7 @@ impl NetStats {
             would_block_retries: self.registry.get(Metric::WouldBlockRetries),
             dial_races_collapsed: self.registry.get(Metric::DialRacesCollapsed),
             local_frames: self.registry.get(Metric::LocalFrames),
+            inline_cycles: self.registry.get(Metric::InlineCycles),
         }
     }
 }

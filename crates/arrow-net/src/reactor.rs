@@ -4,12 +4,58 @@
 //! small fixed pool of *shards*. Each shard owns a disjoint subset of the
 //! nodes, runs one epoll loop over all of their listeners and connections, and
 //! drives every per-node Arrow core, handshake state machine, timer, and send
-//! buffer from that single thread. Thread count is `O(shards)`, not
-//! `O(nodes)`, which is what lets one process host ≥1024 nodes.
+//! buffer under one lock. Thread count is `O(shards)`, not `O(nodes)`, which
+//! is what lets one process host ≥1024 nodes.
 //!
-//! Control (acquire, crash, epoch, shutdown) and frames between shards of one
-//! runtime travel through each shard's [`Inbox`], woken via an eventfd. A TCP
-//! connection exists only toward a node *another process* hosts.
+//! Control (crash, epoch, shutdown) and frames between shards of one runtime
+//! travel through each shard's [`Inbox`], woken via an eventfd; a client's
+//! acquire or release does too whenever its shard is busy. A TCP connection
+//! exists only toward a node *another process* hosts.
+//!
+//! # Who runs a cycle
+//!
+//! A shard is a `Mutex<Shard>`, and a *cycle* is one pass under that lock.
+//! Two kinds of thread run cycles:
+//!
+//! * **The shard thread** parks in `epoll_wait` *without* the lock, on the
+//!   shared `netpoll::Poller`. When readiness, its eventfd or a timer wakes
+//!   it, it takes the lock and runs [`Shard::cycle`]: socket events, the
+//!   inbox, due timers, then quiescence, outboxes and socket flushes. Before
+//!   it parks again it records the deadline it will sleep toward
+//!   ([`Shard::park`]).
+//! * **A client thread** whose `Acquire` or `Release` finds the lock free
+//!   (`try_lock`) runs [`Shard::inline_cycle`] itself instead of queueing the
+//!   command and writing the eventfd: it takes whatever the inbox already
+//!   holds, handles its own command, runs to quiescence, hands the outboxes
+//!   over and flushes the sockets. On one shard the grant then lands in the
+//!   client's own channel without a single context switch. A client that
+//!   finds the lock held queues its command as before.
+//!
+//! Three rules keep the two paths indistinguishable to the protocol:
+//!
+//! 1. **Drain first.** An inline cycle runs the inbox's commands ahead of its
+//!    own, so a client whose release queued behind a busy shard and whose
+//!    next acquire ran inline still has them handled in issue order.
+//! 2. **Wake on an earlier deadline.** Only the shard thread pops the timer
+//!    wheel. An inline cycle that arms an entry due before the deadline the
+//!    parked thread sleeps toward writes the eventfd, so injected latency,
+//!    dial backoff and handshake deadlines fire on time.
+//! 3. **Bootstrap before publishing.** Bootstrap dials run before the shard
+//!    is reachable inline ([`publish`]): a client's `Traffic` dial toward the
+//!    parent then finds the `Bootstrap` dial in place and stages its frame on
+//!    it, instead of having its staged frame overwritten by it.
+//!
+//! Everything but a client's own `Acquire` and `Release` always queues:
+//! `Shutdown`, a sibling's `Frames` and `Done`, and the fault and epoch
+//! commands. An inline cycle may still *handle* any of them when it drains
+//! the inbox; the shard thread's next cycle sees their effect (a shutdown
+//! under way, a sibling's marker counted) because it lives in the shard.
+//!
+//! Holding the lock across a grant's `reply.send` cannot block: every grant
+//! channel is an unbounded `std::sync::mpsc` channel, so the send is a push,
+//! never a wait for the receiver. The only other locks taken under a shard's
+//! lock are sibling inbox queues and the severed-link set, each held for one
+//! push or probe and never while waiting for a shard.
 //!
 //! # Delivery rule: sockets only at process boundaries
 //!
@@ -61,13 +107,13 @@
 //! sent before its marker is processed first, and no shard pushes into the
 //! inbox of a shard that has exited.
 //!
-//! **Quiescence invariant.** Each loop cycle ends with
+//! **Quiescence invariant.** Each cycle, inline or not, ends with
 //! [`Shard::run_to_quiescence`], which alternates dispatching dirty nodes'
 //! core actions and draining `localq` until both are empty; only then are
-//! outboxes handed over, sockets flushed and `epoll_wait` entered. `localq`
-//! and the outboxes are therefore empty at every `epoll_wait`, and the work of
-//! one cycle is bounded by (commands + inbound frames taken this cycle) × tree
-//! diameter.
+//! outboxes handed over, sockets flushed and the lock released. `localq` and
+//! the outboxes are therefore empty whenever nobody holds the lock, and the
+//! work of one cycle is bounded by (commands + inbound frames taken this
+//! cycle) × tree diameter.
 //!
 //! Handshakes are nonblocking state machines ([`ConnState`]): a dialer drives
 //! `Connecting → AwaitWelcome → Established`, an acceptor `AwaitHello →
@@ -83,7 +129,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -111,7 +157,7 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 /// Max `read(2)` calls per readiness event before yielding to other sockets.
 const READS_PER_EVENT: usize = 16;
 
-/// A control-plane command injected into a shard from outside its thread.
+/// A command injected into a shard from outside its cycles.
 pub(crate) enum ShardCmd {
     /// Issue an acquire on `node` for `obj`; the grant goes to `reply`.
     Acquire {
@@ -157,19 +203,57 @@ impl Inbox {
             closed: AtomicBool::new(false),
         })
     }
+
+    /// Enqueue `cmd` and wake the shard. Returns `false` if the shard has
+    /// already drained its inbox for the last time and exited.
+    fn send(&self, cmd: ShardCmd) -> bool {
+        // The closed check happens before the push: once `closed` is set the
+        // shard never locks the queue again, so a command enqueued after a
+        // `true` load here may be dropped — callers treat `false` (and only
+        // `false`) as "runtime has shut down".
+        if self.closed.load(Ordering::Acquire) {
+            return false;
+        }
+        let first = {
+            let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            queue.push_back(cmd);
+            queue.len() == 1
+        };
+        // A non-empty queue has a wake-up pending already: the shard thread
+        // drains the eventfd before it takes the queue, so whoever made the
+        // queue non-empty after the last take has woken it. An inline cycle
+        // takes the queue without touching the eventfd, which can only leave
+        // a spurious wake-up behind, never a missing one.
+        if first {
+            let _ = self.waker.wake();
+        }
+        true
+    }
+}
+
+/// What a client handle sees of its shard besides the inbox: the shard's
+/// lock, to run a command on the caller's thread when nobody holds it.
+trait Inline: Send + Sync {
+    /// Run `cmd` in an inline cycle if the shard is idle; hand it back if
+    /// another thread holds the shard. `Ok(false)` means the shard has exited.
+    fn try_inline(&self, cmd: ShardCmd) -> Result<bool, ShardCmd>;
+}
+
+impl<P: Probe> Inline for Mutex<Shard<P>> {
+    fn try_inline(&self, cmd: ShardCmd) -> Result<bool, ShardCmd> {
+        match self.try_lock() {
+            Ok(mut shard) => Ok(shard.inline_cycle(cmd)),
+            Err(TryLockError::Poisoned(shard)) => Ok(shard.into_inner().inline_cycle(cmd)),
+            Err(TryLockError::WouldBlock) => Err(cmd),
+        }
+    }
 }
 
 /// A cheap cloneable handle for injecting commands into one shard.
+#[derive(Clone)]
 pub(crate) struct ShardInjector {
     inbox: Arc<Inbox>,
-}
-
-impl Clone for ShardInjector {
-    fn clone(&self) -> Self {
-        ShardInjector {
-            inbox: Arc::clone(&self.inbox),
-        }
-    }
+    shard: Arc<dyn Inline>,
 }
 
 impl std::fmt::Debug for ShardInjector {
@@ -179,32 +263,24 @@ impl std::fmt::Debug for ShardInjector {
 }
 
 impl ShardInjector {
-    /// Enqueue `cmd` and wake the shard. Returns `false` if the shard has
-    /// already drained its inbox for the last time and exited.
+    /// Queue `cmd` on the shard's inbox and wake the shard thread. Returns
+    /// `false` if the shard has exited.
     pub(crate) fn send(&self, cmd: ShardCmd) -> bool {
-        // The closed check happens before the push: once `closed` is set the
-        // shard never locks the queue again, so a command enqueued after a
-        // `true` load here may be dropped — callers treat `false` (and only
-        // `false`) as "runtime has shut down".
-        if self.inbox.closed.load(Ordering::Acquire) {
-            return false;
+        self.inbox.send(cmd)
+    }
+
+    /// A client command (`Acquire`, `Release`): run it on the calling thread
+    /// if the shard is idle, queue it as [`send`](ShardInjector::send) does
+    /// otherwise. Returns `false` if the shard has exited.
+    pub(crate) fn submit(&self, cmd: ShardCmd) -> bool {
+        debug_assert!(matches!(
+            cmd,
+            ShardCmd::Acquire { .. } | ShardCmd::Release { .. }
+        ));
+        match self.shard.try_inline(cmd) {
+            Ok(live) => live,
+            Err(cmd) => self.inbox.send(cmd),
         }
-        let first = {
-            let mut queue = self
-                .inbox
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            queue.push_back(cmd);
-            queue.len() == 1
-        };
-        // A non-empty queue has a wake-up pending already: the shard drains
-        // the eventfd before it takes the queue, so whoever made the queue
-        // non-empty after the last take has woken it.
-        if first {
-            let _ = self.inbox.waker.wake();
-        }
-        true
     }
 }
 
@@ -227,7 +303,7 @@ pub(crate) struct Siblings {
     /// over a socket.
     shard_of: Vec<Option<(usize, usize)>>,
     /// Every shard's inbox, by shard index.
-    inboxes: Vec<ShardInjector>,
+    inboxes: Vec<Arc<Inbox>>,
     /// Per-node incarnation, bumped by the hosting shard when the node crashes
     /// and again when it restarts (release; read with acquire).
     incarnation: Vec<AtomicU32>,
@@ -245,12 +321,7 @@ impl Siblings {
         }
         Arc::new(Siblings {
             shard_of,
-            inboxes: shard_nodes
-                .iter()
-                .map(|_| ShardInjector {
-                    inbox: Inbox::new(),
-                })
-                .collect(),
+            inboxes: shard_nodes.iter().map(|_| Inbox::new()).collect(),
             incarnation: (0..n).map(|_| AtomicU32::new(0)).collect(),
         })
     }
@@ -543,26 +614,74 @@ pub(crate) type ShardJoin = JoinHandle<Vec<(NodeId, NodeJournal)>>;
 /// every node of the tree that no shard lists is hosted by another process.
 /// Returns one injector per shard plus the join handles (each yields the
 /// shard's node journals).
-pub(crate) fn spawn_shards<P: Probe + Send + 'static>(
+pub(crate) fn spawn_shards<P: Probe>(
     shared: &ReactorShared,
     shard_nodes: Vec<Vec<NodeSeed<P>>>,
 ) -> (Vec<ShardInjector>, Vec<ShardJoin>) {
     let siblings = Siblings::new(shared.tree.node_count(), &shard_nodes);
+    let mut injectors = Vec::with_capacity(shard_nodes.len());
     let mut threads = Vec::with_capacity(shard_nodes.len());
     for (s, nodes) in shard_nodes.into_iter().enumerate() {
-        let shared = shared.clone();
-        let siblings = Arc::clone(&siblings);
+        let (cell, injector) = publish(Shard::new(shared, Arc::clone(&siblings), s, nodes));
+        injectors.push(injector);
         threads.push(
             std::thread::Builder::new()
                 .name(format!("arrow-net-shard-{s}"))
-                .spawn(move || Shard::new(&shared, siblings, s, nodes).run())
+                .spawn(move || run(&cell))
                 .expect("spawn shard thread"),
         );
     }
-    (siblings.inboxes.clone(), threads)
+    (injectors, threads)
 }
 
-/// One reactor shard: a single-threaded event loop over a subset of nodes.
+/// Bootstrap `shard`, then make it reachable: behind its lock, with the
+/// injector client handles submit through. Bootstrap comes first because
+/// once a client can run an inline cycle, a `Traffic` dial it starts toward
+/// the tree parent would be overwritten by a later `Bootstrap` dial,
+/// losing the frame staged on it.
+fn publish<P: Probe>(mut shard: Shard<P>) -> (Arc<Mutex<Shard<P>>>, ShardInjector) {
+    shard.bootstrap();
+    let inbox = Arc::clone(&shard.inbox);
+    let cell = Arc::new(Mutex::new(shard));
+    let injector = ShardInjector {
+        inbox,
+        shard: Arc::clone(&cell) as Arc<dyn Inline>,
+    };
+    (cell, injector)
+}
+
+/// Take a shard's lock, whoever poisoned it.
+fn lock<P: Probe>(cell: &Mutex<Shard<P>>) -> MutexGuard<'_, Shard<P>> {
+    cell.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The shard thread: park in `epoll_wait` without the lock, then take the
+/// lock for one cycle over whatever woke it. Returns the nodes' journals.
+fn run<P: Probe>(cell: &Mutex<Shard<P>>) -> Vec<(NodeId, NodeJournal)> {
+    let (poller, mut timeout) = {
+        let mut shard = lock(cell);
+        (Arc::clone(&shard.poller), shard.park())
+    };
+    let mut events = Vec::new();
+    let mut due = Vec::new();
+    loop {
+        // `wait` leaves `events` empty on failure, so nothing stale is
+        // replayed; commands and timers in the cycle still make progress.
+        let waited = poller.wait(&mut events, timeout);
+        let mut shard = lock(cell);
+        if waited.is_err() {
+            shard.stats.inc(Metric::PollErrors);
+        }
+        if shard.cycle(&events, &mut due) {
+            return shard.finish();
+        }
+        timeout = shard.park();
+    }
+}
+
+/// One reactor shard: the state of one event loop over a subset of nodes, run
+/// one cycle at a time by whichever thread holds its lock (see the module
+/// docs).
 struct Shard<P: Probe> {
     cfg: NetConfig,
     tree: Arc<RootedTree>,
@@ -571,7 +690,12 @@ struct Shard<P: Probe> {
     blocked: Arc<Mutex<HashSet<(NodeId, NodeId)>>>,
     faults_armed: Arc<AtomicBool>,
     epoch0: Instant,
-    poller: netpoll::Poller,
+    /// Shared with the shard thread, which waits on it without the lock.
+    poller: Arc<netpoll::Poller>,
+    /// The deadline the shard thread last parked toward (`None`: no timer
+    /// armed, so it sleeps until woken). See the wake rule in the module
+    /// docs.
+    parked_until: Option<Instant>,
     slab: Vec<SlabEntry>,
     free: Vec<usize>,
     /// This shard's nodes by slot ([`Siblings::shard_of`]), in node-id order.
@@ -616,8 +740,8 @@ impl<P: Probe> Shard<P> {
         id: usize,
         owned: Vec<NodeSeed<P>>,
     ) -> Self {
-        let inbox = Arc::clone(&siblings.inboxes[id].inbox);
-        let poller = netpoll::Poller::new().expect("epoll instance");
+        let inbox = Arc::clone(&siblings.inboxes[id]);
+        let poller = Arc::new(netpoll::Poller::new().expect("epoll instance"));
         poller
             .register(inbox.waker.as_raw_fd(), WAKER_TOKEN, true, false)
             .expect("register waker");
@@ -630,6 +754,7 @@ impl<P: Probe> Shard<P> {
             faults_armed: Arc::clone(&shared.faults_armed),
             epoch0: shared.epoch0,
             poller,
+            parked_until: None,
             slab: Vec::new(),
             free: Vec::new(),
             nodes: Vec::with_capacity(owned.len()),
@@ -770,90 +895,115 @@ impl<P: Probe> Shard<P> {
         }
     }
 
-    fn run(mut self) -> Vec<(NodeId, NodeJournal)> {
-        // Bootstrap: every non-root node dials its tree parent — unless this
-        // runtime hosts the parent too, in which case the edge needs no socket.
-        let owned: Vec<NodeId> = self.nodes.iter().map(|n| n.me).collect();
-        for v in owned {
+    /// Bootstrap: every non-root node dials its tree parent — unless this
+    /// runtime hosts the parent too, in which case the edge needs no socket.
+    fn bootstrap(&mut self) {
+        for slot in 0..self.nodes.len() {
+            let v = self.nodes[slot].me;
             if let Some(p) = self.tree.parent(v) {
                 if self.siblings.shard_of[p].is_none() {
                     self.start_dial(v, p, DialIntent::Bootstrap, Vec::new());
                 }
             }
         }
-        let mut events = Vec::new();
-        let mut due = Vec::new();
-        loop {
-            let timeout = self
-                .wheel
-                .next_due()
-                .map(|d| d.saturating_duration_since(Instant::now()));
-            debug_assert!(
-                self.localq.is_empty() && self.outbox.iter().all(Vec::is_empty),
-                "memory paths drained before the wait"
-            );
-            if self.poller.wait(&mut events, timeout).is_err() {
-                // `wait` left `events` empty, so nothing stale is replayed;
-                // commands and timers below still make progress.
-                self.stats.inc(Metric::PollErrors);
+    }
+
+    /// Record the deadline the shard thread is about to park toward and
+    /// return its `epoll_wait` timeout.
+    fn park(&mut self) -> Option<Duration> {
+        debug_assert!(
+            self.localq.is_empty() && self.outbox.iter().all(Vec::is_empty),
+            "memory paths drained before the wait"
+        );
+        self.parked_until = self.wheel.next_due();
+        self.parked_until
+            .map(|d| d.saturating_duration_since(Instant::now()))
+    }
+
+    /// One cycle of the shard thread over the readiness `events` it woke
+    /// with. Returns whether the shard is done and may exit.
+    fn cycle(&mut self, events: &[netpoll::Event], due: &mut Vec<TimerEntry>) -> bool {
+        self.stats.inc(Metric::ReactorWakeups);
+        self.stats
+            .observe(HistMetric::EventsPerWakeup, events.len() as u64);
+        for ev in events {
+            if ev.token == WAKER_TOKEN {
+                self.inbox.waker.drain();
+                continue;
             }
-            self.stats.inc(Metric::ReactorWakeups);
-            self.stats
-                .observe(HistMetric::EventsPerWakeup, events.len() as u64);
-            for ev in &events {
-                let ev = *ev;
-                if ev.token == WAKER_TOKEN {
-                    self.inbox.waker.drain();
-                    continue;
-                }
-                if ev.readable {
-                    if let Some(idx) = self.resolve(ev.token) {
-                        self.handle_readable(idx);
-                    }
-                }
-                // Re-resolve: the readable half may have closed the conn.
-                if ev.writable {
-                    if let Some(idx) = self.resolve(ev.token) {
-                        self.handle_writable(idx);
-                    }
+            if ev.readable {
+                if let Some(idx) = self.resolve(ev.token) {
+                    self.handle_readable(idx);
                 }
             }
-            self.drain_inbox();
-            due.clear();
-            self.wheel.pop_due(Instant::now(), &mut due);
-            for entry in due.drain(..) {
-                self.handle_timer(entry);
-            }
-            self.run_to_quiescence();
-            self.flush_outboxes();
-            let flush = mem::take(&mut self.flushq);
-            for tok in flush {
-                if let Some(idx) = self.resolve(tok) {
-                    self.conn_mut(idx).in_flushq = false;
-                    self.flush_conn(idx);
-                }
-            }
-            if self.shutting_down {
-                if self.shutdown_forced {
-                    let conns: Vec<usize> = self
-                        .slab
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, e)| matches!(e.src, Some(Source::Conn(_))))
-                        .map(|(i, _)| i)
-                        .collect();
-                    for idx in conns {
-                        if let Source::Conn(c) = self.slab_remove(idx) {
-                            let _ = c.stream.shutdown(Shutdown::Both);
-                        }
-                    }
-                }
-                if self.may_exit() {
-                    break;
+            // Re-resolve: the readable half may have closed the conn.
+            if ev.writable {
+                if let Some(idx) = self.resolve(ev.token) {
+                    self.handle_writable(idx);
                 }
             }
         }
-        self.finish()
+        self.drain_inbox();
+        self.wheel.pop_due(Instant::now(), due);
+        for entry in due.drain(..) {
+            self.handle_timer(entry);
+        }
+        self.run_to_quiescence();
+        self.flush_outboxes();
+        self.flush_sockets();
+        if !self.shutting_down {
+            return false;
+        }
+        if self.shutdown_forced {
+            let conns: Vec<usize> = self
+                .slab
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| matches!(e.src, Some(Source::Conn(_))))
+                .map(|(i, _)| i)
+                .collect();
+            for idx in conns {
+                if let Source::Conn(c) = self.slab_remove(idx) {
+                    let _ = c.stream.shutdown(Shutdown::Both);
+                }
+            }
+        }
+        self.may_exit()
+    }
+
+    /// A client thread's cycle (see the module docs): whatever the inbox
+    /// already holds, then the client's own command, then everything they
+    /// provoke, exactly as the shard thread would run them. Returns `false`
+    /// if the shard has exited.
+    fn inline_cycle(&mut self, cmd: ShardCmd) -> bool {
+        if self.inbox.closed.load(Ordering::Acquire) {
+            return false;
+        }
+        self.stats.inc(Metric::InlineCycles);
+        self.drain_inbox();
+        self.handle_cmd(cmd);
+        self.run_to_quiescence();
+        self.flush_outboxes();
+        self.flush_sockets();
+        // The wake rule: a timer armed ahead of the parked thread's deadline
+        // would otherwise wait for an unrelated wake-up.
+        if let Some(due) = self.wheel.next_due() {
+            if self.parked_until.is_none_or(|parked| due < parked) {
+                self.parked_until = Some(due);
+                let _ = self.inbox.waker.wake();
+            }
+        }
+        true
+    }
+
+    /// Write out every connection staged on this cycle.
+    fn flush_sockets(&mut self) {
+        for tok in mem::take(&mut self.flushq) {
+            if let Some(idx) = self.resolve(tok) {
+                self.conn_mut(idx).in_flushq = false;
+                self.flush_conn(idx);
+            }
+        }
     }
 
     /// Whether a shutting-down shard is done: its sockets are closed and
@@ -868,7 +1018,7 @@ impl<P: Probe> Shard<P> {
     }
 
     /// Close the inbox and hand back every node's journal.
-    fn finish(mut self) -> Vec<(NodeId, NodeJournal)> {
+    fn finish(&mut self) -> Vec<(NodeId, NodeJournal)> {
         self.inbox.closed.store(true, Ordering::Release);
         let mut out = Vec::with_capacity(self.nodes.len());
         for node in self.nodes.drain(..) {
@@ -2338,6 +2488,49 @@ mod tests {
         );
     }
 
+    /// Drain first: an inline cycle runs what the inbox already holds before
+    /// the client's own command, so a client's commands keep their order
+    /// whichever path each one took. Node 1 holds the token; its release
+    /// queues while the test holds the shard's lock, as a busy shard would;
+    /// node 1's next acquire then finds the lock free and runs inline. It
+    /// must find the token released and be granted within the same call.
+    #[test]
+    fn inline_cycle_drains_the_inbox_before_its_own_command() {
+        let (shared, seed0, seed1) = pair(1, None);
+        let shard = hand_driven(&shared, vec![vec![seed0, seed1]]).remove(0);
+        let (cell, injector) = publish(shard);
+        let (reply, grants) = std::sync::mpsc::channel();
+        let acquire = || ShardCmd::Acquire {
+            node: 1,
+            obj: ObjectId(0),
+            reply: reply.clone(),
+        };
+        assert!(injector.submit(acquire()));
+        let held = grants
+            .try_recv()
+            .expect("an idle shard grants inline, on the caller's thread")
+            .result
+            .expect("healthy pair grants");
+        {
+            let _busy = lock(&cell);
+            assert!(injector.submit(ShardCmd::Release {
+                node: 1,
+                obj: ObjectId(0),
+                req: held,
+            }));
+        }
+        let queued = lock(&cell).inbox.queue.lock().expect("inbox lock").len();
+        assert_eq!(queued, 1, "a busy shard's command waits in the inbox");
+        assert!(injector.submit(acquire()));
+        let grant = grants
+            .try_recv()
+            .expect("the queued release ran ahead of the inline acquire");
+        assert!(grant.result.is_ok_and(|req| req > held));
+        let snap = shared.stats.snapshot();
+        assert_eq!((snap.inline_cycles, snap.reactor_wakeups), (2, 0));
+        assert_eq!(snap.acquisitions, 2);
+    }
+
     /// Nodes one runtime hosts talk in memory and never dial each other, so a
     /// `Hello` claiming the id of such a node can only be a confused or
     /// hostile peer: the shard refuses it instead of installing a link that
@@ -2470,7 +2663,7 @@ mod tests {
         assert_eq!(granted, objects, "every token sent before a marker landed");
 
         let (mut issued, mut records) = (Vec::new(), Vec::new());
-        for shard in shards {
+        for mut shard in shards {
             for (_, journal) in shard.finish() {
                 issued.extend(journal.issued);
                 records.extend(journal.records);

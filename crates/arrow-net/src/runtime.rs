@@ -23,7 +23,10 @@
 //! shard one batch of the frames addressed to it and flushes each dirty link's
 //! coalesced frame batch with one `write` — no per-node threads, no per-frame
 //! wakeups, and thread count is O(shards) rather than O(nodes), which is what
-//! lets a single process host ≥1024 nodes. With injected latency frames are
+//! lets a single process host ≥1024 nodes. A client's acquire or release that
+//! finds its shard idle runs that same cycle on the client's own thread instead
+//! of queueing the command and waking the shard thread, so on one shard an
+//! acquire costs no context switch at all. With injected latency frames are
 //! scheduled on the shard's timer wheel, whose next deadline doubles as the
 //! `epoll_wait` timeout, so a shard sleeps in exactly one place. Applications
 //! that want to overlap round-trips use the pipelined acquire API
@@ -459,6 +462,11 @@ impl NetFaultHandle {
 /// per object — blocking ([`acquire_object`]), failure-typed ([`try_acquire_object`])
 /// or pipelined ([`start_acquire_object`]).
 ///
+/// An acquire or release whose reactor shard is idle runs on the calling
+/// thread, as one shard cycle; a busy shard gets the command through its
+/// inbox. Either way the command is handled in the order this handle issued
+/// it, and a grant arrives on the acquire's channel.
+///
 /// [`acquire_object`]: NetHandle::acquire_object
 /// [`try_acquire_object`]: NetHandle::try_acquire_object
 /// [`start_acquire_object`]: NetHandle::start_acquire_object
@@ -549,7 +557,7 @@ impl NetHandle {
         self.check_object(obj);
         let (reply_tx, reply_rx) = channel();
         assert!(
-            self.injector.send(ShardCmd::Acquire {
+            self.injector.submit(ShardCmd::Acquire {
                 node: self.node,
                 obj,
                 reply: reply_tx,
@@ -578,7 +586,7 @@ impl NetHandle {
     pub fn start_acquire_object_routed(&self, obj: ObjectId, reply: &Sender<Grant>) {
         self.check_object(obj);
         assert!(
-            self.injector.send(ShardCmd::Acquire {
+            self.injector.submit(ShardCmd::Acquire {
                 node: self.node,
                 obj,
                 reply: reply.clone(),
@@ -595,7 +603,7 @@ impl NetHandle {
     /// Release `obj`'s token held for `req`, letting it move on to the successor.
     pub fn release_object(&self, obj: ObjectId, req: RequestId) {
         assert!(
-            self.injector.send(ShardCmd::Release {
+            self.injector.submit(ShardCmd::Release {
                 node: self.node,
                 obj,
                 req,
@@ -1116,6 +1124,81 @@ mod tests {
         let orders = arrow_core::order::per_object_orders(&records, &schedule).unwrap();
         assert_eq!(orders.len(), 1);
         assert_eq!(orders[0].1.order(), &[req]);
+    }
+
+    /// Bootstrap before publish: a daemon's node dials its tree parent before
+    /// a client can reach the shard inline. An acquire issued the moment
+    /// `spawn_daemon` returns stages its `queue()` on that bootstrap dial; a
+    /// bootstrap started after it would replace the dial and lose the frame.
+    #[test]
+    fn acquire_issued_as_spawn_daemon_returns_rides_the_bootstrap_dial() {
+        let t = tree(2);
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()];
+        let cfg = NetConfig::instant();
+        let d1 = NetRuntime::spawn_daemon(&t, 1, cfg, 1, l1, addrs.clone(), 0);
+        let pending = d1.handle(1).start_acquire_object(ObjectId::DEFAULT);
+        let d0 = NetRuntime::spawn_daemon(&t, 1, cfg, 0, l0, addrs, 0);
+        let req = pending
+            .wait_timeout(Duration::from_secs(10))
+            .expect("the staged queue() reaches the root");
+        d1.handle(1).release(req);
+        let r1 = d1.shutdown();
+        let r0 = d0.shutdown();
+        assert_eq!(r1.stats().connections_dialed, 1, "one dial, the bootstrap");
+        assert_eq!(r0.stats().acquisitions + r1.stats().acquisitions, 1);
+    }
+
+    /// The wake rule: an inline cycle that arms a timer ahead of the deadline
+    /// the parked shard thread sleeps toward must wake it. With injected
+    /// latency every hop waits on the shard's timer wheel, which only the
+    /// shard thread pops, and an idle one-shard runtime parks with no
+    /// deadline at all: each inline acquire below is granted only because
+    /// its cycle woke the thread.
+    #[test]
+    fn inline_cycle_arming_an_earlier_timer_wakes_the_parked_shard() {
+        let cfg = NetConfig::synchronous(Duration::from_millis(1)).with_shards(1);
+        let rt = NetRuntime::spawn(&tree(7), cfg);
+        for v in [6, 3, 6] {
+            // Let the shard thread park before the next command.
+            std::thread::sleep(Duration::from_millis(20));
+            let h = rt.handle(v);
+            let req = h
+                .try_acquire_object_timeout(ObjectId::DEFAULT, Duration::from_secs(5))
+                .expect("the woken shard delivers the delayed hops");
+            h.release(req);
+        }
+        let report = rt.shutdown();
+        assert!(
+            report.stats().inline_cycles >= 1,
+            "an idle shard runs a client's command inline"
+        );
+        report.validated_orders().unwrap();
+    }
+
+    /// A quiet one-shard closed loop, where no other thread competes for the
+    /// shard, runs nearly every acquire and release as an inline cycle on the
+    /// client's thread; the shard thread is all but never woken.
+    #[test]
+    fn quiet_one_shard_closed_loop_runs_its_commands_inline() {
+        let rt = NetRuntime::spawn(&tree(15), NetConfig::instant().with_shards(1));
+        let rounds = 200;
+        for round in 0..rounds {
+            let h = rt.handle(round % 15);
+            let req = h
+                .try_acquire_object_timeout(ObjectId::DEFAULT, Duration::from_secs(5))
+                .expect("healthy mesh grants");
+            h.release(req);
+        }
+        let s = rt.shutdown().stats();
+        let commands = 2 * rounds as u64;
+        assert!(
+            s.inline_cycles * 10 >= commands * 9,
+            "{} of {commands} commands ran inline",
+            s.inline_cycles
+        );
+        assert!(s.inline_cycles <= commands);
     }
 
     #[test]

@@ -67,11 +67,15 @@ pub enum Metric {
     /// `epoll_wait` calls that failed with an error other than `EINTR`;
     /// should stay zero.
     PollErrors,
+    /// Reactor cycles a client thread ran itself because it found the shard
+    /// idle, instead of queueing its command and waking the shard thread
+    /// (socket tier; such a cycle is not a `ReactorWakeups`).
+    InlineCycles,
 }
 
 impl Metric {
     /// Every counter, in discriminant order (the snapshot/JSON order).
-    pub const ALL: [Metric; 22] = [
+    pub const ALL: [Metric; 23] = [
         Metric::QueueFrames,
         Metric::TokenFrames,
         Metric::FramesSent,
@@ -94,6 +98,7 @@ impl Metric {
         Metric::DialRacesCollapsed,
         Metric::LocalFrames,
         Metric::PollErrors,
+        Metric::InlineCycles,
     ];
 
     /// Number of counters.
@@ -124,6 +129,7 @@ impl Metric {
             Metric::DialRacesCollapsed => "dial_races_collapsed",
             Metric::LocalFrames => "local_frames",
             Metric::PollErrors => "poll_errors",
+            Metric::InlineCycles => "inline_cycles",
         }
     }
 }

@@ -453,8 +453,8 @@ fn process_hosts_1024_nodes_with_o_shards_threads() {
     let h = rt.handle(n - 1);
     let req = h.acquire();
     h.release(req);
-    // Every shard has served the acquire, so its descriptors exist. Other
-    // tests of this binary may open sockets meanwhile, hence a bound far above
+    // Every shard's descriptors exist once `spawn` returns. Other tests of
+    // this binary may open sockets meanwhile, hence a bound far above
     // O(shards) yet far below one descriptor per node.
     let opened = fd_count().saturating_sub(fds_before);
     assert!(
@@ -493,24 +493,37 @@ fn default_runtime_runs_one_shard_thread_per_usable_cpu() {
         return;
     }
 
+    fn shard_threads() -> usize {
+        std::fs::read_dir("/proc/self/task")
+            .expect("procfs")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.starts_with("arrow-net-shard"))
+            .count()
+    }
+
     let n = 64;
     let cfg = NetConfig::instant();
+    let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let want = cfg.effective_shards(n);
+    assert_eq!(want, cpus.min(n), "one shard per usable CPU");
     let rt = NetRuntime::spawn(&tree(n), cfg);
-    // An acquire at every node has run every shard's loop, so every shard
-    // thread has named itself (`comm` keeps the first 15 bytes of the name).
+    // A shard thread names itself (`comm` keeps the first 15 bytes of the
+    // name) when it first runs. Traffic does not have to schedule it: an
+    // acquire that finds its shard idle runs on the caller's thread. So wait
+    // for the names themselves, and count threads, not scheduling.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while shard_threads() < want && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(shard_threads(), want);
     for v in 0..n {
         let h = rt.handle(v);
-        let req = h.acquire();
+        let req = h
+            .try_acquire_object_timeout(ObjectId::DEFAULT, Duration::from_secs(10))
+            .expect("the default runtime grants");
         h.release(req);
     }
-    let shard_threads = std::fs::read_dir("/proc/self/task")
-        .expect("procfs")
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .filter(|comm| comm.starts_with("arrow-net-shard"))
-        .count();
-    let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-    assert_eq!(shard_threads, cfg.effective_shards(n));
-    assert_eq!(shard_threads, cpus.min(n), "one shard per usable CPU");
+    assert_eq!(shard_threads(), want, "traffic spawns no thread");
     rt.shutdown()
         .validated_orders()
         .expect("the default runtime's order validates");

@@ -1,6 +1,6 @@
 //! Registry-free source lints for the workspace's concurrency-critical code.
 //!
-//! Seven passes, all line-based (no syn/proc-macro dependencies — the
+//! Eight passes, all line-based (no syn/proc-macro dependencies — the
 //! container has no registry access, and these lints only need to be as smart
 //! as the code they police):
 //!
@@ -40,6 +40,10 @@
 //!    thousands of times per figure, and a tier-3 hop costs a few hundred
 //!    nanoseconds, so one such probe is a measurable share of either. A
 //!    cold-path use goes on the allowlist with its reason.
+//! 8. **stale allowlist entries** — every `xtask/lint-allow.txt` entry must
+//!    still match a non-test line of a file the passes police. An entry
+//!    whose file or substring is gone suppresses nothing today, but would
+//!    silently allow whatever line next happens to contain it.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -73,21 +77,27 @@ impl fmt::Display for Finding {
 struct Allow {
     path_suffix: String,
     substring: String,
+    /// 1-based line of the entry in the allowlist file.
+    line: usize,
 }
 
+/// Where the allowlist lives, workspace-relative.
+const ALLOWLIST: &str = "xtask/lint-allow.txt";
+
 fn load_allowlist(root: &Path) -> Vec<Allow> {
-    let path = root.join("xtask/lint-allow.txt");
-    let Ok(text) = std::fs::read_to_string(&path) else {
+    let Ok(text) = std::fs::read_to_string(root.join(ALLOWLIST)) else {
         return Vec::new();
     };
     text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter_map(|l| {
+        .enumerate()
+        .map(|(i, l)| (i + 1, l.trim()))
+        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
+        .filter_map(|(line, l)| {
             let (path_suffix, substring) = l.split_once(": ")?;
             Some(Allow {
                 path_suffix: path_suffix.trim().to_string(),
                 substring: substring.trim().to_string(),
+                line,
             })
         })
         .collect()
@@ -513,6 +523,40 @@ fn lint_hot_path_hashing(root: &Path, allows: &[Allow], findings: &mut Vec<Findi
     }
 }
 
+/// Pass 8: every allowlist entry matches a live line of a policed file.
+fn lint_stale_allows(root: &Path, allows: &[Allow], findings: &mut Vec<Finding>) {
+    let mut files = policed_files(root);
+    files.extend(PER_EVENT_FILES.iter().map(|f| root.join(f)));
+    let texts: Vec<(String, String)> = files
+        .iter()
+        .filter_map(|path| {
+            let text = std::fs::read_to_string(path).ok()?;
+            Some((rel(root, path).to_string_lossy().into_owned(), text))
+        })
+        .collect();
+    for a in allows {
+        let live = texts
+            .iter()
+            .filter(|(file, _)| file.ends_with(&a.path_suffix))
+            .any(|(_, text)| {
+                non_test_lines(text)
+                    .iter()
+                    .any(|(_, line)| line.contains(&a.substring))
+            });
+        if !live {
+            findings.push(Finding {
+                file: PathBuf::from(ALLOWLIST),
+                line: a.line,
+                lint: "stale-allow",
+                message: format!(
+                    "`{}: {}` matches no live line of a policed file — delete the entry",
+                    a.path_suffix, a.substring
+                ),
+            });
+        }
+    }
+}
+
 /// Run every pass; returns all findings (empty = clean tree).
 pub fn run(root: &Path) -> Vec<Finding> {
     let allows = load_allowlist(root);
@@ -524,6 +568,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
     lint_unsafe_fencing(root, &mut findings);
     lint_daemon_exit_paths(root, &mut findings);
     lint_hot_path_hashing(root, &allows, &mut findings);
+    lint_stale_allows(root, &allows, &mut findings);
     findings
 }
 
@@ -627,10 +672,12 @@ mod tests {
             Allow {
                 path_suffix: "crates/desim/src/link.rs".to_string(),
                 substring: "cold: std::collections::HashSet".to_string(),
+                line: 1,
             },
             Allow {
                 path_suffix: "crates/arrow-net/src/reactor.rs".to_string(),
                 substring: "links: HashMap".to_string(),
+                line: 2,
             },
         ];
         let mut findings = Vec::new();
@@ -650,6 +697,35 @@ mod tests {
             "the live import, the missing file and the hashed node table, not the allowed \
              fields, the comment or the test"
         );
+    }
+
+    #[test]
+    fn stale_allowlist_entries_are_flagged() {
+        let dir = std::env::temp_dir().join("xtask-stale-allow-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("crates/arrow-net/src")).unwrap();
+        std::fs::create_dir_all(dir.join("xtask")).unwrap();
+        let reactor = "fn f() {\n    g().expect(\"live contract\");\n}\n\
+                       #[cfg(test)]\nmod tests {\n    fn t() { h().expect(\"test only\"); }\n}\n";
+        std::fs::write(dir.join("crates/arrow-net/src/reactor.rs"), reactor).unwrap();
+        let allowlist = "# reasons\n\
+                         crates/arrow-net/src/reactor.rs: .expect(\"live contract\")\n\
+                         crates/arrow-net/src/reactor.rs: .expect(\"moved away\")\n\
+                         crates/arrow-net/src/reactor.rs: .expect(\"test only\")\n\
+                         crates/arrow-net/src/gone.rs: .expect(\"live contract\")\n";
+        std::fs::write(dir.join(ALLOWLIST), allowlist).unwrap();
+        let allows = load_allowlist(&dir);
+        let mut findings = Vec::new();
+        lint_stale_allows(&dir, &allows, &mut findings);
+        let _ = std::fs::remove_dir_all(&dir);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(
+            lines,
+            vec![3, 4, 5],
+            "the vanished substring, the test-only one and the missing file; not the live entry"
+        );
+        assert!(findings.iter().all(|f| f.lint == "stale-allow"));
+        assert!(findings[0].file.ends_with(ALLOWLIST));
     }
 
     #[test]
