@@ -1,5 +1,6 @@
 //! The cross-tier conformance sweep: seeded cases × (sim | sim-centralized |
-//! thread | net) × the shared invariant suite, with automatic shrinking and
+//! net | net-1shard | net-wire, then a cluster subset) × the shared invariant
+//! suite, with automatic shrinking and
 //! replay files for every failure.
 //!
 //! ```text
@@ -23,7 +24,7 @@ use std::process::ExitCode;
 fn usage() -> ! {
     eprintln!(
         "usage: conformance [--smoke | --full] [--cases N] [--seed N] [--max-nodes N] \
-         [--max-requests N] [--faults] [--fault-episodes N] [--no-thread] [--no-net] \
+         [--max-requests N] [--faults] [--fault-episodes N] [--no-net] \
          [--no-cluster] [--no-shrink] [--out DIR] [--trace [DIR]] [--replay FILE]\n(try --help \
          for the replay file format)"
     );
@@ -51,10 +52,9 @@ OPTIONS:
                          drops) into every case and check the churn contract
                          instead of the fault-free suite (2 episodes per case)
     --fault-episodes N   like --faults with an explicit per-case episode budget
-    --no-thread          skip the thread tier
-    --no-net             skip the socket tier (it runs three times: `net` and
-                         `net-1shard`, one runtime at the default and at one
-                         reactor shard, every hop in memory; `net-wire`, one
+    --no-net             skip the reactor tier (it runs three times: `net` and
+                         `net-1shard`, one runtime on four and on one reactor
+                         shard, every hop in memory; `net-wire`, one
                          daemon-mode runtime per node, every hop on loopback
                          TCP — fault sweeps skip `net-wire`)
     --no-cluster         skip the process-cluster tier (the small fixed-seed
@@ -209,7 +209,6 @@ fn main() -> ExitCode {
             "--max-requests" => opts.max_requests = num(&mut args),
             "--faults" => opts.fault_episodes = 2,
             "--fault-episodes" => opts.fault_episodes = num(&mut args),
-            "--no-thread" => opts.include_thread = false,
             "--no-net" => opts.include_net = false,
             "--no-cluster" => include_cluster = false,
             "--no-shrink" => opts.shrink_failures = false,
@@ -258,7 +257,7 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "conformance sweep: {} cases, master seed {:#x}, max {} nodes / {} requests, tiers: sim{}{}{}",
+        "conformance sweep: {} cases, master seed {:#x}, max {} nodes / {} requests, tiers: sim{}{}",
         opts.cases,
         opts.master_seed,
         opts.max_nodes,
@@ -268,7 +267,6 @@ fn main() -> ExitCode {
         } else {
             format!(" (churn contract, ≤{} fault episodes/case)", opts.fault_episodes)
         },
-        if opts.include_thread { ", thread" } else { "" },
         match (opts.include_net, opts.fault_episodes) {
             (false, _) => "",
             (true, 0) => ", net, net-1shard, net-wire",
@@ -317,8 +315,14 @@ fn main() -> ExitCode {
     );
     if report.fault_events > 0 {
         println!(
-            "injected {} fault events; observed {} token regenerations across tiers",
-            report.fault_events, report.token_regenerations,
+            "injected {} fault events; token regenerations per tier: {}",
+            report.fault_events,
+            report
+                .token_regenerations
+                .iter()
+                .map(|(t, n)| format!("{t}={n}"))
+                .collect::<Vec<_>>()
+                .join(" "),
         );
     }
     if report.all_passed() && cluster_violations.is_empty() {

@@ -1,7 +1,7 @@
 //! The process-tier [`Driver`]: replay a conformance schedule across real
 //! `arrowd` processes, so the cross-tier agreement invariant covers process
-//! isolation too — the fourth rung after the simulator, the thread runtime
-//! and the in-process socket mesh.
+//! isolation too — tier 4, the rung after the simulator and the in-process
+//! reactor mesh.
 //!
 //! The replay contract matches the other live tiers exactly: each
 //! `(node, object)` pair's acquires run sequentially (here on a worker thread

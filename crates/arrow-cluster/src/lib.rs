@@ -2,8 +2,8 @@
 //! the spanning tree is its **own OS process** (`arrowd`), and this crate is
 //! the harness that launches, drives, observes and tears down such clusters.
 //!
-//! The first three tiers — simulator, thread runtime, in-process socket mesh —
-//! all host every node inside one process, which caps what a benchmark can
+//! The in-process tiers — the simulator and the reactor mesh — host every
+//! node inside one process, which caps what a benchmark can
 //! claim (shared fd budget, one scheduler, harness and nodes on the same
 //! cores) and what a fault test can inject (simulated crashes). This tier
 //! removes both caps: protocol state lives in per-process memory, crashes are

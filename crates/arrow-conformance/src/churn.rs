@@ -1,4 +1,5 @@
-//! The churn path of the sweep: fault-injected cases across all three tiers.
+//! The churn path of the sweep: fault-injected cases on the simulator and the
+//! in-process reactor tiers.
 //!
 //! A [`ReplayCase`] with a non-empty fault list cannot be held to the fault-free
 //! invariant suite — requests may be delayed across recovery epochs, each epoch
@@ -17,25 +18,25 @@
 //!   (`fault count` bumps), i.e. recovery actually caught every injected fault.
 //!
 //! The simulator replays the fault schedule in virtual time
-//! ([`run_schedule_faulted`]); the thread and socket tiers pace the same schedule
-//! on the wall clock through their fault handles ([`FaultHandle`](arrow_core::live::FaultHandle),
-//! [`arrow_net::NetFaultHandle`]) while replay workers run the case's
-//! `(node, object)` acquire sequences with retries. Because a live grant can be
-//! lost to a crash *after* injection has finished (no further epoch bump will
-//! re-issue it), a worker whose attempt times out after the injector is done
-//! re-broadcasts the final epoch — an idempotent recovery nudge, exactly the
-//! timeout-as-detection rule a real deployment would use.
+//! ([`run_schedule_faulted`]); the reactor tiers pace the same schedule on the
+//! wall clock through the runtime's [`arrow_net::NetFaultHandle`] while replay
+//! workers run the case's `(node, object)` acquire sequences with retries.
+//! Because a live grant can be lost to a crash *after* injection has finished
+//! (no further epoch bump will re-issue it), a worker whose attempt times out
+//! after the injector is done re-broadcasts the final epoch — an idempotent
+//! recovery nudge, exactly the timeout-as-detection rule a real deployment
+//! would use.
 //!
 //! Each tier also reports how many **token regenerations** it observed (order
 //! records chained behind the virtual root in a bumped epoch — evidence the
-//! directory rebuilt a token that churn destroyed), which the sweep surfaces so a
-//! fault run visibly exercised recovery rather than dodging it.
+//! directory rebuilt a token that churn destroyed), which the sweep surfaces per
+//! tier so a fault run visibly exercised recovery rather than dodging it — and so
+//! a tier whose faults all land on an idle directory shows up as zero.
 
 use crate::case::ReplayCase;
 use crate::invariants::{InvariantKind, Violation};
 use crate::net_driver::{NetHosting, NET_TIERS};
 use arrow_core::driver::acquire_sequences;
-use arrow_core::live::ArrowRuntime;
 use arrow_core::prelude::*;
 use arrow_net::{NetConfig, NetRuntime};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,25 +71,24 @@ fn churn_violation(tier: &str, detail: String) -> Violation {
     }
 }
 
-/// Run one fault-injected case through every applicable tier. Returns the tiers
-/// run, all violations, and the total token regenerations observed across tiers.
+/// Run one fault-injected case through every applicable tier. Returns each tier
+/// run with the token regenerations it observed, as `(tier, regenerations)` in
+/// the order the tiers ran, and all violations.
 pub fn run_churn_case(
     case: &ReplayCase,
-    include_thread: bool,
     include_net: bool,
-) -> (Vec<String>, Vec<Violation>, u64) {
+) -> (Vec<(String, u64)>, Vec<Violation>) {
     let instance = case.spec.build_instance();
     let schedule = case.schedule();
     let faults = case.fault_schedule();
     let mut tiers_run = Vec::new();
     let mut violations = Vec::new();
-    let mut regenerations = 0u64;
 
     if let Err(e) = faults.validate(instance.tree()) {
         // A bad schedule (hand-edited replay, shrink bug) fails the case up
         // front on every tier rather than panicking inside one of them.
         violations.push(churn_violation("schedule", e));
-        return (tiers_run, violations, regenerations);
+        return (tiers_run, violations);
     }
     if let Some(r) = schedule
         .requests()
@@ -99,7 +99,7 @@ pub fn run_churn_case(
             "schedule",
             format!("schedule names node {} outside the instance", r.node),
         ));
-        return (tiers_run, violations, regenerations);
+        return (tiers_run, violations);
     }
 
     // The simulator config also drives the live tiers' retry pacing: the churn
@@ -110,24 +110,21 @@ pub fn run_churn_case(
         .with_grant_timeout_ms(ATTEMPT_TIMEOUT_MS);
 
     // Tier 1: deterministic virtual-time churn on the simulator.
-    tiers_run.push("sim".to_string());
-    match run_schedule_faulted(&instance, &schedule, &cfg, &faults) {
-        Err(e) => violations.push(churn_violation("sim", e.to_string())),
+    let sim_regenerations = match run_schedule_faulted(&instance, &schedule, &cfg, &faults) {
+        Err(e) => {
+            violations.push(churn_violation("sim", e.to_string()));
+            0
+        }
         Ok(outcome) => {
             if let Err(e) = outcome.validate() {
                 violations.push(churn_violation("sim", e.to_string()));
             }
-            regenerations += outcome.token_regenerations();
+            outcome.token_regenerations()
         }
-    }
+    };
+    tiers_run.push(("sim".to_string(), sim_regenerations));
 
-    // Tiers 2 and 3: the same schedule paced on the wall clock.
-    if include_thread {
-        tiers_run.push("thread".to_string());
-        let t = run_thread_churn(&instance, &schedule, &faults, &cfg);
-        violations.extend(t.violations);
-        regenerations += t.token_regenerations;
-    }
+    // Tier 3: the same schedule paced on the wall clock.
     if include_net {
         // Fault injection drives one runtime's fault handle, so the churn
         // sweep runs the tiers that host every node in one runtime; the wire
@@ -136,100 +133,12 @@ pub fn run_churn_case(
             let NetHosting::Shards(shards) = hosting else {
                 continue;
             };
-            tiers_run.push(tier.to_string());
             let t = run_net_churn(&instance, &schedule, &faults, &cfg, tier, shards);
             violations.extend(t.violations);
-            regenerations += t.token_regenerations;
+            tiers_run.push((tier.to_string(), t.token_regenerations));
         }
     }
-    (tiers_run, violations, regenerations)
-}
-
-/// Thread-tier churn: in-process runtime + wall-clock fault injection.
-fn run_thread_churn(
-    instance: &Instance,
-    schedule: &RequestSchedule,
-    faults: &FaultSchedule,
-    cfg: &RunConfig,
-) -> TierChurn {
-    let tier = "thread";
-    let final_epoch = faults.final_epoch();
-    let attempt = cfg.grant_timeout();
-    let k = schedule.object_id_bound().max(1);
-    let rt = ArrowRuntime::spawn_multi(instance.tree(), k);
-    let fh = rt.fault_handle();
-    let injector_done = Arc::new(AtomicBool::new(false));
-    let injector = {
-        let fh = fh.clone();
-        let tree = instance.tree().clone();
-        let faults = faults.clone();
-        let done = Arc::clone(&injector_done);
-        std::thread::spawn(move || {
-            fh.run_schedule(&faults, &tree, TICK);
-            done.store(true, Ordering::SeqCst);
-        })
-    };
-    let mut workers = Vec::new();
-    for ((node, obj), count) in acquire_sequences(schedule) {
-        let h = rt.handle(node);
-        let fh = fh.clone();
-        let done = Arc::clone(&injector_done);
-        workers.push(std::thread::spawn(move || -> Result<(), String> {
-            for _ in 0..count {
-                let mut attempts = 0u32;
-                loop {
-                    attempts += 1;
-                    if attempts > MAX_ATTEMPTS {
-                        return Err(format!(
-                            "node {node} {obj}: no grant within {MAX_ATTEMPTS} attempts"
-                        ));
-                    }
-                    match h.acquire_object_timeout(obj, attempt) {
-                        Some(req) => {
-                            h.release_object(obj, req);
-                            break;
-                        }
-                        None => {
-                            // Crashed-node rejection or a grant lost to churn:
-                            // once injection is over a timeout doubles as fault
-                            // detection, and re-broadcasting the final epoch is
-                            // an idempotent heal.
-                            if done.load(Ordering::SeqCst) {
-                                fh.broadcast_epoch(final_epoch);
-                            }
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                    }
-                }
-            }
-            Ok(())
-        }));
-    }
-    let mut violations = Vec::new();
-    for w in workers {
-        match w.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(detail)) => violations.push(churn_violation(tier, detail)),
-            Err(_) => violations.push(churn_violation(
-                tier,
-                "a churn replay worker panicked".to_string(),
-            )),
-        }
-    }
-    injector.join().ok();
-    let report = rt.shutdown_report();
-    if let Err(e) = validate_churn_records(report.records(), final_epoch) {
-        violations.push(churn_violation(tier, e.to_string()));
-    }
-    let token_regenerations = report
-        .records()
-        .iter()
-        .filter(|r| r.epoch > 0 && r.predecessor.is_root())
-        .count() as u64;
-    TierChurn {
-        violations,
-        token_regenerations,
-    }
+    (tiers_run, violations)
 }
 
 /// Socket-tier churn: one runtime hosting every node in fault-tolerant mode
@@ -350,8 +259,9 @@ mod tests {
     fn a_faulted_case_passes_the_churn_contract_on_all_three_tiers() {
         let case = ReplayCase::generate_with_faults(fault_spec(3), 2);
         assert!(!case.faults.is_empty());
-        let (tiers, violations, _regens) = run_churn_case(&case, true, true);
-        assert_eq!(tiers, ["sim", "thread", "net", "net-1shard"]);
+        let (tiers, violations) = run_churn_case(&case, true);
+        let tiers: Vec<&str> = tiers.iter().map(|(t, _)| t.as_str()).collect();
+        assert_eq!(tiers, ["sim", "net", "net-1shard"]);
         assert!(violations.is_empty(), "{violations:?}");
     }
 
@@ -363,7 +273,7 @@ mod tests {
             at: 1,
             action: FaultAction::CrashNode(3),
         }];
-        let (tiers, violations, _) = run_churn_case(&case, true, true);
+        let (tiers, violations) = run_churn_case(&case, true);
         assert!(tiers.is_empty());
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].invariant, InvariantKind::ChurnContract);

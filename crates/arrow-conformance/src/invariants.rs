@@ -373,7 +373,7 @@ mod tests {
         // A diverged multiset is caught by the cross-tier check.
         let mut expected = request_multiset(&outcome.schedule);
         *expected.entry((0, 1)).or_insert(0) += 1;
-        let violations = check_cross_tier("thread", &expected, &outcome);
+        let violations = check_cross_tier("net", &expected, &outcome);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].invariant, InvariantKind::CrossTier);
     }

@@ -1,8 +1,9 @@
 //! # arrow-conformance — the cross-tier conformance harness
 //!
-//! The repository executes the arrow protocol of the paper in three independent
-//! tiers — the discrete-event simulator, the in-process thread runtime and the
-//! loopback-TCP socket runtime — plus the centralized baseline. This crate is the
+//! The repository executes the arrow protocol of the paper on two independent
+//! hosts — the discrete-event simulator and the reactor runtime (`arrow-net`),
+//! the latter swept three ways: on four shards' threads, on one shard, and as
+//! one daemon per node over loopback TCP — plus the centralized baseline. This crate is the
 //! correctness backstop that keeps them honest: it generates seeded random cases
 //! (topology × spanning tree × workload × object count × synchrony), runs each
 //! case through every applicable tier behind the shared
@@ -35,8 +36,7 @@
 //! use arrow_conformance::{derive_spec, run_case, ReplayCase, SweepOptions};
 //!
 //! let mut opts = SweepOptions::smoke();
-//! opts.include_thread = false; // sim tier only: doctests stay fast
-//! opts.include_net = false;
+//! opts.include_net = false; // sim tier only: doctests stay fast
 //!
 //! let case = ReplayCase::generate(derive_spec(&opts, 0));
 //! let text = case.to_replay_text();

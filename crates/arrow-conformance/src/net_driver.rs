@@ -1,8 +1,8 @@
 //! The socket-tier [`Driver`]: replay a schedule on [`arrow_net::NetRuntime`]s.
 //!
-//! Mirrors [`arrow_core::driver::ThreadDriver`] exactly — one worker per
-//! `(node, object)` pair, acquires in schedule order — on the socket tier's
-//! reactors, with the latency law derived from the case's [`RunConfig`] via
+//! Replays the live tiers' concurrency shape
+//! ([`arrow_core::driver::acquire_sequences`]) — one worker per `(node, object)`
+//! pair, acquires in schedule order — on the reactor runtime, with the latency law derived from the case's [`RunConfig`] via
 //! [`NetConfig::from_run_config`]. Transport failures (an unreachable peer after
 //! the dial retry budget) come back as [`RunError::Transport`], not panics, so a
 //! conformance sweep records them as ordinary failures.
@@ -287,6 +287,7 @@ mod tests {
         for (tier, hosting) in NET_TIERS {
             let driver = NetDriver::hosted(hosting);
             assert_eq!(driver.name(), tier);
+            assert!(!driver.supports(&RunConfig::analysis(ProtocolKind::Centralized)));
             let outcome = driver.run(&instance, &schedule, &cfg).unwrap();
             assert_eq!(outcome.request_count(), 10, "{tier}");
             assert_eq!(

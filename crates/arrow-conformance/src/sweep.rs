@@ -7,10 +7,9 @@
 //!    bound (sync, single-object);
 //! 2. **sim-centralized** — the centralized baseline on the same schedule, as a
 //!    differential reference (same exactly-once/token/multiset contracts);
-//! 3. **thread** — the in-process thread runtime;
-//! 4. **net**, **net-1shard**, **net-wire** — the socket tier's reactors, hosted
-//!    three ways ([`crate::net_driver::NET_TIERS`]): memory hops across four
-//!    shards, memory hops on one shard, and one daemon-mode runtime per node
+//! 3. **net**, **net-1shard**, **net-wire** — the reactor runtime, hosted three
+//!    ways ([`crate::net_driver::NET_TIERS`]): memory hops across four shards'
+//!    threads, memory hops on one shard, and one daemon-mode runtime per node
 //!    with every hop on loopback TCP.
 //!
 //! Any violation (or typed [`RunError`]) fails the case; failing cases are
@@ -19,13 +18,14 @@
 //!
 //! With [`SweepOptions::fault_episodes`] `> 0` every case additionally carries a
 //! seeded fault schedule (crashes, restarts, link drops) and runs the churn
-//! contract ([`crate::churn`]) on the sim, thread and net tiers instead of the
-//! fault-free suite; the report then also counts observed token regenerations.
+//! contract ([`crate::churn`]) on the sim and in-process net tiers instead of the
+//! fault-free suite; the report then also counts observed token regenerations
+//! per tier.
 
 use crate::case::{CaseSpec, GraphKind, ReplayCase, WorkloadKind};
 use crate::invariants::{self, InvariantKind, Violation};
 use crate::net_driver::{NetDriver, NET_TIERS};
-use arrow_core::driver::{Driver, SimDriver, ThreadDriver};
+use arrow_core::driver::{Driver, SimDriver};
 use arrow_core::prelude::*;
 use desim::{SimConfig, SimRng};
 use netgraph::spanning::SpanningTreeKind;
@@ -43,9 +43,7 @@ pub struct SweepOptions {
     pub max_nodes: usize,
     /// Maximum request budget per case.
     pub max_requests: usize,
-    /// Run the thread tier.
-    pub include_thread: bool,
-    /// Run the socket tier.
+    /// Run the reactor tiers (`net`, `net-1shard`, `net-wire`).
     pub include_net: bool,
     /// Shrink failing cases before reporting them.
     pub shrink_failures: bool,
@@ -75,7 +73,6 @@ impl SweepOptions {
             master_seed: 0xC0FFEE,
             max_nodes: 12,
             max_requests: 24,
-            include_thread: true,
             include_net: true,
             shrink_failures: true,
             replay_dir: None,
@@ -91,7 +88,6 @@ impl SweepOptions {
             master_seed: 0xC0FFEE,
             max_nodes: 48,
             max_requests: 160,
-            include_thread: true,
             include_net: true,
             shrink_failures: true,
             replay_dir: Some(PathBuf::from("conformance-failures")),
@@ -129,11 +125,11 @@ pub struct SweepReport {
     pub failures: Vec<CaseResult>,
     /// Total fault events injected across all cases (0 for a fault-free sweep).
     pub fault_events: usize,
-    /// Token regenerations observed across all cases and tiers: order chains
-    /// rebuilt behind the virtual root in a recovery epoch — direct evidence the
-    /// sweep destroyed and regenerated tokens rather than merely surviving
-    /// benign faults.
-    pub token_regenerations: u64,
+    /// Per-tier token regenerations `(tier, regenerations)` across all cases:
+    /// order chains rebuilt behind the virtual root in a recovery epoch — direct
+    /// evidence that tier destroyed and regenerated tokens rather than merely
+    /// surviving benign faults. Empty for a fault-free sweep.
+    pub token_regenerations: Vec<(String, u64)>,
 }
 
 impl SweepReport {
@@ -204,20 +200,22 @@ pub fn run_case(case: &ReplayCase, opts: &SweepOptions) -> (Vec<String>, Vec<Vio
     (tiers, violations)
 }
 
-/// [`run_case`] plus the number of token regenerations observed (always `0` on
-/// the fault-free path; the sweep surfaces the total so a fault run visibly
-/// exercised recovery).
+/// [`run_case`] plus the token regenerations each tier observed, as
+/// `(tier, regenerations)` (empty on the fault-free path; the sweep surfaces
+/// them per tier so a fault run visibly exercised recovery where it did).
 pub fn run_case_counted(
     case: &ReplayCase,
     opts: &SweepOptions,
-) -> (Vec<String>, Vec<Violation>, u64) {
+) -> (Vec<String>, Vec<Violation>, Vec<(String, u64)>) {
     if !case.faults.is_empty() {
         // Fault-injected case: the churn contract replaces the fault-free suite
         // (no centralized baseline, no latency bound — epochs reshape both).
-        return crate::churn::run_churn_case(case, opts.include_thread, opts.include_net);
+        let (counted, violations) = crate::churn::run_churn_case(case, opts.include_net);
+        let tiers = counted.iter().map(|(t, _)| t.clone()).collect();
+        return (tiers, violations, counted);
     }
     let (tiers, violations) = run_case_fault_free(case, opts);
-    (tiers, violations, 0)
+    (tiers, violations, Vec::new())
 }
 
 fn run_case_fault_free(case: &ReplayCase, opts: &SweepOptions) -> (Vec<String>, Vec<Violation>) {
@@ -274,24 +272,15 @@ fn run_case_fault_free(case: &ReplayCase, opts: &SweepOptions) -> (Vec<String>, 
         }
     }
 
-    // Tiers 2 and 3: the live runtimes (arrow only; ids/times are theirs, the
-    // request multiset and the queuing contracts are not).
-    let live_drivers: Vec<(&'static str, Box<dyn Driver>)> = {
-        let mut drivers: Vec<(&'static str, Box<dyn Driver>)> = Vec::new();
-        if opts.include_thread {
-            drivers.push(("thread", Box::new(ThreadDriver)));
-        }
-        if opts.include_net {
-            for (tier, hosting) in NET_TIERS {
-                drivers.push((tier, Box::new(NetDriver::hosted(hosting))));
-            }
-        }
-        drivers
+    // Tier 3: the reactor runtime, hosted three ways (arrow only; ids/times are
+    // its own, the request multiset and the queuing contracts are not).
+    let net_tiers = if opts.include_net {
+        &NET_TIERS[..]
+    } else {
+        &[]
     };
-    for (tier, driver) in live_drivers {
-        if !driver.supports(&arrow_cfg) {
-            continue;
-        }
+    for &(tier, hosting) in net_tiers {
+        let driver = NetDriver::hosted(hosting);
         tiers_run.push(tier.to_string());
         match driver.run(&instance, &schedule, &arrow_cfg) {
             Err(e) => violations.extend(violations_from_error(tier, &e)),
@@ -313,7 +302,7 @@ pub fn run_sweep(opts: &SweepOptions) -> SweepReport {
     let mut tier_counts: Vec<(String, usize)> = Vec::new();
     let mut failures = Vec::new();
     let mut fault_events = 0usize;
-    let mut token_regenerations = 0u64;
+    let mut token_regenerations: Vec<(String, u64)> = Vec::new();
     for i in 0..opts.cases {
         let spec = derive_spec(opts, i);
         let case = if opts.fault_episodes > 0 {
@@ -324,7 +313,9 @@ pub fn run_sweep(opts: &SweepOptions) -> SweepReport {
         total_requests += case.requests.len();
         fault_events += case.faults.len();
         let (tiers_run, mut violations, regens) = run_case_counted(&case, opts);
-        token_regenerations += regens;
+        for (tier, n) in regens {
+            tally(&mut token_regenerations, &tier, n);
+        }
         if let Some(dir) = &opts.trace_dir {
             // Probed re-run of the sim tier: coverage failures fail the sweep
             // like any other invariant (fault cases are skipped inside).
@@ -332,10 +323,7 @@ pub fn run_sweep(opts: &SweepOptions) -> SweepReport {
             violations.extend(trace_violations);
         }
         for tier in &tiers_run {
-            match tier_counts.iter_mut().find(|(t, _)| t == tier) {
-                Some((_, c)) => *c += 1,
-                None => tier_counts.push((tier.clone(), 1)),
-            }
+            tally(&mut tier_counts, tier, 1);
         }
         if violations.is_empty() {
             continue;
@@ -388,6 +376,15 @@ pub fn run_sweep(opts: &SweepOptions) -> SweepReport {
     }
 }
 
+/// Add `n` to `tier`'s entry of a per-tier tally, appending the tier on first
+/// sight so the tally lists tiers in the order they first ran.
+fn tally<T: std::ops::AddAssign>(counts: &mut Vec<(String, T)>, tier: &str, n: T) {
+    match counts.iter_mut().find(|(t, _)| t == tier) {
+        Some((_, c)) => *c += n,
+        None => counts.push((tier.to_string(), n)),
+    }
+}
+
 /// Re-run one replay file's case (the one-command repro path of the
 /// `conformance` binary). Returns the tiers run and any violations.
 pub fn run_replay(
@@ -424,7 +421,6 @@ mod tests {
         let case = ReplayCase::generate(derive_spec(&opts, 0));
         let (tiers, violations) = run_case(&case, &opts);
         assert!(tiers.iter().any(|t| t == "sim"));
-        assert!(tiers.iter().any(|t| t == "thread"));
         assert!(tiers.iter().any(|t| t == "net"));
         assert!(tiers.iter().any(|t| t == "net-1shard"));
         assert!(tiers.iter().any(|t| t == "net-wire"));
@@ -435,7 +431,6 @@ mod tests {
     fn sim_only_mini_sweep_passes() {
         let mut opts = SweepOptions::smoke();
         opts.cases = 6;
-        opts.include_thread = false;
         opts.include_net = false;
         let report = run_sweep(&opts);
         assert!(report.all_passed(), "{:?}", report.failures);
@@ -445,5 +440,25 @@ mod tests {
             .tier_counts
             .iter()
             .any(|(t, c)| t == "sim" && *c == 6));
+    }
+
+    #[test]
+    fn sim_only_fault_mini_sweep_attributes_its_regenerations_to_sim() {
+        let mut opts = SweepOptions::smoke();
+        opts.cases = 6;
+        opts.include_net = false;
+        opts.fault_episodes = 2;
+        let report = run_sweep(&opts);
+        assert!(report.all_passed(), "{:?}", report.failures);
+        assert!(report.fault_events > 0);
+        assert_eq!(
+            report.token_regenerations.len(),
+            1,
+            "{:?}",
+            report.token_regenerations
+        );
+        let (tier, regenerations) = &report.token_regenerations[0];
+        assert_eq!(tier, "sim");
+        assert!(*regenerations > 0, "the simulator regenerated no token");
     }
 }

@@ -190,9 +190,8 @@ pub fn trace_case(case: &ReplayCase, dir: Option<&Path>) -> (Vec<Violation>, Opt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net_driver::NetDriver;
+    use crate::net_driver::{NetDriver, NetHosting};
     use crate::sweep::{derive_spec, SweepOptions};
-    use arrow_core::driver::ThreadDriver;
 
     fn traces_via<F>(run: F) -> (QueuingOutcome, Vec<RequestTrace>)
     where
@@ -206,7 +205,8 @@ mod tests {
         (outcome, analysis::reconstruct(&events))
     }
 
-    /// Satellite property: across seeded conformance cases and all three tiers,
+    /// Satellite property: across seeded conformance cases on the simulator and
+    /// the reactor runtime,
     /// every trace-reconstructed hop path must cost exactly the `c_A` adjacency
     /// of the validated queuing order (the check inside
     /// [`check_trace_coverage`]) — the trace plane and the order validators
@@ -225,19 +225,16 @@ mod tests {
             let v = check_trace_coverage("sim", instance.tree(), &outcome, &traces);
             assert!(v.is_empty(), "case {i} (sim): {v:?}");
 
-            // Tier 2: thread runtime (wall-clock probes).
-            let (outcome, traces) = traces_via(|rec| {
-                ThreadDriver.run_probed(&instance, &schedule, &cfg, |v| rec.wall_probe(v))
-            });
-            let v = check_trace_coverage("thread", instance.tree(), &outcome, &traces);
-            assert!(v.is_empty(), "case {i} (thread): {v:?}");
-
-            // Tier 3: socket runtime.
-            let (outcome, traces) = traces_via(|rec| {
-                NetDriver::default().run_probed(&instance, &schedule, &cfg, |v| rec.wall_probe(v))
-            });
-            let v = check_trace_coverage("net", instance.tree(), &outcome, &traces);
-            assert!(v.is_empty(), "case {i} (net): {v:?}");
+            // Tier 3: the reactor runtime (wall-clock probes), on one shard and
+            // on four.
+            for (tier, shards) in [("net-1shard", 1), ("net", 4)] {
+                let driver = NetDriver::hosted(NetHosting::Shards(shards));
+                let (outcome, traces) = traces_via(|rec| {
+                    driver.run_probed(&instance, &schedule, &cfg, |v| rec.wall_probe(v))
+                });
+                let v = check_trace_coverage(tier, instance.tree(), &outcome, &traces);
+                assert!(v.is_empty(), "case {i} ({tier}): {v:?}");
+            }
         }
     }
 

@@ -1,8 +1,8 @@
-//! Fault schedules shared by all three execution tiers.
+//! Fault schedules shared by the execution tiers.
 //!
 //! A [`FaultSchedule`] is a seeded, tick-indexed list of [`FaultAction`]s — node
-//! crashes/restarts and link drops/restores — that the simulator, the thread runtime
-//! and the socket runtime all consume, each mapping the abstract tick to its own
+//! crashes/restarts and link drops/restores — that the simulator and the reactor
+//! runtime both consume, each mapping the abstract tick to its own
 //! clock ([`FaultSchedule::events_for_sim`] for the simulator; the live tiers pace
 //! ticks on the wall clock). Keeping the schedule tier-agnostic is what lets the
 //! conformance harness replay the *same* churn scenario on all tiers and compare

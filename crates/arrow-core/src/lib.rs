@@ -51,14 +51,12 @@
 //!   accounting.
 //! * [`mod@run`] — the harness: run a protocol on `(graph, tree, workload)` and collect
 //!   cost/hop statistics plus the per-object orders.
-//! * [`live`] — a real-concurrency runtime (one OS thread per node, std mpsc
-//!   channels) whose node threads multiplex the per-object automata and exclusion
-//!   tokens, plus a [`live::DistributedLock`] built on the queue. Its protocol
-//!   logic is the standalone [`live::ArrowCore`] state machine — [`live::QueueCore`]
-//!   plus a token ledger — the same one the socket tier (`arrow-net`) and the
-//!   process tier (`arrow-cluster`) run and the model checker (`arrow-model`)
-//!   explores; the simulator ([`arrow`]) runs its queuing layer, so the tiers
-//!   cannot drift.
+//! * [`live`] — the per-node [`live::ArrowCore`] state machine that every live
+//!   host runs: [`live::QueueCore`] plus a token ledger — the one the reactor
+//!   runtime (`arrow-net`, which also carries the `DistributedLock` built on the
+//!   queue) and the process tier (`arrow-cluster`) host and the model checker
+//!   (`arrow-model`) explores; the simulator ([`arrow`]) runs its queuing layer,
+//!   so the tiers cannot drift.
 //!
 //! ## Quick example
 //!
@@ -96,7 +94,7 @@ pub mod workload;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::driver::{Driver, SimDriver, ThreadDriver};
+    pub use crate::driver::{Driver, SimDriver};
     pub use crate::fault::{FaultAction, FaultEvent, FaultSchedule};
     pub use crate::order::{validate_churn_records, ChurnOrderError, OrderRecord, QueuingOrder};
     pub use crate::protocol::{ProtoMsg, ProtocolKind};

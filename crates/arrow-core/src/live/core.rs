@@ -1,9 +1,8 @@
 //! The transport-agnostic per-node arrow state machine.
 //!
-//! The live execution tiers — the in-process thread runtime
-//! ([`super::ArrowRuntime`]), the socket runtime (`arrow-net`) and the process
-//! cluster (`arrow-cluster`) — and the model checker (`arrow-model`) all run
-//! *this* module's [`ArrowCore`], one per node. It is a composition of two layers:
+//! The live execution tiers — the reactor runtime (`arrow-net`) and the process
+//! cluster (`arrow-cluster`) built on it — and the model checker (`arrow-model`)
+//! all run *this* module's [`ArrowCore`], one per node. It is a composition of two layers:
 //!
 //! * [`QueueCore`] ([`super::queue`]) — the paper's automaton (Section 2): per-object
 //!   link pointers, the pointer flip, path reversal, "learn your successor", and
@@ -42,10 +41,10 @@
 //! it back, so a transport may feed **many** inputs into the *same* actions vector
 //! and translate the accumulated list once — the actions of each input are
 //! contiguous and in input order, which preserves per-link FIFO as long as the
-//! transport emits sends in list order. Both the thread runtime and the socket
-//! runtime drain their inboxes in batches this way: it turns a burst of protocol
-//! traffic into one apply pass (and, on the socket tier, into coalesced writes)
-//! instead of one transport round-trip per message. The protocol itself does not
+//! transport emits sends in list order. The reactor runtime (`arrow-net`) drains
+//! its inboxes in batches this way: it turns a burst of protocol traffic into one
+//! apply pass (and, toward another process, into coalesced writes) instead of one
+//! transport round-trip per message. The protocol itself does not
 //! care — a node is free to receive more messages before acting on earlier ones,
 //! because correctness only requires that each link delivers in FIFO order.
 

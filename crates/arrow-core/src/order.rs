@@ -242,8 +242,8 @@ impl<'a> Assembly<'a> {
 
 /// Assemble and validate the queuing order of every object touched by `schedule`,
 /// each against the object's own requests — the one per-object validation contract
-/// shared by the simulator harness ([`crate::run::outcome_from_records`]), the
-/// thread runtime's `LiveReport` and the socket runtime's `NetReport`, so the tiers
+/// shared by the simulator harness ([`crate::run::outcome_from_records`]) and the
+/// reactor runtime's `NetReport` (in-process and per `arrowd` daemon), so the tiers
 /// cannot drift on what "a valid run" means. Objects are validated in ascending
 /// order and the first failure is returned, carrying the offending object alongside
 /// the [`OrderError`]. One pass partitions requests and records by object; the

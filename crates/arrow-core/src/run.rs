@@ -876,7 +876,7 @@ fn harvest<A: Automaton>(sim: &Simulator<ProtoMsg, SimNode<A>>) -> Result<Harves
 
 /// Assemble a validated [`QueuingOutcome`] from externally journaled requests and
 /// successor records — the assembly half of the harness, exposed so the live-tier
-/// drivers (thread runtime, socket runtime) can hold their journals to exactly the
+/// drivers (the reactor runtime, in process or per `arrowd` daemon) can hold their journals to exactly the
 /// same per-object validation contract the simulator output goes through. Returns
 /// [`RunError::InvalidOrder`] when any object's records fail validation.
 pub fn outcome_from_records(

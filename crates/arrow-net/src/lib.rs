@@ -1,12 +1,13 @@
 //! # arrow-net — the arrow directory protocol on sharded reactors and real sockets
 //!
-//! The third and most realistic of the repository's three execution tiers:
+//! The live node host of the repository's execution tiers (numbered as everywhere
+//! in the repository; tier 2 is retired):
 //!
 //! 1. **Simulator** (`arrow-core::run` on [`desim`]) — deterministic discrete-event
 //!    runs, millions of requests, the measurement tool.
-//! 2. **Threads** (`arrow-core::live`) — one OS thread per node over in-process
-//!    mpsc channels, the concurrency demonstration.
-//! 3. **Sockets** (this crate) — each node is a peer driven by a sharded epoll
+//! 2. *(retired: the thread-per-node runtime; this crate's multi-shard runtime
+//!    is its heir — nodes on several OS threads, frames exchanged in memory.)*
+//! 3. **Reactors** (this crate) — each node is a peer driven by a sharded epoll
 //!    reactor. Between nodes one runtime hosts, frames are memory moves (inside
 //!    a shard, or one inbox hand-off between shards); toward a node another
 //!    process hosts (daemon mode, used by the `arrowd` process tier), the
@@ -14,10 +15,12 @@
 //!    round-trips — the per-message cost that the paper's Section 5 experiment
 //!    runs on real processors to expose. Optional injected link latency applies
 //!    to every hop.
+//! 4. **Processes** (`arrow-cluster`) — one `arrowd` OS process per node, each
+//!    a daemon-mode runtime of this crate.
 //!
-//! All tiers execute the same per-node state machine, the shared
-//! [`arrow_core::live::ArrowCore`]: this crate and the thread runtime drive it
-//! from real transports, the simulator through [`arrow_core::arrow`].
+//! Both hosts execute the same per-node state machine, the shared
+//! [`arrow_core::live::ArrowCore`]: this crate drives it from real transports,
+//! the simulator its queuing layer through [`arrow_core::arrow`].
 //!
 //! ## Architecture
 //!
@@ -54,6 +57,9 @@
 //!   [`Grant`] routing for open-loop drivers), and a shutdown [`NetReport`] whose
 //!   per-object queuing orders validate through the same machinery as the
 //!   simulator harness.
+//! * [`lock`] — distributed mutual exclusion over a [`NetHandle`]: a
+//!   [`DistributedLock`] with a scoped guard, and the [`CriticalSectionLog`]
+//!   that tests and examples check for overlapping critical sections.
 //!
 //! ## Quick example
 //!
@@ -75,12 +81,14 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod lock;
 pub mod mesh;
 mod reactor;
 pub mod runtime;
 mod wheel;
 pub mod wire;
 
+pub use lock::{CriticalSectionLog, DistributedLock, LockGuard, SectionRecord};
 pub use mesh::{dial_with_budget, NetConfig, NetStats, NetStatsSnapshot};
 pub use runtime::{
     Grant, NetFailure, NetFaultHandle, NetHandle, NetReport, NetRuntime, PendingAcquire,

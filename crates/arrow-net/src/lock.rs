@@ -1,4 +1,4 @@
-//! Distributed mutual exclusion on top of the live arrow runtime.
+//! Distributed mutual exclusion on top of the reactor runtime.
 //!
 //! This is the application the arrow protocol was invented for (Raymond '89): the
 //! distributed queue orders the lock requests, and the exclusion token travels from
@@ -6,8 +6,8 @@
 //! [`CriticalSectionLog`] records entry/exit timestamps so tests and examples can
 //! verify that no two critical sections ever overlap.
 
-use super::runtime::NodeHandle;
-use crate::request::RequestId;
+use crate::runtime::NetHandle;
+use arrow_core::prelude::RequestId;
 use netgraph::NodeId;
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -84,14 +84,14 @@ impl CriticalSectionLog {
 /// A distributed lock held by the application at one node.
 #[derive(Debug, Clone)]
 pub struct DistributedLock {
-    handle: NodeHandle,
+    handle: NetHandle,
     log: CriticalSectionLog,
 }
 
 impl DistributedLock {
     /// Create a lock front-end for the given node handle, recording critical sections
     /// into `log`.
-    pub fn new(handle: NodeHandle, log: CriticalSectionLog) -> Self {
+    pub fn new(handle: NetHandle, log: CriticalSectionLog) -> Self {
         DistributedLock { handle, log }
     }
 
@@ -102,6 +102,9 @@ impl DistributedLock {
 
     /// Acquire the lock, blocking until this node holds the token. The returned guard
     /// releases the lock when dropped.
+    ///
+    /// # Panics
+    /// If the node cannot be granted (see [`NetHandle::acquire_object`]).
     pub fn lock(&self) -> LockGuard<'_> {
         let request = self.handle.acquire();
         LockGuard {
@@ -149,13 +152,13 @@ impl Drop for LockGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::live::ArrowRuntime;
+    use crate::{NetConfig, NetRuntime};
     use netgraph::{generators, RootedTree};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn runtime(n: usize) -> ArrowRuntime {
+    fn runtime(n: usize) -> NetRuntime {
         let tree = RootedTree::from_tree_graph(&generators::balanced_binary_tree(n), 0);
-        ArrowRuntime::spawn(&tree)
+        NetRuntime::spawn(&tree, NetConfig::instant())
     }
 
     #[test]
@@ -214,7 +217,9 @@ mod tests {
             log.find_overlap().is_none(),
             "two critical sections overlapped"
         );
-        Arc::try_unwrap(rt).ok().unwrap().shutdown();
+        let report = Arc::try_unwrap(rt).ok().unwrap().shutdown();
+        let orders = report.validated_orders().expect("one valid queue");
+        assert_eq!(orders[0].1.len(), n * 20);
     }
 
     #[test]

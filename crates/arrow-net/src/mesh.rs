@@ -297,8 +297,8 @@ impl NetStats {
     }
 
     /// Full registry snapshot: the counters of [`NetStats::snapshot`] plus the
-    /// socket tier's histograms, in the schema shared with the thread tier's
-    /// [`arrow_core::live::LiveReport`].
+    /// socket tier's histograms, in the cross-tier [`MetricsRegistry`] schema
+    /// the process tier's (`arrow-cluster`) reports merge.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }

@@ -4,8 +4,8 @@
 //! handles.
 //!
 //! Protocol logic is [`arrow_core::live::ArrowCore`] — the exact state machine the
-//! thread runtime uses — so the two real-concurrency tiers cannot drift. What this
-//! module adds is the distribution: nodes are partitioned across
+//! model checker explores and whose queuing layer the simulator runs — so the
+//! tiers cannot drift. What this module adds is the distribution: nodes are partitioned across
 //! [`NetConfig::shards`] reactor threads (the crate's internal `reactor`
 //! module), each running one `epoll` loop over its inbox, its timers and the
 //! connections of its nodes. A hop between two nodes this runtime hosts is a
@@ -34,7 +34,7 @@
 //! object are granted in issue order, so a worker can keep several requests in
 //! flight and reap grants FIFO instead of lock-stepping on each round trip.
 //!
-//! Unlike the thread runtime, every node here also journals its protocol history:
+//! Every node here also journals its protocol history:
 //! which requests it issued (with wall-clock issue times) and which
 //! successor-notifications it observed. [`NetRuntime::shutdown`] assembles these
 //! into a [`NetReport`] whose per-object queuing orders validate through the same
@@ -297,8 +297,7 @@ impl NetRuntime {
 
     /// Fault-injection handle: kill and respawn nodes, sever and restore TCP
     /// links, and broadcast the detection-driven epoch bumps that trigger token
-    /// regeneration — the socket-tier counterpart of the thread tier's
-    /// [`arrow_core::live::FaultHandle`] and the simulator's scheduled
+    /// regeneration — the live counterpart of the simulator's scheduled
     /// [`desim::SimFault`]s. Pair it with [`NetConfig::with_fault_tolerance`] so a
     /// node dialing a currently-dead peer drops the frame instead of failing the
     /// whole run.
@@ -366,7 +365,7 @@ impl NetRuntime {
 /// Fault-injection handle of a running [`NetRuntime`] (see
 /// [`NetRuntime::fault_handle`]). Crash/restart are delivered through the target
 /// node's own shard inbox; link drops act through a shared blocked-set checked
-/// on every send. The epoch numbering contract is shared with the thread tier:
+/// on every send. The epoch numbering contract is shared with the simulator:
 /// fault event `i` of a schedule is followed by the broadcast of epoch `i + 1`.
 #[derive(Debug, Clone)]
 pub struct NetFaultHandle {
@@ -421,8 +420,7 @@ impl NetFaultHandle {
     }
 
     /// Apply one fault action, then broadcast the epoch bump its detection
-    /// triggers. The ordering mirrors the thread tier: per-inbox FIFO
-    /// guarantees a crashed node misses its own bump and a restarted node sees
+    /// triggers. Per-inbox FIFO guarantees a crashed node misses its own bump and a restarted node sees
     /// the Restart before the Epoch.
     ///
     /// # Panics
@@ -444,7 +442,7 @@ impl NetFaultHandle {
     /// Drive a whole fault schedule against the running mesh, pacing schedule
     /// ticks to `tick` of wall clock (blocking; run it on a dedicated injector
     /// thread). Event `i` is followed by the broadcast of epoch `i + 1` —
-    /// the same detection model as the simulator harness and the thread tier.
+    /// the same detection model as the simulator harness.
     pub fn run_schedule(&self, schedule: &FaultSchedule, tree: &RootedTree, tick: Duration) {
         let lowered = schedule.lowered(tree);
         let started = Instant::now();
@@ -696,8 +694,9 @@ impl NetReport {
 
     /// The full metrics-registry snapshot at shutdown: the counters of
     /// [`NetReport::stats`] plus the socket tier's histograms (write coalescing,
-    /// timer-wheel lateness, acquire latency), in the schema shared with the
-    /// thread tier's [`arrow_core::live::LiveReport::metrics`].
+    /// timer-wheel lateness, acquire latency), in the cross-tier
+    /// [`arrow_trace::MetricsRegistry`] schema the process tier's
+    /// (`arrow-cluster`) reports merge.
     pub fn metrics(&self) -> &MetricsSnapshot {
         &self.metrics
     }
@@ -952,6 +951,80 @@ mod tests {
         let rt = NetRuntime::spawn_multi(&tree(3), 2, NetConfig::instant());
         let h = rt.handle(0);
         let _ = h.acquire_object(ObjectId(2));
+    }
+
+    #[test]
+    fn handle_for_a_missing_node_panics_at_every_shard_count() {
+        for shards in [1, 4] {
+            let rt = NetRuntime::spawn(&tree(3), NetConfig::instant().with_shards(shards));
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.handle(9)))
+                .expect_err("a handle for node 9 of 3 must panic");
+            let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("out of range"), "{shards} shards: {msg}");
+            rt.shutdown();
+        }
+    }
+
+    #[test]
+    fn two_objects_are_held_at_once_and_a_leafs_first_acquire_needs_no_release() {
+        for shards in [1, 4] {
+            let rt = NetRuntime::spawn_multi(&tree(7), 2, NetConfig::instant().with_shards(shards));
+            let (a, b) = (rt.handle(5), rt.handle(6));
+            // Nobody releases before these grants: each leaf's request queues
+            // directly behind its object's virtual root request, which starts
+            // released, and the two objects' tokens are independent — the
+            // second acquire would block forever if they shared one.
+            let ra = a.acquire_object(ObjectId(0));
+            let rb = b.acquire_object(ObjectId(1));
+            assert!(!ra.is_root() && !rb.is_root());
+            a.release_object(ObjectId(0), ra);
+            b.release_object(ObjectId(1), rb);
+            let report = rt.shutdown();
+            assert_eq!(report.stats().acquisitions, 2, "{shards} shards");
+            assert!(
+                report.stats().token_frames >= 2,
+                "{shards} shards: each free token travelled from the root to its leaf"
+            );
+            assert_eq!(report.validated_orders().unwrap().len(), 2);
+        }
+    }
+
+    #[test]
+    fn acquires_at_a_crashed_node_fail_promptly_at_every_shard_count() {
+        for shards in [1, 4] {
+            let cfg = NetConfig::instant()
+                .with_fault_tolerance()
+                .with_shards(shards);
+            let rt = NetRuntime::spawn(&tree(7), cfg);
+            let fh = rt.fault_handle();
+            // The root holds the token, so node 5's acquire stays pending when
+            // the crash reaches its shard (one inbox, FIFO: the acquire first).
+            let root = rt.handle(0);
+            let held = root.acquire();
+            let pending = rt.handle(5).start_acquire_object(ObjectId::DEFAULT);
+            let started = Instant::now();
+            fh.crash(5);
+            // The generous timeouts must not be consumed: the crash fails the
+            // pending acquire, and refuses the next one, at once.
+            let in_flight = pending
+                .wait_timeout(Duration::from_secs(10))
+                .expect_err("a pending acquire at a crashing node must fail");
+            let refused = rt
+                .handle(5)
+                .try_acquire_object_timeout(ObjectId::DEFAULT, Duration::from_secs(10))
+                .expect_err("an acquire at a crashed node must fail");
+            assert!(
+                started.elapsed() < Duration::from_secs(2),
+                "{shards} shards: a crash must fail acquires promptly, not by timeout"
+            );
+            for failure in [in_flight, refused] {
+                assert_eq!(failure.node, 5);
+                assert!(failure.description.contains("crashed"), "{failure}");
+            }
+            fh.restart(5);
+            root.release(held);
+            rt.shutdown();
+        }
     }
 
     /// A loopback address with nothing listening on it (bind, read the address,
@@ -1370,8 +1443,7 @@ mod tests {
 
     #[test]
     fn generated_fault_schedule_churn_run_converges_over_sockets() {
-        // The socket-tier analogue of the thread runtime's churn test: workers
-        // acquire/release across the reactor shards while a generated fault schedule
+        // Workers acquire/release across the reactor shards while a generated fault schedule
         // (crashes, restarts, partitions) runs against the mesh. Liveness: every
         // surviving worker round is eventually granted; safety: the journaled
         // orders satisfy the per-epoch churn contract.

@@ -69,8 +69,8 @@ pub enum Frame {
     Goodbye,
     /// A queuing-protocol message (shared with the simulator tier).
     Proto(ProtoMsg),
-    /// Object `obj`'s exclusion token, granting request `req` (the socket analogue of
-    /// the thread runtime's token transfer), stamped with the sender's recovery
+    /// Object `obj`'s exclusion token, granting request `req` (the wire form of
+    /// [`arrow_core::live::CoreAction::SendToken`]), stamped with the sender's recovery
     /// epoch — a stale-epoch token is a ghost from before a regeneration and is
     /// rejected on receipt.
     Token {

@@ -1,7 +1,7 @@
 //! # arrow-trace — the cross-tier observability plane
 //!
-//! Three pieces, layered so every execution tier (simulator, thread runtime,
-//! socket runtime) shares one instrumentation schema:
+//! Three pieces, layered so every execution tier (simulator, reactor runtime,
+//! process cluster) shares one instrumentation schema:
 //!
 //! * [`probe`] — the zero-cost [`Probe`] trait the protocol cores are generic
 //!   over, plus the [`ProbeEvent`] vocabulary of protocol transition points

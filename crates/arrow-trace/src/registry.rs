@@ -3,10 +3,11 @@
 //! One shared schema for every execution tier: a fixed enum of counters
 //! ([`Metric`]) backed by an array of relaxed atomics, plus log-bucketed
 //! atomic histograms ([`HistMetric`]) for latency-shaped quantities (timer
-//! dwell, acquire latency, write batch sizes). Tier stat structs (`NetStats`,
-//! the thread runtime's `RuntimeStats`) are façades over one
-//! [`MetricsRegistry`] instead of carrying ad-hoc `AtomicU64` fields, so
-//! snapshots from different tiers diff and merge against each other.
+//! dwell, acquire latency, write batch sizes). The reactor runtime's
+//! `NetStats` is a façade over one [`MetricsRegistry`] instead of carrying
+//! ad-hoc `AtomicU64` fields, so snapshots from different runtimes — one
+//! in-process mesh, or one per `arrowd` process — diff and merge against each
+//! other.
 //!
 //! Everything is wait-free writes (one `fetch_add` per observation) and
 //! consistent-enough reads: a [`MetricsSnapshot`] taken while writers run may
@@ -54,7 +55,7 @@ pub enum Metric {
     EpochsAdopted,
     /// Grants self-released on behalf of vanished local waiters.
     OrphanReleases,
-    /// Reactor shard `epoll_wait` returns (socket tier; 0 on thread tiers).
+    /// Reactor shard `epoll_wait` returns.
     ReactorWakeups,
     /// Socket reads/writes that returned `WouldBlock` and re-armed interest.
     WouldBlockRetries,

@@ -8,15 +8,15 @@
 //!
 //! The example runs the same K-object scenario twice:
 //! 1. on the deterministic simulator, printing each object's validated queue, and
-//! 2. on the live runtime (one OS thread per node), with per-object tokens held
-//!    concurrently to show the sharded queues really are independent.
+//! 2. on the live reactor runtime (one client thread per node), with per-object
+//!    tokens held concurrently to show the sharded queues really are independent.
 //!
 //! ```text
 //! cargo run --release -p arrow-bench --example multi_object_directory
 //! ```
 
-use arrow_core::live::ArrowRuntime;
 use arrow_core::prelude::*;
+use arrow_net::{NetConfig, NetRuntime};
 use netgraph::{generators, RootedTree};
 use std::sync::Arc;
 
@@ -57,7 +57,7 @@ fn main() {
 
     // --- Part 2: live runtime ------------------------------------------------
     let tree = RootedTree::from_tree_graph(&generators::balanced_binary_tree(n), 0);
-    let rt = Arc::new(ArrowRuntime::spawn_multi(&tree, k));
+    let rt = Arc::new(NetRuntime::spawn_multi(&tree, k, NetConfig::instant()));
     let mut joins = Vec::new();
     for v in 0..n {
         let h = rt.handle(v);
@@ -74,11 +74,18 @@ fn main() {
     for j in joins {
         j.join().unwrap();
     }
-    let (queue_msgs, token_msgs, acquisitions) = rt.stats().snapshot();
+    let report = Arc::try_unwrap(rt).ok().unwrap().shutdown();
+    let stats = report.stats();
+    let orders = report
+        .validated_orders()
+        .expect("every object's queue is valid");
     println!(
-        "\nlive runtime: {acquisitions} acquisitions across {k} objects \
-         ({queue_msgs} queue() messages, {token_msgs} token transfers)"
+        "\nlive runtime: {} acquisitions across {} validated object queues \
+         ({} queue() messages, {} token transfers)",
+        stats.acquisitions,
+        orders.len(),
+        stats.queue_frames,
+        stats.token_frames
     );
-    Arc::try_unwrap(rt).ok().unwrap().shutdown();
     println!("each object's token moved through its own queue — no cross-object waiting.");
 }

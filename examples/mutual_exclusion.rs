@@ -1,13 +1,14 @@
 //! Distributed mutual exclusion — the application the arrow protocol was invented for
-//! (Raymond 1989), running on the real-concurrency runtime: one OS thread per node,
-//! std::sync::mpsc channels as the FIFO links, and the exclusion token passed down the
-//! distributed queue from each request to its successor.
+//! (Raymond 1989), running on the reactor runtime: every node hosted in this process,
+//! frames moved in memory as FIFO links, one client thread per node, and the
+//! exclusion token passed down the distributed queue from each request to its
+//! successor.
 //!
 //! ```text
 //! cargo run --release -p arrow-bench --example mutual_exclusion
 //! ```
 
-use arrow_core::live::{ArrowRuntime, CriticalSectionLog, DistributedLock};
+use arrow_net::{CriticalSectionLog, DistributedLock, NetConfig, NetRuntime};
 use netgraph::{generators, RootedTree};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -19,7 +20,7 @@ fn main() {
     // Spanning tree: balanced binary tree rooted at node 0 (which initially holds the
     // token).
     let tree = RootedTree::from_tree_graph(&generators::balanced_binary_tree(nodes), 0);
-    let runtime = Arc::new(ArrowRuntime::spawn(&tree));
+    let runtime = Arc::new(NetRuntime::spawn(&tree, NetConfig::instant()));
     let log = CriticalSectionLog::new();
     let shared_counter = Arc::new(AtomicU64::new(0));
 
@@ -48,7 +49,9 @@ fn main() {
 
     let expected = (nodes * rounds_per_node) as u64;
     let observed = shared_counter.load(Ordering::SeqCst);
-    let (queue_msgs, token_msgs, acquisitions) = runtime.stats().snapshot();
+    let stats = runtime.stats().snapshot();
+    let (queue_msgs, token_msgs, acquisitions) =
+        (stats.queue_frames, stats.token_frames, stats.acquisitions);
 
     println!("critical sections completed: {}", log.len());
     println!("shared counter: {observed} (expected {expected})");
@@ -76,9 +79,12 @@ fn main() {
         "overlapping critical sections"
     );
 
-    Arc::try_unwrap(runtime)
+    let report = Arc::try_unwrap(runtime)
         .ok()
         .expect("all handles dropped")
         .shutdown();
+    report
+        .validated_orders()
+        .expect("the journaled queue is one valid order");
     println!("done.");
 }

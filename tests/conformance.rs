@@ -1,12 +1,13 @@
 //! Acceptance tests for the cross-tier conformance harness: the CI smoke sweep —
-//! 32 seeded cases through all three execution tiers (simulator, thread runtime,
-//! socket runtime) plus the centralized baseline, every invariant asserted — and
+//! 32 seeded cases through the simulator and the reactor runtime's three hostings
+//! (four shards, one shard, one daemon per node) plus the centralized baseline, every invariant asserted — and
 //! the replay/shrink machinery around it.
 
 use arrow_conformance::{derive_spec, run_case, run_replay, ReplayCase, SweepOptions};
 
-/// The ISSUE's acceptance criterion: ≥ 32 shrunk-size seeded cases across all
-/// three tiers with every invariant asserted and zero violations.
+/// The CI smoke sweep: ≥ 32 shrunk-size seeded cases across the simulator and
+/// the reactor runtime's three hostings, every invariant asserted, zero
+/// violations.
 #[test]
 fn smoke_sweep_32_cases_across_all_three_tiers_is_violation_free() {
     let opts = SweepOptions::smoke();
@@ -18,19 +19,12 @@ fn smoke_sweep_32_cases_across_all_three_tiers_is_violation_free() {
         report.failures
     );
     assert_eq!(report.cases, 32);
-    // All three tiers (plus the centralized differential reference) actually ran
-    // on every case — a sweep that silently skipped a tier must not pass. The
-    // socket tier runs three times: one runtime on four shards (memory hops
+    // Every tier (plus the centralized differential reference) actually ran on
+    // every case — a sweep that silently skipped a tier must not pass. The
+    // reactor tier runs three times: one runtime on four shards (memory hops
     // across shard threads), one runtime on one shard (memory hops on one
     // thread) and one daemon per node (every hop on the wire).
-    for tier in [
-        "sim",
-        "sim-centralized",
-        "thread",
-        "net",
-        "net-1shard",
-        "net-wire",
-    ] {
+    for tier in ["sim", "sim-centralized", "net", "net-1shard", "net-wire"] {
         let count = report
             .tier_counts
             .iter()
@@ -47,13 +41,13 @@ fn smoke_sweep_32_cases_across_all_three_tiers_is_violation_free() {
 #[test]
 fn replay_files_roundtrip_and_rerun() {
     let mut opts = SweepOptions::smoke();
-    opts.include_net = false; // keep this test socket-free; the sweep test covers net
+    opts.include_net = false; // keep this test fast; the sweep test covers net
     for i in [0usize, 7, 19] {
         let case = ReplayCase::generate(derive_spec(&opts, i));
         let text = case.to_replay_text();
         let (tiers, violations) = run_replay(&text, &opts).expect("replay parses");
         assert!(tiers.contains(&"sim".to_string()));
-        assert!(tiers.contains(&"thread".to_string()));
+        assert!(tiers.contains(&"sim-centralized".to_string()));
         assert!(violations.is_empty(), "case {i}: {violations:?}");
     }
 }

@@ -1,14 +1,14 @@
 //! Multi-object directory integration tests: K objects sharing one spanning tree,
-//! validated end-to-end on the deterministic simulator and on the live (one OS
-//! thread per node) runtime.
+//! validated end-to-end on the deterministic simulator and on the live reactor
+//! runtime.
 //!
 //! The headline scenario is the ISSUE's acceptance case: a K = 16-object
 //! Zipf-skewed workload on a 256-node instance must produce K independently valid
 //! per-object queuing orders in both runtimes.
 
 use arrow_bench::multi_object::multi_object_workload;
-use arrow_core::live::{ArrowRuntime, CriticalSectionLog, SectionRecord};
 use arrow_core::prelude::*;
+use arrow_net::{CriticalSectionLog, NetConfig, NetRuntime, SectionRecord};
 use desim::{SimRng, SimTime};
 use netgraph::{generators, RootedTree};
 use std::sync::Arc;
@@ -47,15 +47,16 @@ fn k16_zipf_on_256_nodes_validates_per_object_in_the_simulator() {
     }
 }
 
-/// Same scenario on the live runtime: 256 node threads serving 16 objects. Every
-/// object's token is a mutual-exclusion witness for its queue — overlapping critical
-/// sections for one object would mean its queuing order was invalid.
+/// Same scenario on the live reactor runtime: 256 nodes serving 16 objects, from 48
+/// client threads. Every object's token is a mutual-exclusion witness for its
+/// queue — overlapping critical sections for one object would mean its queuing
+/// order was invalid.
 #[test]
 fn k16_on_256_nodes_live_runtime_grants_valid_per_object_queues() {
     let n = 256;
     let k = 16usize;
     let tree = RootedTree::from_tree_graph(&generators::balanced_binary_tree(n), 0);
-    let rt = Arc::new(ArrowRuntime::spawn_multi(&tree, k));
+    let rt = Arc::new(NetRuntime::spawn_multi(&tree, k, NetConfig::instant()));
     // Zipf-ish access pattern: requester nodes drawn per object from a seeded RNG.
     let acquires_per_worker = 6;
     let workers_per_object = 3;
@@ -87,7 +88,11 @@ fn k16_on_256_nodes_live_runtime_grants_valid_per_object_queues() {
         j.join().unwrap();
     }
     let expected = (k * workers_per_object * acquires_per_worker) as u64;
-    assert_eq!(rt.stats().snapshot().2, expected, "every acquire granted");
+    assert_eq!(
+        rt.stats().snapshot().acquisitions,
+        expected,
+        "every acquire granted"
+    );
     for (obj, log) in logs.iter().enumerate() {
         assert_eq!(log.len(), workers_per_object * acquires_per_worker);
         assert!(
@@ -95,7 +100,11 @@ fn k16_on_256_nodes_live_runtime_grants_valid_per_object_queues() {
             "object {obj}: two critical sections overlapped — its queue is not a total order"
         );
     }
-    Arc::try_unwrap(rt).ok().unwrap().shutdown();
+    let report = Arc::try_unwrap(rt).ok().unwrap().shutdown();
+    let orders = report
+        .validated_orders()
+        .expect("every object's queue is valid");
+    assert_eq!(orders.len(), k);
 }
 
 /// Property test: for random topologies, object counts and multi-object schedules,

@@ -150,15 +150,15 @@ fn repeated_requests_from_one_node_become_local_after_the_first() {
     assert_eq!(outcome.total_latency, 11.0);
 }
 
-/// The live (thread + channel) runtime and the simulator agree on the fundamental
-/// guarantee: every acquisition is granted exactly once and mutual exclusion holds.
+/// The live reactor runtime and the simulator agree on the fundamental guarantee:
+/// every acquisition is granted exactly once and mutual exclusion holds.
 #[test]
 fn live_runtime_agrees_with_simulation_guarantees() {
-    use arrow_core::live::{ArrowRuntime, CriticalSectionLog, DistributedLock};
+    use arrow_net::{CriticalSectionLog, DistributedLock, NetConfig, NetRuntime};
     use std::sync::Arc;
 
     let tree = RootedTree::from_tree_graph(&generators::balanced_binary_tree(9), 0);
-    let runtime = Arc::new(ArrowRuntime::spawn(&tree));
+    let runtime = Arc::new(NetRuntime::spawn(&tree, NetConfig::instant()));
     let log = CriticalSectionLog::new();
     let mut workers = Vec::new();
     for v in 0..9 {
@@ -174,9 +174,14 @@ fn live_runtime_agrees_with_simulation_guarantees() {
     }
     assert_eq!(log.len(), 45);
     assert!(log.find_overlap().is_none());
-    let (_, _, acquisitions) = runtime.stats().snapshot();
-    assert_eq!(acquisitions, 45);
-    Arc::try_unwrap(runtime).ok().unwrap().shutdown();
+    let report = Arc::try_unwrap(runtime).ok().unwrap().shutdown();
+    assert_eq!(report.stats().acquisitions, 45);
+    let orders = report.validated_orders().expect("one valid queue");
+    assert_eq!(
+        orders[0].1.len(),
+        45,
+        "every acquisition queued exactly once"
+    );
 }
 
 /// Local processing order of simultaneous arrivals must not affect the validity of
