@@ -14,15 +14,16 @@
 //! * **message-count sanity** — protocol messages stay within the structural
 //!   bounds of the protocol (arrow: a `queue()` walks tree edges, so at most
 //!   `n - 1` hops per request; centralized: at most two messages per request);
-//! * **per-link FIFO** — on simulator outcomes with a trace, messages on each
-//!   directed link are delivered in send order (the arrow protocol's correctness
-//!   assumes FIFO links);
+//! * **per-link FIFO** — on every tier whose nodes carry recording probes, the
+//!   `queue()` frames each directed link delivers are exactly the frames it was
+//!   sent, in send order (the arrow protocol's correctness assumes FIFO links);
 //! * **latency bound** — on synchronous single-object arrow simulator outcomes,
 //!   the measured competitive ratio respects the Theorem 3.19 bound (via
 //!   [`queuing_analysis::measure_ratio`]; degenerate instances are skipped).
 
 use arrow_core::prelude::*;
-use desim::{Trace, TraceEvent};
+use arrow_trace::recorder::TraceEventRecord;
+use arrow_trace::ProbeEvent;
 use queuing_analysis::measure_ratio_with_cost;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -38,7 +39,7 @@ pub enum InvariantKind {
     TokenConservation,
     /// Structural message-count bounds.
     MessageSanity,
-    /// Per-link FIFO delivery (simulator traces only).
+    /// Per-link FIFO delivery of `queue()` frames (probed tiers only).
     PerLinkFifo,
     /// Theorem 3.19 competitive-ratio bound (sync single-object arrow only).
     LatencyBound,
@@ -59,7 +60,7 @@ pub enum InvariantKind {
 pub struct Violation {
     /// The violated invariant.
     pub invariant: InvariantKind,
-    /// Which tier produced the outcome (`sim`, `sim-centralized`, `thread`, `net`).
+    /// Which tier produced the outcome (`sim`, `sim-centralized`, `net`, ...).
     pub tier: String,
     /// Human-readable description with the offending values.
     pub detail: String,
@@ -209,35 +210,51 @@ pub fn check_message_sanity(tier: &str, outcome: &QueuingOutcome, n: usize) -> V
     violations
 }
 
-/// Per-link FIFO: on each directed link, scheduled delivery times never decrease
-/// in send order (the simulator's latency models must preserve this; the arrow
-/// protocol is incorrect without it).
-pub fn check_per_link_fifo(tier: &str, trace: &Trace) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    let mut last_delivery: HashMap<(usize, usize), desim::SimTime> = HashMap::new();
-    for event in trace.events() {
-        if let TraceEvent::Send {
-            from,
-            to,
-            delivery,
-            label,
-            ..
-        } = event
-        {
-            if let Some(&prev) = last_delivery.get(&(*from, *to)) {
-                if *delivery < prev {
-                    violations.push(Violation::new(
-                        InvariantKind::PerLinkFifo,
-                        tier,
-                        format!(
-                            "link {from}->{to}: {label} scheduled for {delivery} after a \
-                             frame scheduled for {prev}"
-                        ),
-                    ));
-                }
+/// Per-link FIFO: for every directed link `u -> v`, the `(obj, req)` frames
+/// that `v` records as [`ProbeEvent::QueueReceived`] from `u` equal, in order,
+/// the frames `u` records as [`ProbeEvent::QueueSent`] to `v` — no loss, no
+/// duplicate, no reordering (the arrow protocol is incorrect without FIFO
+/// links). Each node's events are read in the order that node recorded them:
+/// [`arrow_trace::TraceRecorder::finish`] sorts stably by time, and one node's
+/// timestamps never decrease, so per-node order survives the merge.
+pub fn check_per_link_fifo(tier: &str, events: &[TraceEventRecord]) -> Vec<Violation> {
+    type Frames = Vec<(u32, u64)>;
+    let mut links: HashMap<(usize, usize), (Frames, Frames)> = HashMap::new();
+    for e in events {
+        match e.ev {
+            ProbeEvent::QueueSent { obj, req, to, .. } => {
+                links.entry((e.node, to)).or_default().0.push((obj, req));
             }
-            last_delivery.insert((*from, *to), *delivery);
+            ProbeEvent::QueueReceived { obj, req, from, .. } => {
+                links.entry((from, e.node)).or_default().1.push((obj, req));
+            }
+            _ => {}
         }
+    }
+    let mut links: Vec<_> = links.into_iter().collect();
+    links.sort_unstable_by_key(|&(link, _)| link);
+    let mut violations = Vec::new();
+    for ((u, v), (sent, received)) in links {
+        if sent == received {
+            continue;
+        }
+        let at = sent
+            .iter()
+            .zip(&received)
+            .position(|(s, r)| s != r)
+            .unwrap_or(sent.len().min(received.len()));
+        violations.push(Violation::new(
+            InvariantKind::PerLinkFifo,
+            tier,
+            format!(
+                "link {u}->{v}: {} queue frames sent, {} received; first divergence at \
+                 frame {at}: sent {:?}, received {:?} (as (obj, req))",
+                sent.len(),
+                received.len(),
+                sent.get(at),
+                received.get(at)
+            ),
+        ));
     }
     violations
 }
@@ -378,43 +395,115 @@ mod tests {
         assert_eq!(violations[0].invariant, InvariantKind::CrossTier);
     }
 
+    fn sent(node: usize, t: f64, req: u64, to: usize) -> TraceEventRecord {
+        let ev = ProbeEvent::QueueSent {
+            obj: 0,
+            req,
+            origin: node,
+            to,
+        };
+        TraceEventRecord { node, t, ev }
+    }
+
+    fn received(node: usize, t: f64, req: u64, from: usize) -> TraceEventRecord {
+        let ev = ProbeEvent::QueueReceived {
+            obj: 0,
+            req,
+            origin: from,
+            from,
+        };
+        TraceEventRecord { node, t, ev }
+    }
+
     #[test]
     fn fifo_check_flags_reordered_sends() {
-        let mut trace = Trace::enabled();
-        trace.push(TraceEvent::Send {
-            time: SimTime::ZERO,
-            from: 0,
-            to: 1,
-            delivery: SimTime::from_units(5),
-            label: "a".into(),
-        });
-        trace.push(TraceEvent::Send {
-            time: SimTime::from_units(1),
-            from: 0,
-            to: 1,
-            delivery: SimTime::from_units(3),
-            label: "b".into(),
-        });
-        let violations = check_per_link_fifo("sim", &trace);
-        assert_eq!(violations.len(), 1);
+        // Link 0->1 delivers request 2 before request 1.
+        let reordered = [
+            sent(0, 0.0, 1, 1),
+            sent(0, 0.5, 2, 1),
+            received(1, 1.0, 2, 0),
+            received(1, 1.5, 1, 0),
+        ];
+        let violations = check_per_link_fifo("sim", &reordered);
+        assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].invariant, InvariantKind::PerLinkFifo);
-        // Reordering across *different* links is fine.
-        let mut ok = Trace::enabled();
-        ok.push(TraceEvent::Send {
-            time: SimTime::ZERO,
-            from: 0,
-            to: 1,
-            delivery: SimTime::from_units(5),
-            label: "a".into(),
-        });
-        ok.push(TraceEvent::Send {
-            time: SimTime::from_units(1),
-            from: 0,
-            to: 2,
-            delivery: SimTime::from_units(3),
-            label: "b".into(),
-        });
-        assert!(check_per_link_fifo("sim", &ok).is_empty());
+        assert!(
+            violations[0].detail.starts_with("link 0->1:"),
+            "{violations:?}"
+        );
+
+        // Link 0->1 loses request 2: its prefix arrived in order, its tail never.
+        let lost = [
+            sent(0, 0.0, 1, 1),
+            sent(0, 0.5, 2, 1),
+            received(1, 1.0, 1, 0),
+        ];
+        let violations = check_per_link_fifo("net", &lost);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0]
+            .detail
+            .contains("2 queue frames sent, 1 received"));
+
+        // Frames on *different* links may arrive in any relative order.
+        let across_links = [
+            sent(0, 0.0, 1, 1),
+            sent(0, 0.5, 2, 2),
+            received(2, 1.0, 2, 0),
+            received(1, 2.0, 1, 0),
+        ];
+        assert!(check_per_link_fifo("sim", &across_links).is_empty());
+    }
+
+    /// The check is not vacuous: on every probed tier it reads one `QueueSent`
+    /// per protocol message the tier counted, and finds each link in order.
+    #[test]
+    fn fifo_check_reads_every_queue_frame_on_every_probed_tier() {
+        use crate::net_driver::{NetDriver, NetHosting};
+        use arrow_trace::TraceRecorder;
+        use std::sync::Arc;
+
+        let instance = Instance::complete_uniform(12, SpanningTreeKind::BalancedBinary);
+        for seed in 0..20 {
+            let schedule = workload::zipf_objects(12, 3, 1.1, 40, 20.0, seed);
+            for sync in [true, false] {
+                let mut cfg = RunConfig::analysis(ProtocolKind::Arrow);
+                if !sync {
+                    cfg = cfg.asynchronous(seed);
+                }
+                let tiers: [(&str, Option<NetHosting>); 3] = [
+                    ("sim", None),
+                    ("net", Some(NetHosting::Shards(4))),
+                    ("net-1shard", Some(NetHosting::Shards(1))),
+                ];
+                for (tier, hosting) in tiers {
+                    let recorder = Arc::new(TraceRecorder::new());
+                    let outcome = match hosting {
+                        None => {
+                            arrow_core::run::run_schedule_probed(&instance, &schedule, &cfg, |v| {
+                                recorder.sim_probe(v)
+                            })
+                        }
+                        Some(h) => {
+                            NetDriver::hosted(h)
+                                .run_probed(&instance, &schedule, &cfg, |v| recorder.wall_probe(v))
+                        }
+                    }
+                    .unwrap_or_else(|e| panic!("{tier} seed {seed}: {e}"));
+                    let events = crate::trace::finish(recorder);
+                    let queue_sent = events
+                        .iter()
+                        .filter(|e| matches!(e.ev, ProbeEvent::QueueSent { .. }))
+                        .count() as u64;
+                    assert!(queue_sent > 0, "{tier} seed {seed}: no queue frames");
+                    assert_eq!(
+                        queue_sent, outcome.protocol_messages,
+                        "{tier} seed {seed} sync={sync}"
+                    );
+                    let violations = check_per_link_fifo(tier, &events);
+                    assert!(violations.is_empty(), "{tier} seed {seed}: {violations:?}");
+                }
+            }
+        }
     }
 
     #[test]

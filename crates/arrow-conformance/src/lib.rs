@@ -13,7 +13,8 @@
 //! * per-object queuing-order validity (via the typed checked run paths),
 //! * exactly-once queuing,
 //! * token conservation (one unbroken grant chain per object, no forks),
-//! * per-link FIFO delivery (simulator traces),
+//! * per-link FIFO delivery of `queue()` frames (from the probe traces of the
+//!   simulator and the in-process reactor hostings),
 //! * structural message-count bounds,
 //! * the Theorem 3.19 competitive-ratio bound where the analysis applies
 //!   (synchronous, single object, arrow, non-degenerate lower bound).

@@ -2,15 +2,17 @@
 //!
 //! For every generated [`ReplayCase`] the sweep runs, where applicable:
 //!
-//! 1. **sim** — the arrow protocol on the deterministic simulator (traced), held
-//!    to every invariant including per-link FIFO and the Theorem 3.19 latency
-//!    bound (sync, single-object);
+//! 1. **sim** — the arrow protocol on the deterministic simulator, every node
+//!    carrying a recording probe, held to every invariant including per-link
+//!    FIFO (read from the probe trace) and the Theorem 3.19 latency bound
+//!    (sync, single-object);
 //! 2. **sim-centralized** — the centralized baseline on the same schedule, as a
 //!    differential reference (same exactly-once/token/multiset contracts);
 //! 3. **net**, **net-1shard**, **net-wire** — the reactor runtime, hosted three
 //!    ways ([`crate::net_driver::NET_TIERS`]): memory hops across four shards'
 //!    threads, memory hops on one shard, and one daemon-mode runtime per node
-//!    with every hop on loopback TCP.
+//!    with every hop on loopback TCP. The first two carry wall-clock probes and
+//!    are held to per-link FIFO too; daemons carry none.
 //!
 //! Any violation (or typed [`RunError`]) fails the case; failing cases are
 //! shrunk ([`crate::shrink::shrink`]) and can be written out as one-command
@@ -25,12 +27,16 @@
 use crate::case::{CaseSpec, GraphKind, ReplayCase, WorkloadKind};
 use crate::invariants::{self, InvariantKind, Violation};
 use crate::net_driver::{NetDriver, NET_TIERS};
+use crate::trace::finish;
 use arrow_core::driver::{Driver, SimDriver};
 use arrow_core::prelude::*;
+use arrow_core::run::run_schedule_probed;
+use arrow_trace::TraceRecorder;
 use desim::{SimConfig, SimRng};
 use netgraph::spanning::SpanningTreeKind;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// What a sweep should run.
 #[derive(Debug, Clone)]
@@ -226,16 +232,17 @@ fn run_case_fault_free(case: &ReplayCase, opts: &SweepOptions) -> (Vec<String>, 
     let mut violations = Vec::new();
     let n = instance.node_count();
 
-    // Tier 1: simulator, traced, arrow.
+    // Tier 1: simulator, probed, arrow.
     let arrow_cfg = case.spec.run_config(ProtocolKind::Arrow);
     tiers_run.push("sim".to_string());
-    match run_schedule_traced(&instance, &schedule, &arrow_cfg) {
+    let recorder = Arc::new(TraceRecorder::new());
+    match run_schedule_probed(&instance, &schedule, &arrow_cfg, |v| recorder.sim_probe(v)) {
         Err(e) => violations.extend(violations_from_error("sim", &e)),
-        Ok((outcome, trace)) => {
+        Ok(outcome) => {
             violations.extend(invariants::check_exactly_once("sim", &outcome));
             violations.extend(invariants::check_token_conservation("sim", &outcome));
             violations.extend(invariants::check_message_sanity("sim", &outcome, n));
-            violations.extend(invariants::check_per_link_fifo("sim", &trace));
+            violations.extend(invariants::check_per_link_fifo("sim", &finish(recorder)));
             violations.extend(invariants::check_cross_tier("sim", &expected, &outcome));
             if case.spec.sync == SyncMode::Synchronous && schedule.object_id_bound() == 1 {
                 violations.extend(invariants::check_latency_bound(
@@ -282,12 +289,16 @@ fn run_case_fault_free(case: &ReplayCase, opts: &SweepOptions) -> (Vec<String>, 
     for &(tier, hosting) in net_tiers {
         let driver = NetDriver::hosted(hosting);
         tiers_run.push(tier.to_string());
-        match driver.run(&instance, &schedule, &arrow_cfg) {
+        let recorder = Arc::new(TraceRecorder::new());
+        match driver.run_probed(&instance, &schedule, &arrow_cfg, |v| recorder.wall_probe(v)) {
             Err(e) => violations.extend(violations_from_error(tier, &e)),
             Ok(outcome) => {
                 violations.extend(invariants::check_exactly_once(tier, &outcome));
                 violations.extend(invariants::check_token_conservation(tier, &outcome));
                 violations.extend(invariants::check_message_sanity(tier, &outcome, n));
+                // `net-wire`'s daemons carry no probes: its trace is empty and
+                // the check passes vacuously.
+                violations.extend(invariants::check_per_link_fifo(tier, &finish(recorder)));
                 violations.extend(invariants::check_cross_tier(tier, &expected, &outcome));
             }
         }

@@ -25,6 +25,7 @@ use crate::case::ReplayCase;
 use crate::invariants::{InvariantKind, Violation};
 use arrow_core::prelude::*;
 use arrow_trace::analysis::{self, RequestTrace};
+use arrow_trace::recorder::TraceEventRecord;
 use arrow_trace::TraceRecorder;
 use netgraph::RootedTree;
 use std::collections::HashMap;
@@ -51,10 +52,15 @@ pub fn trace_sim_case(case: &ReplayCase) -> Result<(QueuingOutcome, Vec<RequestT
     let outcome = arrow_core::run::run_schedule_probed(&instance, &schedule, &cfg, |v| {
         recorder.sim_probe(v)
     })?;
-    let events = Arc::try_unwrap(recorder)
-        .expect("sim probes flushed when the run returned")
-        .finish();
-    Ok((outcome, analysis::reconstruct(&events)))
+    Ok((outcome, analysis::reconstruct(&finish(recorder))))
+}
+
+/// The finished trace of a probed run; every probe flushed when the run
+/// returned.
+pub(crate) fn finish(recorder: Arc<TraceRecorder>) -> Vec<TraceEventRecord> {
+    Arc::try_unwrap(recorder)
+        .expect("probes flushed when the run returned")
+        .finish()
 }
 
 /// Weight of the traversed tree edge `(u, v)` (direction-agnostic: one endpoint

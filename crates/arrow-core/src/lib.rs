@@ -101,8 +101,8 @@ pub mod prelude {
     pub use crate::request::{ObjectId, Request, RequestId, RequestSchedule};
     pub use crate::run::{
         outcome_from_records, run, run_checked, run_schedule, run_schedule_checked,
-        run_schedule_faulted, run_schedule_traced, ChurnOutcome, Instance, QueuingOutcome,
-        RunConfig, RunError, SyncMode, FAULT_DETECTION_DELAY,
+        run_schedule_faulted, ChurnOutcome, Instance, QueuingOutcome, RunConfig, RunError,
+        SyncMode, FAULT_DETECTION_DELAY,
     };
     pub use crate::workload::{self, ClosedLoopSpec, Workload};
     pub use netgraph::spanning::SpanningTreeKind;

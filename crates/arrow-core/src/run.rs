@@ -164,8 +164,6 @@ pub struct RunConfig {
     /// (ignored in the synchronous model). Defaults to
     /// [`desim::SimConfig::DEFAULT_ASYNC_LO`].
     pub async_lo_factor: f64,
-    /// Record a full message trace.
-    pub trace: bool,
     /// How long a live-tier acquire may wait for its token before the driver fails
     /// the run with [`RunError::GrantTimeout`] (ignored by the simulator tiers,
     /// which have no wall clock). Defaults to [`RunConfig::DEFAULT_GRANT_TIMEOUT_MS`];
@@ -187,7 +185,6 @@ impl RunConfig {
             ack_to_requester: false,
             local_service_time: 0.0,
             async_lo_factor: SimConfig::DEFAULT_ASYNC_LO,
-            trace: false,
             grant_timeout_ms: RunConfig::DEFAULT_GRANT_TIMEOUT_MS,
         }
     }
@@ -202,7 +199,6 @@ impl RunConfig {
             ack_to_requester: true,
             local_service_time: service_time,
             async_lo_factor: SimConfig::DEFAULT_ASYNC_LO,
-            trace: false,
             grant_timeout_ms: RunConfig::DEFAULT_GRANT_TIMEOUT_MS,
         }
     }
@@ -394,7 +390,6 @@ fn sim_config(config: &RunConfig) -> SimConfig {
         latency,
         seed: config.seed,
         local_order,
-        trace: config.trace,
         max_events: None,
         max_time: None,
     }
@@ -448,37 +443,6 @@ pub fn run_schedule_checked(
     config: &RunConfig,
 ) -> Result<QueuingOutcome, RunError> {
     run_ref(instance, WorkloadRef::Open(schedule), config)
-}
-
-/// Like [`run_schedule_checked`], but forces tracing on and returns the full
-/// message [`desim::Trace`] alongside the outcome — the conformance harness uses
-/// it to check transport-level invariants (e.g. per-link FIFO delivery) that the
-/// assembled [`QueuingOutcome`] cannot express.
-pub fn run_schedule_traced(
-    instance: &Instance,
-    schedule: &RequestSchedule,
-    config: &RunConfig,
-) -> Result<(QueuingOutcome, desim::Trace), RunError> {
-    let mut config = config.clone();
-    config.trace = true;
-    let workload = WorkloadRef::Open(schedule);
-    fn traced<A: Automaton>(
-        protocol: ProtocolKind,
-        mut sim: Simulator<ProtoMsg, SimNode<A>>,
-    ) -> Result<(QueuingOutcome, desim::Trace), RunError> {
-        let outcome = run_to_outcome(protocol, &mut sim)?;
-        Ok((outcome, sim.into_trace()))
-    }
-    match config.protocol {
-        ProtocolKind::Arrow => traced(
-            ProtocolKind::Arrow,
-            arrow_sim(instance, workload, &config, |_| NoProbe),
-        ),
-        ProtocolKind::Centralized => traced(
-            ProtocolKind::Centralized,
-            central_sim(instance, workload, &config),
-        ),
-    }
 }
 
 /// Like [`run_schedule_checked`], but every arrow node carries a recording probe

@@ -5,7 +5,7 @@
 //! an asynchronous message-passing system of `n` nodes connected by point-to-point
 //! FIFO links, with virtual time, pluggable link-latency models (the paper's
 //! synchronous unit-latency model and its asynchronous bounded-delay model), per-node
-//! protocol automata, statistics and tracing.
+//! protocol automata and per-run event counters.
 //!
 //! The design goals, in order:
 //!
@@ -55,13 +55,11 @@ pub mod rng;
 pub mod sim;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use event::{Event, EventKind, EventQueue};
 pub use link::{LatencyModel, LinkState};
 pub use node::{Context, NodeId, Process};
 pub use rng::SimRng;
 pub use sim::{LocalOrder, RunOutcome, SimConfig, SimFault, Simulator, StopReason};
-pub use stats::{Histogram, SimStats};
+pub use stats::SimStats;
 pub use time::{SimDuration, SimTime, SUBTICKS_PER_UNIT};
-pub use trace::{Trace, TraceEvent};

@@ -7,7 +7,6 @@ use crate::node::{Context, NodeId, Outgoing, Process};
 use crate::rng::SimRng;
 use crate::stats::SimStats;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Trace, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 /// How a node orders messages that arrive at the very same instant.
@@ -35,8 +34,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Local processing order of simultaneous arrivals.
     pub local_order: LocalOrder,
-    /// Whether to record a full [`Trace`].
-    pub trace: bool,
     /// Safety valve: abort after this many events (None = unlimited).
     pub max_events: Option<u64>,
     /// Safety valve: abort once virtual time exceeds this (None = unlimited).
@@ -49,7 +46,6 @@ impl Default for SimConfig {
             latency: LatencyModel::Unit,
             seed: 0,
             local_order: LocalOrder::Fifo,
-            trace: false,
             max_events: None,
             max_time: None,
         }
@@ -85,7 +81,6 @@ impl SimConfig {
             },
             seed,
             local_order: LocalOrder::Random,
-            trace: false,
             max_events: None,
             max_time: None,
         }
@@ -150,7 +145,6 @@ pub struct Simulator<M, P: Process<M>> {
     now: SimTime,
     started: bool,
     stats: SimStats,
-    trace: Trace,
     events_processed: u64,
     /// Scheduled faults, sorted by time once the run starts; `next_fault` indexes
     /// the first not-yet-applied entry.
@@ -166,15 +160,10 @@ pub struct Simulator<M, P: Process<M>> {
     scratch: Context<M>,
 }
 
-impl<M: std::fmt::Debug, P: Process<M>> Simulator<M, P> {
+impl<M, P: Process<M>> Simulator<M, P> {
     /// Create a simulator over the given per-node processes.
     pub fn new(nodes: Vec<P>, config: SimConfig) -> Self {
         let n = nodes.len();
-        let trace = if config.trace {
-            Trace::enabled()
-        } else {
-            Trace::disabled()
-        };
         Simulator {
             nodes,
             queue: EventQueue::new(),
@@ -184,7 +173,6 @@ impl<M: std::fmt::Debug, P: Process<M>> Simulator<M, P> {
             now: SimTime::ZERO,
             started: false,
             stats: SimStats::default(),
-            trace,
             events_processed: 0,
             faults: Vec::new(),
             next_fault: 0,
@@ -281,16 +269,6 @@ impl<M: std::fmt::Debug, P: Process<M>> Simulator<M, P> {
         &self.stats
     }
 
-    /// The trace (empty unless tracing was enabled in the config).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Consume the simulator and keep only its trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
-
     fn apply_context(&mut self, node: NodeId, ctx: &mut Context<M>) {
         for out in ctx.outbox.drain(..) {
             // Jitter is folded into the FIFO floor (the floored, jittered delivery is
@@ -322,15 +300,6 @@ impl<M: std::fmt::Debug, P: Process<M>> Simulator<M, P> {
                     (to, msg, delivery)
                 }
             };
-            if self.trace.is_enabled() {
-                self.trace.push(TraceEvent::Send {
-                    time: self.now,
-                    from: node,
-                    to,
-                    delivery,
-                    label: format!("{msg:?}"),
-                });
-            }
             self.queue.schedule(
                 delivery,
                 EventKind::Deliver {
@@ -393,14 +362,6 @@ impl<M: std::fmt::Debug, P: Process<M>> Simulator<M, P> {
                     return true;
                 }
                 self.stats.messages_delivered += 1;
-                if self.trace.is_enabled() {
-                    self.trace.push(TraceEvent::Deliver {
-                        time: self.now,
-                        from,
-                        to,
-                        label: format!("{payload:?}"),
-                    });
-                }
                 let mut ctx = self.take_scratch(to, self.now);
                 self.nodes[to].on_message(&mut ctx, from, payload);
                 self.apply_context(to, &mut ctx);
@@ -412,13 +373,6 @@ impl<M: std::fmt::Debug, P: Process<M>> Simulator<M, P> {
                     return true;
                 }
                 self.stats.external_inputs += 1;
-                if self.trace.is_enabled() {
-                    self.trace.push(TraceEvent::External {
-                        time: self.now,
-                        node,
-                        label: format!("{payload:?}"),
-                    });
-                }
                 let mut ctx = self.take_scratch(node, self.now);
                 self.nodes[node].on_external(&mut ctx, payload);
                 self.apply_context(node, &mut ctx);
@@ -430,13 +384,6 @@ impl<M: std::fmt::Debug, P: Process<M>> Simulator<M, P> {
                     return true;
                 }
                 self.stats.timer_firings += 1;
-                if self.trace.is_enabled() {
-                    self.trace.push(TraceEvent::Timer {
-                        time: self.now,
-                        node,
-                        tag,
-                    });
-                }
                 let mut ctx = self.take_scratch(node, self.now);
                 self.nodes[node].on_timer(&mut ctx, tag);
                 self.apply_context(node, &mut ctx);
@@ -544,12 +491,11 @@ mod tests {
     #[test]
     fn deterministic_across_identical_runs() {
         let run = |seed| {
-            let mut cfg = SimConfig::asynchronous(seed);
-            cfg.trace = true;
-            let mut sim = ring(7, cfg);
+            let mut sim = ring(7, SimConfig::asynchronous(seed));
             sim.schedule_external(SimTime::ZERO, 3, 25);
-            sim.run();
-            sim.trace().render()
+            let outcome = sim.run();
+            let received: Vec<Vec<u32>> = (0..7).map(|v| sim.node(v).received.clone()).collect();
+            (received, outcome.events, outcome.final_time)
         };
         assert_eq!(run(99), run(99));
         assert_ne!(run(99), run(100));
@@ -672,28 +618,6 @@ mod tests {
         assert_eq!(outcome.final_time, SimTime::from_units(5));
         assert_eq!(sim.node(1).got, vec![(7, SimTime::from_units(5))]);
         assert_eq!(sim.stats().messages_delivered, 1);
-    }
-
-    #[test]
-    fn trace_records_sends_and_deliveries() {
-        let mut cfg = SimConfig::synchronous();
-        cfg.trace = true;
-        let mut sim = ring(3, cfg);
-        sim.schedule_external(SimTime::ZERO, 0, 2);
-        sim.run();
-        let trace = sim.trace();
-        let sends = trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Send { .. }))
-            .count();
-        let delivers = trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Deliver { .. }))
-            .count();
-        assert_eq!(sends, 2);
-        assert_eq!(delivers, 2);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Determinism regression tests.
 //!
 //! The simulator's contract is that a run is a pure function of
-//! `(processes, config, seed, scheduled inputs)`: the same seed must produce a
-//! byte-identical trace and outcome, and the rayon-parallel experiment sweeps must
+//! `(processes, config, seed, scheduled inputs)`: the same seed must produce an
+//! identical outcome and probe trace, and the rayon-parallel experiment sweeps must
 //! produce exactly the rows their serial reference implementations do, in the same
 //! order, regardless of thread count or scheduling.
 
@@ -11,9 +11,9 @@ use arrow_core::prelude::*;
 use desim::SimTime;
 
 /// Same `RunConfig` seed => identical queuing order, costs and event counts across
-/// two independent protocol runs, in both synchrony models. (Byte-identical *trace*
-/// output is pinned by `raw_simulator_trace_is_reproducible_per_seed` below, which
-/// drives the simulator directly — the harness does not expose its trace.)
+/// two independent protocol runs, in both synchrony models. (The event order
+/// itself is pinned through the probe trace by
+/// `event_order_holds_its_recorded_digests` below.)
 #[test]
 fn same_seed_produces_identical_outcome() {
     let run_once = |sync: bool| {
@@ -39,18 +39,20 @@ fn same_seed_produces_identical_outcome() {
     }
 }
 
-/// The raw simulator (one level below the harness): same seed => identical trace
-/// text; different seed => allowed (and here, expected) to differ.
+/// The raw simulator (one level below the harness): same seed => identical
+/// per-node delivery logs (virtual time, sender, payload); different seed =>
+/// allowed (and here, expected) to differ.
 #[test]
-fn raw_simulator_trace_is_reproducible_per_seed() {
+fn raw_simulator_run_is_reproducible_per_seed() {
     use desim::{Context, NodeId, Process, SimConfig, Simulator};
 
-    #[derive(Debug)]
     struct Relay {
         n: usize,
+        log: Vec<(SimTime, NodeId, u32)>,
     }
     impl Process<u32> for Relay {
-        fn on_message(&mut self, ctx: &mut Context<u32>, _from: NodeId, hops: u32) {
+        fn on_message(&mut self, ctx: &mut Context<u32>, from: NodeId, hops: u32) {
+            self.log.push((ctx.now(), from, hops));
             if hops > 0 {
                 let next = (ctx.node() + 1) % self.n;
                 ctx.send(next, hops - 1);
@@ -58,31 +60,34 @@ fn raw_simulator_trace_is_reproducible_per_seed() {
         }
     }
 
-    let render = |seed: u64| {
-        let mut cfg = SimConfig::asynchronous(seed);
-        cfg.trace = true;
-        let nodes = (0..6).map(|_| Relay { n: 6 }).collect();
-        let mut sim = Simulator::new(nodes, cfg);
+    let run = |seed: u64| {
+        let nodes = (0..6).map(|_| Relay { n: 6, log: vec![] }).collect();
+        let mut sim = Simulator::new(nodes, SimConfig::asynchronous(seed));
         sim.schedule_external(SimTime::ZERO, 0, 40);
         let outcome = sim.run();
-        (sim.trace().render(), outcome.events, outcome.final_time)
+        let logs: Vec<_> = (0..6).map(|v| sim.node(v).log.clone()).collect();
+        (logs, outcome.events, outcome.final_time)
     };
-    assert_eq!(render(42), render(42));
-    assert_ne!(render(42).0, render(43).0);
+    assert_eq!(run(42), run(42));
+    assert_ne!(run(42).0, run(43).0);
 }
 
-/// The simulator's event order pinned by digests recorded while every event still
-/// went through one binary heap: in-order events now wait in per-kind FIFO lanes,
-/// and these runs are where the lanes and the heap interleave.
+/// The simulator's event order pinned by digests: in-order events wait in per-kind
+/// FIFO lanes, out-of-order ones in a heap, and these runs are where the lanes
+/// and the heap interleave. The closed-loop digests were recorded while every
+/// event still went through one binary heap; the open-loop ones are probe-trace
+/// digests recorded on the lane queue once its message-trace digests had held.
 ///
 /// * a synchronous open loop whose whole-unit issue times make externals tie with
-///   deliveries (trace text);
-/// * an asynchronous open loop over two objects (trace text);
+///   deliveries (probe trace);
+/// * an asynchronous open loop over two objects (probe trace);
 /// * closed loops whose service timers tie with deliveries, synchronous and
 ///   asynchronous (orders, makespan, event count).
 #[test]
 fn event_order_holds_its_recorded_digests() {
+    use arrow_trace::TraceRecorder;
     use std::hash::{Hash, Hasher};
+    use std::sync::Arc;
     fn digest(value: impl Hash) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         value.hash(&mut h);
@@ -92,10 +97,16 @@ fn event_order_holds_its_recorded_digests() {
     // Four requests per whole time unit, from nodes spread over the tree.
     let issues = |i: usize| ((i * 7) % 16, SimTime::from_units(i as u64 / 4));
     let traced = |schedule: &RequestSchedule, config: &RunConfig| {
-        let (outcome, trace) =
-            run_schedule_traced(&instance, schedule, config).expect("fault-free run");
+        let recorder = Arc::new(TraceRecorder::new());
+        let outcome = arrow_core::run::run_schedule_probed(&instance, schedule, config, |v| {
+            recorder.sim_probe(v)
+        })
+        .expect("fault-free run");
         assert_eq!(outcome.request_count(), schedule.len());
-        digest(trace.render())
+        let events = Arc::try_unwrap(recorder)
+            .expect("probes flushed when the run returned")
+            .finish();
+        digest(format!("{events:?}"))
     };
 
     let single = RequestSchedule::from_pairs(&(0..64).map(issues).collect::<Vec<_>>());
@@ -136,8 +147,8 @@ fn event_order_holds_its_recorded_digests() {
     assert_eq!(
         [sync_open, async_open, sync_closed, async_closed],
         [
-            0x7a90_cb16_4087_993d,
-            0x2070_b3ed_eaaf_50f5,
+            0x8d53_845c_b0af_faff,
+            0x11be_fbfb_a4aa_4daf,
             0x7bf8_b1bb_4459_b4ef,
             0xe19f_549d_51c1_7f74,
         ]
