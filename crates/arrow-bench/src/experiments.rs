@@ -5,7 +5,7 @@
 //! reproducible numbers.
 //!
 //! Every sweep is parallelized over its independent grid points (processor counts,
-//! diameters, seeds, topology×workload combinations) with rayon. Results are
+//! diameters, seeds, topology×workload combinations) on scoped threads. Results are
 //! index-addressed — each grid point computes its row independently and rows are
 //! collected in input order — so the output is bit-identical to the serial
 //! evaluation regardless of thread count or scheduling. The `*_serial` variants run
@@ -16,7 +16,6 @@ use arrow_core::prelude::*;
 use desim::SimTime;
 use queuing_analysis::lower_bound;
 use queuing_analysis::{measure_ratio, RatioReport};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -25,7 +24,7 @@ use std::sync::Arc;
 /// reference for the determinism regression tests.
 fn map_rows<T: Send, R: Send>(items: Vec<T>, parallel: bool, f: impl Fn(T) -> R + Sync) -> Vec<R> {
     if parallel {
-        items.into_par_iter().map(f).collect()
+        crate::par_map(items, f)
     } else {
         items.into_iter().map(f).collect()
     }

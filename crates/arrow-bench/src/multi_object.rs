@@ -11,7 +11,6 @@
 //! `cargo run --release -p arrow-bench --bin bench_multi_object`.
 
 use arrow_core::prelude::*;
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// Zipf exponent of the canonical multi-object workload (object popularity skew).
@@ -110,11 +109,9 @@ pub fn multi_object_sweep(
     seed: u64,
     min_window_ms: u64,
 ) -> Vec<MultiObjectRow> {
-    objects_list
-        .to_vec()
-        .into_par_iter()
-        .map(|k| measure_multi_object(nodes, k, requests, seed, min_window_ms))
-        .collect()
+    crate::par_map(objects_list.to_vec(), |k| {
+        measure_multi_object(nodes, k, requests, seed, min_window_ms)
+    })
 }
 
 /// The full report written to `BENCH_multi_object_throughput.json`.

@@ -76,8 +76,14 @@ pub struct Host {
     /// has few at a time and hears of them roughly in issue order, so a scan from
     /// the front finds one faster than any keyed structure would.
     open: VecDeque<OpenRequest>,
+    /// Successions this node was told of: at most one per own request, plus one
+    /// per object at the root, whose virtual request each object's first request
+    /// queues behind (the centralized baseline's central node records them all).
     records: Vec<OrderRecord>,
+    /// Own issues in the order the node made them, so in time order; among
+    /// simultaneous issues, in the order their inputs arrived.
     issued: Vec<(RequestId, ObjectId, SimTime)>,
+    /// First completion notification of each own request, in the order heard.
     own_completions: Vec<OwnCompletion>,
     protocol_messages: u64,
     duplicate_grants: u64,
@@ -161,6 +167,16 @@ impl Host {
             informed_at: ctx.now(),
             epoch,
         });
+    }
+
+    /// Capacities of the `issued`, `own_completions` and `records` journals.
+    #[cfg(test)]
+    pub(crate) fn journal_capacities(&self) -> [usize; 3] {
+        [
+            self.issued.capacity(),
+            self.own_completions.capacity(),
+            self.records.capacity(),
+        ]
     }
 
     /// Count one protocol message sent to another node.
@@ -269,6 +285,18 @@ impl<A: Automaton> SimNode<A> {
             next_seq: 0,
             total_nodes: total_nodes as u64,
         });
+    }
+
+    /// Size the journals of a node that issues `issues` requests and is told of
+    /// `successions` successions, so that a fault-free run never regrows them.
+    /// Under faults the counts are a hint, not a bound.
+    pub(crate) fn reserve_journals(&mut self, issues: usize, successions: usize) {
+        let host = &mut self.host;
+        host.issued.reserve_exact(issues);
+        // Without acknowledgements only the requests queued at their own node
+        // complete here, but there is no telling which in advance.
+        host.own_completions.reserve_exact(issues);
+        host.records.reserve_exact(successions);
     }
 
     /// The journals and counters of this node.

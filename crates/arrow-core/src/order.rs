@@ -132,20 +132,31 @@ impl QueuingOrder {
     /// moment its predecessor's node is informed of the succession. Returns pairs
     /// `(request, latency)` in queue order.
     pub fn latencies(&self, schedule: &RequestSchedule) -> Vec<(RequestId, SimDuration)> {
-        let latency = |rec: &OrderRecord| {
-            let issue = schedule
-                .get(rec.successor)
-                .expect("validated order only contains scheduled requests")
-                .time;
-            (rec.successor, rec.informed_at - issue)
-        };
-        self.chain.records.iter().map(latency).collect()
+        self.chain
+            .records
+            .iter()
+            .map(|rec| (rec.successor, latency(rec, schedule)))
+            .collect()
     }
 
     /// Total latency (Definition 3.3): the sum of individual latencies.
     pub fn total_latency(&self, schedule: &RequestSchedule) -> SimDuration {
-        self.latencies(schedule).into_iter().map(|(_, l)| l).sum()
+        self.chain
+            .records
+            .iter()
+            .map(|rec| latency(rec, schedule))
+            .sum()
     }
+}
+
+/// The latency of the request `rec` queued (Definition 3.2): from its issue to the
+/// notification `rec`.
+fn latency(rec: &OrderRecord, schedule: &RequestSchedule) -> SimDuration {
+    let issue = schedule
+        .get(rec.successor)
+        .expect("validated order only contains scheduled requests")
+        .time;
+    rec.informed_at - issue
 }
 
 /// The index arrays of one validation pass over `records` against `schedule`,

@@ -12,11 +12,21 @@
 //!   service time, and the workload is closed-loop. The reported quantities are the
 //!   makespan (Figure 10) and the average inter-processor hops per request
 //!   (Figure 11).
+//!
+//! A simulator run's result path is linear in the number of requests `R`. Set-up
+//! sizes every node's journals from the workload (the schedule's issues per
+//! node, or the closed loop's budget), so a fault-free run never regrows them.
+//! Once the simulator is quiescent, the harvest gathers the journals into lists
+//! allocated at their final length, with the issues in (time, id) order: each
+//! issue goes to slot `id - 1` when the ids are `1..=R` and numbered in time
+//! order, and the nodes' journals, each in time order already, are merged
+//! otherwise. Validation then assembles and checks every object's order
+//! ([`crate::order::per_object_orders`]) against that schedule.
 
 use crate::arrow::{ArrowSim, ArrowSimNode};
 use crate::centralized::CentralTail;
 use crate::fault::FaultSchedule;
-use crate::host::{Automaton, SimNode};
+use crate::host::{Automaton, Host, SimNode};
 use crate::live::QueueCore;
 use crate::order::{validate_churn_records, OrderRecord, QueuingOrder};
 use crate::protocol::{ProtoMsg, ProtocolKind};
@@ -666,16 +676,31 @@ fn run_ref(
 }
 
 /// The set-up every simulator run shares: one hosted node per graph node, the
-/// closed loop switched on or the open-loop issues queued. Link weights are the
-/// caller's (they differ by protocol).
+/// closed loop switched on or the open-loop issues queued. `node_for(v, issues)`
+/// builds node `v` knowing how many requests each node issues, so that it can
+/// size the node's journals. Link weights are the caller's (they differ by
+/// protocol).
 fn set_up<A: Automaton>(
     instance: &Instance,
     workload: WorkloadRef<'_>,
     config: &RunConfig,
-    node_for: impl FnMut(NodeId) -> SimNode<A>,
+    mut node_for: impl FnMut(NodeId, &[usize]) -> SimNode<A>,
 ) -> Simulator<ProtoMsg, SimNode<A>> {
     let n = instance.node_count();
-    let mut nodes: Vec<SimNode<A>> = (0..n).map(node_for).collect();
+    let issues = match workload {
+        WorkloadRef::Open(schedule) => {
+            let mut issues = vec![0; n];
+            for r in schedule.requests() {
+                // An out-of-range node is refused when its issue is queued.
+                if let Some(count) = issues.get_mut(r.node) {
+                    *count += 1;
+                }
+            }
+            issues
+        }
+        WorkloadRef::Closed(spec) => vec![spec.requests_per_node as usize; n],
+    };
+    let mut nodes: Vec<SimNode<A>> = (0..n).map(|v| node_for(v, &issues)).collect();
     if let WorkloadRef::Closed(spec) = workload {
         for node in &mut nodes {
             node.enable_closed_loop(spec, n);
@@ -725,9 +750,14 @@ fn arrow_sim<P: Probe>(
     // Acknowledgements travel over the graph metric: each ack is a direct send
     // paying d_G(sink, requester), so only the tree links below need weights.
     let ack_over = config.ack_to_requester.then(|| instance.distances());
-    let mut sim = set_up(instance, workload, config, |v| {
+    let mut sim = set_up(instance, workload, config, |v, issues| {
         let core = QueueCore::for_tree_with_probe(v, tree, k, probe_for(v));
-        ArrowSim::node(core, ack_over.clone(), config.local_service_time)
+        let mut node = ArrowSim::node(core, ack_over.clone(), config.local_service_time);
+        // A node hears of one successor per own request at most, and the root of
+        // one more per object: the request queued behind its virtual request.
+        let roots = if v == tree.root() { k } else { 0 };
+        node.reserve_journals(issues[v], issues[v] + roots);
+        node
     });
     for v in 0..n {
         if let Some(p) = tree.parent(v) {
@@ -762,8 +792,12 @@ fn central_sim(
 ) -> Simulator<ProtoMsg, SimNode<CentralTail>> {
     // The central node is the tree root (the initial queue tail in both protocols).
     let central = instance.tree.root();
-    let mut sim = set_up(instance, workload, config, |v| {
-        CentralTail::node(v, central, config.local_service_time)
+    let mut sim = set_up(instance, workload, config, |v, issues| {
+        let mut node = CentralTail::node(v, central, config.local_service_time);
+        // Every succession happens at the central node.
+        let successions = if v == central { issues.iter().sum() } else { 0 };
+        node.reserve_journals(issues[v], successions);
+        node
     });
     // Requests and replies travel directly over the graph: weight = d_G(v, central).
     let dm = instance.distances();
@@ -803,39 +837,128 @@ struct Harvest {
 }
 
 /// Collect every node's journal, or the first protocol violation a node recorded.
+/// Each list is allocated once, at its final length, and the issues come out in
+/// (time, id) order ([`issues_in_order`]).
 fn harvest<A: Automaton>(sim: &Simulator<ProtoMsg, SimNode<A>>) -> Result<Harvest, RunError> {
+    let hosts: Vec<&Host> = (0..sim.node_count()).map(|v| sim.node(v).host()).collect();
+    let violation = hosts
+        .iter()
+        .enumerate()
+        .find_map(|(v, host)| Some((v, host.protocol_violation()?)));
+    if let Some((node, description)) = violation {
+        return Err(RunError::ProtocolViolation {
+            node,
+            description: description.to_string(),
+        });
+    }
+    let total = |len: fn(&Host) -> usize| hosts.iter().map(|host| len(host)).sum();
     let mut all = Harvest {
-        records: Vec::new(),
-        issued: Vec::new(),
-        granted: Vec::new(),
+        records: Vec::with_capacity(total(|host| host.records().len())),
+        issued: issues_in_order(&hosts),
+        granted: Vec::with_capacity(total(|host| host.own_completions().len())),
         protocol_messages: 0,
         completion_latency_sum: 0.0,
         duplicate_grants: 0,
     };
-    for v in 0..sim.node_count() {
-        let node = sim.node(v).host();
-        if let Some(description) = node.protocol_violation() {
-            return Err(RunError::ProtocolViolation {
-                node: v,
-                description: description.to_string(),
-            });
-        }
-        all.records.extend_from_slice(node.records());
-        all.issued
-            .extend(node.issued().iter().map(|&(id, obj, time)| Request {
-                id,
-                node: v,
-                time,
-                obj,
-            }));
-        for done in node.own_completions() {
+    for host in &hosts {
+        all.records.extend_from_slice(host.records());
+        for done in host.own_completions() {
             all.granted.push(done.req);
             all.completion_latency_sum += (done.at - done.issued_at).as_units_f64();
         }
-        all.protocol_messages += node.protocol_messages();
-        all.duplicate_grants += node.duplicate_grants();
+        all.protocol_messages += host.protocol_messages();
+        all.duplicate_grants += host.duplicate_grants();
     }
     Ok(all)
+}
+
+/// Every node's issue journal as one list in (time, id) order, without a
+/// comparison sort. When the ids are `1..=R` and numbered in time order, as every
+/// generator numbers them, each issue goes to slot `id - 1`; otherwise (the
+/// closed loop numbers its requests node by node, a shrunk schedule has gaps) the
+/// journals are merged. A node journals its issues in time order, and
+/// simultaneous ones in the order their inputs arrived, which the workloads list
+/// by id; a schedule that lists simultaneous issues at one node against id order
+/// leaves the merge out of order, and `finish` sorts it.
+fn issues_in_order(hosts: &[&Host]) -> Vec<Request> {
+    let total = hosts.iter().map(|host| host.issued().len()).sum();
+    let mut issued = Vec::with_capacity(total);
+    if !place_by_id(hosts, total, &mut issued) {
+        issued.clear();
+        merge_by_time(hosts, &mut issued);
+    }
+    issued
+}
+
+/// Put each of the `total` issues at slot `id - 1` of `out`. True if that worked:
+/// the ids are exactly `1..=total`, and in time order once placed. An issue is
+/// compared with the slot before it as it is placed, so that an order that fails
+/// is given up on after the journal that shows it; the pairs whose later slot was
+/// filled first are compared once every slot is.
+fn place_by_id(hosts: &[&Host], total: usize, out: &mut Vec<Request>) -> bool {
+    const EMPTY: Request = Request {
+        id: RequestId::ROOT,
+        node: 0,
+        time: SimTime::ZERO,
+        obj: ObjectId::DEFAULT,
+    };
+    out.resize(total, EMPTY);
+    for (node, host) in hosts.iter().enumerate() {
+        let mut in_order = true;
+        for &(id, obj, time) in host.issued() {
+            let slot = usize::try_from(id.0).ok().and_then(|id| id.checked_sub(1));
+            let Some(slot) = slot.filter(|&slot| slot < total) else {
+                return false;
+            };
+            if !out[slot].id.is_root() {
+                return false;
+            }
+            // An empty slot reads as time zero, which nothing precedes.
+            in_order &= out[slot.saturating_sub(1)].time <= time;
+            out[slot] = Request {
+                id,
+                node,
+                time,
+                obj,
+            };
+        }
+        if !in_order {
+            return false;
+        }
+    }
+    // `total` distinct ids in `1..=total` fill every slot.
+    out.windows(2).all(|pair| pair[0].time <= pair[1].time)
+}
+
+/// Merge the nodes' issue journals into `out` by (time, id).
+fn merge_by_time(hosts: &[&Host], out: &mut Vec<Request>) {
+    use std::cmp::Reverse;
+    use std::collections::binary_heap::{BinaryHeap, PeekMut};
+    // Each journal's next issue: (time, id, node, place in the journal).
+    let mut heads: BinaryHeap<Reverse<(SimTime, RequestId, NodeId, usize)>> = hosts
+        .iter()
+        .enumerate()
+        .filter_map(|(node, host)| {
+            let &(id, _, time) = host.issued().first()?;
+            Some(Reverse((time, id, node, 0)))
+        })
+        .collect();
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((time, id, node, at)) = *head;
+        let journal = hosts[node].issued();
+        out.push(Request {
+            id,
+            node,
+            time,
+            obj: journal[at].1,
+        });
+        match journal.get(at + 1) {
+            Some(&(id, _, time)) => *head = Reverse((time, id, node, at + 1)),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+    }
 }
 
 /// Assemble a validated [`QueuingOutcome`] from externally journaled requests and
@@ -877,6 +1000,8 @@ fn finish(
         completion_latency_sum,
         ..
     } = journal;
+    // A simulator harvest is in this order already, and the sort is one pass
+    // over it; the live tiers' journals are not.
     issued.sort_by_key(|r| (r.time, r.id));
     let schedule = RequestSchedule::from_requests(issued);
     // Each object's queue is validated independently against the object's own
@@ -1205,6 +1330,146 @@ mod tests {
         let panicking = run_schedule(&instance, &schedule, &cfg);
         assert_eq!(checked.total_latency, panicking.total_latency);
         assert_eq!(checked.order.order(), panicking.order.order());
+    }
+
+    /// Run `sim` and hold its harvested issue list to the reference it replaced:
+    /// every journal concatenated in node order, then sorted by (time, id).
+    /// Returns whether that order numbers the requests in ascending id order.
+    fn harvest_matches_the_sorted_concatenation<A: Automaton>(
+        mut sim: Simulator<ProtoMsg, SimNode<A>>,
+    ) -> bool {
+        sim.run();
+        let mut reference: Vec<Request> = (0..sim.node_count())
+            .flat_map(|v| {
+                let issued = sim.node(v).host().issued();
+                issued.iter().map(move |&(id, obj, time)| Request {
+                    id,
+                    node: v,
+                    time,
+                    obj,
+                })
+            })
+            .collect();
+        reference.sort_by_key(|r| (r.time, r.id));
+        let harvested = harvest(&sim).expect("fault-free run").issued;
+        assert_eq!(harvested, reference);
+        reference.windows(2).all(|pair| pair[0].id < pair[1].id)
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn harvested_issues_are_in_time_then_id_order() {
+        let instance = Instance::complete_uniform(24, SpanningTreeKind::BalancedBinary);
+        let analysis = RunConfig::analysis(ProtocolKind::Arrow);
+        let open = |schedule: &RequestSchedule, config: &RunConfig| {
+            harvest_matches_the_sorted_concatenation(arrow_sim(
+                &instance,
+                WorkloadRef::Open(schedule),
+                config,
+                |_| NoProbe,
+            ))
+        };
+        for seed in 0..4 {
+            // Dense ids numbered in time order: placed by id.
+            let schedule = workload::uniform_random(24, 300, 8.0, seed);
+            assert!(open(&schedule, &analysis));
+            assert!(open(&schedule, &analysis.clone().asynchronous(seed)));
+            let zipf = workload::zipf_objects(24, 3, 1.1, 300, 8.0, seed);
+            assert!(open(&zipf, &analysis));
+
+            // Every third request removed, as a shrunk replay has it: merged.
+            let sparse = RequestSchedule::from_requests(
+                schedule
+                    .requests()
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| i % 3 != 2)
+                    .map(|(_, r)| *r)
+                    .collect(),
+            );
+            assert!(open(&sparse, &analysis));
+
+            // A service time delays issues behind queued messages, so the issue
+            // times no longer follow the ids: placement by id fails its check.
+            let mut served = analysis.clone();
+            served.local_service_time = 0.3;
+            assert!(!open(&schedule, &served));
+
+            // The closed loop numbers its requests node by node: merged.
+            let spec = ClosedLoopSpec {
+                requests_per_node: 12,
+                local_service_time: 0.05,
+            };
+            let mut config = RunConfig::experiment(ProtocolKind::Arrow, spec.local_service_time);
+            if seed % 2 == 1 {
+                config = config.asynchronous(seed);
+            }
+            assert!(!harvest_matches_the_sorted_concatenation(arrow_sim(
+                &instance,
+                WorkloadRef::Closed(&spec),
+                &config,
+                |_| NoProbe,
+            )));
+        }
+
+        // Hand-listed schedules of `(id, node, time)`.
+        let listed = |requests: &[(u64, NodeId, u64)]| {
+            let requests = requests.iter().map(|&(id, node, units)| Request {
+                id: RequestId(id),
+                node,
+                time: SimTime::from_units(units),
+                obj: ObjectId::DEFAULT,
+            });
+            RequestSchedule::from_requests(requests.collect())
+        };
+        // Simultaneous issues at one node listed against id order: placed by id.
+        assert!(open(&listed(&[(2, 1, 1), (1, 1, 1), (3, 2, 2)]), &analysis));
+        // Dense ids numbered against time order, each at its own node, so that
+        // only the check of the filled slots sees it: merged.
+        assert!(!open(
+            &listed(&[(2, 0, 1), (1, 1, 2), (3, 2, 3)]),
+            &analysis
+        ));
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn fault_free_journals_never_outgrow_their_set_up_capacity() {
+        let instance = Instance::complete_uniform(32, SpanningTreeKind::BalancedBinary);
+        let holds = |mut sim: Simulator<ProtoMsg, ArrowSimNode<NoProbe>>| {
+            let capacities = |sim: &Simulator<_, ArrowSimNode<NoProbe>>| -> Vec<[usize; 3]> {
+                (0..sim.node_count())
+                    .map(|v| sim.node(v).host().journal_capacities())
+                    .collect()
+            };
+            let before = capacities(&sim);
+            sim.run();
+            harvest(&sim).expect("fault-free run");
+            assert_eq!(capacities(&sim), before);
+        };
+        let analysis = RunConfig::analysis(ProtocolKind::Arrow);
+        let acked = RunConfig::experiment(ProtocolKind::Arrow, 0.0);
+        let single = workload::uniform_random(32, 2_000, 40.0, 3);
+        let three = workload::zipf_objects(32, 3, 1.1, 2_000, 40.0, 3);
+        for (schedule, config) in [(&single, &analysis), (&single, &acked), (&three, &analysis)] {
+            holds(arrow_sim(
+                &instance,
+                WorkloadRef::Open(schedule),
+                config,
+                |_| NoProbe,
+            ));
+        }
+        let spec = ClosedLoopSpec {
+            requests_per_node: 60,
+            local_service_time: 0.05,
+        };
+        let config = RunConfig::experiment(ProtocolKind::Arrow, spec.local_service_time);
+        holds(arrow_sim(
+            &instance,
+            WorkloadRef::Closed(&spec),
+            &config,
+            |_| NoProbe,
+        ));
     }
 
     #[test]

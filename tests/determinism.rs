@@ -2,7 +2,7 @@
 //!
 //! The simulator's contract is that a run is a pure function of
 //! `(processes, config, seed, scheduled inputs)`: the same seed must produce an
-//! identical outcome and probe trace, and the rayon-parallel experiment sweeps must
+//! identical outcome and probe trace, and the parallel experiment sweeps must
 //! produce exactly the rows their serial reference implementations do, in the same
 //! order, regardless of thread count or scheduling.
 
@@ -233,6 +233,30 @@ fn tier_one_benchmark_kernels_hold_their_seed_one_statistics() {
     assert_eq!(
         pinned(&closed),
         (40_478, 10_639, 6988.8, 463.4, 6_639, 19_200)
+    );
+
+    // The assembled schedule and every object's queue, byte for byte: the
+    // harness may change how it collects the journals, never what it hands on.
+    use std::hash::{Hash, Hasher};
+    let digests = |o: &QueuingOutcome| {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        for r in o.schedule.requests() {
+            (r.id, r.node, r.time, r.obj).hash(&mut h);
+        }
+        let schedule = h.finish();
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        for (obj, order) in &o.orders {
+            obj.hash(&mut h);
+            order.order().hash(&mut h);
+        }
+        (schedule, h.finish())
+    };
+    assert_eq!(
+        [digests(&open), digests(&closed)],
+        [
+            (0xd11e_7a52_d102_1854, 0x2cc3_8fd5_754b_9b2f),
+            (0x910c_38c4_8170_9df8, 0xa340_1e4a_0076_7bf9),
+        ]
     );
 }
 

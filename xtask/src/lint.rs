@@ -35,11 +35,12 @@
 //!    destructors the journal flush rides on.
 //! 7. **hot-path hashing** — the files every simulated event and every hosted
 //!    message runs through ([`PER_EVENT_FILES`]: the simulator's, and the
-//!    socket tier's reactor) address their state by index. A `HashMap` /
-//!    `HashSet` there is a SipHash probe per event or per hop; tier 1 is swept
-//!    thousands of times per figure, and a tier-3 hop costs a few hundred
-//!    nanoseconds, so one such probe is a measurable share of either. A
-//!    cold-path use goes on the allowlist with its reason.
+//!    socket tier's reactor), and the tier-1 result path that runs once per
+//!    request after each simulator run, address their state by index. A
+//!    `HashMap` / `HashSet` there is a SipHash probe per event, per hop or per
+//!    request; tier 1 is swept thousands of times per figure, and a tier-3 hop
+//!    costs a few hundred nanoseconds, so one such probe is a measurable share
+//!    of either. A cold-path use goes on the allowlist with its reason.
 //! 8. **stale allowlist entries** — every `xtask/lint-allow.txt` entry must
 //!    still match a non-test line of a file the passes police. An entry
 //!    whose file or substring is gone suppresses nothing today, but would
@@ -479,14 +480,17 @@ fn lint_daemon_exit_paths(root: &Path, findings: &mut Vec<Finding>) {
 
 /// The per-event files: the simulator tier's engine loop, link rows, event
 /// queue, and the arrow glue and node host every delivered message crosses;
-/// and the socket tier's reactor, which every hop between hosted nodes
-/// crosses.
-const PER_EVENT_FILES: [&str; 6] = [
+/// the harness and the order validator, which run once per request to turn a
+/// simulator run's journals into its outcome; and the socket tier's reactor,
+/// which every hop between hosted nodes crosses.
+const PER_EVENT_FILES: [&str; 8] = [
     "crates/desim/src/sim.rs",
     "crates/desim/src/link.rs",
     "crates/desim/src/event.rs",
     "crates/arrow-core/src/arrow.rs",
     "crates/arrow-core/src/host.rs",
+    "crates/arrow-core/src/run.rs",
+    "crates/arrow-core/src/order.rs",
     "crates/arrow-net/src/reactor.rs",
 ];
 
