@@ -276,8 +276,9 @@ fn main() -> ExitCode {
     let report = run_sweep(&opts);
 
     // The process-cluster tier: a fixed-seed subset replayed across real
-    // arrowd processes (skipped for fault sweeps — the cluster has its own
-    // process-granularity churn coverage in tests and the bench).
+    // arrowd processes (skipped for fault sweeps — process-granularity churn is
+    // covered by `tests/cluster_integration.rs`, which SIGKILLs and restarts a
+    // daemon mid-run).
     let mut cluster_violations = Vec::new();
     if include_cluster && opts.fault_episodes == 0 {
         let arrowd = match locate_arrowd() {

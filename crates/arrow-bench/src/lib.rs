@@ -1,8 +1,9 @@
 //! # arrow-bench — the experiment harness
 //!
 //! One function per figure of the paper's evaluation (plus the theory-validation
-//! sweeps), shared between the runnable binaries (`src/bin/*.rs`, which print the
-//! tables) and the Criterion benchmarks (`benches/*.rs`, which time the kernels).
+//! sweeps), behind the figure binaries in `src/bin/` that print the tables. The
+//! crate's other two binaries are `conformance`, the cross-tier differential
+//! sweep, and `modelcheck`, the bounded model checker.
 //!
 //! | Experiment | Paper | Binary | Function |
 //! |---|---|---|---|
@@ -11,8 +12,7 @@
 //! | Adversarial lower-bound instance | Figure 9 / Thm 4.1 | `fig9_lower_bound` | [`experiments::figure_9`] |
 //! | Competitive-ratio validation | Thm 3.19 | `competitive_ratio` | [`experiments::ratio_sweep`] |
 //! | Synchronous vs. asynchronous | Thm 3.21 | `async_vs_sync` | [`experiments::async_vs_sync`] |
-//! | Multi-object directory throughput | directory setting (Sec. 1) | `bench_multi_object` | [`multi_object::multi_object_sweep`] |
-//! //!
+//!
 //! ## Quick example
 //!
 //! Run a miniature Theorem 3.19 validation sweep — every measured competitive
@@ -37,16 +37,11 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod meta;
-pub mod multi_object;
 pub mod table;
 
 pub use experiments::{
     async_vs_sync, figure_10, figure_11, figure_9, ratio_sweep, Fig10Row, Fig11Row, Fig9Row,
     RatioRow, SyncAsyncRow,
-};
-pub use multi_object::{
-    measure_multi_object, multi_object_sweep, MultiObjectReport, MultiObjectRow,
 };
 pub use table::Table;
 

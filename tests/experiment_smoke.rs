@@ -1,6 +1,7 @@
 //! Smoke tests for the experiment harness: every figure-reproduction entry point runs
-//! end to end at a reduced scale and produces sane, non-degenerate output. (The full
-//! sweeps are exercised by the binaries and Criterion benches.)
+//! end to end at a reduced scale and produces sane, non-degenerate output. (The figure
+//! binaries run the full sweeps; `tests/figures/check.sh` pins their output at fixed
+//! arguments.)
 
 use arrow_bench::{async_vs_sync, figure_10, figure_11, figure_9, ratio_sweep, Table};
 

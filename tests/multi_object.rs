@@ -2,11 +2,10 @@
 //! validated end-to-end on the deterministic simulator and on the live reactor
 //! runtime.
 //!
-//! The headline scenario is the ISSUE's acceptance case: a K = 16-object
-//! Zipf-skewed workload on a 256-node instance must produce K independently valid
-//! per-object queuing orders in both runtimes.
+//! The headline scenario: a K = 16-object Zipf-skewed workload on a 256-node
+//! instance must produce K independently valid per-object queuing orders in both
+//! runtimes.
 
-use arrow_bench::multi_object::multi_object_workload;
 use arrow_core::prelude::*;
 use arrow_net::{CriticalSectionLog, NetConfig, NetRuntime, SectionRecord};
 use desim::{SimRng, SimTime};
@@ -14,36 +13,78 @@ use netgraph::{generators, RootedTree};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// The multi-object simulator instance and workload: a complete graph with a
+/// balanced binary spanning tree, and `requests` Zipf-skewed (exponent 1.1) over
+/// `objects` objects, open loop over a horizon of `max(requests / nodes, 1) × 4`
+/// time units so that many requests are in flight at once.
+fn multi_object_workload(
+    nodes: usize,
+    objects: usize,
+    requests: usize,
+    seed: u64,
+) -> (Instance, RequestSchedule) {
+    let instance = Instance::complete_uniform(nodes, SpanningTreeKind::BalancedBinary);
+    let horizon = (requests as f64 / nodes as f64).max(1.0) * 4.0;
+    let schedule = workload::zipf_objects(nodes, objects, 1.1, requests, horizon, seed);
+    (instance, schedule)
+}
+
+/// Seed-1 statistics of the synchronous arrow run on 256 nodes and 10,000 Zipf
+/// requests, as `(K, sim_events, total_messages, object_count)`.
+const PINNED_10K: [(usize, u64, u64, usize); 4] = [
+    (1, 24_201, 14_201, 1),
+    (4, 36_709, 26_709, 4),
+    (16, 51_499, 41_499, 16),
+    (64, 64_785, 54_785, 64),
+];
+
 /// K = 16 objects, 256 nodes, Zipf-skewed popularity, simulator: every object's
 /// queue must independently validate as a total order covering exactly that
-/// object's requests.
+/// object's requests. The 10,000-request cases of [`PINNED_10K`] are held to the
+/// same checks, and their synchronous arrow runs to the pinned statistics.
 #[test]
 fn k16_zipf_on_256_nodes_validates_per_object_in_the_simulator() {
-    let (instance, schedule) = multi_object_workload(256, 16, 2_000, 1);
-    assert_eq!(
-        schedule.objects().len(),
-        16,
-        "workload must touch all 16 objects"
-    );
-    for config in [
-        RunConfig::analysis(ProtocolKind::Arrow),
-        RunConfig::analysis(ProtocolKind::Arrow).asynchronous(5),
-        RunConfig::analysis(ProtocolKind::Centralized),
-    ] {
-        let outcome = run_schedule(&instance, &schedule, &config);
-        assert_eq!(outcome.object_count(), 16);
-        let mut covered = 0;
-        for (obj, order) in &outcome.orders {
-            let sub = outcome.schedule.for_object(*obj);
-            // The order is already validated by the harness; check it covers the
-            // object's sub-schedule exactly and only mentions that object's requests.
-            assert_eq!(order.len(), sub.len(), "object {obj}");
-            for &id in order.order() {
-                assert_eq!(outcome.schedule.get(id).unwrap().obj, *obj);
+    let pinned_cases = PINNED_10K
+        .map(|(k, events, messages, objects)| (k, 10_000, Some((events, messages, objects))));
+    for (k, requests, pinned) in std::iter::once((16, 2_000, None)).chain(pinned_cases) {
+        let (instance, schedule) = multi_object_workload(256, k, requests, 1);
+        assert_eq!(
+            schedule.objects().len(),
+            k,
+            "workload must touch all {k} objects"
+        );
+        let configs = [
+            RunConfig::analysis(ProtocolKind::Arrow),
+            RunConfig::analysis(ProtocolKind::Arrow).asynchronous(5),
+            RunConfig::analysis(ProtocolKind::Centralized),
+        ];
+        for (i, config) in configs.iter().enumerate() {
+            let outcome = run_schedule(&instance, &schedule, config);
+            if let Some(pinned) = pinned.filter(|_| i == 0) {
+                assert_eq!(
+                    (
+                        outcome.sim_events,
+                        outcome.total_messages,
+                        outcome.object_count()
+                    ),
+                    pinned,
+                    "K = {k}, {requests} requests"
+                );
             }
-            covered += order.len();
+            assert_eq!(outcome.object_count(), k);
+            let mut covered = 0;
+            for (obj, order) in &outcome.orders {
+                let sub = outcome.schedule.for_object(*obj);
+                // The order is already validated by the harness; check it covers the
+                // object's sub-schedule exactly and only mentions that object's requests.
+                assert_eq!(order.len(), sub.len(), "object {obj}");
+                for &id in order.order() {
+                    assert_eq!(outcome.schedule.get(id).unwrap().obj, *obj);
+                }
+                covered += order.len();
+            }
+            assert_eq!(covered, schedule.len(), "orders partition the requests");
         }
-        assert_eq!(covered, schedule.len(), "orders partition the requests");
     }
 }
 
