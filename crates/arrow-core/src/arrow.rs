@@ -277,7 +277,7 @@ mod tests {
         sim.schedule_external(SimTime::ZERO, 3, issue(1));
         sim.run();
         // The request from node 3 is ordered behind the virtual root request at node 0.
-        let recs = sim.node(0).host().records();
+        let recs = sim.node(0).host().journal().records().to_vec();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].predecessor, RequestId::ROOT);
         assert_eq!(recs[0].successor, RequestId(1));
@@ -298,13 +298,13 @@ mod tests {
         sim.schedule_external(SimTime::ZERO, 0, issue(1));
         sim.run();
         assert_eq!(sim.stats().messages_delivered, 0);
-        let recs = sim.node(0).host().records();
+        let recs = sim.node(0).host().journal().records().to_vec();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].predecessor, RequestId::ROOT);
         // The root remains the sink and its id is now the new request.
         assert!(is_sink(sim.node(0)));
         assert_eq!(last_request(sim.node(0)), RequestId(1));
-        assert_eq!(sim.node(0).host().own_completions().len(), 1);
+        assert_eq!(sim.node(0).host().journal().completions().len(), 1);
     }
 
     #[test]
@@ -315,8 +315,8 @@ mod tests {
         sim.run();
         // Request 1 behind root (recorded at node 0), request 2 behind request 1
         // (recorded at node 3, which holds request 1).
-        assert_eq!(sim.node(0).host().records().len(), 1);
-        let rec3 = sim.node(3).host().records();
+        assert_eq!(sim.node(0).host().journal().records().len(), 1);
+        let rec3 = sim.node(3).host().journal().records().to_vec();
         assert_eq!(rec3.len(), 1);
         assert_eq!(rec3[0].predecessor, RequestId(1));
         assert_eq!(rec3[0].successor, RequestId(2));
@@ -334,7 +334,8 @@ mod tests {
         }
         sim.run();
         let mut successors: Vec<RequestId> = (0..n)
-            .flat_map(|v| sim.node(v).host().records().iter().map(|r| r.successor))
+            .flat_map(|v| sim.node(v).host().journal().records().to_vec())
+            .map(|r| r.successor)
             .collect();
         successors.sort();
         successors.dedup();
@@ -364,7 +365,7 @@ mod tests {
         assert!(is_sink_for(sim.node(0), ObjectId(0)));
         assert_eq!(link_for(sim.node(0), ObjectId(1)), 1);
         // The record belongs to object 1.
-        let recs = sim.node(0).host().records();
+        let recs = sim.node(0).host().journal().records().to_vec();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].obj, ObjectId(1));
         assert_eq!(recs[0].predecessor, RequestId::ROOT);
@@ -389,7 +390,7 @@ mod tests {
         }
         sim.run();
         let recs: Vec<OrderRecord> = (0..n)
-            .flat_map(|v| sim.node(v).host().records().iter().copied())
+            .flat_map(|v| sim.node(v).host().journal().records().to_vec())
             .collect();
         assert_eq!(recs.len(), k);
         for rec in &recs {
@@ -421,7 +422,7 @@ mod tests {
         let mut sim = Simulator::new(path_nodes(4, 0, true), SimConfig::synchronous());
         sim.schedule_external(SimTime::ZERO, 2, issue(1));
         sim.run();
-        let completions = sim.node(2).host().own_completions();
+        let completions = sim.node(2).host().journal().completions().to_vec();
         assert_eq!(completions.len(), 1);
         // 2 hops to reach the root plus d_G(0, 2) = 2 for the direct ack back.
         assert_eq!(completions[0].at, SimTime::from_units(4));
@@ -437,7 +438,7 @@ mod tests {
         // Node 3 made itself the sink with the first issue, so the second is queued
         // behind it on the spot and its requester — the same node — knows at once.
         let node = sim.node(3);
-        let recs = node.host().records();
+        let recs = node.host().journal().records().to_vec();
         assert_eq!(recs.len(), 1);
         assert_eq!(
             (recs[0].predecessor, recs[0].successor),
@@ -446,7 +447,8 @@ mod tests {
         assert_eq!(recs[0].informed_at, SimTime::ZERO);
         let done: Vec<RequestId> = node
             .host()
-            .own_completions()
+            .journal()
+            .completions()
             .iter()
             .map(|c| c.req)
             .collect();
@@ -458,7 +460,7 @@ mod tests {
         );
         sim.run();
         // 3 hops to the root, d_G = 3 back.
-        let done = sim.node(3).host().own_completions();
+        let done = sim.node(3).host().journal().completions().to_vec();
         assert_eq!(done.len(), 2);
         assert_eq!(
             (done[1].req, done[1].at),
@@ -477,10 +479,10 @@ mod tests {
         sim.run();
         let node = sim.node(3);
         // One issue each; request 1 left twice (once per epoch), request 2 never.
-        assert_eq!(node.host().issued().len(), 2);
+        assert_eq!(node.host().journal().issued().len(), 2);
         assert_eq!(node.host().protocol_messages(), 2);
         let all: Vec<OrderRecord> = (0..4)
-            .flat_map(|v| sim.node(v).host().records().iter().copied())
+            .flat_map(|v| sim.node(v).host().journal().records().to_vec())
             .collect();
         let epochs_of = |req: u64| -> Vec<u64> {
             let mut e: Vec<u64> = all
@@ -499,7 +501,8 @@ mod tests {
         assert_eq!(node.host().duplicate_grants(), 0);
         let done: Vec<(RequestId, SimTime)> = node
             .host()
-            .own_completions()
+            .journal()
+            .completions()
             .iter()
             .map(|c| (c.req, c.at))
             .collect();
@@ -525,13 +528,20 @@ mod tests {
         }
         let mut sim = Simulator::new(nodes, SimConfig::synchronous());
         sim.run();
-        let total_issued: usize = (0..3).map(|v| sim.node(v).host().issued().len()).sum();
+        let total_issued: usize = (0..3)
+            .map(|v| sim.node(v).host().journal().issued().len())
+            .sum();
         assert_eq!(total_issued, 15);
-        let total_recorded: usize = (0..3).map(|v| sim.node(v).host().records().len()).sum();
+        let total_recorded: usize = (0..3)
+            .map(|v| sim.node(v).host().journal().records().len())
+            .sum();
         assert_eq!(total_recorded, 15);
         // Ids are globally unique.
         let mut ids: Vec<u64> = (0..3)
-            .flat_map(|v| sim.node(v).host().issued().iter().map(|(r, _, _)| r.0))
+            .flat_map(|v| {
+                let journal = sim.node(v).host().journal();
+                journal.issued().iter().map(|r| r.id.0).collect::<Vec<_>>()
+            })
             .collect();
         ids.sort_unstable();
         ids.dedup();
@@ -571,7 +581,7 @@ mod tests {
             .expect("violation recorded");
         assert!(violation.contains("non-arrow message"), "{violation}");
         // The violating message was dropped: no record, no state change.
-        assert!(node.host().records().is_empty());
+        assert!(node.host().journal().records().is_empty());
         assert!(is_sink(&node));
         // A second violation does not overwrite the first.
         node.on_message(

@@ -12,7 +12,6 @@ use crate::protocol::ProtoMsg;
 use crate::request::{ObjectId, RequestId};
 use desim::Context;
 use netgraph::NodeId;
-use std::collections::HashMap;
 
 /// A simulator node running the centralized protocol.
 pub type CentralizedNode = SimNode<CentralTail>;
@@ -24,9 +23,10 @@ pub type CentralizedNode = SimNode<CentralTail>;
 #[derive(Debug)]
 pub struct CentralTail {
     central: NodeId,
-    /// Per-object tail of the queue; only meaningful at the central node. Objects
-    /// never seen before implicitly have the virtual root request as their tail.
-    tails: HashMap<ObjectId, RequestId>,
+    /// Per-object tail of the queue, indexed by object id; only meaningful at the
+    /// central node. Objects never seen before (at or past the end, or still
+    /// [`RequestId::ROOT`]) have the virtual root request as their tail.
+    tails: Vec<RequestId>,
 }
 
 impl CentralTail {
@@ -36,7 +36,7 @@ impl CentralTail {
     pub fn node(me: NodeId, central: NodeId, service_time: f64) -> CentralizedNode {
         let automaton = CentralTail {
             central,
-            tails: HashMap::new(),
+            tails: Vec::new(),
         };
         SimNode::new(me, automaton, service_time, true)
     }
@@ -55,7 +55,11 @@ impl CentralTail {
             self.central,
             "only the central node enqueues requests"
         );
-        let pred = self.tails.insert(obj, req).unwrap_or(RequestId::ROOT);
+        let slot = obj.0 as usize;
+        if slot >= self.tails.len() {
+            self.tails.resize(slot + 1, RequestId::ROOT);
+        }
+        let pred = std::mem::replace(&mut self.tails[slot], req);
         host.note_queued(ctx, obj, pred, req, 0);
         if origin == host.me() {
             host.complete(ctx, req);
@@ -122,12 +126,12 @@ mod tests {
         sim.schedule_external(SimTime::ZERO, 2, issue(1));
         sim.run();
         assert_eq!(sim.stats().messages_delivered, 2);
-        let recs = sim.node(0).host().records();
+        let recs = sim.node(0).host().journal().records().to_vec();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].predecessor, RequestId::ROOT);
         // Reply received one unit after the enqueue reached the center.
         assert_eq!(
-            sim.node(2).host().own_completions()[0].at,
+            sim.node(2).host().journal().completions()[0].at,
             SimTime::from_units(2)
         );
     }
@@ -138,8 +142,8 @@ mod tests {
         sim.schedule_external(SimTime::ZERO, 1, issue(1));
         sim.run();
         assert_eq!(sim.stats().messages_delivered, 0);
-        assert_eq!(sim.node(1).host().records().len(), 1);
-        assert_eq!(sim.node(1).host().own_completions().len(), 1);
+        assert_eq!(sim.node(1).host().journal().records().len(), 1);
+        assert_eq!(sim.node(1).host().journal().completions().len(), 1);
     }
 
     #[test]
@@ -149,7 +153,7 @@ mod tests {
             sim.schedule_external(SimTime::ZERO, v, issue(v as u64));
         }
         sim.run();
-        let recs = sim.node(0).host().records();
+        let recs = sim.node(0).host().journal().records().to_vec();
         assert_eq!(recs.len(), 4);
         // First record is behind the root; the chain is total.
         assert_eq!(recs[0].predecessor, RequestId::ROOT);
@@ -169,7 +173,7 @@ mod tests {
         let outcome = sim.run();
         // Last enqueue processed at 1 + 4 (arrival at 1, four service slots), reply +1.
         assert!(outcome.final_time >= SimTime::from_units(5));
-        let recs = sim.node(0).host().records();
+        let recs = sim.node(0).host().journal().records().to_vec();
         assert_eq!(recs.len(), 4);
         let mut times: Vec<f64> = recs.iter().map(|r| r.informed_at.as_units_f64()).collect();
         times.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -201,10 +205,10 @@ mod tests {
             },
         );
         sim.run();
-        let recs = sim.node(0).host().records();
+        let recs = sim.node(0).host().journal().records().to_vec();
         assert_eq!(recs.len(), 2);
         // Both requests queue behind their own object's virtual root request.
-        for rec in recs {
+        for rec in &recs {
             assert_eq!(rec.predecessor, RequestId::ROOT, "record {rec:?}");
         }
         assert_ne!(recs[0].obj, recs[1].obj);
@@ -222,9 +226,11 @@ mod tests {
         }
         let mut sim = Simulator::new(ns, SimConfig::synchronous());
         sim.run();
-        let total_issued: usize = (0..3).map(|v| sim.node(v).host().issued().len()).sum();
+        let total_issued: usize = (0..3)
+            .map(|v| sim.node(v).host().journal().issued().len())
+            .sum();
         assert_eq!(total_issued, 9);
-        assert_eq!(sim.node(0).host().records().len(), 9);
+        assert_eq!(sim.node(0).host().journal().records().len(), 9);
     }
 
     #[test]
@@ -248,6 +254,6 @@ mod tests {
             .expect("violation recorded");
         assert!(violation.contains("unexpected message"), "{violation}");
         // The violating message was dropped: nothing got enqueued.
-        assert!(node.host().records().is_empty());
+        assert!(node.host().journal().records().is_empty());
     }
 }

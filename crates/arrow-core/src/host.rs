@@ -4,20 +4,27 @@
 //! an event engine executing against separately owned state. The [`Host`] is the
 //! engine-facing half and is written once: the per-message local service time
 //! ([`ServiceQueue`]), the closed-loop workload of Section 5 (issue the next
-//! request when the previous one completes) and the journals the harness reads
-//! after the run. The protocol half is an [`Automaton`]: the arrow protocol on
+//! request when the previous one completes) and the node's entries in the
+//! [`RunJournal`]. The protocol half is an [`Automaton`]: the arrow protocol on
 //! [`crate::live::QueueCore`] ([`crate::arrow::ArrowSim`]) or the centralized
 //! baseline's queue tail ([`crate::centralized::CentralTail`]). An automaton
-//! writes straight through to the [`Context`] and the host's journals; nothing is
+//! writes straight through to the [`Context`] and the journal; nothing is
 //! buffered in between.
+//!
+//! Every host of one run appends to one shared [`RunJournal`], which the harness
+//! takes whole once the simulator is quiescent. The simulator is single-threaded
+//! and dispatches events in time order, so the journal is in time order as it is
+//! written.
 
 use crate::order::OrderRecord;
 use crate::protocol::{ProtoMsg, ServiceQueue, SERVICE_TIMER_TAG};
-use crate::request::{ObjectId, RequestId};
+use crate::request::{ObjectId, Request, RequestId};
 use crate::workload::ClosedLoopSpec;
 use desim::{Context, Process, SimTime};
 use netgraph::NodeId;
+use std::cell::{Ref, RefCell};
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// The protocol half of a simulator node.
 pub trait Automaton {
@@ -43,6 +50,105 @@ pub struct OwnCompletion {
     pub at: SimTime,
 }
 
+/// What the nodes of one simulator run journal, in the order it happened.
+#[derive(Debug, Default)]
+pub struct RunJournal {
+    /// Every issue, in (time, id) order.
+    issued: Vec<Request>,
+    /// Every succession a node was told of, in time order.
+    records: Vec<OrderRecord>,
+    /// The first completion notification of each request, in the order heard;
+    /// `None` when the run keeps only their count and latency sum.
+    completions: Option<Vec<OwnCompletion>>,
+    completed: usize,
+    completion_latency_sum: f64,
+}
+
+impl RunJournal {
+    /// A journal with room for `issues` issues and `successions` successions,
+    /// keeping every completion or only their count and latency sum.
+    pub(crate) fn new(issues: usize, successions: usize, keep_completions: bool) -> Self {
+        RunJournal {
+            issued: Vec::with_capacity(issues),
+            records: Vec::with_capacity(successions),
+            completions: keep_completions.then(|| Vec::with_capacity(issues)),
+            completed: 0,
+            completion_latency_sum: 0.0,
+        }
+    }
+
+    /// Every issue: the request, its node and its issue time, in (time, id) order.
+    pub fn issued(&self) -> &[Request] {
+        &self.issued
+    }
+
+    /// Every succession a node was told of (it held the predecessor), in time order.
+    pub fn records(&self) -> &[OrderRecord] {
+        &self.records
+    }
+
+    /// The first completion notification of each request, in the order heard.
+    /// Empty when the run keeps only their count and latency sum.
+    pub fn completions(&self) -> &[OwnCompletion] {
+        self.completions.as_deref().unwrap_or_default()
+    }
+
+    /// Mean time from a completed request's issue to its requester hearing of it
+    /// (0 if none completed).
+    pub(crate) fn mean_completion_latency(&self) -> f64 {
+        if self.completed == 0 {
+            0.0
+        } else {
+            self.completion_latency_sum / self.completed as f64
+        }
+    }
+
+    /// The issues, the successions and the completions, taken out whole.
+    pub(crate) fn into_parts(self) -> (Vec<Request>, Vec<OrderRecord>, Vec<OwnCompletion>) {
+        (
+            self.issued,
+            self.records,
+            self.completions.unwrap_or_default(),
+        )
+    }
+
+    /// Append `issue`. Issues arrive in time order; one that ties with the issues
+    /// before it moves back past those with a larger id.
+    fn note_issue(&mut self, issue: Request) {
+        let key = (issue.time, issue.id);
+        let at = self.issued.len()
+            - self
+                .issued
+                .iter()
+                .rev()
+                .take_while(|r| (r.time, r.id) > key)
+                .count();
+        debug_assert!(
+            at == self.issued.len() || self.issued[at].time == issue.time,
+            "issues are journaled in time order"
+        );
+        self.issued.insert(at, issue);
+    }
+
+    fn note_completion(&mut self, done: OwnCompletion) {
+        self.completed += 1;
+        self.completion_latency_sum += (done.at - done.issued_at).as_units_f64();
+        if let Some(completions) = &mut self.completions {
+            completions.push(done);
+        }
+    }
+
+    /// Capacities of the issue, succession and completion lists.
+    #[cfg(test)]
+    pub(crate) fn capacities(&self) -> [usize; 3] {
+        [
+            self.issued.capacity(),
+            self.records.capacity(),
+            self.completions.as_ref().map_or(0, Vec::capacity),
+        ]
+    }
+}
+
 /// An own request whose completion this node has not heard of yet.
 #[derive(Debug, Clone, Copy)]
 struct OpenRequest {
@@ -60,7 +166,7 @@ struct ClosedLoopState {
     total_nodes: u64,
 }
 
-/// The engine-facing half of a simulator node: service time, closed loop, journals.
+/// The engine-facing half of a simulator node: service time, closed loop, journal.
 #[derive(Debug)]
 pub struct Host {
     me: NodeId,
@@ -76,15 +182,8 @@ pub struct Host {
     /// has few at a time and hears of them roughly in issue order, so a scan from
     /// the front finds one faster than any keyed structure would.
     open: VecDeque<OpenRequest>,
-    /// Successions this node was told of: at most one per own request, plus one
-    /// per object at the root, whose virtual request each object's first request
-    /// queues behind (the centralized baseline's central node records them all).
-    records: Vec<OrderRecord>,
-    /// Own issues in the order the node made them, so in time order; among
-    /// simultaneous issues, in the order their inputs arrived.
-    issued: Vec<(RequestId, ObjectId, SimTime)>,
-    /// First completion notification of each own request, in the order heard.
-    own_completions: Vec<OwnCompletion>,
+    /// The journal of the run: this node's own unless the run shares one.
+    journal: Rc<RefCell<RunJournal>>,
     protocol_messages: u64,
     duplicate_grants: u64,
     violation: Option<String>,
@@ -96,19 +195,10 @@ impl Host {
         self.me
     }
 
-    /// Successor notifications recorded at this node (it held the predecessor).
-    pub fn records(&self) -> &[OrderRecord] {
-        &self.records
-    }
-
-    /// Requests issued by this node: `(request, object, issue time)`.
-    pub fn issued(&self) -> &[(RequestId, ObjectId, SimTime)] {
-        &self.issued
-    }
-
-    /// Completions of this node's own requests, first notification per request.
-    pub fn own_completions(&self) -> &[OwnCompletion] {
-        &self.own_completions
+    /// The journal this node appends to: the run's, shared by all its nodes, or
+    /// the node's own when it was built on its own.
+    pub fn journal(&self) -> Ref<'_, RunJournal> {
+        self.journal.borrow()
     }
 
     /// Protocol messages this node sent to another node: arrow `queue()` hops (the
@@ -140,7 +230,12 @@ impl Host {
     /// Journal that this node issues `req` for `obj` now.
     pub(crate) fn note_issue(&mut self, ctx: &Context<ProtoMsg>, req: RequestId, obj: ObjectId) {
         assert!(!req.is_root(), "cannot issue the virtual root request");
-        self.issued.push((req, obj, ctx.now()));
+        self.journal.borrow_mut().note_issue(Request {
+            id: req,
+            node: self.me,
+            time: ctx.now(),
+            obj,
+        });
         if self.acked {
             self.open.push_back(OpenRequest {
                 req,
@@ -159,7 +254,7 @@ impl Host {
         succ: RequestId,
         epoch: u64,
     ) {
-        self.records.push(OrderRecord {
+        self.journal.borrow_mut().records.push(OrderRecord {
             predecessor: pred,
             successor: succ,
             obj,
@@ -167,16 +262,6 @@ impl Host {
             informed_at: ctx.now(),
             epoch,
         });
-    }
-
-    /// Capacities of the `issued`, `own_completions` and `records` journals.
-    #[cfg(test)]
-    pub(crate) fn journal_capacities(&self) -> [usize; 3] {
-        [
-            self.issued.capacity(),
-            self.own_completions.capacity(),
-            self.records.capacity(),
-        ]
     }
 
     /// Count one protocol message sent to another node.
@@ -206,8 +291,9 @@ impl Host {
             self.duplicate_grants += 1;
             return;
         };
-        self.own_completions
-            .push(OwnCompletion { req, issued_at, at });
+        self.journal
+            .borrow_mut()
+            .note_completion(OwnCompletion { req, issued_at, at });
         if let Some(cl) = &mut self.closed_loop {
             cl.remaining = cl.remaining.saturating_sub(1);
             self.issue_next(ctx);
@@ -256,9 +342,7 @@ impl<A: Automaton> SimNode<A> {
                 closed_loop: None,
                 acked,
                 open: VecDeque::new(),
-                records: Vec::new(),
-                issued: Vec::new(),
-                own_completions: Vec::new(),
+                journal: Rc::new(RefCell::new(RunJournal::new(0, 0, true))),
                 protocol_messages: 0,
                 duplicate_grants: 0,
                 violation: None,
@@ -287,19 +371,12 @@ impl<A: Automaton> SimNode<A> {
         });
     }
 
-    /// Size the journals of a node that issues `issues` requests and is told of
-    /// `successions` successions, so that a fault-free run never regrows them.
-    /// Under faults the counts are a hint, not a bound.
-    pub(crate) fn reserve_journals(&mut self, issues: usize, successions: usize) {
-        let host = &mut self.host;
-        host.issued.reserve_exact(issues);
-        // Without acknowledgements only the requests queued at their own node
-        // complete here, but there is no telling which in advance.
-        host.own_completions.reserve_exact(issues);
-        host.records.reserve_exact(successions);
+    /// Append to the run's `journal` instead of the node's own.
+    pub(crate) fn join(&mut self, journal: &Rc<RefCell<RunJournal>>) {
+        self.host.journal = Rc::clone(journal);
     }
 
-    /// The journals and counters of this node.
+    /// The journal and counters of this node.
     pub fn host(&self) -> &Host {
         &self.host
     }

@@ -6,12 +6,11 @@
 //! got queued behind whom, and when the predecessor's node learnt it);
 //! [`QueuingOrder`] assembles the records into the total order and validates it.
 
-use crate::request::{ObjectId, Request, RequestId, RequestSchedule};
+use crate::request::{ObjectId, RequestId, RequestSchedule};
 use desim::{SimDuration, SimTime};
 use netgraph::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One successor notification: request `successor` was queued immediately behind
 /// `predecessor` in the queue of object `obj`, and the node holding `predecessor`
@@ -60,16 +59,34 @@ pub enum OrderError {
     MixedObjects(ObjectId, ObjectId),
 }
 
-/// One validated chain: the queue, its notifications, and a by-id lookup index.
+/// One validated chain: the queue's notifications, and the lookups built from
+/// them on first use.
 #[derive(Debug, Default)]
 struct Chain {
-    /// Request ids in queue order, starting with the request queued directly behind
-    /// the root (the root itself is not included).
-    order: Vec<RequestId>,
-    /// `records[k]` is the notification that queued `order[k]`.
-    records: Vec<OrderRecord>,
-    /// Queue places `k`, sorted by the request id `order[k]`.
-    by_id: Vec<usize>,
+    /// The records the chain was validated from, shared by the chains of every
+    /// object of one journal.
+    journal: Arc<Vec<OrderRecord>>,
+    /// `journal[places[k]]` is the notification that queued the `k`-th request.
+    places: Vec<u32>,
+    /// Request ids in queue order, starting with the request queued directly
+    /// behind the root (the root itself is not included).
+    order: OnceLock<Vec<RequestId>>,
+    /// Queue places `k`, sorted by the id of the `k`-th request.
+    by_id: OnceLock<Vec<u32>>,
+}
+
+impl Chain {
+    /// The notifications in queue order.
+    fn records(&self) -> impl Iterator<Item = &OrderRecord> + '_ {
+        self.places
+            .iter()
+            .map(|&place| &self.journal[place as usize])
+    }
+
+    fn order(&self) -> &[RequestId] {
+        self.order
+            .get_or_init(|| self.records().map(|rec| rec.successor).collect())
+    }
 }
 
 /// A validated total queuing order together with its notification records.
@@ -94,33 +111,38 @@ impl QueuingOrder {
                 return Err(OrderError::MixedObjects(first.obj, other.obj));
             }
         }
-        let reqs: Vec<usize> = schedule.positions_by_id().collect();
-        Assembly::new(records, schedule).chain(&reqs, 0..records.len(), |_| true)
+        let mut chains = assemble(Arc::new(records.to_vec()), schedule, Chains::One);
+        chains.pop().expect("one chain").map_err(|(_, e)| e)
     }
 
     /// The total order (excluding the virtual root request).
     pub fn order(&self) -> &[RequestId] {
-        &self.chain.order
+        self.chain.order()
     }
 
     /// Number of queued requests.
     pub fn len(&self) -> usize {
-        self.chain.order.len()
+        self.chain.places.len()
     }
 
     /// True if no requests were queued.
     pub fn is_empty(&self) -> bool {
-        self.chain.order.is_empty()
+        self.chain.places.is_empty()
     }
 
     /// The notification record for a given successor request.
     pub fn record_for(&self, successor: RequestId) -> Option<&OrderRecord> {
         let chain = &*self.chain;
-        let at = chain
-            .by_id
-            .binary_search_by_key(&successor, |&place| chain.order[place])
+        let order = chain.order();
+        let by_id = chain.by_id.get_or_init(|| {
+            let mut by_id: Vec<u32> = (0..order.len() as u32).collect();
+            by_id.sort_unstable_by_key(|&place| order[place as usize]);
+            by_id
+        });
+        let at = by_id
+            .binary_search_by_key(&successor, |&place| order[place as usize])
             .ok()?;
-        Some(&chain.records[chain.by_id[at]])
+        Some(&chain.journal[chain.places[by_id[at] as usize] as usize])
     }
 
     /// The predecessor of a request in the queue.
@@ -133,19 +155,14 @@ impl QueuingOrder {
     /// `(request, latency)` in queue order.
     pub fn latencies(&self, schedule: &RequestSchedule) -> Vec<(RequestId, SimDuration)> {
         self.chain
-            .records
-            .iter()
+            .records()
             .map(|rec| (rec.successor, latency(rec, schedule)))
             .collect()
     }
 
     /// Total latency (Definition 3.3): the sum of individual latencies.
     pub fn total_latency(&self, schedule: &RequestSchedule) -> SimDuration {
-        self.chain
-            .records
-            .iter()
-            .map(|rec| latency(rec, schedule))
-            .sum()
+        self.chain.records().map(|rec| latency(rec, schedule)).sum()
     }
 }
 
@@ -159,96 +176,156 @@ fn latency(rec: &OrderRecord, schedule: &RequestSchedule) -> SimDuration {
     rec.informed_at - issue
 }
 
-/// The index arrays of one validation pass over `records` against `schedule`,
-/// addressed by position in the schedule. Chains of disjoint request sets (one per
-/// object) share them.
-struct Assembly<'a> {
-    records: &'a [OrderRecord],
-    schedule: &'a RequestSchedule,
-    /// Index of the record naming the request as successor; once the request is
-    /// placed, its place in the queue instead.
-    queued_by: Vec<usize>,
-    /// Position of the request queued directly behind this one.
-    followed_by: Vec<usize>,
+/// Which chains [`assemble`] validates.
+#[derive(Clone, Copy)]
+enum Chains<'a> {
+    /// One chain of every request and record, whatever object they name.
+    One,
+    /// One chain per object listed, ascending; the records of an object not
+    /// listed belong to no chain.
+    PerObject(&'a [ObjectId]),
 }
 
-impl<'a> Assembly<'a> {
-    const NONE: usize = usize::MAX;
-
-    fn new(records: &'a [OrderRecord], schedule: &'a RequestSchedule) -> Self {
-        Assembly {
-            records,
-            schedule,
-            queued_by: vec![Self::NONE; schedule.len()],
-            followed_by: vec![Self::NONE; schedule.len()],
+impl Chains<'_> {
+    fn len(self) -> usize {
+        match self {
+            Chains::One => 1,
+            Chains::PerObject(objects) => objects.len(),
         }
     }
 
-    /// Validate one chain: `reqs` are the schedule positions of its requests in
-    /// ascending id order, `recs` the indices of its records in journal order, and
-    /// `member` says whether a scheduled request is one of `reqs`.
-    fn chain(
-        &mut self,
-        reqs: &[usize],
-        recs: impl Iterator<Item = usize>,
-        member: impl Fn(&Request) -> bool,
-    ) -> Result<QueuingOrder, OrderError> {
-        let (records, schedule) = (self.records, self.schedule);
-        let requests = schedule.requests();
+    /// The chain of the requests and records of `obj`.
+    fn of(self, obj: ObjectId) -> Option<usize> {
+        match self {
+            Chains::One => Some(0),
+            Chains::PerObject(objects) => objects.binary_search(&obj).ok(),
+        }
+    }
+
+    /// Whether a record of `record` may name a request of `request`.
+    fn joins(self, record: ObjectId, request: ObjectId) -> bool {
+        match self {
+            Chains::One => true,
+            Chains::PerObject(_) => record == request,
+        }
+    }
+}
+
+/// Validate every chain of `journal` against `schedule` in one pass over the
+/// records and one over the requests. A chain's outcome is `Ok`, or the first of
+/// its errors in this order: its first bad record in journal order, its
+/// earliest-issued request never queued, a walk from the root that does not
+/// reach all its requests.
+fn assemble(
+    journal: Arc<Vec<OrderRecord>>,
+    schedule: &RequestSchedule,
+    chains: Chains<'_>,
+) -> Vec<Result<QueuingOrder, (usize, OrderError)>> {
+    const NONE: u32 = u32::MAX;
+    let requests = schedule.requests();
+    assert!(
+        journal.len() < NONE as usize && requests.len() < NONE as usize,
+        "journals index in 32 bits"
+    );
+    // Per position in the schedule: the index of the record queuing the request,
+    // and the position of the request queued directly behind it.
+    let mut queued_by = vec![NONE; requests.len()];
+    let mut followed_by = vec![NONE; requests.len()];
+    // Per chain: the position queued behind the virtual root request, the first
+    // error, and how many of its records were linked.
+    let mut head = vec![NONE; chains.len()];
+    let mut failed: Vec<Option<OrderError>> = vec![None; chains.len()];
+    let mut linked = vec![0; chains.len()];
+    for (i, rec) in journal.iter().enumerate() {
+        let Some(c) = chains.of(rec.obj).filter(|&c| failed[c].is_none()) else {
+            continue;
+        };
         let position = |id: RequestId| {
             schedule
                 .position_of(id)
-                .filter(|&pos| member(&requests[pos]))
+                .filter(|&pos| chains.joins(rec.obj, requests[pos].obj))
                 .ok_or(OrderError::UnknownRequest(id))
         };
-        // Position of the request queued directly behind the virtual root request.
-        let mut head = Self::NONE;
-        for i in recs {
-            let rec = &records[i];
+        let ends = || {
             let succ = position(rec.successor)?;
-            let follower = if rec.predecessor.is_root() {
-                &mut head
-            } else {
-                &mut self.followed_by[position(rec.predecessor)?]
-            };
-            if std::mem::replace(&mut self.queued_by[succ], i) != Self::NONE {
+            let pred = (!rec.predecessor.is_root())
+                .then(|| position(rec.predecessor))
+                .transpose()?;
+            Ok((succ, pred))
+        };
+        let link = ends().and_then(|(succ, pred)| {
+            if std::mem::replace(&mut queued_by[succ], i as u32) != NONE {
                 return Err(OrderError::DuplicateSuccessor(rec.successor));
             }
-            if std::mem::replace(follower, succ) != Self::NONE {
+            let follower = match pred {
+                None => &mut head[c],
+                Some(pred) => &mut followed_by[pred],
+            };
+            if std::mem::replace(follower, succ as u32) != NONE {
                 return Err(OrderError::DuplicatePredecessor(rec.predecessor));
             }
+            Ok(())
+        });
+        match link {
+            Ok(()) => linked[c] += 1,
+            Err(e) => failed[c] = Some(e),
         }
-        // The earliest-issued request that was never queued, as the schedule lists it.
-        let never_queued = |&&pos: &&usize| self.queued_by[pos] == Self::NONE;
-        if let Some(&pos) = reqs.iter().filter(never_queued).min() {
-            return Err(OrderError::MissingRequest(requests[pos].id));
-        }
-
-        // Walk the chain from the root. No request is queued twice, so the walk
-        // visits each at most once and ends.
-        let mut chain = Chain {
-            order: Vec::with_capacity(reqs.len()),
-            records: Vec::with_capacity(reqs.len()),
-            by_id: Vec::new(),
-        };
-        let mut at = head;
-        while at != Self::NONE {
-            let rec = records[std::mem::replace(&mut self.queued_by[at], chain.order.len())];
-            chain.order.push(rec.successor);
-            chain.records.push(rec);
-            at = self.followed_by[at];
-        }
-        if chain.order.len() != reqs.len() {
-            return Err(OrderError::BrokenChain {
-                reached: chain.order.len(),
-                expected: reqs.len(),
-            });
-        }
-        chain.by_id = reqs.iter().map(|&pos| self.queued_by[pos]).collect();
-        Ok(QueuingOrder {
-            chain: Arc::new(chain),
-        })
     }
+
+    // Walk every sound chain from the root. No request is queued twice, so the
+    // walk visits each at most once and ends.
+    let built: Vec<Chain> = (0..chains.len())
+        .map(|c| {
+            let mut chain = Chain {
+                journal: Arc::clone(&journal),
+                ..Chain::default()
+            };
+            if failed[c].is_none() {
+                chain.places.reserve_exact(linked[c]);
+                let mut at = head[c];
+                while at != NONE {
+                    chain.places.push(queued_by[at as usize]);
+                    at = followed_by[at as usize];
+                }
+            }
+            chain
+        })
+        .collect();
+
+    // Every request, in issue order: counted, and checked for having been queued.
+    let mut expected = vec![0; chains.len()];
+    let mut never_queued: Vec<Option<RequestId>> = vec![None; chains.len()];
+    for (request, &queued) in requests.iter().zip(&queued_by) {
+        let Some(c) = chains.of(request.obj) else {
+            continue;
+        };
+        expected[c] += 1;
+        if queued == NONE {
+            never_queued[c].get_or_insert(request.id);
+        }
+    }
+
+    built
+        .into_iter()
+        .enumerate()
+        .map(|(c, chain)| {
+            let error = if let Some(e) = failed[c].take() {
+                e
+            } else if let Some(id) = never_queued[c] {
+                OrderError::MissingRequest(id)
+            } else if chain.places.len() != expected[c] {
+                OrderError::BrokenChain {
+                    reached: chain.places.len(),
+                    expected: expected[c],
+                }
+            } else {
+                return Ok(QueuingOrder {
+                    chain: Arc::new(chain),
+                });
+            };
+            Err((c, error))
+        })
+        .collect()
 }
 
 /// Assemble and validate the queuing order of every object touched by `schedule`,
@@ -257,36 +334,28 @@ impl<'a> Assembly<'a> {
 /// reactor runtime's `NetReport` (in-process and per `arrowd` daemon), so the tiers
 /// cannot drift on what "a valid run" means. Objects are validated in ascending
 /// order and the first failure is returned, carrying the offending object alongside
-/// the [`OrderError`]. One pass partitions requests and records by object; the
-/// chains are then validated on shared index arrays.
+/// the [`OrderError`]. All objects' chains are validated together, in one pass
+/// over the records and one over the requests.
 pub fn per_object_orders(
     records: &[OrderRecord],
     schedule: &RequestSchedule,
 ) -> Result<Vec<(ObjectId, QueuingOrder)>, (ObjectId, OrderError)> {
+    journal_orders(records.to_vec(), schedule)
+}
+
+/// [`per_object_orders`] over a journal handed over whole: the orders keep the
+/// records instead of a copy of them.
+pub(crate) fn journal_orders(
+    journal: Vec<OrderRecord>,
+    schedule: &RequestSchedule,
+) -> Result<Vec<(ObjectId, QueuingOrder)>, (ObjectId, OrderError)> {
     let objects = schedule.objects();
-    let group = |obj: ObjectId| objects.binary_search(&obj).ok();
-    let requests = schedule.requests();
-    let mut reqs_of = vec![Vec::new(); objects.len()];
-    for pos in schedule.positions_by_id() {
-        let g = group(requests[pos].obj).expect("objects() lists every request's object");
-        reqs_of[g].push(pos);
-    }
-    // Records of an object nobody requested belong to no chain.
-    let mut recs_of = vec![Vec::new(); objects.len()];
-    for (i, rec) in records.iter().enumerate() {
-        if let Some(g) = group(rec.obj) {
-            recs_of[g].push(i);
-        }
-    }
-    let mut assembly = Assembly::new(records, schedule);
-    let mut orders = Vec::with_capacity(objects.len());
-    for ((&obj, reqs), recs) in objects.iter().zip(&reqs_of).zip(&recs_of) {
-        let order = assembly
-            .chain(reqs, recs.iter().copied(), |r| r.obj == obj)
-            .map_err(|e| (obj, e))?;
-        orders.push((obj, order));
-    }
-    Ok(orders)
+    let chains = assemble(Arc::new(journal), schedule, Chains::PerObject(&objects));
+    objects
+        .iter()
+        .zip(chains)
+        .map(|(&obj, chain)| chain.map(|order| (obj, order)).map_err(|(_, e)| (obj, e)))
+        .collect()
 }
 
 /// An order-validity violation in a run with faults (see [`validate_churn_records`]).
@@ -366,35 +435,55 @@ pub fn validate_churn_records(
     records: &[OrderRecord],
     final_epoch: u64,
 ) -> Result<(), ChurnOrderError> {
-    let mut groups: HashMap<(ObjectId, u64), Vec<&OrderRecord>> = HashMap::new();
-    for rec in records {
-        groups.entry((rec.obj, rec.epoch)).or_default().push(rec);
-    }
-    for (&(obj, epoch), group) in &groups {
-        let mut succ_of: HashMap<RequestId, RequestId> = HashMap::new();
-        let mut seen_succ: std::collections::HashSet<RequestId> = Default::default();
-        for rec in group {
-            if !seen_succ.insert(rec.successor) {
-                return Err(ChurnOrderError::DuplicateSuccessor {
-                    obj,
-                    epoch,
-                    req: rec.successor,
-                });
-            }
-            if succ_of.insert(rec.predecessor, rec.successor).is_some() {
-                return Err(ChurnOrderError::DuplicatePredecessor {
-                    obj,
-                    epoch,
-                    req: rec.predecessor,
-                });
-            }
+    // Group by (object, epoch), each group in journal order; the lowest
+    // violating group is reported.
+    let mut sorted: Vec<&OrderRecord> = records.iter().collect();
+    sorted.sort_by_key(|r| (r.obj, r.epoch));
+    for group in sorted.chunk_by(|a, b| (a.obj, a.epoch) == (b.obj, b.epoch)) {
+        let (obj, epoch) = (group[0].obj, group[0].epoch);
+        // The first record, in journal order, that repeats a successor or a
+        // predecessor seen before it in the group; a repeated successor first.
+        let first_repeat = |end: fn(&OrderRecord) -> RequestId| {
+            let mut by_end: Vec<(RequestId, usize)> =
+                group.iter().enumerate().map(|(i, r)| (end(r), i)).collect();
+            by_end.sort_unstable();
+            by_end
+                .windows(2)
+                .filter(|pair| pair[0].0 == pair[1].0)
+                .map(|pair| pair[1].1)
+                .min()
+        };
+        let pred = first_repeat(|r| r.predecessor);
+        let succ = first_repeat(|r| r.successor).filter(|&i| pred.is_none_or(|p| i <= p));
+        if let Some(succ) = succ {
+            return Err(ChurnOrderError::DuplicateSuccessor {
+                obj,
+                epoch,
+                req: group[succ].successor,
+            });
+        }
+        if let Some(pred) = pred {
+            return Err(ChurnOrderError::DuplicatePredecessor {
+                obj,
+                epoch,
+                req: group[pred].predecessor,
+            });
         }
         if epoch == final_epoch {
+            // Fork-free: each request has at most one successor, found by
+            // bisection. A record queuing the root closes no chain.
+            let mut by_pred: Vec<(RequestId, RequestId)> =
+                group.iter().map(|r| (r.predecessor, r.successor)).collect();
+            by_pred.sort_unstable();
+            let next = |cur: RequestId| {
+                let at = by_pred.binary_search_by_key(&cur, |&(pred, _)| pred).ok()?;
+                Some(by_pred[at].1).filter(|succ| !succ.is_root())
+            };
             let mut reached = 0;
             let mut cur = RequestId::ROOT;
-            while let Some(&next) = succ_of.get(&cur) {
+            while let Some(succ) = next(cur) {
                 reached += 1;
-                cur = next;
+                cur = succ;
             }
             if reached != group.len() {
                 return Err(ChurnOrderError::BrokenFinalChain {
@@ -412,7 +501,9 @@ pub fn validate_churn_records(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::Request;
     use desim::SimTime;
+    use std::collections::HashMap;
 
     fn schedule3() -> RequestSchedule {
         RequestSchedule::from_pairs(&[
@@ -542,6 +633,42 @@ mod tests {
         assert!(err.to_string().contains("final epoch"));
         // The same records are legal when epoch 2 is not final.
         validate_churn_records(&records, 3).expect("non-final epochs may fragment");
+    }
+
+    #[test]
+    fn churn_verdict_names_the_lowest_violating_group_every_time() {
+        // Two groups violate: (o2, epoch 0) forks, (o1, epoch 3) queues a request
+        // twice. Grouping must not depend on a hasher's seed.
+        let at = |obj: u32, epoch: u64, pred: u64, succ: u64| OrderRecord {
+            obj: ObjectId(obj),
+            ..erec(epoch, pred, succ)
+        };
+        let records = vec![
+            at(2, 0, 0, 1),
+            at(1, 3, 0, 4),
+            at(2, 0, 0, 2),
+            at(1, 3, 4, 5),
+            at(1, 3, 6, 5),
+            at(0, 0, 0, 7),
+        ];
+        let want = ChurnOrderError::DuplicateSuccessor {
+            obj: ObjectId(1),
+            epoch: 3,
+            req: RequestId(5),
+        };
+        for _ in 0..50 {
+            assert_eq!(validate_churn_records(&records, 9), Err(want.clone()));
+        }
+        // Within a group, the first record in journal order that repeats an end.
+        let fork_first = vec![at(1, 3, 4, 5), at(1, 3, 4, 6), at(1, 3, 7, 5)];
+        assert_eq!(
+            validate_churn_records(&fork_first, 9),
+            Err(ChurnOrderError::DuplicatePredecessor {
+                obj: ObjectId(1),
+                epoch: 3,
+                req: RequestId(4),
+            })
+        );
     }
 
     #[test]
@@ -772,5 +899,194 @@ mod tests {
             6,
             "every OrderError variant was raised: {kinds:?}"
         );
+    }
+
+    /// A valid journal of 12 requests on 4 nodes for `k` objects: request `id` is
+    /// for object `id % k`, the ids are shuffled against issue order, every
+    /// object's chain is in a seeded order and the records are shuffled.
+    fn corpus_journal(k: u64, seed: u64) -> (RequestSchedule, Vec<OrderRecord>) {
+        let mut rng = desim::SimRng::new(seed);
+        let mut shuffle = |items: &mut Vec<u64>| {
+            for i in (1..items.len()).rev() {
+                items.swap(i, rng.uniform_u64(0, i as u64) as usize);
+            }
+        };
+        let mut ids: Vec<u64> = (1..=12).collect();
+        shuffle(&mut ids);
+        let requests = ids
+            .iter()
+            .enumerate()
+            .map(|(place, &id)| Request {
+                id: RequestId(id),
+                node: place % 4,
+                time: SimTime::from_units(place as u64 / 2),
+                obj: ObjectId((id % k) as u32),
+            })
+            .collect();
+        let schedule = RequestSchedule::from_requests(requests);
+        let mut records = Vec::new();
+        for obj in 0..k {
+            let mut chain: Vec<u64> = (1..=12).filter(|id| id % k == obj).collect();
+            shuffle(&mut chain);
+            let mut pred = 0;
+            for succ in chain {
+                records.push(OrderRecord {
+                    obj: ObjectId(obj as u32),
+                    at_node: pred as usize % 4,
+                    ..rec(pred, succ, 10 + succ)
+                });
+                pred = succ;
+            }
+        }
+        let mut order: Vec<u64> = (0..records.len() as u64).collect();
+        shuffle(&mut order);
+        let records = order.iter().map(|&i| records[i as usize]).collect();
+        (schedule, records)
+    }
+
+    /// One defect applied to a corpus journal; records are named by the request
+    /// they queue.
+    #[derive(Debug, Clone, Copy)]
+    enum Defect {
+        /// The record queuing the request is lost.
+        Drop(u64),
+        /// A copy of the record queuing the request is appended.
+        Duplicate(u64),
+        /// The record queuing the first request takes the predecessor of the
+        /// record queuing the second.
+        Fork(u64, u64),
+        /// The record queuing the first request names the second as its successor.
+        Retarget(u64, u64),
+        /// The record queuing the first request names the second as its predecessor.
+        Repoint(u64, u64),
+        /// The record queuing the request moves to the given object's queue.
+        Move(u64, u32),
+        /// The record queuing the request is re-pointed behind the last request
+        /// of its object's queue, which cuts a cycle off the chain.
+        Loop(u64),
+        /// The journal is read back to front.
+        Reverse,
+    }
+
+    fn corrupt(records: &mut Vec<OrderRecord>, defect: Defect) {
+        let at = |records: &[OrderRecord], id: u64| {
+            records
+                .iter()
+                .position(|r| r.successor == RequestId(id))
+                .expect("the corpus queues every request once")
+        };
+        match defect {
+            Defect::Drop(id) => {
+                records.remove(at(records, id));
+            }
+            Defect::Duplicate(id) => records.push(records[at(records, id)]),
+            Defect::Fork(id, onto) => {
+                let pred = records[at(records, onto)].predecessor;
+                let i = at(records, id);
+                records[i].predecessor = pred;
+            }
+            Defect::Retarget(id, to) => {
+                let i = at(records, id);
+                records[i].successor = RequestId(to);
+            }
+            Defect::Repoint(id, to) => {
+                let i = at(records, id);
+                records[i].predecessor = RequestId(to);
+            }
+            Defect::Move(id, obj) => {
+                let i = at(records, id);
+                records[i].obj = ObjectId(obj);
+            }
+            Defect::Loop(id) => {
+                let i = at(records, id);
+                let obj = records[i].obj;
+                let of_obj = || records.iter().filter(|r| r.obj == obj);
+                let tail = of_obj()
+                    .map(|r| r.successor)
+                    .find(|&succ| of_obj().all(|r| r.predecessor != succ))
+                    .expect("a chain ends");
+                records[i].predecessor = tail;
+            }
+            Defect::Reverse => records.reverse(),
+        }
+    }
+
+    /// A seeded corpus of corrupted journals, each pinned to the exact
+    /// `(object, error)` that `per_object_orders` reports for it: which defect
+    /// wins inside an object (journal order), which object wins when several fail
+    /// (the lowest), and which missing request is named (the earliest issued).
+    #[test]
+    fn seeded_corruption_corpus_reports_the_pinned_error() {
+        use Defect::*;
+        use OrderError::*;
+        type Expected = Result<usize, (u32, OrderError)>;
+        let id = RequestId;
+        let broken = |reached, expected| BrokenChain { reached, expected };
+        #[rustfmt::skip]
+        let cases: Vec<(u64, u64, Vec<Defect>, Expected)> = vec![
+            // Valid journals: the number of objects validated.
+            (1, 1, vec![], Ok(1)),
+            (3, 2, vec![], Ok(3)),
+            (3, 3, vec![Reverse], Ok(3)),
+            // A record moved to an object nobody requested belongs to no chain, and
+            // leaves its own request unqueued.
+            (3, 1, vec![Move(5, 7)], Err((2, MissingRequest(id(5))))),
+            (1, 1, vec![Move(5, 7)], Err((0, MissingRequest(id(5))))),
+            // Dropped.
+            (1, 1, vec![Drop(7)], Err((0, MissingRequest(id(7))))),
+            (3, 2, vec![Drop(8)], Err((2, MissingRequest(id(8))))),
+            // Two dropped: the earlier issued is named, whatever the ids say.
+            (1, 4, vec![Drop(3), Drop(9)], Err((0, MissingRequest(id(3))))),
+            (3, 4, vec![Drop(3), Drop(9)], Err((0, MissingRequest(id(3))))),
+            (1, 4, vec![Drop(3), Drop(12)], Err((0, MissingRequest(id(12))))),
+            (3, 4, vec![Drop(3), Drop(12)], Err((0, MissingRequest(id(12))))),
+            (1, 1, vec![Drop(3), Drop(8)], Err((0, MissingRequest(id(8))))),
+            // Duplicated.
+            (1, 2, vec![Duplicate(4)], Err((0, DuplicateSuccessor(id(4))))),
+            (3, 1, vec![Duplicate(6)], Err((0, DuplicateSuccessor(id(6))))),
+            // Forked.
+            (1, 3, vec![Fork(5, 11)], Err((0, DuplicatePredecessor(id(7))))),
+            (3, 3, vec![Fork(4, 10)], Err((1, DuplicatePredecessor(id(4))))),
+            // Re-targeted: outside the schedule, to the root, to another object's
+            // request, to another request of the same object.
+            (1, 5, vec![Retarget(2, 99)], Err((0, UnknownRequest(id(99))))),
+            (3, 5, vec![Retarget(2, 0)], Err((2, UnknownRequest(id(0))))),
+            (3, 5, vec![Retarget(2, 3)], Err((2, UnknownRequest(id(3))))),
+            (3, 6, vec![Retarget(1, 7)], Err((1, DuplicateSuccessor(id(7))))),
+            (1, 6, vec![Retarget(1, 7)], Err((0, DuplicateSuccessor(id(7))))),
+            // Re-pointed: behind itself, behind an unknown request, behind another
+            // object's request, behind its queue's last request (a cycle).
+            (1, 7, vec![Repoint(6, 6)], Err((0, DuplicatePredecessor(id(6))))),
+            (1, 7, vec![Repoint(6, 77)], Err((0, UnknownRequest(id(77))))),
+            (3, 7, vec![Repoint(6, 1)], Err((0, UnknownRequest(id(1))))),
+            (1, 7, vec![Loop(6)], Err((0, broken(0, 12)))),
+            (1, 11, vec![Loop(1)], Err((0, broken(9, 12)))),
+            (3, 7, vec![Loop(12)], Err((0, broken(2, 4)))),
+            (3, 11, vec![Loop(2)], Err((2, broken(3, 4)))),
+            // Reordered: with two defects in one object, journal order decides.
+            (1, 8, vec![Duplicate(2), Fork(9, 4)], Err((0, DuplicatePredecessor(id(2))))),
+            (1, 8, vec![Fork(9, 4), Duplicate(2), Reverse], Err((0, DuplicatePredecessor(id(2))))),
+            (3, 8, vec![Fork(9, 3), Duplicate(6)], Err((0, DuplicatePredecessor(id(6))))),
+            (3, 8, vec![Fork(9, 3), Duplicate(6), Reverse], Err((0, DuplicateSuccessor(id(6))))),
+            // Two objects fail: the lower one is reported, in either journal order.
+            (3, 9, vec![Drop(5), Duplicate(4)], Err((1, DuplicateSuccessor(id(4))))),
+            (3, 9, vec![Drop(5), Duplicate(4), Reverse], Err((1, DuplicateSuccessor(id(4))))),
+            (3, 9, vec![Fork(11, 8), Drop(3)], Err((0, MissingRequest(id(3))))),
+            (3, 10, vec![Retarget(2, 99), Loop(12)], Err((0, broken(2, 4)))),
+            (3, 10, vec![Loop(4), Loop(12), Reverse], Err((0, broken(2, 4)))),
+        ];
+        for (case, (k, seed, defects, expected)) in cases.into_iter().enumerate() {
+            let (schedule, mut records) = corpus_journal(k, seed);
+            for &defect in &defects {
+                corrupt(&mut records, defect);
+            }
+            let got = per_object_orders(&records, &schedule)
+                .map(|orders| orders.len())
+                .map_err(|(obj, e)| (obj.0, e));
+            assert_eq!(
+                got, expected,
+                "case {case}: K = {k}, seed {seed}, {defects:?}"
+            );
+        }
     }
 }

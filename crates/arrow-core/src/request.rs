@@ -85,7 +85,7 @@ pub struct Request {
 enum IdIndex {
     /// The ids are exactly `1..=len` (every generator and the closed loop assign
     /// them so): slot `id - 1` holds the position.
-    Dense(Vec<usize>),
+    Dense(Vec<u32>),
     /// Any other id set: `(id, position)` sorted by id, searched by bisection.
     Sparse(Vec<(RequestId, usize)>),
 }
@@ -97,18 +97,19 @@ impl Default for IdIndex {
 }
 
 impl IdIndex {
-    const UNSET: usize = usize::MAX;
+    const UNSET: u32 = u32::MAX;
 
     /// Index `requests` by id; `Err` names an id that occurs twice.
     fn build(requests: &[Request]) -> Result<Self, RequestId> {
         let mut slots = vec![Self::UNSET; requests.len()];
-        let dense = requests.iter().enumerate().all(|(pos, r)| {
-            let slot = (r.id.0 as usize)
-                .checked_sub(1)
-                .and_then(|i| slots.get_mut(i))
-                .filter(|slot| **slot == Self::UNSET);
-            slot.map(|slot| *slot = pos).is_some()
-        });
+        let dense = requests.len() < Self::UNSET as usize
+            && requests.iter().enumerate().all(|(pos, r)| {
+                let slot = (r.id.0 as usize)
+                    .checked_sub(1)
+                    .and_then(|i| slots.get_mut(i))
+                    .filter(|slot| **slot == Self::UNSET);
+                slot.map(|slot| *slot = pos as u32).is_some()
+            });
         if dense {
             return Ok(IdIndex::Dense(slots));
         }
@@ -215,20 +216,15 @@ impl RequestSchedule {
     /// Position of request `id` in [`RequestSchedule::requests`].
     pub(crate) fn position_of(&self, id: RequestId) -> Option<usize> {
         match &self.index {
-            IdIndex::Dense(slots) => slots.get((id.0 as usize).checked_sub(1)?).copied(),
+            IdIndex::Dense(slots) => {
+                let pos = *slots.get((id.0 as usize).checked_sub(1)?)?;
+                Some(pos as usize)
+            }
             IdIndex::Sparse(sorted) => {
                 let at = sorted.binary_search_by_key(&id, |&(id, _)| id).ok()?;
                 Some(sorted[at].1)
             }
         }
-    }
-
-    /// The positions of all requests in ascending id order.
-    pub(crate) fn positions_by_id(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.requests.len()).map(move |rank| match &self.index {
-            IdIndex::Dense(slots) => slots[rank],
-            IdIndex::Sparse(sorted) => sorted[rank].1,
-        })
     }
 
     /// Largest issue time in the schedule (`SimTime::ZERO` if empty) — the `t_|R|`
@@ -251,7 +247,12 @@ impl RequestSchedule {
 
     /// The distinct objects requested at least once, in ascending id order.
     pub fn objects(&self) -> Vec<ObjectId> {
-        let mut objs: Vec<ObjectId> = self.requests.iter().map(|r| r.obj).collect();
+        let mut objs: Vec<ObjectId> = Vec::new();
+        for r in &self.requests {
+            if objs.last() != Some(&r.obj) {
+                objs.push(r.obj);
+            }
+        }
         objs.sort_unstable();
         objs.dedup();
         objs
@@ -456,7 +457,6 @@ mod tests {
         for id in 1..=3 {
             assert_eq!(s.get(RequestId(id)).unwrap().node, id as usize);
         }
-        assert_eq!(s.positions_by_id().collect::<Vec<_>>(), vec![1, 2, 0]);
     }
 
     #[test]

@@ -14,19 +14,20 @@
 //!   (Figure 11).
 //!
 //! A simulator run's result path is linear in the number of requests `R`. Set-up
-//! sizes every node's journals from the workload (the schedule's issues per
-//! node, or the closed loop's budget), so a fault-free run never regrows them.
-//! Once the simulator is quiescent, the harvest gathers the journals into lists
-//! allocated at their final length, with the issues in (time, id) order: each
-//! issue goes to slot `id - 1` when the ids are `1..=R` and numbered in time
-//! order, and the nodes' journals, each in time order already, are merged
-//! otherwise. Validation then assembles and checks every object's order
-//! ([`crate::order::per_object_orders`]) against that schedule.
+//! gives every node of the run one shared [`RunJournal`], sized from the workload
+//! (`R` issues and `R` successions), so a fault-free run never regrows it. The
+//! simulator dispatches events in time order, so the journal is written in time
+//! order, and simultaneous issues are kept in id order as they are journaled.
+//! Once the simulator is quiescent, the harvest takes the journal whole: its
+//! issues are the schedule as they stand, and a fault-free run keeps of its
+//! completions only the count and latency sum. Validation then assembles and
+//! checks every object's order ([`crate::order::per_object_orders`]) against
+//! that schedule.
 
-use crate::arrow::{ArrowSim, ArrowSimNode};
+use crate::arrow::ArrowSim;
 use crate::centralized::CentralTail;
 use crate::fault::FaultSchedule;
-use crate::host::{Automaton, Host, SimNode};
+use crate::host::{Automaton, RunJournal, SimNode};
 use crate::live::QueueCore;
 use crate::order::{validate_churn_records, OrderRecord, QueuingOrder};
 use crate::protocol::{ProtoMsg, ProtocolKind};
@@ -37,6 +38,8 @@ use desim::{LatencyModel, LocalOrder, SimConfig, SimDuration, SimTime, Simulator
 use netgraph::spanning::{build_spanning_tree, SpanningTreeKind};
 use netgraph::{DistanceMatrix, Graph, NodeId, RootedTree, StretchReport};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
 /// A problem instance: the communication graph and the pre-selected spanning tree.
@@ -600,7 +603,13 @@ pub fn run_schedule_faulted(
 
     let mut config = config.clone();
     config.ack_to_requester = true;
-    let mut sim = arrow_sim(instance, WorkloadRef::Open(schedule), &config, |_| NoProbe);
+    let (mut sim, journal) = arrow_sim(
+        instance,
+        WorkloadRef::Open(schedule),
+        &config,
+        Completions::Kept,
+        |_| NoProbe,
+    );
     // Inject the faults, and after each one a detection signal to every node
     // advancing the recovery epoch (crashed nodes miss it — silenced — and catch up
     // from the next signal or fast-forward from live traffic after restarting).
@@ -622,15 +631,17 @@ pub fn run_schedule_faulted(
     let outcome = sim.run();
 
     let Harvest {
-        records,
-        issued,
-        mut granted,
+        journal,
         duplicate_grants,
         ..
-    } = harvest(&sim)?;
+    } = harvest(&sim, &journal)?;
+    let (issued, mut records, completions) = journal.into_parts();
     let mut issued: Vec<RequestId> = issued.iter().map(|r| r.id).collect();
     issued.sort_unstable();
+    let mut granted: Vec<RequestId> = completions.iter().map(|done| done.req).collect();
     granted.sort_unstable();
+    // Node by node, each node's in the order it journaled them.
+    records.sort_by_key(|r| r.at_node);
     let excused: Vec<RequestId> = schedule
         .requests()
         .iter()
@@ -668,41 +679,52 @@ fn run_ref(
 ) -> Result<QueuingOutcome, RunError> {
     match config.protocol {
         ProtocolKind::Arrow => run_arrow_with(instance, workload, config, |_| NoProbe),
-        ProtocolKind::Centralized => run_to_outcome(
-            ProtocolKind::Centralized,
-            &mut central_sim(instance, workload, config),
-        ),
+        ProtocolKind::Centralized => {
+            let (mut sim, journal) = central_sim(instance, workload, config);
+            run_to_outcome(ProtocolKind::Centralized, &mut sim, &journal)
+        }
     }
 }
 
-/// The set-up every simulator run shares: one hosted node per graph node, the
-/// closed loop switched on or the open-loop issues queued. `node_for(v, issues)`
-/// builds node `v` knowing how many requests each node issues, so that it can
-/// size the node's journals. Link weights are the caller's (they differ by
-/// protocol).
+/// Whether a run's journal keeps every completion (a faulted run lists the
+/// requests granted) or only their count and latency sum (all a
+/// [`QueuingOutcome`] reads).
+#[derive(Clone, Copy)]
+enum Completions {
+    Kept,
+    Counted,
+}
+
+/// A simulator ready to run, and the journal all its nodes append to.
+type SimRun<A> = (Simulator<ProtoMsg, SimNode<A>>, Rc<RefCell<RunJournal>>);
+
+/// The set-up every simulator run shares: one hosted node per graph node, all
+/// appending to one journal, the closed loop switched on or the open-loop issues
+/// queued. `node_for(v)` builds node `v`. Link weights are the caller's (they
+/// differ by protocol).
 fn set_up<A: Automaton>(
     instance: &Instance,
     workload: WorkloadRef<'_>,
     config: &RunConfig,
-    mut node_for: impl FnMut(NodeId, &[usize]) -> SimNode<A>,
-) -> Simulator<ProtoMsg, SimNode<A>> {
+    completions: Completions,
+    mut node_for: impl FnMut(NodeId) -> SimNode<A>,
+) -> SimRun<A> {
     let n = instance.node_count();
-    let issues = match workload {
-        WorkloadRef::Open(schedule) => {
-            let mut issues = vec![0; n];
-            for r in schedule.requests() {
-                // An out-of-range node is refused when its issue is queued.
-                if let Some(count) = issues.get_mut(r.node) {
-                    *count += 1;
-                }
-            }
-            issues
-        }
-        WorkloadRef::Closed(spec) => vec![spec.requests_per_node as usize; n],
+    let requests = match workload {
+        WorkloadRef::Open(schedule) => schedule.len(),
+        WorkloadRef::Closed(spec) => spec.requests_per_node as usize * n,
     };
-    let mut nodes: Vec<SimNode<A>> = (0..n).map(|v| node_for(v, &issues)).collect();
-    if let WorkloadRef::Closed(spec) = workload {
-        for node in &mut nodes {
+    // A fault-free run queues every request once. Under faults the count is a
+    // hint, not a bound.
+    let journal = Rc::new(RefCell::new(RunJournal::new(
+        requests,
+        requests,
+        matches!(completions, Completions::Kept),
+    )));
+    let mut nodes: Vec<SimNode<A>> = (0..n).map(&mut node_for).collect();
+    for node in &mut nodes {
+        node.join(&journal);
+        if let WorkloadRef::Closed(spec) = workload {
             node.enable_closed_loop(spec, n);
         }
     }
@@ -719,7 +741,7 @@ fn set_up<A: Automaton>(
             );
         }
     }
-    sim
+    (sim, journal)
 }
 
 /// A simulator of arrow nodes on the instance's tree, ready to run: fault-free and
@@ -728,8 +750,9 @@ fn arrow_sim<P: Probe>(
     instance: &Instance,
     workload: WorkloadRef<'_>,
     config: &RunConfig,
+    completions: Completions,
     mut probe_for: impl FnMut(NodeId) -> P,
-) -> Simulator<ProtoMsg, ArrowSimNode<P>> {
+) -> SimRun<ArrowSim<P>> {
     let n = instance.node_count();
     let tree = &instance.tree;
     // One independent arrow automaton per object, all rooted at the tree root (every
@@ -750,21 +773,16 @@ fn arrow_sim<P: Probe>(
     // Acknowledgements travel over the graph metric: each ack is a direct send
     // paying d_G(sink, requester), so only the tree links below need weights.
     let ack_over = config.ack_to_requester.then(|| instance.distances());
-    let mut sim = set_up(instance, workload, config, |v, issues| {
+    let (mut sim, journal) = set_up(instance, workload, config, completions, |v| {
         let core = QueueCore::for_tree_with_probe(v, tree, k, probe_for(v));
-        let mut node = ArrowSim::node(core, ack_over.clone(), config.local_service_time);
-        // A node hears of one successor per own request at most, and the root of
-        // one more per object: the request queued behind its virtual request.
-        let roots = if v == tree.root() { k } else { 0 };
-        node.reserve_journals(issues[v], issues[v] + roots);
-        node
+        ArrowSim::node(core, ack_over.clone(), config.local_service_time)
     });
     for v in 0..n {
         if let Some(p) = tree.parent(v) {
             sim.set_link_weight(v, p, tree.parent_edge_weight(v));
         }
     }
-    sim
+    (sim, journal)
 }
 
 fn run_arrow_with<P: Probe>(
@@ -780,8 +798,8 @@ fn run_arrow_with<P: Probe>(
              about completion to issue its next request)"
         );
     }
-    let mut sim = arrow_sim(instance, workload, config, probe_for);
-    run_to_outcome(ProtocolKind::Arrow, &mut sim)
+    let (mut sim, journal) = arrow_sim(instance, workload, config, Completions::Counted, probe_for);
+    run_to_outcome(ProtocolKind::Arrow, &mut sim, &journal)
 }
 
 /// A simulator of the centralized baseline on the instance's graph, ready to run.
@@ -789,15 +807,21 @@ fn central_sim(
     instance: &Instance,
     workload: WorkloadRef<'_>,
     config: &RunConfig,
-) -> Simulator<ProtoMsg, SimNode<CentralTail>> {
+) -> SimRun<CentralTail> {
     // The central node is the tree root (the initial queue tail in both protocols).
     let central = instance.tree.root();
-    let mut sim = set_up(instance, workload, config, |v, issues| {
-        let mut node = CentralTail::node(v, central, config.local_service_time);
-        // Every succession happens at the central node.
-        let successions = if v == central { issues.iter().sum() } else { 0 };
-        node.reserve_journals(issues[v], successions);
-        node
+    // It keeps a queue tail per object id: refuse a sparse id space, as arrow does.
+    if let WorkloadRef::Open(schedule) = workload {
+        let k = schedule.object_id_bound();
+        assert!(
+            k <= 1 << 26,
+            "object id space too large: max object id {} would allocate {k} queue \
+             tails — use dense object ids starting at 0",
+            k - 1
+        );
+    }
+    let (mut sim, journal) = set_up(instance, workload, config, Completions::Counted, |v| {
+        CentralTail::node(v, central, config.local_service_time)
     });
     // Requests and replies travel directly over the graph: weight = d_G(v, central).
     let dm = instance.distances();
@@ -806,159 +830,68 @@ fn central_sim(
             sim.set_link_weight(v, central, dm.dist(v, central));
         }
     }
-    sim
+    (sim, journal)
 }
 
 /// Run a fault-free simulator to quiescence and assemble its validated outcome.
 fn run_to_outcome<A: Automaton>(
     protocol: ProtocolKind,
     sim: &mut Simulator<ProtoMsg, SimNode<A>>,
+    journal: &RefCell<RunJournal>,
 ) -> Result<QueuingOutcome, RunError> {
     let outcome = sim.run();
+    let Harvest {
+        journal,
+        protocol_messages,
+        ..
+    } = harvest(sim, journal)?;
+    let mean_completion_latency = journal.mean_completion_latency();
+    let (issued, records, _) = journal.into_parts();
+    let totals = Totals {
+        protocol_messages,
+        total_messages: sim.stats().messages_delivered,
+        sim_events: outcome.events,
+        final_time: outcome.final_time,
+        mean_completion_latency,
+    };
     finish(
         protocol,
-        harvest(sim)?,
-        outcome.final_time,
-        sim.stats().messages_delivered,
-        outcome.events,
+        RequestSchedule::from_requests(issued),
+        records,
+        totals,
     )
 }
 
-/// What the nodes of one run journaled, gathered in node order.
+/// The journal of one run and the counters its nodes kept.
 struct Harvest {
-    records: Vec<OrderRecord>,
-    issued: Vec<Request>,
-    /// Requests whose requester observed completion (first notification each).
-    granted: Vec<RequestId>,
+    journal: RunJournal,
     protocol_messages: u64,
-    /// Sum over `granted` of the time from issue to that notification.
-    completion_latency_sum: f64,
     duplicate_grants: u64,
 }
 
-/// Collect every node's journal, or the first protocol violation a node recorded.
-/// Each list is allocated once, at its final length, and the issues come out in
-/// (time, id) order ([`issues_in_order`]).
-fn harvest<A: Automaton>(sim: &Simulator<ProtoMsg, SimNode<A>>) -> Result<Harvest, RunError> {
-    let hosts: Vec<&Host> = (0..sim.node_count()).map(|v| sim.node(v).host()).collect();
-    let violation = hosts
-        .iter()
-        .enumerate()
-        .find_map(|(v, host)| Some((v, host.protocol_violation()?)));
-    if let Some((node, description)) = violation {
-        return Err(RunError::ProtocolViolation {
-            node,
-            description: description.to_string(),
-        });
-    }
-    let total = |len: fn(&Host) -> usize| hosts.iter().map(|host| len(host)).sum();
-    let mut all = Harvest {
-        records: Vec::with_capacity(total(|host| host.records().len())),
-        issued: issues_in_order(&hosts),
-        granted: Vec::with_capacity(total(|host| host.own_completions().len())),
+/// Take the run's journal and sum the nodes' counters, or return the first
+/// protocol violation a node recorded.
+fn harvest<A: Automaton>(
+    sim: &Simulator<ProtoMsg, SimNode<A>>,
+    journal: &RefCell<RunJournal>,
+) -> Result<Harvest, RunError> {
+    let hosts = (0..sim.node_count()).map(|v| sim.node(v).host());
+    let mut harvest = Harvest {
+        journal: journal.take(),
         protocol_messages: 0,
-        completion_latency_sum: 0.0,
         duplicate_grants: 0,
     };
-    for host in &hosts {
-        all.records.extend_from_slice(host.records());
-        for done in host.own_completions() {
-            all.granted.push(done.req);
-            all.completion_latency_sum += (done.at - done.issued_at).as_units_f64();
-        }
-        all.protocol_messages += host.protocol_messages();
-        all.duplicate_grants += host.duplicate_grants();
-    }
-    Ok(all)
-}
-
-/// Every node's issue journal as one list in (time, id) order, without a
-/// comparison sort. When the ids are `1..=R` and numbered in time order, as every
-/// generator numbers them, each issue goes to slot `id - 1`; otherwise (the
-/// closed loop numbers its requests node by node, a shrunk schedule has gaps) the
-/// journals are merged. A node journals its issues in time order, and
-/// simultaneous ones in the order their inputs arrived, which the workloads list
-/// by id; a schedule that lists simultaneous issues at one node against id order
-/// leaves the merge out of order, and `finish` sorts it.
-fn issues_in_order(hosts: &[&Host]) -> Vec<Request> {
-    let total = hosts.iter().map(|host| host.issued().len()).sum();
-    let mut issued = Vec::with_capacity(total);
-    if !place_by_id(hosts, total, &mut issued) {
-        issued.clear();
-        merge_by_time(hosts, &mut issued);
-    }
-    issued
-}
-
-/// Put each of the `total` issues at slot `id - 1` of `out`. True if that worked:
-/// the ids are exactly `1..=total`, and in time order once placed. An issue is
-/// compared with the slot before it as it is placed, so that an order that fails
-/// is given up on after the journal that shows it; the pairs whose later slot was
-/// filled first are compared once every slot is.
-fn place_by_id(hosts: &[&Host], total: usize, out: &mut Vec<Request>) -> bool {
-    const EMPTY: Request = Request {
-        id: RequestId::ROOT,
-        node: 0,
-        time: SimTime::ZERO,
-        obj: ObjectId::DEFAULT,
-    };
-    out.resize(total, EMPTY);
-    for (node, host) in hosts.iter().enumerate() {
-        let mut in_order = true;
-        for &(id, obj, time) in host.issued() {
-            let slot = usize::try_from(id.0).ok().and_then(|id| id.checked_sub(1));
-            let Some(slot) = slot.filter(|&slot| slot < total) else {
-                return false;
-            };
-            if !out[slot].id.is_root() {
-                return false;
-            }
-            // An empty slot reads as time zero, which nothing precedes.
-            in_order &= out[slot.saturating_sub(1)].time <= time;
-            out[slot] = Request {
-                id,
+    for (node, host) in hosts.enumerate() {
+        if let Some(description) = host.protocol_violation() {
+            return Err(RunError::ProtocolViolation {
                 node,
-                time,
-                obj,
-            };
+                description: description.to_string(),
+            });
         }
-        if !in_order {
-            return false;
-        }
+        harvest.protocol_messages += host.protocol_messages();
+        harvest.duplicate_grants += host.duplicate_grants();
     }
-    // `total` distinct ids in `1..=total` fill every slot.
-    out.windows(2).all(|pair| pair[0].time <= pair[1].time)
-}
-
-/// Merge the nodes' issue journals into `out` by (time, id).
-fn merge_by_time(hosts: &[&Host], out: &mut Vec<Request>) {
-    use std::cmp::Reverse;
-    use std::collections::binary_heap::{BinaryHeap, PeekMut};
-    // Each journal's next issue: (time, id, node, place in the journal).
-    let mut heads: BinaryHeap<Reverse<(SimTime, RequestId, NodeId, usize)>> = hosts
-        .iter()
-        .enumerate()
-        .filter_map(|(node, host)| {
-            let &(id, _, time) = host.issued().first()?;
-            Some(Reverse((time, id, node, 0)))
-        })
-        .collect();
-    while let Some(mut head) = heads.peek_mut() {
-        let Reverse((time, id, node, at)) = *head;
-        let journal = hosts[node].issued();
-        out.push(Request {
-            id,
-            node,
-            time,
-            obj: journal[at].1,
-        });
-        match journal.get(at + 1) {
-            Some(&(id, _, time)) => *head = Reverse((time, id, node, at + 1)),
-            None => {
-                PeekMut::pop(head);
-            }
-        }
-    }
+    Ok(harvest)
 }
 
 /// Assemble a validated [`QueuingOutcome`] from externally journaled requests and
@@ -968,47 +901,49 @@ fn merge_by_time(hosts: &[&Host], out: &mut Vec<Request>) {
 /// [`RunError::InvalidOrder`] when any object's records fail validation.
 pub fn outcome_from_records(
     protocol: ProtocolKind,
-    issued: Vec<Request>,
+    mut issued: Vec<Request>,
     records: Vec<OrderRecord>,
     protocol_messages: u64,
     total_messages: u64,
     makespan: SimTime,
 ) -> Result<QueuingOutcome, RunError> {
-    let journal = Harvest {
-        records,
-        issued,
-        granted: Vec::new(),
+    issued.sort_by_key(|r| (r.time, r.id));
+    let totals = Totals {
         protocol_messages,
-        completion_latency_sum: 0.0,
-        duplicate_grants: 0,
+        total_messages,
+        sim_events: 0,
+        final_time: makespan,
+        mean_completion_latency: 0.0,
     };
-    finish(protocol, journal, makespan, total_messages, 0)
+    finish(
+        protocol,
+        RequestSchedule::from_requests(issued),
+        records,
+        totals,
+    )
 }
 
-fn finish(
-    protocol: ProtocolKind,
-    journal: Harvest,
-    final_time: SimTime,
+/// The counts of a run that its journal does not hold.
+struct Totals {
+    protocol_messages: u64,
     total_messages: u64,
     sim_events: u64,
+    final_time: SimTime,
+    mean_completion_latency: f64,
+}
+
+/// Validate every object's order against `schedule` and assemble the outcome.
+fn finish(
+    protocol: ProtocolKind,
+    schedule: RequestSchedule,
+    records: Vec<OrderRecord>,
+    totals: Totals,
 ) -> Result<QueuingOutcome, RunError> {
-    let Harvest {
-        records,
-        mut issued,
-        granted,
-        protocol_messages,
-        completion_latency_sum,
-        ..
-    } = journal;
-    // A simulator harvest is in this order already, and the sort is one pass
-    // over it; the live tiers' journals are not.
-    issued.sort_by_key(|r| (r.time, r.id));
-    let schedule = RequestSchedule::from_requests(issued);
     // Each object's queue is validated independently against the object's own
     // requests (the tier-shared contract of `order::per_object_orders`): every
     // request queued exactly once, one unbroken chain from that object's virtual
     // root request.
-    let orders = crate::order::per_object_orders(&records, &schedule)
+    let orders = crate::order::journal_orders(records, &schedule)
         .map_err(|(obj, error)| RunError::InvalidOrder { obj, error })?;
     let mut total_latency = 0.0;
     for (_, order) in &orders {
@@ -1023,16 +958,12 @@ fn finish(
     Ok(QueuingOutcome {
         protocol,
         total_latency,
-        makespan: final_time.as_units_f64(),
-        total_messages,
-        sim_events,
-        protocol_messages,
-        hops_per_request: protocol_messages as f64 / request_count as f64,
-        mean_completion_latency: if granted.is_empty() {
-            0.0
-        } else {
-            completion_latency_sum / granted.len() as f64
-        },
+        makespan: totals.final_time.as_units_f64(),
+        total_messages: totals.total_messages,
+        sim_events: totals.sim_events,
+        protocol_messages: totals.protocol_messages,
+        hops_per_request: totals.protocol_messages as f64 / request_count as f64,
+        mean_completion_latency: totals.mean_completion_latency,
         schedule,
         order,
         orders,
@@ -1296,10 +1227,11 @@ mod tests {
         // Drive the harness's own simulator setup, then inject an out-of-protocol
         // message: the run must come back as RunError::ProtocolViolation, not abort.
         let instance = path_instance(2);
-        let mut sim = arrow_sim(
+        let (mut sim, journal) = arrow_sim(
             &instance,
             WorkloadRef::Open(&RequestSchedule::default()),
             &RunConfig::analysis(ProtocolKind::Arrow),
+            Completions::Counted,
             |_| NoProbe,
         );
         sim.schedule_external(
@@ -1312,7 +1244,7 @@ mod tests {
             },
         );
         sim.run();
-        match harvest(&sim) {
+        match harvest(&sim, &journal) {
             Err(err @ RunError::ProtocolViolation { node: 1, .. }) => {
                 assert!(err.to_string().contains("protocol violation at node 1"));
                 assert!(err.to_string().contains("non-arrow message"));
@@ -1332,28 +1264,25 @@ mod tests {
         assert_eq!(checked.order.order(), panicking.order.order());
     }
 
-    /// Run `sim` and hold its harvested issue list to the reference it replaced:
-    /// every journal concatenated in node order, then sorted by (time, id).
-    /// Returns whether that order numbers the requests in ascending id order.
-    fn harvest_matches_the_sorted_concatenation<A: Automaton>(
-        mut sim: Simulator<ProtoMsg, SimNode<A>>,
-    ) -> bool {
+    /// Set up a run with `build` twice: once as it is, run to its outcome, and
+    /// once with every node journaling on its own. The outcome's schedule must be
+    /// every node's issues concatenated and sorted by (time, id).
+    fn schedule_is_the_sorted_concatenation<A: Automaton>(
+        build: impl Fn() -> SimRun<A>,
+    ) -> RequestSchedule {
+        let (mut sim, journal) = build();
+        let outcome = run_to_outcome(ProtocolKind::Arrow, &mut sim, &journal).expect("valid run");
+        let (mut sim, _) = build();
+        for v in 0..sim.node_count() {
+            sim.node_mut(v).join(&Rc::default());
+        }
         sim.run();
         let mut reference: Vec<Request> = (0..sim.node_count())
-            .flat_map(|v| {
-                let issued = sim.node(v).host().issued();
-                issued.iter().map(move |&(id, obj, time)| Request {
-                    id,
-                    node: v,
-                    time,
-                    obj,
-                })
-            })
+            .flat_map(|v| sim.node(v).host().journal().issued().to_vec())
             .collect();
         reference.sort_by_key(|r| (r.time, r.id));
-        let harvested = harvest(&sim).expect("fault-free run").issued;
-        assert_eq!(harvested, reference);
-        reference.windows(2).all(|pair| pair[0].id < pair[1].id)
+        assert_eq!(outcome.schedule.requests(), reference);
+        outcome.schedule
     }
 
     #[test]
@@ -1362,22 +1291,23 @@ mod tests {
         let instance = Instance::complete_uniform(24, SpanningTreeKind::BalancedBinary);
         let analysis = RunConfig::analysis(ProtocolKind::Arrow);
         let open = |schedule: &RequestSchedule, config: &RunConfig| {
-            harvest_matches_the_sorted_concatenation(arrow_sim(
-                &instance,
-                WorkloadRef::Open(schedule),
-                config,
-                |_| NoProbe,
-            ))
+            schedule_is_the_sorted_concatenation(|| {
+                let workload = WorkloadRef::Open(schedule);
+                arrow_sim(&instance, workload, config, Completions::Counted, |_| {
+                    NoProbe
+                })
+            })
         };
         for seed in 0..4 {
-            // Dense ids numbered in time order: placed by id.
             let schedule = workload::uniform_random(24, 300, 8.0, seed);
-            assert!(open(&schedule, &analysis));
-            assert!(open(&schedule, &analysis.clone().asynchronous(seed)));
-            let zipf = workload::zipf_objects(24, 3, 1.1, 300, 8.0, seed);
-            assert!(open(&zipf, &analysis));
+            open(&schedule, &analysis);
+            open(&schedule, &analysis.clone().asynchronous(seed));
+            open(
+                &workload::zipf_objects(24, 3, 1.1, 300, 8.0, seed),
+                &analysis,
+            );
 
-            // Every third request removed, as a shrunk replay has it: merged.
+            // Every third request removed, as a shrunk replay has it.
             let sparse = RequestSchedule::from_requests(
                 schedule
                     .requests()
@@ -1387,15 +1317,20 @@ mod tests {
                     .map(|(_, r)| *r)
                     .collect(),
             );
-            assert!(open(&sparse, &analysis));
+            open(&sparse, &analysis);
 
             // A service time delays issues behind queued messages, so the issue
-            // times no longer follow the ids: placement by id fails its check.
+            // times no longer follow the ids.
             let mut served = analysis.clone();
             served.local_service_time = 0.3;
-            assert!(!open(&schedule, &served));
+            let issued = open(&schedule, &served);
+            assert!(issued
+                .requests()
+                .windows(2)
+                .any(|pair| pair[0].id > pair[1].id));
 
-            // The closed loop numbers its requests node by node: merged.
+            // The closed loop numbers its requests node by node, and issues many
+            // at one instant.
             let spec = ClosedLoopSpec {
                 requests_per_node: 12,
                 local_service_time: 0.05,
@@ -1404,72 +1339,90 @@ mod tests {
             if seed % 2 == 1 {
                 config = config.asynchronous(seed);
             }
-            assert!(!harvest_matches_the_sorted_concatenation(arrow_sim(
-                &instance,
-                WorkloadRef::Closed(&spec),
-                &config,
-                |_| NoProbe,
-            )));
+            let closed = WorkloadRef::Closed(&spec);
+            let issued = schedule_is_the_sorted_concatenation(|| {
+                arrow_sim(&instance, closed, &config, Completions::Counted, |_| {
+                    NoProbe
+                })
+            });
+            assert_eq!(issued.len(), 24 * 12);
+            config.protocol = ProtocolKind::Centralized;
+            schedule_is_the_sorted_concatenation(|| central_sim(&instance, closed, &config));
         }
 
-        // Hand-listed schedules of `(id, node, time)`.
-        let listed = |requests: &[(u64, NodeId, u64)]| {
-            let requests = requests.iter().map(|&(id, node, units)| Request {
-                id: RequestId(id),
-                node,
-                time: SimTime::from_units(units),
-                obj: ObjectId::DEFAULT,
-            });
-            RequestSchedule::from_requests(requests.collect())
-        };
-        // Simultaneous issues at one node listed against id order: placed by id.
-        assert!(open(&listed(&[(2, 1, 1), (1, 1, 1), (3, 2, 2)]), &analysis));
-        // Dense ids numbered against time order, each at its own node, so that
-        // only the check of the filled slots sees it: merged.
-        assert!(!open(
-            &listed(&[(2, 0, 1), (1, 1, 2), (3, 2, 3)]),
-            &analysis
-        ));
+        // A hand-listed schedule of `(id, node, time)`: simultaneous issues at
+        // different nodes and at one node, listed against id order.
+        let listed = [
+            (3, 1, 1),
+            (1, 2, 1),
+            (2, 0, 1),
+            (6, 4, 2),
+            (4, 4, 2),
+            (5, 9, 2),
+            (7, 3, 3),
+        ];
+        let requests = listed.iter().map(|&(id, node, units)| Request {
+            id: RequestId(id),
+            node,
+            time: SimTime::from_units(units),
+            obj: ObjectId::DEFAULT,
+        });
+        let listed = RequestSchedule::from_requests(requests.collect());
+        for config in [analysis.clone(), analysis.clone().asynchronous(5)] {
+            let issued = open(&listed, &config);
+            let ids: Vec<u64> = issued.requests().iter().map(|r| r.id.0).collect();
+            assert_eq!(ids, [1, 2, 3, 4, 5, 6, 7]);
+        }
     }
 
     #[test]
     #[cfg_attr(miri, ignore)]
     fn fault_free_journals_never_outgrow_their_set_up_capacity() {
-        let instance = Instance::complete_uniform(32, SpanningTreeKind::BalancedBinary);
-        let holds = |mut sim: Simulator<ProtoMsg, ArrowSimNode<NoProbe>>| {
-            let capacities = |sim: &Simulator<_, ArrowSimNode<NoProbe>>| -> Vec<[usize; 3]> {
-                (0..sim.node_count())
-                    .map(|v| sim.node(v).host().journal_capacities())
-                    .collect()
-            };
-            let before = capacities(&sim);
+        fn holds<A: Automaton>((mut sim, journal): SimRun<A>) {
+            let before = journal.borrow().capacities();
             sim.run();
-            harvest(&sim).expect("fault-free run");
-            assert_eq!(capacities(&sim), before);
-        };
+            {
+                let journal = journal.borrow();
+                assert_eq!(journal.capacities(), before);
+                // Sized exactly: every request issued and queued once.
+                assert_eq!(journal.issued().len(), before[0]);
+                assert_eq!(journal.records().len(), before[1]);
+                assert_eq!(before[2], 0, "a fault-free run only counts completions");
+            }
+            harvest(&sim, &journal).expect("fault-free run");
+        }
+        let instance = Instance::complete_uniform(32, SpanningTreeKind::BalancedBinary);
         let analysis = RunConfig::analysis(ProtocolKind::Arrow);
         let acked = RunConfig::experiment(ProtocolKind::Arrow, 0.0);
         let single = workload::uniform_random(32, 2_000, 40.0, 3);
         let three = workload::zipf_objects(32, 3, 1.1, 2_000, 40.0, 3);
         for (schedule, config) in [(&single, &analysis), (&single, &acked), (&three, &analysis)] {
+            let workload = WorkloadRef::Open(schedule);
             holds(arrow_sim(
                 &instance,
-                WorkloadRef::Open(schedule),
+                workload,
                 config,
+                Completions::Counted,
                 |_| NoProbe,
             ));
+            let mut central = config.clone();
+            central.protocol = ProtocolKind::Centralized;
+            holds(central_sim(&instance, workload, &central));
         }
         let spec = ClosedLoopSpec {
             requests_per_node: 60,
             local_service_time: 0.05,
         };
         let config = RunConfig::experiment(ProtocolKind::Arrow, spec.local_service_time);
+        let closed = WorkloadRef::Closed(&spec);
         holds(arrow_sim(
             &instance,
-            WorkloadRef::Closed(&spec),
+            closed,
             &config,
+            Completions::Counted,
             |_| NoProbe,
         ));
+        holds(central_sim(&instance, closed, &config));
     }
 
     #[test]

@@ -479,15 +479,16 @@ fn lint_daemon_exit_paths(root: &Path, findings: &mut Vec<Finding>) {
 }
 
 /// The per-event files: the simulator tier's engine loop, link rows, event
-/// queue, and the arrow glue and node host every delivered message crosses;
-/// the harness and the order validator, which run once per request to turn a
-/// simulator run's journals into its outcome; and the socket tier's reactor,
-/// which every hop between hosted nodes crosses.
-const PER_EVENT_FILES: [&str; 8] = [
+/// queue, and the arrow glue, the centralized baseline's glue and the node host
+/// every delivered message crosses; the harness and the order validator, which
+/// run once per request to turn a simulator run's journal into its outcome; and
+/// the socket tier's reactor, which every hop between hosted nodes crosses.
+const PER_EVENT_FILES: [&str; 9] = [
     "crates/desim/src/sim.rs",
     "crates/desim/src/link.rs",
     "crates/desim/src/event.rs",
     "crates/arrow-core/src/arrow.rs",
+    "crates/arrow-core/src/centralized.rs",
     "crates/arrow-core/src/host.rs",
     "crates/arrow-core/src/run.rs",
     "crates/arrow-core/src/order.rs",
