@@ -19,7 +19,7 @@ use arrow_model::{
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn usage() -> ! {
     eprintln!(
@@ -229,6 +229,14 @@ fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
     })
 }
 
+/// States explored per second of wall time, for the progress lines.
+fn rate(states: u64, took: Duration) -> String {
+    format!(
+        "{:.0} states/s",
+        states as f64 / took.as_secs_f64().max(1e-9)
+    )
+}
+
 fn main() -> ExitCode {
     let opts = parse_args();
     println!(
@@ -277,10 +285,11 @@ fn main() -> ExitCode {
             total.quiescent += outcome.stats.quiescent;
             total.max_depth = total.max_depth.max(outcome.stats.max_depth);
             total.capped |= outcome.stats.capped;
+            let took = t0.elapsed();
             println!(
-                "  n={n}: {count} tree(s), {} in {:.2?}",
+                "  n={n}: {count} tree(s), {} in {took:.2?} ({})",
                 outcome.stats,
-                t0.elapsed()
+                rate(outcome.stats.states, took)
             );
 
             if let Some((scenario, cx)) = outcome.failure {
@@ -309,11 +318,9 @@ fn main() -> ExitCode {
         }
     }
 
-    println!(
-        "\nPASS: {scenarios} scenario(s) exhaustively verified in {:.2?}",
-        start.elapsed()
-    );
-    println!("  {total}");
+    let took = start.elapsed();
+    println!("\nPASS: {scenarios} scenario(s) exhaustively verified in {took:.2?}");
+    println!("  {total} ({})", rate(total.states, took));
     if total.states > 0 {
         // How much smaller the search was than what the exploration actually
         // attempted: every dedup/sleep skip cuts an entire subtree, so this

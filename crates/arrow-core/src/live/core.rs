@@ -52,7 +52,6 @@ use super::queue::{EpochCheck, QueueCore, QueueStep};
 use crate::request::{ObjectId, RequestId};
 use arrow_trace::{NoProbe, Probe, ProbeEvent};
 use netgraph::{NodeId, RootedTree};
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// What a transport must do after feeding an input to [`ArrowCore`].
@@ -108,9 +107,12 @@ pub enum CoreAction {
     },
 }
 
-/// Per-own-request token bookkeeping at the issuing node.
-#[derive(Debug, Clone, Default)]
-struct TokenState {
+/// Token bookkeeping for one request this node issued. The field order is the
+/// [`TokenRow`] order, so a row hashes exactly as its `TokenRow` does.
+#[derive(Debug, Clone, Copy, Hash)]
+struct Row {
+    obj: ObjectId,
+    req: RequestId,
     /// The token has arrived for this request (the application holds it, or held
     /// it and released). Requests with `granted == false` are still *pending* and
     /// get re-issued after an epoch bump.
@@ -119,6 +121,19 @@ struct TokenState {
     released: bool,
     /// The successor of this request, once known: `(request, origin node)`.
     successor: Option<(RequestId, NodeId)>,
+}
+
+impl Row {
+    /// A fresh row for `(obj, req)`: pending, unreleased, no successor.
+    fn new(obj: ObjectId, req: RequestId) -> Self {
+        Row {
+            obj,
+            req,
+            granted: false,
+            released: false,
+            successor: None,
+        }
+    }
 }
 
 /// What [`TokenLedger::release`] found for the released request.
@@ -132,21 +147,40 @@ enum Release {
 }
 
 /// Token bookkeeping for the requests one node issued, keyed by (object, request):
-/// the mutual-exclusion half of [`ArrowCore`].
+/// the mutual-exclusion half of [`ArrowCore`]. A node holds a handful of rows —
+/// its own requests not yet handed on — so they live in one `Vec` sorted by key:
+/// a lookup is a binary search, a clone is one copy, and every reader gets them
+/// in canonical order without a sort.
 #[derive(Debug, Clone, Default)]
 struct TokenLedger {
-    tokens: HashMap<(ObjectId, RequestId), TokenState>,
+    rows: Vec<Row>,
 }
 
 impl TokenLedger {
+    /// Where `(obj, req)`'s row is, or would be inserted.
+    fn find(&self, obj: ObjectId, req: RequestId) -> Result<usize, usize> {
+        self.rows
+            .binary_search_by(|r| (r.obj, r.req).cmp(&(obj, req)))
+    }
+
+    /// The index of `(obj, req)`'s row, inserted fresh if there is none.
+    fn entry(&mut self, obj: ObjectId, req: RequestId) -> usize {
+        self.find(obj, req).unwrap_or_else(|i| {
+            self.rows.insert(i, Row::new(obj, req));
+            i
+        })
+    }
+
     /// This node issued `req`: it is pending until its token arrives.
     fn open(&mut self, obj: ObjectId, req: RequestId) {
-        self.tokens.insert((obj, req), TokenState::default());
+        let i = self.entry(obj, req);
+        self.rows[i] = Row::new(obj, req);
     }
 
     /// The token arrived for own request `req`.
     fn granted(&mut self, obj: ObjectId, req: RequestId) {
-        self.tokens.entry((obj, req)).or_default().granted = true;
+        let i = self.entry(obj, req);
+        self.rows[i].granted = true;
     }
 
     /// `succ` (from `origin`) queued behind own request `pred`. True if the token
@@ -162,28 +196,28 @@ impl TokenLedger {
             // The token has been sitting at the object's initial root, already free.
             return true;
         }
-        let state = self.tokens.entry((obj, pred)).or_default();
-        if state.released {
-            self.tokens.remove(&(obj, pred));
+        let i = self.entry(obj, pred);
+        if self.rows[i].released {
+            self.rows.remove(i);
             true
         } else {
-            state.successor = Some((succ, origin));
+            self.rows[i].successor = Some((succ, origin));
             false
         }
     }
 
     /// The application released the token it held for `req`.
     fn release(&mut self, obj: ObjectId, req: RequestId) -> Release {
-        let Some(state) = self.tokens.get_mut(&(obj, req)) else {
+        let Ok(i) = self.find(obj, req) else {
             return Release::Ghost;
         };
-        match state.successor.take() {
+        match self.rows[i].successor.take() {
             Some((succ, origin)) => {
-                self.tokens.remove(&(obj, req));
+                self.rows.remove(i);
                 Release::HandOff(succ, origin)
             }
             None => {
-                state.released = true;
+                self.rows[i].released = true;
                 Release::Kept
             }
         }
@@ -193,35 +227,29 @@ impl TokenLedger {
     /// with any old-epoch successor linkage cleared, and are returned, sorted, for
     /// re-issue.
     fn survivors(&mut self) -> Vec<(ObjectId, RequestId)> {
-        self.tokens.retain(|_, st| !st.granted);
-        for st in self.tokens.values_mut() {
-            st.released = false;
-            st.successor = None;
+        self.rows.retain(|r| !r.granted);
+        for r in &mut self.rows {
+            r.released = false;
+            r.successor = None;
         }
         self.pending()
     }
 
     /// Own requests still awaiting their token, sorted.
     fn pending(&self) -> Vec<(ObjectId, RequestId)> {
-        let mut pending: Vec<_> = self
-            .tokens
+        self.rows
             .iter()
-            .filter(|(_, st)| !st.granted)
-            .map(|(&key, _)| key)
-            .collect();
-        pending.sort();
-        pending
+            .filter(|r| !r.granted)
+            .map(|r| (r.obj, r.req))
+            .collect()
     }
 
-    /// Every row, sorted, so `HashMap` iteration order never leaks out.
+    /// Every row, sorted.
     fn rows(&self) -> Vec<TokenRow> {
-        let mut rows: Vec<_> = self
-            .tokens
+        self.rows
             .iter()
-            .map(|(&(obj, req), st)| (obj, req, st.granted, st.released, st.successor))
-            .collect();
-        rows.sort();
-        rows
+            .map(|r| (r.obj, r.req, r.granted, r.released, r.successor))
+            .collect()
     }
 }
 
@@ -229,8 +257,8 @@ impl TokenLedger {
 /// state, exposed for the `arrow-model` explicit-state model checker.
 ///
 /// Two cores that would behave identically on every future input produce equal
-/// snapshots: the token map is flattened into a sorted vector, so iteration
-/// order of the underlying `HashMap` never leaks into the snapshot. `Hash`,
+/// snapshots: the token rows are kept sorted by `(object, request)`, so the
+/// order inputs arrived in never leaks into the snapshot. `Hash`,
 /// `Eq` and `Ord` are derived, which makes the snapshot directly usable as a
 /// key in visited-state sets and as input to canonical state hashing.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -366,8 +394,8 @@ impl<P: Probe> ArrowCore<P> {
     ///
     /// Used by the `arrow-model` checker both to test state equality (dedup) and
     /// to read protocol facts — link pointers, pending requests, epochs — without
-    /// reaching into private fields. The snapshot is independent of `HashMap`
-    /// iteration order, so equal protocol states always snapshot equal.
+    /// reaching into private fields. The token rows are kept in canonical
+    /// order, so equal protocol states always snapshot equal.
     pub fn snapshot(&self) -> CoreSnapshot {
         CoreSnapshot {
             node: self.queue.node(),
@@ -381,12 +409,12 @@ impl<P: Probe> ArrowCore<P> {
     /// Feed this core's canonical state into a hasher (a cheaper alternative to
     /// building a full [`CoreSnapshot`] when only a state hash is needed).
     ///
-    /// Deterministic across runs for the same protocol state: the token map is
-    /// folded in sorted order and the hasher sees exactly the fields a
+    /// Deterministic across runs for the same protocol state: the token rows
+    /// are folded in sorted order and the hasher sees exactly the fields a
     /// [`CoreSnapshot`] carries.
     pub fn hash_into<H: Hasher>(&self, hasher: &mut H) {
         self.queue.hash_into(hasher);
-        self.ledger.rows().hash(hasher);
+        self.ledger.rows.hash(hasher);
     }
 
     /// This node's own requests still awaiting their token, sorted.
@@ -402,7 +430,7 @@ impl<P: Probe> ArrowCore<P> {
     /// the first newer-epoch message it receives.
     pub fn reboot(&mut self) {
         self.queue.reboot();
-        self.ledger.tokens.clear();
+        self.ledger.rows.clear();
     }
 
     /// Restore the stable-storage request-id counter after a *process*-level
@@ -833,8 +861,7 @@ mod tests {
         assert_eq!(a.snapshot(), b.snapshot());
         assert_eq!(hash_of(&a), hash_of(&b));
 
-        // Identical input sequences keep the snapshots (and hashes) equal even
-        // though the token HashMaps were populated independently.
+        // Identical input sequences keep the snapshots (and hashes) equal.
         let mut out = Vec::new();
         for core in [&mut a, &mut b] {
             core.acquire(ObjectId(0), &mut out);

@@ -34,8 +34,8 @@
 //!   retries, reactor [`mesh::NetConfig::shards`]), the per-link latency law
 //!   (tree distance × [`mesh::NetConfig::unit_latency`], scaled by the seeded
 //!   async factor in the asynchronous model, FIFO-preserving — the same law as
-//!   a simulator run), the shared [`NetStats`] counters, and the blocking dial
-//!   helpers external tooling uses.
+//!   a simulator run), the [`NetStats`] counters (one registry per shard,
+//!   summed on read), and the blocking dial helpers external tooling uses.
 //! * `reactor` (internal) — the event-driven engine: nodes are partitioned
 //!   across a small pool of shard threads, each running one `epoll` loop (via
 //!   the `netpoll` shim) over its inbox eventfd, its timer wheel and the

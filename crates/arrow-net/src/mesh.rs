@@ -24,8 +24,8 @@
 //!   [`NetConfig::unit_latency`] (and, in the asynchronous model, by a seeded
 //!   per-frame factor drawn from `[lo_factor, 1.0]` — the same latency law and
 //!   floor the simulator applies).
-//! - [`NetStats`] / [`NetStatsSnapshot`]: the counter and histogram schema all
-//!   reactor shards share.
+//! - [`NetStats`] / [`NetStatsSnapshot`]: the counter and histogram schema,
+//!   one registry per reactor shard, summed on read.
 //!
 //! The runtime is handed only the spanning tree, so the tree *is* its
 //! communication graph: direct token channels pay the tree distance `d_T(u, v)`.
@@ -35,7 +35,7 @@
 
 use crate::wire::{Frame, WireError};
 use arrow_core::prelude::{RunConfig, SyncMode};
-use arrow_trace::{HistMetric, Metric, MetricsRegistry, MetricsSnapshot};
+use arrow_trace::{Metric, MetricsReader, MetricsSnapshot, MetricsWriter};
 use desim::SimRng;
 use netgraph::NodeId;
 use std::io;
@@ -196,22 +196,22 @@ impl NetConfig {
     }
 }
 
-/// Counters shared by all shards of one [`crate::NetRuntime`], backed by the
-/// cross-tier [`arrow_trace::MetricsRegistry`] schema — lock-free atomics, so
-/// the hot-path cost is one relaxed `fetch_add` per count. Beyond the counters
-/// the registry also carries the socket tier's histograms: frames coalesced
-/// per `write` ([`HistMetric::WriteBatchFrames`]), timer-wheel staging
-/// lateness ([`HistMetric::TimerDwellNanos`]), acquire latency
-/// ([`HistMetric::AcquireNanos`]), events per reactor wakeup
-/// ([`HistMetric::EventsPerWakeup`]) and shard inbox depth
-/// ([`HistMetric::ShardQueueDepth`]).
+/// Counters of one [`crate::NetRuntime`], in the cross-tier
+/// [`arrow_trace::MetricsRegistry`] schema: one registry per reactor shard,
+/// each written only by its shard, under the shard's lock, through the
+/// shard's [`MetricsWriter`] — a relaxed load and store per count, no locked
+/// instruction. Reads sum the shards, so no count is lost at any shard count.
+/// Beyond the counters the registries also carry the socket tier's
+/// histograms (see [`arrow_trace::HistMetric`]): frames coalesced per `write`,
+/// timer-wheel staging lateness, acquire latency, events per reactor wakeup
+/// and shard inbox depth.
 ///
 /// [`NetStats::snapshot`] renders the counters as the traditional
 /// [`NetStatsSnapshot`] plain-number view; [`NetStats::metrics`] exposes the
 /// full registry snapshot (histograms included) for cross-tier tooling.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct NetStats {
-    registry: MetricsRegistry,
+    shards: Vec<MetricsReader>,
 }
 
 /// A plain-number snapshot of [`NetStats`].
@@ -291,55 +291,48 @@ impl NetStatsSnapshot {
 }
 
 impl NetStats {
-    /// The underlying cross-tier metrics registry.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+    /// The stats of a runtime with `shards` reactor shards, and the writer
+    /// each shard owns, by shard index.
+    pub(crate) fn for_shards(shards: usize) -> (NetStats, Vec<MetricsWriter>) {
+        let (writers, shards) = (0..shards).map(|_| MetricsWriter::new()).unzip();
+        (NetStats { shards }, writers)
     }
 
-    /// Full registry snapshot: the counters of [`NetStats::snapshot`] plus the
-    /// socket tier's histograms, in the cross-tier [`MetricsRegistry`] schema
-    /// the process tier's (`arrow-cluster`) reports merge.
+    /// Full registry snapshot, summed over the shards: the counters of
+    /// [`NetStats::snapshot`] plus the socket tier's histograms, in the
+    /// cross-tier [`arrow_trace::MetricsRegistry`] schema the process tier's
+    /// (`arrow-cluster`) reports merge.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
-    }
-
-    /// Bump counter `m` by one (relaxed).
-    pub(crate) fn inc(&self, m: Metric) {
-        self.registry.inc(m);
-    }
-
-    /// Bump counter `m` by `n` (relaxed).
-    pub(crate) fn add(&self, m: Metric, n: u64) {
-        self.registry.add(m, n);
-    }
-
-    /// Record `v` into histogram `h`.
-    pub(crate) fn observe(&self, h: HistMetric, v: u64) {
-        self.registry.observe(h, v);
+        let mut total = MetricsSnapshot::default();
+        for shard in &self.shards {
+            total.merge(&shard.snapshot());
+        }
+        total
     }
 
     /// Read all counters at once (relaxed; exact once the runtime is quiescent).
     pub fn snapshot(&self) -> NetStatsSnapshot {
+        let m = self.metrics();
         NetStatsSnapshot {
-            queue_frames: self.registry.get(Metric::QueueFrames),
-            token_frames: self.registry.get(Metric::TokenFrames),
-            frames_sent: self.registry.get(Metric::FramesSent),
-            bytes_sent: self.registry.get(Metric::BytesSent),
-            bytes_received: self.registry.get(Metric::BytesReceived),
-            socket_writes: self.registry.get(Metric::SocketWrites),
-            socket_reads: self.registry.get(Metric::SocketReads),
-            connections_dialed: self.registry.get(Metric::ConnectionsDialed),
-            connections_accepted: self.registry.get(Metric::ConnectionsAccepted),
-            acquisitions: self.registry.get(Metric::Acquisitions),
-            unexpected_frames: self.registry.get(Metric::UnexpectedFrames),
-            dial_failures: self.registry.get(Metric::DialFailures),
-            frames_dropped: self.registry.get(Metric::FramesDropped),
-            stale_drops: self.registry.get(Metric::StaleEpochDrops),
-            reactor_wakeups: self.registry.get(Metric::ReactorWakeups),
-            would_block_retries: self.registry.get(Metric::WouldBlockRetries),
-            dial_races_collapsed: self.registry.get(Metric::DialRacesCollapsed),
-            local_frames: self.registry.get(Metric::LocalFrames),
-            inline_cycles: self.registry.get(Metric::InlineCycles),
+            queue_frames: m.get(Metric::QueueFrames),
+            token_frames: m.get(Metric::TokenFrames),
+            frames_sent: m.get(Metric::FramesSent),
+            bytes_sent: m.get(Metric::BytesSent),
+            bytes_received: m.get(Metric::BytesReceived),
+            socket_writes: m.get(Metric::SocketWrites),
+            socket_reads: m.get(Metric::SocketReads),
+            connections_dialed: m.get(Metric::ConnectionsDialed),
+            connections_accepted: m.get(Metric::ConnectionsAccepted),
+            acquisitions: m.get(Metric::Acquisitions),
+            unexpected_frames: m.get(Metric::UnexpectedFrames),
+            dial_failures: m.get(Metric::DialFailures),
+            frames_dropped: m.get(Metric::FramesDropped),
+            stale_drops: m.get(Metric::StaleEpochDrops),
+            reactor_wakeups: m.get(Metric::ReactorWakeups),
+            would_block_retries: m.get(Metric::WouldBlockRetries),
+            dial_races_collapsed: m.get(Metric::DialRacesCollapsed),
+            local_frames: m.get(Metric::LocalFrames),
+            inline_cycles: m.get(Metric::InlineCycles),
         }
     }
 }

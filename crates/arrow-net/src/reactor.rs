@@ -53,9 +53,27 @@
 //!
 //! Holding the lock across a grant's `reply.send` cannot block: every grant
 //! channel is an unbounded `std::sync::mpsc` channel, so the send is a push,
-//! never a wait for the receiver. The only other locks taken under a shard's
-//! lock are sibling inbox queues and the severed-link set, each held for one
-//! push or probe and never while waiting for a shard.
+//! never a wait for the receiver.
+//!
+//! # What a cycle pays besides the protocol
+//!
+//! * **Link faults are shard commands.** [`ShardCmd::Sever`] and
+//!   [`ShardCmd::Restore`] reach the shards hosting either endpoint through
+//!   their inboxes, as crash and restart do, and each shard keeps its few
+//!   severed pairs in a plain `Vec`. A send probes that `Vec`, which is empty
+//!   in a fault-free run; no lock and no hash is taken per frame.
+//! * **Shard-owned counters.** Each shard writes its own metrics registry
+//!   through a [`MetricsWriter`]: a relaxed load and store per count, exact
+//!   because only the lock holder writes. `NetStats` sums the shards on read.
+//! * **One clock read per cycle.** A cycle reads `Instant::now()` at its first
+//!   use, and again only after it has taken in frames from outside the shard
+//!   (an inbox [`ShardCmd::Frames`] batch, a socket read); only connection
+//!   set-up, drain and shutdown deadlines read their own. Issue times,
+//!   [`Waiter`] stamps, order records' `informed_at` and [`Grant::wait`] all
+//!   come from that one reading, so they are measured to cycle resolution and
+//!   a successor's issue time is never later than the record that names it.
+//! * **No inbox lock on an empty inbox.** The inbox keeps an atomic count of
+//!   its queue, so a cycle that finds it zero skips the lock.
 //!
 //! # Delivery rule: sockets only at process boundaries
 //!
@@ -122,12 +140,12 @@
 //! drain the loser (see [`Shard::promote`]), so exactly one link survives and
 //! no staged frame is lost.
 
-use std::collections::{vec_deque, HashMap, HashSet, VecDeque};
+use std::collections::{vec_deque, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::mem;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
@@ -135,11 +153,11 @@ use std::time::{Duration, Instant};
 
 use arrow_core::live::{ArrowCore, CoreAction};
 use arrow_core::prelude::{ObjectId, OrderRecord, ProtoMsg, Request, RequestId};
-use arrow_trace::{HistMetric, Metric, Probe, ProbeEvent};
+use arrow_trace::{HistMetric, Metric, MetricsWriter, Probe, ProbeEvent};
 use desim::{SimTime, SUBTICKS_PER_UNIT};
 use netgraph::{NodeId, RootedTree};
 
-use crate::mesh::{DelayPolicy, NetConfig, NetStats, HANDSHAKE_TIMEOUT, RECV_BUF_INIT};
+use crate::mesh::{DelayPolicy, NetConfig, HANDSHAKE_TIMEOUT, RECV_BUF_INIT};
 use crate::runtime::{Grant, NetFailure, NodeJournal};
 use crate::wheel::TimerWheel;
 use crate::wire::{Frame, MAX_FRAME_LEN};
@@ -180,6 +198,11 @@ pub(crate) enum ShardCmd {
     Crash { node: NodeId },
     /// Fault injection: restart a crashed `node`.
     Restart { node: NodeId },
+    /// Fault injection: drop every frame between `u` and `v`, both ways, that
+    /// this shard's nodes send until the matching [`ShardCmd::Restore`].
+    Sever { u: NodeId, v: NodeId },
+    /// Fault injection: heal the link between `u` and `v`.
+    Restore { u: NodeId, v: NodeId },
     /// Adopt recovery epoch `epoch` on every node of this shard.
     Epoch { epoch: u64 },
     /// Begin graceful shutdown of the shard.
@@ -190,6 +213,11 @@ pub(crate) enum ShardCmd {
 /// pulls the shard out of `epoll_wait` when a command lands.
 pub(crate) struct Inbox {
     queue: Mutex<VecDeque<ShardCmd>>,
+    /// `queue.len()`, stored under the queue's lock, so a cycle that reads
+    /// zero skips the lock. A sender that pushes after that read has woken
+    /// the shard (or, for a client's own command, runs after it), so the
+    /// command is taken by the next cycle.
+    len: AtomicUsize,
     waker: netpoll::Waker,
     /// Set by the shard as it exits; late senders see `send` return `false`.
     closed: AtomicBool,
@@ -199,6 +227,7 @@ impl Inbox {
     fn new() -> Arc<Self> {
         Arc::new(Inbox {
             queue: Mutex::new(VecDeque::new()),
+            len: AtomicUsize::new(0),
             waker: netpoll::Waker::new().expect("eventfd waker"),
             closed: AtomicBool::new(false),
         })
@@ -217,6 +246,7 @@ impl Inbox {
         let first = {
             let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
             queue.push_back(cmd);
+            self.len.store(queue.len(), Ordering::Release);
             queue.len() == 1
         };
         // A non-empty queue has a wake-up pending already: the shard thread
@@ -427,7 +457,7 @@ enum FlushOutcome {
 }
 
 /// Write as much of `c.out` as the socket accepts right now.
-fn flush_send_buf(c: &mut Conn, stats: &NetStats) -> FlushOutcome {
+fn flush_send_buf(c: &mut Conn, stats: &mut MetricsWriter) -> FlushOutcome {
     while c.out.written < c.out.buf.len() {
         match (&c.stream).write(&c.out.buf[c.out.written..]) {
             Ok(0) => return FlushOutcome::Dead(io::ErrorKind::WriteZero.into()),
@@ -502,13 +532,13 @@ struct Waiter {
 }
 
 impl Waiter {
-    /// Fail the acquire at `node` with `failure`.
-    fn fail(self, node: NodeId, failure: NetFailure) {
+    /// Fail the acquire at `node` with `failure`, at cycle time `now`.
+    fn fail(self, node: NodeId, failure: NetFailure, now: Instant) {
         let _ = self.reply.send(Grant {
             node,
             obj: self.obj,
             result: Err(failure),
-            wait: self.issued.elapsed(),
+            wait: now.saturating_duration_since(self.issued),
         });
     }
 }
@@ -594,10 +624,8 @@ pub(crate) struct ReactorShared {
     /// Advertised address of every node, for dialing the nodes another
     /// process hosts; empty when this runtime hosts them all.
     pub(crate) addrs: Arc<Vec<SocketAddr>>,
-    pub(crate) stats: Arc<NetStats>,
-    /// Normalized `(min, max)` pairs of links currently severed by faults.
-    pub(crate) blocked: Arc<Mutex<HashSet<(NodeId, NodeId)>>>,
-    /// Fast path: skip the `blocked` lock entirely until faults are armed.
+    /// Set once a fault handle exists: only then can a cross-shard hop carry
+    /// a stale incarnation stamp, so only then is the stamp checked.
     pub(crate) faults_armed: Arc<AtomicBool>,
     /// Wall-clock origin for journal timestamps and the timer wheels.
     pub(crate) epoch0: Instant,
@@ -610,19 +638,22 @@ pub(crate) type NodeSeed<P> = (NodeId, ArrowCore<P>, Option<TcpListener>);
 /// A shard thread's join handle; joining yields the shard's node journals.
 pub(crate) type ShardJoin = JoinHandle<Vec<(NodeId, NodeJournal)>>;
 
-/// Spawn the shard threads. `shard_nodes[s]` lists the nodes shard `s` owns;
-/// every node of the tree that no shard lists is hosted by another process.
-/// Returns one injector per shard plus the join handles (each yields the
-/// shard's node journals).
+/// Spawn the shard threads. `shard_nodes[s]` lists the nodes shard `s` owns
+/// and `stats[s]` is the metrics writer it owns; every node of the tree that
+/// no shard lists is hosted by another process. Returns one injector per
+/// shard plus the join handles (each yields the shard's node journals).
 pub(crate) fn spawn_shards<P: Probe>(
     shared: &ReactorShared,
     shard_nodes: Vec<Vec<NodeSeed<P>>>,
+    stats: Vec<MetricsWriter>,
 ) -> (Vec<ShardInjector>, Vec<ShardJoin>) {
+    debug_assert_eq!(shard_nodes.len(), stats.len(), "one writer per shard");
     let siblings = Siblings::new(shared.tree.node_count(), &shard_nodes);
     let mut injectors = Vec::with_capacity(shard_nodes.len());
     let mut threads = Vec::with_capacity(shard_nodes.len());
-    for (s, nodes) in shard_nodes.into_iter().enumerate() {
-        let (cell, injector) = publish(Shard::new(shared, Arc::clone(&siblings), s, nodes));
+    for (s, (nodes, stats)) in shard_nodes.into_iter().zip(stats).enumerate() {
+        let shard = Shard::new(shared, Arc::clone(&siblings), s, nodes, stats);
+        let (cell, injector) = publish(shard);
         injectors.push(injector);
         threads.push(
             std::thread::Builder::new()
@@ -686,10 +717,16 @@ struct Shard<P: Probe> {
     cfg: NetConfig,
     tree: Arc<RootedTree>,
     addrs: Arc<Vec<SocketAddr>>,
-    stats: Arc<NetStats>,
-    blocked: Arc<Mutex<HashSet<(NodeId, NodeId)>>>,
+    /// This shard's metrics registry, which only the lock holder writes.
+    stats: MetricsWriter,
+    /// Normalized `(min, max)` pairs of the links severed by fault injection
+    /// ([`ShardCmd::Sever`]); empty in a fault-free run.
+    severed: Vec<(NodeId, NodeId)>,
     faults_armed: Arc<AtomicBool>,
     epoch0: Instant,
+    /// The cycle's clock reading (see the module docs): `None` until first
+    /// used since the cycle began or last took in frames from outside.
+    clock: Option<Instant>,
     /// Shared with the shard thread, which waits on it without the lock.
     poller: Arc<netpoll::Poller>,
     /// The deadline the shard thread last parked toward (`None`: no timer
@@ -725,10 +762,11 @@ struct Shard<P: Probe> {
     siblings_done: usize,
 }
 
-/// Drain `state.waiting` into failure grants and mark the node failed.
-fn enter_failed_state<P: Probe>(state: &mut NodeState<P>, failure: NetFailure) {
+/// Drain `state.waiting` into failure grants at cycle time `now` and mark the
+/// node failed.
+fn enter_failed_state<P: Probe>(state: &mut NodeState<P>, failure: NetFailure, now: Instant) {
     for w in state.waiting.drain() {
-        w.fail(state.me, failure.clone());
+        w.fail(state.me, failure.clone(), now);
     }
     state.failed = Some(failure);
 }
@@ -739,6 +777,7 @@ impl<P: Probe> Shard<P> {
         siblings: Arc<Siblings>,
         id: usize,
         owned: Vec<NodeSeed<P>>,
+        stats: MetricsWriter,
     ) -> Self {
         let inbox = Arc::clone(&siblings.inboxes[id]);
         let poller = Arc::new(netpoll::Poller::new().expect("epoll instance"));
@@ -749,10 +788,11 @@ impl<P: Probe> Shard<P> {
             cfg: shared.cfg,
             tree: Arc::clone(&shared.tree),
             addrs: Arc::clone(&shared.addrs),
-            stats: Arc::clone(&shared.stats),
-            blocked: Arc::clone(&shared.blocked),
+            stats,
+            severed: Vec::new(),
             faults_armed: Arc::clone(&shared.faults_armed),
             epoch0: shared.epoch0,
+            clock: None,
             poller,
             parked_until: None,
             slab: Vec::new(),
@@ -881,10 +921,16 @@ impl<P: Probe> Shard<P> {
 
     // ---- loop --------------------------------------------------------------
 
-    fn now(&self) -> SimTime {
-        SimTime::from_subticks(
-            (self.epoch0.elapsed().as_secs_f64() * SUBTICKS_PER_UNIT as f64) as u64,
-        )
+    /// The cycle's clock: read at first use, then reused until the cycle
+    /// takes in frames from outside (see the module docs).
+    fn clock(&mut self) -> Instant {
+        *self.clock.get_or_insert_with(Instant::now)
+    }
+
+    /// The cycle's clock as journal time, since the runtime's origin.
+    fn journal_time(&mut self) -> SimTime {
+        let since = self.clock().saturating_duration_since(self.epoch0);
+        SimTime::from_subticks((since.as_secs_f64() * SUBTICKS_PER_UNIT as f64) as u64)
     }
 
     fn mark_dirty(&mut self, slot: usize) {
@@ -923,6 +969,7 @@ impl<P: Probe> Shard<P> {
     /// One cycle of the shard thread over the readiness `events` it woke
     /// with. Returns whether the shard is done and may exit.
     fn cycle(&mut self, events: &[netpoll::Event], due: &mut Vec<TimerEntry>) -> bool {
+        self.clock = None;
         self.stats.inc(Metric::ReactorWakeups);
         self.stats
             .observe(HistMetric::EventsPerWakeup, events.len() as u64);
@@ -944,7 +991,10 @@ impl<P: Probe> Shard<P> {
             }
         }
         self.drain_inbox();
-        self.wheel.pop_due(Instant::now(), due);
+        if !self.wheel.is_empty() {
+            let now = self.clock();
+            self.wheel.pop_due(now, due);
+        }
         for entry in due.drain(..) {
             self.handle_timer(entry);
         }
@@ -979,6 +1029,7 @@ impl<P: Probe> Shard<P> {
         if self.inbox.closed.load(Ordering::Acquire) {
             return false;
         }
+        self.clock = None;
         self.stats.inc(Metric::InlineCycles);
         self.drain_inbox();
         self.handle_cmd(cmd);
@@ -1031,13 +1082,18 @@ impl<P: Probe> Shard<P> {
 
     /// Take every command queued in the inbox and handle them in order.
     fn drain_inbox(&mut self) {
-        let cmds = mem::take(
-            &mut *self
+        if self.inbox.len.load(Ordering::Acquire) == 0 {
+            return;
+        }
+        let cmds = {
+            let mut queue = self
                 .inbox
                 .queue
                 .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
+                .unwrap_or_else(PoisonError::into_inner);
+            self.inbox.len.store(0, Ordering::Release);
+            mem::take(&mut *queue)
+        };
         if !cmds.is_empty() {
             self.stats
                 .observe(HistMetric::ShardQueueDepth, cmds.len() as u64);
@@ -1093,6 +1149,9 @@ impl<P: Probe> Shard<P> {
                 self.mark_dirty(slot);
             }
             ShardCmd::Frames(hops) => {
+                // Frames from outside: whatever they provoke is stamped
+                // after their senders' stamps.
+                self.clock = None;
                 let armed = self.faults_armed.load(Ordering::Relaxed);
                 for Hop {
                     to,
@@ -1113,6 +1172,16 @@ impl<P: Probe> Shard<P> {
             ShardCmd::Done => self.siblings_done += 1,
             ShardCmd::Crash { node } => self.cmd_crash(node),
             ShardCmd::Restart { node } => self.cmd_restart(node),
+            ShardCmd::Sever { u, v } => {
+                let link = (u.min(v), u.max(v));
+                if !self.severed.contains(&link) {
+                    self.severed.push(link);
+                }
+            }
+            ShardCmd::Restore { u, v } => {
+                let link = (u.min(v), u.max(v));
+                self.severed.retain(|&l| l != link);
+            }
             ShardCmd::Epoch { epoch } => {
                 for slot in 0..self.nodes.len() {
                     if !self.nodes[slot].crashed {
@@ -1125,7 +1194,8 @@ impl<P: Probe> Shard<P> {
     }
 
     fn cmd_acquire(&mut self, v: NodeId, obj: ObjectId, reply: Sender<Grant>) {
-        let time = self.now();
+        let issued = self.clock();
+        let time = self.journal_time();
         let slot = self.slot(v);
         let state = &mut self.nodes[slot];
         if state.crashed {
@@ -1155,7 +1225,7 @@ impl<P: Probe> Shard<P> {
             obj,
             req,
             reply,
-            issued: Instant::now(),
+            issued,
         });
         state.journal.issued.push(Request {
             id: req,
@@ -1185,6 +1255,7 @@ impl<P: Probe> Shard<P> {
                 let _ = c.stream.shutdown(Shutdown::Both);
             }
         }
+        let now = self.clock();
         let state = &mut self.nodes[slot];
         state.links.clear();
         state.pending.clear();
@@ -1197,6 +1268,7 @@ impl<P: Probe> Shard<P> {
                     node: v,
                     description: "node crashed (fault injection)".into(),
                 },
+                now,
             );
         }
         state.crashed = true;
@@ -1279,7 +1351,7 @@ impl<P: Probe> Shard<P> {
                         self.stats.inc(Metric::Acquisitions);
                         match self.nodes[slot].waiting.take(obj, req) {
                             Some(w) => {
-                                let wait = w.issued.elapsed();
+                                let wait = self.clock().saturating_duration_since(w.issued);
                                 self.stats
                                     .observe(HistMetric::AcquireNanos, wait.as_nanos() as u64);
                                 let _ = w.reply.send(Grant {
@@ -1302,7 +1374,7 @@ impl<P: Probe> Shard<P> {
                         origin,
                         epoch,
                     } => {
-                        let at = self.now();
+                        let at = self.journal_time();
                         self.nodes[slot].journal.records.push(OrderRecord {
                             predecessor: pred,
                             successor: succ,
@@ -1352,24 +1424,15 @@ impl<P: Probe> Shard<P> {
             return;
         }
         let v = state.me;
-        if self.faults_armed.load(Ordering::Relaxed) {
-            let severed = state.crashed || {
-                let key = (v.min(to), v.max(to));
-                self.blocked
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .contains(&key)
-            };
-            if severed {
-                self.stats.inc(Metric::FramesDropped);
-                return;
-            }
+        if state.crashed || self.severed.contains(&(v.min(to), v.max(to))) {
+            self.stats.inc(Metric::FramesDropped);
+            return;
         }
         if self.cfg.unit_latency.is_zero() {
             self.deliver_frame(slot, to, frame);
             return;
         }
-        let now = Instant::now();
+        let now = self.clock();
         let cfg = self.cfg;
         let dist = self.tree.distance(v, to);
         let delay = self.nodes[slot]
@@ -1555,6 +1618,7 @@ impl<P: Probe> Shard<P> {
     /// hosts is ever dialed, so acquirers at other nodes live in other
     /// processes and learn of the failure through their own bounded waits.
     fn fail_node(&mut self, v: NodeId, peer: NodeId, error: &io::Error) {
+        let now = self.clock();
         let slot = self.slot(v);
         let state = &mut self.nodes[slot];
         if state.failed.is_some() {
@@ -1576,7 +1640,7 @@ impl<P: Probe> Shard<P> {
         journal
             .records
             .retain(|rec| !doomed.contains(rec.obj, rec.successor));
-        enter_failed_state(state, failure);
+        enter_failed_state(state, failure, now);
     }
 
     // ---- inbound I/O -------------------------------------------------------
@@ -1651,11 +1715,12 @@ impl<P: Probe> Shard<P> {
             return;
         }
         // Phase 1: pull bytes and scan frames, touching only the connection,
-        // the scratch frame list and the stats handle (disjoint fields).
+        // the scratch frame list, the stats and the clock (disjoint fields).
         let mut frames = mem::take(&mut self.scanned);
         let mut ended: Option<io::Error> = None;
         {
-            let stats = &self.stats;
+            let stats = &mut self.stats;
+            let mut read_any = false;
             let c = match self.slab[idx].src.as_mut().expect("occupied") {
                 Source::Conn(c) => c,
                 Source::Listener { .. } => unreachable!(),
@@ -1681,7 +1746,7 @@ impl<P: Probe> Shard<P> {
                     }
                     Ok(n) => {
                         c.end += n;
-                        c.last_read = Instant::now();
+                        read_any = true;
                         stats.inc(Metric::SocketReads);
                         stats.add(Metric::BytesReceived, n as u64);
                         loop {
@@ -1718,6 +1783,12 @@ impl<P: Probe> Shard<P> {
                         break 'reads;
                     }
                 }
+            }
+            // Frames from outside: the cycle's clock is read afresh, once.
+            if read_any {
+                let now = Instant::now();
+                c.last_read = now;
+                self.clock = Some(now);
             }
         }
         // Phase 2: run the frames through the handshake/protocol machinery.
@@ -2048,7 +2119,7 @@ impl<P: Probe> Shard<P> {
 
     fn flush_conn(&mut self, idx: usize) {
         let outcome = {
-            let stats = &self.stats;
+            let stats = &mut self.stats;
             let c = match self.slab[idx].src.as_mut().expect("occupied") {
                 Source::Conn(c) => c,
                 Source::Listener { .. } => unreachable!(),
@@ -2136,7 +2207,7 @@ impl<P: Probe> Shard<P> {
                 frame,
                 due,
             } => {
-                let dwell = Instant::now().saturating_duration_since(due);
+                let dwell = self.clock().saturating_duration_since(due);
                 self.stats
                     .observe(HistMetric::TimerDwellNanos, dwell.as_nanos() as u64);
                 self.deliver_frame(slot, peer, frame);
@@ -2210,7 +2281,7 @@ impl<P: Probe> Shard<P> {
                 due,
             } = entry
             {
-                let dwell = Instant::now().saturating_duration_since(due);
+                let dwell = self.clock().saturating_duration_since(due);
                 self.stats
                     .observe(HistMetric::TimerDwellNanos, dwell.as_nanos() as u64);
                 self.deliver_frame(slot, peer, frame);
@@ -2270,6 +2341,7 @@ impl<P: Probe> Shard<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mesh::NetStats;
     use arrow_trace::NoProbe;
     use netgraph::generators;
 
@@ -2279,8 +2351,6 @@ mod tests {
             cfg: NetConfig::instant(),
             tree: Arc::new(tree),
             addrs: Arc::new(addrs),
-            stats: Arc::new(NetStats::default()),
-            blocked: Arc::new(Mutex::new(HashSet::new())),
             faults_armed: Arc::new(AtomicBool::new(false)),
             epoch0: Instant::now(),
         }
@@ -2303,17 +2373,31 @@ mod tests {
         (shared, seed0, seed1)
     }
 
-    /// Hand-driven shards (no threads) for the manifest `shard_nodes`.
+    /// Shard threads for the manifest `shard_nodes`, and their stats.
+    fn spawn(
+        shared: &ReactorShared,
+        shard_nodes: Vec<Vec<NodeSeed<NoProbe>>>,
+    ) -> (NetStats, Vec<ShardInjector>, Vec<ShardJoin>) {
+        let (stats, writers) = NetStats::for_shards(shard_nodes.len());
+        let (injectors, threads) = spawn_shards(shared, shard_nodes, writers);
+        (stats, injectors, threads)
+    }
+
+    /// Hand-driven shards (no threads) for the manifest `shard_nodes`, and
+    /// their stats.
     fn hand_driven(
         shared: &ReactorShared,
         shard_nodes: Vec<Vec<NodeSeed<NoProbe>>>,
-    ) -> Vec<Shard<NoProbe>> {
+    ) -> (NetStats, Vec<Shard<NoProbe>>) {
+        let (stats, writers) = NetStats::for_shards(shard_nodes.len());
         let siblings = Siblings::new(shared.tree.node_count(), &shard_nodes);
-        shard_nodes
+        let shards = shard_nodes
             .into_iter()
+            .zip(writers)
             .enumerate()
-            .map(|(s, nodes)| Shard::new(shared, Arc::clone(&siblings), s, nodes))
-            .collect()
+            .map(|(s, (nodes, w))| Shard::new(shared, Arc::clone(&siblings), s, nodes, w))
+            .collect();
+        (stats, shards)
     }
 
     /// One shard's share of a loop cycle, minus the sockets: take the inbox,
@@ -2325,10 +2409,9 @@ mod tests {
     }
 
     /// Nodes 0 and 1 of a two-node path on shards 0 and 1 of one runtime.
-    fn split_pair(objects: usize) -> (ReactorShared, Vec<Shard<NoProbe>>) {
+    fn split_pair(objects: usize) -> (NetStats, Vec<Shard<NoProbe>>) {
         let (shared, seed0, seed1) = pair(objects, None);
-        let shards = hand_driven(&shared, vec![vec![seed0], vec![seed1]]);
-        (shared, shards)
+        hand_driven(&shared, vec![vec![seed0], vec![seed1]])
     }
 
     /// Read frames off a blocking socket until `want` have been scanned out.
@@ -2366,7 +2449,7 @@ mod tests {
         let addrs = vec![addr0, "127.0.0.1:1".parse().expect("addr literal")];
         let shared = shared_for(tree, addrs);
         let core = ArrowCore::for_tree_with_probe(0, &shared.tree, 1, NoProbe);
-        let (injectors, threads) = spawn_shards(&shared, vec![vec![(0, core, Some(listener))]]);
+        let (stats, injectors, threads) = spawn(&shared, vec![vec![(0, core, Some(listener))]]);
 
         let mut peer = TcpStream::connect(addr0).expect("dial the shard");
         peer.set_read_timeout(Some(Duration::from_secs(10)))
@@ -2419,7 +2502,7 @@ mod tests {
         let sent = (hello.len() + queue.len() + goodbye.len()) as u64;
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            let snap = shared.stats.snapshot();
+            let snap = stats.snapshot();
             if snap.bytes_received == sent {
                 assert_eq!(snap.unexpected_frames, 0);
                 assert_eq!(snap.connections_accepted, 1);
@@ -2453,7 +2536,8 @@ mod tests {
     #[test]
     fn co_sharded_frames_move_in_memory_in_send_order_until_quiescent() {
         let (shared, seed0, seed1) = pair(2, None);
-        let mut shard = hand_driven(&shared, vec![vec![seed0, seed1]]).remove(0);
+        let (stats, mut shards) = hand_driven(&shared, vec![vec![seed0, seed1]]);
+        let shard = &mut shards[0];
 
         let (reply, grants) = std::sync::mpsc::channel();
         for obj in [ObjectId(0), ObjectId(1)] {
@@ -2474,7 +2558,7 @@ mod tests {
             vec![ObjectId(0), ObjectId(1)],
             "frames on one directed pair must not overtake each other"
         );
-        let snap = shared.stats.snapshot();
+        let snap = stats.snapshot();
         assert_eq!((snap.queue_frames, snap.token_frames), (2, 2));
         assert_eq!(snap.local_frames, 4, "every hop was a memory move");
         assert_eq!(snap.socket_writes, 0);
@@ -2497,8 +2581,8 @@ mod tests {
     #[test]
     fn inline_cycle_drains_the_inbox_before_its_own_command() {
         let (shared, seed0, seed1) = pair(1, None);
-        let shard = hand_driven(&shared, vec![vec![seed0, seed1]]).remove(0);
-        let (cell, injector) = publish(shard);
+        let (stats, mut shards) = hand_driven(&shared, vec![vec![seed0, seed1]]);
+        let (cell, injector) = publish(shards.remove(0));
         let (reply, grants) = std::sync::mpsc::channel();
         let acquire = || ShardCmd::Acquire {
             node: 1,
@@ -2526,7 +2610,7 @@ mod tests {
             .try_recv()
             .expect("the queued release ran ahead of the inline acquire");
         assert!(grant.result.is_ok_and(|req| req > held));
-        let snap = shared.stats.snapshot();
+        let snap = stats.snapshot();
         assert_eq!((snap.inline_cycles, snap.reactor_wakeups), (2, 0));
         assert_eq!(snap.acquisitions, 2);
     }
@@ -2539,7 +2623,7 @@ mod tests {
     fn hello_claiming_a_co_sharded_id_is_refused() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let (shared, seed0, seed1) = pair(1, Some(listener));
-        let (injectors, threads) = spawn_shards(&shared, vec![vec![seed0, seed1]]);
+        let (stats, injectors, threads) = spawn(&shared, vec![vec![seed0, seed1]]);
 
         let mut peer = TcpStream::connect(shared.addrs[0]).expect("dial the shard");
         peer.set_read_timeout(Some(Duration::from_secs(10)))
@@ -2553,7 +2637,7 @@ mod tests {
             0,
             "no Welcome may answer an impostor"
         );
-        let snap = shared.stats.snapshot();
+        let snap = stats.snapshot();
         assert_eq!(snap.unexpected_frames, 1);
         assert_eq!(snap.connections_accepted, 0);
 
@@ -2570,8 +2654,8 @@ mod tests {
     /// stamped after the restart, gets through and is granted.
     #[test]
     fn cross_shard_frame_sent_before_the_destination_crashed_is_dropped() {
-        let (shared, mut shards) = split_pair(1);
-        shared.faults_armed.store(true, Ordering::Relaxed);
+        let (stats, mut shards) = split_pair(1);
+        shards[0].faults_armed.store(true, Ordering::Relaxed);
         let (reply, grants) = std::sync::mpsc::channel();
         shards[1].handle_cmd(ShardCmd::Acquire {
             node: 1,
@@ -2585,7 +2669,7 @@ mod tests {
         shards[1].flush_outboxes();
         cycle(&mut shards[0]);
         cycle(&mut shards[1]);
-        assert_eq!(shared.stats.snapshot().frames_dropped, 1);
+        assert_eq!(stats.snapshot().frames_dropped, 1);
         assert!(
             shards[0].nodes[0].journal.records.is_empty(),
             "the restarted root never saw the queue()"
@@ -2602,7 +2686,7 @@ mod tests {
         }
         let grant = grants.try_recv().expect("the re-issued request is granted");
         assert!(grant.result.is_ok());
-        assert_eq!(shared.stats.snapshot().frames_dropped, 1);
+        assert_eq!(stats.snapshot().frames_dropped, 1);
     }
 
     /// Per-link FIFO across batches: four acquires at node 1, one per sender
@@ -2612,7 +2696,7 @@ mod tests {
     #[test]
     fn cross_shard_batches_keep_per_link_fifo() {
         let objects = 4;
-        let (shared, mut shards) = split_pair(objects);
+        let (stats, mut shards) = split_pair(objects);
         let (reply, grants) = std::sync::mpsc::channel();
         for obj in 0..objects as u32 {
             shards[1].handle_cmd(ShardCmd::Acquire {
@@ -2628,7 +2712,7 @@ mod tests {
         cycle(&mut shards[1]);
         let granted: Vec<u32> = grants.try_iter().map(|g| g.obj.0).collect();
         assert_eq!(granted, [0, 1, 2, 3]);
-        let snap = shared.stats.snapshot();
+        let snap = stats.snapshot();
         assert_eq!(snap.local_frames, 2 * objects as u64);
         assert_eq!(snap.local_frames, snap.queue_frames + snap.token_frames);
         assert_eq!((snap.socket_writes, snap.bytes_sent), (0, 0));
@@ -2689,7 +2773,8 @@ mod tests {
         writer.set_nonblocking(true).expect("nonblocking writer");
         let (reader, _) = listener.accept().expect("accept");
 
-        let stats = NetStats::default();
+        let (stats, mut writers) = NetStats::for_shards(1);
+        let counts = &mut writers[0];
         let mut conn = Conn {
             stream: writer,
             node: 0,
@@ -2724,7 +2809,7 @@ mod tests {
                 conn.out.stage(&frame);
                 staged += 1;
             }
-            match flush_send_buf(&mut conn, &stats) {
+            match flush_send_buf(&mut conn, counts) {
                 FlushOutcome::Blocked => {
                     blocked = true;
                     break;
@@ -2767,7 +2852,7 @@ mod tests {
         // Re-flush until the drained socket accepts the backlog.
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
-            match flush_send_buf(&mut conn, &stats) {
+            match flush_send_buf(&mut conn, counts) {
                 FlushOutcome::Done => break,
                 FlushOutcome::Blocked => {
                     assert!(Instant::now() < deadline, "flush never completed");

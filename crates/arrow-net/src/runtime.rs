@@ -51,11 +51,10 @@ use arrow_core::prelude::{
 };
 use arrow_trace::{MetricsSnapshot, NoProbe, Probe};
 use netgraph::{NodeId, RootedTree};
-use std::collections::HashSet;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -74,10 +73,13 @@ pub struct Grant {
     /// The granted request id, or the node-level failure that doomed the acquire.
     pub result: Result<RequestId, NetFailure>,
     /// Time from the node processing the acquire to the token arriving, measured
-    /// entirely at the issuing node (queue propagation + predecessor wait).
-    /// Exactly zero for an acquire rejected because the node had *already*
-    /// failed (it never waited); failed grants are otherwise not comparable
-    /// latency samples — filter on `result` before recording waits.
+    /// entirely at the issuing node (queue propagation + predecessor wait), to
+    /// the resolution of a reactor cycle: both ends are the clock reading of
+    /// the cycle that handled them, so an acquire granted in the cycle that
+    /// issued it reads zero. Exactly zero for an acquire rejected because the
+    /// node had *already* failed (it never waited); failed grants are
+    /// otherwise not comparable latency samples — filter on `result` before
+    /// recording waits.
     pub wait: Duration,
 }
 
@@ -119,11 +121,10 @@ pub struct NetRuntime {
     /// `v % injectors.len()`.
     injectors: Vec<ShardInjector>,
     shard_threads: Vec<JoinHandle<Vec<(NodeId, NodeJournal)>>>,
-    stats: Arc<NetStats>,
-    /// Links severed by fault injection, shared with every shard and the
-    /// [`NetFaultHandle`].
-    blocked: Arc<Mutex<HashSet<(NodeId, NodeId)>>>,
-    /// Hot-path gate for the `blocked` check; set by [`NetRuntime::fault_handle`].
+    stats: NetStats,
+    /// Whether a fault handle exists, shared with every shard: only then can
+    /// a frame between shards outlive an endpoint's incarnation, so only then
+    /// do shards check its stamp. Set by [`NetRuntime::fault_handle`].
     faults_armed: Arc<AtomicBool>,
     /// In daemon mode ([`NetRuntime::spawn_daemon`]) the single node this
     /// process hosts; `handle()` refuses every other id, because a command for
@@ -191,24 +192,20 @@ impl NetRuntime {
         shard_nodes: Vec<Vec<NodeSeed<P>>>,
         hosted: Option<NodeId>,
     ) -> Self {
-        let stats = Arc::new(NetStats::default());
-        let blocked = Arc::new(Mutex::new(HashSet::new()));
+        let (stats, writers) = NetStats::for_shards(shard_nodes.len());
         let faults_armed = Arc::new(AtomicBool::new(false));
         let shared = ReactorShared {
             cfg,
             tree: Arc::new(tree.clone()),
             addrs: Arc::new(addrs),
-            stats: Arc::clone(&stats),
-            blocked: Arc::clone(&blocked),
             faults_armed: Arc::clone(&faults_armed),
             epoch0: Instant::now(),
         };
-        let (injectors, shard_threads) = spawn_shards(&shared, shard_nodes);
+        let (injectors, shard_threads) = spawn_shards(&shared, shard_nodes, writers);
         NetRuntime {
             injectors,
             shard_threads,
             stats,
-            blocked,
             faults_armed,
             hosted,
             n: tree.node_count(),
@@ -295,17 +292,18 @@ impl NetRuntime {
         }
     }
 
-    /// Fault-injection handle: kill and respawn nodes, sever and restore TCP
+    /// Fault-injection handle: kill and respawn nodes, sever and restore
     /// links, and broadcast the detection-driven epoch bumps that trigger token
     /// regeneration — the live counterpart of the simulator's scheduled
-    /// [`desim::SimFault`]s. Pair it with [`NetConfig::with_fault_tolerance`] so a
-    /// node dialing a currently-dead peer drops the frame instead of failing the
-    /// whole run.
+    /// [`desim::SimFault`]s. Every fault travels as a command through the
+    /// inboxes of the shards hosting the nodes it names, link drops included:
+    /// no set of severed links is shared between threads. Pair it with
+    /// [`NetConfig::with_fault_tolerance`] so a node dialing a currently-dead
+    /// peer drops the frame instead of failing the whole run.
     pub fn fault_handle(&self) -> NetFaultHandle {
         self.faults_armed.store(true, Ordering::Relaxed);
         NetFaultHandle {
             injectors: self.injectors.clone(),
-            blocked: Arc::clone(&self.blocked),
         }
     }
 
@@ -315,8 +313,10 @@ impl NetRuntime {
     /// detection decided on: the local node resets its links to the initial
     /// tree orientation, regenerates the token if it is the root, and
     /// re-issues its still-pending requests — the same recovery the in-process
-    /// [`NetFaultHandle::broadcast_epoch`] triggers, minus the per-send
-    /// blocked-link check that injected faults need.
+    /// [`NetFaultHandle::broadcast_epoch`] triggers, minus the stamp check on
+    /// frames between shards that a crash needs. Link drops travel as shard
+    /// commands either way, so a runtime without a fault handle simply never
+    /// holds a severed link.
     pub fn broadcast_epoch(&self, epoch: u64) {
         for inj in &self.injectors {
             let _ = inj.send(ShardCmd::Epoch { epoch });
@@ -363,14 +363,16 @@ impl NetRuntime {
 }
 
 /// Fault-injection handle of a running [`NetRuntime`] (see
-/// [`NetRuntime::fault_handle`]). Crash/restart are delivered through the target
-/// node's own shard inbox; link drops act through a shared blocked-set checked
-/// on every send. The epoch numbering contract is shared with the simulator:
-/// fault event `i` of a schedule is followed by the broadcast of epoch `i + 1`.
+/// [`NetRuntime::fault_handle`]). Every fault is a shard command: crash and
+/// restart go through the target node's own shard inbox, a link drop or
+/// restore through the inboxes of the shards hosting either endpoint, each of
+/// which keeps its own few severed links. So a fault takes effect in inbox
+/// order, ahead of the epoch broadcast that follows it. The epoch numbering
+/// contract is shared with the simulator: fault event `i` of a schedule is
+/// followed by the broadcast of epoch `i + 1`.
 #[derive(Debug, Clone)]
 pub struct NetFaultHandle {
     injectors: Vec<ShardInjector>,
-    blocked: Arc<Mutex<HashSet<(NodeId, NodeId)>>>,
 }
 
 impl NetFaultHandle {
@@ -381,33 +383,44 @@ impl NetFaultHandle {
     ///
     /// [`restart`]: NetFaultHandle::restart
     pub fn crash(&self, v: NodeId) {
-        let _ = self.injectors[v % self.injectors.len()].send(ShardCmd::Crash { node: v });
+        let _ = self.injector(v).send(ShardCmd::Crash { node: v });
     }
 
     /// Restart crashed node `v` with freshly reset protocol state; it re-dials
     /// its tree parent if another process hosts it, and rejoins at the next
     /// epoch bump.
     pub fn restart(&self, v: NodeId) {
-        let _ = self.injectors[v % self.injectors.len()].send(ShardCmd::Restart { node: v });
+        let _ = self.injector(v).send(ShardCmd::Restart { node: v });
     }
 
-    /// Sever the link between `u` and `v` (both directions): frames staged across
-    /// it are dropped at the sender until [`restore_link`].
+    /// Sever the link between `u` and `v` (both directions): frames sent across
+    /// it are dropped at the sender until [`restore_link`]. The drop reaches
+    /// the shards hosting `u` and `v` as a command on their inboxes.
     ///
     /// [`restore_link`]: NetFaultHandle::restore_link
     pub fn drop_link(&self, u: NodeId, v: NodeId) {
-        self.blocked
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert((u.min(v), u.max(v)));
+        self.to_link(u, v, || ShardCmd::Sever { u, v });
     }
 
-    /// Restore a severed link.
+    /// Restore a severed link, through the same inboxes as
+    /// [`drop_link`](NetFaultHandle::drop_link).
     pub fn restore_link(&self, u: NodeId, v: NodeId) {
-        self.blocked
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(&(u.min(v), u.max(v)));
+        self.to_link(u, v, || ShardCmd::Restore { u, v });
+    }
+
+    /// The injector of the shard hosting node `v`.
+    fn injector(&self, v: NodeId) -> &ShardInjector {
+        &self.injectors[v % self.injectors.len()]
+    }
+
+    /// Queue `cmd()` on the shard hosting `u` and, if another, on the one
+    /// hosting `v`.
+    fn to_link(&self, u: NodeId, v: NodeId, cmd: impl Fn() -> ShardCmd) {
+        let (su, sv) = (u % self.injectors.len(), v % self.injectors.len());
+        let _ = self.injectors[su].send(cmd());
+        if sv != su {
+            let _ = self.injectors[sv].send(cmd());
+        }
     }
 
     /// Broadcast a detection-driven epoch bump to every node. Crashed nodes miss
@@ -1510,5 +1523,162 @@ mod tests {
             report.stats().acquisitions >= 7 * 3,
             "every worker round was granted"
         );
+    }
+
+    /// Every record's `informed_at` is no earlier than its successor's issue
+    /// time. Both come from reactor cycle clock readings; journal time
+    /// subtraction saturates, so an out-of-order pair would otherwise read as
+    /// a silent zero latency.
+    fn assert_stamps_causal(report: &NetReport) {
+        let issued: std::collections::BTreeMap<RequestId, desim::SimTime> = report
+            .schedule()
+            .requests()
+            .iter()
+            .map(|r| (r.id, r.time))
+            .collect();
+        assert!(!report.records().is_empty());
+        for rec in report.records() {
+            let at = issued
+                .get(&rec.successor)
+                .expect("every successor was issued");
+            assert!(
+                rec.informed_at >= *at,
+                "{rec:?} was journaled before its successor's issue time {at:?}"
+            );
+        }
+    }
+
+    /// A worker at every node of a 15-node tree acquires and releases two
+    /// objects `rounds` times on `shards` shards. Under `faults` the schedule
+    /// runs meanwhile, and workers keep going until it is over.
+    fn busy_run(shards: usize, rounds: u32, faults: Option<FaultSchedule>) -> NetReport {
+        let t = tree(15);
+        let cfg = NetConfig::instant()
+            .with_dial_retries(1)
+            .with_fault_tolerance()
+            .with_shards(shards);
+        let rt = NetRuntime::spawn_multi(&t, 2, cfg);
+        let done = Arc::new(AtomicBool::new(faults.is_none()));
+        let fh = faults.as_ref().map(|_| rt.fault_handle());
+        let final_epoch = faults.as_ref().map_or(0, FaultSchedule::final_epoch);
+        let injector = faults.map(|faults| {
+            let (fh, t, done) = (fh.clone().unwrap(), t.clone(), Arc::clone(&done));
+            std::thread::spawn(move || {
+                fh.run_schedule(&faults, &t, Duration::from_millis(20));
+                done.store(true, Ordering::SeqCst);
+            })
+        });
+        let workers: Vec<_> = (0..t.node_count())
+            .map(|v| {
+                let (h, fh, done) = (rt.handle(v), fh.clone(), Arc::clone(&done));
+                std::thread::spawn(move || {
+                    let (mut round, mut attempts) = (0u32, 0u32);
+                    while round < rounds || !done.load(Ordering::SeqCst) {
+                        let obj = ObjectId((v as u32 + round) % 2);
+                        match h.try_acquire_object_timeout(obj, Duration::from_millis(1000)) {
+                            Ok(req) => {
+                                h.release_object(obj, req);
+                                round += 1;
+                            }
+                            Err(_) => {
+                                attempts += 1;
+                                assert!(attempts <= 500, "node {v} starved at round {round}");
+                                if let (true, Some(fh)) = (done.load(Ordering::SeqCst), &fh) {
+                                    fh.broadcast_epoch(final_epoch);
+                                }
+                                std::thread::sleep(Duration::from_millis(5));
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        if let Some(injector) = injector {
+            injector.join().unwrap();
+        }
+        rt.shutdown()
+    }
+
+    #[test]
+    fn order_record_stamps_stay_causal_at_one_and_four_shards() {
+        for shards in [1, 4] {
+            let report = busy_run(shards, 10, None);
+            report
+                .validated_orders()
+                .expect("fault-free orders validate");
+            assert_stamps_causal(&report);
+
+            let faults = FaultSchedule::generate(11, &tree(15), 3);
+            let final_epoch = faults.final_epoch();
+            assert!(final_epoch > 0, "the schedule injects faults");
+            let report = busy_run(shards, 10, Some(faults));
+            report
+                .validate_churn(final_epoch)
+                .expect("per-epoch order contract under churn");
+            assert_stamps_causal(&report);
+        }
+    }
+
+    /// Shard-owned counters lose nothing at four shards: every issued
+    /// acquire is counted granted, and every hop of a runtime that hosts all
+    /// nodes is a memory move.
+    #[test]
+    fn four_shard_counters_stay_exact() {
+        let rounds = 25;
+        let report = busy_run(4, rounds, None);
+        let stats = report.stats();
+        let issued = report.schedule().len() as u64;
+        assert_eq!(issued, 15 * u64::from(rounds));
+        assert_eq!(stats.acquisitions, issued);
+        assert_eq!(report.metrics().get(Metric::RequestsIssued), issued);
+        assert_eq!(stats.local_frames, stats.queue_frames + stats.token_frames);
+        assert!(stats.queue_frames > 0 && stats.token_frames > 0);
+        assert_eq!(report.metrics().get(Metric::Acquisitions), issued);
+    }
+
+    /// A link drop reaches the shards of both endpoints as a command: with
+    /// nodes 0 and 1 on different shards of four, frames are dropped in each
+    /// direction while the link is severed, and none once it is restored.
+    #[test]
+    fn severed_cross_shard_link_drops_both_ways_until_restored() {
+        let cfg = NetConfig::instant().with_fault_tolerance().with_shards(4);
+        let rt = NetRuntime::spawn(&tree(7), cfg);
+        let fh = rt.fault_handle();
+        let dropped = || rt.stats().snapshot().frames_dropped;
+        let grant = |p: PendingAcquire| {
+            p.wait_timeout(Duration::from_secs(10))
+                .expect("granted once the link heals")
+        };
+
+        // 1 -> 0: node 1's queue() toward the root dies at node 1's shard.
+        fh.drop_link(0, 1);
+        let pending = rt.handle(1).start_acquire_object(ObjectId::DEFAULT);
+        eventually("the 1 -> 0 queue() is dropped", || dropped() == 1);
+        fh.apply(&FaultAction::RestoreLink(0, 1), 1);
+        let req = grant(pending);
+        // Node 1 keeps the released token, so the root's link points at it.
+        rt.handle(1).release_object(ObjectId::DEFAULT, req);
+
+        // 0 -> 1: node 2's queue() reaches the root, whose forward to node 1
+        // dies at the root's shard.
+        fh.drop_link(1, 0);
+        let pending = rt.handle(2).start_acquire_object(ObjectId::DEFAULT);
+        eventually("the 0 -> 1 queue() is dropped", || dropped() == 2);
+        fh.apply(&FaultAction::RestoreLink(1, 0), 2);
+        let req = grant(pending);
+        rt.handle(2).release_object(ObjectId::DEFAULT, req);
+
+        let report = rt.shutdown();
+        assert_eq!(
+            report.stats().frames_dropped,
+            2,
+            "nothing dropped once restored"
+        );
+        report
+            .validate_churn(2)
+            .expect("per-epoch order contract under churn");
     }
 }

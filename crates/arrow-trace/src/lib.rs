@@ -11,7 +11,9 @@
 //! * [`registry`] — a lock-free per-node [`MetricsRegistry`]: enum-indexed
 //!   atomic counters and log-bucketed atomic histograms with
 //!   snapshot/diff/merge, replacing the ad-hoc counter structs that used to be
-//!   scattered across the tiers with one shared schema.
+//!   scattered across the tiers with one shared schema. A registry with one
+//!   writer thread at a time is written through its [`MetricsWriter`], with
+//!   no locked instruction.
 //! * [`recorder`] + [`analysis`] + [`chrome`] — the causal trace recorder and
 //!   its consumers: [`TraceRecorder`] collects timestamped probe events per
 //!   node, [`analysis`] reconstructs each request's hop path and per-phase
@@ -62,4 +64,6 @@ pub mod registry;
 pub use analysis::{RequestTrace, TraceReport};
 pub use probe::{NoProbe, Probe, ProbeEvent};
 pub use recorder::{TraceProbe, TraceRecorder};
-pub use registry::{HistMetric, Metric, MetricsRegistry, MetricsSnapshot};
+pub use registry::{
+    HistMetric, Metric, MetricsReader, MetricsRegistry, MetricsSnapshot, MetricsWriter,
+};

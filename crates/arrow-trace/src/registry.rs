@@ -4,17 +4,27 @@
 //! ([`Metric`]) backed by an array of relaxed atomics, plus log-bucketed
 //! atomic histograms ([`HistMetric`]) for latency-shaped quantities (timer
 //! dwell, acquire latency, write batch sizes). The reactor runtime's
-//! `NetStats` is a façade over one [`MetricsRegistry`] instead of carrying
-//! ad-hoc `AtomicU64` fields, so snapshots from different runtimes — one
-//! in-process mesh, or one per `arrowd` process — diff and merge against each
-//! other.
+//! `NetStats` holds one registry per reactor shard instead of ad-hoc
+//! `AtomicU64` fields, and sums them on read, so snapshots from different
+//! runtimes — one in-process mesh, or one per `arrowd` process — diff and merge
+//! against each other.
 //!
-//! Everything is wait-free writes (one `fetch_add` per observation) and
-//! consistent-enough reads: a [`MetricsSnapshot`] taken while writers run may
-//! tear *across* metrics but never within one, which is the usual contract for
-//! monitoring counters.
+//! A registry is written one of two ways:
+//!
+//! * **Shared:** [`MetricsRegistry::inc`] and friends, one `fetch_add` per
+//!   observation, from any number of threads.
+//! * **Single writer:** [`MetricsWriter`] is the one handle that may write its
+//!   registry, and it writes with a relaxed load and store — no locked
+//!   instruction. Readers get a [`MetricsReader`], which can only read, so no
+//!   `fetch_add` can race the writer's store and lose a count. A reactor shard
+//!   owns one and writes it under its shard lock.
+//!
+//! Reads are consistent enough: a [`MetricsSnapshot`] taken while writers run
+//! may tear *across* metrics but never within one, which is the usual contract
+//! for monitoring counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Every counter the tiers share. The discriminant indexes the registry's
 /// atomic array; names are the wire/JSON schema.
@@ -216,6 +226,24 @@ impl LogHistogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
+
+    /// [`observe`](LogHistogram::observe) for the histogram's sole writer.
+    #[inline]
+    fn observe_single(&self, v: u64) {
+        bump(&self.buckets[bucket_of(v)], 1);
+        bump(&self.count, 1);
+        bump(&self.sum, v);
+    }
+}
+
+/// Add `n` to a cell nobody else writes: a relaxed load and store, which
+/// never takes the cache line's lock the way `fetch_add` does.
+#[inline]
+fn bump(cell: &AtomicU64, n: u64) {
+    cell.store(
+        cell.load(Ordering::Relaxed).wrapping_add(n),
+        Ordering::Relaxed,
+    );
 }
 
 /// The per-node (or per-runtime) metrics registry: every [`Metric`] counter and
@@ -278,6 +306,57 @@ impl MetricsRegistry {
                 }
             }),
         }
+    }
+}
+
+/// The one handle that may write a registry shared with readers (see the
+/// module docs). It is not `Clone` and every write takes `&mut self`, so at
+/// most one thread writes at a time and a plain load and store is an exact
+/// increment.
+#[derive(Debug)]
+pub struct MetricsWriter {
+    registry: Arc<MetricsRegistry>,
+}
+
+/// A read-only view of a registry whose writer is a [`MetricsWriter`].
+#[derive(Debug, Clone)]
+pub struct MetricsReader {
+    registry: Arc<MetricsRegistry>,
+}
+
+impl MetricsWriter {
+    /// A zeroed registry: its sole writer and a first reader.
+    pub fn new() -> (MetricsWriter, MetricsReader) {
+        let registry = Arc::new(MetricsRegistry::new());
+        let reader = MetricsReader {
+            registry: Arc::clone(&registry),
+        };
+        (MetricsWriter { registry }, reader)
+    }
+
+    /// Add 1 to `m`.
+    #[inline]
+    pub fn inc(&mut self, m: Metric) {
+        self.add(m, 1);
+    }
+
+    /// Add `n` to `m`.
+    #[inline]
+    pub fn add(&mut self, m: Metric, n: u64) {
+        bump(&self.registry.counters[m as usize], n);
+    }
+
+    /// Record one sample into histogram `h`.
+    #[inline]
+    pub fn observe(&mut self, h: HistMetric, v: u64) {
+        self.registry.hists[h as usize].observe_single(v);
+    }
+}
+
+impl MetricsReader {
+    /// A plain-number snapshot of every counter and histogram.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        self.registry.snapshot()
     }
 }
 
@@ -622,6 +701,24 @@ mod tests {
         assert!(MetricsSnapshot::from_wire("hist acquire_nanos 1 2 99=1").is_err());
         assert!(MetricsSnapshot::from_wire("hist acquire_nanos 1 2 65=1").is_err());
         assert!(MetricsSnapshot::from_wire("ctr queue_frames -3").is_err());
+    }
+
+    #[test]
+    fn single_writer_counts_what_its_readers_see() {
+        let (mut w, r) = MetricsWriter::new();
+        let handle = std::thread::spawn(move || {
+            for i in 0..1000 {
+                w.inc(Metric::LocalFrames);
+                w.observe(HistMetric::AcquireNanos, i);
+            }
+            w
+        });
+        let mut w = handle.join().unwrap();
+        w.inc(Metric::LocalFrames);
+        let snap = r.snapshot();
+        assert_eq!(snap.get(Metric::LocalFrames), 1001);
+        let h = snap.hist(HistMetric::AcquireNanos);
+        assert_eq!((h.count, h.sum), (1000, 999 * 1000 / 2));
     }
 
     #[test]

@@ -34,8 +34,8 @@
 //!    outside `fn main` is an undocumented exit code that also skips the
 //!    destructors the journal flush rides on.
 //! 7. **hot-path hashing** — the files every simulated event and every hosted
-//!    message runs through ([`PER_EVENT_FILES`]: the simulator's, and the
-//!    socket tier's reactor), and the tier-1 result path that runs once per
+//!    message runs through ([`PER_EVENT_FILES`]: the simulator's, the socket
+//!    tier's reactor, and the per-node automaton), and the tier-1 result path that runs once per
 //!    request after each simulator run, address their state by index. A
 //!    `HashMap` / `HashSet` there is a SipHash probe per event, per hop or per
 //!    request; tier 1 is swept thousands of times per figure, and a tier-3 hop
@@ -481,9 +481,12 @@ fn lint_daemon_exit_paths(root: &Path, findings: &mut Vec<Finding>) {
 /// The per-event files: the simulator tier's engine loop, link rows, event
 /// queue, and the arrow glue, the centralized baseline's glue and the node host
 /// every delivered message crosses; the harness and the order validator, which
-/// run once per request to turn a simulator run's journal into its outcome; and
-/// the socket tier's reactor, which every hop between hosted nodes crosses.
-const PER_EVENT_FILES: [&str; 9] = [
+/// run once per request to turn a simulator run's journal into its outcome; the
+/// socket tier's reactor, which every hop between hosted nodes crosses; and the
+/// per-node automaton — the queuing layer every tier runs and the `ArrowCore`
+/// facade with its token ledger — which every tier-3 hop and every model-checker
+/// transition runs through.
+const PER_EVENT_FILES: [&str; 11] = [
     "crates/desim/src/sim.rs",
     "crates/desim/src/link.rs",
     "crates/desim/src/event.rs",
@@ -493,6 +496,8 @@ const PER_EVENT_FILES: [&str; 9] = [
     "crates/arrow-core/src/run.rs",
     "crates/arrow-core/src/order.rs",
     "crates/arrow-net/src/reactor.rs",
+    "crates/arrow-core/src/live/core.rs",
+    "crates/arrow-core/src/live/queue.rs",
 ];
 
 /// Pass 7: no hashed collection in the per-event files outside test code.
