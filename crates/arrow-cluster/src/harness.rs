@@ -26,7 +26,8 @@ use arrow_core::prelude::{
 use arrow_trace::MetricsSnapshot;
 use netgraph::{NodeId, RootedTree};
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -134,6 +135,44 @@ struct Daemon {
     stashed_done: Option<WorkOutcome>,
 }
 
+/// How long the harness waits on the control listener between checks that
+/// the daemons it waits for are still alive.
+const LIVENESS_CHECK: Duration = Duration::from_millis(20);
+
+/// Accept the next dial on the control listener by `deadline` (`None` once it
+/// passes), waiting on a poller for it rather than sleeping between tries.
+/// Every [`LIVENESS_CHECK`] without a dial, `alive` may fail the wait with the
+/// exit of a daemon that died instead of dialing in. The listener is left
+/// blocking.
+fn accept_control(
+    control: &TcpListener,
+    deadline: Instant,
+    mut alive: impl FnMut() -> io::Result<()>,
+) -> io::Result<Option<TcpStream>> {
+    control.set_nonblocking(true)?;
+    let mut accept = || {
+        let poller = netpoll::Poller::new()?;
+        poller.register(control.as_raw_fd(), 0, true, false)?;
+        let mut events = Vec::new();
+        loop {
+            match control.accept() {
+                Ok((stream, _)) => return Ok(Some(stream)),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => return Err(e),
+            }
+            alive()?;
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Ok(None);
+            }
+            poller.wait(&mut events, Some(left.min(LIVENESS_CHECK)))?;
+        }
+    };
+    let accepted = accept();
+    control.set_nonblocking(false)?;
+    accepted
+}
+
 /// A running `arrowd` cluster. See the [module docs](self) for the lifecycle.
 pub struct Cluster {
     cfg: ClusterConfig,
@@ -186,52 +225,45 @@ impl Cluster {
 
         // Collect hellos (daemons dial in any order), then broadcast the
         // completed address table and wait for every ready.
-        control.set_nonblocking(true)?;
         let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
         let mut slots: Vec<Option<(LineConn, SocketAddr)>> = (0..n).map(|_| None).collect();
         let mut pending = n;
         while pending > 0 {
-            match control.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    let mut conn = LineConn::new(stream);
-                    let hello = conn.recv_timeout(HANDSHAKE_TIMEOUT)?;
-                    let (v, addr) = parse_hello(&hello)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                    if v >= n || slots[v].is_some() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("unexpected hello from node {v}"),
-                        ));
-                    }
-                    slots[v] = Some((conn, addr));
-                    pending -= 1;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() > deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!("{pending} daemons never dialed the control channel"),
-                        ));
-                    }
-                    // A daemon that died before dialing in would hang the
-                    // rendezvous; surface its exit instead.
-                    for (v, child, _) in &mut children {
-                        if slots[*v].is_none() {
-                            if let Some(status) = child.try_wait()? {
-                                return Err(io::Error::new(
-                                    io::ErrorKind::BrokenPipe,
-                                    format!("arrowd node {v} exited during launch: {status}"),
-                                ));
-                            }
+            // A daemon that died before dialing in would hang the
+            // rendezvous; surface its exit instead.
+            let accepted = accept_control(&control, deadline, || {
+                for (v, child, _) in &mut children {
+                    if slots[*v].is_none() {
+                        if let Some(status) = child.try_wait()? {
+                            return Err(io::Error::new(
+                                io::ErrorKind::BrokenPipe,
+                                format!("arrowd node {v} exited during launch: {status}"),
+                            ));
                         }
                     }
-                    std::thread::sleep(Duration::from_millis(5));
                 }
-                Err(e) => return Err(e),
+                Ok(())
+            })?;
+            let Some(stream) = accepted else {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!("{pending} daemons never dialed the control channel"),
+                ));
+            };
+            stream.set_nonblocking(false)?;
+            let mut conn = LineConn::new(stream);
+            let hello = conn.recv_timeout(HANDSHAKE_TIMEOUT)?;
+            let (v, addr) =
+                parse_hello(&hello).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            if v >= n || slots[v].is_some() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("unexpected hello from node {v}"),
+                ));
             }
+            slots[v] = Some((conn, addr));
+            pending -= 1;
         }
-        control.set_nonblocking(false)?;
 
         let addrs: Vec<SocketAddr> = slots
             .iter()
@@ -245,10 +277,14 @@ impl Cluster {
                 .collect::<Vec<_>>()
                 .join(" ")
         );
+        // Every daemon gets the table before any `ready` is awaited, so they
+        // start their reactors side by side.
+        for (conn, _) in slots.iter_mut().flatten() {
+            conn.send(&peers_line)?;
+        }
         let mut daemons = Vec::with_capacity(n);
         for ((v, child, journal), slot) in children.into_iter().zip(slots) {
             let (mut conn, addr) = slot.expect("all slots filled");
-            conn.send(&peers_line)?;
             expect_line(&mut conn, "ready", v)?;
             daemons.push(Daemon {
                 child,
@@ -454,37 +490,22 @@ impl Cluster {
         // The restarted daemon is the only dialer, but accept with a deadline
         // and a liveness check — a daemon that fails to rebind its port exits
         // instead of dialing in, and that must not hang the harness.
-        self.control.set_nonblocking(true)?;
         let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-        let stream = loop {
-            match self.control.accept() {
-                Ok((stream, _)) => break stream,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if let Some(status) = child.try_wait()? {
-                        self.control.set_nonblocking(false)?;
-                        return Err(io::Error::new(
-                            io::ErrorKind::BrokenPipe,
-                            format!("restarted arrowd node {v} exited during launch: {status}"),
-                        ));
-                    }
-                    if Instant::now() > deadline {
-                        self.control.set_nonblocking(false)?;
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!("restarted arrowd node {v} never dialed the control channel"),
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => {
-                    self.control.set_nonblocking(false)?;
-                    return Err(e);
-                }
-            }
+        let accepted = accept_control(&self.control, deadline, || match child.try_wait()? {
+            Some(status) => Err(io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                format!("restarted arrowd node {v} exited during launch: {status}"),
+            )),
+            None => Ok(()),
+        });
+        let Some(stream) = accepted? else {
+            let _ = child.kill();
+            let _ = child.wait();
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("restarted arrowd node {v} never dialed the control channel"),
+            ));
         };
-        self.control.set_nonblocking(false)?;
         stream.set_nonblocking(false)?;
         let mut conn = LineConn::new(stream);
         let hello = conn.recv_timeout(HANDSHAKE_TIMEOUT)?;

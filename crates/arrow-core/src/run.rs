@@ -49,14 +49,25 @@ use std::sync::{Arc, OnceLock};
 /// pays for them once instead of once per run. The caches are shared by `clone()`
 /// (the distance matrix sits behind an [`Arc`]) and are thread-safe, so one
 /// `Instance` can back a whole parallel sweep.
+///
+/// The paper's platform ([`Instance::complete_uniform`]) is held by its tree
+/// alone: a run reads only the tree, plus `d_G` for acknowledgements, and the
+/// complete graph's metric is closed-form ([`DistanceMatrix::uniform`]). Its
+/// `K_n` is built when [`Instance::graph`] or [`Instance::stretch_report`]
+/// first reads it.
 #[derive(Debug, Clone)]
 pub struct Instance {
-    /// The communication graph `G`. Private: the cached distance matrix and stretch
-    /// report below are derived from it, so mutation after construction would make
-    /// them silently stale — build a new `Instance` instead.
-    graph: Graph,
+    /// The communication graph `G`, set at construction except on the complete
+    /// platform, which builds it on first read. Private: the cached distance
+    /// matrix and stretch report below are derived from it, so mutation after
+    /// construction would make them silently stale — build a new `Instance`
+    /// instead.
+    graph: OnceLock<Graph>,
     /// The pre-selected rooted spanning tree `T`; its root holds the initial queue tail.
     tree: RootedTree,
+    /// `Some(w)` when `G` is the complete graph whose edges all weigh `w`: its
+    /// graph is built on demand and its metric is closed-form.
+    complete_weight: Option<f64>,
     /// Lazily computed all-pairs distances of `graph`.
     dm: OnceLock<Arc<DistanceMatrix>>,
     /// Lazily computed stretch report of `tree` relative to `graph`.
@@ -82,22 +93,37 @@ impl Instance {
                 );
             }
         }
-        Instance {
-            graph,
-            tree,
-            dm: OnceLock::new(),
-            stretch: OnceLock::new(),
-        }
+        Instance::built(graph, tree)
     }
 
     /// The platform of the paper's experiment: a complete graph with uniform unit
     /// latency and the requested spanning tree rooted at node 0.
+    ///
+    /// The `BalancedBinary` and `Star` trees are built from `n` alone, in
+    /// `O(n)`, and the `n(n−1)/2` edges of `K_n` only when [`Instance::graph`]
+    /// or [`Instance::stretch_report`] first reads them; the other kinds search
+    /// the graph, so they build it here. Either way [`Instance::distances`] is
+    /// the closed-form metric (0 on the diagonal, 1 everywhere else), with no
+    /// search.
     pub fn complete_uniform(n: usize, kind: SpanningTreeKind) -> Self {
-        let graph = netgraph::generators::complete(n, 1.0);
-        let tree = build_spanning_tree(&graph, 0, kind);
+        const WEIGHT: f64 = 1.0;
+        let from_tree = |tree_graph: Graph| RootedTree::from_tree_graph(&tree_graph, 0);
+        let (graph, tree) = match kind {
+            SpanningTreeKind::BalancedBinary => (
+                OnceLock::new(),
+                from_tree(netgraph::generators::balanced_binary_tree(n)),
+            ),
+            SpanningTreeKind::Star => (OnceLock::new(), from_tree(netgraph::generators::star(n))),
+            _ => {
+                let graph = netgraph::generators::complete(n, WEIGHT);
+                let tree = build_spanning_tree(&graph, 0, kind);
+                (OnceLock::from(graph), tree)
+            }
+        };
         Instance {
             graph,
             tree,
+            complete_weight: Some(WEIGHT),
             dm: OnceLock::new(),
             stretch: OnceLock::new(),
         }
@@ -108,17 +134,29 @@ impl Instance {
     /// callers own it, so no clone is needed.
     pub fn tree_only(tree_graph: Graph, root: NodeId) -> Self {
         let tree = RootedTree::from_tree_graph(&tree_graph, root);
+        Instance::built(tree_graph, tree)
+    }
+
+    /// An instance over a graph already in hand, with cold caches.
+    fn built(graph: Graph, tree: RootedTree) -> Self {
         Instance {
-            graph: tree_graph,
+            graph: OnceLock::from(graph),
             tree,
+            complete_weight: None,
             dm: OnceLock::new(),
             stretch: OnceLock::new(),
         }
     }
 
-    /// The communication graph `G`.
+    /// The communication graph `G` (built on first read on the complete
+    /// platform, see [`Instance::complete_uniform`]).
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        self.graph.get_or_init(|| {
+            let weight = self
+                .complete_weight
+                .expect("only the complete platform builds its graph on demand");
+            netgraph::generators::complete(self.node_count(), weight)
+        })
     }
 
     /// The pre-selected rooted spanning tree `T`.
@@ -127,21 +165,25 @@ impl Instance {
     }
 
     /// All-pairs shortest-path distances of the communication graph, computed on
-    /// first use and shared (cheaply clonable [`Arc`]) afterwards.
+    /// first use (closed-form on the complete platform) and shared (cheaply
+    /// clonable [`Arc`]) afterwards.
     pub fn distances(&self) -> Arc<DistanceMatrix> {
-        Arc::clone(self.dm.get_or_init(|| DistanceMatrix::shared(&self.graph)))
+        Arc::clone(self.dm.get_or_init(|| match self.complete_weight {
+            Some(weight) => Arc::new(DistanceMatrix::uniform(self.node_count(), weight)),
+            None => DistanceMatrix::shared(self.graph()),
+        }))
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.graph.node_count()
+        self.tree.node_count()
     }
 
     /// Stretch/diameter report of the tree relative to the graph (computed once,
     /// cached; reuses the cached distance matrix).
     pub fn stretch_report(&self) -> StretchReport {
         *self.stretch.get_or_init(|| {
-            netgraph::stretch_with_distances(&self.graph, &self.tree, &self.distances())
+            netgraph::stretch_with_distances(self.graph(), &self.tree, &self.distances())
         })
     }
 }
@@ -1099,6 +1141,73 @@ mod tests {
         );
         // queue() 1 -> 0 over the tree edge: 5 units; Found 0 -> 1 over d_G: 2 units.
         assert_eq!(outcome.mean_completion_latency, 7.0);
+    }
+
+    /// Whether two graphs hold the same nodes, edges and adjacency lists.
+    fn same_graph(a: &Graph, b: &Graph) -> bool {
+        a.node_count() == b.node_count()
+            && a.edges() == b.edges()
+            && a.nodes().all(|u| a.neighbors(u) == b.neighbors(u))
+    }
+
+    #[test]
+    fn complete_platform_matches_the_eagerly_built_instance() {
+        let kinds = [
+            SpanningTreeKind::ShortestPath,
+            SpanningTreeKind::MinimumWeight,
+            SpanningTreeKind::Star,
+            SpanningTreeKind::BalancedBinary,
+            SpanningTreeKind::MinimumCommunication,
+        ];
+        for n in [1, 2, 3, 7, 64, 65] {
+            for kind in kinds {
+                let platform = Instance::complete_uniform(n, kind);
+                let graph = netgraph::generators::complete(n, 1.0);
+                let tree = build_spanning_tree(&graph, 0, kind);
+                let eager = Instance::new(graph, tree);
+                let at = format!("n={n} {kind:?}");
+                // Every field of the tree: parents, weights, children, depths,
+                // root distances and the ancestor table.
+                assert_eq!(
+                    format!("{:?}", platform.tree()),
+                    format!("{:?}", eager.tree()),
+                    "{at}"
+                );
+                assert_eq!(platform.node_count(), eager.node_count(), "{at}");
+                let (near, far) = (platform.distances(), eager.distances());
+                for u in 0..n {
+                    for v in 0..n {
+                        assert_eq!(near.dist(u, v), far.dist(u, v), "{at} ({u},{v})");
+                    }
+                }
+                assert_eq!(
+                    format!("{:?}", platform.stretch_report()),
+                    format!("{:?}", eager.stretch_report()),
+                    "{at}"
+                );
+                assert!(same_graph(platform.graph(), eager.graph()), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn analysis_run_on_the_complete_platform_builds_no_graph() {
+        let instance = Instance::complete_uniform(512, SpanningTreeKind::BalancedBinary);
+        let schedule = workload::uniform_random(512, 2_000, 16.0, 1);
+        run_schedule(
+            &instance,
+            &schedule,
+            &RunConfig::analysis(ProtocolKind::Arrow),
+        );
+        assert!(instance.graph.get().is_none(), "K_512 was built");
+        // Acknowledgements read the closed-form metric, not the graph either.
+        run_schedule(
+            &instance,
+            &schedule,
+            &RunConfig::experiment(ProtocolKind::Arrow, 0.0),
+        );
+        assert!(instance.graph.get().is_none(), "K_512 was built");
+        assert_eq!(instance.graph().edge_count(), 512 * 511 / 2);
     }
 
     #[test]

@@ -245,7 +245,9 @@ pub struct NetStatsSnapshot {
     pub connections_dialed: u64,
     /// Connections accepted (handshake completed on the accepting side).
     pub connections_accepted: u64,
-    /// Acquisitions granted.
+    /// Acquisitions granted to a caller still waiting for them. A grant
+    /// nobody receives (its caller crashed or timed out) is an orphan release
+    /// instead, and the token moves on.
     pub acquisitions: u64,
     /// Out-of-protocol frames received.
     pub unexpected_frames: u64,

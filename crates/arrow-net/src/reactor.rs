@@ -267,6 +267,9 @@ trait Inline: Send + Sync {
     /// Run `cmd` in an inline cycle if the shard is idle; hand it back if
     /// another thread holds the shard. `Ok(false)` means the shard has exited.
     fn try_inline(&self, cmd: ShardCmd) -> Result<bool, ShardCmd>;
+
+    /// Run `f` while holding the shard's lock, waiting for it if need be.
+    fn locked(&self, f: &mut dyn FnMut());
 }
 
 impl<P: Probe> Inline for Mutex<Shard<P>> {
@@ -276,6 +279,11 @@ impl<P: Probe> Inline for Mutex<Shard<P>> {
             Err(TryLockError::Poisoned(shard)) => Ok(shard.into_inner().inline_cycle(cmd)),
             Err(TryLockError::WouldBlock) => Err(cmd),
         }
+    }
+
+    fn locked(&self, f: &mut dyn FnMut()) {
+        let _shard = lock(self);
+        f();
     }
 }
 
@@ -311,6 +319,12 @@ impl ShardInjector {
             Ok(live) => live,
             Err(cmd) => self.inbox.send(cmd),
         }
+    }
+
+    /// Run `f` under the shard's lock. Every grant is sent under that lock,
+    /// so no grant lands on a channel while `f` runs.
+    pub(crate) fn under_lock(&self, f: &mut dyn FnMut()) {
+        self.shard.locked(f);
     }
 }
 
@@ -1348,23 +1362,31 @@ impl<P: Probe> Shard<P> {
                         self.send_frame(slot, to, Frame::Token { obj, req, epoch });
                     }
                     CoreAction::Granted { obj, req } => {
-                        self.stats.inc(Metric::Acquisitions);
-                        match self.nodes[slot].waiting.take(obj, req) {
+                        let delivered = match self.nodes[slot].waiting.take(obj, req) {
                             Some(w) => {
                                 let wait = self.clock().saturating_duration_since(w.issued);
-                                self.stats
-                                    .observe(HistMetric::AcquireNanos, wait.as_nanos() as u64);
-                                let _ = w.reply.send(Grant {
+                                let grant = Grant {
                                     node: v,
                                     obj,
                                     result: Ok(req),
                                     wait,
-                                });
+                                };
+                                let sent = w.reply.send(grant).is_ok();
+                                if sent {
+                                    self.stats.inc(Metric::Acquisitions);
+                                    self.stats
+                                        .observe(HistMetric::AcquireNanos, wait.as_nanos() as u64);
+                                }
+                                sent
                             }
-                            // A grant with no waiter (the waiter was dropped
-                            // by a crash/restart cycle) releases the token
-                            // straight back into the tree.
-                            None => orphaned.push((obj, req)),
+                            None => false,
+                        };
+                        // Nobody holds a grant whose waiter is gone (dropped
+                        // by a crash/restart cycle) or stopped waiting (a
+                        // timed-out `wait_timeout` dropped its receiver): the
+                        // token goes straight back into the tree.
+                        if !delivered {
+                            orphaned.push((obj, req));
                         }
                     }
                     CoreAction::Queued {

@@ -579,6 +579,7 @@ impl NetHandle {
             node: self.node,
             obj,
             rx: reply_rx,
+            shard: self.injector.clone(),
         }
     }
 
@@ -631,6 +632,8 @@ pub struct PendingAcquire {
     node: NodeId,
     obj: ObjectId,
     rx: Receiver<Grant>,
+    /// The node's shard, whose lock a timed-out wait takes for its last look.
+    shard: ShardInjector,
 }
 
 impl PendingAcquire {
@@ -656,14 +659,29 @@ impl PendingAcquire {
 
     /// Like [`wait`](PendingAcquire::wait), but give up after `timeout` with a
     /// synthetic [`NetFailure`].
+    ///
+    /// Giving up takes the shard's lock, under which every grant is sent: a
+    /// grant already on the channel is returned after all, and otherwise the
+    /// channel is dropped under the lock, so a grant that lands later finds
+    /// nobody waiting and the shard releases the token back into the tree.
     pub fn wait_timeout(self, timeout: Duration) -> Result<RequestId, NetFailure> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(grant) => grant.result,
-            Err(_) => Err(NetFailure {
-                node: self.node,
+        let PendingAcquire {
+            node,
+            obj,
+            rx,
+            shard,
+        } = self;
+        if let Ok(grant) = rx.recv_timeout(timeout) {
+            return grant.result;
+        }
+        let (mut rx, mut late) = (Some(rx), None);
+        shard.under_lock(&mut || late = rx.take().and_then(|rx| rx.try_recv().ok()));
+        match late {
+            Some(grant) => grant.result,
+            None => Err(NetFailure {
+                node,
                 description: format!(
-                    "acquire of {} not granted within {timeout:?} — possible lost token",
-                    self.obj
+                    "acquire of {obj} not granted within {timeout:?} — possible lost token"
                 ),
             }),
         }
@@ -1637,6 +1655,33 @@ mod tests {
         assert_eq!(stats.local_frames, stats.queue_frames + stats.token_frames);
         assert!(stats.queue_frames > 0 && stats.token_frames > 0);
         assert_eq!(report.metrics().get(Metric::Acquisitions), issued);
+    }
+
+    /// An acquire that times out leaves no stranded token: node 2 gives up
+    /// behind node 1, and when node 1 releases, the grant that lands at node 2
+    /// finds nobody waiting and goes back into the tree, so node 1's next
+    /// acquire is granted.
+    #[test]
+    fn a_timed_out_acquire_hands_its_late_grant_back() {
+        let rt = NetRuntime::spawn(&tree(3), NetConfig::instant());
+        let (h1, h2) = (rt.handle(1), rt.handle(2));
+        let held = h1.acquire();
+        h2.try_acquire_object_timeout(ObjectId::DEFAULT, Duration::from_millis(50))
+            .expect_err("node 1 holds the token");
+        h1.release(held);
+        let again = h1
+            .start_acquire_object(ObjectId::DEFAULT)
+            .wait_timeout(Duration::from_secs(2))
+            .expect("the late grant went back into the tree");
+        h1.release(again);
+        let report = rt.shutdown();
+        assert_eq!(
+            report.stats().acquisitions,
+            2,
+            "node 2's grant is no acquisition"
+        );
+        assert_eq!(report.metrics().get(Metric::OrphanReleases), 1);
+        report.validated_orders().expect("one valid order");
     }
 
     /// A link drop reaches the shards of both endpoints as a command: with

@@ -184,11 +184,23 @@ fn dijkstra_dist_into(
 ///
 /// Memory is `O(n^2)`; fine up to a few thousand nodes which covers every experiment
 /// in the paper (the largest is 76 processors). The computation allocates the matrix
-/// once and reuses a single scratch heap/queue across all sources.
+/// once and reuses a single scratch heap/queue across all sources. The one metric
+/// known in closed form, the complete graph's with a uniform edge weight
+/// ([`DistanceMatrix::uniform`]), stores no entries at all.
 #[derive(Debug, Clone)]
 pub struct DistanceMatrix {
     n: usize,
-    dist: Vec<f64>,
+    entries: Entries,
+}
+
+/// How a [`DistanceMatrix`] holds its distances.
+#[derive(Debug, Clone)]
+enum Entries {
+    /// Every distance, row-major.
+    Dense(Vec<f64>),
+    /// The complete graph's metric with this edge weight: 0 on the diagonal,
+    /// the weight everywhere else.
+    Uniform(f64),
 }
 
 impl DistanceMatrix {
@@ -207,7 +219,28 @@ impl DistanceMatrix {
                 dijkstra_dist_into(graph, s, &mut dist[s * n..(s + 1) * n], &mut heap);
             }
         }
-        DistanceMatrix { n, dist }
+        DistanceMatrix {
+            n,
+            entries: Entries::Dense(dist),
+        }
+    }
+
+    /// The distances of the complete graph on `n` nodes whose edges all weigh
+    /// `weight` (`generators::complete(n, weight)`), in closed form: the same
+    /// matrix as [`DistanceMatrix::new`] of that graph, without building it or
+    /// running `n` searches, in `O(1)` memory.
+    ///
+    /// # Panics
+    /// If `weight` is not positive and finite.
+    pub fn uniform(n: usize, weight: f64) -> Self {
+        assert!(
+            weight > 0.0 && weight.is_finite(),
+            "edge weight must be positive and finite"
+        );
+        DistanceMatrix {
+            n,
+            entries: Entries::Uniform(weight),
+        }
     }
 
     /// Compute the matrix and wrap it in an [`Arc`] so sweeps can share one
@@ -225,18 +258,16 @@ impl DistanceMatrix {
     #[inline]
     pub fn dist(&self, u: NodeId, v: NodeId) -> f64 {
         debug_assert!(u < self.n && v < self.n, "pair ({u},{v}) out of range");
-        self.dist[u * self.n + v]
-    }
-
-    /// The distances from `u` to every node, as one contiguous row.
-    #[inline]
-    pub fn row(&self, u: NodeId) -> &[f64] {
-        &self.dist[u * self.n..(u + 1) * self.n]
+        match self.entries {
+            Entries::Dense(ref dist) => dist[u * self.n + v],
+            Entries::Uniform(_) if u == v => 0.0,
+            Entries::Uniform(weight) => weight,
+        }
     }
 
     /// Eccentricity of `u`: max distance to any other node.
     pub fn eccentricity(&self, u: NodeId) -> f64 {
-        self.row(u).iter().copied().fold(0.0_f64, f64::max)
+        (0..self.n).map(|v| self.dist(u, v)).fold(0.0_f64, f64::max)
     }
 
     /// Diameter: max eccentricity over all nodes. 0 for graphs with < 2 nodes.
@@ -264,7 +295,10 @@ impl DistanceMatrix {
 
     /// True if every pair of nodes is at finite distance.
     pub fn is_connected(&self) -> bool {
-        self.dist.iter().all(|d| d.is_finite())
+        match self.entries {
+            Entries::Dense(ref dist) => dist.iter().all(|d| d.is_finite()),
+            Entries::Uniform(_) => true,
+        }
     }
 }
 
@@ -332,8 +366,29 @@ mod tests {
         for g in [&weighted, &unweighted] {
             let dm = DistanceMatrix::new(g);
             for s in 0..g.node_count() {
-                let sp = shortest_paths(g, s);
-                assert_eq!(dm.row(s), &sp.dist[..], "source {s}");
+                let row: Vec<f64> = (0..g.node_count()).map(|v| dm.dist(s, v)).collect();
+                assert_eq!(row, shortest_paths(g, s).dist, "source {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_matrix_is_the_complete_graphs() {
+        // Unit weight takes the BFS kernel, 2.5 the Dijkstra one.
+        for w in [1.0, 2.5] {
+            for n in [1, 2, 3, 7, 64, 65] {
+                let closed = DistanceMatrix::uniform(n, w);
+                let searched = DistanceMatrix::new(&crate::generators::complete(n, w));
+                assert_eq!(closed.node_count(), searched.node_count());
+                for u in 0..n {
+                    for v in 0..n {
+                        assert_eq!(closed.dist(u, v), searched.dist(u, v), "n={n} w={w}");
+                    }
+                }
+                assert_eq!(closed.diameter(), searched.diameter(), "n={n} w={w}");
+                assert_eq!(closed.radius(), searched.radius(), "n={n} w={w}");
+                assert_eq!(closed.center(), searched.center(), "n={n} w={w}");
+                assert!(closed.is_connected());
             }
         }
     }

@@ -200,3 +200,47 @@ fn random_local_processing_order_still_yields_valid_orders() {
         assert_eq!(outcome.order.len(), n);
     }
 }
+
+/// The paper's platform at scale: an acknowledged closed loop on 4,096 nodes and
+/// an analysis run on 65,536 (whose `K_n` would hold 2.1·10⁹ edges). Both read
+/// only the tree and the closed-form metric, so neither builds the complete
+/// graph. Together they take well under a second, even in an unoptimised test
+/// build; the bound leaves room for a loaded machine and still catches a
+/// platform that builds `K_n` or searches it again.
+#[test]
+fn the_complete_platform_runs_at_scale() {
+    let bound = std::time::Duration::from_secs(5);
+
+    let started = std::time::Instant::now();
+    let instance = Instance::complete_uniform(4096, SpanningTreeKind::BalancedBinary);
+    let outcome = run(
+        &instance,
+        &Workload::ClosedLoop(ClosedLoopSpec {
+            requests_per_node: 2,
+            local_service_time: 0.05,
+        }),
+        &RunConfig::experiment(ProtocolKind::Arrow, 0.05),
+    );
+    assert_eq!(outcome.order.len(), 2 * 4096);
+    assert!(
+        started.elapsed() < bound,
+        "4096 nodes: {:?}",
+        started.elapsed()
+    );
+
+    let started = std::time::Instant::now();
+    let n = 1 << 16;
+    let instance = Instance::complete_uniform(n, SpanningTreeKind::BalancedBinary);
+    let schedule = workload::uniform_random(n, 20_000, 8.0, 1);
+    let outcome = run_schedule(
+        &instance,
+        &schedule,
+        &RunConfig::analysis(ProtocolKind::Arrow),
+    );
+    assert_eq!(outcome.order.len(), 20_000);
+    assert!(
+        started.elapsed() < bound,
+        "65,536 nodes: {:?}",
+        started.elapsed()
+    );
+}

@@ -17,11 +17,13 @@
 //! 3. **protocol/wire cross-check** — every `ProtoMsg` variant must appear in
 //!    `arrow-net/src/wire.rs` non-test code (a frame encoding exists) *and* in
 //!    its test module (a codec test exercises it).
-//! 4. **metrics bypass** — counters in the live tiers route through the shared
-//!    `arrow_trace::MetricsRegistry` (one schema for every tier's reporting);
-//!    a direct `fetch_add` on an ad-hoc atomic in the policed trees is a
-//!    counter the observability plane cannot see. Registry internals live in
-//!    `arrow-trace`, outside the policed directories.
+//! 4. **metrics bypass** — counters in the live tiers route through the
+//!    `arrow_trace` metrics schema (one for every tier's reporting): each
+//!    reactor shard writes its own registry through an
+//!    `arrow_trace::MetricsWriter`, and readers sum the shards' snapshots. A
+//!    direct `fetch_add` on an ad-hoc atomic in the policed trees is a counter
+//!    the observability plane cannot see. Registry and writer internals live
+//!    in `arrow-trace`, outside the policed directories.
 //! 5. **unsafe fencing** — every first-party crate root under `crates/` must
 //!    carry `#![forbid(unsafe_code)]`: the whole protocol stack, reactor
 //!    included, is safe Rust by construction, and `forbid` (unlike `deny`)
@@ -354,10 +356,10 @@ fn lint_proto_wire(root: &Path, findings: &mut Vec<Finding>) {
 
 /// Pass 4: no ad-hoc counter increments beside the metrics registry.
 ///
-/// The live tiers report through `arrow_trace::MetricsRegistry` snapshots; a
-/// raw `.fetch_add(` in the policed trees is a counter that bypasses the one
-/// shared schema (it will not show up in snapshots, diffs or the JSON
-/// reports). Legitimate non-counter atomics (e.g. id allocation) belong on
+/// The live tiers count through shard-owned `arrow_trace::MetricsWriter`s and
+/// report registry snapshots; a raw `.fetch_add(` in the policed trees is a
+/// counter that bypasses the one schema (it will not show up in snapshots,
+/// diffs or the JSON reports). Legitimate non-counter atomics (e.g. id allocation) belong on
 /// the allowlist with a documented reason.
 fn lint_metrics_bypass(root: &Path, allows: &[Allow], findings: &mut Vec<Finding>) {
     for path in policed_files(root) {
