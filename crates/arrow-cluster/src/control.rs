@@ -69,7 +69,10 @@ impl LineConn {
     /// Receive one line, stripped of its terminator. A read timeout surfaces
     /// as [`io::ErrorKind::WouldBlock`]/[`io::ErrorKind::TimedOut`] with any
     /// partial line retained for the next call; a closed peer surfaces as
-    /// [`io::ErrorKind::UnexpectedEof`].
+    /// [`io::ErrorKind::UnexpectedEof`]. A read interrupted by a signal is
+    /// retried: with a read timeout set, a stop and continue (`SIGSTOP`,
+    /// `SIGCONT`) fails the blocked `recv` with `EINTR` (signal(7)) even where
+    /// no handler runs.
     pub fn recv(&mut self) -> io::Result<String> {
         loop {
             if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
@@ -88,6 +91,7 @@ impl LineConn {
                     ))
                 }
                 Ok(n) => self.pending.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }

@@ -180,11 +180,12 @@ impl Instance {
     }
 
     /// Stretch/diameter report of the tree relative to the graph (computed once,
-    /// cached; reuses the cached distance matrix).
+    /// cached; reuses the cached distance matrix, so the complete platform builds
+    /// no graph for it).
     pub fn stretch_report(&self) -> StretchReport {
-        *self.stretch.get_or_init(|| {
-            netgraph::stretch_with_distances(self.graph(), &self.tree, &self.distances())
-        })
+        *self
+            .stretch
+            .get_or_init(|| netgraph::stretch_with_distances(&self.tree, &self.distances()))
     }
 }
 
@@ -1208,6 +1209,15 @@ mod tests {
         );
         assert!(instance.graph.get().is_none(), "K_512 was built");
         assert_eq!(instance.graph().edge_count(), 512 * 511 / 2);
+    }
+
+    #[test]
+    fn stretch_report_on_the_complete_platform_builds_no_graph() {
+        let instance = Instance::complete_uniform(512, SpanningTreeKind::BalancedBinary);
+        let report = instance.stretch_report();
+        assert!(instance.graph.get().is_none(), "K_512 was built");
+        assert_eq!(report.graph_diameter, 1.0);
+        assert!(report.max_stretch >= 1.0);
     }
 
     #[test]

@@ -186,6 +186,10 @@ const EINPROGRESS: i32 = 115;
 pub const SIGINT: i32 = 2;
 /// `SIGTERM` (polite termination request).
 pub const SIGTERM: i32 = 15;
+/// `SIGCONT` (resume a stopped process).
+pub const SIGCONT: i32 = 18;
+/// `SIGSTOP` (stop a process; cannot be caught or blocked).
+pub const SIGSTOP: i32 = 19;
 const SIG_BLOCK: usize = 0;
 const SFD_CLOEXEC: usize = 0o2000000;
 /// Kernel sigset size in bytes (`_NSIG / 8` on Linux).

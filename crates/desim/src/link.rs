@@ -10,7 +10,9 @@
 //!
 //! [`LatencyModel`] captures both, plus weighted-link variants used when simulating
 //! a network whose edges have non-uniform cost. [`LinkState`] enforces the FIFO
-//! property per directed link regardless of the sampled latencies.
+//! property per directed link regardless of the sampled latencies; the simulator
+//! needs it only where latencies vary, since a fixed per-link latency keeps every
+//! link FIFO by itself.
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -84,6 +86,9 @@ impl LatencyModel {
 struct Slot {
     to: usize,
     weight: f64,
+    /// `weight` as a duration, converted once in [`LinkState::set_weight`]: the
+    /// latency of every message on the link under [`LatencyModel::EdgeWeight`].
+    latency: SimDuration,
     /// FIFO floor of the link-model channel: the last delivery scheduled on it.
     link_floor: SimTime,
     /// FIFO floor of the *direct* (explicit-latency) channel, kept separate so
@@ -102,11 +107,30 @@ struct Slot {
 /// delivery on the same directed link.
 ///
 /// State is one row per sender, each row holding one slot per receiver the
-/// sender has named, sorted by receiver: a send costs one binary search of a row
-/// that, on a tree, is as long as the sender's degree.
-#[derive(Debug, Default)]
+/// sender has named, sorted by receiver, so a floored send
+/// ([`LinkState::delivery_time`]) costs one binary search of a row that, on a
+/// tree, is as long as the sender's degree. Each slot keeps its link's latency
+/// as a [`SimDuration`], converted once when the weight is set, and the state
+/// remembers the one latency every link shares while no set weight differs
+/// from the default. A fixed latency per link cannot reorder a link, so under
+/// the deterministic models the simulator takes no floor: it reads one slot
+/// ([`LinkState::latency`]) or, when every link shares one latency
+/// ([`LinkState::uniform_latency`]), nothing at all.
+#[derive(Debug)]
 pub struct LinkState {
     rows: Vec<Vec<Slot>>,
+    /// The latency of every link, set or not, while all set weights convert to
+    /// the default's one unit; `None` once one does not.
+    uniform: Option<SimDuration>,
+}
+
+impl Default for LinkState {
+    fn default() -> Self {
+        LinkState {
+            rows: Vec::new(),
+            uniform: Some(SimDuration::unit()),
+        }
+    }
 }
 
 impl LinkState {
@@ -129,6 +153,7 @@ impl LinkState {
                     Slot {
                         to,
                         weight: 1.0,
+                        latency: SimDuration::unit(),
                         link_floor: SimTime::ZERO,
                         direct_floor: SimTime::ZERO,
                     },
@@ -140,17 +165,42 @@ impl LinkState {
 
     /// Set the weight of the undirected link `{u, v}` (both directions).
     pub fn set_weight(&mut self, u: usize, v: usize, weight: f64) {
-        self.slot(u, v).weight = weight;
-        self.slot(v, u).weight = weight;
+        let latency = SimDuration::from_units_f64(weight);
+        if self.uniform != Some(latency) {
+            self.uniform = None;
+        }
+        for (from, to) in [(u, v), (v, u)] {
+            let slot = self.slot(from, to);
+            slot.weight = weight;
+            slot.latency = latency;
+        }
+    }
+
+    /// The slot of directed pair `(from, to)`, if it was ever named.
+    fn find(&self, from: usize, to: usize) -> Option<&Slot> {
+        let row = self.rows.get(from)?;
+        let at = row.binary_search_by_key(&to, |slot| slot.to).ok()?;
+        Some(&row[at])
     }
 
     /// Weight of directed link `(from, to)`; 1.0 if never set.
     pub fn weight(&self, from: usize, to: usize) -> f64 {
-        let slot = self.rows.get(from).and_then(|row| {
-            let at = row.binary_search_by_key(&to, |slot| slot.to).ok()?;
-            Some(&row[at])
-        });
-        slot.map_or(1.0, |slot| slot.weight)
+        self.find(from, to).map_or(1.0, |slot| slot.weight)
+    }
+
+    /// The latency of directed link `(from, to)` under
+    /// [`LatencyModel::EdgeWeight`]: its weight as a duration, one unit if never
+    /// set.
+    pub fn latency(&self, from: usize, to: usize) -> SimDuration {
+        self.find(from, to)
+            .map_or(SimDuration::unit(), |slot| slot.latency)
+    }
+
+    /// The latency every link takes under [`LatencyModel::EdgeWeight`], if they
+    /// all take the same: one unit until a weight that converts to anything
+    /// else is set.
+    pub fn uniform_latency(&self) -> Option<SimDuration> {
+        self.uniform
     }
 
     /// Compute the delivery time for a message sent at `now` on `(from, to)` with the

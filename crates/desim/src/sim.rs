@@ -132,6 +132,24 @@ pub struct RunOutcome {
     pub final_time: SimTime,
 }
 
+/// How the simulator times a link send, fixed when the run starts (link weights
+/// cannot change after that).
+///
+/// Under a deterministic model with FIFO local order a link's latency never
+/// changes and the clock never goes back, so deliveries on one directed link are
+/// already in send order: only random latencies or jitter need the FIFO floor.
+#[derive(Debug, Clone, Copy)]
+enum LinkTiming {
+    /// Every link takes this latency: a send is one addition.
+    Shared(SimDuration),
+    /// Each link takes its own fixed latency ([`LatencyModel::EdgeWeight`] with
+    /// mixed weights): one search of the sender's row, no floor.
+    PerLink,
+    /// Random latencies or random local order: sample, jitter and FIFO floor
+    /// ([`LinkState::delivery_time`]).
+    Floored,
+}
+
 /// The discrete-event simulator.
 ///
 /// Generic over the message type `M` and the per-node process type `P`. Heterogeneous
@@ -152,11 +170,14 @@ pub struct Simulator<M, P: Process<M>> {
     next_fault: usize,
     /// Per-node crash flags (inbox/outbox silenced while set).
     crashed: Vec<bool>,
-    /// Blocked undirected links, stored as `(min, max)` node pairs. Empty unless a
-    /// fault blocked one, and only then does a delivery probe it.
-    blocked: std::collections::HashSet<(NodeId, NodeId)>,
-    /// Reusable handler context: cleared (capacity kept) before every handler call,
-    /// so the steady state of the event loop allocates nothing per event.
+    /// Blocked undirected links, stored once each as a `(min, max)` node pair.
+    /// Empty unless a fault blocked one, and only then does a delivery probe it.
+    blocked: Vec<(NodeId, NodeId)>,
+    /// How link sends are timed; set when the run starts.
+    timing: LinkTiming,
+    /// The handler context: every handler runs on it in place, re-pointed at its
+    /// node and cleared (capacity kept) first, so the steady state of the event
+    /// loop allocates nothing per event.
     scratch: Context<M>,
 }
 
@@ -177,7 +198,8 @@ impl<M, P: Process<M>> Simulator<M, P> {
             faults: Vec::new(),
             next_fault: 0,
             crashed: vec![false; n],
-            blocked: std::collections::HashSet::new(),
+            blocked: Vec::new(),
+            timing: LinkTiming::Floored,
             scratch: Context::new(0, SimTime::ZERO),
         }
     }
@@ -193,7 +215,15 @@ impl<M, P: Process<M>> Simulator<M, P> {
     }
 
     /// Set the weight (latency in units under weighted models) of link `{u, v}`.
+    ///
+    /// # Panics
+    /// If the run has already started: link sends are timed on the assumption
+    /// that weights stay fixed for the whole run.
     pub fn set_link_weight(&mut self, u: NodeId, v: NodeId, weight: f64) {
+        assert!(
+            !self.started,
+            "link weights must be set before the run starts"
+        );
         self.links.set_weight(u, v, weight);
     }
 
@@ -245,10 +275,14 @@ impl<M, P: Process<M>> Simulator<M, P> {
                 SimFault::Crash(v) => self.crashed[v] = true,
                 SimFault::Restart(v) => self.crashed[v] = false,
                 SimFault::BlockLink(u, v) => {
-                    self.blocked.insert((u.min(v), u.max(v)));
+                    let link = (u.min(v), u.max(v));
+                    if !self.blocked.contains(&link) {
+                        self.blocked.push(link);
+                    }
                 }
                 SimFault::UnblockLink(u, v) => {
-                    self.blocked.remove(&(u.min(v), u.max(v)));
+                    let link = (u.min(v), u.max(v));
+                    self.blocked.retain(|&l| l != link);
                 }
             }
         }
@@ -269,38 +303,74 @@ impl<M, P: Process<M>> Simulator<M, P> {
         &self.stats
     }
 
-    fn apply_context(&mut self, node: NodeId, ctx: &mut Context<M>) {
-        for out in ctx.outbox.drain(..) {
+    /// How link sends are timed under this run's configuration and weights.
+    fn link_timing(&self) -> LinkTiming {
+        if self.config.local_order == LocalOrder::Random {
+            return LinkTiming::Floored;
+        }
+        match self.config.latency {
+            LatencyModel::Unit => LinkTiming::Shared(SimDuration::unit()),
+            LatencyModel::Fixed { units } => LinkTiming::Shared(SimDuration::from_units_f64(units)),
+            LatencyModel::EdgeWeight => self
+                .links
+                .uniform_latency()
+                .map_or(LinkTiming::PerLink, LinkTiming::Shared),
+            LatencyModel::Uniform { .. } | LatencyModel::ScaledUniform { .. } => {
+                LinkTiming::Floored
+            }
+        }
+    }
+
+    /// Run one handler of `node` on the scratch context, then schedule what it
+    /// buffered.
+    fn dispatch(&mut self, node: NodeId, handler: impl FnOnce(&mut P, &mut Context<M>)) {
+        self.scratch.reset(node, self.now);
+        handler(&mut self.nodes[node], &mut self.scratch);
+        self.apply_context(node);
+    }
+
+    /// Schedule the sends and timers `node`'s handler buffered in the scratch
+    /// context.
+    fn apply_context(&mut self, node: NodeId) {
+        let Simulator {
+            queue,
+            links,
+            rng,
+            config,
+            now,
+            timing,
+            scratch,
+            ..
+        } = self;
+        let now = *now;
+        for out in scratch.outbox.drain(..) {
             // Jitter is folded into the FIFO floor (the floored, jittered delivery is
             // what gets recorded), so random local processing order can never reorder
             // two messages on the same directed channel.
-            let jitter = match self.config.local_order {
+            let jitter = match config.local_order {
                 LocalOrder::Fifo => SimDuration::ZERO,
                 // Sub-micro-unit jitter: at most 1e-4 of a unit, enough to randomise
                 // the processing order of simultaneous arrivals without measurably
                 // changing latencies.
-                LocalOrder::Random => SimDuration::from_subticks(self.rng.uniform_u64(0, 100)),
+                LocalOrder::Random => SimDuration::from_subticks(rng.uniform_u64(0, 100)),
             };
             let (to, msg, delivery) = match out {
                 Outgoing::Link { to, msg } => {
-                    let delivery = self.links.delivery_time(
-                        node,
-                        to,
-                        self.now,
-                        &self.config.latency,
-                        &mut self.rng,
-                        jitter,
-                    );
+                    let delivery = match *timing {
+                        LinkTiming::Shared(latency) => now + latency,
+                        LinkTiming::PerLink => now + links.latency(node, to),
+                        LinkTiming::Floored => {
+                            links.delivery_time(node, to, now, &config.latency, rng, jitter)
+                        }
+                    };
                     (to, msg, delivery)
                 }
                 Outgoing::Direct { to, msg, latency } => {
-                    let delivery = self
-                        .links
-                        .direct_delivery_time(node, to, self.now, latency, jitter);
+                    let delivery = links.direct_delivery_time(node, to, now, latency, jitter);
                     (to, msg, delivery)
                 }
             };
-            self.queue.schedule(
+            queue.schedule(
                 delivery,
                 EventKind::Deliver {
                     from: node,
@@ -309,22 +379,9 @@ impl<M, P: Process<M>> Simulator<M, P> {
                 },
             );
         }
-        for (delay, tag) in ctx.timers.drain(..) {
-            self.queue
-                .schedule(self.now + delay, EventKind::Timer { node, tag });
+        for (delay, tag) in scratch.timers.drain(..) {
+            queue.schedule(now + delay, EventKind::Timer { node, tag });
         }
-    }
-
-    /// Take the scratch context out of `self`, re-pointed at `(node, now)`.
-    /// Must be paired with [`Simulator::put_scratch`].
-    fn take_scratch(&mut self, node: NodeId, now: SimTime) -> Context<M> {
-        let mut ctx = std::mem::replace(&mut self.scratch, Context::new(0, SimTime::ZERO));
-        ctx.reset(node, now);
-        ctx
-    }
-
-    fn put_scratch(&mut self, ctx: Context<M>) {
-        self.scratch = ctx;
     }
 
     fn start_nodes(&mut self) {
@@ -332,12 +389,10 @@ impl<M, P: Process<M>> Simulator<M, P> {
             return;
         }
         self.started = true;
+        self.timing = self.link_timing();
         self.faults.sort_by_key(|&(t, _)| t);
         for i in 0..self.nodes.len() {
-            let mut ctx = self.take_scratch(i, SimTime::ZERO);
-            self.nodes[i].on_start(&mut ctx);
-            self.apply_context(i, &mut ctx);
-            self.put_scratch(ctx);
+            self.dispatch(i, |p, ctx| p.on_start(ctx));
         }
     }
 
@@ -362,10 +417,7 @@ impl<M, P: Process<M>> Simulator<M, P> {
                     return true;
                 }
                 self.stats.messages_delivered += 1;
-                let mut ctx = self.take_scratch(to, self.now);
-                self.nodes[to].on_message(&mut ctx, from, payload);
-                self.apply_context(to, &mut ctx);
-                self.put_scratch(ctx);
+                self.dispatch(to, |p, ctx| p.on_message(ctx, from, payload));
             }
             EventKind::External { node, payload } => {
                 if self.crashed[node] {
@@ -373,10 +425,7 @@ impl<M, P: Process<M>> Simulator<M, P> {
                     return true;
                 }
                 self.stats.external_inputs += 1;
-                let mut ctx = self.take_scratch(node, self.now);
-                self.nodes[node].on_external(&mut ctx, payload);
-                self.apply_context(node, &mut ctx);
-                self.put_scratch(ctx);
+                self.dispatch(node, |p, ctx| p.on_external(ctx, payload));
             }
             EventKind::Timer { node, tag } => {
                 if self.crashed[node] {
@@ -384,10 +433,7 @@ impl<M, P: Process<M>> Simulator<M, P> {
                     return true;
                 }
                 self.stats.timer_firings += 1;
-                let mut ctx = self.take_scratch(node, self.now);
-                self.nodes[node].on_timer(&mut ctx, tag);
-                self.apply_context(node, &mut ctx);
-                self.put_scratch(ctx);
+                self.dispatch(node, |p, ctx| p.on_timer(ctx, tag));
             }
         }
         true
@@ -406,8 +452,8 @@ impl<M, P: Process<M>> Simulator<M, P> {
                     };
                 }
             }
-            if let (Some(limit), Some(next)) = (self.config.max_time, self.queue.peek_time()) {
-                if next > limit {
+            if let Some(limit) = self.config.max_time {
+                if self.queue.peek_time().is_some_and(|next| next > limit) {
                     return RunOutcome {
                         stop: StopReason::TimeLimit,
                         events: self.events_processed,
@@ -700,6 +746,198 @@ mod tests {
         assert_eq!(sim.node(1).received, vec![1]);
         assert_eq!(sim.node(2).received, vec![0]);
         assert!(!sim.is_crashed(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "before the run starts")]
+    fn setting_a_link_weight_after_the_run_starts_panics() {
+        let mut sim = ring(3, SimConfig::synchronous());
+        sim.schedule_external(SimTime::ZERO, 0, 2);
+        sim.step();
+        sim.set_link_weight(0, 1, 2.0);
+    }
+
+    /// One receipt: `(time, from, to, walker state)`.
+    type Receipt = (SimTime, NodeId, NodeId, u64);
+
+    /// A random walk over tree edges: each message carries `(hops left, state)`,
+    /// and the state (an LCG) picks the next edge, so the walk is a function of
+    /// the message alone. An external input starts two walks at once, often on
+    /// the same link.
+    struct Walker {
+        neighbours: Vec<NodeId>,
+        log: std::rc::Rc<std::cell::RefCell<Vec<Receipt>>>,
+    }
+
+    impl Walker {
+        fn step(&self, ctx: &mut Context<(u32, u64)>, hops: u32, state: u64) {
+            let next = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let to = self.neighbours[(next >> 33) as usize % self.neighbours.len()];
+            ctx.send(to, (hops - 1, next));
+        }
+    }
+
+    impl Process<(u32, u64)> for Walker {
+        fn on_message(&mut self, ctx: &mut Context<(u32, u64)>, from: NodeId, msg: (u32, u64)) {
+            let (hops, state) = msg;
+            self.log
+                .borrow_mut()
+                .push((ctx.now(), from, ctx.node(), state));
+            if hops > 0 {
+                self.step(ctx, hops, state);
+            }
+        }
+
+        fn on_external(&mut self, ctx: &mut Context<(u32, u64)>, msg: (u32, u64)) {
+            let (hops, state) = msg;
+            self.step(ctx, hops, state);
+            self.step(ctx, hops, state ^ 0x9e37_79b9);
+        }
+    }
+
+    /// The floor-based link timing every model took before the deterministic
+    /// ones skipped the floor: sample the latency from the weight, then never
+    /// deliver before the link's previous delivery.
+    #[derive(Default)]
+    struct FlooredLinks {
+        weights: std::collections::BTreeMap<(NodeId, NodeId), f64>,
+        floors: std::collections::BTreeMap<(NodeId, NodeId), SimTime>,
+    }
+
+    impl FlooredLinks {
+        fn delivery_time(
+            &mut self,
+            from: NodeId,
+            to: NodeId,
+            now: SimTime,
+            model: &LatencyModel,
+            rng: &mut SimRng,
+        ) -> SimTime {
+            let weight = *self.weights.get(&(from, to)).unwrap_or(&1.0);
+            let floor = self.floors.entry((from, to)).or_insert(SimTime::ZERO);
+            let delivery = (now + model.sample(weight, rng)).max(*floor);
+            *floor = delivery;
+            delivery
+        }
+    }
+
+    #[test]
+    fn deterministic_link_timing_matches_the_floored_reference() {
+        const NODES: usize = 12;
+        /// Draws one edge's weight.
+        type Weights = fn(&mut SimRng) -> f64;
+        // (case, model, whether one latency serves every link, edge weights)
+        let cases: [(&str, LatencyModel, bool, Weights); 5] = [
+            ("mixed weights", LatencyModel::EdgeWeight, false, |rng| {
+                [0.5, 1.0, 1.5, 2.25, 3.0][rng.index(5)]
+            }),
+            ("all weights 1", LatencyModel::EdgeWeight, true, |_| 1.0),
+            // Unset links still take one unit, so equal weights of 2 are per link.
+            ("all weights 2", LatencyModel::EdgeWeight, false, |_| 2.0),
+            ("unit", LatencyModel::Unit, true, |rng| {
+                rng.uniform(0.5, 4.0)
+            }),
+            ("fixed", LatencyModel::Fixed { units: 0.75 }, true, |rng| {
+                rng.uniform(0.5, 4.0)
+            }),
+        ];
+        for (name, model, shared, weight_of) in cases {
+            for seed in 0..20 {
+                let mut rng = SimRng::new(seed);
+                let mut neighbours = vec![Vec::new(); NODES];
+                let mut edges = Vec::new();
+                for v in 1..NODES {
+                    let p = rng.index(v);
+                    neighbours[v].push(p);
+                    neighbours[p].push(v);
+                    edges.push((v, p, weight_of(&mut rng)));
+                }
+                let externals: Vec<(SimTime, NodeId, (u32, u64))> = (0..40)
+                    .map(|_| {
+                        let at = SimTime::from_subticks(rng.uniform_u64(0, 8) * 250_000);
+                        let hops = rng.uniform_u64(1, 30) as u32;
+                        (at, rng.index(NODES), (hops, rng.uniform_u64(0, u64::MAX)))
+                    })
+                    .collect();
+                let walkers = || {
+                    let log = std::rc::Rc::default();
+                    let nodes: Vec<Walker> = (0..NODES)
+                        .map(|v| Walker {
+                            neighbours: neighbours[v].clone(),
+                            log: std::rc::Rc::clone(&log),
+                        })
+                        .collect();
+                    (nodes, log)
+                };
+
+                let (nodes, got) = walkers();
+                let mut config = SimConfig::synchronous();
+                config.latency = model.clone();
+                let mut sim = Simulator::new(nodes, config);
+                for &(u, v, w) in &edges {
+                    sim.set_link_weight(u, v, w);
+                }
+                for &(at, node, msg) in &externals {
+                    sim.schedule_external(at, node, msg);
+                }
+                sim.run();
+                let timing = match sim.timing {
+                    LinkTiming::Shared(_) => true,
+                    LinkTiming::PerLink => false,
+                    LinkTiming::Floored => panic!("{name}: a deterministic model took the floor"),
+                };
+                assert_eq!(timing, shared, "{name}: timed as {:?}", sim.timing);
+
+                // The reference: the same walkers, driven by a bare event loop
+                // whose link sends all take the floor.
+                let (mut nodes, want) = walkers();
+                let mut links = FlooredLinks::default();
+                for &(u, v, w) in &edges {
+                    links.weights.insert((u, v), w);
+                    links.weights.insert((v, u), w);
+                }
+                let mut queue = EventQueue::new();
+                for &(at, node, payload) in &externals {
+                    queue.schedule(at, EventKind::External { node, payload });
+                }
+                let mut latency_rng = SimRng::new(0);
+                let mut now = SimTime::ZERO;
+                while let Some(event) = queue.pop() {
+                    now = now.max(event.time);
+                    let (node, mut ctx) = match event.kind {
+                        EventKind::Deliver { from, to, payload } => {
+                            let mut ctx = Context::new(to, now);
+                            nodes[to].on_message(&mut ctx, from, payload);
+                            (to, ctx)
+                        }
+                        EventKind::External { node, payload } => {
+                            let mut ctx = Context::new(node, now);
+                            nodes[node].on_external(&mut ctx, payload);
+                            (node, ctx)
+                        }
+                        EventKind::Timer { .. } => unreachable!("walkers set no timers"),
+                    };
+                    for out in ctx.outbox.drain(..) {
+                        let Outgoing::Link { to, msg } = out else {
+                            unreachable!("walkers send over links only")
+                        };
+                        let at = links.delivery_time(node, to, now, &model, &mut latency_rng);
+                        queue.schedule(
+                            at,
+                            EventKind::Deliver {
+                                from: node,
+                                to,
+                                payload: msg,
+                            },
+                        );
+                    }
+                }
+                assert!(!want.borrow().is_empty());
+                assert_eq!(*got.borrow(), *want.borrow(), "{name}, seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -41,31 +41,28 @@ impl StretchReport {
 /// # Panics
 /// If node counts differ or the graph is disconnected.
 pub fn stretch(graph: &Graph, tree: &RootedTree) -> StretchReport {
-    stretch_with_distances(graph, tree, &DistanceMatrix::new(graph))
-}
-
-/// [`stretch`] with a precomputed all-pairs distance matrix of `graph`, so callers
-/// that already hold one (e.g. a sweep sharing an `Arc<DistanceMatrix>` per
-/// topology) do not pay for a second all-pairs computation.
-///
-/// # Panics
-/// If node counts differ (graph vs. tree vs. matrix) or the graph is disconnected.
-pub fn stretch_with_distances(
-    graph: &Graph,
-    tree: &RootedTree,
-    dm: &DistanceMatrix,
-) -> StretchReport {
     assert_eq!(
         graph.node_count(),
         tree.node_count(),
         "graph and tree must have the same node set"
     );
+    stretch_with_distances(tree, &DistanceMatrix::new(graph))
+}
+
+/// [`stretch`] from a precomputed all-pairs distance matrix of the graph, so callers
+/// that already hold one (e.g. a sweep sharing an `Arc<DistanceMatrix>` per
+/// topology, or the closed-form matrix of a complete graph) need neither the graph
+/// itself nor a second all-pairs computation.
+///
+/// # Panics
+/// If the tree and the matrix differ in node count, or the graph is disconnected.
+pub fn stretch_with_distances(tree: &RootedTree, dm: &DistanceMatrix) -> StretchReport {
+    let n = tree.node_count();
     assert_eq!(
-        graph.node_count(),
+        n,
         dm.node_count(),
-        "distance matrix does not match the graph"
+        "distance matrix does not match the tree's node set"
     );
-    let n = graph.node_count();
     assert!(dm.is_connected(), "graph must be connected");
 
     let mut max_stretch: f64 = 1.0;

@@ -203,3 +203,52 @@ fn sigterm_flushes_journals_and_loses_no_order_records() {
         );
     }
 }
+
+#[test]
+fn a_stopped_and_continued_daemon_keeps_serving() {
+    // Regression: a stop and continue fails a blocking `recv` that has a read
+    // timeout with EINTR (signal(7)), and the daemon's control loop, which
+    // polls with a 100 ms timeout, used to die of it: the next workload
+    // failed with a broken pipe and the node's journal went missing.
+    let n = 4;
+    let paused: NodeId = 2;
+    let cfg = ClusterConfig::new(arrowd(), tree(n), 1);
+    let mut cluster = Cluster::launch(cfg).expect("cluster launches");
+
+    let pid = cluster.pid(paused);
+    netpoll::kill(pid, netpoll::SIGSTOP).expect("SIGSTOP lands");
+    std::thread::sleep(Duration::from_millis(300));
+    netpoll::kill(pid, netpoll::SIGCONT).expect("SIGCONT lands");
+
+    let work: Vec<(NodeId, ObjectId, usize)> = (0..n).map(|v| (v, ObjectId(0), 10)).collect();
+    cluster
+        .start_workload(&work, Duration::from_secs(30), 1)
+        .expect("workload starts after the pause");
+    for (v, outcome) in cluster.await_done(Duration::from_secs(60)) {
+        assert_eq!(
+            outcome,
+            WorkOutcome::Done {
+                completed: 10,
+                failed: 0,
+                first_failed_obj: None,
+            },
+            "node {v}"
+        );
+    }
+
+    let report = cluster.shutdown().expect("graceful shutdown");
+    assert!(report.failures().is_empty(), "{:?}", report.failures());
+    assert_eq!(report.per_node().len(), n);
+    for node_report in report.per_node() {
+        assert!(
+            node_report.journal.is_some(),
+            "node {} flushed its journal",
+            node_report.node
+        );
+    }
+    assert_eq!(
+        report.schedule().len(),
+        n * 10,
+        "every acquire was journaled"
+    );
+}
