@@ -26,7 +26,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -350,11 +350,11 @@ fn serve(
             "epoch" => {
                 let epoch: u64 = parse_field(parts.next(), &line)?;
                 rt.broadcast_epoch(epoch);
-                send_line(&writer.lock().unwrap(), "ok").map_err(ctrl)?;
+                send_line(&lock(&writer), "ok").map_err(ctrl)?;
             }
             "stats" => {
                 let wire = rt.stats().metrics().to_wire();
-                let w = writer.lock().unwrap();
+                let w = lock(&writer);
                 for metric_line in wire.lines() {
                     send_line(&w, metric_line).map_err(ctrl)?;
                 }
@@ -383,9 +383,15 @@ fn serve(
     if acked_shutdown {
         // Only after the journal is durable — `bye` is the harness's cue that
         // the journal is complete on disk.
-        send_line(&writer.lock().unwrap(), "bye").map_err(ctrl)?;
+        send_line(&lock(&writer), "bye").map_err(ctrl)?;
     }
     Ok(())
+}
+
+/// Take the control writer's lock, whoever poisoned it: a panicked worker
+/// breaks no invariant of the socket, so it must not take the channel down.
+fn lock(writer: &Mutex<TcpStream>) -> MutexGuard<'_, TcpStream> {
+    writer.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn parse_field<T: std::str::FromStr>(field: Option<&str>, line: &str) -> Result<T, DaemonError>
@@ -464,10 +470,7 @@ fn start_workload(
                 let obj = first_failed
                     .map(|o| o.0.to_string())
                     .unwrap_or_else(|| "-".to_string());
-                let _ = send_line(
-                    &writer.lock().unwrap(),
-                    &format!("done {completed} {failed} {obj}"),
-                );
+                let _ = send_line(&lock(&writer), &format!("done {completed} {failed} {obj}"));
             }
         })
     };

@@ -12,7 +12,6 @@
 use crate::harness::{Cluster, ClusterConfig, WorkOutcome};
 use arrow_core::driver::{acquire_sequences, Driver};
 use arrow_core::prelude::*;
-use desim::SimTime;
 use netgraph::NodeId;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -140,24 +139,6 @@ impl Driver for ClusterDriver {
         if let Some(failure) = first_failure {
             return Err(failure);
         }
-        if let Some((node, description)) = report.failures().first() {
-            return Err(transport(*node, description.clone()));
-        }
-        let makespan = report
-            .records()
-            .iter()
-            .map(|r| r.informed_at)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        let queue_frames = report.metrics().get(arrow_trace::Metric::QueueFrames);
-        let token_frames = report.metrics().get(arrow_trace::Metric::TokenFrames);
-        outcome_from_records(
-            ProtocolKind::Arrow,
-            report.schedule().requests().to_vec(),
-            report.records().to_vec(),
-            queue_frames,
-            queue_frames + token_frames,
-            makespan,
-        )
+        report.into_outcome()
     }
 }

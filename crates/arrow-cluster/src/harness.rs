@@ -16,13 +16,13 @@
 //! end by reading the journals daemons flushed on their way out.
 
 use crate::control::{tree_to_wire, LineConn, HANDSHAKE_TIMEOUT};
-use crate::journal::{read_journal, DaemonJournal};
+use crate::journal::read_journal;
 use crate::procstat::{scrape, ProcUsage};
-use arrow_core::order::{per_object_orders, OrderError};
+use arrow_core::order::OrderError;
 use arrow_core::prelude::{
-    validate_churn_records, ChurnOrderError, ObjectId, OrderRecord, QueuingOrder, Request,
-    RequestSchedule,
+    ChurnOrderError, ObjectId, OrderRecord, QueuingOrder, QueuingOutcome, RequestSchedule, RunError,
 };
+use arrow_net::{NetFailure, NetReport};
 use arrow_trace::MetricsSnapshot;
 use netgraph::{NodeId, RootedTree};
 use std::io;
@@ -603,24 +603,12 @@ impl Cluster {
                 let _ = netpoll::kill(daemon.child.id(), netpoll::SIGTERM);
             }
         }
-        let deadline = Instant::now() + self.cfg.grace;
-        for daemon in &mut self.daemons {
-            while !daemon.reaped {
-                match daemon.child.try_wait() {
-                    Ok(Some(_)) => daemon.reaped = true,
-                    Ok(None) if Instant::now() > deadline => {
-                        let _ = daemon.child.kill();
-                        let _ = daemon.child.wait();
-                        daemon.reaped = true;
-                    }
-                    Ok(None) => std::thread::sleep(Duration::from_millis(10)),
-                    Err(_) => daemon.reaped = true,
-                }
-            }
-        }
+        self.reap_all();
         self.assemble()
     }
 
+    /// Wait up to the configured grace for every daemon to exit, then SIGKILL
+    /// the stragglers.
     fn reap_all(&mut self) {
         let deadline = Instant::now() + self.cfg.grace;
         for daemon in &mut self.daemons {
@@ -641,36 +629,20 @@ impl Cluster {
 
     fn assemble(self) -> io::Result<ClusterReport> {
         let mut per_node = Vec::with_capacity(self.daemons.len());
-        let mut issued: Vec<Request> = Vec::new();
-        let mut records: Vec<OrderRecord> = Vec::new();
-        let mut failures: Vec<(NodeId, String)> = Vec::new();
-        let mut metrics = MetricsSnapshot::default();
         for (v, daemon) in self.daemons.iter().enumerate() {
-            let journal = match read_journal(&daemon.journal) {
-                Ok(j) => Some(j),
+            let journal = match read_journal(&daemon.journal, v) {
+                Ok(report) => Some(report),
                 Err(e) if e.kind() == io::ErrorKind::NotFound => None, // SIGKILLed
                 Err(e) => return Err(e),
             };
-            if let Some(j) = &journal {
-                issued.extend_from_slice(&j.issued);
-                records.extend_from_slice(&j.records);
-                failures.extend(j.failures.iter().cloned());
-                metrics.merge(&j.metrics);
-            }
             per_node.push(NodeReport {
                 node: v,
                 usage: daemon.usage,
                 journal,
             });
         }
-        issued.sort_by_key(|r| (r.time, r.id));
-        Ok(ClusterReport {
-            schedule: RequestSchedule::from_requests(issued),
-            records,
-            failures,
-            metrics,
-            per_node,
-        })
+        let merged = NetReport::merge(per_node.iter().filter_map(|n| n.journal.clone()));
+        Ok(ClusterReport { merged, per_node })
     }
 }
 
@@ -738,42 +710,39 @@ pub struct NodeReport {
     /// Last scraped CPU/RSS usage (`None` if the daemon died before the first
     /// scrape).
     pub usage: Option<ProcUsage>,
-    /// The decoded journal (`None` for a SIGKILLed incarnation that never
-    /// restarted — its history died with it).
-    pub journal: Option<DaemonJournal>,
+    /// The daemon's report, decoded from its journal (`None` for a SIGKILLed
+    /// incarnation that never restarted — its history died with it).
+    pub journal: Option<NetReport>,
 }
 
-/// Everything a cluster run leaves behind, assembled from the per-process
-/// journals — the process-tier analogue of [`arrow_net::NetReport`], plus
-/// per-process resource usage.
+/// Everything a cluster run leaves behind: the daemons' reports merged into
+/// one [`NetReport`], which every accessor but [`ClusterReport::per_node`]
+/// reads, plus each daemon's own report and resource usage.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
-    schedule: RequestSchedule,
-    records: Vec<OrderRecord>,
-    failures: Vec<(NodeId, String)>,
-    metrics: MetricsSnapshot,
+    merged: NetReport,
     per_node: Vec<NodeReport>,
 }
 
 impl ClusterReport {
     /// Every issued request across all journals, sorted by issue time.
     pub fn schedule(&self) -> &RequestSchedule {
-        &self.schedule
+        self.merged.schedule()
     }
 
     /// Every successor-notification record across all journals.
     pub fn records(&self) -> &[OrderRecord] {
-        &self.records
+        self.merged.records()
     }
 
     /// Transport failures daemons reported (empty on a healthy cluster).
-    pub fn failures(&self) -> &[(NodeId, String)] {
-        &self.failures
+    pub fn failures(&self) -> &[NetFailure] {
+        self.merged.failures()
     }
 
     /// The cluster-wide metrics snapshot: every daemon's registry, merged.
     pub fn metrics(&self) -> &MetricsSnapshot {
-        &self.metrics
+        self.merged.metrics()
     }
 
     /// Per-daemon reports (usage + journal), indexed by node.
@@ -781,27 +750,26 @@ impl ClusterReport {
         &self.per_node
     }
 
-    /// Assemble and validate every per-object queuing order — the contract of
-    /// a fault-free run, identical to [`arrow_net::NetReport::validated_orders`]
-    /// but spanning process boundaries.
+    /// Every per-object queuing order, validated across process boundaries
+    /// ([`NetReport::validated_orders`]).
     pub fn validated_orders(&self) -> Result<Vec<(ObjectId, QueuingOrder)>, OrderError> {
-        per_object_orders(&self.records, &self.schedule).map_err(|(_, e)| e)
+        self.merged.validated_orders()
     }
 
-    /// Validate the run's records under churn (per-epoch fork-freedom, one
-    /// complete chain per object in `final_epoch`) — the contract of a run
-    /// with kills and restarts, where a killed daemon's journal is legitimately
-    /// missing.
+    /// The churn contract of a run with kills and restarts, where a killed
+    /// daemon's journal is legitimately missing ([`NetReport::validate_churn`]).
     pub fn validate_churn(&self, final_epoch: u64) -> Result<(), ChurnOrderError> {
-        validate_churn_records(&self.records, final_epoch)
+        self.merged.validate_churn(final_epoch)
     }
 
-    /// Records evidencing a token regeneration (a request chained directly
-    /// behind a recovery epoch's regenerated virtual root).
+    /// Records evidencing a token regeneration
+    /// ([`NetReport::token_regenerations`]).
     pub fn token_regenerations(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.epoch > 0 && r.predecessor.is_root())
-            .count()
+        self.merged.token_regenerations()
+    }
+
+    /// The run as a validated outcome ([`NetReport::into_outcome`]).
+    pub fn into_outcome(self) -> Result<QueuingOutcome, RunError> {
+        self.merged.into_outcome()
     }
 }

@@ -1,41 +1,30 @@
 //! The on-disk journal an `arrowd` daemon leaves behind at shutdown: its
-//! issued requests, observed successor-notification records, transport
-//! failures, and metrics snapshot — everything the harness needs to assemble a
-//! cluster-wide [`arrow_core::prelude::RequestSchedule`] and validate the
-//! per-object queuing orders, in a line-oriented text format matching the
-//! control channel's.
+//! runtime's [`NetReport`] — issued requests, observed successor-notification
+//! records, transport failures and metrics snapshot — in a line-oriented text
+//! format matching the control channel's. [`read_journal`] decodes it back
+//! into the report [`write_journal`] was given, which the harness merges with
+//! the other daemons' ([`NetReport::merge`]) to validate the per-object
+//! queuing orders.
 //!
 //! Journals are written atomically (temp file + rename in the same directory),
 //! so the harness either sees a complete journal ending in its `end` marker or
 //! no journal at all (the SIGKILL case — a killed incarnation's history dies
 //! with it, exactly like a real crashed node's volatile state).
 
+use arrow_core::host::RunJournal;
 use arrow_core::prelude::{ObjectId, OrderRecord, Request, RequestId};
-use arrow_net::NetReport;
+use arrow_net::{NetFailure, NetReport};
 use arrow_trace::MetricsSnapshot;
 use desim::SimTime;
 use netgraph::NodeId;
+use std::fmt::Display;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
+use std::str::{FromStr, SplitAsciiWhitespace};
 
 /// Format tag on the journal's first line; bump on incompatible changes.
 const MAGIC: &str = "arrowd-journal v1";
-
-/// One daemon's decoded journal.
-#[derive(Debug, Clone, Default)]
-pub struct DaemonJournal {
-    /// The node this daemon hosted.
-    pub node: NodeId,
-    /// Requests the node issued, in its local journal order.
-    pub issued: Vec<Request>,
-    /// Successor notifications the node observed.
-    pub records: Vec<OrderRecord>,
-    /// Transport failures the node reported (node id, description).
-    pub failures: Vec<(NodeId, String)>,
-    /// The daemon's full metrics snapshot at shutdown.
-    pub metrics: MetricsSnapshot,
-}
 
 /// Atomically write `report` as node `node`'s journal at `path`.
 pub fn write_journal(path: &Path, node: NodeId, report: &NetReport) -> io::Result<()> {
@@ -75,10 +64,11 @@ pub fn write_journal(path: &Path, node: NodeId, report: &NetReport) -> io::Resul
     fs::rename(&tmp, path)
 }
 
-/// Read and decode a journal written by [`write_journal`].
-pub fn read_journal(path: &Path) -> io::Result<DaemonJournal> {
+/// Read and decode the journal [`write_journal`] left at `path` for node
+/// `node`: a journal naming another node is an error.
+pub fn read_journal(path: &Path, node: NodeId) -> io::Result<NetReport> {
     let text = fs::read_to_string(path)?;
-    parse_journal(&text).map_err(|e| {
+    parse_journal(&text, node).map_err(|e| {
         io::Error::new(
             io::ErrorKind::InvalidData,
             format!("{}: {e}", path.display()),
@@ -86,82 +76,160 @@ pub fn read_journal(path: &Path) -> io::Result<DaemonJournal> {
     })
 }
 
-fn parse_journal(text: &str) -> Result<DaemonJournal, String> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or("empty journal")?;
-    let node = header
+fn parse_journal(text: &str, node: NodeId) -> Result<NetReport, String> {
+    let mut lines = (1..).zip(text.lines());
+    let (_, header) = lines.next().ok_or("empty journal")?;
+    let named: NodeId = header
         .strip_prefix(MAGIC)
-        .ok_or_else(|| format!("bad journal header {header:?}"))?
-        .trim()
-        .parse::<NodeId>()
-        .map_err(|e| format!("bad journal node id: {e}"))?;
-
-    let mut journal = DaemonJournal {
-        node,
-        ..DaemonJournal::default()
-    };
-    let mut metrics_text = String::new();
-    let mut complete = false;
-    for line in lines {
-        let mut parts = line.split_ascii_whitespace();
-        let kind = parts.next().unwrap_or_default();
-        let num = |s: Option<&str>| -> Result<u64, String> {
-            s.ok_or_else(|| format!("short journal line {line:?}"))?
-                .parse::<u64>()
-                .map_err(|e| format!("bad number in journal line {line:?}: {e}"))
+        .and_then(|n| n.trim().parse().ok())
+        .ok_or_else(|| format!("bad journal header {header:?}"))?;
+    if named != node {
+        return Err(format!("journal of node {named}, expected node {node}"));
+    }
+    let mut journal = RunJournal::default();
+    let (mut failures, mut metrics) = (Vec::new(), String::new());
+    for (at, line) in lines {
+        let (kind, rest) = line.split_once(' ').unwrap_or((line, ""));
+        let mut f = Fields {
+            at,
+            line,
+            rest: rest.split_ascii_whitespace(),
         };
         match kind {
-            "req" => journal.issued.push(Request {
-                id: RequestId(num(parts.next())?),
-                node: num(parts.next())? as NodeId,
-                time: SimTime::from_subticks(num(parts.next())?),
-                obj: ObjectId(num(parts.next())? as u32),
-            }),
-            "rec" => journal.records.push(OrderRecord {
-                predecessor: RequestId(num(parts.next())?),
-                successor: RequestId(num(parts.next())?),
-                obj: ObjectId(num(parts.next())? as u32),
-                at_node: num(parts.next())? as NodeId,
-                informed_at: SimTime::from_subticks(num(parts.next())?),
-                epoch: num(parts.next())?,
-            }),
+            "req" => {
+                let r = Request {
+                    id: RequestId(f.next()?),
+                    node: f.next()?,
+                    time: SimTime::from_subticks(f.next()?),
+                    obj: ObjectId(f.next()?),
+                };
+                if r.node != node {
+                    return Err(f.bad(format!("a request of node {}", r.node)));
+                }
+                let last = journal.issued().last();
+                if last.is_some_and(|last| (last.time, last.id) >= (r.time, r.id)) {
+                    return Err(f.bad("a request out of (time, id) order"));
+                }
+                f.end()?;
+                journal.note_issue(r);
+            }
+            "rec" => {
+                journal.note_queued(OrderRecord {
+                    predecessor: RequestId(f.next()?),
+                    successor: RequestId(f.next()?),
+                    obj: ObjectId(f.next()?),
+                    at_node: f.next()?,
+                    informed_at: SimTime::from_subticks(f.next()?),
+                    epoch: f.next()?,
+                });
+                f.end()?;
+            }
+            // The description runs verbatim to the end of the line.
             "fail" => {
-                let node = num(parts.next())? as NodeId;
-                let description = parts.collect::<Vec<_>>().join(" ");
-                journal.failures.push((node, description));
+                let failed = f.next()?;
+                let (_, description) = rest
+                    .split_once(' ')
+                    .ok_or_else(|| f.bad("no failure description"))?;
+                failures.push(NetFailure {
+                    node: failed,
+                    description: description.to_string(),
+                });
             }
             "ctr" | "hist" => {
-                metrics_text.push_str(line);
-                metrics_text.push('\n');
+                metrics.push_str(line);
+                metrics.push('\n');
             }
             "end" => {
-                complete = true;
-                break;
+                f.end()?;
+                let metrics = MetricsSnapshot::from_wire(&metrics)?;
+                return Ok(NetReport::new(journal, failures, metrics));
             }
-            other => return Err(format!("unknown journal line kind {other:?}")),
+            other => return Err(f.bad(format!("unknown line kind {other:?}"))),
         }
     }
-    if !complete {
-        return Err("journal is truncated (no end marker)".to_string());
+    Err("journal is truncated (no end marker)".to_string())
+}
+
+/// The fields of journal line `at` after its kind, read in order.
+struct Fields<'a> {
+    at: usize,
+    line: &'a str,
+    rest: SplitAsciiWhitespace<'a>,
+}
+
+impl Fields<'_> {
+    /// What is wrong with this line, naming it.
+    fn bad(&self, what: impl Display) -> String {
+        format!("journal line {} {:?}: {what}", self.at, self.line)
     }
-    journal.metrics = MetricsSnapshot::from_wire(&metrics_text)?;
-    Ok(journal)
+
+    fn next<T: FromStr>(&mut self) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let field = self
+            .rest
+            .next()
+            .ok_or_else(|| self.bad("a missing field"))?;
+        field
+            .parse()
+            .map_err(|e| self.bad(format!("bad field {field:?}: {e}")))
+    }
+
+    /// Every field was read: nothing trails.
+    fn end(mut self) -> Result<(), String> {
+        match self.rest.next() {
+            None => Ok(()),
+            Some(extra) => Err(self.bad(format!("trailing field {extra:?}"))),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arrow_net::{NetConfig, NetRuntime};
+    use netgraph::{generators, RootedTree};
+    use std::net::TcpListener;
 
     #[test]
     fn parse_rejects_truncated_and_malformed_journals() {
-        assert!(parse_journal("").is_err());
-        assert!(parse_journal("not a journal\nend\n").is_err());
+        let journal_of_3 = |body: &str| format!("{MAGIC} 3\n{body}end\n");
+        for (text, why) in [
+            (String::new(), "empty"),
+            ("not a journal\nend\n".to_string(), "bad header"),
+            (format!("{MAGIC} 3\nreq 1 3 0 0\n"), "missing end marker"),
+            (journal_of_3("what 1\n"), "unknown line kind"),
+            (journal_of_3("req 1 3\n"), "short req line"),
+            (journal_of_3("req 1 3 0 4294967296\n"), "object id past u32"),
+            (
+                journal_of_3("rec 0 1 4294967296 3 0 0\n"),
+                "object id past u32",
+            ),
+            (journal_of_3("req 1 3 0 0 7\n"), "trailing field on req"),
+            (journal_of_3("rec 0 1 0 3 0 0 7\n"), "trailing field on rec"),
+            (journal_of_3("fail 3\n"), "fail line without a description"),
+            (journal_of_3("req 1 4 0 0\n"), "a request of another node"),
+            (
+                journal_of_3("req 5 3 9 0\nreq 1 3 8 0\n"),
+                "requests out of time order",
+            ),
+            (
+                journal_of_3("req 5 3 9 0\nreq 1 3 9 0\n"),
+                "requests out of id order",
+            ),
+            (format!("{MAGIC} 3\nend 7\n"), "trailing field on end"),
+        ] {
+            assert!(parse_journal(&text, 3).is_err(), "{why}: {text:?}");
+        }
+        let err = parse_journal(&journal_of_3("req 1 3 0 0\nreq 2 3 0 0 junk\n"), 3)
+            .expect_err("a trailing field");
         assert!(
-            parse_journal(&format!("{MAGIC} 3\nreq 1 3 0 0\n")).is_err(),
-            "missing end marker"
+            err.starts_with("journal line 3 \"req 2 3 0 0 junk\""),
+            "{err}"
         );
-        assert!(parse_journal(&format!("{MAGIC} 3\nwhat 1\nend\n")).is_err());
-        assert!(parse_journal(&format!("{MAGIC} 3\nreq 1 3\nend\n")).is_err());
+        let err = parse_journal(&journal_of_3(""), 4).expect_err("another daemon's journal");
+        assert!(err.contains("journal of node 3, expected node 4"), "{err}");
     }
 
     #[test]
@@ -175,18 +243,83 @@ mod tests {
              ctr acquisitions 2\n\
              end\n"
         );
-        let j = parse_journal(&text).unwrap();
-        assert_eq!(j.node, 2);
-        assert_eq!(j.issued.len(), 2);
-        assert_eq!(j.issued[0].id, RequestId(5));
-        assert_eq!(j.issued[1].obj, ObjectId(1));
-        assert_eq!(j.records.len(), 1);
-        assert_eq!(j.records[0].successor, RequestId(5));
-        assert_eq!(j.failures, vec![(2, "dial to peer 1 refused".to_string())]);
+        let report = parse_journal(&text, 2).unwrap();
+        let issued = report.schedule().requests();
+        assert_eq!(issued.len(), 2);
+        assert_eq!(issued[0].id, RequestId(5));
+        assert_eq!(issued[1].obj, ObjectId(1));
+        assert_eq!(report.records().len(), 1);
+        assert_eq!(report.records()[0].successor, RequestId(5));
         assert_eq!(
-            j.metrics.get(arrow_trace::Metric::Acquisitions),
+            report.failures(),
+            [NetFailure {
+                node: 2,
+                description: "dial to peer 1 refused".to_string(),
+            }]
+        );
+        assert_eq!(
+            report.metrics().get(arrow_trace::Metric::Acquisitions),
             2,
             "metrics lines decode through the shared wire format"
         );
+    }
+
+    /// Write `report` as node `node`'s journal and read it back.
+    fn round_trip(report: &NetReport, node: NodeId) -> NetReport {
+        let path = std::env::temp_dir().join(format!(
+            "arrowd-journal-round-trip-{}-{node}.journal",
+            std::process::id()
+        ));
+        write_journal(&path, node, report).unwrap();
+        let back = read_journal(&path, node);
+        let _ = fs::remove_file(&path);
+        back.unwrap()
+    }
+
+    fn assert_same(back: &NetReport, report: &NetReport) {
+        assert_eq!(back.schedule().requests(), report.schedule().requests());
+        assert_eq!(back.records(), report.records());
+        assert_eq!(back.failures(), report.failures());
+        assert_eq!(back.metrics(), report.metrics());
+    }
+
+    /// What a daemon-mode runtime reports comes back whole through its
+    /// journal: two daemons of a two-node tree acquire and release, and a
+    /// third node, whose parent's address is refused, fails its acquire.
+    #[test]
+    fn a_daemon_report_round_trips_through_its_journal() {
+        let tree = RootedTree::from_tree_graph(&generators::path(2), 0);
+        let listeners = [(); 2].map(|_| TcpListener::bind("127.0.0.1:0").unwrap());
+        let addrs: Vec<_> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+        let cfg = NetConfig::instant();
+        let daemons: Vec<NetRuntime> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(v, l)| NetRuntime::spawn_daemon(&tree, 2, cfg, v, l, addrs.clone(), 0))
+            .collect();
+        for (v, daemon) in daemons.iter().enumerate() {
+            let h = daemon.handle(v);
+            for obj in [ObjectId(0), ObjectId(1), ObjectId(0)] {
+                let req = h.acquire_object(obj);
+                h.release_object(obj, req);
+            }
+        }
+        for (v, daemon) in daemons.into_iter().enumerate().rev() {
+            let report = daemon.shutdown();
+            assert_eq!(report.schedule().len(), 3, "node {v}");
+            assert_same(&round_trip(&report, v), &report);
+        }
+
+        let refused = TcpListener::bind("127.0.0.1:0").unwrap();
+        let gone = refused.local_addr().unwrap();
+        drop(refused);
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![gone, l1.local_addr().unwrap()];
+        let cfg = cfg.with_dial_retries(1);
+        let daemon = NetRuntime::spawn_daemon(&tree, 1, cfg, 1, l1, addrs, 0);
+        assert!(daemon.handle(1).try_acquire().is_err());
+        let report = daemon.shutdown();
+        assert_eq!(report.failures().len(), 1);
+        assert_same(&round_trip(&report, 1), &report);
     }
 }

@@ -50,5 +50,4 @@ pub mod procstat;
 
 pub use driver::{locate_arrowd, ClusterDriver};
 pub use harness::{Cluster, ClusterConfig, ClusterReport, NodeReport, WorkOutcome};
-pub use journal::DaemonJournal;
 pub use procstat::ProcUsage;

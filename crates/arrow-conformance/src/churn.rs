@@ -224,10 +224,7 @@ fn run_net_churn(
     // In fault-tolerant mode the failure list should stay empty: transient
     // acquire rejections surface to workers (who retry), not the mesh.
     for f in report.failures() {
-        violations.push(churn_violation(
-            tier,
-            format!("node {}: {}", f.node, f.description),
-        ));
+        violations.push(churn_violation(tier, f.to_string()));
     }
     let token_regenerations = report.token_regenerations() as u64;
     TierChurn {

@@ -22,7 +22,6 @@ use arrow_core::driver::{acquire_sequences, Driver};
 use arrow_core::prelude::*;
 use arrow_net::{NetConfig, NetHandle, NetReport, NetRuntime};
 use arrow_trace::{NoProbe, Probe};
-use desim::SimTime;
 use netgraph::NodeId;
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
@@ -112,50 +111,22 @@ impl NetDriver {
         };
         let grant_timeout = config.grant_timeout();
         let tree = instance.tree();
-        let (replayed, reports) = match self.hosting {
+        let (replayed, report) = match self.hosting {
             NetHosting::Shards(shards) => {
                 let rt =
                     NetRuntime::spawn_multi_probed(tree, k, cfg.with_shards(shards), probe_for);
                 let replayed = replay(|v| rt.handle(v), schedule, grant_timeout);
-                (replayed, vec![rt.shutdown()])
+                (replayed, rt.shutdown())
             }
             NetHosting::DaemonPerNode => {
                 let daemons = spawn_daemons(instance, k, cfg)?;
                 let replayed = replay(|v| daemons[v].handle(v), schedule, grant_timeout);
-                (
-                    replayed,
-                    daemons.into_iter().map(NetRuntime::shutdown).collect(),
-                )
+                let reports = daemons.into_iter().map(NetRuntime::shutdown);
+                (replayed, NetReport::merge(reports))
             }
         };
         replayed?;
-        if let Some(f) = reports.iter().flat_map(NetReport::failures).next() {
-            return Err(RunError::Transport {
-                node: f.node,
-                description: f.description.clone(),
-            });
-        }
-        let (mut issued, mut records) = (Vec::new(), Vec::new());
-        let (mut queue_frames, mut token_frames) = (0, 0);
-        for report in &reports {
-            issued.extend_from_slice(report.schedule().requests());
-            records.extend_from_slice(report.records());
-            queue_frames += report.stats().queue_frames;
-            token_frames += report.stats().token_frames;
-        }
-        let makespan = records
-            .iter()
-            .map(|r| r.informed_at)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        outcome_from_records(
-            ProtocolKind::Arrow,
-            issued,
-            records,
-            queue_frames,
-            queue_frames + token_frames,
-            makespan,
-        )
+        report.into_outcome()
     }
 }
 
@@ -268,6 +239,7 @@ impl Driver for NetDriver {
 mod tests {
     use super::*;
     use arrow_core::driver::acquire_sequences;
+    use desim::SimTime;
     use netgraph::spanning::SpanningTreeKind;
 
     #[test]

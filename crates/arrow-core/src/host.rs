@@ -14,7 +14,8 @@
 //! Every host of one run appends to one shared [`RunJournal`], which the harness
 //! takes whole once the simulator is quiescent. The simulator is single-threaded
 //! and dispatches events in time order, so the journal is in time order as it is
-//! written.
+//! written. The live tiers keep the same journal, one per reactor shard, and
+//! [`RunJournal::merge`] joins several.
 
 use crate::order::OrderRecord;
 use crate::protocol::{ProtoMsg, ServiceQueue, SERVICE_TIMER_TAG};
@@ -50,7 +51,9 @@ pub struct OwnCompletion {
     pub at: SimTime,
 }
 
-/// What the nodes of one simulator run journal, in the order it happened.
+/// What the nodes of one run journal, in the order it happened: every node of a
+/// simulator run, or of one live reactor shard. [`Default`] makes a count-only
+/// journal, which keeps no list of completions.
 #[derive(Debug, Default)]
 pub struct RunJournal {
     /// Every issue, in (time, id) order.
@@ -103,8 +106,35 @@ impl RunJournal {
         }
     }
 
+    /// A count-only journal of `issued`, in (time, id) order, and `records`.
+    pub fn from_parts(issued: Vec<Request>, records: Vec<OrderRecord>) -> Self {
+        debug_assert!(issued.is_sorted_by_key(|r| (r.time, r.id)));
+        RunJournal {
+            issued,
+            records,
+            ..RunJournal::default()
+        }
+    }
+
+    /// Several count-only journals (the live tiers') as one, successions
+    /// journal by journal. Each is in (time, id) order, so one stable sort
+    /// merges their issues as runs; a lone journal comes back as it was.
+    pub fn merge(journals: impl IntoIterator<Item = RunJournal>) -> Self {
+        let mut journals = journals.into_iter();
+        let mut merged = journals.next().unwrap_or_default();
+        let lone = merged.issued.len();
+        for journal in journals {
+            merged.issued.extend(journal.issued);
+            merged.records.extend(journal.records);
+        }
+        if merged.issued.len() > lone {
+            merged.issued.sort_by_key(|r| (r.time, r.id));
+        }
+        merged
+    }
+
     /// The issues, the successions and the completions, taken out whole.
-    pub(crate) fn into_parts(self) -> (Vec<Request>, Vec<OrderRecord>, Vec<OwnCompletion>) {
+    pub fn into_parts(self) -> (Vec<Request>, Vec<OrderRecord>, Vec<OwnCompletion>) {
         (
             self.issued,
             self.records,
@@ -114,7 +144,7 @@ impl RunJournal {
 
     /// Append `issue`. Issues arrive in time order; one that ties with the issues
     /// before it moves back past those with a larger id.
-    fn note_issue(&mut self, issue: Request) {
+    pub fn note_issue(&mut self, issue: Request) {
         let key = (issue.time, issue.id);
         let at = self.issued.len()
             - self
@@ -128,6 +158,19 @@ impl RunJournal {
             "issues are journaled in time order"
         );
         self.issued.insert(at, issue);
+    }
+
+    /// Append the succession `record`.
+    pub fn note_queued(&mut self, record: OrderRecord) {
+        self.records.push(record);
+    }
+
+    /// Take back every issue `doomed(obj, id)` names and every succession that
+    /// queued one: requests that never entered the distributed queue. Request
+    /// ids are unique across nodes, so no node needs naming.
+    pub fn retract(&mut self, doomed: impl Fn(ObjectId, RequestId) -> bool) {
+        self.issued.retain(|r| !doomed(r.obj, r.id));
+        self.records.retain(|rec| !doomed(rec.obj, rec.successor));
     }
 
     fn note_completion(&mut self, done: OwnCompletion) {
@@ -254,7 +297,7 @@ impl Host {
         succ: RequestId,
         epoch: u64,
     ) {
-        self.journal.borrow_mut().records.push(OrderRecord {
+        self.journal.borrow_mut().note_queued(OrderRecord {
             predecessor: pred,
             successor: succ,
             obj,

@@ -335,22 +335,14 @@ fn assemble(
 /// cannot drift on what "a valid run" means. Objects are validated in ascending
 /// order and the first failure is returned, carrying the offending object alongside
 /// the [`OrderError`]. All objects' chains are validated together, in one pass
-/// over the records and one over the requests.
+/// over the records and one over the requests. The records come in shared
+/// storage, which the orders keep instead of a copy.
 pub fn per_object_orders(
-    records: &[OrderRecord],
-    schedule: &RequestSchedule,
-) -> Result<Vec<(ObjectId, QueuingOrder)>, (ObjectId, OrderError)> {
-    journal_orders(records.to_vec(), schedule)
-}
-
-/// [`per_object_orders`] over a journal handed over whole: the orders keep the
-/// records instead of a copy of them.
-pub(crate) fn journal_orders(
-    journal: Vec<OrderRecord>,
+    records: Arc<Vec<OrderRecord>>,
     schedule: &RequestSchedule,
 ) -> Result<Vec<(ObjectId, QueuingOrder)>, (ObjectId, OrderError)> {
     let objects = schedule.objects();
-    let chains = assemble(Arc::new(journal), schedule, Chains::PerObject(&objects));
+    let chains = assemble(records, schedule, Chains::PerObject(&objects));
     objects
         .iter()
         .zip(chains)
@@ -841,7 +833,7 @@ mod tests {
         for case in 0..3_000 {
             let (schedule, records) = generated_case(&mut rng);
             // The whole journal, as the harness validates it.
-            let got = per_object_orders(&records, &schedule).map(|orders| {
+            let got = per_object_orders(Arc::new(records.clone()), &schedule).map(|orders| {
                 orders
                     .into_iter()
                     .map(|(obj, order)| (obj, order.order().to_vec()))
@@ -1080,7 +1072,7 @@ mod tests {
             for &defect in &defects {
                 corrupt(&mut records, defect);
             }
-            let got = per_object_orders(&records, &schedule)
+            let got = per_object_orders(Arc::new(records), &schedule)
                 .map(|orders| orders.len())
                 .map_err(|(obj, e)| (obj.0, e));
             assert_eq!(

@@ -197,6 +197,11 @@ impl RequestSchedule {
         &self.requests
     }
 
+    /// The requests, in the order of [`RequestSchedule::requests`], taken out whole.
+    pub fn into_requests(self) -> Vec<Request> {
+        self.requests
+    }
+
     /// Number of requests.
     pub fn len(&self) -> usize {
         self.requests.len()

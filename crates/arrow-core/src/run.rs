@@ -986,7 +986,7 @@ fn finish(
     // requests (the tier-shared contract of `order::per_object_orders`): every
     // request queued exactly once, one unbroken chain from that object's virtual
     // root request.
-    let orders = crate::order::journal_orders(records, &schedule)
+    let orders = crate::order::per_object_orders(Arc::new(records), &schedule)
         .map_err(|(obj, error)| RunError::InvalidOrder { obj, error })?;
     let mut total_latency = 0.0;
     for (_, order) in &orders {

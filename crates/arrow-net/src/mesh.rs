@@ -281,6 +281,31 @@ pub struct NetStatsSnapshot {
 }
 
 impl NetStatsSnapshot {
+    /// The counters of the registry snapshot `m`.
+    pub(crate) fn from_metrics(m: &MetricsSnapshot) -> NetStatsSnapshot {
+        NetStatsSnapshot {
+            queue_frames: m.get(Metric::QueueFrames),
+            token_frames: m.get(Metric::TokenFrames),
+            frames_sent: m.get(Metric::FramesSent),
+            bytes_sent: m.get(Metric::BytesSent),
+            bytes_received: m.get(Metric::BytesReceived),
+            socket_writes: m.get(Metric::SocketWrites),
+            socket_reads: m.get(Metric::SocketReads),
+            connections_dialed: m.get(Metric::ConnectionsDialed),
+            connections_accepted: m.get(Metric::ConnectionsAccepted),
+            acquisitions: m.get(Metric::Acquisitions),
+            unexpected_frames: m.get(Metric::UnexpectedFrames),
+            dial_failures: m.get(Metric::DialFailures),
+            frames_dropped: m.get(Metric::FramesDropped),
+            stale_drops: m.get(Metric::StaleEpochDrops),
+            reactor_wakeups: m.get(Metric::ReactorWakeups),
+            would_block_retries: m.get(Metric::WouldBlockRetries),
+            dial_races_collapsed: m.get(Metric::DialRacesCollapsed),
+            local_frames: m.get(Metric::LocalFrames),
+            inline_cycles: m.get(Metric::InlineCycles),
+        }
+    }
+
     /// Mean frames per `write` syscall — the coalescing batch size. 0.0 before any
     /// write happened.
     pub fn frames_per_write(&self) -> f64 {
@@ -314,28 +339,7 @@ impl NetStats {
 
     /// Read all counters at once (relaxed; exact once the runtime is quiescent).
     pub fn snapshot(&self) -> NetStatsSnapshot {
-        let m = self.metrics();
-        NetStatsSnapshot {
-            queue_frames: m.get(Metric::QueueFrames),
-            token_frames: m.get(Metric::TokenFrames),
-            frames_sent: m.get(Metric::FramesSent),
-            bytes_sent: m.get(Metric::BytesSent),
-            bytes_received: m.get(Metric::BytesReceived),
-            socket_writes: m.get(Metric::SocketWrites),
-            socket_reads: m.get(Metric::SocketReads),
-            connections_dialed: m.get(Metric::ConnectionsDialed),
-            connections_accepted: m.get(Metric::ConnectionsAccepted),
-            acquisitions: m.get(Metric::Acquisitions),
-            unexpected_frames: m.get(Metric::UnexpectedFrames),
-            dial_failures: m.get(Metric::DialFailures),
-            frames_dropped: m.get(Metric::FramesDropped),
-            stale_drops: m.get(Metric::StaleEpochDrops),
-            reactor_wakeups: m.get(Metric::ReactorWakeups),
-            would_block_retries: m.get(Metric::WouldBlockRetries),
-            dial_races_collapsed: m.get(Metric::DialRacesCollapsed),
-            local_frames: m.get(Metric::LocalFrames),
-            inline_cycles: m.get(Metric::InlineCycles),
-        }
+        NetStatsSnapshot::from_metrics(&self.metrics())
     }
 }
 

@@ -151,6 +151,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use arrow_core::host::RunJournal;
 use arrow_core::live::{ArrowCore, CoreAction};
 use arrow_core::prelude::{ObjectId, OrderRecord, ProtoMsg, Request, RequestId};
 use arrow_trace::{HistMetric, Metric, MetricsWriter, Probe, ProbeEvent};
@@ -158,7 +159,7 @@ use desim::{SimTime, SUBTICKS_PER_UNIT};
 use netgraph::{NodeId, RootedTree};
 
 use crate::mesh::{DelayPolicy, NetConfig, HANDSHAKE_TIMEOUT, RECV_BUF_INIT};
-use crate::runtime::{Grant, NetFailure, NodeJournal};
+use crate::runtime::{Grant, NetFailure};
 use crate::wheel::TimerWheel;
 use crate::wire::{Frame, MAX_FRAME_LEN};
 
@@ -607,7 +608,6 @@ struct NodeState<P: Probe> {
     pending: HashMap<NodeId, PendingDial>,
     /// Injected-latency streams by peer: empty unless latency is injected.
     delay: HashMap<NodeId, LinkDelay>,
-    journal: NodeJournal,
     /// Core actions are pending dispatch (node is queued in `dirtyq`).
     dirty: bool,
 }
@@ -649,13 +649,14 @@ pub(crate) struct ReactorShared {
 /// node that peers in other processes dial — its bound listener.
 pub(crate) type NodeSeed<P> = (NodeId, ArrowCore<P>, Option<TcpListener>);
 
-/// A shard thread's join handle; joining yields the shard's node journals.
-pub(crate) type ShardJoin = JoinHandle<Vec<(NodeId, NodeJournal)>>;
+/// A shard thread's join handle; joining yields the shard's journal and the
+/// transport failures its nodes observed.
+pub(crate) type ShardJoin = JoinHandle<(RunJournal, Vec<NetFailure>)>;
 
 /// Spawn the shard threads. `shard_nodes[s]` lists the nodes shard `s` owns
 /// and `stats[s]` is the metrics writer it owns; every node of the tree that
 /// no shard lists is hosted by another process. Returns one injector per
-/// shard plus the join handles (each yields the shard's node journals).
+/// shard plus the join handles (each yields the shard's journal).
 pub(crate) fn spawn_shards<P: Probe>(
     shared: &ReactorShared,
     shard_nodes: Vec<Vec<NodeSeed<P>>>,
@@ -701,8 +702,8 @@ fn lock<P: Probe>(cell: &Mutex<Shard<P>>) -> MutexGuard<'_, Shard<P>> {
 }
 
 /// The shard thread: park in `epoll_wait` without the lock, then take the
-/// lock for one cycle over whatever woke it. Returns the nodes' journals.
-fn run<P: Probe>(cell: &Mutex<Shard<P>>) -> Vec<(NodeId, NodeJournal)> {
+/// lock for one cycle over whatever woke it. Returns [`Shard::finish`].
+fn run<P: Probe>(cell: &Mutex<Shard<P>>) -> (RunJournal, Vec<NetFailure>) {
     let (poller, mut timeout) = {
         let mut shard = lock(cell);
         (Arc::clone(&shard.poller), shard.park())
@@ -768,21 +769,16 @@ struct Shard<P: Probe> {
     outbox: Vec<Vec<Hop>>,
     /// Scratch for the frames scanned out of one readiness event.
     scanned: Vec<Frame>,
+    /// What this shard's nodes issued and were told of, in (time, id) order
+    /// as written (see the runtime's module docs), and their failures.
+    journal: RunJournal,
+    failures: Vec<NetFailure>,
     shutting_down: bool,
     shutdown_forced: bool,
     /// This shard has pushed its `Done` marker to every sibling.
     said_done: bool,
     /// Siblings whose `Done` marker this shard has taken.
     siblings_done: usize,
-}
-
-/// Drain `state.waiting` into failure grants at cycle time `now` and mark the
-/// node failed.
-fn enter_failed_state<P: Probe>(state: &mut NodeState<P>, failure: NetFailure, now: Instant) {
-    for w in state.waiting.drain() {
-        w.fail(state.me, failure.clone(), now);
-    }
-    state.failed = Some(failure);
 }
 
 impl<P: Probe> Shard<P> {
@@ -821,6 +817,8 @@ impl<P: Probe> Shard<P> {
             dirtyq: Vec::new(),
             localq: VecDeque::new(),
             scanned: Vec::new(),
+            journal: RunJournal::default(),
+            failures: Vec::new(),
             shutting_down: false,
             shutdown_forced: false,
             said_done: false,
@@ -848,7 +846,6 @@ impl<P: Probe> Shard<P> {
                 links: HashMap::new(),
                 pending: HashMap::new(),
                 delay: HashMap::new(),
-                journal: NodeJournal::default(),
                 dirty: false,
             });
         }
@@ -898,6 +895,23 @@ impl<P: Probe> Shard<P> {
         let _ = self.poller.deregister(fd);
         self.free.push(idx);
         src
+    }
+
+    /// Remove the source at `idx`, cutting a connection's socket both ways.
+    fn cut(&mut self, idx: usize) {
+        if let Source::Conn(c) = self.slab_remove(idx) {
+            let _ = c.stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// [`cut`](Shard::cut) every source `pick` selects.
+    fn cut_where(&mut self, pick: impl Fn(&Source) -> bool) {
+        let picked: Vec<usize> = (0..self.slab.len())
+            .filter(|&i| self.slab[i].src.as_ref().is_some_and(&pick))
+            .collect();
+        for idx in picked {
+            self.cut(idx);
+        }
     }
 
     /// Map a poll token back to a live slab index, or `None` if stale.
@@ -1019,18 +1033,7 @@ impl<P: Probe> Shard<P> {
             return false;
         }
         if self.shutdown_forced {
-            let conns: Vec<usize> = self
-                .slab
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| matches!(e.src, Some(Source::Conn(_))))
-                .map(|(i, _)| i)
-                .collect();
-            for idx in conns {
-                if let Source::Conn(c) = self.slab_remove(idx) {
-                    let _ = c.stream.shutdown(Shutdown::Both);
-                }
-            }
+            self.cut_where(|src| matches!(src, Source::Conn(_)));
         }
         self.may_exit()
     }
@@ -1082,16 +1085,14 @@ impl<P: Probe> Shard<P> {
         !live && (self.shutdown_forced || self.siblings_done + 1 == self.siblings.inboxes.len())
     }
 
-    /// Close the inbox and hand back every node's journal.
-    fn finish(&mut self) -> Vec<(NodeId, NodeJournal)> {
+    /// Close the inbox and hand back the shard's journal and failures.
+    fn finish(&mut self) -> (RunJournal, Vec<NetFailure>) {
         self.inbox.closed.store(true, Ordering::Release);
-        let mut out = Vec::with_capacity(self.nodes.len());
         for node in self.nodes.drain(..) {
             self.stats
                 .add(Metric::StaleEpochDrops, node.core.stale_drops());
-            out.push((node.me, node.journal));
         }
-        out
+        (mem::take(&mut self.journal), mem::take(&mut self.failures))
     }
 
     /// Take every command queued in the inbox and handle them in order.
@@ -1212,23 +1213,18 @@ impl<P: Probe> Shard<P> {
         let time = self.journal_time();
         let slot = self.slot(v);
         let state = &mut self.nodes[slot];
-        if state.crashed {
+        let refused = match &state.failed {
+            _ if state.crashed => Some(NetFailure {
+                node: v,
+                description: "node is crashed (fault injection)".into(),
+            }),
+            failed => failed.clone(),
+        };
+        if let Some(failure) = refused {
             let _ = reply.send(Grant {
                 node: v,
                 obj,
-                result: Err(NetFailure {
-                    node: v,
-                    description: "node is crashed (fault injection)".into(),
-                }),
-                wait: Duration::ZERO,
-            });
-            return;
-        }
-        if let Some(failure) = &state.failed {
-            let _ = reply.send(Grant {
-                node: v,
-                obj,
-                result: Err(failure.clone()),
+                result: Err(failure),
                 wait: Duration::ZERO,
             });
             return;
@@ -1241,7 +1237,7 @@ impl<P: Probe> Shard<P> {
             reply,
             issued,
         });
-        state.journal.issued.push(Request {
+        self.journal.note_issue(Request {
             id: req,
             node: v,
             time,
@@ -1257,18 +1253,7 @@ impl<P: Probe> Shard<P> {
         }
         // Sever every socket this node owns, bypassing close_conn bookkeeping
         // — the links/pending maps are wiped wholesale below.
-        let victims: Vec<usize> = self
-            .slab
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| matches!(&e.src, Some(Source::Conn(c)) if c.node == v))
-            .map(|(i, _)| i)
-            .collect();
-        for idx in victims {
-            if let Source::Conn(c) = self.slab_remove(idx) {
-                let _ = c.stream.shutdown(Shutdown::Both);
-            }
-        }
+        self.cut_where(|src| matches!(src, Source::Conn(c) if c.node == v));
         let now = self.clock();
         let state = &mut self.nodes[slot];
         state.links.clear();
@@ -1397,7 +1382,7 @@ impl<P: Probe> Shard<P> {
                         epoch,
                     } => {
                         let at = self.journal_time();
-                        self.nodes[slot].journal.records.push(OrderRecord {
+                        self.journal.note_queued(OrderRecord {
                             predecessor: pred,
                             successor: succ,
                             obj,
@@ -1651,18 +1636,18 @@ impl<P: Probe> Shard<P> {
             description: format!("failed to dial peer {peer}: {error}"),
         };
         self.stats.inc(Metric::DialFailures);
-        state.journal.failures.push(failure.clone());
+        self.failures.push(failure.clone());
         // The waiting requests' queue() frames died with the failed dial: they
         // never entered the distributed queue, so they must not appear in the
         // reconstructed schedule (a scheduled request that no surviving node
         // ever queued would fail order validation as missing). Un-journal them
         // before the drain below fails their acquirers.
-        let (journal, doomed) = (&mut state.journal, &state.waiting);
-        journal.issued.retain(|r| !doomed.contains(r.obj, r.id));
-        journal
-            .records
-            .retain(|rec| !doomed.contains(rec.obj, rec.successor));
-        enter_failed_state(state, failure, now);
+        self.journal
+            .retract(|obj, req| state.waiting.contains(obj, req));
+        for w in state.waiting.drain() {
+            w.fail(v, failure.clone(), now);
+        }
+        state.failed = Some(failure);
     }
 
     // ---- inbound I/O -------------------------------------------------------
@@ -1919,9 +1904,7 @@ impl<P: Probe> Shard<P> {
         }
         let slot = self.slot(v);
         if self.nodes[slot].crashed {
-            if let Source::Conn(c) = self.slab_remove(idx) {
-                let _ = c.stream.shutdown(Shutdown::Both);
-            }
+            self.cut(idx);
             return;
         }
         // Frames staged while dialing follow the surviving link, whichever
@@ -1977,9 +1960,7 @@ impl<P: Probe> Shard<P> {
                             .deferred,
                     );
                     self.replay_frames(v, peer, deferred);
-                    if let Source::Conn(c) = self.slab_remove(pl) {
-                        let _ = c.stream.shutdown(Shutdown::Both);
-                    }
+                    self.cut(pl);
                 }
                 let link = self.nodes[slot].links.get_mut(&peer).expect("link");
                 link.conn = winner;
@@ -2071,9 +2052,7 @@ impl<P: Probe> Shard<P> {
         };
         if done {
             // Link bookkeeping already happened in on_goodbye.
-            if let Source::Conn(c) = self.slab_remove(idx) {
-                let _ = c.stream.shutdown(Shutdown::Both);
-            }
+            self.cut(idx);
         }
     }
 
@@ -2323,22 +2302,10 @@ impl<P: Probe> Shard<P> {
         }
         self.said_done = true;
         // 2. Stop accepting and abandon half-done handshakes.
-        let stale: Vec<usize> = self
-            .slab
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| match &e.src {
-                Some(Source::Listener { .. }) => true,
-                Some(Source::Conn(c)) => c.state != ConnState::Established,
-                None => false,
-            })
-            .map(|(i, _)| i)
-            .collect();
-        for idx in stale {
-            if let Source::Conn(c) = self.slab_remove(idx) {
-                let _ = c.stream.shutdown(Shutdown::Both);
-            }
-        }
+        self.cut_where(|src| match src {
+            Source::Listener { .. } => true,
+            Source::Conn(c) => c.state != ConnState::Established,
+        });
         for state in &mut self.nodes {
             state.pending.clear();
         }
@@ -2693,7 +2660,7 @@ mod tests {
         cycle(&mut shards[1]);
         assert_eq!(stats.snapshot().frames_dropped, 1);
         assert!(
-            shards[0].nodes[0].journal.records.is_empty(),
+            shards[0].journal.records().is_empty(),
             "the restarted root never saw the queue()"
         );
         assert!(grants.try_recv().is_err(), "nothing answered it");
@@ -2749,7 +2716,7 @@ mod tests {
     #[test]
     fn shutdown_loses_no_cross_shard_frame_sent_before_the_done_marker() {
         let objects = 2;
-        let (_shared, mut shards) = split_pair(objects);
+        let (stats, mut shards) = split_pair(objects);
         let (reply, grants) = std::sync::mpsc::channel();
         for obj in 0..objects as u32 {
             shards[1].handle_cmd(ShardCmd::Acquire {
@@ -2768,16 +2735,14 @@ mod tests {
         let granted = grants.try_iter().filter(|g| g.result.is_ok()).count();
         assert_eq!(granted, objects, "every token sent before a marker landed");
 
-        let (mut issued, mut records) = (Vec::new(), Vec::new());
-        for mut shard in shards {
-            for (_, journal) in shard.finish() {
-                issued.extend(journal.issued);
-                records.extend(journal.records);
-            }
-        }
-        issued.sort_by_key(|r| (r.time, r.id));
-        let schedule = arrow_core::prelude::RequestSchedule::from_requests(issued);
-        let orders = arrow_core::order::per_object_orders(&records, &schedule)
+        let (journals, failures): (Vec<_>, Vec<_>) = shards.iter_mut().map(Shard::finish).unzip();
+        let report = crate::NetReport::new(
+            RunJournal::merge(journals),
+            failures.concat(),
+            stats.metrics(),
+        );
+        let orders = report
+            .validated_orders()
             .expect("the shards' journals validate");
         assert_eq!(orders.len(), objects);
     }

@@ -34,28 +34,31 @@
 //! object are granted in issue order, so a worker can keep several requests in
 //! flight and reap grants FIFO instead of lock-stepping on each round trip.
 //!
-//! Every node here also journals its protocol history:
-//! which requests it issued (with wall-clock issue times) and which
-//! successor-notifications it observed. [`NetRuntime::shutdown`] assembles these
-//! into a [`NetReport`] whose per-object queuing orders validate through the same
-//! [`QueuingOrder`] machinery the simulator harness uses — so a socket run is held
-//! to the same correctness contract as a simulated one.
+//! Every shard journals its nodes' issues (wall-clock times) and observed
+//! successor-notifications in one [`RunJournal`], as the simulator's nodes do;
+//! its cycles are serialised by its lock and each reads the clock afresh, so
+//! the journal is in (time, id) order as written. [`NetRuntime::shutdown`]
+//! merges the shards' journals into a [`NetReport`] whose per-object queuing
+//! orders validate through the simulator harness's [`QueuingOrder`] machinery,
+//! so a socket run is held to the same correctness contract as a simulated one.
 
 use crate::mesh::{NetConfig, NetStats, NetStatsSnapshot};
-use crate::reactor::{spawn_shards, NodeSeed, ReactorShared, ShardCmd, ShardInjector};
+use crate::reactor::{spawn_shards, NodeSeed, ReactorShared, ShardCmd, ShardInjector, ShardJoin};
+use arrow_core::host::RunJournal;
 use arrow_core::live::ArrowCore;
-use arrow_core::order::OrderError;
+use arrow_core::order::{per_object_orders, OrderError};
 use arrow_core::prelude::{
-    validate_churn_records, ChurnOrderError, FaultAction, FaultSchedule, ObjectId, OrderRecord,
-    QueuingOrder, Request, RequestId, RequestSchedule,
+    outcome_from_records, validate_churn_records, ChurnOrderError, FaultAction, FaultSchedule,
+    ObjectId, OrderRecord, ProtocolKind, QueuingOrder, QueuingOutcome, RequestId, RequestSchedule,
+    RunError,
 };
-use arrow_trace::{MetricsSnapshot, NoProbe, Probe};
+use arrow_trace::{Metric, MetricsSnapshot, NoProbe, Probe};
+use desim::SimTime;
 use netgraph::{NodeId, RootedTree};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The outcome of one acquire, delivered on the acquire's reply channel.
@@ -101,14 +104,6 @@ impl std::fmt::Display for NetFailure {
     }
 }
 
-/// What one node hands back when its shard stops.
-#[derive(Default)]
-pub(crate) struct NodeJournal {
-    pub(crate) issued: Vec<Request>,
-    pub(crate) records: Vec<OrderRecord>,
-    pub(crate) failures: Vec<NetFailure>,
-}
-
 /// The distributed arrow directory runtime: every node of the spanning tree is an
 /// independent peer driven by a reactor shard — all of them in this process
 /// ([`NetRuntime::spawn_multi`]), or one, talking TCP to the others
@@ -120,7 +115,7 @@ pub struct NetRuntime {
     /// One command injector per reactor shard; node `v` is served by shard
     /// `v % injectors.len()`.
     injectors: Vec<ShardInjector>,
-    shard_threads: Vec<JoinHandle<Vec<(NodeId, NodeJournal)>>>,
+    shard_threads: Vec<ShardJoin>,
     stats: NetStats,
     /// Whether a fault handle exists, shared with every shard: only then can
     /// a frame between shards outlive an endpoint's incarnation, so only then
@@ -223,8 +218,8 @@ impl NetRuntime {
     /// Protocol behaviour is identical to the in-process runtime, but every
     /// hop pays the wire: the node dials its tree parent for the
     /// `Hello`/`Welcome` handshake at bootstrap, token channels dial lazily,
-    /// and the single local shard journals issued requests and observed order
-    /// records for [`NetRuntime::shutdown`].
+    /// and [`NetRuntime::shutdown`] reports this node's journal alone: merge
+    /// the daemons' reports ([`NetReport::merge`]) to validate the orders.
     /// `seq_base` restores the request-id counter after a process-granularity
     /// restart (see [`ArrowCore::advance_request_seq`]); pass `0` for a fresh
     /// incarnation.
@@ -332,33 +327,18 @@ impl NetRuntime {
             let _ = inj.send(ShardCmd::Shutdown);
         }
         // Each shard drains its links (Goodbye, flush, half-close), closes every
-        // socket, and returns its nodes' journals; joining the shards releases
-        // every fd before this returns, keeping back-to-back runtimes inside the
-        // process fd budget, and makes the frames/bytes counters final before
-        // the snapshot below.
-        let mut journals: Vec<(NodeId, NodeJournal)> = Vec::new();
+        // socket, and returns its journal and failures; joining the shards
+        // releases every fd before this returns, keeping back-to-back runtimes
+        // inside the process fd budget, and makes the frames/bytes counters
+        // final before the snapshot below.
+        let (mut journals, mut failures) = (Vec::new(), Vec::new());
         for t in self.shard_threads.drain(..) {
-            if let Ok(mut j) = t.join() {
-                journals.append(&mut j);
+            if let Ok((journal, mut failed)) = t.join() {
+                journals.push(journal);
+                failures.append(&mut failed);
             }
         }
-        journals.sort_by_key(|(v, _)| *v);
-        let mut issued = Vec::new();
-        let mut records = Vec::new();
-        let mut failures = Vec::new();
-        for (_, journal) in journals {
-            issued.extend(journal.issued);
-            records.extend(journal.records);
-            failures.extend(journal.failures);
-        }
-        issued.sort_by_key(|r| (r.time, r.id));
-        NetReport {
-            schedule: RequestSchedule::from_requests(issued),
-            records,
-            failures,
-            stats: self.stats.snapshot(),
-            metrics: self.stats.metrics(),
-        }
+        NetReport::new(RunJournal::merge(journals), failures, self.stats.metrics())
     }
 }
 
@@ -690,17 +670,67 @@ impl PendingAcquire {
 
 /// Everything a socket run leaves behind: the reconstructed request schedule
 /// (wall-clock issue times, in seconds), the successor-notification records every
-/// node journaled, and the runtime statistics.
+/// node journaled, the transport failures, and the runtime's metrics.
 #[derive(Debug, Clone)]
 pub struct NetReport {
     schedule: RequestSchedule,
-    records: Vec<OrderRecord>,
+    /// Shared with the orders [`NetReport::validated_orders`] assembles.
+    records: Arc<Vec<OrderRecord>>,
     failures: Vec<NetFailure>,
-    stats: NetStatsSnapshot,
     metrics: MetricsSnapshot,
 }
 
 impl NetReport {
+    /// The report of a run's `journal`, `failures` and final `metrics`.
+    pub fn new(journal: RunJournal, failures: Vec<NetFailure>, metrics: MetricsSnapshot) -> Self {
+        let (issued, records, _) = journal.into_parts();
+        NetReport {
+            schedule: RequestSchedule::from_requests(issued),
+            records: Arc::new(records),
+            failures,
+            metrics,
+        }
+    }
+
+    /// Several runtimes' reports (one mesh's daemons, say) as one: journals
+    /// merged ([`RunJournal::merge`]), failures joined, metrics summed.
+    pub fn merge(reports: impl IntoIterator<Item = NetReport>) -> Self {
+        let mut journals = Vec::new();
+        let mut failures = Vec::new();
+        let mut metrics = MetricsSnapshot::default();
+        for report in reports {
+            journals.push(RunJournal::from_parts(
+                report.schedule.into_requests(),
+                Arc::unwrap_or_clone(report.records),
+            ));
+            failures.extend(report.failures);
+            metrics.merge(&report.metrics);
+        }
+        NetReport::new(RunJournal::merge(journals), failures, metrics)
+    }
+
+    /// The run as a validated [`QueuingOutcome`], its journal moved: the first
+    /// failure as [`RunError::Transport`], else makespan = last succession,
+    /// protocol messages = `queue()` frames, plus token frames in the total.
+    pub fn into_outcome(self) -> Result<QueuingOutcome, RunError> {
+        if let Some(f) = self.failures.into_iter().next() {
+            return Err(RunError::Transport {
+                node: f.node,
+                description: f.description,
+            });
+        }
+        let makespan = self.records.iter().map(|r| r.informed_at).max();
+        let queue_frames = self.metrics.get(Metric::QueueFrames);
+        outcome_from_records(
+            ProtocolKind::Arrow,
+            self.schedule.into_requests(),
+            Arc::unwrap_or_clone(self.records),
+            queue_frames,
+            queue_frames + self.metrics.get(Metric::TokenFrames),
+            makespan.unwrap_or(SimTime::ZERO),
+        )
+    }
+
     /// The requests issued during the run, in non-decreasing issue-time order.
     /// Times are wall-clock seconds since the runtime was spawned.
     pub fn schedule(&self) -> &RequestSchedule {
@@ -718,9 +748,9 @@ impl NetReport {
         &self.failures
     }
 
-    /// Runtime statistics at shutdown.
+    /// Runtime statistics at shutdown, read from [`NetReport::metrics`].
     pub fn stats(&self) -> NetStatsSnapshot {
-        self.stats
+        NetStatsSnapshot::from_metrics(&self.metrics)
     }
 
     /// The full metrics-registry snapshot at shutdown: the counters of
@@ -737,7 +767,7 @@ impl NetReport {
     /// enforces: every request queued exactly once, one unbroken successor chain
     /// from the object's virtual root request.
     pub fn validated_orders(&self) -> Result<Vec<(ObjectId, QueuingOrder)>, OrderError> {
-        arrow_core::order::per_object_orders(&self.records, &self.schedule).map_err(|(_, e)| e)
+        per_object_orders(Arc::clone(&self.records), &self.schedule).map_err(|(_, e)| e)
     }
 
     /// Validate the run's order records under churn: every `(object, epoch)`
@@ -799,25 +829,10 @@ mod tests {
             .collect()
     }
 
-    /// Shut every daemon down and validate their merged journals, the merge
-    /// the cluster harness makes.
-    fn shutdown_mesh(daemons: Vec<NetRuntime>) -> (Vec<NetReport>, Vec<(ObjectId, QueuingOrder)>) {
-        let reports: Vec<NetReport> = daemons.into_iter().map(NetRuntime::shutdown).collect();
-        let mut issued: Vec<Request> = Vec::new();
-        let mut records = Vec::new();
-        for r in &reports {
-            issued.extend_from_slice(r.schedule().requests());
-            records.extend_from_slice(r.records());
-        }
-        issued.sort_by_key(|r| (r.time, r.id));
-        let schedule = RequestSchedule::from_requests(issued);
-        let orders = arrow_core::order::per_object_orders(&records, &schedule).unwrap();
-        (reports, orders)
-    }
-
-    /// One counter summed over several runtimes' reports.
-    fn total(reports: &[NetReport], counter: impl Fn(NetStatsSnapshot) -> u64) -> u64 {
-        reports.iter().map(|r| counter(r.stats())).sum()
+    /// Shut every daemon down and merge their reports, the merge the cluster
+    /// harness makes.
+    fn shutdown_mesh(daemons: Vec<NetRuntime>) -> NetReport {
+        NetReport::merge(daemons.into_iter().map(NetRuntime::shutdown))
     }
 
     /// Node 1 of a two-node tree, alone in its daemon, whose address table
@@ -861,23 +876,16 @@ mod tests {
         let h = daemons[6].handle(6);
         let req = h.acquire();
         h.release(req);
-        let (reports, orders) = shutdown_mesh(daemons);
-        assert_eq!(total(&reports, |s| s.acquisitions), 1);
-        assert!(
-            total(&reports, |s| s.queue_frames) >= 1,
-            "leaf request crossed links"
-        );
-        assert!(
-            total(&reports, |s| s.token_frames) >= 1,
-            "token travelled back"
-        );
-        assert!(total(&reports, |s| s.bytes_sent) > 0);
-        assert!(
-            total(&reports, |s| s.bytes_received) > 0,
-            "readers count their bytes"
-        );
-        assert!(total(&reports, |s| s.socket_writes) >= 1);
-        assert_eq!(total(&reports, |s| s.local_frames), 0);
+        let mesh = shutdown_mesh(daemons);
+        let s = mesh.stats();
+        assert_eq!(s.acquisitions, 1);
+        assert!(s.queue_frames >= 1, "leaf request crossed links");
+        assert!(s.token_frames >= 1, "token travelled back");
+        assert!(s.bytes_sent > 0);
+        assert!(s.bytes_received > 0, "readers count their bytes");
+        assert!(s.socket_writes >= 1);
+        assert_eq!(s.local_frames, 0);
+        let orders = mesh.validated_orders().unwrap();
         assert_eq!(orders.len(), 1);
         assert_eq!(orders[0].1.len(), 1);
     }
@@ -1115,7 +1123,9 @@ mod tests {
         assert!(failure.description.contains("failed to dial peer 3"));
         let reports: Vec<NetReport> = daemons.into_iter().map(NetRuntime::shutdown).collect();
         assert_eq!(reports[0].failures().len(), 1);
-        assert_eq!(total(&reports, |s| s.dial_failures), 1, "the root's alone");
+        let mesh = NetReport::merge(reports);
+        assert_eq!(mesh.stats().dial_failures, 1, "the root's alone");
+        assert_eq!(mesh.failures().len(), 1);
     }
 
     #[test]
@@ -1141,12 +1151,10 @@ mod tests {
             let req = h.acquire();
             h.release(req);
         }
-        let (reports, _) = shutdown_mesh(daemons);
-        let sent = total(&reports, |s| s.bytes_sent);
-        assert!(sent > 0, "seven acquires crossed the mesh");
+        let s = shutdown_mesh(daemons).stats();
+        assert!(s.bytes_sent > 0, "seven acquires crossed the mesh");
         assert_eq!(
-            sent,
-            total(&reports, |s| s.bytes_received),
+            s.bytes_sent, s.bytes_received,
             "every written byte is read before its reader exits"
         );
     }
@@ -1216,18 +1224,43 @@ mod tests {
         d1.handle(1).release(req);
         let r1 = d1.shutdown();
         let r0 = d0.shutdown();
-        // The acquirer journals its request; assembling both journals yields
-        // one clean order — the cluster harness does exactly this merge.
-        let mut issued: Vec<Request> = Vec::new();
-        issued.extend_from_slice(r0.schedule().requests());
-        issued.extend_from_slice(r1.schedule().requests());
-        issued.sort_by_key(|r| (r.time, r.id));
-        let schedule = RequestSchedule::from_requests(issued);
-        let mut records = r0.records().to_vec();
-        records.extend_from_slice(r1.records());
-        let orders = arrow_core::order::per_object_orders(&records, &schedule).unwrap();
+        // The acquirer journals its request; merging both reports yields one
+        // clean order — the cluster harness does exactly this merge.
+        assert_eq!(r1.schedule().len(), 1);
+        let orders = NetReport::merge([r0, r1]).validated_orders().unwrap();
         assert_eq!(orders.len(), 1);
         assert_eq!(orders[0].1.order(), &[req]);
+    }
+
+    /// Two nodes of one shard issue in one cycle, the higher request id first.
+    /// The shard's journal keeps issues in (time, id) order as it writes them,
+    /// so the schedule comes out ordered with no sort at shutdown.
+    #[test]
+    fn same_cycle_issues_are_journaled_in_id_order() {
+        let rt = NetRuntime::spawn_multi(&tree(2), 2, NetConfig::instant().with_shards(1));
+        let (h0, h1) = (rt.handle(0), rt.handle(1));
+        let mut pending = Vec::new();
+        // Under the shard's lock both acquires wait in its inbox, and the
+        // shard thread's next cycle takes them in one clock reading.
+        rt.injectors[0].under_lock(&mut || {
+            pending.push(h1.start_acquire_object(ObjectId(0)));
+            pending.push(h0.start_acquire_object(ObjectId(1)));
+        });
+        for p in pending {
+            let (v, obj) = (p.node(), p.obj());
+            let req = p.wait().unwrap();
+            rt.handle(v).release_object(obj, req);
+        }
+        let report = rt.shutdown();
+        let issued = report.schedule().requests();
+        assert_eq!(issued.len(), 2);
+        assert_eq!(
+            issued[0].time, issued[1].time,
+            "one cycle, one clock reading"
+        );
+        assert_eq!((issued[0].id, issued[0].node), (RequestId(1), 0));
+        assert_eq!((issued[1].id, issued[1].node), (RequestId(2), 1));
+        assert_eq!(report.validated_orders().unwrap().len(), 2);
     }
 
     /// Bootstrap before publish: a daemon's node dials its tree parent before
@@ -1411,7 +1444,7 @@ mod tests {
         );
         let reports: Vec<NetReport> = daemons.into_iter().map(NetRuntime::shutdown).collect();
         assert_eq!(reports[0].failures().len(), 1, "only the root journals it");
-        assert_eq!(total(&reports, |s| s.dial_failures), 1);
+        assert_eq!(NetReport::merge(reports).stats().dial_failures, 1);
     }
 
     #[test]

@@ -47,27 +47,15 @@ impl Daemons {
         self.0[v].handle(v)
     }
 
-    /// Shut every daemon down, returning their reports and the per-object
-    /// orders their merged journals validate to.
-    fn shutdown(self) -> (Vec<NetReport>, Vec<(ObjectId, QueuingOrder)>) {
-        let reports: Vec<NetReport> = self.0.into_iter().map(NetRuntime::shutdown).collect();
-        let mut issued: Vec<Request> = Vec::new();
-        let mut records = Vec::new();
-        for r in &reports {
-            issued.extend_from_slice(r.schedule().requests());
-            records.extend_from_slice(r.records());
-        }
-        issued.sort_by_key(|r| (r.time, r.id));
-        let schedule = RequestSchedule::from_requests(issued);
-        let orders = arrow_core::order::per_object_orders(&records, &schedule)
-            .unwrap_or_else(|(obj, e)| panic!("daemon journals: invalid order of {obj}: {e:?}"));
-        (reports, orders)
+    /// Shut every daemon down, returning their merged report's counters and
+    /// the per-object orders it validates to.
+    fn shutdown(self) -> (NetStatsSnapshot, Vec<(ObjectId, QueuingOrder)>) {
+        let mesh = NetReport::merge(self.0.into_iter().map(NetRuntime::shutdown));
+        let orders = mesh
+            .validated_orders()
+            .unwrap_or_else(|e| panic!("daemon journals: invalid order: {e:?}"));
+        (mesh.stats(), orders)
     }
-}
-
-/// One counter summed over several runtimes' reports.
-fn total(reports: &[NetReport], counter: impl Fn(NetStatsSnapshot) -> u64) -> u64 {
-    reports.iter().map(|r| counter(r.stats())).sum()
 }
 
 /// Drive `workers_per_object` worker threads per object (at seeded-random nodes
@@ -263,8 +251,8 @@ fn mesh_stays_sparse() {
     let t = tree(n);
     let daemons = Daemons::spawn(&t, 2, NetConfig::instant());
     drive(|v| daemons.handle(v), n, 2, 2, 4, 0x5BA2);
-    let (reports, _) = daemons.shutdown();
-    let dialed = total(&reports, |s| s.connections_dialed);
+    let (stats, _) = daemons.shutdown();
+    let dialed = stats.connections_dialed;
     // The tree edges, plus at most one direct channel per (granter, origin)
     // pair that actually exchanged a token; with 4 requester nodes that is far
     // below n².
@@ -277,7 +265,7 @@ fn mesh_stays_sparse() {
         dialed < (n * n / 2) as u64,
         "mesh degenerated into all-pairs: {dialed} connections"
     );
-    assert_eq!(total(&reports, |s| s.unexpected_frames), 0);
+    assert_eq!(stats.unexpected_frames, 0);
 }
 
 /// Regression for the reactor's dial-race dedupe. Siblings 1 and 2 (no direct
@@ -329,9 +317,9 @@ fn simultaneous_cross_dials_collapse_onto_one_link() {
         h2.release_object(ObjectId(0), got2);
         h1.release_object(ObjectId(1), got1);
         // Shutting down validates the merged orders through the dial race.
-        let (reports, _) = daemons.shutdown();
-        assert_eq!(total(&reports, |s| s.unexpected_frames), 0);
-        collapsed += total(&reports, |s| s.dial_races_collapsed);
+        let (stats, _) = daemons.shutdown();
+        assert_eq!(stats.unexpected_frames, 0);
+        collapsed += stats.dial_races_collapsed;
         if collapsed >= 1 {
             break;
         }
@@ -569,17 +557,16 @@ fn orders_validate_on_the_memory_path_the_wire_path_and_their_mix() {
 
     let daemons = Daemons::spawn(&t, k, NetConfig::instant());
     drive(|v| daemons.handle(v), n, k, 3, 6, 0x2BA7);
-    let (reports, orders) = daemons.shutdown();
-    assert_eq!(total(&reports, |s| s.acquisitions), expected);
-    assert_eq!(total(&reports, |s| s.unexpected_frames), 0);
+    let (stats, orders) = daemons.shutdown();
+    assert_eq!(stats.acquisitions, expected);
+    assert_eq!(stats.unexpected_frames, 0);
     let ordered: usize = orders.iter().map(|(_, o)| o.len()).sum();
     assert_eq!(ordered as u64, expected);
     assert_eq!(
-        total(&reports, |s| s.local_frames),
-        0,
+        stats.local_frames, 0,
         "one node per daemon: every hop pays the wire"
     );
-    assert!(total(&reports, |s| s.connections_dialed) >= (n - 1) as u64);
+    assert!(stats.connections_dialed >= (n - 1) as u64);
 }
 
 /// A runtime that hosts every node opens no socket, whatever its shard count:

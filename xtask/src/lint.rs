@@ -5,11 +5,14 @@
 //! as the code they police):
 //!
 //! 1. **panic hygiene** — `unwrap()` / `expect(` / `panic!(` are forbidden in
-//!    non-test code under `crates/arrow-net/src` and `crates/arrow-core/src/live`
-//!    (the two trees that run on live threads, where a panic kills a node
-//!    rather than failing a test). Findings are suppressed by
-//!    `xtask/lint-allow.txt` entries — documented panic contracts belong
-//!    there, silent ones get fixed.
+//!    non-test code under `crates/arrow-net/src`, `crates/arrow-core/src/live`
+//!    and `crates/arrow-cluster/src` with its `bin/` (the trees that run on
+//!    live threads or in a live `arrowd` node — the daemon, its control
+//!    channel and its journal codec — where a panic kills a node rather than
+//!    failing a test). Findings are suppressed by `xtask/lint-allow.txt`
+//!    entries — documented panic contracts, and code of the cluster tree that
+//!    runs in the test process rather than in a node, belong there; silent
+//!    ones get fixed.
 //! 2. **guard across send** — a `let` binding holding a `Mutex` guard that is
 //!    still alive on a line that calls `.send(` risks blocking every other
 //!    user of the lock behind channel backpressure (and deadlock if the
@@ -170,10 +173,27 @@ fn non_test_lines(text: &str) -> Vec<(usize, &str)> {
     out
 }
 
-/// The directories policed by the panic-hygiene and guard lints.
+/// The directories policed by the guard and metrics lints.
+const LIVE_DIRS: [&str; 2] = ["crates/arrow-net/src", "crates/arrow-core/src/live"];
+
+/// The directories the panic-hygiene lint adds: the cluster tier's library
+/// and the `arrowd` binary, which run in every live node.
+const DAEMON_DIRS: [&str; 2] = ["crates/arrow-cluster/src", "crates/arrow-cluster/src/bin"];
+
+/// The files of the guard and metrics lints' directories.
 fn policed_files(root: &Path) -> Vec<PathBuf> {
+    rust_files(root, &LIVE_DIRS)
+}
+
+/// The files of the panic-hygiene lint's directories.
+fn panic_policed_files(root: &Path) -> Vec<PathBuf> {
+    rust_files(root, &[LIVE_DIRS, DAEMON_DIRS].concat())
+}
+
+/// The `.rs` files directly inside `dirs`, sorted.
+fn rust_files(root: &Path, dirs: &[&str]) -> Vec<PathBuf> {
     let mut files = Vec::new();
-    for dir in ["crates/arrow-net/src", "crates/arrow-core/src/live"] {
+    for dir in dirs {
         let Ok(entries) = std::fs::read_dir(root.join(dir)) else {
             continue;
         };
@@ -194,7 +214,7 @@ fn rel<'p>(root: &Path, path: &'p Path) -> &'p Path {
 
 /// Pass 1: forbid `unwrap()` / `expect(` / `panic!(` in non-test code.
 fn lint_panic_hygiene(root: &Path, allows: &[Allow], findings: &mut Vec<Finding>) {
-    for path in policed_files(root) {
+    for path in panic_policed_files(root) {
         let Ok(text) = std::fs::read_to_string(&path) else {
             continue;
         };
@@ -537,7 +557,7 @@ fn lint_hot_path_hashing(root: &Path, allows: &[Allow], findings: &mut Vec<Findi
 
 /// Pass 8: every allowlist entry matches a live line of a policed file.
 fn lint_stale_allows(root: &Path, allows: &[Allow], findings: &mut Vec<Finding>) {
-    let mut files = policed_files(root);
+    let mut files = panic_policed_files(root);
     files.extend(PER_EVENT_FILES.iter().map(|f| root.join(f)));
     let texts: Vec<(String, String)> = files
         .iter()
@@ -709,6 +729,40 @@ mod tests {
             "the live import, the missing file and the hashed node table, not the allowed \
              fields, the comment or the test"
         );
+    }
+
+    #[test]
+    fn panic_hygiene_polices_the_daemon_and_honours_tests_and_allows() {
+        let dir = std::env::temp_dir().join("xtask-panic-hygiene-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("crates/arrow-cluster/src/bin")).unwrap();
+        let arrowd = "fn f() {\n    writer.lock().unwrap();\n}\n\
+                      #[cfg(test)]\nmod tests {\n    fn t() { g().unwrap(); }\n}\n";
+        std::fs::write(dir.join("crates/arrow-cluster/src/bin/arrowd.rs"), arrowd).unwrap();
+        let harness = "fn launch() {\n    slot.expect(\"all slots filled\");\n    \
+                       line.parse().expect(\"a number\");\n}\n";
+        std::fs::write(dir.join("crates/arrow-cluster/src/harness.rs"), harness).unwrap();
+        let allows = vec![Allow {
+            path_suffix: "crates/arrow-cluster/src/harness.rs".to_string(),
+            substring: ".expect(\"all slots filled\")".to_string(),
+            line: 1,
+        }];
+        let mut findings = Vec::new();
+        lint_panic_hygiene(&dir, &allows, &mut findings);
+        let _ = std::fs::remove_dir_all(&dir);
+        let at: Vec<(String, usize)> = findings
+            .iter()
+            .map(|f| (f.file.to_string_lossy().into_owned(), f.line))
+            .collect();
+        assert_eq!(
+            at,
+            vec![
+                ("crates/arrow-cluster/src/bin/arrowd.rs".to_string(), 2),
+                ("crates/arrow-cluster/src/harness.rs".to_string(), 3),
+            ],
+            "the daemon's poison unwrap and the unlisted expect, not the allowed one or the test"
+        );
+        assert!(findings.iter().all(|f| f.lint == "panic-hygiene"));
     }
 
     #[test]
