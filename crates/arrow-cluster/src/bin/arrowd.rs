@@ -20,6 +20,7 @@
 use arrow_cluster::control::{send_line, tree_from_wire, LineConn, HANDSHAKE_TIMEOUT};
 use arrow_cluster::journal::write_journal;
 use arrow_core::prelude::ObjectId;
+use arrow_net::replay::Client;
 use arrow_net::{NetConfig, NetHandle, NetRuntime};
 use netgraph::{NodeId, RootedTree};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -139,51 +140,18 @@ fn parse_args(args: &[String]) -> Result<Args, DaemonError> {
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| usage(format!("{arg} needs a value")))
-        };
         match arg.as_str() {
-            "--node" => {
-                node = Some(
-                    value()?
-                        .parse::<NodeId>()
-                        .map_err(|e| usage(format!("bad --node: {e}")))?,
-                )
-            }
+            "--node" => node = Some(flag(arg, it.next())?),
             "--parents" => {
-                tree = Some(
-                    tree_from_wire(&value()?).map_err(|e| usage(format!("bad --parents: {e}")))?,
-                )
+                let wire: String = flag(arg, it.next())?;
+                let parsed = tree_from_wire(&wire).map_err(|e| usage(format!("bad {arg}: {e}")));
+                tree = Some(parsed?);
             }
-            "--objects" => {
-                objects = Some(
-                    value()?
-                        .parse::<usize>()
-                        .map_err(|e| usage(format!("bad --objects: {e}")))?,
-                )
-            }
-            "--control" => {
-                control = Some(
-                    value()?
-                        .parse::<SocketAddr>()
-                        .map_err(|e| usage(format!("bad --control: {e}")))?,
-                )
-            }
-            "--journal" => journal = Some(PathBuf::from(value()?)),
-            "--listen" => {
-                listen = Some(
-                    value()?
-                        .parse::<SocketAddr>()
-                        .map_err(|e| usage(format!("bad --listen: {e}")))?,
-                )
-            }
-            "--seq-base" => {
-                seq_base = value()?
-                    .parse::<u64>()
-                    .map_err(|e| usage(format!("bad --seq-base: {e}")))?
-            }
+            "--objects" => objects = Some(flag(arg, it.next())?),
+            "--control" => control = Some(flag(arg, it.next())?),
+            "--journal" => journal = Some(flag(arg, it.next())?),
+            "--listen" => listen = Some(flag(arg, it.next())?),
+            "--seq-base" => seq_base = flag(arg, it.next())?,
             "--fault-tolerant" => fault_tolerant = true,
             other => return Err(usage(format!("unknown argument {other:?}"))),
         }
@@ -212,6 +180,17 @@ fn parse_args(args: &[String]) -> Result<Args, DaemonError> {
         seq_base,
         fault_tolerant,
     })
+}
+
+/// Flag `arg`'s `value`, parsed; a missing or bad one is a usage error.
+fn flag<T: std::str::FromStr>(arg: &str, value: Option<&String>) -> Result<T, DaemonError>
+where
+    T::Err: std::fmt::Display,
+{
+    let value = value.ok_or_else(|| DaemonError::Usage(format!("{arg} needs a value")))?;
+    value
+        .parse()
+        .map_err(|e| DaemonError::Usage(format!("bad {arg}: {e}")))
 }
 
 fn run(raw: &[String]) -> Result<(), DaemonError> {
@@ -343,13 +322,15 @@ fn serve(
                     std::mem::take(&mut assignments),
                     &handle,
                     Duration::from_millis(timeout_ms),
-                    attempts.max(1),
+                    attempts,
                     Arc::clone(&writer),
                 ));
             }
             "epoch" => {
                 let epoch: u64 = parse_field(parts.next(), &line)?;
-                rt.broadcast_epoch(epoch);
+                // The harness's detection bump. Arming faults checks stamps
+                // on frames between shards, and a daemon has one shard.
+                rt.fault_handle().broadcast_epoch(epoch);
                 send_line(&lock(&writer), "ok").map_err(ctrl)?;
             }
             "stats" => {
@@ -404,6 +385,10 @@ where
         .map_err(|e| DaemonError::Control(format!("bad field in {line:?}: {e}")))
 }
 
+/// Run this node's assignments on the live replay client's workers (one
+/// thread per assignment), and write the `done` line from a supervisor thread
+/// once all of them have joined. A worker stops at its first acquire that
+/// exhausts its budget.
 fn start_workload(
     assignments: Vec<(ObjectId, usize)>,
     handle: &NetHandle,
@@ -412,65 +397,26 @@ fn start_workload(
     writer: Arc<Mutex<TcpStream>>,
 ) -> Workload {
     let stopping = Arc::new(AtomicBool::new(false));
-    let mut workers = Vec::new();
-    for (obj, count) in assignments {
-        let h = handle.clone();
-        let stopping = Arc::clone(&stopping);
-        workers.push(std::thread::spawn(move || {
-            let mut completed = 0u64;
-            let mut failed = 0u64;
-            let mut first_failed: Option<ObjectId> = None;
-            'acquires: for _ in 0..count {
-                let mut tries = 0;
-                loop {
-                    if stopping.load(Ordering::SeqCst) {
-                        break 'acquires;
-                    }
-                    tries += 1;
-                    match h.try_acquire_object_timeout(obj, timeout) {
-                        Ok(req) => {
-                            h.release_object(obj, req);
-                            completed += 1;
-                            break;
-                        }
-                        Err(_) if tries < attempts => {
-                            // Churn in flight (a peer died, an epoch bump is
-                            // coming): back off briefly and retry.
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => {
-                            failed += 1;
-                            first_failed.get_or_insert(obj);
-                            break;
-                        }
-                    }
-                }
-            }
-            (completed, failed, first_failed)
-        }));
-    }
+    // Churn in flight (a peer died, an epoch bump is coming) is retried after
+    // the client's backoff; the harness, not this daemon, decides on bumps.
+    let client = Client::new(timeout, attempts).with_stop(Arc::clone(&stopping));
+    let node = handle.node();
+    let work = assignments
+        .into_iter()
+        .map(|(obj, count)| (node, obj, count));
+    let workers = client.spawn(work, |_| handle.clone());
     let supervisor = {
         let stopping = Arc::clone(&stopping);
         std::thread::spawn(move || {
-            let mut completed = 0u64;
-            let mut failed = 0u64;
-            let mut first_failed: Option<ObjectId> = None;
-            for w in workers {
-                if let Ok((c, f, obj)) = w.join() {
-                    completed += c;
-                    failed += f;
-                    if first_failed.is_none() {
-                        first_failed = obj;
-                    }
-                }
-            }
+            let tally = workers.join();
             // A stopping daemon is past reporting; the harness learns the
             // outcome from the journal instead.
             if !stopping.load(Ordering::SeqCst) {
-                let obj = first_failed
-                    .map(|o| o.0.to_string())
-                    .unwrap_or_else(|| "-".to_string());
-                let _ = send_line(&lock(&writer), &format!("done {completed} {failed} {obj}"));
+                let (completed, failed) = (tally.completed, tally.failures.len());
+                let obj = tally.failures.first().map(|(obj, _)| obj.0.to_string());
+                let obj = obj.unwrap_or_else(|| "-".to_string());
+                let line = format!("done {completed} {failed} {obj}");
+                let _ = send_line(&lock(&writer), &line);
             }
         })
     };

@@ -78,16 +78,7 @@ impl Driver for ClusterDriver {
         config: &RunConfig,
     ) -> Result<QueuingOutcome, RunError> {
         debug_assert!(self.supports(config));
-        if let Some(r) = schedule
-            .requests()
-            .iter()
-            .find(|r| r.node >= instance.node_count())
-        {
-            return Err(RunError::Transport {
-                node: r.node,
-                description: format!("schedule names node {} outside the instance", r.node),
-            });
-        }
+        let work = acquire_sequences(schedule, instance.node_count())?;
         let transport =
             |node: NodeId, description: String| RunError::Transport { node, description };
         let k = schedule.object_id_bound();
@@ -96,10 +87,6 @@ impl Driver for ClusterDriver {
         let mut cluster =
             Cluster::launch(cfg).map_err(|e| transport(0, format!("cluster launch: {e}")))?;
 
-        let work: Vec<(NodeId, ObjectId, usize)> = acquire_sequences(schedule)
-            .into_iter()
-            .map(|((node, obj), count)| (node, obj, count))
-            .collect();
         // Worst case the deepest (node, object) pair's acquires all wait the
         // full grant timeout back to back; pad for process scheduling.
         let deepest = work.iter().map(|&(_, _, c)| c).max().unwrap_or(0) as u32;

@@ -28,7 +28,7 @@ use netgraph::{NodeId, RootedTree};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -198,22 +198,7 @@ impl Cluster {
         let mut children = Vec::with_capacity(n);
         for v in 0..n {
             let journal = cfg.journal_dir.join(format!("node-{v}.journal"));
-            let mut cmd = Command::new(&cfg.arrowd);
-            cmd.arg("--node")
-                .arg(v.to_string())
-                .arg("--parents")
-                .arg(&tree_wire)
-                .arg("--objects")
-                .arg(cfg.objects.to_string())
-                .arg("--control")
-                .arg(control_addr.to_string())
-                .arg("--journal")
-                .arg(&journal)
-                .stdin(Stdio::null())
-                .stdout(Stdio::null());
-            if cfg.fault_tolerant {
-                cmd.arg("--fault-tolerant");
-            }
+            let mut cmd = arrowd_command(&cfg, &tree_wire, control_addr, v, &journal);
             let child = cmd.spawn().map_err(|e| {
                 io::Error::new(
                     e.kind(),
@@ -250,11 +235,7 @@ impl Cluster {
                     format!("{pending} daemons never dialed the control channel"),
                 ));
             };
-            stream.set_nonblocking(false)?;
-            let mut conn = LineConn::new(stream);
-            let hello = conn.recv_timeout(HANDSHAKE_TIMEOUT)?;
-            let (v, addr) =
-                parse_hello(&hello).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            let (conn, v, addr) = read_hello(stream)?;
             if v >= n || slots[v].is_some() {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -265,22 +246,15 @@ impl Cluster {
             pending -= 1;
         }
 
-        let addrs: Vec<SocketAddr> = slots
-            .iter()
-            .map(|s| s.as_ref().expect("all slots filled").1)
-            .collect();
-        let peers_line = format!(
-            "peers {}",
-            addrs
+        let peers = peers_line(
+            slots
                 .iter()
-                .map(|a| a.to_string())
-                .collect::<Vec<_>>()
-                .join(" ")
+                .map(|s| s.as_ref().expect("all slots filled").1),
         );
         // Every daemon gets the table before any `ready` is awaited, so they
         // start their reactors side by side.
         for (conn, _) in slots.iter_mut().flatten() {
-            conn.send(&peers_line)?;
+            conn.send(&peers)?;
         }
         let mut daemons = Vec::with_capacity(n);
         for ((v, child, journal), slot) in children.into_iter().zip(slots) {
@@ -465,26 +439,11 @@ impl Cluster {
         assert!(self.daemons[v].reaped, "restart follows kill");
         let journal = self.daemons[v].journal.clone();
         let tree_wire = tree_to_wire(&self.cfg.tree);
-        let mut cmd = Command::new(&self.cfg.arrowd);
-        cmd.arg("--node")
-            .arg(v.to_string())
-            .arg("--parents")
-            .arg(&tree_wire)
-            .arg("--objects")
-            .arg(self.cfg.objects.to_string())
-            .arg("--control")
-            .arg(self.control_addr.to_string())
-            .arg("--journal")
-            .arg(&journal)
-            .arg("--listen")
+        let mut cmd = arrowd_command(&self.cfg, &tree_wire, self.control_addr, v, &journal);
+        cmd.arg("--listen")
             .arg(self.daemons[v].addr.to_string())
             .arg("--seq-base")
-            .arg(RESTART_SEQ_BASE.to_string())
-            .stdin(Stdio::null())
-            .stdout(Stdio::null());
-        if self.cfg.fault_tolerant {
-            cmd.arg("--fault-tolerant");
-        }
+            .arg(RESTART_SEQ_BASE.to_string());
         let mut child = cmd.spawn()?;
 
         // The restarted daemon is the only dialer, but accept with a deadline
@@ -506,11 +465,7 @@ impl Cluster {
                 format!("restarted arrowd node {v} never dialed the control channel"),
             ));
         };
-        stream.set_nonblocking(false)?;
-        let mut conn = LineConn::new(stream);
-        let hello = conn.recv_timeout(HANDSHAKE_TIMEOUT)?;
-        let (got, addr) =
-            parse_hello(&hello).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let (mut conn, got, addr) = read_hello(stream)?;
         if got != v {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -526,15 +481,7 @@ impl Cluster {
                 ),
             ));
         }
-        let peers_line = format!(
-            "peers {}",
-            self.daemons
-                .iter()
-                .map(|d| d.addr.to_string())
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        conn.send(&peers_line)?;
+        conn.send(&peers_line(self.daemons.iter().map(|d| d.addr)))?;
         expect_line(&mut conn, "ready", v)?;
         if self.epoch > 0 {
             conn.send(&format!("epoch {}", self.epoch))?;
@@ -641,7 +588,7 @@ impl Cluster {
                 journal,
             });
         }
-        let merged = NetReport::merge(per_node.iter().filter_map(|n| n.journal.clone()));
+        let merged = NetReport::merge(per_node.iter().filter_map(|n| n.journal.as_ref()));
         Ok(ClusterReport { merged, per_node })
     }
 }
@@ -660,16 +607,56 @@ impl Drop for Cluster {
     }
 }
 
-fn parse_hello(line: &str) -> Result<(NodeId, SocketAddr), String> {
-    let mut parts = line.split_ascii_whitespace();
-    match (parts.next(), parts.next(), parts.next()) {
-        (Some("hello"), Some(v), Some(addr)) => {
-            let v = v.parse().map_err(|e| format!("bad hello node: {e}"))?;
-            let addr = addr.parse().map_err(|e| format!("bad hello addr: {e}"))?;
-            Ok((v, addr))
-        }
-        _ => Err(format!("expected hello line, got {line:?}")),
+/// The `arrowd` command for node `v` of `cfg`'s cluster, its tree given as
+/// `tree_wire`.
+fn arrowd_command(
+    cfg: &ClusterConfig,
+    tree_wire: &str,
+    control: SocketAddr,
+    v: NodeId,
+    journal: &Path,
+) -> Command {
+    let mut cmd = Command::new(&cfg.arrowd);
+    cmd.arg("--node")
+        .arg(v.to_string())
+        .arg("--parents")
+        .arg(tree_wire)
+        .arg("--objects")
+        .arg(cfg.objects.to_string())
+        .arg("--control")
+        .arg(control.to_string())
+        .arg("--journal")
+        .arg(journal)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null());
+    if cfg.fault_tolerant {
+        cmd.arg("--fault-tolerant");
     }
+    cmd
+}
+
+/// The control line that hands every daemon the mesh's address table.
+fn peers_line(addrs: impl Iterator<Item = SocketAddr>) -> String {
+    let addrs: Vec<String> = addrs.map(|a| a.to_string()).collect();
+    format!("peers {}", addrs.join(" "))
+}
+
+/// A daemon's `hello <node> <addr>`, read off its freshly accepted control
+/// stream.
+fn read_hello(stream: TcpStream) -> io::Result<(LineConn, NodeId, SocketAddr)> {
+    stream.set_nonblocking(false)?;
+    let mut conn = LineConn::new(stream);
+    let line = conn.recv_timeout(HANDSHAKE_TIMEOUT)?;
+    let bad = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
+    let mut parts = line.split_ascii_whitespace();
+    let (Some("hello"), Some(v), Some(addr)) = (parts.next(), parts.next(), parts.next()) else {
+        return Err(bad(format!("expected hello line, got {line:?}")));
+    };
+    let v = v.parse().map_err(|e| bad(format!("bad hello node: {e}")))?;
+    let addr = addr
+        .parse()
+        .map_err(|e| bad(format!("bad hello addr: {e}")))?;
+    Ok((conn, v, addr))
 }
 
 fn parse_done(line: &str) -> Option<WorkOutcome> {

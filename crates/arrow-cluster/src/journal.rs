@@ -24,7 +24,7 @@ use std::path::Path;
 use std::str::{FromStr, SplitAsciiWhitespace};
 
 /// Format tag on the journal's first line; bump on incompatible changes.
-const MAGIC: &str = "arrowd-journal v1";
+const MAGIC: &str = "arrowd-journal v2";
 
 /// Atomically write `report` as node `node`'s journal at `path`.
 pub fn write_journal(path: &Path, node: NodeId, report: &NetReport) -> io::Result<()> {
@@ -50,7 +50,7 @@ pub fn write_journal(path: &Path, node: NodeId, report: &NetReport) -> io::Resul
         ));
     }
     for f in report.failures() {
-        text.push_str(&format!("fail {} {}\n", f.node, f.description));
+        text.push_str(&format!("fail {} {}\n", f.node, escape(&f.description)));
     }
     text.push_str(&report.metrics().to_wire());
     text.push_str("end\n");
@@ -124,7 +124,7 @@ fn parse_journal(text: &str, node: NodeId) -> Result<NetReport, String> {
                 });
                 f.end()?;
             }
-            // The description runs verbatim to the end of the line.
+            // The description runs to the end of the line, escaped.
             "fail" => {
                 let failed = f.next()?;
                 let (_, description) = rest
@@ -132,7 +132,7 @@ fn parse_journal(text: &str, node: NodeId) -> Result<NetReport, String> {
                     .ok_or_else(|| f.bad("no failure description"))?;
                 failures.push(NetFailure {
                     node: failed,
-                    description: description.to_string(),
+                    description: unescape(description).map_err(|e| f.bad(e))?,
                 });
             }
             "ctr" | "hist" => {
@@ -148,6 +148,34 @@ fn parse_journal(text: &str, node: NodeId) -> Result<NetReport, String> {
         }
     }
     Err("journal is truncated (no end marker)".to_string())
+}
+
+/// A failure description as one journal line's tail: `\`, newline and
+/// carriage return escaped, so a free-form I/O error text cannot split it.
+fn escape(description: &str) -> String {
+    description
+        .replace('\\', "\\\\")
+        .replace('\n', "\\n")
+        .replace('\r', "\\r")
+}
+
+/// Undo [`escape`]; any other escape is an error.
+fn unescape(field: &str) -> Result<String, String> {
+    let mut out = String::with_capacity(field.len());
+    let mut chars = field.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('\\') => out.push('\\'),
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            other => return Err(format!("bad escape {other:?} in a failure description")),
+        }
+    }
+    Ok(out)
 }
 
 /// The fields of journal line `at` after its kind, read in order.
@@ -188,6 +216,7 @@ impl Fields<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arrow_net::replay::daemon_mesh;
     use arrow_net::{NetConfig, NetRuntime};
     use netgraph::{generators, RootedTree};
     use std::net::TcpListener;
@@ -209,6 +238,14 @@ mod tests {
             (journal_of_3("req 1 3 0 0 7\n"), "trailing field on req"),
             (journal_of_3("rec 0 1 0 3 0 0 7\n"), "trailing field on rec"),
             (journal_of_3("fail 3\n"), "fail line without a description"),
+            (
+                journal_of_3("fail 3 a\\q\n"),
+                "unknown escape in a description",
+            ),
+            (
+                journal_of_3("fail 3 a\\\n"),
+                "lone backslash ending a description",
+            ),
             (journal_of_3("req 1 4 0 0\n"), "a request of another node"),
             (
                 journal_of_3("req 5 3 9 0\nreq 1 3 8 0\n"),
@@ -284,19 +321,14 @@ mod tests {
     }
 
     /// What a daemon-mode runtime reports comes back whole through its
-    /// journal: two daemons of a two-node tree acquire and release, and a
-    /// third node, whose parent's address is refused, fails its acquire.
+    /// journal: two daemons of a two-node tree acquire and release, a third
+    /// node, whose parent's address is refused, fails its acquire, and a
+    /// failure description holding a newline and a backslash stays one line.
     #[test]
     fn a_daemon_report_round_trips_through_its_journal() {
         let tree = RootedTree::from_tree_graph(&generators::path(2), 0);
-        let listeners = [(); 2].map(|_| TcpListener::bind("127.0.0.1:0").unwrap());
-        let addrs: Vec<_> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
         let cfg = NetConfig::instant();
-        let daemons: Vec<NetRuntime> = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(v, l)| NetRuntime::spawn_daemon(&tree, 2, cfg, v, l, addrs.clone(), 0))
-            .collect();
+        let daemons = daemon_mesh(&tree, 2, cfg, |_, _| {}).unwrap();
         for (v, daemon) in daemons.iter().enumerate() {
             let h = daemon.handle(v);
             for obj in [ObjectId(0), ObjectId(1), ObjectId(0)] {
@@ -320,6 +352,13 @@ mod tests {
         assert!(daemon.handle(1).try_acquire().is_err());
         let report = daemon.shutdown();
         assert_eq!(report.failures().len(), 1);
+        assert_same(&round_trip(&report, 1), &report);
+
+        let failures = vec![NetFailure {
+            node: 1,
+            description: "dial failed:\nC:\\peer\\n \\\r".to_string(),
+        }];
+        let report = NetReport::new(RunJournal::default(), failures, MetricsSnapshot::default());
         assert_same(&round_trip(&report, 1), &report);
     }
 }

@@ -19,13 +19,14 @@
 //!
 //! The simulator replays the fault schedule in virtual time
 //! ([`run_schedule_faulted`]); the reactor tiers pace the same schedule on the
-//! wall clock through the runtime's [`arrow_net::NetFaultHandle`] while replay
-//! workers run the case's `(node, object)` acquire sequences with retries.
-//! Because a live grant can be lost to a crash *after* injection has finished
-//! (no further epoch bump will re-issue it), a worker whose attempt times out
-//! after the injector is done re-broadcasts the final epoch — an idempotent
-//! recovery nudge, exactly the timeout-as-detection rule a real deployment
-//! would use.
+//! wall clock through the runtime's [`arrow_net::NetFaultHandle`] while the
+//! live replay client ([`arrow_net::replay`]) runs the case's `(node, object)`
+//! acquire sequences with retries. A live grant can be lost to a crash *after*
+//! injection has finished (no further epoch bump will re-issue it), so the
+//! client's recovery nudge is the one [`arrow_net::replay::inject`] hands
+//! back: that module is the one home of the timeout-as-detection rule, a
+//! missed attempt after injection re-broadcasting the final epoch as a real
+//! deployment's failure detector would.
 //!
 //! Each tier also reports how many **token regenerations** it observed (order
 //! records chained behind the virtual root in a bumped epoch — evidence the
@@ -38,9 +39,9 @@ use crate::invariants::{InvariantKind, Violation};
 use crate::net_driver::{NetHosting, NET_TIERS};
 use arrow_core::driver::acquire_sequences;
 use arrow_core::prelude::*;
+use arrow_net::replay::{inject, Client};
 use arrow_net::{NetConfig, NetRuntime};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use netgraph::NodeId;
 use std::time::Duration;
 
 /// Per-attempt grant timeout for live-tier churn workers. Long enough for a
@@ -56,12 +57,6 @@ const MAX_ATTEMPTS: u32 = 200;
 /// Wall-clock duration of one fault-schedule tick in the live tiers — long
 /// enough that protocol traffic actually flows between consecutive faults.
 const TICK: Duration = Duration::from_millis(15);
-
-/// What one tier observed running a churn case.
-struct TierChurn {
-    violations: Vec<Violation>,
-    token_regenerations: u64,
-}
 
 fn churn_violation(tier: &str, detail: String) -> Violation {
     Violation {
@@ -90,17 +85,13 @@ pub fn run_churn_case(
         violations.push(churn_violation("schedule", e));
         return (tiers_run, violations);
     }
-    if let Some(r) = schedule
-        .requests()
-        .iter()
-        .find(|r| r.node >= instance.node_count())
-    {
-        violations.push(churn_violation(
-            "schedule",
-            format!("schedule names node {} outside the instance", r.node),
-        ));
-        return (tiers_run, violations);
-    }
+    let work = match acquire_sequences(&schedule, instance.node_count()) {
+        Ok(work) => work,
+        Err(e) => {
+            violations.push(churn_violation("schedule", e.to_string()));
+            return (tiers_run, violations);
+        }
+    };
 
     // The simulator config also drives the live tiers' retry pacing: the churn
     // runners read the (lowered) grant timeout as their per-attempt budget.
@@ -133,9 +124,10 @@ pub fn run_churn_case(
             let NetHosting::Shards(shards) = hosting else {
                 continue;
             };
-            let t = run_net_churn(&instance, &schedule, &faults, &cfg, tier, shards);
-            violations.extend(t.violations);
-            tiers_run.push((tier.to_string(), t.token_regenerations));
+            let (found, regenerations) =
+                run_net_churn(&instance, &schedule, &work, &faults, &cfg, tier, shards);
+            violations.extend(found);
+            tiers_run.push((tier.to_string(), regenerations));
         }
     }
     (tiers_run, violations)
@@ -145,77 +137,36 @@ pub fn run_churn_case(
 /// (an unreachable peer drops the frame for epoch recovery to compensate,
 /// instead of failing the whole mesh) + wall-clock fault injection crashing
 /// nodes and severing links, at one of the [`NET_TIERS`] shard counts.
+/// Returns the tier's violations and the token regenerations it observed.
 fn run_net_churn(
     instance: &Instance,
     schedule: &RequestSchedule,
+    work: &[(NodeId, ObjectId, usize)],
     faults: &FaultSchedule,
     cfg: &RunConfig,
     tier: &str,
     shards: usize,
-) -> TierChurn {
+) -> (Vec<Violation>, u64) {
     let final_epoch = faults.final_epoch();
-    let attempt = cfg.grant_timeout();
     let k = schedule.object_id_bound().max(1);
     let net_cfg = NetConfig::instant()
         .with_fault_tolerance()
         .with_dial_retries(1)
         .with_shards(shards);
     let rt = NetRuntime::spawn_multi(instance.tree(), k, net_cfg);
-    let fh = rt.fault_handle();
-    let injector_done = Arc::new(AtomicBool::new(false));
-    let injector = {
-        let fh = fh.clone();
-        let tree = instance.tree().clone();
-        let faults = faults.clone();
-        let done = Arc::clone(&injector_done);
-        std::thread::spawn(move || {
-            fh.run_schedule(&faults, &tree, TICK);
-            done.store(true, Ordering::SeqCst);
+    let (injector, nudge) = {
+        let (tree, faults) = (instance.tree().clone(), faults.clone());
+        inject(rt.fault_handle(), final_epoch, move |fh| {
+            fh.run_schedule(&faults, &tree, TICK)
         })
     };
-    let mut workers = Vec::new();
-    for ((node, obj), count) in acquire_sequences(schedule) {
-        let h = rt.handle(node);
-        let fh = fh.clone();
-        let done = Arc::clone(&injector_done);
-        workers.push(std::thread::spawn(move || -> Result<(), String> {
-            for _ in 0..count {
-                let mut attempts = 0u32;
-                loop {
-                    attempts += 1;
-                    if attempts > MAX_ATTEMPTS {
-                        return Err(format!(
-                            "node {node} {obj}: no grant within {MAX_ATTEMPTS} attempts"
-                        ));
-                    }
-                    match h.try_acquire_object_timeout(obj, attempt) {
-                        Ok(req) => {
-                            h.release_object(obj, req);
-                            break;
-                        }
-                        Err(_) => {
-                            if done.load(Ordering::SeqCst) {
-                                fh.broadcast_epoch(final_epoch);
-                            }
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                    }
-                }
-            }
-            Ok(())
-        }));
-    }
-    let mut violations = Vec::new();
-    for w in workers {
-        match w.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(detail)) => violations.push(churn_violation(tier, detail)),
-            Err(_) => violations.push(churn_violation(
-                tier,
-                "a churn replay worker panicked".to_string(),
-            )),
-        }
-    }
+    let client = Client::new(cfg.grant_timeout(), MAX_ATTEMPTS).with_nudge(nudge);
+    let tally = client.spawn(work.iter().copied(), |v| rt.handle(v)).join();
+    let mut violations: Vec<Violation> = tally
+        .failures
+        .into_iter()
+        .map(|(_, e)| churn_violation(tier, e.to_string()))
+        .collect();
     injector.join().ok();
     let report = rt.shutdown();
     if let Err(e) = report.validate_churn(final_epoch) {
@@ -226,11 +177,7 @@ fn run_net_churn(
     for f in report.failures() {
         violations.push(churn_violation(tier, f.to_string()));
     }
-    let token_regenerations = report.token_regenerations() as u64;
-    TierChurn {
-        violations,
-        token_regenerations,
-    }
+    (violations, report.token_regenerations() as u64)
 }
 
 #[cfg(test)]

@@ -2,10 +2,13 @@
 //!
 //! Replays the live tiers' concurrency shape
 //! ([`arrow_core::driver::acquire_sequences`]) — one worker per `(node, object)`
-//! pair, acquires in schedule order — on the reactor runtime, with the latency law derived from the case's [`RunConfig`] via
-//! [`NetConfig::from_run_config`]. Transport failures (an unreachable peer after
-//! the dial retry budget) come back as [`RunError::Transport`], not panics, so a
-//! conformance sweep records them as ordinary failures.
+//! pair, acquires in schedule order — on the reactor runtime with instant
+//! links, through the one live replay client ([`arrow_net::replay`]): one
+//! attempt per acquire, bounded by the case's grant timeout. A starved
+//! acquire comes back as [`RunError::GrantTimeout`] and a transport failure
+//! (an unreachable peer after the dial retry budget) as
+//! [`RunError::Transport`], not panics, so a conformance sweep records them as
+//! ordinary failures.
 //!
 //! A runtime that hosts every node moves each frame in memory — inside a shard,
 //! or through the destination shard's inbox — and only a node another runtime
@@ -20,11 +23,10 @@
 
 use arrow_core::driver::{acquire_sequences, Driver};
 use arrow_core::prelude::*;
-use arrow_net::{NetConfig, NetHandle, NetReport, NetRuntime};
+use arrow_net::replay::{daemon_mesh, Client};
+use arrow_net::{NetConfig, NetReport, NetRuntime};
 use arrow_trace::{NoProbe, Probe};
 use netgraph::NodeId;
-use std::net::{SocketAddr, TcpListener};
-use std::time::Duration;
 
 /// How a [`NetDriver`] hosts an instance's nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,35 +50,25 @@ pub const NET_TIERS: [(&str, NetHosting); 3] = [
     ("net-wire", NetHosting::DaemonPerNode),
 ];
 
-/// Tier 3: the socket runtime (reactor shards, wire codec, latency injection).
+/// Tier 3: the socket runtime (reactor shards, wire codec) with instant
+/// links — conformance sweeps care about ordering contracts, not wall-clock
+/// latency, and instant links keep a 32-case sweep in CI territory.
 #[derive(Debug, Clone, Copy)]
 pub struct NetDriver {
-    /// Wall-clock duration of one simulated time unit for latency injection.
-    /// [`Duration::ZERO`] (the default) disables injection — conformance sweeps
-    /// care about ordering contracts, not wall-clock latency, and instant links
-    /// keep a 32-case sweep in CI territory.
-    pub unit_latency: Duration,
     /// How the nodes are hosted; the default is [`NetHosting::Shards`]`(0)`.
     pub hosting: NetHosting,
 }
 
 impl Default for NetDriver {
     fn default() -> Self {
-        NetDriver {
-            unit_latency: Duration::ZERO,
-            hosting: NetHosting::Shards(0),
-        }
+        NetDriver::hosted(NetHosting::Shards(0))
     }
 }
 
 impl NetDriver {
-    /// The instant-latency driver hosting nodes as `hosting` says (see
-    /// [`NET_TIERS`]).
+    /// The driver hosting nodes as `hosting` says (see [`NET_TIERS`]).
     pub fn hosted(hosting: NetHosting) -> Self {
-        NetDriver {
-            hosting,
-            ..NetDriver::default()
-        }
+        NetDriver { hosting }
     }
 
     /// Like [`Driver::run`], with a recording probe per node (typically
@@ -93,124 +85,30 @@ impl NetDriver {
         probe_for: impl FnMut(NodeId) -> P,
     ) -> Result<QueuingOutcome, RunError> {
         debug_assert!(self.supports(config));
-        if let Some(r) = schedule
-            .requests()
-            .iter()
-            .find(|r| r.node >= instance.node_count())
-        {
-            return Err(RunError::Transport {
-                node: r.node,
-                description: format!("schedule names node {} outside the instance", r.node),
-            });
-        }
+        let work = acquire_sequences(schedule, instance.node_count())?;
         let k = schedule.object_id_bound();
-        let cfg = if self.unit_latency.is_zero() {
-            NetConfig::instant()
-        } else {
-            NetConfig::from_run_config(config, self.unit_latency)
-        };
-        let grant_timeout = config.grant_timeout();
+        let cfg = NetConfig::instant();
+        let client = Client::new(config.grant_timeout(), 1);
         let tree = instance.tree();
-        let (replayed, report) = match self.hosting {
+        let (tally, report) = match self.hosting {
             NetHosting::Shards(shards) => {
                 let rt =
                     NetRuntime::spawn_multi_probed(tree, k, cfg.with_shards(shards), probe_for);
-                let replayed = replay(|v| rt.handle(v), schedule, grant_timeout);
-                (replayed, rt.shutdown())
+                let tally = client.spawn(work, |v| rt.handle(v)).join();
+                (tally, rt.shutdown())
             }
             NetHosting::DaemonPerNode => {
-                let daemons = spawn_daemons(instance, k, cfg)?;
-                let replayed = replay(|v| daemons[v].handle(v), schedule, grant_timeout);
+                let daemons = daemon_mesh(tree, k, cfg, |_, _| {})?;
+                let tally = client.spawn(work, |v| daemons[v].handle(v)).join();
                 let reports = daemons.into_iter().map(NetRuntime::shutdown);
-                (replayed, NetReport::merge(reports))
+                (tally, NetReport::merge(reports))
             }
         };
-        replayed?;
+        if let Some((_, failure)) = tally.failures.into_iter().next() {
+            return Err(failure);
+        }
         report.into_outcome()
     }
-}
-
-/// One daemon-mode runtime per node of `instance`'s tree, each given the
-/// address table of every node's bound loopback listener.
-fn spawn_daemons(
-    instance: &Instance,
-    objects: usize,
-    cfg: NetConfig,
-) -> Result<Vec<NetRuntime>, RunError> {
-    let bind_failed = |node: NodeId, e: std::io::Error| RunError::Transport {
-        node,
-        description: format!("binding a loopback listener: {e}"),
-    };
-    let mut listeners = Vec::with_capacity(instance.node_count());
-    let mut addrs: Vec<SocketAddr> = Vec::with_capacity(instance.node_count());
-    for v in 0..instance.node_count() {
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| bind_failed(v, e))?;
-        addrs.push(listener.local_addr().map_err(|e| bind_failed(v, e))?);
-        listeners.push(listener);
-    }
-    Ok(listeners
-        .into_iter()
-        .enumerate()
-        .map(|(v, l)| {
-            NetRuntime::spawn_daemon(instance.tree(), objects, cfg, v, l, addrs.clone(), 0)
-        })
-        .collect())
-}
-
-/// Run every `(node, object)` acquire sequence of `schedule` on its own worker
-/// thread through `handle`, and wait for all of them. The first failure comes
-/// back; every worker is joined either way.
-fn replay(
-    handle: impl Fn(NodeId) -> NetHandle,
-    schedule: &RequestSchedule,
-    grant_timeout: Duration,
-) -> Result<(), RunError> {
-    let mut workers = Vec::new();
-    for ((node, obj), count) in acquire_sequences(schedule) {
-        let h = handle(node);
-        workers.push(std::thread::spawn(move || -> Result<(), RunError> {
-            for _ in 0..count {
-                // Bounded wait: a grant that never arrives (lost token) must
-                // become a recorded failure, not a hung sweep. A timeout maps
-                // to the typed starvation error; a transport failure keeps
-                // its own variant.
-                let req = h
-                    .try_acquire_object_timeout(obj, grant_timeout)
-                    .map_err(|f| {
-                        if f.description.contains("not granted within") {
-                            RunError::GrantTimeout {
-                                node: f.node,
-                                obj,
-                                waited_ms: grant_timeout.as_millis() as u64,
-                            }
-                        } else {
-                            RunError::Transport {
-                                node: f.node,
-                                description: f.description,
-                            }
-                        }
-                    })?;
-                h.release_object(obj, req);
-            }
-            Ok(())
-        }));
-    }
-    let mut first_failure: Option<RunError> = None;
-    for w in workers {
-        match w.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                first_failure.get_or_insert(e);
-            }
-            Err(_) => {
-                first_failure.get_or_insert(RunError::Transport {
-                    node: 0,
-                    description: "a replay worker thread panicked".to_string(),
-                });
-            }
-        }
-    }
-    first_failure.map_or(Ok(()), Err)
 }
 
 impl Driver for NetDriver {
@@ -238,7 +136,8 @@ impl Driver for NetDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arrow_core::driver::acquire_sequences;
+    use crate::case::{CaseSpec, GraphKind, ReplayCase, WorkloadKind};
+    use crate::churn::run_churn_case;
     use desim::SimTime;
     use netgraph::spanning::SpanningTreeKind;
 
@@ -263,8 +162,8 @@ mod tests {
             let outcome = driver.run(&instance, &schedule, &cfg).unwrap();
             assert_eq!(outcome.request_count(), 10, "{tier}");
             assert_eq!(
-                acquire_sequences(&outcome.schedule),
-                acquire_sequences(&schedule),
+                acquire_sequences(&outcome.schedule, 6),
+                acquire_sequences(&schedule, 6),
                 "{tier}"
             );
             let total: usize = outcome.orders.iter().map(|(_, o)| o.len()).sum();
@@ -281,5 +180,23 @@ mod tests {
             .run(&instance, &schedule, &cfg)
             .unwrap_err();
         assert!(matches!(err, RunError::Transport { node: 7, .. }));
+
+        // The churn path refuses the same node before any tier runs.
+        let mut case = ReplayCase::generate(CaseSpec {
+            seed: 1,
+            nodes: 4,
+            graph: GraphKind::Complete,
+            tree: SpanningTreeKind::BalancedBinary,
+            objects: 1,
+            requests: 4,
+            workload: WorkloadKind::Zipf,
+            sync: SyncMode::Synchronous,
+            async_lo: 0.05,
+        });
+        case.requests.push((7, 0, 0));
+        let (tiers, violations) = run_churn_case(&case, true);
+        assert!(tiers.is_empty());
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].detail.contains("node 7 outside the instance"));
     }
 }

@@ -82,15 +82,29 @@ impl Driver for SimDriver {
 
 /// Group a schedule into per-`(node, object)` acquire counts — the replay unit of
 /// the live tiers (each pair's acquires run sequentially on one worker thread,
-/// distinct pairs run concurrently). The live drivers live outside this crate
+/// distinct pairs run concurrently) — as `(node, object, count)` in
+/// `(node, object)` order. The live drivers live outside this crate
 /// (`NetDriver` in `arrow-conformance`, `ClusterDriver` in `arrow-cluster`) and
 /// both replay schedules through it, so they cannot disagree on the shape.
-pub fn acquire_sequences(schedule: &RequestSchedule) -> BTreeMap<(NodeId, ObjectId), usize> {
-    let mut seqs: BTreeMap<(NodeId, ObjectId), usize> = BTreeMap::new();
+///
+/// A schedule naming a node outside an `n`-node instance is refused as a
+/// [`RunError::Transport`] at that node: no live tier can host it.
+pub fn acquire_sequences(
+    schedule: &RequestSchedule,
+    n: usize,
+) -> Result<Vec<(NodeId, ObjectId, usize)>, RunError> {
+    let mut seqs = BTreeMap::new();
     for r in schedule.requests() {
+        if r.node >= n {
+            let description = format!("schedule names node {} outside the instance", r.node);
+            return Err(RunError::Transport {
+                node: r.node,
+                description,
+            });
+        }
         *seqs.entry((r.node, r.obj)).or_insert(0) += 1;
     }
-    seqs
+    Ok(seqs.into_iter().map(|((v, obj), c)| (v, obj, c)).collect())
 }
 
 #[cfg(test)]

@@ -60,6 +60,10 @@
 //! * [`lock`] — distributed mutual exclusion over a [`NetHandle`]: a
 //!   [`DistributedLock`] with a scoped guard, and the [`CriticalSectionLog`]
 //!   that tests and examples check for overlapping critical sections.
+//! * [`replay`] — the one live replay client: the acquire-retry-nudge kernel
+//!   ([`replay::Client::acquire`]), its worker pool, the fault injector whose
+//!   nudge is the timeout-as-detection rule, and the loopback daemon mesh
+//!   ([`replay::daemon_mesh`], one daemon-mode runtime per node).
 //!
 //! ## Quick example
 //!
@@ -84,6 +88,7 @@
 pub mod lock;
 pub mod mesh;
 mod reactor;
+pub mod replay;
 pub mod runtime;
 mod wheel;
 pub mod wire;

@@ -34,7 +34,6 @@
 //! graph distance `d_G`, which can be smaller than `d_T`.
 
 use crate::wire::{Frame, WireError};
-use arrow_core::prelude::{RunConfig, SyncMode};
 use arrow_trace::{Metric, MetricsReader, MetricsSnapshot, MetricsWriter};
 use desim::SimRng;
 use netgraph::NodeId;
@@ -179,20 +178,6 @@ impl NetConfig {
             self.shards
         };
         requested.clamp(1, nodes.max(1))
-    }
-
-    /// Derive the socket latency model from a simulator [`RunConfig`], so socket
-    /// runs stay comparable to simulator runs on tree-only instances (see the
-    /// module docs for the `d_T` vs `d_G` caveat on general graphs): the synchrony
-    /// mode, the async floor (`async_lo_factor`) and the seed all carry over;
-    /// `unit_latency` sets the wall-clock scale of one simulated unit.
-    pub fn from_run_config(config: &RunConfig, unit_latency: Duration) -> Self {
-        match config.sync {
-            SyncMode::Synchronous => NetConfig::synchronous(unit_latency),
-            SyncMode::Asynchronous => {
-                NetConfig::asynchronous(unit_latency, config.async_lo_factor, config.seed)
-            }
-        }
     }
 }
 
@@ -513,21 +498,6 @@ mod tests {
     fn instant_config_injects_nothing() {
         let mut p = DelayPolicy::new(&NetConfig::instant(), 5.0, 0, 1);
         assert_eq!(p.sample(), Duration::ZERO);
-    }
-
-    #[test]
-    fn from_run_config_carries_the_async_floor_and_seed() {
-        use arrow_core::prelude::ProtocolKind;
-        let sync = NetConfig::from_run_config(
-            &RunConfig::analysis(ProtocolKind::Arrow),
-            Duration::from_millis(2),
-        );
-        assert_eq!(sync, NetConfig::synchronous(Duration::from_millis(2)));
-        let run = RunConfig::analysis(ProtocolKind::Arrow)
-            .asynchronous(9)
-            .with_async_floor(0.25);
-        let net = NetConfig::from_run_config(&run, Duration::from_millis(2));
-        assert_eq!(net.jitter, Some((0.25, 9)));
     }
 
     #[test]

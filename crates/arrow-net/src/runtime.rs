@@ -55,6 +55,7 @@ use arrow_core::prelude::{
 use arrow_trace::{Metric, MetricsSnapshot, NoProbe, Probe};
 use desim::SimTime;
 use netgraph::{NodeId, RootedTree};
+use std::borrow::Borrow;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -101,6 +102,15 @@ pub struct NetFailure {
 impl std::fmt::Display for NetFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "node {}: {}", self.node, self.description)
+    }
+}
+
+impl From<NetFailure> for RunError {
+    fn from(f: NetFailure) -> RunError {
+        RunError::Transport {
+            node: f.node,
+            description: f.description,
+        }
     }
 }
 
@@ -299,22 +309,6 @@ impl NetRuntime {
         self.faults_armed.store(true, Ordering::Relaxed);
         NetFaultHandle {
             injectors: self.injectors.clone(),
-        }
-    }
-
-    /// Broadcast a detection-driven epoch bump to every local shard *without*
-    /// arming fault injection. In daemon mode this is how an external
-    /// supervisor (the cluster harness) delivers the bump its failure
-    /// detection decided on: the local node resets its links to the initial
-    /// tree orientation, regenerates the token if it is the root, and
-    /// re-issues its still-pending requests — the same recovery the in-process
-    /// [`NetFaultHandle::broadcast_epoch`] triggers, minus the stamp check on
-    /// frames between shards that a crash needs. Link drops travel as shard
-    /// commands either way, so a runtime without a fault handle simply never
-    /// holds a severed link.
-    pub fn broadcast_epoch(&self, epoch: u64) {
-        for inj in &self.injectors {
-            let _ = inj.send(ShardCmd::Epoch { epoch });
         }
     }
 
@@ -518,18 +512,18 @@ impl NetHandle {
         self.start_acquire_object(obj).wait()
     }
 
-    /// Like [`try_acquire_object`], but give up after `timeout` with a synthetic
-    /// [`NetFailure`] — a grant that never arrives (absent an application that
-    /// holds tokens that long) indicates a lost token, i.e. a protocol bug. The
-    /// conformance drivers use this so a grant-chain deadlock becomes a recorded
-    /// failure instead of a hung sweep.
+    /// Like [`try_acquire_object`], but give up after `timeout` with
+    /// [`RunError::GrantTimeout`] — a grant that never arrives (absent an
+    /// application that holds tokens that long) indicates a lost token, i.e. a
+    /// protocol bug. The live replay ([`crate::replay`]) uses this so a
+    /// grant-chain deadlock becomes a recorded failure instead of a hung sweep.
     ///
     /// [`try_acquire_object`]: NetHandle::try_acquire_object
     pub fn try_acquire_object_timeout(
         &self,
         obj: ObjectId,
         timeout: Duration,
-    ) -> Result<RequestId, NetFailure> {
+    ) -> Result<RequestId, RunError> {
         self.start_acquire_object(obj).wait_timeout(timeout)
     }
 
@@ -632,39 +626,34 @@ impl PendingAcquire {
         self.rx.recv().expect("runtime has shut down").result
     }
 
-    /// Block until the token arrives, with the grant's queue-wait measurement.
-    pub fn wait_grant(self) -> Grant {
-        self.rx.recv().expect("runtime has shut down")
-    }
-
-    /// Like [`wait`](PendingAcquire::wait), but give up after `timeout` with a
-    /// synthetic [`NetFailure`].
+    /// Like [`wait`](PendingAcquire::wait), but give up after `timeout` with
+    /// [`RunError::GrantTimeout`]; a node failure is [`RunError::Transport`].
     ///
     /// Giving up takes the shard's lock, under which every grant is sent: a
     /// grant already on the channel is returned after all, and otherwise the
     /// channel is dropped under the lock, so a grant that lands later finds
     /// nobody waiting and the shard releases the token back into the tree.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<RequestId, NetFailure> {
+    pub fn wait_timeout(self, timeout: Duration) -> Result<RequestId, RunError> {
         let PendingAcquire {
             node,
             obj,
             rx,
             shard,
         } = self;
-        if let Ok(grant) = rx.recv_timeout(timeout) {
-            return grant.result;
-        }
-        let (mut rx, mut late) = (Some(rx), None);
-        shard.under_lock(&mut || late = rx.take().and_then(|rx| rx.try_recv().ok()));
-        match late {
-            Some(grant) => grant.result,
-            None => Err(NetFailure {
-                node,
-                description: format!(
-                    "acquire of {obj} not granted within {timeout:?} — possible lost token"
-                ),
-            }),
-        }
+        let grant = match rx.recv_timeout(timeout) {
+            Ok(grant) => grant,
+            Err(_) => {
+                let (mut rx, mut late) = (Some(rx), None);
+                shard.under_lock(&mut || late = rx.take().and_then(|rx| rx.try_recv().ok()));
+                let waited_ms = timeout.as_millis() as u64;
+                late.ok_or(RunError::GrantTimeout {
+                    node,
+                    obj,
+                    waited_ms,
+                })?
+            }
+        };
+        grant.result.map_err(RunError::from)
     }
 }
 
@@ -692,21 +681,21 @@ impl NetReport {
         }
     }
 
-    /// Several runtimes' reports (one mesh's daemons, say) as one: journals
-    /// merged ([`RunJournal::merge`]), failures joined, metrics summed.
-    pub fn merge(reports: impl IntoIterator<Item = NetReport>) -> Self {
-        let mut journals = Vec::new();
-        let mut failures = Vec::new();
+    /// Several runtimes' reports (one mesh's daemons, say) as one: requests
+    /// and records concatenated (each list copied once), the requests sorted
+    /// back into (time, id) order, failures joined, metrics summed.
+    pub fn merge(reports: impl IntoIterator<Item = impl Borrow<NetReport>>) -> Self {
+        let (mut issued, mut records, mut failures) = (Vec::new(), Vec::new(), Vec::new());
         let mut metrics = MetricsSnapshot::default();
         for report in reports {
-            journals.push(RunJournal::from_parts(
-                report.schedule.into_requests(),
-                Arc::unwrap_or_clone(report.records),
-            ));
-            failures.extend(report.failures);
+            let report = report.borrow();
+            issued.extend_from_slice(report.schedule.requests());
+            records.extend_from_slice(&report.records);
+            failures.extend_from_slice(&report.failures);
             metrics.merge(&report.metrics);
         }
-        NetReport::new(RunJournal::merge(journals), failures, metrics)
+        issued.sort_by_key(|r| (r.time, r.id));
+        NetReport::new(RunJournal::from_parts(issued, records), failures, metrics)
     }
 
     /// The run as a validated [`QueuingOutcome`], its journal moved: the first
@@ -714,10 +703,7 @@ impl NetReport {
     /// protocol messages = `queue()` frames, plus token frames in the total.
     pub fn into_outcome(self) -> Result<QueuingOutcome, RunError> {
         if let Some(f) = self.failures.into_iter().next() {
-            return Err(RunError::Transport {
-                node: f.node,
-                description: f.description,
-            });
+            return Err(f.into());
         }
         let makespan = self.records.iter().map(|r| r.informed_at).max();
         let queue_frames = self.metrics.get(Metric::QueueFrames);
@@ -798,6 +784,7 @@ impl NetReport {
 mod tests {
     use super::*;
     use crate::mesh;
+    use crate::replay::{self, Client};
     use arrow_trace::{HistMetric, Metric};
     use netgraph::generators;
 
@@ -806,27 +793,13 @@ mod tests {
     }
 
     /// One single-object daemon-mode runtime per node of `t`, as `arrowd`
-    /// processes would run them: every hop crosses loopback TCP. All share one
-    /// address table, which `edit(v, table)` may change for node `v` (to name
-    /// a refused peer, say).
+    /// processes would run them ([`replay::daemon_mesh`]).
     fn daemon_mesh(
         t: &RootedTree,
         cfg: NetConfig,
         edit: impl Fn(NodeId, &mut Vec<SocketAddr>),
     ) -> Vec<NetRuntime> {
-        let listeners: Vec<TcpListener> = (0..t.node_count())
-            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
-            .collect();
-        let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
-        listeners
-            .into_iter()
-            .enumerate()
-            .map(|(v, l)| {
-                let mut table = addrs.clone();
-                edit(v, &mut table);
-                NetRuntime::spawn_daemon(t, 1, cfg, v, l, table, 0)
-            })
-            .collect()
+        replay::daemon_mesh(t, 1, cfg, edit).unwrap()
     }
 
     /// Shut every daemon down and merge their reports, the merge the cluster
@@ -944,10 +917,8 @@ mod tests {
             .collect();
         let mut granted = Vec::new();
         for p in pendings {
-            let grant = p.wait_grant();
-            let req = grant.result.expect("healthy mesh grants");
-            assert_eq!(grant.node, 5);
-            assert_eq!(grant.obj, ObjectId::DEFAULT);
+            assert_eq!((p.node(), p.obj()), (5, ObjectId::DEFAULT));
+            let req = p.wait().expect("healthy mesh grants");
             granted.push(req);
             h.release(req);
         }
@@ -1057,8 +1028,9 @@ mod tests {
                 "{shards} shards: a crash must fail acquires promptly, not by timeout"
             );
             for failure in [in_flight, refused] {
-                assert_eq!(failure.node, 5);
-                assert!(failure.description.contains("crashed"), "{failure}");
+                let crashed = matches!(&failure, RunError::Transport { node: 5, description }
+                    if description.contains("crashed"));
+                assert!(crashed, "{failure:?}");
             }
             fh.restart(5);
             root.release(held);
@@ -1113,14 +1085,20 @@ mod tests {
             .handle(3)
             .try_acquire_object_timeout(ObjectId::DEFAULT, Duration::from_secs(2))
             .unwrap_err();
-        assert_eq!(failure.node, 3);
-        assert!(failure.description.contains("not granted within"));
+        assert!(
+            matches!(failure, RunError::GrantTimeout { node: 3, .. }),
+            "{failure:?}"
+        );
         let failure = daemons[0]
             .handle(0)
             .try_acquire_object_timeout(ObjectId::DEFAULT, Duration::from_secs(10))
             .unwrap_err();
-        assert_eq!(failure.node, 0, "the root observed the dial failure");
-        assert!(failure.description.contains("failed to dial peer 3"));
+        let root_saw_it = matches!(&failure, RunError::Transport { node: 0, description }
+            if description.contains("failed to dial peer 3"));
+        assert!(
+            root_saw_it,
+            "the root observed the dial failure: {failure:?}"
+        );
         let reports: Vec<NetReport> = daemons.into_iter().map(NetRuntime::shutdown).collect();
         assert_eq!(reports[0].failures().len(), 1);
         let mesh = NetReport::merge(reports);
@@ -1214,12 +1192,8 @@ mod tests {
         // Two spawn_daemon runtimes — each hosting one node of a 2-node tree,
         // exactly like two arrowd processes — handshake and exchange a real
         // acquire through the advertised address table.
-        let t = tree(2);
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addrs = vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()];
-        let d0 = NetRuntime::spawn_daemon(&t, 1, NetConfig::instant(), 0, l0, addrs.clone(), 0);
-        let d1 = NetRuntime::spawn_daemon(&t, 1, NetConfig::instant(), 1, l1, addrs, 0);
+        let mut daemons = daemon_mesh(&tree(2), NetConfig::instant(), |_, _| {}).into_iter();
+        let (d0, d1) = (daemons.next().unwrap(), daemons.next().unwrap());
         let req = d1.handle(1).acquire();
         d1.handle(1).release(req);
         let r1 = d1.shutdown();
@@ -1390,7 +1364,8 @@ mod tests {
             let failure = p
                 .wait_timeout(Duration::from_secs(10))
                 .expect_err("no grant can cross a refused parent edge");
-            assert_eq!(failure.node, 1);
+            let failed = matches!(&failure, RunError::Transport { node: 1, .. });
+            assert!(failed, "{failure:?}");
         }
         assert!(
             started.elapsed() < Duration::from_secs(5),
@@ -1436,7 +1411,9 @@ mod tests {
             let failure = p
                 .wait_timeout(Duration::from_secs(10))
                 .expect_err("a grant whose token channel is refused must fail, not hang");
-            assert!(failure.description.contains("failed to dial peer 3"));
+            let refused = matches!(&failure, RunError::Transport { description, .. }
+                if description.contains("failed to dial peer 3"));
+            assert!(refused, "{failure:?}");
         }
         assert!(
             started.elapsed() < Duration::from_secs(8),
@@ -1518,53 +1495,25 @@ mod tests {
             .with_dial_retries(1)
             .with_fault_tolerance();
         let rt = NetRuntime::spawn_multi(&t, 2, cfg);
-        let fh = rt.fault_handle();
-        let injector_done = Arc::new(AtomicBool::new(false));
-        let injector = {
-            let fh = fh.clone();
-            let t = t.clone();
-            let faults = faults.clone();
-            let done = Arc::clone(&injector_done);
-            std::thread::spawn(move || {
-                fh.run_schedule(&faults, &t, Duration::from_millis(20));
-                done.store(true, Ordering::SeqCst);
+        let (injector, nudge) = {
+            let (t, faults) = (t.clone(), faults.clone());
+            replay::inject(rt.fault_handle(), final_epoch, move |fh| {
+                fh.run_schedule(&faults, &t, Duration::from_millis(20))
             })
         };
-        let mut joins = Vec::new();
-        for v in 0..7 {
-            let h = rt.handle(v);
-            let fh = fh.clone();
-            let done = Arc::clone(&injector_done);
-            joins.push(std::thread::spawn(move || {
-                for round in 0..3u32 {
-                    let obj = ObjectId((v as u32 + round) % 2);
-                    let mut attempts = 0;
-                    loop {
-                        attempts += 1;
-                        assert!(attempts <= 200, "node {v} round {round} never granted");
-                        match h.try_acquire_object_timeout(obj, Duration::from_millis(1000)) {
-                            Ok(req) => {
-                                h.release_object(obj, req);
-                                break;
-                            }
-                            Err(_) => {
-                                // Crashed-node refusal or a grant lost to churn:
-                                // once injection is over, a timeout doubles as
-                                // fault detection — re-broadcasting the final
-                                // epoch is idempotent and heals any straggler.
-                                if done.load(Ordering::SeqCst) {
-                                    fh.broadcast_epoch(final_epoch);
-                                }
-                                std::thread::sleep(Duration::from_millis(10));
-                            }
-                        }
-                    }
-                }
-            }));
-        }
-        for j in joins {
-            j.join().unwrap();
-        }
+        // A miss is a crashed-node refusal or a grant lost to churn; once
+        // injection is over, the client's nudge heals any straggler.
+        let client = Client::new(Duration::from_millis(1000), 200).with_nudge(nudge);
+        // Each node's three rounds: its own object twice, the other once.
+        let work = (0..7u32).flat_map(|v| {
+            [(v % 2, 2), ((v + 1) % 2, 1)].map(|(obj, n)| (v as NodeId, ObjectId(obj), n))
+        });
+        let tally = client.spawn(work, |v| rt.handle(v)).join();
+        assert_eq!(
+            (tally.completed, tally.failures.len()),
+            (21, 0),
+            "{tally:?}"
+        );
         injector.join().unwrap();
         let report = rt.shutdown();
         report
@@ -1610,36 +1559,31 @@ mod tests {
             .with_shards(shards);
         let rt = NetRuntime::spawn_multi(&t, 2, cfg);
         let done = Arc::new(AtomicBool::new(faults.is_none()));
-        let fh = faults.as_ref().map(|_| rt.fault_handle());
-        let final_epoch = faults.as_ref().map_or(0, FaultSchedule::final_epoch);
-        let injector = faults.map(|faults| {
-            let (fh, t, done) = (fh.clone().unwrap(), t.clone(), Arc::clone(&done));
-            std::thread::spawn(move || {
-                fh.run_schedule(&faults, &t, Duration::from_millis(20));
-                done.store(true, Ordering::SeqCst);
-            })
-        });
+        let client = Client::new(Duration::from_millis(1000), 200);
+        let (injector, client) = match faults {
+            None => (None, client),
+            Some(faults) => {
+                let (t, done) = (t.clone(), Arc::clone(&done));
+                let final_epoch = faults.final_epoch();
+                let (injector, nudge) = replay::inject(rt.fault_handle(), final_epoch, move |fh| {
+                    fh.run_schedule(&faults, &t, Duration::from_millis(20));
+                    done.store(true, Ordering::SeqCst);
+                });
+                (Some(injector), client.with_nudge(nudge))
+            }
+        };
         let workers: Vec<_> = (0..t.node_count())
             .map(|v| {
-                let (h, fh, done) = (rt.handle(v), fh.clone(), Arc::clone(&done));
+                let (h, client, done) = (rt.handle(v), client.clone(), Arc::clone(&done));
                 std::thread::spawn(move || {
-                    let (mut round, mut attempts) = (0u32, 0u32);
+                    let mut round = 0u32;
                     while round < rounds || !done.load(Ordering::SeqCst) {
                         let obj = ObjectId((v as u32 + round) % 2);
-                        match h.try_acquire_object_timeout(obj, Duration::from_millis(1000)) {
-                            Ok(req) => {
-                                h.release_object(obj, req);
-                                round += 1;
-                            }
-                            Err(_) => {
-                                attempts += 1;
-                                assert!(attempts <= 500, "node {v} starved at round {round}");
-                                if let (true, Some(fh)) = (done.load(Ordering::SeqCst), &fh) {
-                                    fh.broadcast_epoch(final_epoch);
-                                }
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                        }
+                        let req = client
+                            .acquire(&h, obj)
+                            .unwrap_or_else(|e| panic!("node {v} starved at round {round}: {e}"));
+                        h.release_object(obj, req);
+                        round += 1;
                     }
                 })
             })

@@ -13,12 +13,12 @@
 
 use arrow_core::order::QueuingOrder;
 use arrow_core::prelude::*;
+use arrow_net::replay::{daemon_mesh, inject, Client};
 use arrow_net::{NetConfig, NetHandle, NetReport, NetRuntime, NetStatsSnapshot};
 use desim::SimRng;
 use netgraph::{generators, NodeId, RootedTree};
 use queuing_analysis::cost::RequestSet;
 use queuing_analysis::tsp_bounds::mst_weight;
-use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,15 +32,7 @@ struct Daemons(Vec<NetRuntime>);
 
 impl Daemons {
     fn spawn(t: &RootedTree, objects: usize, cfg: NetConfig) -> Daemons {
-        let listeners: Vec<TcpListener> = (0..t.node_count())
-            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
-            .collect();
-        let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
-        let daemons = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(v, l)| NetRuntime::spawn_daemon(t, objects, cfg, v, l, addrs.clone(), 0));
-        Daemons(daemons.collect())
+        Daemons(daemon_mesh(t, objects, cfg, |_, _| {}).unwrap())
     }
 
     fn handle(&self, v: NodeId) -> NetHandle {
@@ -216,17 +208,14 @@ fn synchronous_latency_injection_delays_remote_acquires() {
     );
 }
 
-/// The asynchronous model derived from a simulator RunConfig honors the async
-/// floor: with `lo_factor = 0.9` every hop pays at least 90% of the link weight, so
-/// a two-hop acquire pays at least ~2 × 0.9 × unit.
+/// The asynchronous latency model honors its floor: with `lo_factor = 0.9`
+/// every hop pays at least 90% of the link weight, so a two-hop acquire pays at
+/// least ~2 × 0.9 × unit.
 #[test]
-fn async_floor_from_run_config_bounds_injected_latency_below() {
+fn async_floor_bounds_injected_latency_below() {
     let t = RootedTree::from_tree_graph(&generators::path(2), 0);
-    let run = RunConfig::analysis(ProtocolKind::Arrow)
-        .asynchronous(7)
-        .with_async_floor(0.9);
     let unit = Duration::from_millis(60);
-    let cfg = NetConfig::from_run_config(&run, unit);
+    let cfg = NetConfig::asynchronous(unit, 0.9, 7);
     assert_eq!(cfg.jitter, Some((0.9, 7)));
 
     let rt = NetRuntime::spawn(&t, cfg);
@@ -338,63 +327,29 @@ fn simultaneous_cross_dials_collapse_onto_one_link() {
 /// contract.
 #[test]
 fn link_sever_racing_in_flight_tokens_recovers_per_epoch_orders() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
     let cycles = 6u64;
     let final_epoch = 2 * cycles;
     let cfg = NetConfig::instant()
         .with_dial_retries(1)
         .with_fault_tolerance();
     let rt = NetRuntime::spawn_multi(&tree(3), 2, cfg);
-    let fh = rt.fault_handle();
-    let chaos_done = Arc::new(AtomicBool::new(false));
-    let chaos = {
-        let fh = fh.clone();
-        let done = Arc::clone(&chaos_done);
-        std::thread::spawn(move || {
-            for c in 0..cycles {
-                fh.apply(&FaultAction::DropLink(0, 1), 2 * c + 1);
-                std::thread::sleep(Duration::from_millis(15));
-                fh.apply(&FaultAction::RestoreLink(0, 1), 2 * c + 2);
-                std::thread::sleep(Duration::from_millis(15));
-            }
-            done.store(true, Ordering::SeqCst);
-        })
-    };
-    let mut joins = Vec::new();
-    for v in [1usize, 2] {
-        let h = rt.handle(v);
-        let fh = fh.clone();
-        let done = Arc::clone(&chaos_done);
-        joins.push(std::thread::spawn(move || {
-            for round in 0..4u32 {
-                let obj = ObjectId((v as u32 + round) % 2);
-                let mut attempts = 0;
-                loop {
-                    attempts += 1;
-                    assert!(attempts <= 200, "node {v} round {round} never granted");
-                    match h.try_acquire_object_timeout(obj, Duration::from_millis(500)) {
-                        Ok(req) => {
-                            h.release_object(obj, req);
-                            break;
-                        }
-                        Err(_) => {
-                            // A grant lost to a sever: once the chaos loop is
-                            // over, re-broadcasting the final epoch is
-                            // idempotent and heals any straggler.
-                            if done.load(Ordering::SeqCst) {
-                                fh.broadcast_epoch(final_epoch);
-                            }
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                    }
-                }
-            }
-        }));
-    }
-    for j in joins {
-        j.join().unwrap();
-    }
+    let (chaos, nudge) = inject(rt.fault_handle(), final_epoch, move |fh| {
+        for c in 0..cycles {
+            fh.apply(&FaultAction::DropLink(0, 1), 2 * c + 1);
+            std::thread::sleep(Duration::from_millis(15));
+            fh.apply(&FaultAction::RestoreLink(0, 1), 2 * c + 2);
+            std::thread::sleep(Duration::from_millis(15));
+        }
+    });
+    // A miss is a grant lost to a sever; once the chaos loop is over, the
+    // client's nudge heals any straggler.
+    let client = Client::new(Duration::from_millis(500), 200).with_nudge(nudge);
+    // Each leaf's four rounds alternate the objects: two acquires of each.
+    let work = [1, 2]
+        .into_iter()
+        .flat_map(|v| (0..2).map(move |obj| (v, ObjectId(obj), 2)));
+    let tally = client.spawn(work, |v| rt.handle(v)).join();
+    assert_eq!((tally.completed, tally.failures.len()), (8, 0), "{tally:?}");
     chaos.join().unwrap();
     let report = rt.shutdown();
     report

@@ -137,7 +137,7 @@ fn net_delta(code: &str) -> i32 {
 /// Iterate the non-test lines of a source file: `(line_number, raw_line)`.
 /// A `#[cfg(test)]` item (module or fn) and everything inside its braces is
 /// skipped, tracked by brace counting.
-fn non_test_lines(text: &str) -> Vec<(usize, &str)> {
+pub(crate) fn non_test_lines(text: &str) -> Vec<(usize, &str)> {
     let mut out = Vec::new();
     let mut skip_depth: Option<i32> = None; // brace depth at which the skip ends
     let mut depth = 0i32;
