@@ -2,9 +2,11 @@
 //!
 //! The daemon hosts a single node of the spanning tree inside its own
 //! [`arrow_net`] epoll reactor: protocol traffic (queue frames, token grants,
-//! Hello/Welcome handshakes) crosses real TCP sockets to peer daemons, and the
-//! node's protocol history is journaled to disk at shutdown for the cluster
-//! harness to assemble and validate.
+//! Hello/Welcome handshakes) crosses real sockets to peer daemons — abstract
+//! Unix-domain sockets between daemons of one host (the default listener),
+//! TCP toward a peer that advertised `ip:port` — and the node's protocol
+//! history is journaled to disk at shutdown for the cluster harness to
+//! assemble and validate.
 //!
 //! Lifecycle: parse args → block SIGTERM/SIGINT into a signalfd (before any
 //! thread spawns, so every thread inherits the mask) → bind the protocol
@@ -21,9 +23,9 @@ use arrow_cluster::control::{send_line, tree_from_wire, LineConn, HANDSHAKE_TIME
 use arrow_cluster::journal::write_journal;
 use arrow_core::prelude::ObjectId;
 use arrow_net::replay::Client;
-use arrow_net::{NetConfig, NetHandle, NetRuntime};
+use arrow_net::{Listener, NetConfig, NetHandle, NetRuntime, PeerAddr, PeerAddrError};
 use netgraph::{NodeId, RootedTree};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,10 +48,12 @@ REQUIRED:
     --journal <PATH>     Where to flush the protocol journal at shutdown
 
 OPTIONS:
-    --listen <ADDR>      Bind the protocol listener on this address (with
-                         SO_REUSEADDR, so a restarted daemon can rebind its
-                         dead predecessor's advertised port). Default: an
-                         ephemeral loopback port.
+    --listen <ADDR>      Bind the protocol listener on this address: `@name`
+                         for an abstract Unix-domain socket (peers on this
+                         host), `ip:port` for TCP (peers on other hosts; bound
+                         with SO_REUSEADDR). A restarted daemon passes its dead
+                         predecessor's advertised address. Default: a Unix
+                         socket on a name the kernel picks.
     --seq-base <N>       Floor for the request-id counter; a restart
                          supervisor passes a bound above anything the dead
                          incarnation issued. Default: 0.
@@ -71,6 +75,8 @@ enum DaemonError {
     Bind(std::io::Error),
     /// The control channel failed (dial, handshake, or mid-run I/O).
     Control(String),
+    /// The control channel's `peers` line carried a malformed address.
+    PeerAddr(PeerAddrError),
     /// The journal could not be written.
     Journal(std::io::Error),
     /// The termination signalfd could not be set up.
@@ -82,7 +88,7 @@ impl DaemonError {
         match self {
             DaemonError::Usage(_) => 2,
             DaemonError::Bind(_) => 3,
-            DaemonError::Control(_) => 4,
+            DaemonError::Control(_) | DaemonError::PeerAddr(_) => 4,
             DaemonError::Journal(_) => 5,
             DaemonError::Signals(_) => 6,
         }
@@ -95,6 +101,7 @@ impl std::fmt::Display for DaemonError {
             DaemonError::Usage(m) => write!(f, "{m}\n\n{USAGE}"),
             DaemonError::Bind(e) => write!(f, "failed to bind protocol listener: {e}"),
             DaemonError::Control(m) => write!(f, "control channel: {m}"),
+            DaemonError::PeerAddr(e) => write!(f, "control channel: bad peer address: {e}"),
             DaemonError::Journal(e) => write!(f, "failed to write journal: {e}"),
             DaemonError::Signals(e) => write!(f, "failed to set up signal handling: {e}"),
         }
@@ -122,7 +129,7 @@ struct Args {
     objects: usize,
     control: SocketAddr,
     journal: PathBuf,
-    listen: Option<SocketAddr>,
+    listen: Option<PeerAddr>,
     seq_base: u64,
     fault_tolerant: bool,
 }
@@ -210,13 +217,13 @@ fn run(raw: &[String]) -> Result<(), DaemonError> {
         });
     }
 
-    // The protocol listener: an ephemeral port normally, or the advertised
-    // address of a dead predecessor — which still has TIME_WAIT 4-tuples
-    // against it, hence SO_REUSEADDR.
-    let listener = match args.listen {
-        Some(addr) => netpoll::listen_reuse(&addr).map_err(DaemonError::Bind)?,
-        None => TcpListener::bind("127.0.0.1:0").map_err(DaemonError::Bind)?,
+    // The protocol listener: a kernel-named Unix socket normally, or the
+    // advertised address of a dead predecessor (see `Listener::bind`).
+    let listener = match &args.listen {
+        Some(addr) => Listener::bind(addr),
+        None => Listener::autobind(),
     };
+    let listener = listener.map_err(DaemonError::Bind)?;
     let advertised = listener.local_addr().map_err(DaemonError::Bind)?;
 
     // Rendezvous with the harness: advertise our listener, learn everyone's.
@@ -246,19 +253,17 @@ fn run(raw: &[String]) -> Result<(), DaemonError> {
     serve(&args, rt, conn, &term)
 }
 
-fn parse_peers(line: &str, n: usize) -> Result<Vec<SocketAddr>, DaemonError> {
+fn parse_peers(line: &str, n: usize) -> Result<Vec<PeerAddr>, DaemonError> {
     let mut parts = line.split_ascii_whitespace();
     if parts.next() != Some("peers") {
         return Err(DaemonError::Control(format!(
             "expected peers line, got {line:?}"
         )));
     }
-    let addrs: Vec<SocketAddr> = parts
-        .map(|a| {
-            a.parse()
-                .map_err(|e| DaemonError::Control(format!("bad peer address {a:?}: {e}")))
-        })
-        .collect::<Result<_, _>>()?;
+    let addrs: Vec<PeerAddr> = parts
+        .map(str::parse)
+        .collect::<Result<_, _>>()
+        .map_err(DaemonError::PeerAddr)?;
     if addrs.len() != n {
         return Err(DaemonError::Control(format!(
             "peers line has {} addresses for a {n}-node tree",
@@ -423,5 +428,50 @@ fn start_workload(
     Workload {
         supervisor,
         stopping,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_peers_reads_both_forms_and_refuses_malformed_addresses() {
+        let addrs = parse_peers("peers @0a1f3 127.0.0.1:4000", 2).unwrap();
+        assert_eq!(addrs[0], PeerAddr::Unix("0a1f3".to_string()));
+        assert_eq!(addrs[1], PeerAddr::Tcp("127.0.0.1:4000".parse().unwrap()));
+        let bad = |line| parse_peers(line, 2).unwrap_err();
+        assert!(matches!(
+            bad("peers @ 127.0.0.1:1"),
+            DaemonError::PeerAddr(PeerAddrError::EmptyName)
+        ));
+        assert!(matches!(
+            bad("peers @a 127.0.0.1:70000"),
+            DaemonError::PeerAddr(PeerAddrError::Tcp(_))
+        ));
+        assert!(matches!(bad("peers @a"), DaemonError::Control(_)));
+        assert!(matches!(bad("hello @a @b"), DaemonError::Control(_)));
+        assert_eq!(bad("peers @ @a").code(), 4, "a control-channel failure");
+    }
+
+    #[test]
+    fn listen_takes_either_address_form() {
+        let base = "--node 0 --parents r --objects 1 --control 127.0.0.1:9 --journal j";
+        let parse = |listen: &str| {
+            let args: Vec<String> = format!("{base} --listen {listen}")
+                .split(' ')
+                .map(str::to_string)
+                .collect();
+            parse_args(&args).map(|a| a.listen)
+        };
+        assert_eq!(
+            parse("@arrowd-0").ok().flatten(),
+            Some(PeerAddr::Unix("arrowd-0".to_string()))
+        );
+        assert!(matches!(
+            parse("127.0.0.1:4000"),
+            Ok(Some(PeerAddr::Tcp(_)))
+        ));
+        assert!(matches!(parse("@"), Err(DaemonError::Usage(_))));
     }
 }

@@ -6,7 +6,7 @@
 //! ## Conversation
 //!
 //! ```text
-//! daemon → hello <node> <ip:port>          advertise the protocol listener
+//! daemon → hello <node> <@name|ip:port>    advertise the protocol listener
 //! harness → peers <a0> <a1> ... <aN-1>     full advertised address table
 //! daemon → ready                            mesh handshake spawned
 //! harness → work <obj> <count>              (repeatable) assign acquires
@@ -16,6 +16,10 @@
 //! harness → stats                           metrics scrape → wire lines + "."
 //! harness → shutdown                        graceful stop → bye, then exit
 //! ```
+//!
+//! Addresses are [`arrow_net::PeerAddr`] text: `@name` for an abstract
+//! Unix-domain socket (the default for daemons of one host), `ip:port` for
+//! TCP. This channel itself is always TCP; it carries no per-acquire traffic.
 //!
 //! Lines are ASCII, space-separated, `\n`-terminated. The framing is
 //! deliberately dumb: both ends are in this workspace, and a human can drive a

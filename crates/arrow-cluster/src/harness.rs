@@ -22,7 +22,7 @@ use arrow_core::order::OrderError;
 use arrow_core::prelude::{
     ChurnOrderError, ObjectId, OrderRecord, QueuingOrder, QueuingOutcome, RequestSchedule, RunError,
 };
-use arrow_net::{NetFailure, NetReport};
+use arrow_net::{NetFailure, NetReport, PeerAddr};
 use arrow_trace::MetricsSnapshot;
 use netgraph::{NodeId, RootedTree};
 use std::io;
@@ -117,8 +117,9 @@ struct Daemon {
     child: Child,
     ctrl: Option<LineConn>,
     /// Advertised protocol listener address (stable across restarts — the
-    /// restarted incarnation rebinds the same port via `SO_REUSEADDR`).
-    addr: SocketAddr,
+    /// restarted incarnation rebinds the same abstract name, or the same
+    /// port via `SO_REUSEADDR`).
+    addr: PeerAddr,
     journal: PathBuf,
     /// Last scraped usage (refreshed by [`Cluster::scrape_usage`]; final value
     /// is taken just before teardown so it reflects the whole run).
@@ -211,7 +212,7 @@ impl Cluster {
         // Collect hellos (daemons dial in any order), then broadcast the
         // completed address table and wait for every ready.
         let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-        let mut slots: Vec<Option<(LineConn, SocketAddr)>> = (0..n).map(|_| None).collect();
+        let mut slots: Vec<Option<(LineConn, PeerAddr)>> = (0..n).map(|_| None).collect();
         let mut pending = n;
         while pending > 0 {
             // A daemon that died before dialing in would hang the
@@ -249,7 +250,7 @@ impl Cluster {
         let peers = peers_line(
             slots
                 .iter()
-                .map(|s| s.as_ref().expect("all slots filled").1),
+                .map(|s| &s.as_ref().expect("all slots filled").1),
         );
         // Every daemon gets the table before any `ready` is awaited, so they
         // start their reactors side by side.
@@ -295,6 +296,12 @@ impl Cluster {
     /// The OS pid of node `v`'s daemon.
     pub fn pid(&self, v: NodeId) -> u32 {
         self.daemons[v].child.id()
+    }
+
+    /// The protocol address node `v`'s daemon advertised (kept across a
+    /// [`Cluster::restart`]).
+    pub fn addr(&self, v: NodeId) -> &PeerAddr {
+        &self.daemons[v].addr
     }
 
     /// Assign and start a workload: for every `(node, obj, count)` entry the
@@ -431,7 +438,8 @@ impl Cluster {
     }
 
     /// Respawn node `v` after a [`Cluster::kill`]: the new incarnation rebinds
-    /// the same advertised address (`SO_REUSEADDR`), rendezvouses over the
+    /// the same advertised address (see `arrow_net::Listener::bind`),
+    /// rendezvouses over the
     /// control channel, gets its request-id counter floored at
     /// [`RESTART_SEQ_BASE`] (ids from the dead incarnation are still chained
     /// in surviving journals), and is brought to the current epoch.
@@ -447,7 +455,7 @@ impl Cluster {
         let mut child = cmd.spawn()?;
 
         // The restarted daemon is the only dialer, but accept with a deadline
-        // and a liveness check — a daemon that fails to rebind its port exits
+        // and a liveness check — a daemon that fails to rebind its address exits
         // instead of dialing in, and that must not hang the harness.
         let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
         let accepted = accept_control(&self.control, deadline, || match child.try_wait()? {
@@ -481,7 +489,7 @@ impl Cluster {
                 ),
             ));
         }
-        conn.send(&peers_line(self.daemons.iter().map(|d| d.addr)))?;
+        conn.send(&peers_line(self.daemons.iter().map(|d| &d.addr)))?;
         expect_line(&mut conn, "ready", v)?;
         if self.epoch > 0 {
             conn.send(&format!("epoch {}", self.epoch))?;
@@ -636,14 +644,14 @@ fn arrowd_command(
 }
 
 /// The control line that hands every daemon the mesh's address table.
-fn peers_line(addrs: impl Iterator<Item = SocketAddr>) -> String {
+fn peers_line<'a>(addrs: impl Iterator<Item = &'a PeerAddr>) -> String {
     let addrs: Vec<String> = addrs.map(|a| a.to_string()).collect();
     format!("peers {}", addrs.join(" "))
 }
 
 /// A daemon's `hello <node> <addr>`, read off its freshly accepted control
 /// stream.
-fn read_hello(stream: TcpStream) -> io::Result<(LineConn, NodeId, SocketAddr)> {
+fn read_hello(stream: TcpStream) -> io::Result<(LineConn, NodeId, PeerAddr)> {
     stream.set_nonblocking(false)?;
     let mut conn = LineConn::new(stream);
     let line = conn.recv_timeout(HANDSHAKE_TIMEOUT)?;
@@ -654,8 +662,8 @@ fn read_hello(stream: TcpStream) -> io::Result<(LineConn, NodeId, SocketAddr)> {
     };
     let v = v.parse().map_err(|e| bad(format!("bad hello node: {e}")))?;
     let addr = addr
-        .parse()
-        .map_err(|e| bad(format!("bad hello addr: {e}")))?;
+        .parse::<PeerAddr>()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     Ok((conn, v, addr))
 }
 
@@ -758,5 +766,42 @@ impl ClusterReport {
     /// The run as a validated outcome ([`NetReport::into_outcome`]).
     pub fn into_outcome(self) -> Result<QueuingOutcome, RunError> {
         self.merged.into_outcome()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::control::send_line;
+    use arrow_net::PeerAddrError;
+
+    /// `read_hello` on a control stream whose daemon sent `line`.
+    fn hello(line: &str) -> io::Result<(NodeId, PeerAddr)> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let daemon = TcpStream::connect(listener.local_addr()?)?;
+        send_line(&daemon, line)?;
+        let (stream, _) = listener.accept()?;
+        read_hello(stream).map(|(_, v, addr)| (v, addr))
+    }
+
+    #[test]
+    fn read_hello_reads_both_forms_and_refuses_malformed_addresses() {
+        let unix = PeerAddr::Unix("0a1f3".to_string());
+        assert_eq!(hello("hello 3 @0a1f3").unwrap(), (3, unix));
+        let tcp = PeerAddr::Tcp("127.0.0.1:4000".parse().unwrap());
+        assert_eq!(hello("hello 0 127.0.0.1:4000").unwrap(), (0, tcp));
+        let refused = |line| {
+            let err = hello(line).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{line}");
+            err.into_inner()
+                .and_then(|e| e.downcast::<PeerAddrError>().ok())
+                .map(|e| *e)
+        };
+        assert_eq!(refused("hello 3 @"), Some(PeerAddrError::EmptyName));
+        assert!(matches!(
+            refused("hello 3 127.0.0.1:99999"),
+            Some(PeerAddrError::Tcp(_))
+        ));
+        assert_eq!(refused("hello 3"), None, "a short line, not an address");
     }
 }

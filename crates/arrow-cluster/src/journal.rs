@@ -217,9 +217,8 @@ impl Fields<'_> {
 mod tests {
     use super::*;
     use arrow_net::replay::daemon_mesh;
-    use arrow_net::{NetConfig, NetRuntime};
+    use arrow_net::{Listener, NetConfig, NetRuntime};
     use netgraph::{generators, RootedTree};
-    use std::net::TcpListener;
 
     #[test]
     fn parse_rejects_truncated_and_malformed_journals() {
@@ -328,7 +327,7 @@ mod tests {
     fn a_daemon_report_round_trips_through_its_journal() {
         let tree = RootedTree::from_tree_graph(&generators::path(2), 0);
         let cfg = NetConfig::instant();
-        let daemons = daemon_mesh(&tree, 2, cfg, |_, _| {}).unwrap();
+        let daemons = daemon_mesh(&tree, 2, cfg, Listener::loopback, |_, _| {}).unwrap();
         for (v, daemon) in daemons.iter().enumerate() {
             let h = daemon.handle(v);
             for obj in [ObjectId(0), ObjectId(1), ObjectId(0)] {
@@ -342,10 +341,10 @@ mod tests {
             assert_same(&round_trip(&report, v), &report);
         }
 
-        let refused = TcpListener::bind("127.0.0.1:0").unwrap();
+        let refused = Listener::loopback().unwrap();
         let gone = refused.local_addr().unwrap();
         drop(refused);
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l1 = Listener::loopback().unwrap();
         let addrs = vec![gone, l1.local_addr().unwrap()];
         let cfg = cfg.with_dial_retries(1);
         let daemon = NetRuntime::spawn_daemon(&tree, 1, cfg, 1, l1, addrs, 0);

@@ -17,6 +17,8 @@
 //! * **per-link FIFO** — on every tier whose nodes carry recording probes, the
 //!   `queue()` frames each directed link delivers are exactly the frames it was
 //!   sent, in send order (the arrow protocol's correctness assumes FIFO links);
+//! * **tree edges** — on the same probed tiers, every `queue()` frame goes to a
+//!   tree neighbour of its sender (the arrows are tree edges);
 //! * **latency bound** — on synchronous single-object arrow simulator outcomes,
 //!   the measured competitive ratio respects the Theorem 3.19 bound (via
 //!   [`queuing_analysis::measure_ratio`]; degenerate instances are skipped).
@@ -24,9 +26,10 @@
 use arrow_core::prelude::*;
 use arrow_trace::recorder::TraceEventRecord;
 use arrow_trace::ProbeEvent;
+use netgraph::RootedTree;
 use queuing_analysis::measure_ratio_with_cost;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Which invariant a violation belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,6 +44,8 @@ pub enum InvariantKind {
     MessageSanity,
     /// Per-link FIFO delivery of `queue()` frames (probed tiers only).
     PerLinkFifo,
+    /// Every `queue()` frame travels a spanning-tree edge (probed tiers only).
+    TreeEdge,
     /// Theorem 3.19 competitive-ratio bound (sync single-object arrow only).
     LatencyBound,
     /// Cross-tier agreement on the per-object request multiset.
@@ -259,6 +264,41 @@ pub fn check_per_link_fifo(tier: &str, events: &[TraceEventRecord]) -> Vec<Viola
     violations
 }
 
+/// Tree edges: every [`ProbeEvent::QueueSent`] goes to a tree neighbour of
+/// the node that recorded it. The paper's `queue()` message follows the
+/// arrows, and an arrow only ever names a tree neighbour, so a frame to any
+/// other node is a protocol that is not arrow, even when its chains are
+/// valid (a path-compressing `link := origin` variant is one). One violation
+/// per offending directed pair, with its frame count.
+pub fn check_tree_edges(
+    tier: &str,
+    tree: &RootedTree,
+    events: &[TraceEventRecord],
+) -> Vec<Violation> {
+    let n = tree.node_count();
+    let adjacent = |u: usize, v: usize| {
+        u < n && v < n && (tree.parent(u) == Some(v) || tree.parent(v) == Some(u))
+    };
+    let mut off_tree: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+    for e in events {
+        if let ProbeEvent::QueueSent { to, .. } = e.ev {
+            if !adjacent(e.node, to) {
+                *off_tree.entry((e.node, to)).or_default() += 1;
+            }
+        }
+    }
+    off_tree
+        .into_iter()
+        .map(|((u, v), frames)| {
+            Violation::new(
+                InvariantKind::TreeEdge,
+                tier,
+                format!("{frames} queue frames sent on {u}->{v}, which is not a tree edge"),
+            )
+        })
+        .collect()
+}
+
 /// Theorem 3.19: on synchronous single-object arrow analysis runs, the measured
 /// competitive ratio (against a certified lower bound on the optimum) stays under
 /// the constant-explicit theorem bound. Degenerate instances (zero lower bound)
@@ -454,6 +494,35 @@ mod tests {
         assert!(check_per_link_fifo("sim", &across_links).is_empty());
     }
 
+    /// The `link := origin` mutant: a node that points its arrow at the
+    /// request's origin instead of the neighbour the `queue()` came from
+    /// later forwards the next `queue()` straight to that origin. On the path
+    /// 0 - 1 - 2 - 3, node 3's request walks 3 -> 2 -> 1 -> 0; the mutant
+    /// then sends node 1's request from 0 to 3, which is not a tree edge.
+    #[test]
+    fn tree_edge_check_flags_the_link_to_origin_mutant() {
+        let tree = RootedTree::from_tree_graph(&netgraph::generators::path(4), 0);
+        let mut trace = vec![
+            sent(3, 0.0, 1, 2),
+            sent(2, 1.0, 1, 1),
+            sent(1, 2.0, 1, 0),
+            sent(1, 3.0, 2, 0),
+        ];
+        assert!(check_tree_edges("sim", &tree, &trace).is_empty());
+        trace.push(sent(0, 4.0, 2, 3));
+        trace.push(sent(0, 5.0, 3, 3));
+        let violations = check_tree_edges("sim", &tree, &trace);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].invariant, InvariantKind::TreeEdge);
+        assert_eq!(
+            violations[0].detail,
+            "2 queue frames sent on 0->3, which is not a tree edge"
+        );
+        // A node id outside the tree is no neighbour either.
+        let stray = [sent(1, 0.0, 1, 9)];
+        assert_eq!(check_tree_edges("net", &tree, &stray).len(), 1);
+    }
+
     /// The check is not vacuous: on every probed tier it reads one `QueueSent`
     /// per protocol message the tier counted, and finds each link in order.
     #[test]
@@ -500,6 +569,8 @@ mod tests {
                         "{tier} seed {seed} sync={sync}"
                     );
                     let violations = check_per_link_fifo(tier, &events);
+                    assert!(violations.is_empty(), "{tier} seed {seed}: {violations:?}");
+                    let violations = check_tree_edges(tier, instance.tree(), &events);
                     assert!(violations.is_empty(), "{tier} seed {seed}: {violations:?}");
                 }
             }

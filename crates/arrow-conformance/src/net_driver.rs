@@ -24,7 +24,7 @@
 use arrow_core::driver::{acquire_sequences, Driver};
 use arrow_core::prelude::*;
 use arrow_net::replay::{daemon_mesh, Client};
-use arrow_net::{NetConfig, NetReport, NetRuntime};
+use arrow_net::{Listener, NetConfig, NetReport, NetRuntime};
 use arrow_trace::{NoProbe, Probe};
 use netgraph::NodeId;
 
@@ -98,7 +98,7 @@ impl NetDriver {
                 (tally, rt.shutdown())
             }
             NetHosting::DaemonPerNode => {
-                let daemons = daemon_mesh(tree, k, cfg, |_, _| {})?;
+                let daemons = daemon_mesh(tree, k, cfg, Listener::loopback, |_, _| {})?;
                 let tally = client.spawn(work, |v| daemons[v].handle(v)).join();
                 let reports = daemons.into_iter().map(NetRuntime::shutdown);
                 (tally, NetReport::merge(reports))

@@ -231,6 +231,7 @@ fn run_case_fault_free(case: &ReplayCase, opts: &SweepOptions) -> (Vec<String>, 
     let mut tiers_run = Vec::new();
     let mut violations = Vec::new();
     let n = instance.node_count();
+    let tree = instance.tree();
 
     // Tier 1: simulator, probed, arrow.
     let arrow_cfg = case.spec.run_config(ProtocolKind::Arrow);
@@ -242,7 +243,9 @@ fn run_case_fault_free(case: &ReplayCase, opts: &SweepOptions) -> (Vec<String>, 
             violations.extend(invariants::check_exactly_once("sim", &outcome));
             violations.extend(invariants::check_token_conservation("sim", &outcome));
             violations.extend(invariants::check_message_sanity("sim", &outcome, n));
-            violations.extend(invariants::check_per_link_fifo("sim", &finish(recorder)));
+            let events = finish(recorder);
+            violations.extend(invariants::check_per_link_fifo("sim", &events));
+            violations.extend(invariants::check_tree_edges("sim", tree, &events));
             violations.extend(invariants::check_cross_tier("sim", &expected, &outcome));
             if case.spec.sync == SyncMode::Synchronous && schedule.object_id_bound() == 1 {
                 violations.extend(invariants::check_latency_bound(
@@ -297,8 +300,10 @@ fn run_case_fault_free(case: &ReplayCase, opts: &SweepOptions) -> (Vec<String>, 
                 violations.extend(invariants::check_token_conservation(tier, &outcome));
                 violations.extend(invariants::check_message_sanity(tier, &outcome, n));
                 // `net-wire`'s daemons carry no probes: its trace is empty and
-                // the check passes vacuously.
-                violations.extend(invariants::check_per_link_fifo(tier, &finish(recorder)));
+                // the two trace checks pass vacuously.
+                let events = finish(recorder);
+                violations.extend(invariants::check_per_link_fifo(tier, &events));
+                violations.extend(invariants::check_tree_edges(tier, tree, &events));
                 violations.extend(invariants::check_cross_tier(tier, &expected, &outcome));
             }
         }

@@ -11,10 +11,11 @@
 //!    reactor. Between nodes one runtime hosts, frames are memory moves (inside
 //!    a shard, or one inbox hand-off between shards); toward a node another
 //!    process hosts (daemon mode, used by the `arrowd` process tier), the
-//!    channel is TCP and each hop pays real serialization, framing, kernel
-//!    round-trips — the per-message cost that the paper's Section 5 experiment
-//!    runs on real processors to expose. Optional injected link latency applies
-//!    to every hop.
+//!    channel is a socket (an abstract Unix-domain one between daemons of
+//!    one host, TCP toward an `ip:port` peer: [`PeerAddr`]) and each hop pays
+//!    real serialization, framing, kernel round-trips — the per-message cost
+//!    that the paper's Section 5 experiment runs on real processors to
+//!    expose. Optional injected link latency applies to every hop.
 //! 4. **Processes** (`arrow-cluster`) — one `arrowd` OS process per node, each
 //!    a daemon-mode runtime of this crate.
 //!
@@ -34,8 +35,12 @@
 //!   retries, reactor [`mesh::NetConfig::shards`]), the per-link latency law
 //!   (tree distance × [`mesh::NetConfig::unit_latency`], scaled by the seeded
 //!   async factor in the asynchronous model, FIFO-preserving — the same law as
-//!   a simulator run), the [`NetStats`] counters (one registry per shard,
-//!   summed on read), and the blocking dial helpers external tooling uses.
+//!   a simulator run), and the [`NetStats`] counters (one registry per shard,
+//!   summed on read).
+//! * [`socket`] — the daemon-link address, [`PeerAddr`] (`ip:port` for TCP,
+//!   `@name` for an abstract Unix-domain socket), and the [`Listener`] a
+//!   daemon binds; the peer's address picks the socket family, and nothing
+//!   above the socket depends on which.
 //! * `reactor` (internal) — the event-driven engine: nodes are partitioned
 //!   across a small pool of shard threads, each running one `epoll` loop (via
 //!   the `netpoll` shim) over its inbox eventfd, its timer wheel and the
@@ -90,12 +95,14 @@ pub mod mesh;
 mod reactor;
 pub mod replay;
 pub mod runtime;
+pub mod socket;
 mod wheel;
 pub mod wire;
 
 pub use lock::{CriticalSectionLog, DistributedLock, LockGuard, SectionRecord};
-pub use mesh::{dial_with_budget, NetConfig, NetStats, NetStatsSnapshot};
+pub use mesh::{NetConfig, NetStats, NetStatsSnapshot};
 pub use runtime::{
     Grant, NetFailure, NetFaultHandle, NetHandle, NetReport, NetRuntime, PendingAcquire,
 };
+pub use socket::{Listener, PeerAddr, PeerAddrError};
 pub use wire::{Frame, WireError, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION};

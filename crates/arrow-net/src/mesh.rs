@@ -33,12 +33,9 @@
 //! stretch 1) exactly; on a general graph the simulator's direct sends pay the
 //! graph distance `d_G`, which can be smaller than `d_T`.
 
-use crate::wire::{Frame, WireError};
 use arrow_trace::{Metric, MetricsReader, MetricsSnapshot, MetricsWriter};
 use desim::SimRng;
 use netgraph::NodeId;
-use std::io;
-use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 /// How long a handshake partner may stall before the connection is abandoned.
@@ -363,84 +360,56 @@ impl DelayPolicy {
     }
 }
 
-fn wire_to_io(e: WireError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e)
-}
-
-/// Dial a peer and run the join handshake (send `Hello{me}`, await `Welcome`),
-/// retrying transient failures up to `retries` times with linear backoff before
-/// reporting the peer unreachable. This is the blocking counterpart of the
-/// reactors' nonblocking dial machinery, kept public so external tooling and
-/// failure-injection tests can join a mesh (or exercise the retry budget
-/// against a refused address) without standing up a reactor.
-pub fn dial_with_budget(
-    addr: SocketAddr,
-    me: NodeId,
-    retries: u32,
-) -> io::Result<(TcpStream, NodeId)> {
-    let mut attempt = 0;
-    loop {
-        match dial(addr, me) {
-            Ok(pair) => return Ok(pair),
-            Err(e) if attempt < retries => {
-                attempt += 1;
-                std::thread::sleep(Duration::from_millis(5 * attempt as u64));
-                let _ = e;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Dial a peer and run the join handshake: send `Hello{me}`, await `Welcome`.
-/// Returns the connected stream and the peer's confirmed node id.
-pub(crate) fn dial(addr: SocketAddr, me: NodeId) -> io::Result<(TcpStream, NodeId)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-    Frame::Hello { node: me }.write_to(&mut stream)?;
-    let reply = Frame::read_from(&mut stream).map_err(wire_to_io)?;
-    stream.set_read_timeout(None)?;
-    match reply {
-        Frame::Welcome { node } => Ok((stream, node)),
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("expected Welcome during handshake, got {other:?}"),
-        )),
-    }
-}
-
-/// Accepter half of the blocking join handshake: await `Hello`, reply
-/// `Welcome{me}`. Test-only — live accepts run through the reactors' state
-/// machines — but kept as the reference implementation the nonblocking
-/// handshake must stay wire-compatible with.
-#[cfg(test)]
-pub(crate) fn accept_handshake(
-    mut stream: TcpStream,
-    me: NodeId,
-) -> io::Result<(TcpStream, NodeId)> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-    let hello = Frame::read_from(&mut stream).map_err(wire_to_io)?;
-    let peer = match hello {
-        Frame::Hello { node } => node,
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected Hello during handshake, got {other:?}"),
-            ))
-        }
-    };
-    Frame::Welcome { node: me }.write_to(&mut stream)?;
-    stream.set_read_timeout(None)?;
-    Ok((stream, peer))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
-    use std::net::TcpListener;
+    use crate::wire::{Frame, WireError};
+    use std::io::{self, Write};
+    use std::net::{SocketAddr, TcpListener, TcpStream};
+
+    fn wire_to_io(e: WireError) -> io::Error {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    }
+
+    /// Dialer half of the blocking join handshake: send `Hello{me}`, await
+    /// `Welcome`. Returns the connected stream and the peer's confirmed node
+    /// id. With [`accept_handshake`], the reference the reactors' nonblocking
+    /// handshake must stay wire-compatible with.
+    fn dial(addr: SocketAddr, me: NodeId) -> io::Result<(TcpStream, NodeId)> {
+        let mut stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+        Frame::Hello { node: me }.write_to(&mut stream)?;
+        let reply = Frame::read_from(&mut stream).map_err(wire_to_io)?;
+        stream.set_read_timeout(None)?;
+        match reply {
+            Frame::Welcome { node } => Ok((stream, node)),
+            other => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("expected Welcome during handshake, got {other:?}"),
+            )),
+        }
+    }
+
+    /// Accepter half of the blocking join handshake: await `Hello`, reply
+    /// `Welcome{me}`.
+    fn accept_handshake(mut stream: TcpStream, me: NodeId) -> io::Result<(TcpStream, NodeId)> {
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+        let hello = Frame::read_from(&mut stream).map_err(wire_to_io)?;
+        let peer = match hello {
+            Frame::Hello { node } => node,
+            other => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("expected Hello during handshake, got {other:?}"),
+                ))
+            }
+        };
+        Frame::Welcome { node: me }.write_to(&mut stream)?;
+        stream.set_read_timeout(None)?;
+        Ok((stream, peer))
+    }
 
     #[test]
     fn handshake_exchanges_node_ids() {

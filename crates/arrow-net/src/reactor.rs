@@ -9,7 +9,7 @@
 //!
 //! Control (crash, epoch, shutdown) and frames between shards of one runtime
 //! travel through each shard's [`Inbox`], woken via an eventfd; a client's
-//! acquire or release does too whenever its shard is busy. A TCP connection
+//! acquire or release does too whenever its shard is busy. A socket
 //! exists only toward a node *another process* hosts.
 //!
 //! # Who runs a cycle
@@ -143,7 +143,7 @@
 use std::collections::{vec_deque, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::mem;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::Shutdown;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
@@ -160,6 +160,7 @@ use netgraph::{NodeId, RootedTree};
 
 use crate::mesh::{DelayPolicy, NetConfig, HANDSHAKE_TIMEOUT, RECV_BUF_INIT};
 use crate::runtime::{Grant, NetFailure};
+use crate::socket::{Listener, PeerAddr, Stream};
 use crate::wheel::TimerWheel;
 use crate::wire::{Frame, MAX_FRAME_LEN};
 
@@ -393,7 +394,7 @@ struct SlabEntry {
 /// Anything a shard registers with its poller.
 enum Source {
     /// A node's accept socket.
-    Listener { node: NodeId, listener: TcpListener },
+    Listener { node: NodeId, listener: Listener },
     /// A live or in-handshake connection.
     Conn(Box<Conn>),
 }
@@ -413,7 +414,7 @@ enum ConnState {
 
 /// Per-connection state: socket, framing buffer, send buffer, lifecycle.
 struct Conn {
-    stream: TcpStream,
+    stream: Stream,
     /// The local node that owns this endpoint.
     node: NodeId,
     /// The remote node, once known (dialers know at creation, acceptors after
@@ -637,7 +638,7 @@ pub(crate) struct ReactorShared {
     pub(crate) tree: Arc<RootedTree>,
     /// Advertised address of every node, for dialing the nodes another
     /// process hosts; empty when this runtime hosts them all.
-    pub(crate) addrs: Arc<Vec<SocketAddr>>,
+    pub(crate) addrs: Arc<Vec<PeerAddr>>,
     /// Set once a fault handle exists: only then can a cross-shard hop carry
     /// a stale incarnation stamp, so only then is the stamp checked.
     pub(crate) faults_armed: Arc<AtomicBool>,
@@ -647,7 +648,7 @@ pub(crate) struct ReactorShared {
 
 /// One node's slice of the spawn manifest: its id, protocol core, and — for a
 /// node that peers in other processes dial — its bound listener.
-pub(crate) type NodeSeed<P> = (NodeId, ArrowCore<P>, Option<TcpListener>);
+pub(crate) type NodeSeed<P> = (NodeId, ArrowCore<P>, Option<Listener>);
 
 /// A shard thread's join handle; joining yields the shard's journal and the
 /// transport failures its nodes observed.
@@ -731,7 +732,7 @@ fn run<P: Probe>(cell: &Mutex<Shard<P>>) -> (RunJournal, Vec<NetFailure>) {
 struct Shard<P: Probe> {
     cfg: NetConfig,
     tree: Arc<RootedTree>,
-    addrs: Arc<Vec<SocketAddr>>,
+    addrs: Arc<Vec<PeerAddr>>,
     /// This shard's metrics registry, which only the lock holder writes.
     stats: MetricsWriter,
     /// Normalized `(min, max)` pairs of the links severed by fault injection
@@ -1544,7 +1545,7 @@ impl<P: Probe> Shard<P> {
     }
 
     fn dial_now(&mut self, v: NodeId, to: NodeId) {
-        match netpoll::connect_stream(&self.addrs[to]) {
+        match Stream::connect(&self.addrs[to]) {
             Ok(stream) => {
                 let fd = stream.as_raw_fd();
                 let (idx, tok) = self.slab_insert(Source::Conn(Box::new(Conn {
@@ -1662,7 +1663,7 @@ impl<P: Probe> Shard<P> {
             let mut streams = Vec::new();
             loop {
                 match listener.accept() {
-                    Ok((stream, _)) => streams.push(stream),
+                    Ok(stream) => streams.push(stream),
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(_) => break,
@@ -1680,7 +1681,7 @@ impl<P: Probe> Shard<P> {
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
-            let _ = stream.set_nodelay(true);
+            let _ = stream.set_nodelay();
             let fd = stream.as_raw_fd();
             let (cidx, tok) = self.slab_insert(Source::Conn(Box::new(Conn {
                 stream,
@@ -2104,7 +2105,7 @@ impl<P: Probe> Shard<P> {
                 Ok(None) => {
                     let v = {
                         let c = self.conn_mut(idx);
-                        let _ = c.stream.set_nodelay(true);
+                        let _ = c.stream.set_nodelay();
                         c.state = ConnState::AwaitWelcome;
                         c.node
                     };
@@ -2335,7 +2336,7 @@ mod tests {
     use netgraph::generators;
 
     /// A [`ReactorShared`] for a tiny hand-driven mesh.
-    fn shared_for(tree: RootedTree, addrs: Vec<SocketAddr>) -> ReactorShared {
+    fn shared_for(tree: RootedTree, addrs: Vec<PeerAddr>) -> ReactorShared {
         ReactorShared {
             cfg: NetConfig::instant(),
             tree: Arc::new(tree),
@@ -2349,7 +2350,7 @@ mod tests {
     /// node's seed; node 0 gets `listener` if one is given.
     fn pair(
         objects: usize,
-        listener: Option<TcpListener>,
+        listener: Option<Listener>,
     ) -> (ReactorShared, NodeSeed<NoProbe>, NodeSeed<NoProbe>) {
         let tree = RootedTree::from_tree_graph(&generators::path(2), 0);
         let addrs = listener
@@ -2403,8 +2404,11 @@ mod tests {
         hand_driven(&shared, vec![vec![seed0], vec![seed1]])
     }
 
+    /// Both listener families a daemon link runs on.
+    const BINDS: [fn() -> io::Result<Listener>; 2] = [Listener::loopback, Listener::autobind];
+
     /// Read frames off a blocking socket until `want` have been scanned out.
-    fn read_frames(stream: &mut TcpStream, want: usize) -> Vec<Frame> {
+    fn read_frames(mut stream: &Stream, want: usize) -> Vec<Frame> {
         let mut got = Vec::new();
         let mut buf = Vec::new();
         let mut tmp = [0u8; 1024];
@@ -2430,20 +2434,22 @@ mod tests {
     /// `Welcome` and the token grant as if the bytes had arrived whole.
     #[test]
     fn partial_frames_reassemble_across_readiness_events() {
+        for bind in BINDS {
+            partial_frames_reassemble_on(bind().expect("bind a listener"));
+        }
+    }
+
+    fn partial_frames_reassemble_on(listener: Listener) {
         let tree = RootedTree::from_tree_graph(&generators::path(2), 0);
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr0 = listener.local_addr().expect("listener addr");
         // Node 1 is played by this test over a plain blocking socket; its
         // address is never dialed.
-        let addrs = vec![addr0, "127.0.0.1:1".parse().expect("addr literal")];
+        let addrs = vec![addr0.clone(), "127.0.0.1:1".parse().expect("addr literal")];
         let shared = shared_for(tree, addrs);
         let core = ArrowCore::for_tree_with_probe(0, &shared.tree, 1, NoProbe);
         let (stats, injectors, threads) = spawn(&shared, vec![vec![(0, core, Some(listener))]]);
 
-        let mut peer = TcpStream::connect(addr0).expect("dial the shard");
-        peer.set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("read timeout");
-        peer.set_nodelay(true).expect("nodelay");
+        let mut peer = &Stream::dial_blocking(&addr0).expect("dial the shard");
 
         // Handshake: Hello split across two kernel-visible writes.
         let hello = Frame::Hello { node: 1 }.encode();
@@ -2452,7 +2458,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(40));
         peer.write_all(&hello[2..]).expect("hello suffix");
         assert_eq!(
-            read_frames(&mut peer, 1),
+            read_frames(peer, 1),
             vec![Frame::Welcome { node: 0 }],
             "acceptor must answer the reassembled Hello"
         );
@@ -2470,7 +2476,7 @@ mod tests {
             peer.flush().expect("flush byte");
             std::thread::sleep(Duration::from_millis(2));
         }
-        let token = read_frames(&mut peer, 1);
+        let token = read_frames(peer, 1);
         assert!(
             matches!(
                 token[0],
@@ -2510,7 +2516,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
 
-        drop(peer);
+        let _ = peer.shutdown(Shutdown::Both);
         assert!(injectors[0].send(ShardCmd::Shutdown));
         for t in threads {
             t.join().expect("shard joins");
@@ -2610,13 +2616,11 @@ mod tests {
     /// would split the pair across two transports.
     #[test]
     fn hello_claiming_a_co_sharded_id_is_refused() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let listener = Listener::loopback().expect("bind loopback");
         let (shared, seed0, seed1) = pair(1, Some(listener));
         let (stats, injectors, threads) = spawn(&shared, vec![vec![seed0, seed1]]);
 
-        let mut peer = TcpStream::connect(shared.addrs[0]).expect("dial the shard");
-        peer.set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("read timeout");
+        let mut peer = &Stream::dial_blocking(&shared.addrs[0]).expect("dial the shard");
         peer.write_all(&Frame::Hello { node: 1 }.encode())
             .expect("hello");
         let mut byte = [0u8; 1];
@@ -2754,11 +2758,16 @@ mod tests {
     /// arrives intact and in order.
     #[test]
     fn backpressure_flush_blocks_then_drains_without_loss() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        for bind in BINDS {
+            backpressure_flush_blocks_then_drains_on(bind().expect("bind a listener"));
+        }
+    }
+
+    fn backpressure_flush_blocks_then_drains_on(listener: Listener) {
         let addr = listener.local_addr().expect("listener addr");
-        let writer = TcpStream::connect(addr).expect("dial");
+        let writer = Stream::dial_blocking(&addr).expect("dial");
         writer.set_nonblocking(true).expect("nonblocking writer");
-        let (reader, _) = listener.accept().expect("accept");
+        let reader = listener.accept().expect("accept");
 
         let (stats, mut writers) = NetStats::for_shards(1);
         let counts = &mut writers[0];
@@ -2790,7 +2799,7 @@ mod tests {
         let mut staged: u64 = 0;
         let mut blocked = false;
         // Stage batches until the kernel buffer fills; 512 * 4096 frames is far
-        // beyond any autotuned loopback send buffer.
+        // beyond any autotuned local send buffer.
         for _ in 0..512 {
             for _ in 0..4096 {
                 conn.out.stage(&frame);
@@ -2802,7 +2811,7 @@ mod tests {
                     break;
                 }
                 FlushOutcome::Done => continue,
-                FlushOutcome::Dead(e) => panic!("healthy loopback socket died: {e}"),
+                FlushOutcome::Dead(e) => panic!("healthy socket died: {e}"),
             }
         }
         assert!(blocked, "the unread socket never exerted backpressure");
@@ -2810,7 +2819,7 @@ mod tests {
 
         // Slow reader starts draining only after the writer is already blocked.
         let drainer = std::thread::spawn(move || {
-            let mut reader = reader;
+            let mut reader = &reader;
             let mut buf: Vec<u8> = Vec::new();
             let mut tmp = [0u8; 64 * 1024];
             let mut bytes: u64 = 0;
@@ -2845,7 +2854,7 @@ mod tests {
                     assert!(Instant::now() < deadline, "flush never completed");
                     std::thread::sleep(Duration::from_millis(1));
                 }
-                FlushOutcome::Dead(e) => panic!("healthy loopback socket died: {e}"),
+                FlushOutcome::Dead(e) => panic!("healthy socket died: {e}"),
             }
         }
         conn.stream

@@ -13,9 +13,9 @@
 
 use crate::mesh::NetConfig;
 use crate::runtime::{NetFailure, NetFaultHandle, NetHandle, NetRuntime};
+use crate::socket::{Listener, PeerAddr};
 use arrow_core::prelude::{ObjectId, RequestId, RunError};
 use netgraph::{NodeId, RootedTree};
-use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -163,22 +163,25 @@ pub fn inject(
     (injector, nudge)
 }
 
-/// One daemon-mode runtime per node of `tree`, each on a loopback listener
-/// and given every listener's address: an `arrowd` cluster in one process.
-/// `edit(v, table)` may change node `v`'s table (to name a refused peer).
+/// One daemon-mode runtime per node of `tree`, each on a listener from
+/// `bind` ([`Listener::loopback`] for TCP, [`Listener::autobind`] for an
+/// abstract Unix-domain socket) and given every listener's address: an
+/// `arrowd` cluster in one process. `edit(v, table)` may change node `v`'s
+/// table (to name a refused peer).
 pub fn daemon_mesh(
     tree: &RootedTree,
     objects: usize,
     cfg: NetConfig,
-    edit: impl Fn(NodeId, &mut Vec<SocketAddr>),
+    bind: fn() -> std::io::Result<Listener>,
+    edit: impl Fn(NodeId, &mut Vec<PeerAddr>),
 ) -> Result<Vec<NetRuntime>, NetFailure> {
     let (mut listeners, mut addrs) = (Vec::new(), Vec::new());
     for node in 0..tree.node_count() {
         let failed = |e: std::io::Error| NetFailure {
             node,
-            description: format!("binding a loopback listener: {e}"),
+            description: format!("binding a listener: {e}"),
         };
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(failed)?;
+        let listener = bind().map_err(failed)?;
         addrs.push(listener.local_addr().map_err(failed)?);
         listeners.push(listener);
     }

@@ -1,7 +1,7 @@
 //! The socket-tier arrow runtime: a small pool of event-loop shards drives every
 //! node this process hosts, protocol traffic in memory between hosted nodes and
-//! over TCP toward nodes of other processes, application commands over local
-//! handles.
+//! over sockets toward nodes of other processes (abstract Unix-domain or TCP,
+//! as each peer's [`PeerAddr`] says), application commands over local handles.
 //!
 //! Protocol logic is [`arrow_core::live::ArrowCore`] — the exact state machine the
 //! model checker explores and whose queuing layer the simulator runs — so the
@@ -44,6 +44,7 @@
 
 use crate::mesh::{NetConfig, NetStats, NetStatsSnapshot};
 use crate::reactor::{spawn_shards, NodeSeed, ReactorShared, ShardCmd, ShardInjector, ShardJoin};
+use crate::socket::{Listener, PeerAddr};
 use arrow_core::host::RunJournal;
 use arrow_core::live::ArrowCore;
 use arrow_core::order::{per_object_orders, OrderError};
@@ -56,7 +57,6 @@ use arrow_trace::{Metric, MetricsSnapshot, NoProbe, Probe};
 use desim::SimTime;
 use netgraph::{NodeId, RootedTree};
 use std::borrow::Borrow;
-use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -116,7 +116,7 @@ impl From<NetFailure> for RunError {
 
 /// The distributed arrow directory runtime: every node of the spanning tree is an
 /// independent peer driven by a reactor shard — all of them in this process
-/// ([`NetRuntime::spawn_multi`]), or one, talking TCP to the others
+/// ([`NetRuntime::spawn_multi`]), or one, talking to the others over sockets
 /// ([`NetRuntime::spawn_daemon`]).
 ///
 /// See the [crate docs](crate) for the architecture; see [`NetRuntime::shutdown`]
@@ -193,7 +193,7 @@ impl NetRuntime {
         tree: &RootedTree,
         objects: usize,
         cfg: NetConfig,
-        addrs: Vec<SocketAddr>,
+        addrs: Vec<PeerAddr>,
         shard_nodes: Vec<Vec<NodeSeed<P>>>,
         hosted: Option<NodeId>,
     ) -> Self {
@@ -223,7 +223,9 @@ impl NetRuntime {
     /// processes (or other hosts). The caller supplies the pre-bound listener
     /// for `me` and the full advertised address table `addrs` (one entry per
     /// tree node, `addrs[me]` being this listener's address) — typically
-    /// exchanged over a control channel before the mesh comes up.
+    /// exchanged over a control channel before the mesh comes up. Each
+    /// entry's form picks the socket family its link runs on: `@name` an
+    /// abstract Unix-domain socket on this host, `ip:port` TCP.
     ///
     /// Protocol behaviour is identical to the in-process runtime, but every
     /// hop pays the wire: the node dials its tree parent for the
@@ -246,8 +248,8 @@ impl NetRuntime {
         objects: usize,
         cfg: NetConfig,
         me: NodeId,
-        listener: TcpListener,
-        addrs: Vec<SocketAddr>,
+        listener: Listener,
+        addrs: Vec<PeerAddr>,
         seq_base: u64,
     ) -> Self {
         assert!(objects > 0, "a directory serves at least one object");
@@ -350,7 +352,7 @@ pub struct NetFaultHandle {
 }
 
 impl NetFaultHandle {
-    /// Crash node `v`: its TCP links (if any) are cut abruptly, frames in
+    /// Crash node `v`: its socket links (if any) are cut abruptly, frames in
     /// flight to or from it are lost, its volatile protocol state is
     /// discarded, in-flight local acquires fail promptly, and all traffic is
     /// ignored until [`restart`].
@@ -783,7 +785,6 @@ impl NetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mesh;
     use crate::replay::{self, Client};
     use arrow_trace::{HistMetric, Metric};
     use netgraph::generators;
@@ -797,9 +798,9 @@ mod tests {
     fn daemon_mesh(
         t: &RootedTree,
         cfg: NetConfig,
-        edit: impl Fn(NodeId, &mut Vec<SocketAddr>),
+        edit: impl Fn(NodeId, &mut Vec<PeerAddr>),
     ) -> Vec<NetRuntime> {
-        replay::daemon_mesh(t, 1, cfg, edit).unwrap()
+        replay::daemon_mesh(t, 1, cfg, Listener::loopback, edit).unwrap()
     }
 
     /// Shut every daemon down and merge their reports, the merge the cluster
@@ -811,7 +812,7 @@ mod tests {
     /// Node 1 of a two-node tree, alone in its daemon, whose address table
     /// names a refused address for its parent.
     fn daemon_with_refused_parent(cfg: NetConfig) -> NetRuntime {
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l1 = Listener::loopback().unwrap();
         let addrs = vec![refused_addr(), l1.local_addr().unwrap()];
         NetRuntime::spawn_daemon(&tree(2), 1, cfg, 1, l1, addrs, 0)
     }
@@ -1040,9 +1041,8 @@ mod tests {
 
     /// A loopback address with nothing listening on it (bind, read the address,
     /// drop the listener — connections to it are refused from then on).
-    fn refused_addr() -> std::net::SocketAddr {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        listener.local_addr().unwrap()
+    fn refused_addr() -> PeerAddr {
+        Listener::loopback().unwrap().local_addr().unwrap()
     }
 
     #[test]
@@ -1104,16 +1104,6 @@ mod tests {
         let mesh = NetReport::merge(reports);
         assert_eq!(mesh.stats().dial_failures, 1, "the root's alone");
         assert_eq!(mesh.failures().len(), 1);
-    }
-
-    #[test]
-    fn dial_budget_is_respected_against_a_refused_address() {
-        let addr = refused_addr();
-        let start = std::time::Instant::now();
-        let err = mesh::dial_with_budget(addr, 3, 2).unwrap_err();
-        // 2 retries × 5ms-linear backoff stays well under a second.
-        assert!(start.elapsed() < std::time::Duration::from_secs(2));
-        let _ = err;
     }
 
     #[test]
@@ -1244,8 +1234,8 @@ mod tests {
     #[test]
     fn acquire_issued_as_spawn_daemon_returns_rides_the_bootstrap_dial() {
         let t = tree(2);
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l0 = Listener::loopback().unwrap();
+        let l1 = Listener::loopback().unwrap();
         let addrs = vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()];
         let cfg = NetConfig::instant();
         let d1 = NetRuntime::spawn_daemon(&t, 1, cfg, 1, l1, addrs.clone(), 0);
@@ -1325,8 +1315,8 @@ mod tests {
         // core never re-issues an id the dead incarnation already used: ids
         // are 1 + me + seq * n, so seq_base=5 on node 1 of n=2 starts at 12.
         let t = tree(2);
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l0 = Listener::loopback().unwrap();
+        let l1 = Listener::loopback().unwrap();
         let addrs = vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()];
         let d0 = NetRuntime::spawn_daemon(&t, 1, NetConfig::instant(), 0, l0, addrs.clone(), 0);
         let d1 = NetRuntime::spawn_daemon(&t, 1, NetConfig::instant(), 1, l1, addrs, 5);

@@ -3,8 +3,9 @@
 //! The offline container has no `libc`/`mio` crates, so the socket tier's
 //! event loop talks to the kernel through this crate: `epoll_create1` /
 //! `epoll_ctl` / `epoll_pwait` for readiness, `eventfd` for cross-thread
-//! wakeups, and a nonblocking `connect(2)` that reports completion via
-//! `EPOLLOUT` + `SO_ERROR`. Every `unsafe` block of the socket tier lives
+//! wakeups, a nonblocking `connect(2)` that reports completion via
+//! `EPOLLOUT` + `SO_ERROR` (TCP and abstract Unix-domain sockets), and the
+//! abstract-namespace `bind(2)` with kernel autobind that `std` lacks. Every `unsafe` block of the socket tier lives
 //! here; `arrow-net` itself keeps `#![forbid(unsafe_code)]`.
 //!
 //! The surface is deliberately tiny and level-triggered: callers re-arm by
@@ -41,6 +42,7 @@ compile_error!(
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::time::Duration;
 
 mod sys {
@@ -170,6 +172,7 @@ const EPOLL_CLOEXEC: usize = 0o2000000;
 const EFD_CLOEXEC: usize = 0o2000000;
 const EFD_NONBLOCK: usize = 0o4000;
 
+const AF_UNIX: u16 = 1;
 const AF_INET: u16 = 2;
 const AF_INET6: u16 = 10;
 const SOCK_STREAM: usize = 1;
@@ -181,6 +184,10 @@ const SO_ERROR: usize = 4;
 
 const EINTR: i32 = 4;
 const EINPROGRESS: i32 = 115;
+
+/// The longest abstract Unix-domain socket name: `sun_path` holds 108 bytes,
+/// and the leading NUL that marks the abstract namespace takes one.
+pub const MAX_ABSTRACT_NAME: usize = 107;
 
 /// `SIGINT` (terminal interrupt).
 pub const SIGINT: i32 = 2;
@@ -470,10 +477,11 @@ pub fn connect_stream(addr: &SocketAddr) -> io::Result<TcpStream> {
 
 /// Fetch and clear the pending socket error (`SO_ERROR`).
 ///
-/// After `EPOLLOUT` fires on an in-flight [`connect_stream`] socket, this
+/// After `EPOLLOUT` fires on an in-flight [`connect_stream`] or
+/// [`connect_unix`] socket, this
 /// distinguishes a completed connect (`Ok(None)`) from a refused/failed one
 /// (`Ok(Some(error))`).
-pub fn take_socket_error(stream: &TcpStream) -> io::Result<Option<io::Error>> {
+pub fn take_socket_error(stream: &impl AsRawFd) -> io::Result<Option<io::Error>> {
     let mut err: i32 = 0;
     let mut len: u32 = 4;
     // SAFETY: `err` and `len` are valid for the kernel to write an i32/u32.
@@ -551,6 +559,97 @@ pub fn listen_reuse(addr: &SocketAddr) -> io::Result<std::net::TcpListener> {
     // SAFETY: listen takes no pointers.
     check(unsafe { sys::syscall6(sys::nr::LISTEN, fd as usize, 128, 0, 0, 0, 0) })?;
     Ok(std::net::TcpListener::from(owned))
+}
+
+/// Encode an abstract Unix-domain address (`name` behind a leading NUL), or
+/// the bare family for `None`, which asks `bind(2)` to autobind. Returns
+/// (buf, len).
+fn encode_abstract(name: Option<&[u8]>) -> io::Result<([u8; 110], usize)> {
+    let mut buf = [0u8; 110];
+    buf[0..2].copy_from_slice(&AF_UNIX.to_ne_bytes());
+    let Some(name) = name else {
+        return Ok((buf, 2));
+    };
+    if name.len() > MAX_ABSTRACT_NAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "abstract socket name longer than sun_path allows",
+        ));
+    }
+    // buf[2] stays 0: the abstract-namespace marker.
+    buf[3..3 + name.len()].copy_from_slice(name);
+    Ok((buf, 3 + name.len()))
+}
+
+/// A fresh `AF_UNIX` stream socket with `flags` added to its type.
+fn unix_socket(flags: usize) -> io::Result<OwnedFd> {
+    // SAFETY: socket takes no pointers.
+    let fd = check(unsafe {
+        sys::syscall6(
+            sys::nr::SOCKET,
+            AF_UNIX as usize,
+            SOCK_STREAM | SOCK_CLOEXEC | flags,
+            0,
+            0,
+            0,
+            0,
+        )
+    })? as RawFd;
+    // SAFETY: the kernel just handed us ownership of this fd; wrapping it
+    // immediately guarantees it is closed on every early return.
+    Ok(unsafe { OwnedFd::from_raw_fd(fd) })
+}
+
+/// Begin a nonblocking connect to the abstract Unix-domain socket `name`.
+///
+/// The stream comes back in nonblocking mode, like [`connect_stream`]'s, and
+/// the same completion contract holds: register for write interest and read
+/// [`take_socket_error`] once `EPOLLOUT` fires. A Unix connect completes or
+/// fails inside the call (`ECONNREFUSED` when nothing listens on `name`,
+/// `EAGAIN` when the listener's backlog is full), so a returned stream polls
+/// writable at once.
+pub fn connect_unix(name: &[u8]) -> io::Result<UnixStream> {
+    let (sa, len) = encode_abstract(Some(name))?;
+    let fd = unix_socket(SOCK_NONBLOCK)?;
+    // SAFETY: `sa` is a valid sockaddr_un buffer of `len` bytes.
+    let ret = unsafe {
+        sys::syscall6(
+            sys::nr::CONNECT,
+            fd.as_raw_fd() as usize,
+            sa.as_ptr() as usize,
+            len,
+            0,
+            0,
+            0,
+        )
+    };
+    check(ret).map(|_| UnixStream::from(fd))
+}
+
+/// Bind and listen on an abstract Unix-domain socket: on `name`, or, for
+/// `None`, on a unique name the kernel picks (autobind: five hex digits),
+/// the Unix counterpart of an ephemeral TCP port. Read the name back with
+/// `local_addr`. An abstract name is freed when its last descriptor closes,
+/// so a successor can rebind a dead process's name at once; binding a name a
+/// live socket holds fails with `EADDRINUSE`.
+pub fn listen_unix(name: Option<&[u8]>) -> io::Result<UnixListener> {
+    let (sa, len) = encode_abstract(name)?;
+    let fd = unix_socket(0)?;
+    // SAFETY: `sa` is a valid sockaddr_un buffer of `len` bytes.
+    check(unsafe {
+        sys::syscall6(
+            sys::nr::BIND,
+            fd.as_raw_fd() as usize,
+            sa.as_ptr() as usize,
+            len,
+            0,
+            0,
+            0,
+        )
+    })?;
+    // SAFETY: listen takes no pointers.
+    check(unsafe { sys::syscall6(sys::nr::LISTEN, fd.as_raw_fd() as usize, 128, 0, 0, 0, 0) })?;
+    Ok(UnixListener::from(fd))
 }
 
 /// Send signal `sig` to process `pid` (`kill(2)`), e.g. a graceful
@@ -786,6 +885,61 @@ mod tests {
         drop(client);
         let l2 = listen_reuse(&addr).unwrap();
         assert_eq!(l2.local_addr().unwrap(), addr);
+    }
+
+    /// The name an autobound or named abstract listener holds.
+    fn abstract_name(l: &UnixListener) -> Vec<u8> {
+        use std::os::linux::net::SocketAddrExt;
+        let addr = l.local_addr().unwrap();
+        addr.as_abstract_name().expect("abstract").to_vec()
+    }
+
+    #[test]
+    fn unix_autobind_connects_carries_data_and_frees_its_name() {
+        let l1 = listen_unix(None).unwrap();
+        let name = abstract_name(&l1);
+        assert_eq!(name.len(), 5, "the kernel autobinds five hex digits");
+        let poller = Poller::new().unwrap();
+        let stream = connect_unix(&name).unwrap();
+        poller.register(stream.as_raw_fd(), 3, false, true).unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 3 && e.writable));
+        assert!(take_socket_error(&stream).unwrap().is_none());
+        let (mut peer, _) = l1.accept().unwrap();
+        peer.write_all(b"pong").unwrap();
+        let mut buf = [0u8; 4];
+        let mut stream = stream;
+        stream.set_nonblocking(false).unwrap();
+        stream.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"pong");
+
+        // A live name cannot be bound twice; a dead one rebinds at once.
+        let taken = listen_unix(Some(&name)).unwrap_err();
+        assert_eq!(taken.kind(), io::ErrorKind::AddrInUse);
+        drop((l1, peer, stream));
+        let l2 = listen_unix(Some(&name)).unwrap();
+        assert_eq!(abstract_name(&l2), name);
+    }
+
+    #[test]
+    fn unix_connect_to_an_unbound_name_is_refused_and_long_names_are_rejected() {
+        let name = abstract_name(&listen_unix(None).unwrap());
+        let err = connect_unix(&name).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+        let long = [b'x'; MAX_ABSTRACT_NAME + 1];
+        assert_eq!(
+            listen_unix(Some(&long)).unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
+        assert_eq!(
+            connect_unix(&long).unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
+        let longest = listen_unix(Some(&long[..MAX_ABSTRACT_NAME])).unwrap();
+        assert_eq!(abstract_name(&longest).len(), MAX_ABSTRACT_NAME);
     }
 
     #[test]

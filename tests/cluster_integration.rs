@@ -1,11 +1,14 @@
 //! Multi-process integration tests for the cluster tier: every "node" here is
 //! a real `arrowd` OS process, spawned from the binary Cargo built for this
-//! crate, speaking the arrow protocol over TCP to its peer processes. The
+//! crate, speaking the arrow protocol to its peer processes over abstract
+//! Unix-domain sockets (the harness's daemons share one host). The
 //! multi-process analogue of `tests/net_integration.rs`.
 
 use arrow_cluster::{Cluster, ClusterConfig, WorkOutcome};
 use arrow_core::prelude::ObjectId;
+use arrow_net::PeerAddr;
 use netgraph::{generators, NodeId, RootedTree};
+use std::process::{Command, Stdio};
 use std::time::Duration;
 
 fn arrowd() -> &'static str {
@@ -117,6 +120,19 @@ fn sigkill_and_restart_heal_through_epoch_token_regeneration() {
         .start_workload(&work, Duration::from_secs(1), 200)
         .expect("workload starts");
 
+    // The victim's abstract name is held while it lives: a second daemon
+    // told to listen there fails to bind (exit code 3) before dialing anyone.
+    let name = cluster.addr(victim).clone();
+    assert!(matches!(name, PeerAddr::Unix(_)), "{name}");
+    let rival = Command::new(arrowd())
+        .args(["--node", "0", "--parents", "r", "--objects", "1"])
+        .args(["--control", "127.0.0.1:9", "--journal", "unused.journal"])
+        .args(["--listen", &name.to_string()])
+        .stderr(Stdio::null())
+        .status()
+        .expect("rival arrowd runs");
+    assert_eq!(rival.code(), Some(3), "a held name fails as a bind error");
+
     // Let traffic build, then kill the victim process outright.
     std::thread::sleep(Duration::from_millis(150));
     cluster.kill(victim).expect("SIGKILL lands");
@@ -126,6 +142,11 @@ fn sigkill_and_restart_heal_through_epoch_token_regeneration() {
     cluster
         .restart(victim)
         .expect("victim restarts and rejoins");
+    assert_eq!(
+        cluster.addr(victim),
+        &name,
+        "rebound its predecessor's name"
+    );
     assert_eq!(cluster.epoch(), 1);
 
     for (v, outcome) in cluster.await_done(Duration::from_secs(120)) {

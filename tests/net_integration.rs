@@ -9,12 +9,13 @@
 //!
 //! A runtime that hosts every node never opens a socket; the wire is exercised
 //! by [`Daemons`], one `spawn_daemon` runtime per node in this process, the
-//! shape an `arrowd` cluster has.
+//! shape an `arrowd` cluster has, on loopback TCP and, where a test names
+//! both families, on abstract Unix-domain sockets too.
 
 use arrow_core::order::QueuingOrder;
 use arrow_core::prelude::*;
 use arrow_net::replay::{daemon_mesh, inject, Client};
-use arrow_net::{NetConfig, NetHandle, NetReport, NetRuntime, NetStatsSnapshot};
+use arrow_net::{Listener, NetConfig, NetHandle, NetReport, NetRuntime, NetStatsSnapshot};
 use desim::SimRng;
 use netgraph::{generators, NodeId, RootedTree};
 use queuing_analysis::cost::RequestSet;
@@ -27,12 +28,27 @@ fn tree(n: usize) -> RootedTree {
 }
 
 /// One daemon-mode runtime per tree node, all sharing one address table: every
-/// node lives in its own runtime, so every hop crosses loopback TCP.
+/// node lives in its own runtime, so every hop crosses a socket.
 struct Daemons(Vec<NetRuntime>);
 
+/// Both listener families a daemon link runs on: loopback TCP and abstract
+/// Unix-domain sockets.
+const BINDS: [fn() -> std::io::Result<Listener>; 2] = [Listener::loopback, Listener::autobind];
+
 impl Daemons {
+    /// Daemons on loopback TCP.
     fn spawn(t: &RootedTree, objects: usize, cfg: NetConfig) -> Daemons {
-        Daemons(daemon_mesh(t, objects, cfg, |_, _| {}).unwrap())
+        Daemons::spawn_on(t, objects, cfg, Listener::loopback)
+    }
+
+    /// Daemons on listeners from `bind`.
+    fn spawn_on(
+        t: &RootedTree,
+        objects: usize,
+        cfg: NetConfig,
+        bind: fn() -> std::io::Result<Listener>,
+    ) -> Daemons {
+        Daemons(daemon_mesh(t, objects, cfg, bind, |_, _| {}).unwrap())
     }
 
     fn handle(&self, v: NodeId) -> NetHandle {
@@ -265,14 +281,21 @@ fn mesh_stays_sparse() {
 /// the two connections must collapse onto one canonical link with *both*
 /// tokens delivered — a lost frame would hang a `wait_timeout` or break the
 /// queuing order. The race is probabilistic, so fresh meshes are spun up until
-/// the `dial_races_collapsed` counter witnesses a collapse.
+/// the `dial_races_collapsed` counter witnesses a collapse, on each socket
+/// family.
 #[test]
 fn simultaneous_cross_dials_collapse_onto_one_link() {
+    for bind in BINDS {
+        cross_dials_collapse_on(bind);
+    }
+}
+
+fn cross_dials_collapse_on(bind: fn() -> std::io::Result<Listener>) {
     let mut collapsed = 0u64;
     let mut rounds = 0u32;
     for _ in 0..40 {
         rounds += 1;
-        let daemons = Daemons::spawn(&tree(3), 2, NetConfig::instant());
+        let daemons = Daemons::spawn_on(&tree(3), 2, NetConfig::instant(), bind);
         let h1 = daemons.handle(1);
         let h2 = daemons.handle(2);
         let held1 = h1.acquire_object(ObjectId(0));
