@@ -4,13 +4,10 @@
 //! arguments where randomness is involved), so the binaries and the benchmarks report
 //! reproducible numbers.
 //!
-//! Every sweep is parallelized over its independent grid points (processor counts,
-//! diameters, seeds, topology×workload combinations) on scoped threads. Results are
-//! index-addressed — each grid point computes its row independently and rows are
-//! collected in input order — so the output is bit-identical to the serial
-//! evaluation regardless of thread count or scheduling. The `*_serial` variants run
-//! the same row functions without the thread pool; the determinism regression tests
-//! compare the two.
+//! Every sweep computes one row per independent grid point (processor count,
+//! diameter, seed, topology×workload combination), serially and in input order.
+//! Each figure run takes milliseconds, so a thread pool would buy nothing; the
+//! figure identity check (`tests/figures/check.sh`) pins the rows.
 
 use arrow_core::prelude::*;
 use desim::SimTime;
@@ -18,17 +15,6 @@ use queuing_analysis::lower_bound;
 use queuing_analysis::{measure_ratio, RatioReport};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Map `items` through `f`, in parallel (deterministic, order-preserving) or
-/// serially. Both paths produce identical output; the serial path exists as the
-/// reference for the determinism regression tests.
-fn map_rows<T: Send, R: Send>(items: Vec<T>, parallel: bool, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    if parallel {
-        crate::par_map(items, f)
-    } else {
-        items.into_iter().map(f).collect()
-    }
-}
 
 /// One row of the Figure 10 reproduction (total latency vs. number of processors).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -85,21 +71,10 @@ pub fn figure_10(
     requests_per_node: u64,
     local_service_time: f64,
 ) -> Vec<Fig10Row> {
-    map_rows(processor_counts.to_vec(), true, |n| {
-        figure_10_row(n, requests_per_node, local_service_time)
-    })
-}
-
-/// Serial reference implementation of [`figure_10`] (identical output).
-#[doc(hidden)]
-pub fn figure_10_serial(
-    processor_counts: &[usize],
-    requests_per_node: u64,
-    local_service_time: f64,
-) -> Vec<Fig10Row> {
-    map_rows(processor_counts.to_vec(), false, |n| {
-        figure_10_row(n, requests_per_node, local_service_time)
-    })
+    processor_counts
+        .iter()
+        .map(|&n| figure_10_row(n, requests_per_node, local_service_time))
+        .collect()
 }
 
 /// One row of the Figure 11 reproduction (average hops per queuing operation).
@@ -148,21 +123,10 @@ pub fn figure_11(
     requests_per_node: u64,
     local_service_time: f64,
 ) -> Vec<Fig11Row> {
-    map_rows(processor_counts.to_vec(), true, |n| {
-        figure_11_row(n, requests_per_node, local_service_time)
-    })
-}
-
-/// Serial reference implementation of [`figure_11`] (identical output).
-#[doc(hidden)]
-pub fn figure_11_serial(
-    processor_counts: &[usize],
-    requests_per_node: u64,
-    local_service_time: f64,
-) -> Vec<Fig11Row> {
-    map_rows(processor_counts.to_vec(), false, |n| {
-        figure_11_row(n, requests_per_node, local_service_time)
-    })
+    processor_counts
+        .iter()
+        .map(|&n| figure_11_row(n, requests_per_node, local_service_time))
+        .collect()
 }
 
 /// One row of the Figure 9 / Theorem 4.1 lower-bound experiment.
@@ -214,13 +178,7 @@ fn figure_9_row(d: usize) -> Fig9Row {
 /// `k = log D / log log D` ([`lower_bound::recommended_layers`]), which only separates
 /// from a constant at diameters far beyond what a table can show.
 pub fn figure_9(diameters: &[usize]) -> Vec<Fig9Row> {
-    map_rows(diameters.to_vec(), true, figure_9_row)
-}
-
-/// Serial reference implementation of [`figure_9`] (identical output).
-#[doc(hidden)]
-pub fn figure_9_serial(diameters: &[usize]) -> Vec<Fig9Row> {
-    map_rows(diameters.to_vec(), false, figure_9_row)
+    diameters.iter().map(|&d| figure_9_row(d)).collect()
 }
 
 /// One row of the competitive-ratio validation sweep.
@@ -327,28 +285,20 @@ fn ratio_sweep_tasks(
     tasks
 }
 
-fn ratio_sweep_with(nodes: usize, requests: usize, seed: u64, parallel: bool) -> Vec<RatioRow> {
-    let tasks = ratio_sweep_tasks(nodes, requests, seed);
-    map_rows(tasks, parallel, |(label, instance, schedule)| {
-        let report = measure_ratio(
-            &instance,
-            &schedule,
-            &RunConfig::analysis(ProtocolKind::Arrow),
-        );
-        RatioRow { label, report }
-    })
-}
-
 /// Theorem 3.19 validation: measure arrow's competitive ratio across topologies,
 /// spanning trees and workload shapes, and compare with the theorem's bound.
 pub fn ratio_sweep(nodes: usize, requests: usize, seed: u64) -> Vec<RatioRow> {
-    ratio_sweep_with(nodes, requests, seed, true)
-}
-
-/// Serial reference implementation of [`ratio_sweep`] (identical output).
-#[doc(hidden)]
-pub fn ratio_sweep_serial(nodes: usize, requests: usize, seed: u64) -> Vec<RatioRow> {
-    ratio_sweep_with(nodes, requests, seed, false)
+    ratio_sweep_tasks(nodes, requests, seed)
+        .into_iter()
+        .map(|(label, instance, schedule)| {
+            let report = measure_ratio(
+                &instance,
+                &schedule,
+                &RunConfig::analysis(ProtocolKind::Arrow),
+            );
+            RatioRow { label, report }
+        })
+        .collect()
 }
 
 /// One row of the synchronous-vs-asynchronous comparison (Theorem 3.21).
@@ -368,62 +318,42 @@ pub struct SyncAsyncRow {
     pub theorem_bound: f64,
 }
 
-fn async_vs_sync_with(
-    nodes: usize,
-    requests: usize,
-    seeds: &[u64],
-    parallel: bool,
-) -> Vec<SyncAsyncRow> {
-    let instance = Arc::new(Instance::complete_uniform(
-        nodes,
-        SpanningTreeKind::BalancedBinary,
-    ));
-    // Schedules are generated up front (cheap) so empty seeds can be skipped while
-    // keeping output order identical to the input seed order.
-    let tasks: Vec<(u64, RequestSchedule)> = seeds
-        .iter()
-        .map(|&seed| {
-            (
-                seed,
-                workload::uniform_random(nodes, requests, 2.0 * nodes as f64, seed),
-            )
-        })
-        .filter(|(_, schedule)| !schedule.is_empty())
-        .collect();
-    map_rows(tasks, parallel, |(seed, schedule)| {
-        let sync = measure_ratio(
-            &instance,
-            &schedule,
-            &RunConfig::analysis(ProtocolKind::Arrow),
-        );
-        let asynchronous = measure_ratio(
-            &instance,
-            &schedule,
-            &RunConfig::analysis(ProtocolKind::Arrow).asynchronous(seed),
-        );
-        SyncAsyncRow {
-            label: format!("uniform random, seed {seed}"),
-            sync_cost: sync.arrow_cost,
-            async_cost: asynchronous.arrow_cost,
-            sync_ratio: sync.ratio,
-            async_ratio: asynchronous.ratio,
-            theorem_bound: sync.theorem_bound,
-        }
-    })
-}
-
 /// Section 3.8 validation: run the same request sets under worst-case (synchronous)
 /// and random asynchronous delays; both executions must respect the same
 /// `O(s · log D)` bound (Theorem 3.21). The asynchronous ordering may differ, so the
 /// costs are reported side by side rather than compared directly.
 pub fn async_vs_sync(nodes: usize, requests: usize, seeds: &[u64]) -> Vec<SyncAsyncRow> {
-    async_vs_sync_with(nodes, requests, seeds, true)
-}
-
-/// Serial reference implementation of [`async_vs_sync`] (identical output).
-#[doc(hidden)]
-pub fn async_vs_sync_serial(nodes: usize, requests: usize, seeds: &[u64]) -> Vec<SyncAsyncRow> {
-    async_vs_sync_with(nodes, requests, seeds, false)
+    let instance = Instance::complete_uniform(nodes, SpanningTreeKind::BalancedBinary);
+    // A seed whose schedule is empty gets no row.
+    let tasks = seeds.iter().map(|&seed| {
+        (
+            seed,
+            workload::uniform_random(nodes, requests, 2.0 * nodes as f64, seed),
+        )
+    });
+    let tasks = tasks.filter(|(_, schedule)| !schedule.is_empty());
+    tasks
+        .map(|(seed, schedule)| {
+            let sync = measure_ratio(
+                &instance,
+                &schedule,
+                &RunConfig::analysis(ProtocolKind::Arrow),
+            );
+            let asynchronous = measure_ratio(
+                &instance,
+                &schedule,
+                &RunConfig::analysis(ProtocolKind::Arrow).asynchronous(seed),
+            );
+            SyncAsyncRow {
+                label: format!("uniform random, seed {seed}"),
+                sync_cost: sync.arrow_cost,
+                async_cost: asynchronous.arrow_cost,
+                sync_ratio: sync.ratio,
+                async_ratio: asynchronous.ratio,
+                theorem_bound: sync.theorem_bound,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

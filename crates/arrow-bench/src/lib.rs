@@ -44,60 +44,3 @@ pub use experiments::{
     RatioRow, SyncAsyncRow,
 };
 pub use table::Table;
-
-/// Map `items` through `f` on scoped threads, one contiguous chunk of items per
-/// available CPU, and return the results in input order: element `i` is
-/// `f(items[i])` whatever the thread count or scheduling, so a parallel sweep
-/// prints exactly the rows of its serial evaluation.
-pub(crate) fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    let threads = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(items.len());
-    if threads <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut items: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let mut rows: Vec<Option<R>> = items.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (items, rows) in items.chunks_mut(chunk).zip(rows.chunks_mut(chunk)) {
-            let f = &f;
-            scope.spawn(move || {
-                for (item, row) in items.iter_mut().zip(rows) {
-                    *row = item.take().map(f);
-                }
-            });
-        }
-    });
-    rows.into_iter()
-        .map(|row| row.expect("every chunk ran to completion"))
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::par_map;
-
-    #[test]
-    fn preserves_input_order() {
-        let v: Vec<usize> = (0..1000).collect();
-        assert_eq!(
-            par_map(v.clone(), |x| x * 2),
-            v.iter().map(|x| x * 2).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn matches_serial_map_exactly() {
-        let inputs: Vec<u64> = (0..257).map(|i| i * 31 + 7).collect();
-        let f = |x: u64| x.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (x >> 3);
-        let serial: Vec<u64> = inputs.iter().copied().map(f).collect();
-        assert_eq!(par_map(inputs, f), serial);
-    }
-
-    #[test]
-    fn empty_and_single_item() {
-        assert!(par_map(Vec::<i32>::new(), |x| x).is_empty());
-        assert_eq!(par_map(vec![5], |x| x + 1), vec![6]);
-    }
-}

@@ -149,10 +149,7 @@ fn run_net_churn(
 ) -> (Vec<Violation>, u64) {
     let final_epoch = faults.final_epoch();
     let k = schedule.object_id_bound().max(1);
-    let net_cfg = NetConfig::instant()
-        .with_fault_tolerance()
-        .with_dial_retries(1)
-        .with_shards(shards);
+    let net_cfg = NetConfig::instant().with_shards(shards);
     let rt = NetRuntime::spawn_multi(instance.tree(), k, net_cfg);
     let (injector, nudge) = {
         let (tree, faults) = (instance.tree().clone(), faults.clone());

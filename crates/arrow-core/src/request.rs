@@ -232,16 +232,6 @@ impl RequestSchedule {
         }
     }
 
-    /// Largest issue time in the schedule (`SimTime::ZERO` if empty) — the `t_|R|`
-    /// appearing in Lemmas 3.10 and 3.16.
-    pub fn last_issue_time(&self) -> SimTime {
-        self.requests
-            .iter()
-            .map(|r| r.time)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
     /// The distinct nodes that issue at least one request.
     pub fn requesting_nodes(&self) -> Vec<NodeId> {
         let mut nodes: Vec<NodeId> = self.requests.iter().map(|r| r.node).collect();
@@ -300,30 +290,6 @@ impl RequestSchedule {
             gap >= diameter
         })
     }
-
-    /// Shift every request issued at or after `threshold` earlier by `delta` units —
-    /// the time-compression transformation of Lemma 3.11 (used by the analysis tests).
-    pub fn shifted_back(&self, threshold: SimTime, delta: f64) -> RequestSchedule {
-        let shifted =
-            self.requests
-                .iter()
-                .map(|r| {
-                    if r.time >= threshold {
-                        Request {
-                            time: SimTime::from_subticks(r.time.subticks().saturating_sub(
-                                desim::SimDuration::from_units_f64(delta).subticks(),
-                            )),
-                            ..*r
-                        }
-                    } else {
-                        *r
-                    }
-                })
-                .collect::<Vec<_>>();
-        let mut sorted = shifted;
-        sorted.sort_by_key(|r| (r.time, r.id));
-        RequestSchedule::build(sorted)
-    }
 }
 
 #[cfg(test)]
@@ -341,7 +307,6 @@ mod tests {
         assert_eq!(nodes, vec![1, 2, 3]);
         let ids: Vec<u64> = s.requests().iter().map(|r| r.id.0).collect();
         assert_eq!(ids, vec![1, 2, 3]);
-        assert_eq!(s.last_issue_time(), SimTime::from_units(5));
         assert_eq!(s.requesting_nodes(), vec![1, 2, 3]);
     }
 
@@ -394,17 +359,6 @@ mod tests {
 
         let burst = RequestSchedule::from_pairs(&[(0, SimTime::ZERO), (1, SimTime::ZERO)]);
         assert!(!burst.is_sequential(1.0));
-    }
-
-    #[test]
-    fn shifted_back_compresses_gap() {
-        let s = RequestSchedule::from_pairs(&[
-            (0, SimTime::from_units(0)),
-            (1, SimTime::from_units(100)),
-        ]);
-        let shifted = s.shifted_back(SimTime::from_units(50), 90.0);
-        assert_eq!(shifted.requests()[1].time, SimTime::from_units(10));
-        assert_eq!(shifted.requests()[0].time, SimTime::ZERO);
     }
 
     #[test]

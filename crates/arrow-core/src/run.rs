@@ -331,14 +331,6 @@ impl QueuingOutcome {
     pub fn object_count(&self) -> usize {
         self.orders.len()
     }
-
-    /// The validated queuing order of one object, if it saw any requests.
-    pub fn order_for(&self, obj: ObjectId) -> Option<&QueuingOrder> {
-        self.orders
-            .iter()
-            .find(|(o, _)| *o == obj)
-            .map(|(_, order)| order)
-    }
 }
 
 /// A typed failure of a protocol run.
@@ -1251,10 +1243,7 @@ mod tests {
             "every request queued in exactly one object's order"
         );
         // The top-level `order` is object 0's.
-        assert_eq!(
-            outcome.order.order(),
-            outcome.order_for(ObjectId::DEFAULT).unwrap().order()
-        );
+        assert_eq!(outcome.order.order(), outcome.orders[0].1.order());
         // The centralized baseline agrees on the multi-object contract.
         let central = run_schedule(
             &instance,

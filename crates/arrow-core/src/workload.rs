@@ -138,32 +138,6 @@ pub fn hotspot(
     RequestSchedule::from_pairs(&pairs)
 }
 
-/// Alternating activity: `phases` bursts, each with `burst_size` near-simultaneous
-/// requests from random nodes, separated by `quiet_gap` units of silence. This is the
-/// "times of high activity alternate with times where no request is placed" regime
-/// discussed before Lemma 3.11.
-pub fn bursty_phases(
-    n: usize,
-    phases: usize,
-    burst_size: usize,
-    quiet_gap: f64,
-    seed: u64,
-) -> RequestSchedule {
-    let mut rng = SimRng::new(seed);
-    let mut pairs = Vec::new();
-    for phase in 0..phases {
-        let base = phase as f64 * quiet_gap;
-        for _ in 0..burst_size {
-            let jitter = rng.uniform(0.0, 1.0);
-            pairs.push((
-                rng.index(n),
-                SimTime::from_subticks(((base + jitter) * desim::SUBTICKS_PER_UNIT as f64) as u64),
-            ));
-        }
-    }
-    RequestSchedule::from_pairs(&pairs)
-}
-
 /// Cumulative distribution over `k` objects with Zipf-skewed popularity: object `r`
 /// (0-indexed) has weight `1 / (r + 1)^s`. Higher `s` = heavier skew; `s = 0` is
 /// uniform.
@@ -216,54 +190,6 @@ pub fn zipf_objects(
             )
         })
         .collect();
-    RequestSchedule::from_object_pairs(&triples)
-}
-
-/// Multi-object workload with per-object migrating hotspots: time is divided into
-/// `phases` windows of `phase_len` units; within each window, each of the `k` objects
-/// has its own hot node (chosen pseudo-randomly per `(object, phase)`) that issues a
-/// fraction `hot_fraction` of that object's requests, the rest coming from uniformly
-/// random nodes. Each phase sees `requests_per_phase` requests, spread uniformly over
-/// objects and over the window.
-///
-/// This models a directory whose objects' working sets drift: the paper's analysis
-/// (and arrow's locality) should keep per-object traffic near the current hotspot,
-/// re-rooting each object's arrows as the hotspot moves.
-pub fn object_hotspot_migration(
-    n: usize,
-    k: usize,
-    phases: usize,
-    requests_per_phase: usize,
-    phase_len: f64,
-    hot_fraction: f64,
-    seed: u64,
-) -> RequestSchedule {
-    assert!(k > 0, "need at least one object");
-    assert!(n > 0, "need at least one node");
-    let mut rng = SimRng::new(seed);
-    // Pre-draw each phase's per-object hot nodes so the migration path is part of
-    // the workload's deterministic identity.
-    let hot: Vec<Vec<NodeId>> = (0..phases)
-        .map(|_| (0..k).map(|_| rng.index(n)).collect())
-        .collect();
-    let mut triples = Vec::with_capacity(phases * requests_per_phase);
-    for (phase, hot_nodes) in hot.iter().enumerate() {
-        let base = phase as f64 * phase_len;
-        for i in 0..requests_per_phase {
-            let obj = i % k;
-            let node = if rng.chance(hot_fraction.clamp(0.0, 1.0)) {
-                hot_nodes[obj]
-            } else {
-                rng.index(n)
-            };
-            let t = base + rng.uniform(0.0, phase_len.max(f64::MIN_POSITIVE));
-            triples.push((
-                node,
-                SimTime::from_subticks((t * desim::SUBTICKS_PER_UNIT as f64) as u64),
-                ObjectId(obj as u32),
-            ));
-        }
-    }
     RequestSchedule::from_object_pairs(&triples)
 }
 
@@ -327,18 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn bursty_phases_have_quiet_gaps() {
-        let s = bursty_phases(8, 3, 10, 100.0, 11);
-        assert_eq!(s.len(), 30);
-        // All requests of phase p are within [100p, 100p + 1).
-        for r in s.requests() {
-            let t = r.time.as_units_f64();
-            let phase = (t / 100.0).floor();
-            assert!(t - phase * 100.0 < 1.0 + 1e-9);
-        }
-    }
-
-    #[test]
     fn zipf_objects_skews_towards_low_object_ids() {
         let k = 8;
         let s = zipf_objects(16, k, 1.2, 4000, 100.0, 9);
@@ -364,45 +278,6 @@ mod tests {
         for o in 0..k as u32 {
             let c = s.requests().iter().filter(|r| r.obj == ObjectId(o)).count();
             assert!((800..1200).contains(&c), "object {o} got {c}/4000");
-        }
-    }
-
-    #[test]
-    fn hotspot_migration_concentrates_each_phase() {
-        let n = 20;
-        let k = 3;
-        let phases = 4;
-        let per_phase = 300;
-        let s = object_hotspot_migration(n, k, phases, per_phase, 50.0, 0.9, 7);
-        assert_eq!(s.len(), phases * per_phase);
-        assert_eq!(s.object_id_bound(), k);
-        // Within each (phase, object) bucket, some single node dominates.
-        for phase in 0..phases {
-            let lo = SimTime::from_subticks(
-                (phase as f64 * 50.0 * desim::SUBTICKS_PER_UNIT as f64) as u64,
-            );
-            let hi = SimTime::from_subticks(
-                ((phase + 1) as f64 * 50.0 * desim::SUBTICKS_PER_UNIT as f64) as u64,
-            );
-            for obj in 0..k as u32 {
-                let bucket: Vec<NodeId> = s
-                    .requests()
-                    .iter()
-                    .filter(|r| r.obj == ObjectId(obj) && r.time >= lo && r.time < hi)
-                    .map(|r| r.node)
-                    .collect();
-                assert!(!bucket.is_empty());
-                let mut counts = vec![0usize; n];
-                for &v in &bucket {
-                    counts[v] += 1;
-                }
-                let dominant = counts.iter().max().copied().unwrap_or(0);
-                assert!(
-                    dominant * 2 > bucket.len(),
-                    "phase {phase} object {obj}: no dominant hotspot ({dominant}/{})",
-                    bucket.len()
-                );
-            }
         }
     }
 

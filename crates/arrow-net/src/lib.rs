@@ -50,9 +50,10 @@
 //!   runtime joins that shard's per-cycle batch, handed over through its inbox
 //!   ([`mesh::NetConfig::shards`] states the rule). Only toward a node of
 //!   another process is there a socket: handshakes are nonblocking state
-//!   machines, simultaneous-dial races collapse onto one canonical connection
-//!   per peer pair, and every flush coalesces a link's staged frames into a
-//!   single `write` syscall. Injected latency rides a per-shard timer wheel
+//!   machines, links are one-way (a node sends protocol frames only on the
+//!   connection it dialed, and reads its peer's on the one it accepted), and
+//!   every flush coalesces a link's staged frames into a single `write`
+//!   syscall. Injected latency rides a per-shard timer wheel
 //!   whose next deadline doubles as the `epoll_wait` timeout. Thread count is
 //!   O(shards), not O(nodes) — a single process hosts ≥1024 nodes, on O(shards)
 //!   file descriptors.

@@ -4,13 +4,15 @@
 //! exchange frames in memory — inside one reactor shard or through the
 //! destination shard's inbox — and never dial each other (see
 //! [`NetConfig::shards`]). Toward nodes of other processes (daemon mode,
-//! [`crate::NetRuntime::spawn_daemon`]) the topology is deliberately sparse: the
-//! mesh materializes only the spanning-tree edges (dialed eagerly at bootstrap —
-//! every non-root node dials its parent), plus *direct token channels* dialed
-//! lazily the first time one node grants a token to a non-neighbour. This
-//! mirrors the protocol's traffic pattern exactly: `queue()` messages travel
-//! tree edges only, while token grants jump straight to the granted request's
-//! origin (the socket analogue of the simulator's direct-ack sends).
+//! [`crate::NetRuntime::spawn_daemon`]) the topology is deliberately sparse, and
+//! every link is one-way: a node sends only on connections it dialed. The mesh
+//! materializes the spanning-tree edges (each non-root node dials its parent
+//! eagerly at bootstrap; a parent dials a child the first time it sends it a
+//! frame), plus *direct token channels* dialed lazily the first time one node
+//! grants a token to a non-neighbour. This mirrors the protocol's traffic
+//! pattern exactly: `queue()` messages travel tree edges only, while token
+//! grants jump straight to the granted request's origin (the socket analogue of
+//! the simulator's direct-ack sends).
 //!
 //! Every connection starts with a `Hello`/`Welcome` handshake so each side knows the
 //! peer's node id, and ends with a `Goodbye` notice at shutdown. The handshake,
@@ -65,15 +67,20 @@ pub struct NetConfig {
     /// node gives up and reports the peer unreachable. A peer that stays
     /// unreachable fails the run *cleanly*: the node marks itself failed, pending
     /// acquires on it error out, and the failure is surfaced in the shutdown
-    /// report — it no longer panics a node thread.
+    /// report — it no longer panics a node thread. Only daemon-mode nodes
+    /// dial (`NetRuntime::spawn_daemon`); a runtime that hosts every node
+    /// never reads this.
     pub dial_retries: u32,
-    /// Churn mode. With `false` (the default) an unreachable peer is fatal: the
-    /// dialing node marks itself failed and every pending acquire on it errors
-    /// out — correct when nodes are not *supposed* to disappear. With `true` the frame towards the unreachable
+    /// Churn mode for daemon-mode dials. With `false` (the default) an
+    /// unreachable peer is fatal: the dialing node marks itself failed and
+    /// every pending acquire on it errors out — correct when nodes are not
+    /// *supposed* to disappear. With `true` the frame towards the unreachable
     /// peer is dropped (counted by [`arrow_trace::Metric::FramesDropped`] in
-    /// the node's metrics registry) and the node
-    /// stays up: under fault injection a dropped frame is recovered by the next
-    /// epoch bump regenerating the token, so losing it must not condemn the run.
+    /// the node's metrics registry) and the node stays up: under fault
+    /// injection a dropped frame is recovered by the next epoch bump
+    /// regenerating the token, so losing it must not condemn the run. Like
+    /// [`NetConfig::dial_retries`] it acts only on a failed dial, which a
+    /// runtime that hosts every node never makes.
     pub fault_tolerant: bool,
     /// Number of reactor shards (event-loop threads) the runtime spawns. Each
     /// shard owns `n / shards` nodes (node `v` lives on shard `v % shards`)
@@ -246,8 +253,6 @@ pub struct NetStatsSnapshot {
     /// Nonblocking writes that returned `EWOULDBLOCK` (kernel send buffer
     /// full; the shard re-armed write interest and retried later).
     pub would_block_retries: u64,
-    /// Simultaneous-dial races collapsed onto a single surviving link.
-    pub dial_races_collapsed: u64,
     /// Protocol frames delivered without a socket: between two nodes of one
     /// reactor shard, or through the inbox of another shard of the runtime.
     /// They are counted in `queue_frames`/`token_frames` like any hop, so they
@@ -282,7 +287,6 @@ impl NetStatsSnapshot {
             stale_drops: m.get(Metric::StaleEpochDrops),
             reactor_wakeups: m.get(Metric::ReactorWakeups),
             would_block_retries: m.get(Metric::WouldBlockRetries),
-            dial_races_collapsed: m.get(Metric::DialRacesCollapsed),
             local_frames: m.get(Metric::LocalFrames),
             inline_cycles: m.get(Metric::InlineCycles),
         }

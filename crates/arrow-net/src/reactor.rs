@@ -68,7 +68,7 @@
 //! * **One clock read per cycle.** A cycle reads `Instant::now()` at its first
 //!   use, and again only after it has taken in frames from outside the shard
 //!   (an inbox [`ShardCmd::Frames`] batch, a socket read); only connection
-//!   set-up, drain and shutdown deadlines read their own. Issue times,
+//!   set-up and shutdown deadlines read their own. Issue times,
 //!   [`Waiter`] stamps, order records' `informed_at` and [`Grant::wait`] all
 //!   come from that one reading, so they are measured to cycle resolution and
 //!   a successor's issue time is never later than the record that names it.
@@ -135,10 +135,18 @@
 //!
 //! Handshakes are nonblocking state machines ([`ConnState`]): a dialer drives
 //! `Connecting → AwaitWelcome → Established`, an acceptor `AwaitHello →
-//! Established`. When two nodes dial each other simultaneously, both sides
-//! deterministically keep the connection dialed by the lower node id and
-//! drain the loser (see [`Shard::promote`]), so exactly one link survives and
-//! no staged frame is lost.
+//! Established`.
+//!
+//! **Links are one-way.** A node stages its `queue()` and token frames toward
+//! a peer only on the connection it dialed to that peer (`NodeState::links`),
+//! and reads the peer's frames on the connection it accepted; `Hello`,
+//! `Welcome` and `Goodbye` are the only frames that cross the other way. Each
+//! directed pair is one stream, so its FIFO is the socket's, and two nodes
+//! dialing each other at once open two streams instead of competing for one.
+//! A live peer holds at most one dialed connection to a node, so a `Hello`
+//! from a peer that already has an established inbound connection here cuts
+//! the older one: it belongs to a crashed incarnation, whose frames die with
+//! it, or to a dial abandoned before `Welcome`, which carried none.
 
 use std::collections::{vec_deque, HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -168,10 +176,6 @@ use crate::wire::{Frame, MAX_FRAME_LEN};
 const WAKER_TOKEN: u64 = u64::MAX;
 /// Base backoff between dial retries (scaled by attempt number).
 const DIAL_BACKOFF: Duration = Duration::from_millis(5);
-/// How long a dedupe-losing connection may keep draining before being cut.
-const DRAIN_GRACE: Duration = Duration::from_secs(5);
-/// A draining connection idle (no reads) this long is assumed flushed.
-const DRAIN_IDLE: Duration = Duration::from_secs(2);
 /// Hard deadline for graceful shutdown before remaining sockets are cut.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 /// Max `read(2)` calls per readiness event before yielding to other sockets.
@@ -420,7 +424,8 @@ struct Conn {
     /// The remote node, once known (dialers know at creation, acceptors after
     /// `Hello`).
     peer: Option<NodeId>,
-    /// Whether this endpoint initiated the connection.
+    /// Whether this endpoint initiated the connection: only a dialed one
+    /// carries the node's protocol frames (see the module docs).
     dialed: bool,
     state: ConnState,
     /// Read buffer; frames are scanned out of `buf[start..end]`.
@@ -436,11 +441,8 @@ struct Conn {
     close_write_after_flush: bool,
     /// Write side has been shut down.
     write_closed: bool,
-    /// Lost a dial-race dedupe; being drained of in-flight frames.
-    draining: bool,
     /// Already queued in the shard's flush list this cycle.
     in_flushq: bool,
-    last_read: Instant,
 }
 
 /// A connection's pending outbound bytes, with frame accounting for the
@@ -521,17 +523,6 @@ struct PendingDial {
     intent: DialIntent,
 }
 
-/// The established link a node holds toward one peer.
-struct Link {
-    /// Slab index of the winning connection.
-    conn: usize,
-    /// Slab index of a dedupe loser still draining, if any.
-    loser: Option<usize>,
-    /// Frames read from the loser while the race was unresolved; replayed in
-    /// order once the loser finishes draining.
-    deferred: Vec<Frame>,
-}
-
 /// Injected-latency state for one directed link.
 struct LinkDelay {
     policy: DelayPolicy,
@@ -603,9 +594,11 @@ struct NodeState<P: Probe> {
     waiting: Waiters,
     failed: Option<NetFailure>,
     crashed: bool,
-    /// Socket links and dials in flight, by peer: only toward nodes another
-    /// process hosts, so empty unless in daemon mode.
-    links: HashMap<NodeId, Link>,
+    /// By peer: the established connection (slab index) this node dialed,
+    /// the one it sends its protocol frames on, and its dials in flight.
+    /// Only toward nodes another process hosts, so empty unless in daemon
+    /// mode.
+    links: HashMap<NodeId, usize>,
     pending: HashMap<NodeId, PendingDial>,
     /// Injected-latency streams by peer: empty unless latency is injected.
     delay: HashMap<NodeId, LinkDelay>,
@@ -625,7 +618,7 @@ enum TimerEntry {
     },
     /// Backoff expiry for a failed dial attempt.
     RetryDial { node: NodeId, peer: NodeId },
-    /// Handshake/drain deadline for the connection behind `token`.
+    /// Handshake deadline for the connection behind `token`.
     ConnDeadline { token: u64 },
     /// Graceful-shutdown grace period expired: cut remaining sockets.
     ShutdownDeadline,
@@ -1499,8 +1492,7 @@ impl<P: Probe> Shard<P> {
             self.stats.inc(Metric::LocalFrames);
             return;
         }
-        if let Some(link) = state.links.get(&to) {
-            let idx = link.conn;
+        if let Some(&idx) = state.links.get(&to) {
             self.stage_frame(idx, &frame);
             return;
         }
@@ -1518,6 +1510,11 @@ impl<P: Probe> Shard<P> {
     fn stage_frame(&mut self, idx: usize, frame: &Frame) {
         let tok = self.token_of(idx);
         let c = self.conn_mut(idx);
+        debug_assert!(
+            c.dialed || matches!(frame, Frame::Welcome { .. } | Frame::Goodbye),
+            "node {} staged {frame:?} on a connection it accepted",
+            c.node
+        );
         c.out.stage(frame);
         if !c.in_flushq {
             c.in_flushq = true;
@@ -1562,9 +1559,7 @@ impl<P: Probe> Shard<P> {
                     peer_closed: false,
                     close_write_after_flush: false,
                     write_closed: false,
-                    draining: false,
                     in_flushq: false,
-                    last_read: Instant::now(),
                 })));
                 if let Err(e) = self.poller.register(fd, tok, false, true) {
                     self.slab_remove(idx);
@@ -1594,8 +1589,7 @@ impl<P: Probe> Shard<P> {
         let slot = self.slot(v);
         let state = &mut self.nodes[slot];
         let Some(p) = state.pending.get_mut(&to) else {
-            // The pending dial resolved some other way (e.g. the peer dialed
-            // us and the race collapsed onto their connection).
+            // A crash or shutdown already dropped the pending dial.
             return;
         };
         p.conn = None;
@@ -1697,9 +1691,7 @@ impl<P: Probe> Shard<P> {
                 peer_closed: false,
                 close_write_after_flush: false,
                 write_closed: false,
-                draining: false,
                 in_flushq: false,
-                last_read: Instant::now(),
             })));
             if self.poller.register(fd, tok, true, false).is_err() {
                 self.slab_remove(cidx);
@@ -1794,9 +1786,7 @@ impl<P: Probe> Shard<P> {
             }
             // Frames from outside: the cycle's clock is read afresh, once.
             if read_any {
-                let now = Instant::now();
-                c.last_read = now;
-                self.clock = Some(now);
+                self.clock = Some(Instant::now());
             }
         }
         // Phase 2: run the frames through the handshake/protocol machinery.
@@ -1812,8 +1802,8 @@ impl<P: Probe> Shard<P> {
     fn process_inbound(&mut self, idx: usize, frames: &mut Vec<Frame>, ended: Option<io::Error>) {
         let tok = self.token_of(idx);
         for frame in frames.drain(..) {
-            // Processing a frame can close this connection (protocol error,
-            // dedupe collapse): stop feeding it if it died.
+            // Processing a frame can close this connection (a handshake
+            // error, a reaped `Goodbye`): stop feeding it if it died.
             if self.resolve(tok).is_none() {
                 return;
             }
@@ -1845,6 +1835,14 @@ impl<P: Probe> Shard<P> {
                             self.close_conn(idx, None);
                             return;
                         }
+                        // A live peer holds at most one dialed connection to
+                        // this node, so an older inbound one from it is stale
+                        // (see the module docs). `idx` has no peer yet and
+                        // stays.
+                        self.cut_where(|src| {
+                            matches!(src, Source::Conn(c)
+                                if c.node == v && !c.dialed && c.peer == Some(node))
+                        });
                         self.conn_mut(idx).peer = Some(node);
                         self.stage_frame(idx, &Frame::Welcome { node: v });
                         self.promote(idx);
@@ -1855,26 +1853,11 @@ impl<P: Probe> Shard<P> {
                     }
                 },
                 ConnState::Established => {
-                    let from = peer.expect("established conn has a peer");
-                    // While a dial race is unresolved, frames arriving on the
-                    // winner are deferred behind the loser's drain so the
-                    // per-link order (loser's in-flight frames first) holds.
-                    let slot = self.slot(v);
-                    let gated = self.nodes[slot]
-                        .links
-                        .get(&from)
-                        .is_some_and(|l| l.conn == idx && l.loser.is_some());
-                    if gated {
-                        self.nodes[slot]
-                            .links
-                            .get_mut(&from)
-                            .expect("link")
-                            .deferred
-                            .push(frame);
-                    } else if matches!(frame, Frame::Goodbye) {
+                    if matches!(frame, Frame::Goodbye) {
                         self.on_goodbye(idx);
                     } else {
-                        self.on_frame(slot, from, frame);
+                        let from = peer.expect("established conn has a peer");
+                        self.on_frame(self.slot(v), from, frame);
                     }
                 }
             }
@@ -1886,8 +1869,9 @@ impl<P: Probe> Shard<P> {
         }
     }
 
-    /// A handshake completed on `idx`: install the connection as the node's
-    /// link toward its peer, resolving any dial race deterministically.
+    /// A handshake completed on `idx`. A dialed connection becomes the
+    /// node's link toward its peer and takes the frames staged while it
+    /// dialed; an accepted one carries the peer's frames in.
     fn promote(&mut self, idx: usize) {
         let (v, peer, dialed) = {
             let c = self.conn_mut(idx);
@@ -1908,91 +1892,16 @@ impl<P: Probe> Shard<P> {
             self.cut(idx);
             return;
         }
-        // Frames staged while dialing follow the surviving link, whichever
-        // connection that turns out to be. A different still-handshaking dial
-        // socket (if any) collapses on its own promote.
-        let pending_frames = self.nodes[slot].pending.remove(&peer).map(|p| p.frames);
-        let old = self.nodes[slot].links.get(&peer).map(|l| l.conn);
-        match old {
-            None => {
-                self.nodes[slot].links.insert(
-                    peer,
-                    Link {
-                        conn: idx,
-                        loser: None,
-                        deferred: Vec::new(),
-                    },
-                );
-            }
-            Some(old_idx) => {
-                // Simultaneous dial: both endpoints keep the connection
-                // dialed by the lower node id, so they agree on the winner.
-                self.stats.inc(Metric::DialRacesCollapsed);
-                let old_dialed = self.conn(old_idx).dialed;
-                let canon_dialer = v.min(peer);
-                let new_dialer = if dialed { v } else { peer };
-                let old_dialer = if old_dialed { v } else { peer };
-                let new_wins = if (new_dialer == canon_dialer) != (old_dialer == canon_dialer) {
-                    new_dialer == canon_dialer
-                } else {
-                    // Same direction twice (reconnect overtaking a stale
-                    // link): the newest connection wins.
-                    true
-                };
-                let (winner, loser) = if new_wins {
-                    (idx, old_idx)
-                } else {
-                    (old_idx, idx)
-                };
-                let prev_loser = self.nodes[slot]
-                    .links
-                    .get_mut(&peer)
-                    .expect("link")
-                    .loser
-                    .take();
-                if let Some(pl) = prev_loser {
-                    // A third connection raced in while an older loser was
-                    // still draining: that drain is done being waited on.
-                    let deferred = mem::take(
-                        &mut self.nodes[slot]
-                            .links
-                            .get_mut(&peer)
-                            .expect("link")
-                            .deferred,
-                    );
-                    self.replay_frames(v, peer, deferred);
-                    self.cut(pl);
-                }
-                let link = self.nodes[slot].links.get_mut(&peer).expect("link");
-                link.conn = winner;
-                link.loser = Some(loser);
-                self.demote(loser);
-            }
-        }
-        if let Some(frames) = pending_frames {
-            let target = self.nodes[slot].links[&peer].conn;
-            for frame in &frames {
-                self.stage_frame(target, frame);
+        if dialed {
+            let state = &mut self.nodes[slot];
+            let staged = state.pending.remove(&peer).map(|p| p.frames);
+            let old = state.links.insert(peer, idx);
+            debug_assert!(old.is_none(), "node {v} holds two links toward {peer}");
+            for frame in staged.iter().flatten() {
+                self.stage_frame(idx, frame);
             }
         }
         self.update_interest(idx);
-    }
-
-    /// Start draining a dedupe-losing connection: flush and half-close its
-    /// write side, keep reading until the peer closes or it idles out.
-    fn demote(&mut self, loser: usize) {
-        let tok = self.token_of(loser);
-        let c = self.conn_mut(loser);
-        c.draining = true;
-        c.close_write_after_flush = true;
-        if !c.in_flushq {
-            c.in_flushq = true;
-            self.flushq.push(tok);
-        }
-        self.wheel.insert(
-            Instant::now() + DRAIN_GRACE,
-            TimerEntry::ConnDeadline { token: tok },
-        );
     }
 
     fn on_goodbye(&mut self, idx: usize) {
@@ -2001,47 +1910,15 @@ impl<P: Probe> Shard<P> {
             c.peer_closed = true;
             (c.node, c.peer.expect("established conn has a peer"))
         };
-        self.unlink_established(v, peer, idx);
+        self.unlink(v, peer, idx);
         self.maybe_reap(idx);
     }
 
-    /// Detach connection `idx` from node `v`'s link toward `peer`, replaying
-    /// any frames that were deferred behind it.
-    fn unlink_established(&mut self, v: NodeId, peer: NodeId, idx: usize) {
-        let state = self.node_mut(v);
-        let (was_live, was_loser) = match state.links.get(&peer) {
-            Some(link) => (link.conn == idx, link.loser == Some(idx)),
-            None => return,
-        };
-        let deferred = if was_live {
-            // The live link went away; an unresolved loser (if any) lives on
-            // as an orphan and reaps itself when its drain completes.
-            state.links.remove(&peer).expect("link").deferred
-        } else if was_loser {
-            let link = state.links.get_mut(&peer).expect("link");
-            link.loser = None;
-            mem::take(&mut link.deferred)
-        } else {
-            return;
-        };
-        if !deferred.is_empty() {
-            self.replay_frames(v, peer, deferred);
-        }
-    }
-
-    /// Feed frames that were deferred behind a draining loser into the
-    /// protocol as if they had just arrived from `peer`.
-    fn replay_frames(&mut self, v: NodeId, peer: NodeId, frames: Vec<Frame>) {
-        let slot = self.slot(v);
-        for frame in frames {
-            if matches!(frame, Frame::Goodbye) {
-                let live = self.nodes[slot].links.get(&peer).map(|l| l.conn);
-                if let Some(idx) = live {
-                    self.on_goodbye(idx);
-                }
-            } else {
-                self.on_frame(slot, peer, frame);
-            }
+    /// Drop node `v`'s link toward `peer` if connection `idx` is that link.
+    fn unlink(&mut self, v: NodeId, peer: NodeId, idx: usize) {
+        let links = &mut self.node_mut(v).links;
+        if links.get(&peer) == Some(&idx) {
+            links.remove(&peer);
         }
     }
 
@@ -2194,7 +2071,7 @@ impl<P: Probe> Shard<P> {
             ConnState::AwaitHello => {}
             ConnState::Established => {
                 let peer = c.peer.expect("established conn has a peer");
-                self.unlink_established(c.node, peer, idx);
+                self.unlink(c.node, peer, idx);
             }
         }
     }
@@ -2228,35 +2105,18 @@ impl<P: Probe> Shard<P> {
                 }
             }
             TimerEntry::ConnDeadline { token } => {
+                // An established connection simply outlived its deadline.
                 let Some(idx) = self.resolve(token) else {
                     return;
                 };
-                let state = self.conn(idx).state;
-                match state {
-                    ConnState::Connecting | ConnState::AwaitWelcome | ConnState::AwaitHello => {
-                        self.close_conn(
-                            idx,
-                            Some(io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                "handshake timed out",
-                            )),
-                        );
-                    }
-                    ConnState::Established => {
-                        let c = self.conn(idx);
-                        if c.draining || c.close_write_after_flush {
-                            if c.last_read.elapsed() >= DRAIN_IDLE {
-                                self.close_conn(idx, None);
-                            } else {
-                                self.wheel.insert(
-                                    Instant::now() + DRAIN_IDLE,
-                                    TimerEntry::ConnDeadline { token },
-                                );
-                            }
-                        }
-                        // A healthy established conn simply outlived its
-                        // handshake deadline; nothing to do.
-                    }
+                if self.conn(idx).state != ConnState::Established {
+                    self.close_conn(
+                        idx,
+                        Some(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "handshake timed out",
+                        )),
+                    );
                 }
             }
             TimerEntry::ShutdownDeadline => self.shutdown_forced = true,
@@ -2310,11 +2170,10 @@ impl<P: Probe> Shard<P> {
         for state in &mut self.nodes {
             state.pending.clear();
         }
-        // 3. Say Goodbye on every live link and half-close once flushed.
-        let live: Vec<usize> = self
-            .nodes
-            .iter()
-            .flat_map(|n| n.links.values().map(|l| l.conn))
+        // 3. Say Goodbye on every established connection, dialed or
+        //    accepted, and half-close once flushed.
+        let live: Vec<usize> = (0..self.slab.len())
+            .filter(|&i| matches!(self.slab[i].src, Some(Source::Conn(_))))
             .collect();
         for idx in live {
             self.stage_frame(idx, &Frame::Goodbye);
@@ -2427,29 +2286,87 @@ mod tests {
         got
     }
 
+    /// Node 0 of a two-node path on a shard thread, listening on a
+    /// listener from `bind`, with node 1 played by the test on another.
+    struct RootAndFakeChild {
+        stats: NetStats,
+        injector: ShardInjector,
+        thread: ShardJoin,
+        /// Node 0's address, which the test dials as node 1.
+        addr0: PeerAddr,
+        /// Node 1's listener, which node 0 dials.
+        fake: Listener,
+    }
+
+    impl RootAndFakeChild {
+        fn spawn(bind: fn() -> io::Result<Listener>) -> Self {
+            let (listener, fake) = (bind().expect("bind node 0"), bind().expect("bind node 1"));
+            let addrs = vec![
+                listener.local_addr().expect("node 0's address"),
+                fake.local_addr().expect("node 1's address"),
+            ];
+            let tree = RootedTree::from_tree_graph(&generators::path(2), 0);
+            let shared = shared_for(tree, addrs);
+            let core = ArrowCore::for_tree_with_probe(0, &shared.tree, 1, NoProbe);
+            let (stats, mut injectors, mut threads) =
+                spawn(&shared, vec![vec![(0, core, Some(listener))]]);
+            RootAndFakeChild {
+                stats,
+                injector: injectors.remove(0),
+                thread: threads.remove(0),
+                addr0: shared.addrs[0].clone(),
+                fake,
+            }
+        }
+
+        fn shutdown(self) {
+            assert!(self.injector.send(ShardCmd::Shutdown));
+            self.thread.join().expect("shard joins");
+        }
+    }
+
+    /// Play node 1 answering node 0's dial on `fake`: take its `Hello`,
+    /// send `Welcome`. Returns the connection, which carries node 0's frames.
+    fn answer_root_dial(fake: &Listener) -> Stream {
+        let back = fake.accept_blocking().expect("node 0 dials node 1");
+        assert_eq!(read_frames(&back, 1), vec![Frame::Hello { node: 0 }]);
+        (&back)
+            .write_all(&Frame::Welcome { node: 1 }.encode())
+            .expect("welcome");
+        back
+    }
+
+    /// A `queue()` from node 1 for object 0 under request `req`.
+    fn queue_from_child(req: u64) -> Frame {
+        Frame::Proto(ProtoMsg::Queue {
+            req: RequestId(req),
+            obj: ObjectId(0),
+            origin: 1,
+            epoch: 0,
+        })
+    }
+
+    /// Whether `frame` is object 0's token for request `req`.
+    fn is_token_for(frame: &Frame, req: u64) -> bool {
+        matches!(frame, Frame::Token { obj: ObjectId(0), req: RequestId(r), .. } if *r == req)
+    }
+
     /// A frame dribbled in over several readiness events must reassemble: a
     /// fake peer splits its `Hello` across two delayed writes and then feeds a
     /// `queue()` frame one byte at a time. The shard has to buffer the partial
     /// prefixes, scan each frame exactly once it completes, and answer with
-    /// `Welcome` and the token grant as if the bytes had arrived whole.
+    /// `Welcome` and the token grant as if the bytes had arrived whole; the
+    /// token comes over the shard's own dial to the fake peer.
     #[test]
     fn partial_frames_reassemble_across_readiness_events() {
         for bind in BINDS {
-            partial_frames_reassemble_on(bind().expect("bind a listener"));
+            partial_frames_reassemble_on(bind);
         }
     }
 
-    fn partial_frames_reassemble_on(listener: Listener) {
-        let tree = RootedTree::from_tree_graph(&generators::path(2), 0);
-        let addr0 = listener.local_addr().expect("listener addr");
-        // Node 1 is played by this test over a plain blocking socket; its
-        // address is never dialed.
-        let addrs = vec![addr0.clone(), "127.0.0.1:1".parse().expect("addr literal")];
-        let shared = shared_for(tree, addrs);
-        let core = ArrowCore::for_tree_with_probe(0, &shared.tree, 1, NoProbe);
-        let (stats, injectors, threads) = spawn(&shared, vec![vec![(0, core, Some(listener))]]);
-
-        let mut peer = &Stream::dial_blocking(&addr0).expect("dial the shard");
+    fn partial_frames_reassemble_on(bind: fn() -> io::Result<Listener>) {
+        let root = RootAndFakeChild::spawn(bind);
+        let mut peer = &Stream::dial_blocking(&root.addr0).expect("dial the shard");
 
         // Handshake: Hello split across two kernel-visible writes.
         let hello = Frame::Hello { node: 1 }.encode();
@@ -2464,28 +2381,16 @@ mod tests {
         );
 
         // A queue() for the root's token, one byte per write.
-        let queue = Frame::Proto(ProtoMsg::Queue {
-            req: RequestId(7),
-            obj: ObjectId(0),
-            origin: 1,
-            epoch: 0,
-        })
-        .encode();
+        let queue = queue_from_child(7).encode();
         for byte in &queue {
             peer.write_all(std::slice::from_ref(byte)).expect("dribble");
             peer.flush().expect("flush byte");
             std::thread::sleep(Duration::from_millis(2));
         }
-        let token = read_frames(peer, 1);
+        let back = answer_root_dial(&root.fake);
+        let token = read_frames(&back, 1);
         assert!(
-            matches!(
-                token[0],
-                Frame::Token {
-                    obj: ObjectId(0),
-                    req: RequestId(7),
-                    ..
-                }
-            ),
+            is_token_for(&token[0], 7),
             "the dribbled queue() must win the root token, got {token:?}"
         );
 
@@ -2493,11 +2398,13 @@ mod tests {
         peer.write_all(&goodbye).expect("goodbye");
 
         // Every dribbled byte must land before shutdown: poll the shared
-        // counters until the receive side accounts for all three frames.
-        let sent = (hello.len() + queue.len() + goodbye.len()) as u64;
+        // counters until the receive side accounts for all three frames and
+        // the `Welcome` that answered node 0's dial.
+        let welcome = Frame::Welcome { node: 1 }.encode();
+        let sent = (hello.len() + queue.len() + goodbye.len() + welcome.len()) as u64;
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            let snap = stats.snapshot();
+            let snap = root.stats.snapshot();
             if snap.bytes_received == sent {
                 assert_eq!(snap.unexpected_frames, 0);
                 assert_eq!(snap.connections_accepted, 1);
@@ -2517,10 +2424,58 @@ mod tests {
         }
 
         let _ = peer.shutdown(Shutdown::Both);
-        assert!(injectors[0].send(ShardCmd::Shutdown));
-        for t in threads {
-            t.join().expect("shard joins");
+        let _ = back.shutdown(Shutdown::Both);
+        root.shutdown();
+    }
+
+    /// One-way links: node 1 dials node 0 twice, as a restarted incarnation
+    /// would. The second `Hello` cuts the first connection, which reads EOF;
+    /// a `queue()` sent on the second is answered over node 0's own dial to
+    /// node 1, and shutdown says `Goodbye` on both surviving connections.
+    #[test]
+    fn a_second_hello_from_a_peer_cuts_its_older_inbound_connection() {
+        for bind in BINDS {
+            second_hello_cuts_the_older_connection_on(bind);
         }
+    }
+
+    fn second_hello_cuts_the_older_connection_on(bind: fn() -> io::Result<Listener>) {
+        let root = RootAndFakeChild::spawn(bind);
+        let dial_as_child = || {
+            let peer = Stream::dial_blocking(&root.addr0).expect("dial node 0");
+            (&peer)
+                .write_all(&Frame::Hello { node: 1 }.encode())
+                .expect("hello");
+            assert_eq!(read_frames(&peer, 1), vec![Frame::Welcome { node: 0 }]);
+            peer
+        };
+        let older = dial_as_child();
+        let newer = dial_as_child();
+        let mut byte = [0u8; 1];
+        assert_eq!(
+            (&older)
+                .read(&mut byte)
+                .expect("node 0 cuts the older connection"),
+            0,
+            "the older connection must read EOF"
+        );
+
+        (&newer)
+            .write_all(&queue_from_child(7).encode())
+            .expect("queue()");
+        let back = answer_root_dial(&root.fake);
+        let token = read_frames(&back, 1);
+        assert!(is_token_for(&token[0], 7), "got {token:?}");
+        let snap = root.stats.snapshot();
+        assert_eq!((snap.connections_accepted, snap.connections_dialed), (2, 1));
+        assert_eq!(snap.unexpected_frames, 0);
+
+        assert!(root.injector.send(ShardCmd::Shutdown));
+        for conn in [&newer, &back] {
+            assert_eq!(read_frames(conn, 1), vec![Frame::Goodbye]);
+            let _ = conn.shutdown(Shutdown::Both);
+        }
+        root.thread.join().expect("shard joins");
     }
 
     /// The delivery rule and the quiescence invariant on a hand-driven shard
@@ -2785,9 +2740,7 @@ mod tests {
             peer_closed: false,
             close_write_after_flush: false,
             write_closed: false,
-            draining: false,
             in_flushq: false,
-            last_read: Instant::now(),
         };
 
         let frame = Frame::Token {

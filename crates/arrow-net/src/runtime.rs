@@ -229,8 +229,9 @@ impl NetRuntime {
     ///
     /// Protocol behaviour is identical to the in-process runtime, but every
     /// hop pays the wire: the node dials its tree parent for the
-    /// `Hello`/`Welcome` handshake at bootstrap, token channels dial lazily,
-    /// and [`NetRuntime::shutdown`] reports this node's journal alone: merge
+    /// `Hello`/`Welcome` handshake at bootstrap and dials every other peer it
+    /// sends to lazily (it sends only on connections it dialed), and
+    /// [`NetRuntime::shutdown`] reports this node's journal alone: merge
     /// the daemons' reports ([`NetReport::merge`]) to validate the orders.
     /// `seq_base` restores the request-id counter after a process-granularity
     /// restart (see [`ArrowCore::advance_request_seq`]); pass `0` for a fresh
@@ -304,9 +305,11 @@ impl NetRuntime {
     /// regeneration — the live counterpart of the simulator's scheduled
     /// [`desim::SimFault`]s. Every fault travels as a command through the
     /// inboxes of the shards hosting the nodes it names, link drops included:
-    /// no set of severed links is shared between threads. Pair it with
-    /// [`NetConfig::with_fault_tolerance`] so a node dialing a currently-dead
-    /// peer drops the frame instead of failing the whole run.
+    /// no set of severed links is shared between threads. In daemon mode,
+    /// pair it with [`NetConfig::with_fault_tolerance`] so a node dialing a
+    /// currently-dead peer drops the frame instead of failing the whole run;
+    /// a runtime that hosts every node dials nobody and needs neither that
+    /// setting nor [`NetConfig::dial_retries`].
     pub fn fault_handle(&self) -> NetFaultHandle {
         self.faults_armed.store(true, Ordering::Relaxed);
         NetFaultHandle {

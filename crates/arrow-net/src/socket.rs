@@ -10,8 +10,8 @@
 //!   abstract name lives in the kernel, not the filesystem: nothing to clean
 //!   up, and the name is freed when its last descriptor closes.
 //!
-//! Everything above the socket — the reactor's handshakes, dial races, send
-//! buffers and fault handling — runs unchanged on either family; the
+//! Everything above the socket — the reactor's handshakes, one-way links,
+//! send buffers and fault handling — runs unchanged on either family; the
 //! [`Listener`] and the crate-internal `Stream` only dispatch the syscalls.
 //! On one host a Unix stream skips the IP and TCP layers (no acknowledgement
 //! segments, no retransmit timers), so each message costs the kernel less.
@@ -264,13 +264,43 @@ impl Stream {
                 Stream::Unix(UnixStream::connect_addr(&addr)?)
             }
         };
+        stream.set_nodelay()?;
+        stream.with_read_timeout()
+    }
+
+    /// This blocking stream, reading with a ten-second timeout.
+    fn with_read_timeout(self) -> io::Result<Stream> {
         let timeout = Some(std::time::Duration::from_secs(10));
-        match &stream {
+        match &self {
             Stream::Tcp(s) => s.set_read_timeout(timeout)?,
             Stream::Unix(s) => s.set_read_timeout(timeout)?,
         }
-        stream.set_nodelay()?;
-        Ok(stream)
+        Ok(self)
+    }
+}
+
+#[cfg(test)]
+impl Listener {
+    /// Accept one connection within ten seconds, reading with a ten-second
+    /// timeout: a test playing a peer that is dialed.
+    pub(crate) fn accept_blocking(&self) -> io::Result<Stream> {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        self.set_nonblocking(true)?;
+        loop {
+            match self.accept() {
+                Ok(stream) => {
+                    stream.set_nonblocking(false)?;
+                    return stream.with_read_timeout();
+                }
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        && std::time::Instant::now() < deadline =>
+                {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                Err(e) => return Err(e),
+            }
+        }
     }
 }
 

@@ -98,18 +98,6 @@ impl TraceRecorder {
         events.sort_by(|a, b| a.t.total_cmp(&b.t));
         events
     }
-
-    /// A sorted copy of everything flushed so far (for callers that cannot
-    /// consume the recorder; prefer [`TraceRecorder::finish`]).
-    pub fn snapshot_events(&self) -> Vec<TraceEventRecord> {
-        let mut events = self
-            .events
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
-        events.sort_by(|a, b| a.t.total_cmp(&b.t));
-        events
-    }
 }
 
 #[derive(Debug)]

@@ -69,8 +69,6 @@ pub enum Metric {
     ReactorWakeups,
     /// Socket reads/writes that returned `WouldBlock` and re-armed interest.
     WouldBlockRetries,
-    /// Simultaneous-dial duplicate connections collapsed to one live link.
-    DialRacesCollapsed,
     /// Protocol frames a reactor shard delivered in memory because it owns
     /// both endpoints (socket tier; such frames never touch a socket, so they
     /// appear in `QueueFrames`/`TokenFrames` but not in `FramesSent`).
@@ -86,7 +84,7 @@ pub enum Metric {
 
 impl Metric {
     /// Every counter, in discriminant order (the snapshot/JSON order).
-    pub const ALL: [Metric; 23] = [
+    pub const ALL: [Metric; 22] = [
         Metric::QueueFrames,
         Metric::TokenFrames,
         Metric::FramesSent,
@@ -106,7 +104,6 @@ impl Metric {
         Metric::OrphanReleases,
         Metric::ReactorWakeups,
         Metric::WouldBlockRetries,
-        Metric::DialRacesCollapsed,
         Metric::LocalFrames,
         Metric::PollErrors,
         Metric::InlineCycles,
@@ -137,7 +134,6 @@ impl Metric {
             Metric::OrphanReleases => "orphan_releases",
             Metric::ReactorWakeups => "reactor_wakeups",
             Metric::WouldBlockRetries => "would_block_retries",
-            Metric::DialRacesCollapsed => "dial_races_collapsed",
             Metric::LocalFrames => "local_frames",
             Metric::PollErrors => "poll_errors",
             Metric::InlineCycles => "inline_cycles",

@@ -240,11 +240,6 @@ impl<M> EventQueue<M> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty() && self.lanes.iter().all(VecDeque::is_empty)
     }
-
-    /// Total number of events ever scheduled.
-    pub fn scheduled_count(&self) -> u64 {
-        self.next_seq
-    }
 }
 
 #[cfg(test)]
@@ -296,17 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_count_is_monotone() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.scheduled_count(), 0);
-        q.schedule(SimTime::ZERO, ext(0, 0));
-        q.schedule(SimTime::ZERO, ext(0, 1));
-        q.pop();
-        assert_eq!(q.scheduled_count(), 2);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
     fn slots_are_recycled() {
         let mut q = EventQueue::new();
         // A far-future external holds the back of the externals' lane, so each
@@ -319,7 +303,6 @@ mod tests {
         }
         // One slot serviced all 100 out-of-order events.
         assert_eq!(q.slots.len(), 1);
-        assert_eq!(q.scheduled_count(), 101);
         assert_eq!(q.len(), 1);
     }
 

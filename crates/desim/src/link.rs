@@ -67,18 +67,6 @@ impl LatencyModel {
             }
         }
     }
-
-    /// An upper bound (in units) on the latency this model can produce for a link of
-    /// the given weight, used for normalisation in analysis.
-    pub fn worst_case_units(&self, weight: f64) -> f64 {
-        match *self {
-            LatencyModel::Unit => 1.0,
-            LatencyModel::Fixed { units } => units,
-            LatencyModel::EdgeWeight => weight,
-            LatencyModel::Uniform { lo, hi } => hi.max(lo),
-            LatencyModel::ScaledUniform { .. } => weight,
-        }
-    }
 }
 
 /// One directed pair's state, created the first time the pair is named.
@@ -255,7 +243,6 @@ mod tests {
         let mut rng = SimRng::new(1);
         let d = LatencyModel::Unit.sample(5.0, &mut rng);
         assert_eq!(d, SimDuration::unit());
-        assert_eq!(LatencyModel::Unit.worst_case_units(5.0), 1.0);
     }
 
     #[test]
@@ -273,7 +260,6 @@ mod tests {
             let d = m.sample(1.0, &mut rng).as_units_f64();
             assert!((0.25..=1.0).contains(&d), "latency {d}");
         }
-        assert_eq!(m.worst_case_units(1.0), 1.0);
     }
 
     #[test]
@@ -284,7 +270,6 @@ mod tests {
             let d = m.sample(4.0, &mut rng).as_units_f64();
             assert!(d <= 4.0 + 1e-9 && d > 0.0);
         }
-        assert_eq!(m.worst_case_units(4.0), 4.0);
     }
 
     #[test]

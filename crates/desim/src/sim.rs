@@ -257,13 +257,6 @@ impl<M, P: Process<M>> Simulator<M, P> {
         self.faults.push((time, fault));
     }
 
-    /// True if `node` is currently crashed (silenced by an applied
-    /// [`SimFault::Crash`] without a later restart). After [`Simulator::run`]
-    /// returns, this reports whether the node survived the run.
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed[node]
-    }
-
     /// Apply every scheduled fault with fault time `<= now`.
     fn apply_due_faults(&mut self, now: SimTime) {
         while let Some(&(t, fault)) = self.faults.get(self.next_fault) {
@@ -726,8 +719,7 @@ mod tests {
         assert_eq!(sim.stats().messages_delivered, 0);
         assert_eq!(sim.stats().messages_dropped, 1); // send to crashed node 1
         assert_eq!(sim.stats().silenced_inputs, 2); // node 0's timer + late external
-        assert!(sim.is_crashed(0));
-        assert!(sim.is_crashed(1));
+        assert!(sim.crashed[0] && sim.crashed[1]);
     }
 
     #[test]
@@ -745,7 +737,7 @@ mod tests {
         assert_eq!(sim.stats().messages_dropped, 1);
         assert_eq!(sim.node(1).received, vec![1]);
         assert_eq!(sim.node(2).received, vec![0]);
-        assert!(!sim.is_crashed(1));
+        assert!(!sim.crashed[1]);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! avoids a pointer chase per node. Any mutation invalidates the frozen view.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 /// Node identifier — an index in `0..graph.node_count()`.
@@ -234,11 +233,6 @@ impl Graph {
         (0..self.n).map(|u| self.degree(u)).max().unwrap_or(0)
     }
 
-    /// Sum of all edge weights.
-    pub fn total_weight(&self) -> f64 {
-        self.edges.iter().map(|e| e.weight).sum()
-    }
-
     /// True if every edge has weight exactly 1 (O(1): tracked incrementally).
     pub fn is_unweighted(&self) -> bool {
         self.unit_weights
@@ -278,11 +272,6 @@ impl Graph {
         }
         g
     }
-
-    /// The set of nodes incident to at least one edge.
-    pub fn non_isolated_nodes(&self) -> BTreeSet<NodeId> {
-        self.edges.iter().flat_map(|e| [e.u, e.v]).collect()
-    }
 }
 
 #[cfg(test)]
@@ -317,7 +306,6 @@ mod tests {
         assert!(g.is_tree());
         assert!(g.is_connected());
         assert!(g.is_unweighted());
-        assert_eq!(g.total_weight(), 3.0);
     }
 
     #[test]
@@ -332,7 +320,6 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1, 1.0), (2, 3, 1.0)]);
         assert!(!g.is_connected());
         assert!(!g.is_tree());
-        assert_eq!(g.non_isolated_nodes().len(), 4);
     }
 
     #[test]

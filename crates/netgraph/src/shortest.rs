@@ -29,24 +29,6 @@ pub struct ShortestPaths {
     pub parent: Vec<Option<NodeId>>,
 }
 
-impl ShortestPaths {
-    /// Reconstruct a shortest path from the source to `target` (inclusive of both
-    /// endpoints). Returns `None` if `target` is unreachable.
-    pub fn path_to(&self, target: NodeId) -> Option<Vec<NodeId>> {
-        if self.dist[target].is_infinite() {
-            return None;
-        }
-        let mut path = vec![target];
-        let mut cur = target;
-        while let Some(p) = self.parent[cur] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        Some(path)
-    }
-}
-
 #[derive(PartialEq)]
 struct HeapEntry {
     dist: f64,
@@ -317,8 +299,7 @@ mod tests {
         let g = path_graph(5);
         let sp = shortest_paths(&g, 0);
         assert_eq!(sp.dist, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(sp.path_to(4), Some(vec![0, 1, 2, 3, 4]));
-        assert_eq!(sp.path_to(0), Some(vec![0]));
+        assert_eq!(sp.parent, vec![None, Some(0), Some(1), Some(2), Some(3)]);
     }
 
     #[test]
@@ -327,7 +308,7 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)]);
         let sp = shortest_paths(&g, 0);
         assert_eq!(sp.dist[2], 2.0);
-        assert_eq!(sp.path_to(2), Some(vec![0, 1, 2]));
+        assert_eq!(sp.parent[2], Some(1));
     }
 
     #[test]
@@ -335,7 +316,7 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1, 1.0), (2, 3, 1.0)]);
         let sp = shortest_paths(&g, 0);
         assert!(sp.dist[2].is_infinite());
-        assert_eq!(sp.path_to(2), None);
+        assert_eq!(sp.parent[2], None);
     }
 
     #[test]

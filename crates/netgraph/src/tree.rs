@@ -238,27 +238,6 @@ impl RootedTree {
         up_part
     }
 
-    /// The first hop on the tree path from `u` towards `v` (`None` if `u == v`).
-    pub fn next_hop(&self, u: NodeId, v: NodeId) -> Option<NodeId> {
-        if u == v {
-            return None;
-        }
-        let l = self.lca(u, v);
-        if u == l {
-            // v is in u's subtree: step down towards v.
-            let mut cur = v;
-            loop {
-                let p = self.parent[cur].expect("v below l must have a parent");
-                if p == u {
-                    return Some(cur);
-                }
-                cur = p;
-            }
-        } else {
-            self.parent[u]
-        }
-    }
-
     /// Weighted diameter of the tree (max pairwise tree distance), via double sweep.
     pub fn diameter(&self) -> f64 {
         let n = self.node_count();
@@ -304,22 +283,6 @@ impl RootedTree {
             }
         }
         g
-    }
-
-    /// Re-root the same tree at a different node.
-    pub fn rerooted(&self, new_root: NodeId) -> RootedTree {
-        RootedTree::from_tree_graph(&self.to_graph(), new_root)
-    }
-
-    /// Number of nodes in the subtree rooted at `v` (including `v`).
-    pub fn subtree_size(&self, v: NodeId) -> usize {
-        let mut count = 0;
-        let mut stack = vec![v];
-        while let Some(u) = stack.pop() {
-            count += 1;
-            stack.extend_from_slice(&self.children[u]);
-        }
-        count
     }
 }
 
@@ -369,8 +332,6 @@ mod tests {
         assert_eq!(t.depth(6), 2);
         assert_eq!(t.root_distance(6), 2.0);
         assert_eq!(t.neighbors(1), vec![0, 3, 4]);
-        assert_eq!(t.subtree_size(1), 3);
-        assert_eq!(t.subtree_size(0), 7);
     }
 
     #[test]
@@ -392,10 +353,6 @@ mod tests {
         assert_eq!(t.path(3, 6), vec![3, 1, 0, 2, 6]);
         assert_eq!(t.path(3, 3), vec![3]);
         assert_eq!(t.path(0, 4), vec![0, 1, 4]);
-        assert_eq!(t.next_hop(3, 6), Some(1));
-        assert_eq!(t.next_hop(0, 6), Some(2));
-        assert_eq!(t.next_hop(0, 0), None);
-        assert_eq!(t.next_hop(2, 5), Some(5));
     }
 
     #[test]
@@ -429,7 +386,7 @@ mod tests {
     #[test]
     fn rerooting_preserves_distances() {
         let t = binary_tree();
-        let t2 = t.rerooted(5);
+        let t2 = RootedTree::from_tree_graph(&t.to_graph(), 5);
         assert_eq!(t2.root(), 5);
         for u in 0..7 {
             for v in 0..7 {

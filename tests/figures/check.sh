@@ -1,8 +1,8 @@
 #!/bin/sh
 # Figure identity check: runs the five figure binaries at fixed arguments and
 # diffs each output against the reference copy beside this script. The outputs
-# are a pure function of the arguments (seeded PRNG, order-preserving parallel
-# maps), so any difference is a behaviour change, not noise. Together the runs
+# are a pure function of the arguments (seeded PRNG, rows computed in input
+# order), so any difference is a behaviour change, not noise. Together the runs
 # take well under a second.
 #
 #   cargo build --release && tests/figures/check.sh [bin-dir]

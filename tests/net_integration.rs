@@ -247,9 +247,9 @@ fn async_floor_bounds_injected_latency_below() {
     );
 }
 
-/// Between daemons the mesh materializes every tree edge at bootstrap and only
-/// grows by the direct token channels traffic actually needs — never the full
-/// n² mesh.
+/// Between daemons the mesh materializes every child-to-parent tree edge at
+/// bootstrap and only grows by the links traffic actually needs (a parent's
+/// edge to a child, direct token channels) — never the full n² mesh.
 #[test]
 fn mesh_stays_sparse() {
     let n = 32;
@@ -258,9 +258,9 @@ fn mesh_stays_sparse() {
     drive(|v| daemons.handle(v), n, 2, 2, 4, 0x5BA2);
     let (stats, _) = daemons.shutdown();
     let dialed = stats.connections_dialed;
-    // The tree edges, plus at most one direct channel per (granter, origin)
-    // pair that actually exchanged a token; with 4 requester nodes that is far
-    // below n².
+    // The tree edges in each direction traffic used, plus at most one direct
+    // channel per (granter, origin) pair that actually exchanged a token; with
+    // 4 requester nodes that is far below n².
     assert!(
         dialed >= (n - 1) as u64,
         "only {dialed} connections dialed: all {} tree edges must materialize at bootstrap",
@@ -273,73 +273,70 @@ fn mesh_stays_sparse() {
     assert_eq!(stats.unexpected_frames, 0);
 }
 
-/// Regression for the reactor's dial-race dedupe. Siblings 1 and 2 (no direct
-/// tree edge, each in its own daemon) each hold one object's
-/// token while the other sibling's request is queued directly behind it.
-/// Barrier-synchronized releases then make both nodes dial each other at the
-/// same instant for the direct token handoff. Whichever round actually races,
-/// the two connections must collapse onto one canonical link with *both*
-/// tokens delivered — a lost frame would hang a `wait_timeout` or break the
-/// queuing order. The race is probabilistic, so fresh meshes are spun up until
-/// the `dial_races_collapsed` counter witnesses a collapse, on each socket
-/// family.
+/// One-way links under simultaneous dials. Siblings 1 and 2 (no direct tree
+/// edge, each in its own daemon) each hold one object's token while the
+/// other sibling's request is queued directly behind it. Barrier-synchronized
+/// releases then make both nodes dial each other at the same instant for the
+/// direct token handoff. Each node sends only on the connection it dialed, so
+/// the two dials never compete: both tokens arrive, and every daemon ends
+/// with exactly one dialed and one accepted connection toward each of the
+/// other two (its tree edge or token channel in each direction), on each
+/// socket family.
 #[test]
-fn simultaneous_cross_dials_collapse_onto_one_link() {
+fn simultaneous_cross_dials_open_one_link_each_way() {
     for bind in BINDS {
-        cross_dials_collapse_on(bind);
+        cross_dials_open_one_link_each_way_on(bind);
     }
 }
 
-fn cross_dials_collapse_on(bind: fn() -> std::io::Result<Listener>) {
-    let mut collapsed = 0u64;
-    let mut rounds = 0u32;
-    for _ in 0..40 {
-        rounds += 1;
-        let daemons = Daemons::spawn_on(&tree(3), 2, NetConfig::instant(), bind);
-        let h1 = daemons.handle(1);
-        let h2 = daemons.handle(2);
-        let held1 = h1.acquire_object(ObjectId(0));
-        let held2 = h2.acquire_object(ObjectId(1));
-        // Queue the crossing requests behind the held tokens so that each
-        // release immediately sends a token across the missing 1↔2 link.
-        let p2 = h2.start_acquire_object(ObjectId(0));
-        let p1 = h1.start_acquire_object(ObjectId(1));
-        std::thread::sleep(Duration::from_millis(20));
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let releasers = [
-            (daemons.handle(1), ObjectId(0), held1),
-            (daemons.handle(2), ObjectId(1), held2),
-        ]
-        .map(|(h, obj, req)| {
-            let b = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                b.wait();
-                h.release_object(obj, req);
-            })
-        });
-        for r in releasers {
-            r.join().unwrap();
-        }
-        let got2 = p2
-            .wait_timeout(Duration::from_secs(10))
-            .expect("token 1→2 must survive the dial race");
-        let got1 = p1
-            .wait_timeout(Duration::from_secs(10))
-            .expect("token 2→1 must survive the dial race");
-        h2.release_object(ObjectId(0), got2);
-        h1.release_object(ObjectId(1), got1);
-        // Shutting down validates the merged orders through the dial race.
-        let (stats, _) = daemons.shutdown();
-        assert_eq!(stats.unexpected_frames, 0);
-        collapsed += stats.dial_races_collapsed;
-        if collapsed >= 1 {
-            break;
-        }
+fn cross_dials_open_one_link_each_way_on(bind: fn() -> std::io::Result<Listener>) {
+    let daemons = Daemons::spawn_on(&tree(3), 2, NetConfig::instant(), bind);
+    let h1 = daemons.handle(1);
+    let h2 = daemons.handle(2);
+    let held1 = h1.acquire_object(ObjectId(0));
+    let held2 = h2.acquire_object(ObjectId(1));
+    // Queue the crossing requests behind the held tokens so that each
+    // release immediately sends a token across the missing 1↔2 link.
+    let p2 = h2.start_acquire_object(ObjectId(0));
+    let p1 = h1.start_acquire_object(ObjectId(1));
+    std::thread::sleep(Duration::from_millis(20));
+    let barrier = Arc::new(std::sync::Barrier::new(2));
+    let releasers = [
+        (daemons.handle(1), ObjectId(0), held1),
+        (daemons.handle(2), ObjectId(1), held2),
+    ]
+    .map(|(h, obj, req)| {
+        let b = Arc::clone(&barrier);
+        std::thread::spawn(move || {
+            b.wait();
+            h.release_object(obj, req);
+        })
+    });
+    for r in releasers {
+        r.join().unwrap();
     }
-    assert!(
-        collapsed >= 1,
-        "{rounds} rounds of simultaneous cross-releases never collapsed a dial race"
-    );
+    let got2 = p2
+        .wait_timeout(Duration::from_secs(10))
+        .expect("token 1→2 must cross the simultaneous dials");
+    let got1 = p1
+        .wait_timeout(Duration::from_secs(10))
+        .expect("token 2→1 must cross the simultaneous dials");
+    h2.release_object(ObjectId(0), got2);
+    h1.release_object(ObjectId(1), got1);
+    let reports: Vec<NetReport> = daemons.0.into_iter().map(NetRuntime::shutdown).collect();
+    for (v, report) in reports.iter().enumerate() {
+        let s = report.stats();
+        assert_eq!(
+            (s.connections_dialed, s.connections_accepted),
+            (2, 2),
+            "daemon {v}: one connection per direction toward each other node"
+        );
+        assert_eq!(s.unexpected_frames, 0);
+    }
+    // The merged journals validate through the crossing hand-offs.
+    NetReport::merge(reports)
+        .validated_orders()
+        .unwrap_or_else(|e| panic!("daemon journals: invalid order: {e:?}"));
 }
 
 /// A fault sever racing in-flight token writes: the 0↔1 tree edge is dropped
