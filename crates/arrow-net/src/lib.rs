@@ -15,7 +15,7 @@
 //!    one host, TCP toward an `ip:port` peer: [`PeerAddr`]) and each hop pays
 //!    real serialization, framing, kernel round-trips — the per-message cost
 //!    that the paper's Section 5 experiment runs on real processors to
-//!    expose. Optional injected link latency applies to every hop.
+//!    expose.
 //! 4. **Processes** (`arrow-cluster`) — one `arrowd` OS process per node, each
 //!    a daemon-mode runtime of this crate.
 //!
@@ -31,19 +31,19 @@
 //!   grants). No serde involved; the bytes are the contract. Encoding appends into
 //!   pooled buffers ([`Frame::encode_into`]); decoding scans complete frames out
 //!   of a growing receive buffer ([`Frame::scan`]).
-//! * [`mesh`] — mesh policy: the [`NetConfig`] knobs (latency model, dial
-//!   retries, reactor [`mesh::NetConfig::shards`]), the per-link latency law
-//!   (tree distance × [`mesh::NetConfig::unit_latency`], scaled by the seeded
-//!   async factor in the asynchronous model, FIFO-preserving — the same law as
-//!   a simulator run), and the [`NetStats`] counters (one registry per shard,
-//!   summed on read).
+//! * [`mesh`] — mesh policy: the [`NetConfig`] knobs (dial retries, churn
+//!   mode, reactor [`mesh::NetConfig::shards`]) and the [`NetStats`] counters
+//!   (one registry per shard, summed on read). Every link is instant: a frame
+//!   leaves as soon as its shard's cycle reaches it. The paper's timing
+//!   models (synchronous, and asynchronous with a delay floor) are the
+//!   simulator's (`desim::SimConfig`), on virtual time.
 //! * [`socket`] — the daemon-link address, [`PeerAddr`] (`ip:port` for TCP,
 //!   `@name` for an abstract Unix-domain socket), and the [`Listener`] a
 //!   daemon binds; the peer's address picks the socket family, and nothing
 //!   above the socket depends on which.
 //! * `reactor` (internal) — the event-driven engine: nodes are partitioned
 //!   across a small pool of shard threads, each running one `epoll` loop (via
-//!   the `netpoll` shim) over its inbox eventfd, its timer wheel and the
+//!   the `netpoll` shim) over its inbox eventfd, its timers and the
 //!   nonblocking listeners and connections of its nodes. A frame between two
 //!   nodes of one shard goes through the shard's memory FIFO, run to
 //!   quiescence before the next `epoll_wait`; a frame to another shard of the
@@ -53,8 +53,8 @@
 //!   machines, links are one-way (a node sends protocol frames only on the
 //!   connection it dialed, and reads its peer's on the one it accepted), and
 //!   every flush coalesces a link's staged frames into a single `write`
-//!   syscall. Injected latency rides a per-shard timer wheel
-//!   whose next deadline doubles as the `epoll_wait` timeout. Thread count is
+//!   syscall. A shard's timers (dial backoff, handshake and shutdown
+//!   deadlines) set its `epoll_wait` timeout. Thread count is
 //!   O(shards), not O(nodes) — a single process hosts ≥1024 nodes, on O(shards)
 //!   file descriptors.
 //! * [`runtime`] — the [`NetRuntime`]: spawn/shutdown over the shard pool,
@@ -97,7 +97,7 @@ mod reactor;
 pub mod replay;
 pub mod runtime;
 pub mod socket;
-mod wheel;
+mod timers;
 pub mod wire;
 
 pub use lock::{CriticalSectionLog, DistributedLock, LockGuard, SectionRecord};

@@ -1,4 +1,5 @@
-//! Mesh policy of the socket tier: latency law, dial budget, stats schema.
+//! Mesh policy of the socket tier: dial budget, churn mode, shard count,
+//! stats schema.
 //!
 //! Sockets exist only at process boundaries: two nodes hosted by one runtime
 //! exchange frames in memory — inside one reactor shard or through the
@@ -19,25 +20,18 @@
 //! socket I/O, and timers all run inside the sharded reactors (the crate's
 //! internal `reactor` module); this module holds the *policy* the reactors apply:
 //!
-//! - [`NetConfig`]: latency model, dial retry budget, churn mode, and the
+//! - [`NetConfig`]: dial retry budget, churn mode, and the
 //!   [`shards`](NetConfig::shards) knob sizing the reactor pool.
-//! - `DelayPolicy` (internal): the per-link latency law. The delay of a frame on the
-//!   link `{u, v}` is the link's tree distance scaled by
-//!   [`NetConfig::unit_latency`] (and, in the asynchronous model, by a seeded
-//!   per-frame factor drawn from `[lo_factor, 1.0]` — the same latency law and
-//!   floor the simulator applies).
 //! - [`NetStats`] / [`NetStatsSnapshot`]: the counter and histogram schema,
 //!   one registry per reactor shard, summed on read.
 //!
-//! The runtime is handed only the spanning tree, so the tree *is* its
-//! communication graph: direct token channels pay the tree distance `d_T(u, v)`.
-//! That matches simulator runs on tree-only instances (`Instance::tree_only`,
-//! stretch 1) exactly; on a general graph the simulator's direct sends pay the
-//! graph distance `d_G`, which can be smaller than `d_T`.
+//! Every link is instant: no delay is injected, so a frame costs what its
+//! transport costs (a memory move, or serialization and the kernel) and
+//! nothing more. The paper's two timing models — synchronous, and
+//! asynchronous with a delay floor (Section 3.1) — are the simulator's
+//! (`desim::SimConfig`), on virtual time.
 
 use arrow_trace::{Metric, MetricsReader, MetricsSnapshot, MetricsWriter};
-use desim::SimRng;
-use netgraph::NodeId;
 use std::time::Duration;
 
 /// How long a handshake partner may stall before the connection is abandoned.
@@ -47,22 +41,11 @@ pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 /// batch of coalesced arrow frames (≤ 23 bytes each) fits hundreds of frames.
 pub(crate) const RECV_BUF_INIT: usize = 16 * 1024;
 
-/// Latency configuration of the socket runtime.
-///
-/// The delay injected before writing a frame on the link `{u, v}` is
-/// `d_T(u, v) × unit_latency × factor`, with `factor = 1` in the synchronous model
-/// and `factor ~ U[lo_factor, 1]` (seeded, per frame) in the asynchronous one. With
-/// [`NetConfig::instant`] no artificial delay is added and throughput reflects pure
-/// serialization + kernel cost.
+/// Configuration of the socket runtime: how dials fail and how many reactor
+/// shards run. Links are instant (see the module docs), so throughput
+/// reflects pure serialization and kernel cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetConfig {
-    /// Wall-clock duration of one simulated time unit (one unit of tree edge
-    /// weight). `Duration::ZERO` disables latency injection entirely.
-    pub unit_latency: Duration,
-    /// Asynchronous jitter: `Some((lo_factor, seed))` draws each frame's latency
-    /// factor uniformly from `[lo_factor, 1.0]` with a deterministic per-link stream
-    /// derived from `seed`; `None` is the synchronous model (factor exactly 1).
-    pub jitter: Option<(f64, u64)>,
     /// How many times a failed dial is retried (with linear backoff) before the
     /// node gives up and reports the peer unreachable. A peer that stays
     /// unreachable fails the run *cleanly*: the node marks itself failed, pending
@@ -108,9 +91,9 @@ pub struct NetConfig {
     /// **Quiescence:** a shard runs its in-memory frames (and whatever they
     /// provoke) to completion before it hands batches over, flushes sockets
     /// and re-enters `epoll_wait`, so at most a tree diameter of memory hops
-    /// per input separates two waits. Fault injection and injected latency
-    /// apply to every path alike, and a crash drops frames in flight to or
-    /// from the crashed node on every path.
+    /// per input separates two waits. Fault injection applies to every path
+    /// alike, and a crash drops frames in flight to or from the crashed node
+    /// on every path.
     pub shards: usize,
 }
 
@@ -118,35 +101,11 @@ impl NetConfig {
     /// Default dial retry budget (see [`NetConfig::dial_retries`]).
     pub const DEFAULT_DIAL_RETRIES: u32 = 3;
 
-    /// No injected latency: frames hit the socket as fast as the shards drain.
+    /// The default configuration: frames hit the socket as fast as the
+    /// shards drain, [`NetConfig::DEFAULT_DIAL_RETRIES`] retries, fatal dial
+    /// failures, one shard per usable CPU.
     pub fn instant() -> Self {
         NetConfig {
-            unit_latency: Duration::ZERO,
-            jitter: None,
-            dial_retries: Self::DEFAULT_DIAL_RETRIES,
-            fault_tolerant: false,
-            shards: 0,
-        }
-    }
-
-    /// Synchronous model: every frame on link `{u, v}` is delayed by exactly
-    /// `d_T(u, v) × unit_latency`.
-    pub fn synchronous(unit_latency: Duration) -> Self {
-        NetConfig {
-            unit_latency,
-            jitter: None,
-            dial_retries: Self::DEFAULT_DIAL_RETRIES,
-            fault_tolerant: false,
-            shards: 0,
-        }
-    }
-
-    /// Asynchronous model: each frame's delay factor is drawn from
-    /// `[lo_factor, 1.0]` (the async floor), seeded deterministically.
-    pub fn asynchronous(unit_latency: Duration, lo_factor: f64, seed: u64) -> Self {
-        NetConfig {
-            unit_latency,
-            jitter: Some((lo_factor, seed)),
             dial_retries: Self::DEFAULT_DIAL_RETRIES,
             fault_tolerant: false,
             shards: 0,
@@ -192,8 +151,7 @@ impl NetConfig {
 /// instruction. Reads sum the shards, so no count is lost at any shard count.
 /// Beyond the counters the registries also carry the socket tier's
 /// histograms (see [`arrow_trace::HistMetric`]): frames coalesced per `write`,
-/// timer-wheel staging lateness, acquire latency, events per reactor wakeup
-/// and shard inbox depth.
+/// acquire latency, events per reactor wakeup and shard inbox depth.
 ///
 /// [`NetStats::snapshot`] renders the counters as the traditional
 /// [`NetStatsSnapshot`] plain-number view; [`NetStats::metrics`] exposes the
@@ -329,45 +287,11 @@ impl NetStats {
     }
 }
 
-/// Per-frame latency policy of one directed link.
-pub(crate) struct DelayPolicy {
-    base: Duration,
-    jitter: Option<(f64, SimRng)>,
-}
-
-impl DelayPolicy {
-    /// Build the policy for the link `{me, peer}` with tree distance `weight`.
-    pub(crate) fn new(cfg: &NetConfig, weight: f64, me: NodeId, peer: NodeId) -> Self {
-        let base = cfg.unit_latency.mul_f64(weight.max(0.0));
-        let jitter = cfg.jitter.map(|(lo, seed)| {
-            // One deterministic stream per directed link: mix the endpoints into the
-            // seed so links don't share jitter sequences.
-            let mix = seed
-                ^ (me as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ (peer as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-            (lo, SimRng::new(mix))
-        });
-        DelayPolicy { base, jitter }
-    }
-
-    pub(crate) fn sample(&mut self) -> Duration {
-        if self.base.is_zero() {
-            return Duration::ZERO;
-        }
-        match &mut self.jitter {
-            None => self.base,
-            Some((lo, rng)) => {
-                let factor = rng.uniform((*lo).clamp(0.0, 1.0), 1.0);
-                self.base.mul_f64(factor)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::{Frame, WireError};
+    use netgraph::NodeId;
     use std::io::{self, Write};
     use std::net::{SocketAddr, TcpListener, TcpStream};
 
@@ -440,37 +364,6 @@ mod tests {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(&[0xFF; 16]).unwrap();
         assert!(accepter.join().unwrap().is_err());
-    }
-
-    #[test]
-    fn synchronous_delay_policy_is_the_scaled_weight() {
-        let cfg = NetConfig::synchronous(Duration::from_millis(10));
-        let mut p = DelayPolicy::new(&cfg, 3.0, 0, 1);
-        assert_eq!(p.sample(), Duration::from_millis(30));
-        assert_eq!(p.sample(), Duration::from_millis(30));
-    }
-
-    #[test]
-    fn asynchronous_delay_respects_the_floor() {
-        let cfg = NetConfig::asynchronous(Duration::from_millis(100), 0.4, 11);
-        let mut p = DelayPolicy::new(&cfg, 1.0, 2, 5);
-        for _ in 0..200 {
-            let d = p.sample();
-            assert!(
-                d >= Duration::from_millis(40),
-                "{d:?} under the async floor"
-            );
-            assert!(
-                d <= Duration::from_millis(100),
-                "{d:?} over the link weight"
-            );
-        }
-    }
-
-    #[test]
-    fn instant_config_injects_nothing() {
-        let mut p = DelayPolicy::new(&NetConfig::instant(), 5.0, 0, 1);
-        assert_eq!(p.sample(), Duration::ZERO);
     }
 
     #[test]

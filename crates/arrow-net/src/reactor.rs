@@ -36,10 +36,10 @@
 //! 1. **Drain first.** An inline cycle runs the inbox's commands ahead of its
 //!    own, so a client whose release queued behind a busy shard and whose
 //!    next acquire ran inline still has them handled in issue order.
-//! 2. **Wake on an earlier deadline.** Only the shard thread pops the timer
-//!    wheel. An inline cycle that arms an entry due before the deadline the
-//!    parked thread sleeps toward writes the eventfd, so injected latency,
-//!    dial backoff and handshake deadlines fire on time.
+//! 2. **Wake on an earlier deadline.** Only the shard thread pops the
+//!    timers. An inline cycle that arms one due before the deadline the
+//!    parked thread sleeps toward writes the eventfd, so dial backoff and
+//!    handshake deadlines fire on time.
 //! 3. **Bootstrap before publishing.** Bootstrap dials run before the shard
 //!    is reachable inline ([`publish`]): a client's `Traffic` dial toward the
 //!    parent then finds the `Bootstrap` dial in place and stages its frame on
@@ -77,7 +77,7 @@
 //!
 //! # Delivery rule: sockets only at process boundaries
 //!
-//! [`Shard::deliver_frame`] picks the transport from one fact the spawn
+//! [`Shard::send_frame`] picks the transport from one fact the spawn
 //! manifest fixes ([`Siblings::shard_of`]): which shard of this runtime, if
 //! any, hosts the destination node? The same entry names the node's slot in
 //! that shard's node table, so a shard reaches a node's state by index and
@@ -95,10 +95,9 @@
 //!
 //! `on_frame` is also where frames read off a socket land, so the
 //! crashed-node drop, the `origin` bound check and the `UnexpectedFrames`
-//! accounting are shared by all three paths. Everything upstream of the
-//! choice in [`Shard::send_frame`] — the failed-node check, the severed-link
-//! drop and the injected-latency timer wheel with its per-link FIFO — applies
-//! to all of them unchanged. Both memory paths count as `LocalFrames`.
+//! accounting are shared by all three paths. What `send_frame` checks before
+//! the choice — a failed sender, a crashed one, a severed link — applies to
+//! all of them alike. Both memory paths count as `LocalFrames`.
 //!
 //! **A pair hosted by one runtime never has a socket.** Neither a tree edge
 //! nor a lazily dialed token channel is ever opened toward a hosted node (the
@@ -153,6 +152,7 @@ use std::io::{self, Read, Write};
 use std::mem;
 use std::net::Shutdown;
 use std::os::fd::AsRawFd;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
@@ -166,10 +166,10 @@ use arrow_trace::{HistMetric, Metric, MetricsWriter, Probe, ProbeEvent};
 use desim::{SimTime, SUBTICKS_PER_UNIT};
 use netgraph::{NodeId, RootedTree};
 
-use crate::mesh::{DelayPolicy, NetConfig, HANDSHAKE_TIMEOUT, RECV_BUF_INIT};
+use crate::mesh::{NetConfig, HANDSHAKE_TIMEOUT, RECV_BUF_INIT};
 use crate::runtime::{Grant, NetFailure};
 use crate::socket::{Listener, PeerAddr, Stream};
-use crate::wheel::TimerWheel;
+use crate::timers::Timers;
 use crate::wire::{Frame, MAX_FRAME_LEN};
 
 /// Poll token reserved for the shard's inbox eventfd waker.
@@ -225,7 +225,8 @@ pub(crate) struct Inbox {
     /// command is taken by the next cycle.
     len: AtomicUsize,
     waker: netpoll::Waker,
-    /// Set by the shard as it exits; late senders see `send` return `false`.
+    /// Set by the shard as it exits, under the queue's lock
+    /// ([`Inbox::close`]); late senders see `send` return `false`.
     closed: AtomicBool,
 }
 
@@ -242,15 +243,13 @@ impl Inbox {
     /// Enqueue `cmd` and wake the shard. Returns `false` if the shard has
     /// already drained its inbox for the last time and exited.
     fn send(&self, cmd: ShardCmd) -> bool {
-        // The closed check happens before the push: once `closed` is set the
-        // shard never locks the queue again, so a command enqueued after a
-        // `true` load here may be dropped — callers treat `false` (and only
-        // `false`) as "runtime has shut down".
-        if self.closed.load(Ordering::Acquire) {
-            return false;
-        }
         let first = {
             let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            // Checked under the lock `close` sets it under: a command pushed
+            // here is taken by a later cycle or handed back by `close`.
+            if self.closed.load(Ordering::Acquire) {
+                return false;
+            }
             queue.push_back(cmd);
             self.len.store(queue.len(), Ordering::Release);
             queue.len() == 1
@@ -264,6 +263,14 @@ impl Inbox {
             let _ = self.waker.wake();
         }
         true
+    }
+
+    /// Refuse every later command and hand back the ones still queued.
+    fn close(&self) -> VecDeque<ShardCmd> {
+        let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        self.closed.store(true, Ordering::Release);
+        self.len.store(0, Ordering::Release);
+        mem::take(&mut *queue)
     }
 }
 
@@ -523,13 +530,6 @@ struct PendingDial {
     intent: DialIntent,
 }
 
-/// Injected-latency state for one directed link.
-struct LinkDelay {
-    policy: DelayPolicy,
-    /// Running maximum of scheduled due times, enforcing per-link FIFO.
-    last_due: Instant,
-}
-
 /// An acquire in flight at its node.
 struct Waiter {
     obj: ObjectId,
@@ -600,22 +600,12 @@ struct NodeState<P: Probe> {
     /// mode.
     links: HashMap<NodeId, usize>,
     pending: HashMap<NodeId, PendingDial>,
-    /// Injected-latency streams by peer: empty unless latency is injected.
-    delay: HashMap<NodeId, LinkDelay>,
     /// Core actions are pending dispatch (node is queued in `dirtyq`).
     dirty: bool,
 }
 
-/// A timer wheel entry.
+/// What a shard timer does when it fires.
 enum TimerEntry {
-    /// Injected-latency release of one frame from the node in `slot` toward
-    /// `peer`.
-    FlushFrame {
-        slot: usize,
-        peer: NodeId,
-        frame: Frame,
-        due: Instant,
-    },
     /// Backoff expiry for a failed dial attempt.
     RetryDial { node: NodeId, peer: NodeId },
     /// Handshake deadline for the connection behind `token`.
@@ -635,7 +625,7 @@ pub(crate) struct ReactorShared {
     /// Set once a fault handle exists: only then can a cross-shard hop carry
     /// a stale incarnation stamp, so only then is the stamp checked.
     pub(crate) faults_armed: Arc<AtomicBool>,
-    /// Wall-clock origin for journal timestamps and the timer wheels.
+    /// Wall-clock origin for journal timestamps.
     pub(crate) epoch0: Instant,
 }
 
@@ -695,9 +685,23 @@ fn lock<P: Probe>(cell: &Mutex<Shard<P>>) -> MutexGuard<'_, Shard<P>> {
     cell.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The shard thread: park in `epoll_wait` without the lock, then take the
-/// lock for one cycle over whatever woke it. Returns [`Shard::finish`].
+/// The shard thread: [`serve`] until the shard is done, or — should a cycle
+/// panic — [`Shard::abandon`] it, so its clients get an error instead of
+/// waiting forever on channels the shard still holds.
 fn run<P: Probe>(cell: &Mutex<Shard<P>>) -> (RunJournal, Vec<NetFailure>) {
+    panic::catch_unwind(AssertUnwindSafe(|| serve(cell))).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("no message");
+        lock(cell).abandon(message)
+    })
+}
+
+/// Park in `epoll_wait` without the lock, then take the lock for one cycle
+/// over whatever woke it. Returns [`Shard::finish`].
+fn serve<P: Probe>(cell: &Mutex<Shard<P>>) -> (RunJournal, Vec<NetFailure>) {
     let (poller, mut timeout) = {
         let mut shard = lock(cell);
         (Arc::clone(&shard.poller), shard.park())
@@ -746,7 +750,7 @@ struct Shard<P: Probe> {
     free: Vec<usize>,
     /// This shard's nodes by slot ([`Siblings::shard_of`]), in node-id order.
     nodes: Vec<NodeState<P>>,
-    wheel: TimerWheel<TimerEntry>,
+    timers: Timers<TimerEntry>,
     /// This shard's index among its siblings.
     id: usize,
     siblings: Arc<Siblings>,
@@ -802,7 +806,7 @@ impl<P: Probe> Shard<P> {
             slab: Vec::new(),
             free: Vec::new(),
             nodes: Vec::with_capacity(owned.len()),
-            wheel: TimerWheel::new(shared.epoch0),
+            timers: Timers::new(),
             id,
             outbox: siblings.inboxes.iter().map(|_| Vec::new()).collect(),
             siblings,
@@ -839,7 +843,6 @@ impl<P: Probe> Shard<P> {
                 crashed: false,
                 links: HashMap::new(),
                 pending: HashMap::new(),
-                delay: HashMap::new(),
                 dirty: false,
             });
         }
@@ -983,7 +986,7 @@ impl<P: Probe> Shard<P> {
             self.localq.is_empty() && self.outbox.iter().all(Vec::is_empty),
             "memory paths drained before the wait"
         );
-        self.parked_until = self.wheel.next_due();
+        self.parked_until = self.timers.next_due();
         self.parked_until
             .map(|d| d.saturating_duration_since(Instant::now()))
     }
@@ -1013,10 +1016,8 @@ impl<P: Probe> Shard<P> {
             }
         }
         self.drain_inbox();
-        if !self.wheel.is_empty() {
-            let now = self.clock();
-            self.wheel.pop_due(now, due);
-        }
+        let now = self.clock();
+        self.timers.pop_due(now, due);
         for entry in due.drain(..) {
             self.handle_timer(entry);
         }
@@ -1049,7 +1050,7 @@ impl<P: Probe> Shard<P> {
         self.flush_sockets();
         // The wake rule: a timer armed ahead of the parked thread's deadline
         // would otherwise wait for an unrelated wake-up.
-        if let Some(due) = self.wheel.next_due() {
+        if let Some(due) = self.timers.next_due() {
             if self.parked_until.is_none_or(|parked| due < parked) {
                 self.parked_until = Some(due);
                 let _ = self.inbox.waker.wake();
@@ -1081,12 +1082,57 @@ impl<P: Probe> Shard<P> {
 
     /// Close the inbox and hand back the shard's journal and failures.
     fn finish(&mut self) -> (RunJournal, Vec<NetFailure>) {
-        self.inbox.closed.store(true, Ordering::Release);
+        self.inbox.close();
         for node in self.nodes.drain(..) {
             self.stats
                 .add(Metric::StaleEpochDrops, node.core.stale_drops());
         }
         (mem::take(&mut self.journal), mem::take(&mut self.failures))
+    }
+
+    /// A cycle panicked: fail every acquire the shard's nodes wait on or its
+    /// inbox still holds, with one failure per node naming the panic; send
+    /// the siblings this shard's `Done` marker and cut its sockets, so no
+    /// sibling or peer waits on it; then [`finish`](Shard::finish).
+    fn abandon(&mut self, panic: &str) -> (RunJournal, Vec<NetFailure>) {
+        let now = Instant::now();
+        let description = format!("reactor shard {} panicked: {panic}", self.id);
+        let failure = |node| NetFailure {
+            node,
+            description: description.clone(),
+        };
+        for cmd in self.inbox.close() {
+            if let ShardCmd::Acquire { node, obj, reply } = cmd {
+                let _ = reply.send(Grant {
+                    node,
+                    obj,
+                    result: Err(failure(node)),
+                    wait: Duration::ZERO,
+                });
+            }
+        }
+        for state in &mut self.nodes {
+            for w in state.waiting.drain() {
+                w.fail(state.me, failure(state.me), now);
+            }
+            self.failures.push(failure(state.me));
+        }
+        self.say_done();
+        self.cut_where(|_| true);
+        self.finish()
+    }
+
+    /// Push this shard's [`ShardCmd::Done`] marker to every sibling, once:
+    /// from then on it sends them nothing.
+    fn say_done(&mut self) {
+        if mem::replace(&mut self.said_done, true) {
+            return;
+        }
+        for (s, sibling) in self.siblings.inboxes.iter().enumerate() {
+            if s != self.id {
+                sibling.send(ShardCmd::Done);
+            }
+        }
     }
 
     /// Take every command queued in the inbox and handle them in order.
@@ -1416,9 +1462,11 @@ impl<P: Probe> Shard<P> {
 
     // ---- outbound frames ---------------------------------------------------
 
-    /// Entry point for protocol frames leaving the node in `slot` toward `to`:
-    /// applies injected latency, then delivers (or schedules delivery of) the
-    /// frame.
+    /// Send a protocol frame from the node in `slot` toward `to`, unless the
+    /// node failed, crashed or the link is severed: hand it to its transport
+    /// (see the module docs) — `localq` when this shard hosts `to`, the
+    /// outbox of the sibling shard that hosts it, and otherwise the link
+    /// toward `to`, dialing it if absent.
     fn send_frame(&mut self, slot: usize, to: NodeId, frame: Frame) {
         let state = &self.nodes[slot];
         if state.failed.is_some() {
@@ -1429,46 +1477,6 @@ impl<P: Probe> Shard<P> {
             self.stats.inc(Metric::FramesDropped);
             return;
         }
-        if self.cfg.unit_latency.is_zero() {
-            self.deliver_frame(slot, to, frame);
-            return;
-        }
-        let now = self.clock();
-        let cfg = self.cfg;
-        let dist = self.tree.distance(v, to);
-        let delay = self.nodes[slot]
-            .delay
-            .entry(to)
-            .or_insert_with(|| LinkDelay {
-                policy: DelayPolicy::new(&cfg, dist, v, to),
-                last_due: now,
-            });
-        let due = delay.last_due.max(now + delay.policy.sample());
-        delay.last_due = due;
-        self.wheel.insert(
-            due,
-            TimerEntry::FlushFrame {
-                slot,
-                peer: to,
-                frame,
-                due,
-            },
-        );
-    }
-
-    /// Hand a frame to its transport (see the module docs): `localq` when this
-    /// shard hosts `to`, the outbox of the sibling shard that hosts it, and
-    /// otherwise the link toward `to`, dialing it if absent.
-    fn deliver_frame(&mut self, slot: usize, to: NodeId, frame: Frame) {
-        let state = &self.nodes[slot];
-        if state.failed.is_some() {
-            return;
-        }
-        if state.crashed {
-            self.stats.inc(Metric::FramesDropped);
-            return;
-        }
-        let v = state.me;
         if let Some((s, to_slot)) = self.siblings.shard_of[to] {
             debug_assert!(
                 !state.links.contains_key(&to) && !state.pending.contains_key(&to),
@@ -1566,7 +1574,7 @@ impl<P: Probe> Shard<P> {
                     self.dial_failed(v, to, e);
                     return;
                 }
-                self.wheel.insert(
+                self.timers.insert(
                     Instant::now() + HANDSHAKE_TIMEOUT,
                     TimerEntry::ConnDeadline { token: tok },
                 );
@@ -1596,7 +1604,7 @@ impl<P: Probe> Shard<P> {
         if p.attempt < dial_retries {
             p.attempt += 1;
             let backoff = DIAL_BACKOFF * p.attempt;
-            self.wheel.insert(
+            self.timers.insert(
                 Instant::now() + backoff,
                 TimerEntry::RetryDial { node: v, peer: to },
             );
@@ -1697,7 +1705,7 @@ impl<P: Probe> Shard<P> {
                 self.slab_remove(cidx);
                 continue;
             }
-            self.wheel.insert(
+            self.timers.insert(
                 Instant::now() + HANDSHAKE_TIMEOUT,
                 TimerEntry::ConnDeadline { token: tok },
             );
@@ -2080,17 +2088,6 @@ impl<P: Probe> Shard<P> {
 
     fn handle_timer(&mut self, entry: TimerEntry) {
         match entry {
-            TimerEntry::FlushFrame {
-                slot,
-                peer,
-                frame,
-                due,
-            } => {
-                let dwell = self.clock().saturating_duration_since(due);
-                self.stats
-                    .observe(HistMetric::TimerDwellNanos, dwell.as_nanos() as u64);
-                self.deliver_frame(slot, peer, frame);
-            }
             TimerEntry::RetryDial { node, peer } => {
                 if self.shutting_down {
                     return;
@@ -2130,38 +2127,14 @@ impl<P: Probe> Shard<P> {
             return;
         }
         self.shutting_down = true;
-        // 1. Deliver every latency-delayed frame immediately so the protocol
-        //    quiesces with nothing stuck in the wheel.
-        let mut entries = Vec::new();
-        self.wheel.drain_all(&mut entries);
-        debug_assert!(self.wheel.is_empty(), "drain_all empties the wheel");
-        for (_, entry) in entries {
-            if let TimerEntry::FlushFrame {
-                slot,
-                peer,
-                frame,
-                due,
-            } = entry
-            {
-                let dwell = self.clock().saturating_duration_since(due);
-                self.stats
-                    .observe(HistMetric::TimerDwellNanos, dwell.as_nanos() as u64);
-                self.deliver_frame(slot, peer, frame);
-            }
-        }
-        // Same-shard frames among them land now, so whatever they provoke is
-        // staged ahead of the Goodbyes and `localq` is empty again before the
-        // next command.
+        // 1. Nodes left dirty by commands handled earlier in this cycle send
+        //    now, so whatever they send is staged ahead of the Goodbyes and
+        //    `localq` is empty again before the next command.
         self.run_to_quiescence();
         // Everything sent to siblings so far goes out ahead of the `Done`
         // marker, the in-memory `Goodbye`.
         self.flush_outboxes();
-        for (s, sibling) in self.siblings.inboxes.iter().enumerate() {
-            if s != self.id {
-                sibling.send(ShardCmd::Done);
-            }
-        }
-        self.said_done = true;
+        self.say_done();
         // 2. Stop accepting and abandon half-done handshakes.
         self.cut_where(|src| match src {
             Source::Listener { .. } => true,
@@ -2180,7 +2153,7 @@ impl<P: Probe> Shard<P> {
             self.conn_mut(idx).close_write_after_flush = true;
         }
         // 4. Whatever is left after the grace period gets cut.
-        self.wheel.insert(
+        self.timers.insert(
             Instant::now() + SHUTDOWN_GRACE,
             TimerEntry::ShutdownDeadline,
         );

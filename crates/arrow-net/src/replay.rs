@@ -207,7 +207,7 @@ mod tests {
 
     #[test]
     fn the_kernel_tells_a_starved_acquire_from_a_transport_failure() {
-        let rt = NetRuntime::spawn_multi(&tree(3), 2, NetConfig::instant().with_fault_tolerance());
+        let rt = NetRuntime::spawn_multi(&tree(3), 2, NetConfig::instant());
         let fh = rt.fault_handle();
         let root = rt.handle(0);
         let held = root.acquire_object(ObjectId(1));
@@ -269,7 +269,7 @@ mod tests {
 
     #[test]
     fn the_injector_nudges_recovery_only_once_injection_is_over() {
-        let rt = NetRuntime::spawn_multi(&tree(3), 1, NetConfig::instant().with_fault_tolerance());
+        let rt = NetRuntime::spawn_multi(&tree(3), 1, NetConfig::instant());
         let (go, wait) = channel::<()>();
         let (injector, nudge) = inject(rt.fault_handle(), 2, move |fh| {
             let _ = wait.recv();

@@ -26,9 +26,9 @@
 //! lets a single process host ≥1024 nodes. A client's acquire or release that
 //! finds its shard idle runs that same cycle on the client's own thread instead
 //! of queueing the command and waking the shard thread, so on one shard an
-//! acquire costs no context switch at all. With injected latency frames are
-//! scheduled on the shard's timer wheel, whose next deadline doubles as the
-//! `epoll_wait` timeout, so a shard sleeps in exactly one place. Applications
+//! acquire costs no context switch at all. A shard's next timer deadline (dial
+//! backoff, a handshake or shutdown deadline) is its `epoll_wait` timeout, so
+//! a shard sleeps in exactly one place. Applications
 //! that want to overlap round-trips use the pipelined acquire API
 //! ([`NetHandle::start_acquire_object`]): acquires issued from one node for one
 //! object are granted in issue order, so a worker can keep several requests in
@@ -88,9 +88,10 @@ pub struct Grant {
 }
 
 /// A node-level transport failure: the node exhausted its dial retry budget
-/// ([`NetConfig::dial_retries`]) against a peer and can no longer participate.
-/// Pending and future acquires on the node fail with this instead of blocking
-/// forever, and the failure is surfaced in [`NetReport::failures`].
+/// ([`NetConfig::dial_retries`]) against a peer, or the reactor shard hosting
+/// it panicked, and it can no longer participate. Pending and future acquires
+/// on the node fail with this instead of blocking forever, and the failure is
+/// surfaced in [`NetReport::failures`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetFailure {
     /// The node that observed the failure.
@@ -734,7 +735,8 @@ impl NetReport {
     }
 
     /// Transport failures observed during the run (empty on a healthy mesh): one
-    /// entry per node that exhausted its dial retry budget.
+    /// entry per node that exhausted its dial retry budget or whose reactor
+    /// shard panicked.
     pub fn failures(&self) -> &[NetFailure] {
         &self.failures
     }
@@ -746,7 +748,7 @@ impl NetReport {
 
     /// The full metrics-registry snapshot at shutdown: the counters of
     /// [`NetReport::stats`] plus the socket tier's histograms (write coalescing,
-    /// timer-wheel lateness, acquire latency), in the cross-tier
+    /// acquire latency, events per wakeup, inbox depth), in the cross-tier
     /// [`arrow_trace::MetricsRegistry`] schema the process tier's
     /// (`arrow-cluster`) reports merge.
     pub fn metrics(&self) -> &MetricsSnapshot {
@@ -788,6 +790,7 @@ impl NetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mesh::HANDSHAKE_TIMEOUT;
     use crate::replay::{self, Client};
     use arrow_trace::{HistMetric, Metric};
     use netgraph::generators;
@@ -1006,10 +1009,7 @@ mod tests {
     #[test]
     fn acquires_at_a_crashed_node_fail_promptly_at_every_shard_count() {
         for shards in [1, 4] {
-            let cfg = NetConfig::instant()
-                .with_fault_tolerance()
-                .with_shards(shards);
-            let rt = NetRuntime::spawn(&tree(7), cfg);
+            let rt = NetRuntime::spawn(&tree(7), NetConfig::instant().with_shards(shards));
             let fh = rt.fault_handle();
             // The root holds the token, so node 5's acquire stays pending when
             // the crash reaches its shard (one inbox, FIFO: the acquire first).
@@ -1255,30 +1255,42 @@ mod tests {
     }
 
     /// The wake rule: an inline cycle that arms a timer ahead of the deadline
-    /// the parked shard thread sleeps toward must wake it. With injected
-    /// latency every hop waits on the shard's timer wheel, which only the
-    /// shard thread pops, and an idle one-shard runtime parks with no
-    /// deadline at all: each inline acquire below is granted only because
-    /// its cycle woke the thread.
+    /// the parked shard thread sleeps toward must wake it, since only that
+    /// thread pops the timers. Node 1's daemon outlives its parent's; once
+    /// its bootstrap dial's handshake deadline has passed, its shard parks
+    /// with no deadline at all. The acquire then runs inline, finds no link
+    /// toward node 0 and re-dials it over an abstract Unix-domain socket,
+    /// which refuses at once and arms a dial-retry backoff. The acquire fails
+    /// as a transport error, not a timeout, only because that cycle woke the
+    /// thread to run the retry, whose refusal spends the budget.
     #[test]
     fn inline_cycle_arming_an_earlier_timer_wakes_the_parked_shard() {
-        let cfg = NetConfig::synchronous(Duration::from_millis(1)).with_shards(1);
-        let rt = NetRuntime::spawn(&tree(7), cfg);
-        for v in [6, 3, 6] {
-            // Let the shard thread park before the next command.
-            std::thread::sleep(Duration::from_millis(20));
-            let h = rt.handle(v);
-            let req = h
-                .try_acquire_object_timeout(ObjectId::DEFAULT, Duration::from_secs(5))
-                .expect("the woken shard delivers the delayed hops");
-            h.release(req);
-        }
-        let report = rt.shutdown();
-        assert!(
-            report.stats().inline_cycles >= 1,
-            "an idle shard runs a client's command inline"
+        let cfg = NetConfig::instant().with_dial_retries(1);
+        let mut daemons = replay::daemon_mesh(&tree(2), 1, cfg, Listener::autobind, |_, _| {})
+            .expect("bind the daemons");
+        let spawned = Instant::now();
+        let d1 = daemons.pop().expect("node 1's daemon");
+        eventually("node 1 is linked to its parent", || {
+            d1.stats().snapshot().connections_dialed == 1
+        });
+        daemons.pop().expect("node 0's daemon").shutdown();
+        let quiet = spawned + HANDSHAKE_TIMEOUT + Duration::from_millis(300);
+        std::thread::sleep(quiet.saturating_duration_since(Instant::now()));
+
+        let inline_before = d1.stats().snapshot().inline_cycles;
+        let failure = d1
+            .handle(1)
+            .try_acquire_object_timeout(ObjectId::DEFAULT, Duration::from_secs(5))
+            .expect_err("node 0's daemon is gone");
+        let refused = matches!(&failure, RunError::Transport { node: 1, description }
+            if description.contains("failed to dial peer 0"));
+        assert!(refused, "{failure:?}");
+        assert_eq!(
+            d1.stats().snapshot().inline_cycles,
+            inline_before + 1,
+            "the acquire ran inline"
         );
-        report.validated_orders().unwrap();
+        assert_eq!(d1.shutdown().failures().len(), 1);
     }
 
     /// A quiet one-shard closed loop, where no other thread competes for the
@@ -1419,10 +1431,7 @@ mod tests {
 
     #[test]
     fn crashing_the_token_holder_regenerates_the_token_over_sockets() {
-        let cfg = NetConfig::instant()
-            .with_dial_retries(1)
-            .with_fault_tolerance();
-        let rt = NetRuntime::spawn(&tree(7), cfg);
+        let rt = NetRuntime::spawn(&tree(7), NetConfig::instant());
         let fh = rt.fault_handle();
         // Leaf 5 wins the token and crashes while holding it: frames in flight
         // to or from it are lost and the token dies with its state.
@@ -1453,8 +1462,7 @@ mod tests {
         // Leaf 1's queue() frame is swallowed by a severed tree edge; restoring
         // the link and broadcasting the next epoch makes the leaf re-issue its
         // still-pending request (same id, new stamp), which then completes.
-        let cfg = NetConfig::instant().with_fault_tolerance();
-        let rt = NetRuntime::spawn(&tree(3), cfg);
+        let rt = NetRuntime::spawn(&tree(3), NetConfig::instant());
         let fh = rt.fault_handle();
         fh.apply(&FaultAction::DropLink(0, 1), 1);
         let pending = rt.handle(1).start_acquire_object(ObjectId::DEFAULT);
@@ -1484,10 +1492,7 @@ mod tests {
         let t = tree(7);
         let faults = FaultSchedule::generate(7, &t, 2);
         let final_epoch = faults.final_epoch();
-        let cfg = NetConfig::instant()
-            .with_dial_retries(1)
-            .with_fault_tolerance();
-        let rt = NetRuntime::spawn_multi(&t, 2, cfg);
+        let rt = NetRuntime::spawn_multi(&t, 2, NetConfig::instant());
         let (injector, nudge) = {
             let (t, faults) = (t.clone(), faults.clone());
             replay::inject(rt.fault_handle(), final_epoch, move |fh| {
@@ -1546,11 +1551,7 @@ mod tests {
     /// runs meanwhile, and workers keep going until it is over.
     fn busy_run(shards: usize, rounds: u32, faults: Option<FaultSchedule>) -> NetReport {
         let t = tree(15);
-        let cfg = NetConfig::instant()
-            .with_dial_retries(1)
-            .with_fault_tolerance()
-            .with_shards(shards);
-        let rt = NetRuntime::spawn_multi(&t, 2, cfg);
+        let rt = NetRuntime::spawn_multi(&t, 2, NetConfig::instant().with_shards(shards));
         let done = Arc::new(AtomicBool::new(faults.is_none()));
         let client = Client::new(Duration::from_millis(1000), 200);
         let (injector, client) = match faults {
@@ -1659,8 +1660,7 @@ mod tests {
     /// direction while the link is severed, and none once it is restored.
     #[test]
     fn severed_cross_shard_link_drops_both_ways_until_restored() {
-        let cfg = NetConfig::instant().with_fault_tolerance().with_shards(4);
-        let rt = NetRuntime::spawn(&tree(7), cfg);
+        let rt = NetRuntime::spawn(&tree(7), NetConfig::instant().with_shards(4));
         let fh = rt.fault_handle();
         let dropped = || rt.stats().snapshot().frames_dropped;
         let grant = |p: PendingAcquire| {

@@ -146,10 +146,6 @@ impl Metric {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum HistMetric {
-    /// Nanoseconds a frame sat in a node writer's timer heap before its flush
-    /// deadline fired (socket tier; 0 on instant-latency meshes that bypass
-    /// the heap).
-    TimerDwellNanos,
     /// Nanoseconds from issuing an acquire to its grant landing (tier-defined
     /// measurement point).
     AcquireNanos,
@@ -165,8 +161,7 @@ pub enum HistMetric {
 
 impl HistMetric {
     /// Every histogram, in discriminant order.
-    pub const ALL: [HistMetric; 5] = [
-        HistMetric::TimerDwellNanos,
+    pub const ALL: [HistMetric; 4] = [
         HistMetric::AcquireNanos,
         HistMetric::WriteBatchFrames,
         HistMetric::EventsPerWakeup,
@@ -179,7 +174,6 @@ impl HistMetric {
     /// The stable snake_case schema name (JSON key).
     pub const fn name(self) -> &'static str {
         match self {
-            HistMetric::TimerDwellNanos => "timer_dwell_nanos",
             HistMetric::AcquireNanos => "acquire_nanos",
             HistMetric::WriteBatchFrames => "write_batch_frames",
             HistMetric::EventsPerWakeup => "events_per_wakeup",
@@ -626,7 +620,7 @@ mod tests {
         // p99 lands in the 1000 sample's bucket [512, 1024).
         assert_eq!(h.quantile(0.99), Some(1023));
         assert!((h.mean() - 221.2).abs() < 1e-9);
-        assert_eq!(snap.hist(HistMetric::TimerDwellNanos).quantile(0.5), None);
+        assert_eq!(snap.hist(HistMetric::ShardQueueDepth).quantile(0.5), None);
     }
 
     #[test]

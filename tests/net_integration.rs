@@ -190,63 +190,6 @@ fn sequential_socket_acquires_queue_in_issue_order() {
     assert_eq!(order_nodes, sequence);
 }
 
-/// Synchronous latency injection: on a two-node path with unit edge weight and a
-/// 60 ms unit latency, a remote acquire needs one queue() hop and one token hop, so
-/// it cannot complete in under ~120 ms. The instant config on the same topology
-/// stays far below that — the difference is the injected delay, not socket cost.
-#[test]
-fn synchronous_latency_injection_delays_remote_acquires() {
-    let t = RootedTree::from_tree_graph(&generators::path(2), 0);
-
-    let unit = Duration::from_millis(60);
-    let rt = NetRuntime::spawn(&t, NetConfig::synchronous(unit));
-    let h = rt.handle(1);
-    let start = Instant::now();
-    let req = h.acquire();
-    let delayed = start.elapsed();
-    h.release(req);
-    rt.shutdown();
-    assert!(
-        delayed >= Duration::from_millis(110),
-        "two injected 60 ms hops finished in {delayed:?}"
-    );
-
-    let rt = NetRuntime::spawn(&t, NetConfig::instant());
-    let h = rt.handle(1);
-    let start = Instant::now();
-    let req = h.acquire();
-    let instant = start.elapsed();
-    h.release(req);
-    rt.shutdown();
-    assert!(
-        instant < Duration::from_millis(110),
-        "undelayed loopback acquire took {instant:?}"
-    );
-}
-
-/// The asynchronous latency model honors its floor: with `lo_factor = 0.9`
-/// every hop pays at least 90% of the link weight, so a two-hop acquire pays at
-/// least ~2 × 0.9 × unit.
-#[test]
-fn async_floor_bounds_injected_latency_below() {
-    let t = RootedTree::from_tree_graph(&generators::path(2), 0);
-    let unit = Duration::from_millis(60);
-    let cfg = NetConfig::asynchronous(unit, 0.9, 7);
-    assert_eq!(cfg.jitter, Some((0.9, 7)));
-
-    let rt = NetRuntime::spawn(&t, cfg);
-    let h = rt.handle(1);
-    let start = Instant::now();
-    let req = h.acquire();
-    let elapsed = start.elapsed();
-    h.release(req);
-    rt.shutdown();
-    assert!(
-        elapsed >= Duration::from_millis(100),
-        "two hops floored at 54 ms each finished in {elapsed:?}"
-    );
-}
-
 /// Between daemons the mesh materializes every child-to-parent tree edge at
 /// bootstrap and only grows by the links traffic actually needs (a parent's
 /// edge to a child, direct token channels) — never the full n² mesh.
@@ -349,10 +292,7 @@ fn cross_dials_open_one_link_each_way_on(bind: fn() -> std::io::Result<Listener>
 fn link_sever_racing_in_flight_tokens_recovers_per_epoch_orders() {
     let cycles = 6u64;
     let final_epoch = 2 * cycles;
-    let cfg = NetConfig::instant()
-        .with_dial_retries(1)
-        .with_fault_tolerance();
-    let rt = NetRuntime::spawn_multi(&tree(3), 2, cfg);
+    let rt = NetRuntime::spawn_multi(&tree(3), 2, NetConfig::instant());
     let (chaos, nudge) = inject(rt.fault_handle(), final_epoch, move |fh| {
         for c in 0..cycles {
             fh.apply(&FaultAction::DropLink(0, 1), 2 * c + 1);
@@ -582,8 +522,7 @@ fn a_runtime_hosting_every_node_opens_no_socket_at_any_shard_count() {
 /// like a severed TCP link, and restoring it plus an epoch bump heals.
 #[test]
 fn severed_co_sharded_link_drops_the_frame_and_an_epoch_bump_heals() {
-    let cfg = NetConfig::instant().with_fault_tolerance().with_shards(1);
-    let rt = NetRuntime::spawn(&tree(3), cfg);
+    let rt = NetRuntime::spawn(&tree(3), NetConfig::instant().with_shards(1));
     let fh = rt.fault_handle();
     fh.apply(&FaultAction::DropLink(0, 1), 1);
     let pending = rt.handle(1).start_acquire_object(ObjectId::DEFAULT);
@@ -613,11 +552,7 @@ fn severed_co_sharded_link_drops_the_frame_and_an_epoch_bump_heals() {
 /// it at the root, and the survivors are granted.
 #[test]
 fn crashing_a_co_sharded_token_holder_regenerates_the_token() {
-    let cfg = NetConfig::instant()
-        .with_dial_retries(1)
-        .with_fault_tolerance()
-        .with_shards(1);
-    let rt = NetRuntime::spawn(&tree(7), cfg);
+    let rt = NetRuntime::spawn(&tree(7), NetConfig::instant().with_shards(1));
     let fh = rt.fault_handle();
     let req = rt.handle(5).try_acquire().expect("healthy mesh grants");
     assert!(!req.is_root());
@@ -644,28 +579,6 @@ fn crashing_a_co_sharded_token_holder_regenerates_the_token() {
         .expect("per-epoch order contract under churn");
     assert!(report.failures().is_empty(), "churn is not a mesh failure");
     assert_eq!(report.stats().connections_dialed, 0);
-}
-
-/// Injected latency also sits upstream of the transport choice: two hops
-/// between co-sharded nodes under a 60 ms synchronous unit latency still take
-/// two timer-wheel delays, although no byte touches a socket.
-#[test]
-fn co_sharded_hops_still_pay_injected_latency() {
-    let t = RootedTree::from_tree_graph(&generators::path(2), 0);
-    let cfg = NetConfig::synchronous(Duration::from_millis(60)).with_shards(1);
-    let rt = NetRuntime::spawn(&t, cfg);
-    let h = rt.handle(1);
-    let start = Instant::now();
-    let req = h.acquire();
-    let delayed = start.elapsed();
-    h.release(req);
-    let report = rt.shutdown();
-    assert!(
-        delayed >= Duration::from_millis(100),
-        "two injected 60 ms hops finished in {delayed:?}"
-    );
-    assert_eq!(report.stats().local_frames, 2, "one queue(), one token");
-    assert_eq!(report.stats().socket_writes, 0);
 }
 
 /// Per-link FIFO on the memory path: two objects' frames interleave on the one
@@ -698,4 +611,32 @@ fn k2_interleaving_on_one_co_sharded_pair_keeps_send_order() {
     report
         .validated_orders()
         .expect("both objects' orders validate");
+}
+
+/// A panicking reactor shard fails what its clients wait on instead of
+/// hanging them. Node 0 holds the token and node 1's acquire waits behind
+/// it; then a fault handle of node 1's daemon names node 0, which that daemon
+/// does not host, and the lookup panics node 1's only shard. The pending
+/// acquire must fail with a transport error naming the panic, well within its
+/// bounded wait, and node 1's report must carry the failure.
+#[test]
+fn a_panicking_shard_fails_its_waiting_acquires_and_reports_the_panic() {
+    let Daemons(mut daemons) = Daemons::spawn(&tree(2), 1, NetConfig::instant());
+    let _held = daemons[0].handle(0).acquire();
+    let pending = daemons[1].handle(1).start_acquire_object(ObjectId::DEFAULT);
+    daemons[1].fault_handle().crash(0);
+    let failure = pending
+        .wait_timeout(Duration::from_secs(5))
+        .expect_err("the panicked shard can grant nothing");
+    let panicked = matches!(&failure, RunError::Transport { node: 1, description }
+        if description.contains("panicked"));
+    assert!(panicked, "{failure:?}");
+
+    let report = daemons.pop().expect("node 1's daemon").shutdown();
+    let [failure] = report.failures() else {
+        panic!("one failure, node 1's: {:?}", report.failures());
+    };
+    assert_eq!(failure.node, 1);
+    assert!(failure.description.contains("panicked"), "{failure:?}");
+    daemons.pop().expect("node 0's daemon").shutdown();
 }
